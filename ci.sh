@@ -51,6 +51,17 @@ fi
 step "tests (workspace)"
 cargo test -q --offline --workspace
 
+step "job benchmark builds and smokes (benchmark/)"
+# benchmark/ is a workspace of its own that calls public functions of
+# the engine crates (Partition::chunked, DepLayout::high_degree,
+# LocalGraph::build, run_spmd, the algorithms). Building it, running its
+# unit tests and its scale-10 smoke here makes a change to one of those
+# signatures fail CI instead of silently breaking the benchmark. Runs
+# under --quick. (tests/prepared_reuse.rs, the gate on prepared-graph
+# reuse, already ran with the workspace tests above.)
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --offline --manifest-path benchmark/Cargo.toml -- smoke
+
 step "backend equivalence gate (sim vs thread transport)"
 # Bit-identical outputs, work, CommStats, and virtual time across the
 # deterministic simulator and the OS-thread backend, for the algorithm

@@ -1630,15 +1630,16 @@ pub fn direction_study() -> Report {
 /// and replication"). One mirror = one potential update sender per
 /// vertex; dependency propagation is what lets most of them stay silent.
 pub fn replication() -> Report {
-    use symple_core::{DepLayout, LocalGraph, Partition};
+    use symple_core::PreparedGraph;
     let mut rows = Vec::new();
     for name in ["tw", "s29"] {
         let g = dataset(name);
         for machines in [2usize, 4, 8, 16] {
-            let part = Partition::chunked(g, machines, 8.0);
-            let layout = DepLayout::full(&part);
+            // Mirrors do not depend on the dependency layout, so take the
+            // one the suite's SympleGraph jobs at this size already built.
+            let prepared = PreparedGraph::of(g, &EngineConfig::new(machines, Policy::symple()));
             let mirrors: usize = (0..machines)
-                .map(|r| LocalGraph::build(g, &part, &layout, r).num_mirrors())
+                .map(|r| prepared.local(g, r).num_mirrors())
                 .sum();
             let factor = (mirrors + g.num_vertices()) as f64 / g.num_vertices() as f64;
             rows.push(vec![

@@ -509,6 +509,24 @@ impl DepLayout {
         }
     }
 
+    /// [`DepLayout::slot_of`] for a whole partition walked in order: the
+    /// returned function must be fed every vertex of `part` in ascending
+    /// id order, and steps through the partition's high-degree list
+    /// alongside instead of searching it per vertex.
+    pub(crate) fn slots_in_order(&self, part: usize) -> impl FnMut(Vid) -> Option<usize> + '_ {
+        let start = self.part_starts[part];
+        let hi_list = self.hi_lists.as_ref().map(|lists| lists[part].as_slice());
+        let mut next = 0;
+        move |v| match hi_list {
+            None => Some((v.raw() - start) as usize),
+            Some(list) if list.get(next) == Some(&v) => {
+                next += 1;
+                Some(next - 1)
+            }
+            Some(_) => None,
+        }
+    }
+
     /// Is this a differentiated (high-degree-only) layout?
     pub fn is_differentiated(&self) -> bool {
         self.hi_lists.is_some()

@@ -16,25 +16,32 @@
 use crate::{DepLayout, Partition};
 use symple_graph::{Graph, Vid};
 
+/// The slot recorded for a low-degree destination, which has none.
+const NO_SLOT: u32 = u32::MAX;
+
 /// One side (high- or low-degree) of a bucket: destinations with their
 /// local in-neighbour segments, CSR-packed.
 #[derive(Debug, Clone, Default)]
 pub struct BucketPart {
     dsts: Vec<Vid>,
     /// Dependency slot per destination (parallel to `dsts`; meaningless
-    /// for the low-degree part, which carries `u32::MAX`).
+    /// for the low-degree part, which carries [`NO_SLOT`]).
     slots: Vec<u32>,
     offsets: Vec<usize>,
     srcs: Vec<Vid>,
 }
 
 impl BucketPart {
-    fn new() -> Self {
+    /// An empty part with room for exactly `dsts` destinations and `edges`
+    /// in-neighbours, so filling it never regrows (and re-copies) a `Vec`.
+    fn with_capacity(dsts: usize, edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(dsts + 1);
+        offsets.push(0);
         BucketPart {
-            dsts: Vec::new(),
-            slots: Vec::new(),
-            offsets: vec![0],
-            srcs: Vec::new(),
+            dsts: Vec::with_capacity(dsts),
+            slots: Vec::with_capacity(dsts),
+            offsets,
+            srcs: Vec::with_capacity(edges),
         }
     }
 
@@ -107,20 +114,38 @@ impl LocalGraph {
         let p = part.num_parts();
         let (my_lo, my_hi) = part.range(rank);
         let mut buckets = Vec::with_capacity(p);
+        // Per bucket: locate every destination's local segment once, sizing
+        // both parts as it goes, then copy into exactly sized storage.
+        let mut found: Vec<(Vid, u32, &[Vid])> = Vec::new();
         for j in 0..p {
-            let mut bucket = Bucket {
-                hi: BucketPart::new(),
-                lo: BucketPart::new(),
-            };
+            found.clear();
+            let mut slot_of = layout.slots_in_order(j);
+            let (mut hi_dsts, mut hi_edges, mut lo_edges) = (0, 0, 0);
             for v in part.vertices(j) {
+                let slot = slot_of(v).map_or(NO_SLOT, |s| s as u32);
                 let srcs = graph.in_neighbors_in_range(v, my_lo, my_hi);
                 if srcs.is_empty() {
                     continue;
                 }
-                match layout.slot_of(j, v) {
-                    Some(slot) => bucket.hi.push(v, slot as u32, srcs),
-                    None => bucket.lo.push(v, u32::MAX, srcs),
+                if slot == NO_SLOT {
+                    lo_edges += srcs.len();
+                } else {
+                    hi_dsts += 1;
+                    hi_edges += srcs.len();
                 }
+                found.push((v, slot, srcs));
+            }
+            let mut bucket = Bucket {
+                hi: BucketPart::with_capacity(hi_dsts, hi_edges),
+                lo: BucketPart::with_capacity(found.len() - hi_dsts, lo_edges),
+            };
+            for &(v, slot, srcs) in &found {
+                let side = if slot == NO_SLOT {
+                    &mut bucket.lo
+                } else {
+                    &mut bucket.hi
+                };
+                side.push(v, slot, srcs);
             }
             buckets.push(bucket);
         }

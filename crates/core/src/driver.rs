@@ -1,6 +1,8 @@
 //! Top-level driver: spawn the cluster, run the SPMD closure, aggregate.
 
-use crate::{EngineConfig, RunStats, TimeStats, WorkStats, Worker};
+use crate::{EngineConfig, PreparedGraph, RunStats, TimeStats, WorkStats, Worker};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use symple_graph::Graph;
 use symple_net::Cluster;
 
@@ -38,11 +40,15 @@ impl<T> DistResult<T> {
 
 /// Runs `f` SPMD-style on `cfg.machines` simulated machines over `graph`.
 ///
-/// Every machine builds its own [`Worker`] (partition, dependency layout,
-/// local buckets) and runs the same closure — exactly how a Gemini
-/// application binary runs under `mpiexec`. Tracing is controlled by
-/// `cfg.trace_level`; the collected [`symple_net::Trace`] is returned on
-/// `stats.trace`.
+/// Every machine gets its own [`Worker`] and runs the same closure —
+/// exactly how a Gemini application binary runs under `mpiexec`. The
+/// partition, dependency layout and per-machine buckets the workers walk
+/// are the graph's [`PreparedGraph`] for `cfg`'s layout: fetched once
+/// here, shared by all machines, built by the first job on `graph` with
+/// that layout (each machine building its own buckets, in parallel) and
+/// found ready by every later one. Set-up wall time is reported as
+/// `stats.time.setup_wall`. Tracing is controlled by `cfg.trace_level`;
+/// the collected [`symple_net::Trace`] is returned on `stats.trace`.
 ///
 /// # Example
 ///
@@ -76,20 +82,27 @@ where
         .retry(cfg.retry)
         .build()
         .unwrap_or_else(|e| panic!("invalid engine config: {e}"));
+    let fetch_started = Instant::now();
+    let prepared = PreparedGraph::of(graph, cfg);
+    let fetch_wall = fetch_started.elapsed();
     let res = cluster.run(|ctx| {
-        let mut worker = Worker::new(ctx, graph, cfg);
+        let started = Instant::now();
+        let mut worker = Worker::with_prepared(ctx, graph, cfg, Arc::clone(&prepared), started);
         let out = f(&mut worker);
-        (out, worker.stats())
+        (out, worker.stats(), worker.setup_wall())
     });
     let max_node_wall = res.max_node_wall();
     let mut work = WorkStats::default();
+    let mut node_setup = Duration::ZERO;
     let mut outputs = Vec::with_capacity(res.outputs.len());
-    for (out, st) in res.outputs {
+    for (out, st, setup) in res.outputs {
         work.merge(&st);
+        node_setup = node_setup.max(setup);
         outputs.push(out);
     }
     let mut time = TimeStats::from_trace(res.virtual_time, res.wall, &res.traces);
     time.max_node_wall = max_node_wall;
+    time.setup_wall = fetch_wall + node_setup;
     DistResult {
         outputs,
         stats: RunStats {

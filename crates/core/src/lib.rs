@@ -5,7 +5,8 @@
 //!
 //! * Gemini-style **chunked outgoing edge-cut** partitioning
 //!   ([`Partition`]) and per-machine master/mirror structures
-//!   ([`LocalGraph`]);
+//!   ([`LocalGraph`]), prepared once per graph and shared by every job
+//!   on it ([`PreparedGraph`]);
 //! * **circulant scheduling** (paper §5.1): each pull iteration is split
 //!   into `p` steps; in step `s` machine `i` processes the sub-graph
 //!   `[i, (i+1+s) mod p]`, so the in-edges of every partition are processed
@@ -40,6 +41,7 @@ mod dist_graph;
 mod driver;
 pub mod par;
 mod partition;
+mod prepared;
 mod program;
 mod stats;
 mod worker;
@@ -52,6 +54,7 @@ pub use dep::{BitDep, CountDep, DepLayout, DepState, WeightDep};
 pub use dist_graph::{Bucket, BucketPart, LocalGraph};
 pub use driver::{run_spmd, DistResult};
 pub use partition::{CacheBlocks, Partition};
+pub use prepared::PreparedGraph;
 pub use program::{PullProgram, PushProgram, SignalOutcome};
 #[allow(deprecated)]
 pub use stats::WorkerStats;

@@ -191,6 +191,12 @@ pub struct TimeStats {
     /// backend this is the measured counterpart of `virtual_secs`; on the
     /// simulator it only reflects host scheduling.
     pub max_node_wall: Duration,
+    /// Measured set-up wall time: fetching the graph's
+    /// [`crate::PreparedGraph`] plus the slowest machine's [`crate::Worker`]
+    /// construction (part of its `max_node_wall`). The first job on a
+    /// graph and layout builds the partition, dependency layout and
+    /// buckets here; later jobs find them, and this drops to microseconds.
+    pub setup_wall: Duration,
     breakdown: [f64; 9],
 }
 
@@ -205,6 +211,7 @@ impl TimeStats {
             virtual_secs,
             wall,
             max_node_wall: Duration::ZERO,
+            setup_wall: Duration::ZERO,
             breakdown,
         }
     }
@@ -255,6 +262,12 @@ impl RunStats {
     /// clock (shorthand for `self.time.max_node_wall`).
     pub fn max_node_wall(&self) -> Duration {
         self.time.max_node_wall
+    }
+
+    /// Measured set-up wall time — building or fetching the prepared
+    /// graph (shorthand for `self.time.setup_wall`).
+    pub fn setup_wall(&self) -> Duration {
+        self.time.setup_wall
     }
 
     /// Edges traversed normalised to a graph's edge count — Table 5's

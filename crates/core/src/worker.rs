@@ -28,11 +28,12 @@
 use crate::circulant::{dst_partition, processing_order};
 use crate::par::{self, ParCfg, PassOutput};
 use crate::{
-    ApplyLayout, CacheBlocks, DepLayout, DepState, EarlyExit, EngineConfig, LocalGraph, Partition,
-    Policy, PullProgram, PushProgram, WorkMetric, WorkStats,
+    ApplyLayout, CacheBlocks, DepState, EarlyExit, EngineConfig, LocalGraph, Partition, Policy,
+    PreparedGraph, PullProgram, PushProgram, WorkMetric, WorkStats,
 };
 use std::ops::Range;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use symple_graph::{Bitmap, Graph, Vid};
 use symple_net::{CodecStats, CommKind, NodeCtx, SpanCategory, Tag, TagKind, Wire, WireFormat};
 
@@ -82,9 +83,13 @@ pub struct Worker<'a> {
     ctx: &'a mut NodeCtx,
     graph: &'a Graph,
     cfg: &'a EngineConfig,
-    part: Partition,
-    layout: DepLayout,
-    local: LocalGraph,
+    /// The partition and dependency layout, shared with the job's other
+    /// machines and with every other job on this graph and layout.
+    prepared: Arc<PreparedGraph>,
+    /// This rank's buckets out of `prepared`.
+    local: Arc<LocalGraph>,
+    /// Wall time the constructor took (fetching or building the above).
+    setup_wall: Duration,
     stats: WorkStats,
     iter_seq: u64,
     /// One scratch encode buffer per peer rank. `send` moves its payload
@@ -105,36 +110,48 @@ fn group_range(g: usize, groups: usize, n: usize) -> Range<usize> {
 }
 
 impl<'a> Worker<'a> {
-    /// Builds the machine-local structures (partition, dependency layout,
-    /// buckets). Deterministic per rank.
+    /// The handle of machine `ctx.rank()` over `graph`'s
+    /// [`PreparedGraph`] for `cfg`. Builds nothing the graph already
+    /// holds: the partition, dependency layout and this rank's buckets
+    /// are built by the first job on the graph with this layout and found
+    /// by every later one.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid or its machine count differs
     /// from the cluster's.
     pub fn new(ctx: &'a mut NodeCtx, graph: &'a Graph, cfg: &'a EngineConfig) -> Self {
+        let started = Instant::now();
         if let Err(e) = cfg.validate() {
             panic!("invalid engine config: {e}");
         }
+        let prepared = PreparedGraph::of(graph, cfg);
+        Worker::with_prepared(ctx, graph, cfg, prepared, started)
+    }
+
+    /// [`Worker::new`] over a `prepared` the caller already fetched with
+    /// `PreparedGraph::of(graph, cfg)` — once for all machines of a job.
+    /// `started` is when this machine's set-up began.
+    pub(crate) fn with_prepared(
+        ctx: &'a mut NodeCtx,
+        graph: &'a Graph,
+        cfg: &'a EngineConfig,
+        prepared: Arc<PreparedGraph>,
+        started: Instant,
+    ) -> Self {
         assert_eq!(
             cfg.machines,
             ctx.world(),
             "config machine count must match cluster size"
         );
-        let part = Partition::chunked(graph, cfg.machines, cfg.partition_alpha);
-        let layout = if cfg.differentiated() {
-            DepLayout::high_degree(graph, &part, cfg.degree_threshold)
-        } else {
-            DepLayout::full(&part)
-        };
-        let local = LocalGraph::build(graph, &part, &layout, ctx.rank());
+        let local = prepared.local(graph, ctx.rank());
         Worker {
             ctx,
             graph,
             cfg,
-            part,
-            layout,
+            prepared,
             local,
+            setup_wall: started.elapsed(),
             stats: WorkStats::default(),
             iter_seq: 0,
             enc_pool: vec![Vec::new(); cfg.machines],
@@ -210,12 +227,12 @@ impl<'a> Worker<'a> {
 
     /// The global partition.
     pub fn partition(&self) -> &Partition {
-        &self.part
+        self.prepared.partition()
     }
 
     /// This machine's master range `[lo, hi)`.
     pub fn my_range(&self) -> (Vid, Vid) {
-        self.part.range(self.ctx.rank())
+        self.partition().range(self.ctx.rank())
     }
 
     /// Iterates this machine's master vertices.
@@ -234,7 +251,12 @@ impl<'a> Worker<'a> {
     /// [`Worker::pull`] (the per-partition maximum plus one scratch slot
     /// used for local-only breaks).
     pub fn dep_slots_needed(&self) -> usize {
-        self.layout.max_slots() + 1
+        self.prepared.dep_layout().max_slots() + 1
+    }
+
+    /// Wall time this machine spent constructing its handle.
+    pub(crate) fn setup_wall(&self) -> Duration {
+        self.setup_wall
     }
 
     /// This machine's accumulated counters.
@@ -629,7 +651,7 @@ impl<'a> Worker<'a> {
             "bitmap length mismatch"
         );
         let rank = self.ctx.rank();
-        let (lo, hi) = self.part.range(rank);
+        let (lo, hi) = self.partition().range(rank);
         let payload = if lo == hi {
             Vec::new() // empty partitions may sit at unaligned boundaries
         } else {
@@ -640,7 +662,7 @@ impl<'a> Worker<'a> {
             if m == rank {
                 continue;
             }
-            let (mlo, mhi) = self.part.range(m);
+            let (mlo, mhi) = self.partition().range(m);
             if mlo == mhi {
                 continue;
             }
@@ -663,14 +685,14 @@ impl<'a> Worker<'a> {
             "array length mismatch"
         );
         let rank = self.ctx.rank();
-        let (lo, hi) = self.part.range(rank);
+        let (lo, hi) = self.partition().range(rank);
         let payload = symple_net::encode_slice(&arr[lo.index()..hi.index()]);
         let all = self.ctx.allgather_bytes(payload, CommKind::Sync);
         for (m, bytes) in all.iter().enumerate() {
             if m == rank {
                 continue;
             }
-            let (mlo, mhi) = self.part.range(m);
+            let (mlo, mhi) = self.partition().range(m);
             let vals: Vec<T> = symple_net::decode_vec(bytes);
             arr[mlo.index()..mhi.index()].copy_from_slice(&vals);
         }
@@ -766,7 +788,7 @@ impl<'a> Worker<'a> {
             let j = dst_partition(rank, s, p);
             let first = s == 0;
             let last = s + 1 == p;
-            let n_slots = self.layout.slots(j);
+            let n_slots = self.prepared.dep_layout().slots(j);
             let mut step = PassOutput::default();
 
             if !symple {
@@ -1033,7 +1055,7 @@ impl<'a> Worker<'a> {
             "push frontier must be local masters"
         );
         let pc = self.par_cfg();
-        let pass = par::push_pass(prog, self.graph, &self.part, frontier, pc);
+        let pass = par::push_pass(prog, self.graph, self.partition(), frontier, pc);
         self.stats.add(WorkMetric::EdgesTraversed, pass.edges);
         self.stats
             .add(WorkMetric::VerticesExamined, frontier.len() as u64);

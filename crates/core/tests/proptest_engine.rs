@@ -1,14 +1,24 @@
 //! Property-based tests of the engine's structural invariants on
 //! arbitrary graphs and machine counts: partition coverage, bucket
 //! completeness, circulant permutation laws, dependency-slot agreement,
-//! and a model-checked pull over a toy program.
+//! the memoized prepared graph against direct construction, and a
+//! model-checked pull over a toy program.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use symple_core::{
-    dst_partition, processing_order, run_spmd, src_machine, BitDep, DepLayout, EngineConfig,
-    LocalGraph, Partition, Policy, PullProgram, SignalOutcome,
+    dst_partition, processing_order, run_spmd, src_machine, Backend, BitDep, BucketPart, DepLayout,
+    EngineConfig, Exchange, FaultPlan, LocalGraph, Partition, Policy, PreparedGraph, PullProgram,
+    SignalOutcome, TraceLevel, WireCodec,
 };
 use symple_graph::{Graph, GraphBuilder, Vid};
+
+/// A bucket part's entries, owned, for comparison.
+fn entries(part: &BucketPart) -> Vec<(Vid, usize, Vec<Vid>)> {
+    part.iter()
+        .map(|(v, slot, srcs)| (v, slot, srcs.to_vec()))
+        .collect()
+}
 
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
     (2..max_n).prop_flat_map(move |n| {
@@ -103,6 +113,78 @@ proptest! {
             }
             prop_assert_eq!(slots_seen.len(), layout.slots(j));
         }
+    }
+
+    /// What a graph memoizes is what direct construction gives, which in
+    /// turn is the per-vertex definition of a bucket; and only the layout
+    /// fields of a configuration tell prepared graphs apart.
+    #[test]
+    fn prepared_graph_equals_direct_construction(
+        g in arb_graph(200, 500),
+        p in 1usize..6,
+        alpha in 0usize..3,
+        threshold in 1usize..8,
+        policy_idx in 0usize..3,
+    ) {
+        let policy = [Policy::Gemini, Policy::symple(), Policy::symple_basic()][policy_idx];
+        let mut cfg = EngineConfig::new(p, policy).degree_threshold(threshold);
+        cfg.partition_alpha = [0.0, 1.5, 8.0][alpha];
+        let prepared = PreparedGraph::of(&g, &cfg);
+
+        let part = Partition::chunked(&g, p, cfg.partition_alpha);
+        let layout = if cfg.differentiated() {
+            DepLayout::high_degree(&g, &part, threshold)
+        } else {
+            DepLayout::full(&part)
+        };
+        prop_assert_eq!(prepared.partition(), &part);
+        prop_assert_eq!(prepared.dep_layout().is_differentiated(), cfg.differentiated());
+        for rank in 0..p {
+            let memoized = prepared.local(&g, rank);
+            let direct = LocalGraph::build(&g, &part, &layout, rank);
+            let (my_lo, my_hi) = part.range(rank);
+            for j in 0..p {
+                prop_assert_eq!(prepared.dep_layout().slots(j), layout.slots(j));
+                let (mut hi, mut lo) = (Vec::new(), Vec::new());
+                for v in part.vertices(j) {
+                    let slot = layout.slot_of(j, v);
+                    prop_assert_eq!(prepared.dep_layout().slot_of(j, v), slot);
+                    let srcs = g.in_neighbors_in_range(v, my_lo, my_hi).to_vec();
+                    if !srcs.is_empty() {
+                        match slot {
+                            Some(slot) => hi.push((v, slot, srcs)),
+                            None => lo.push((v, u32::MAX as usize, srcs)),
+                        }
+                    }
+                }
+                for local in [&*memoized, &direct] {
+                    prop_assert_eq!(&entries(&local.bucket(j).hi), &hi);
+                    prop_assert_eq!(&entries(&local.bucket(j).lo), &lo);
+                }
+            }
+        }
+
+        // equal layout fields, every other field different: one prepared graph
+        let elsewhere = cfg
+            .clone()
+            .threads(3)
+            .chunk_size(7)
+            .wire_codec(WireCodec::Adaptive)
+            .exchange(Exchange::Bulk)
+            .trace_level(TraceLevel::Full)
+            .backend(Backend::Thread)
+            .fault_plan(FaultPlan::chaos(5));
+        prop_assert!(Arc::ptr_eq(&prepared, &PreparedGraph::of(&g, &elsewhere)));
+        // a full layout does not read the threshold; a differentiated one does
+        let other_threshold = cfg.clone().degree_threshold(threshold + 1);
+        prop_assert_eq!(
+            Arc::ptr_eq(&prepared, &PreparedGraph::of(&g, &other_threshold)),
+            !cfg.differentiated()
+        );
+        prop_assert!(!Arc::ptr_eq(
+            &prepared,
+            &PreparedGraph::of(&g, &EngineConfig::new(p + 1, policy))
+        ));
     }
 
     /// A toy pull program ("emit the first even in-neighbour") must

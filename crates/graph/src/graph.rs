@@ -1,7 +1,21 @@
 //! The directed graph type used throughout the reproduction.
 
 use crate::{Csr, Vid};
+use std::any::Any;
 use std::fmt;
+use std::sync::{Arc, Mutex};
+
+/// The graph's slot for immutable structures derived from it (see
+/// [`Graph::derived`]): at most one entry per type.
+#[derive(Default)]
+struct Derived(Mutex<Vec<Arc<dyn Any + Send + Sync>>>);
+
+impl Clone for Derived {
+    /// A cloned graph starts with an empty slot: what it derives, it owns.
+    fn clone(&self) -> Self {
+        Derived::default()
+    }
+}
 
 /// A directed graph with both forward (out-edge) and reverse (in-edge)
 /// adjacency.
@@ -10,10 +24,16 @@ use std::fmt;
 /// of frontier vertices; pull (dense) mode — where loop-carried dependency
 /// matters — traverses in-edges of candidate vertices. Construct via
 /// [`crate::GraphBuilder`] or a generator.
+///
+/// A graph is immutable once built (there is no `&mut` API), which is what
+/// lets layers above memoize structures derived from it on the graph
+/// itself ([`Graph::derived`]); they are dropped with the graph, and a
+/// [`Clone`] or [`Graph::transpose`] starts without any.
 #[derive(Clone)]
 pub struct Graph {
     out: Csr,
     incoming: Csr,
+    derived: Derived,
 }
 
 impl Graph {
@@ -30,7 +50,36 @@ impl Graph {
         let out = Csr::from_edges(num_vertices, edges);
         let reversed: Vec<(Vid, Vid)> = edges.iter().map(|&(s, d)| (d, s)).collect();
         let incoming = Csr::from_edges(num_vertices, &reversed);
-        Graph { out, incoming }
+        Graph {
+            out,
+            incoming,
+            derived: Derived::default(),
+        }
+    }
+
+    /// The graph's one `T`, made by `init` on the first call and shared by
+    /// every later one — a place for a layer above to memoize an immutable
+    /// structure it derives from the graph (a partitioned layout, an
+    /// index) for exactly as long as the graph lives, without a global
+    /// registry keyed by something that outlives it.
+    ///
+    /// `init` runs under the slot's lock, so it should only make an empty
+    /// container that is filled afterwards, and must not call `derived`
+    /// itself.
+    pub fn derived<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Arc<T> {
+        // The only update is pushing a whole entry, so the list is valid
+        // even if an `init` panicked while the lock was held.
+        let mut entries = self
+            .derived
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(found) = entries.iter().find_map(|e| Arc::clone(e).downcast().ok()) {
+            return found;
+        }
+        let made = Arc::new(init());
+        entries.push(Arc::clone(&made) as Arc<dyn Any + Send + Sync>);
+        made
     }
 
     /// Number of vertices.
@@ -98,11 +147,13 @@ impl Graph {
     /// The transpose graph (every edge reversed). Since a [`Graph`]
     /// already stores both directions, this just swaps the two CSRs —
     /// useful for backward traversals (e.g. the backward reachability
-    /// phase of SCC detection).
+    /// phase of SCC detection). The transpose is a different graph, so it
+    /// starts with nothing [derived](Graph::derived).
     pub fn transpose(&self) -> Graph {
         Graph {
             out: self.incoming.clone(),
             incoming: self.out.clone(),
+            derived: Derived::default(),
         }
     }
 }
@@ -160,6 +211,20 @@ mod tests {
         for u in g.vertices() {
             assert_eq!(tt.out_neighbors(u), g.out_neighbors(u));
         }
+    }
+
+    #[test]
+    fn derived_is_per_type_per_graph_and_not_inherited() {
+        let g = Graph::from_edges(3, &[(v(0), v(1))]);
+        let a = g.derived(|| 7u32);
+        let b = g.derived(|| -> u32 { unreachable!("already made") });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(*g.derived(|| "other type"), "other type");
+        assert_eq!(*a, 7);
+        // neither a clone nor the transpose inherits the slot
+        assert_eq!(*g.clone().derived(|| 8u32), 8);
+        assert_eq!(*g.transpose().derived(|| 9u32), 9);
+        assert_eq!(*g.derived(|| 0u32), 7);
     }
 
     #[test]
