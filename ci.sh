@@ -51,6 +51,16 @@ fi
 step "tests (workspace)"
 cargo test -q --offline --workspace
 
+step "UDF executor differential tests (release profile)"
+# The workspace run above is a debug build: overflow checks on, and the
+# `debug_assert` certificate-range checks of `UdfDep` compiled in. The
+# job benchmark and every experiment run release, where both are off, so
+# the typed-VM-vs-interpreter suites run under that profile too. Runs
+# under --quick.
+cargo test -q --release --offline -p symple-udf \
+  --test typed_vm_differential --test typed_bind
+cargo test -q --release --offline --test exec_equivalence
+
 step "job benchmark builds and smokes (benchmark/)"
 # benchmark/ is a workspace of its own that calls public functions of
 # the engine crates (Partition::chunked, DepLayout::high_degree,

@@ -1944,7 +1944,7 @@ pub struct DispatchPoint {
     pub edges: u64,
     /// Best-of-reps wall seconds, AST interpreter.
     pub interp_wall_secs: f64,
-    /// Best-of-reps wall seconds, register-bytecode VM.
+    /// Best-of-reps wall seconds, typed bytecode VM.
     pub bytecode_wall_secs: f64,
 }
 
@@ -2173,7 +2173,7 @@ pub fn exec_json(study: &ExecStudy) -> String {
     w.key("bench").string("executor");
     w.key("note").string(
         "udf_dispatch: PullProgram::signal over synthetic neighbour lists, \
-         AST interpreter vs register-bytecode VM, checksums asserted \
+         AST interpreter vs typed bytecode VM, checksums asserted \
          bit-identical, wall = best of 5. apply_sweep: one uniform \
          update stream scattered directly vs binned by CacheBlocks and \
          applied block by block (binning included in the blocked wall, \

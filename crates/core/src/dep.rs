@@ -49,11 +49,6 @@ pub trait DepState: Send {
     /// Panics if `buf` is too short for the range.
     fn decode_range(&mut self, range: Range<usize>, buf: &[u8]);
 
-    /// Wire bytes needed for `len` slots (documentation/accounting aid).
-    fn wire_bytes(len: usize) -> usize
-    where
-        Self: Sized;
-
     /// Appends the *adaptively coded* encoding of the slots in `range`
     /// (1-byte format tag + body) and returns the chosen format.
     ///
@@ -139,6 +134,11 @@ impl BitDep {
     pub fn mark(&mut self, slot: usize) {
         self.bits[slot] = true;
     }
+
+    /// Flat wire bytes for `len` slots: one bit each.
+    pub fn wire_bytes(len: usize) -> usize {
+        len.div_ceil(8)
+    }
 }
 
 impl DepState for BitDep {
@@ -173,10 +173,6 @@ impl DepState for BitDep {
         for i in 0..len {
             self.bits[range.start + i] = (buf[i / 8] >> (i % 8)) & 1 == 1;
         }
-    }
-
-    fn wire_bytes(len: usize) -> usize {
-        len.div_ceil(8)
     }
 
     fn encode_range_coded(&self, range: Range<usize>, out: &mut Vec<u8>) -> WireFormat {
@@ -255,6 +251,11 @@ impl CountDep {
         }
         *c
     }
+
+    /// Flat wire bytes for `len` slots: one counter byte each.
+    pub fn wire_bytes(len: usize) -> usize {
+        len
+    }
 }
 
 impl DepState for CountDep {
@@ -274,10 +275,6 @@ impl DepState for CountDep {
         let len = range.len();
         assert!(buf.len() >= len, "dependency buffer too short");
         self.counts[range].copy_from_slice(&buf[..len]);
-    }
-
-    fn wire_bytes(len: usize) -> usize {
-        len
     }
 
     fn encode_range_coded(&self, range: Range<usize>, out: &mut Vec<u8>) -> WireFormat {
@@ -348,6 +345,11 @@ impl WeightDep {
     pub fn select(&mut self, slot: usize) {
         self.selected[slot] = true;
     }
+
+    /// Flat wire bytes for `len` slots: an `f32` sum plus one bit each.
+    pub fn wire_bytes(len: usize) -> usize {
+        len * 4 + len.div_ceil(8)
+    }
 }
 
 impl DepState for WeightDep {
@@ -394,10 +396,6 @@ impl DepState for WeightDep {
         for i in 0..len {
             self.selected[range.start + i] = (bits[i / 8] >> (i % 8)) & 1 == 1;
         }
-    }
-
-    fn wire_bytes(len: usize) -> usize {
-        len * 4 + len.div_ceil(8)
     }
 
     fn encode_range_coded(&self, range: Range<usize>, out: &mut Vec<u8>) -> WireFormat {
@@ -735,9 +733,6 @@ mod tests {
             fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
                 let len = range.len();
                 self.0[range].copy_from_slice(&buf[..len]);
-            }
-            fn wire_bytes(len: usize) -> usize {
-                len
             }
             fn detach(&self, slots: usize) -> Self {
                 Plain(vec![0; slots])

@@ -3,9 +3,7 @@
 //! prediction of the wire format and schedule, and update traffic must
 //! equal emissions times the pair encoding size.
 
-use symple_core::{
-    run_spmd, BitDep, DepState, EngineConfig, Partition, Policy, PullProgram, SignalOutcome,
-};
+use symple_core::{run_spmd, BitDep, EngineConfig, Partition, Policy, PullProgram, SignalOutcome};
 use symple_graph::{RmatConfig, Vid};
 use symple_net::CommKind;
 

@@ -8,10 +8,15 @@
 //!
 //! * **Registers.** Carried locals are pinned at registers
 //!   `0..carried` in `DepInfo::carried` order (so the dependency
-//!   snapshot/restore is a masked register copy); remaining locals follow
-//!   in declaration order; expression temporaries are stack-allocated on
-//!   top. The checker's guarantees (unique local names, defined before
-//!   use, ≤ 1 loop level) make this allocation trivially sound.
+//!   snapshot/restore is a masked register copy); the remaining locals
+//!   follow in order of first appearance, all allocated before any code
+//!   is lowered; expression temporaries are stack-allocated above every
+//!   named local. A register is therefore *named* (one local, one
+//!   declared type — [`CompiledUdf::named_tys`]) or a *temporary* for the
+//!   whole program, which is what lets [`crate::vm`] type the registers
+//!   when it binds the program to a store. The checker's guarantees
+//!   (unique local names, defined before use, ≤ 1 loop level) make this
+//!   allocation trivially sound.
 //! * **Control flow** is jumps: `if` and the short-circuit `&&`/`||`
 //!   compile to conditional branches, the neighbour loop to an
 //!   init/head/back-edge triple, `break` to a flagged jump at the loop
@@ -22,7 +27,13 @@
 //!   `let` of a carried local consumes its staged value once), and
 //!   [`Op::EmitDep`] (skip-bit set + declared-masked snapshot).
 //! * **Property reads** are pre-resolved: names become indices into a
-//!   table the VM binds to `&PropArray`s once per program, not per read.
+//!   table the VM binds to the store's typed arrays once per program,
+//!   not per read.
+//!
+//! This instruction set is *portable*: it does not know the element types
+//! of the property arrays, so `Unary`/`Binary`/`LoadProp` are generic.
+//! It is not executed as is — [`crate::vm`] types it against a
+//! [`crate::PropertyStore`] and runs the type-specialised result.
 //!
 //! Lowering is total for every program the checker accepts except two
 //! resource limits — more than [`MAX_REGS`] live registers or more than
@@ -32,7 +43,7 @@
 use crate::analysis::DepInfo;
 use crate::ast::{BinOp, Expr, Stmt, UnOp};
 use crate::transform::InstrumentedUdf;
-use crate::types::Value;
+use crate::types::{Ty, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -213,6 +224,7 @@ pub struct CompiledUdf {
     pub(crate) num_regs: usize,
     pub(crate) prop_names: Vec<String>,
     pub(crate) carried: usize,
+    pub(crate) named_tys: Vec<Option<Ty>>,
 }
 
 impl CompiledUdf {
@@ -247,6 +259,15 @@ impl CompiledUdf {
         self.carried
     }
 
+    /// Declared types of the named registers `0..named_tys().len()`
+    /// (carried locals first); every register above them is an expression
+    /// temporary. `None` marks a local the program never declares, or
+    /// declares twice at different types — the checker rejects both, and
+    /// the VM refuses to bind such a program.
+    pub fn named_tys(&self) -> &[Option<Ty>] {
+        &self.named_tys
+    }
+
     /// Human-readable instruction listing (for diagnostics and docs).
     pub fn disassemble(&self) -> String {
         use fmt::Write;
@@ -265,7 +286,7 @@ pub(crate) fn lower(inst: &InstrumentedUdf) -> Result<CompiledUdf, CompileError>
     if carried > MAX_CARRIED {
         return Err(CompileError::TooManyCarried { carried });
     }
-    let mut lw = Lowering::new(&inst.info);
+    let mut lw = Lowering::new(&inst.info, &inst.udf.body)?;
     lw.block(&inst.udf.body)?;
     lw.ops.push(Op::Halt);
     Ok(CompiledUdf {
@@ -273,42 +294,112 @@ pub(crate) fn lower(inst: &InstrumentedUdf) -> Result<CompiledUdf, CompileError>
         num_regs: lw.max_regs,
         prop_names: lw.prop_names,
         carried,
+        named_tys: lw.named_tys,
     })
 }
 
-struct Lowering<'i> {
-    info: &'i DepInfo,
+struct Lowering {
     ops: Vec<Op>,
-    /// name → (register, carried index if any)
+    /// name → (register, carried index if any); complete before any code
+    /// is lowered.
     locals: HashMap<String, (Reg, Option<u8>)>,
-    /// Next free register; temporaries stack on top of named locals.
+    /// Declared type per named register (see [`CompiledUdf::named_tys`]).
+    named_tys: Vec<Option<Ty>>,
+    /// Next free register; temporaries stack on top of the named locals.
     top: usize,
-    named: usize,
     max_regs: usize,
     prop_names: Vec<String>,
     prop_index: HashMap<String, u16>,
 }
 
-impl<'i> Lowering<'i> {
-    fn new(info: &'i DepInfo) -> Self {
+impl Lowering {
+    /// Allocates every named register: carried locals at `0..carried` in
+    /// `DepInfo` order, then the other locals as the program first
+    /// mentions them.
+    fn new(info: &DepInfo, body: &[Stmt]) -> Result<Self, CompileError> {
         let mut lw = Lowering {
-            info,
             ops: Vec::new(),
             locals: HashMap::new(),
+            named_tys: Vec::new(),
             top: 0,
-            named: 0,
             max_regs: 0,
             prop_names: Vec::new(),
             prop_index: HashMap::new(),
         };
-        // Pin carried locals at registers 0..carried in DepInfo order.
-        for (i, (name, _ty)) in info.carried.iter().enumerate() {
+        for (i, (name, ty)) in info.carried.iter().enumerate() {
             lw.locals.insert(name.clone(), (i as Reg, Some(i as u8)));
+            lw.named_tys.push(Some(*ty));
         }
-        lw.top = info.carried.len();
-        lw.named = lw.top;
+        lw.name_block(body);
+        lw.top = lw.named_tys.len();
         lw.max_regs = lw.top;
-        lw
+        if lw.top > MAX_REGS {
+            return Err(CompileError::TooManyRegisters { needed: lw.top });
+        }
+        Ok(lw)
+    }
+
+    /// Gives `name` a named register on first sight. `declared` is the
+    /// type of the `let` being visited (`None` for a mere use); a local
+    /// never declared, or declared at two types, ends up untyped.
+    fn name_local(&mut self, name: &str, declared: Option<Ty>) {
+        match self.locals.get(name) {
+            None => {
+                // Past the `u8` range the register is never used: `new`
+                // reports the overflow before any code is lowered.
+                let r = self.named_tys.len();
+                self.locals.insert(name.to_string(), (r as Reg, None));
+                self.named_tys.push(declared);
+            }
+            Some(&(r, carried)) => {
+                let slot = &mut self.named_tys[r as usize];
+                // Carried locals are typed by the analysis, which read
+                // the same `let`.
+                if declared.is_some() && carried.is_none() && *slot != declared {
+                    *slot = None;
+                }
+            }
+        }
+    }
+
+    fn name_block(&mut self, stmts: &[Stmt]) {
+        for s in stmts {
+            match s {
+                Stmt::Let { name, ty, init } => {
+                    self.name_expr(init);
+                    self.name_local(name, Some(*ty));
+                }
+                Stmt::Assign { name, value } => {
+                    self.name_expr(value);
+                    self.name_local(name, None);
+                }
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    self.name_expr(cond);
+                    self.name_block(then_branch);
+                    self.name_block(else_branch);
+                }
+                Stmt::ForNeighbors { body } => self.name_block(body),
+                Stmt::Emit(e) => self.name_expr(e),
+                Stmt::Break | Stmt::Return | Stmt::ReceiveDepGuard | Stmt::EmitDep => {}
+            }
+        }
+    }
+
+    fn name_expr(&mut self, e: &Expr) {
+        match e {
+            Expr::Local(name) => self.name_local(name, None),
+            Expr::Prop { index, .. } => self.name_expr(index),
+            Expr::Unary(_, a) => self.name_expr(a),
+            Expr::Binary(_, a, b) => {
+                self.name_expr(a);
+                self.name_expr(b);
+            }
+            Expr::Lit(_) | Expr::CurrentVertex | Expr::CurrentNeighbor => {}
+        }
     }
 
     fn here(&self) -> u32 {
@@ -337,25 +428,9 @@ impl<'i> Lowering<'i> {
         Ok(r as Reg)
     }
 
-    /// Register of local `name`, allocating a named register on first
-    /// sight (declaration order; carried locals are pre-pinned).
-    fn local_reg(&mut self, name: &str) -> Result<(Reg, Option<u8>), CompileError> {
-        if let Some(&entry) = self.locals.get(name) {
-            return Ok(entry);
-        }
-        let r = self.named;
-        if r >= MAX_REGS {
-            return Err(CompileError::TooManyRegisters { needed: r + 1 });
-        }
-        self.named += 1;
-        // Named registers live below temporaries: statements never leak
-        // temps (top == named between statements), so bumping both is
-        // safe and keeps the stack discipline intact.
-        debug_assert_eq!(self.top, r, "temporaries leaked across a statement");
-        self.top = self.named;
-        self.max_regs = self.max_regs.max(self.top);
-        self.locals.insert(name.to_string(), (r as Reg, None));
-        Ok((r as Reg, None))
+    /// Register (and carried index, if any) of local `name`.
+    fn local_reg(&self, name: &str) -> (Reg, Option<u8>) {
+        self.locals[name]
     }
 
     fn prop_id(&mut self, name: &str) -> u16 {
@@ -376,7 +451,7 @@ impl<'i> Lowering<'i> {
         match e {
             Expr::Lit(v) => self.ops.push(Op::Const { dst, val: *v }),
             Expr::Local(name) => {
-                let (src, _) = self.local_reg(name)?;
+                let (src, _) = self.local_reg(name);
                 if src != dst {
                     self.ops.push(Op::Move { dst, src });
                 }
@@ -436,7 +511,7 @@ impl<'i> Lowering<'i> {
     /// everything else evaluates into a temporary.
     fn operand(&mut self, e: &Expr) -> Result<Reg, CompileError> {
         if let Expr::Local(name) = e {
-            return Ok(self.local_reg(name)?.0);
+            return Ok(self.local_reg(name).0);
         }
         let t = self.alloc_temp()?;
         self.expr(e, t)?;
@@ -453,7 +528,7 @@ impl<'i> Lowering<'i> {
     fn stmt(&mut self, s: &Stmt) -> Result<(), CompileError> {
         match s {
             Stmt::Let { name, init, .. } => {
-                let (reg, carried) = self.local_reg(name)?;
+                let (reg, carried) = self.local_reg(name);
                 match carried {
                     Some(idx) => {
                         // The pending (restored) value is already in the
@@ -471,7 +546,7 @@ impl<'i> Lowering<'i> {
                 }
             }
             Stmt::Assign { name, value } => {
-                let (reg, _) = self.local_reg(name)?;
+                let (reg, _) = self.local_reg(name);
                 self.expr(value, reg)?;
             }
             Stmt::If {
@@ -527,8 +602,11 @@ impl<'i> Lowering<'i> {
             Stmt::ReceiveDepGuard => self.ops.push(Op::Guard),
             Stmt::EmitDep => self.ops.push(Op::EmitDep),
         }
-        debug_assert_eq!(self.top, self.named, "statement leaked temporaries");
-        let _ = self.info;
+        debug_assert_eq!(
+            self.top,
+            self.named_tys.len(),
+            "statement leaked temporaries"
+        );
         Ok(())
     }
 }

@@ -3,12 +3,14 @@
 //! Call [`compile`] on an instrumented UDF (see [`crate::instrument`])
 //! **after** [`crate::check`] passes — the lowering relies on the
 //! checker's structural guarantees (unique locals, defined-before-use,
-//! no nested loops). The result plugs into [`crate::UdfProgram`]
-//! automatically: its constructor compiles and the engine knob
-//! `EngineConfig::udf_exec` picks the executor. The only programs
-//! `compile` rejects are resource-limit outliers (see
-//! [`CompileError`]); those fall back to the tree interpreter with
-//! identical semantics, and lint reports the fallback as `W006`.
+//! no nested loops). The result is portable — it does not depend on a
+//! property store — and is not executed as is: [`crate::UdfProgram`]'s
+//! constructor compiles, then types the ops against the store it is
+//! given, and the engine knob `EngineConfig::udf_exec` picks the
+//! executor. The only programs `compile` rejects are resource-limit
+//! outliers (see [`CompileError`]); those fall back to the tree
+//! interpreter with identical semantics, and lint reports the fallback
+//! as `W006`.
 
 use crate::bytecode;
 use crate::transform::InstrumentedUdf;

@@ -5,7 +5,11 @@
 //! plus the carried locals' values (data dependency). On the wire each
 //! message carries the packed skip bits followed by the carried values —
 //! the generic layout a compiler-produced `DepMessage` struct (§4.1)
-//! would have.
+//! would have. In memory a carried value is its raw 64-bit word
+//! ([`Value::to_bits`]) next to the per-position carried types, not a
+//! tagged [`Value`]: the typed VM copies its registers in and out
+//! without tagging them, and the interpreter converts at
+//! [`UdfDep::value`]/[`UdfDep::set_value`].
 //!
 //! Two wire refinements are driven by the abstract-interpretation
 //! [`DepCertificate`] (`EngineConfig::dep_width = Certified`):
@@ -45,8 +49,11 @@ pub struct UdfDep {
     /// certificate proves the skip bit latches).
     latch_elide: bool,
     skip: Vec<bool>,
-    /// Slot-major: `vals[slot * arity + i]`.
-    vals: Vec<Value>,
+    /// Slot-major raw words: `vals[slot * arity + i]` is the
+    /// [`Value::to_bits`] image of carried value `i`, typed by `tys[i]`.
+    /// Every type's zero is the all-zero word. Untagged so the typed VM
+    /// copies registers in and out without constructing a [`Value`].
+    vals: Vec<u64>,
 }
 
 impl UdfDep {
@@ -54,18 +61,12 @@ impl UdfDep {
     /// `carried_tys` (empty for control-only dependency), using the wide
     /// (uncertified) 8-bytes-per-value wire layout.
     pub fn new(slots: usize, carried_tys: Vec<Ty>) -> Self {
-        let vals = carried_tys
-            .iter()
-            .cycle()
-            .take(slots * carried_tys.len())
-            .map(|&t| Value::zero(t))
-            .collect();
         UdfDep {
             widths: vec![8; carried_tys.len()],
             ranges: vec![ValueRange::Unbounded; carried_tys.len()],
             latch_elide: false,
             skip: vec![false; slots],
-            vals,
+            vals: vec![0; slots * carried_tys.len()],
             tys: carried_tys,
         }
     }
@@ -121,7 +122,29 @@ impl UdfDep {
 
     /// Reads carried value `i` of `slot`.
     pub fn value(&self, slot: usize, i: usize) -> Value {
-        self.vals[slot * self.arity() + i]
+        Value::from_bits(self.tys[i], self.vals[slot * self.arity() + i])
+    }
+
+    /// The raw words of `slot`'s carried values, in carried order — what
+    /// the typed VM's `Guard` copies into the pinned registers.
+    pub(crate) fn words(&self, slot: usize) -> &[u64] {
+        let a = self.arity();
+        &self.vals[slot * a..(slot + 1) * a]
+    }
+
+    /// Overwrites the carried values of `slot` whose bit is set in
+    /// `declared` with the matching entries of `words` (the typed VM's
+    /// pinned registers). The caller — a program typed at bind time —
+    /// guarantees word `i` holds a value of carried type `i`; debug builds
+    /// still check each write against its certified range.
+    pub(crate) fn store_words(&mut self, slot: usize, declared: u64, words: &[u64]) {
+        let base = slot * self.arity();
+        for (i, &word) in words.iter().enumerate() {
+            if declared & (1 << i) != 0 {
+                self.debug_check_range(i, word);
+                self.vals[base + i] = word;
+            }
+        }
     }
 
     /// Writes carried value `i` of `slot`.
@@ -133,44 +156,36 @@ impl UdfDep {
     /// dynamic check that backs the static certificate.
     pub fn set_value(&mut self, slot: usize, i: usize, v: Value) {
         assert_eq!(v.ty(), self.tys[i], "carried value type changed");
-        self.debug_check_range(i, v);
+        self.debug_check_range(i, v.to_bits());
         let a = self.arity();
-        self.vals[slot * a + i] = v;
+        self.vals[slot * a + i] = v.to_bits();
     }
 
-    /// The signed integer image a [`ValueRange`] constrains: ints as
-    /// themselves, bools as 0/1, vertex ids as their raw index. Floats
-    /// have no integer image (ranges never constrain them).
-    fn value_image(v: Value) -> Option<i64> {
-        match v {
-            Value::Int(x) => Some(x),
-            Value::Bool(b) => Some(i64::from(b)),
-            Value::Vertex(u) => Some(i64::from(u.raw())),
-            Value::Float(_) => None,
-        }
-    }
-
+    /// Debug builds: the word's signed integer image — ints as
+    /// themselves, bools as 0/1, vertex ids as their raw index — must lie
+    /// in the certified range. Floats have no integer image (ranges never
+    /// constrain them).
     #[track_caller]
-    fn debug_check_range(&self, i: usize, v: Value) {
-        if cfg!(debug_assertions) {
-            if let Some(x) = Self::value_image(v) {
-                debug_assert!(
-                    self.ranges[i].contains(x),
-                    "carried value {i} = {x} escapes its certified range {}",
-                    self.ranges[i]
-                );
-            }
+    fn debug_check_range(&self, i: usize, bits: u64) {
+        if cfg!(debug_assertions) && self.tys[i] != Ty::Float {
+            let x = bits as i64;
+            debug_assert!(
+                self.ranges[i].contains(x),
+                "carried value {i} = {x} escapes its certified range {}",
+                self.ranges[i]
+            );
         }
     }
 
-    /// Appends the `widths[i]`-byte little-endian encoding of `v`.
-    fn write_val(&self, i: usize, v: Value, out: &mut Vec<u8>) {
+    /// Appends the `widths[i]`-byte little-endian encoding of `bits`.
+    fn write_val(&self, i: usize, bits: u64, out: &mut Vec<u8>) {
         let w = usize::from(self.widths[i]);
-        out.extend_from_slice(&v.to_bits().to_le_bytes()[..w]);
+        out.extend_from_slice(&bits.to_le_bytes()[..w]);
     }
 
-    /// Decodes a `widths[i]`-byte value (sign-extending ints).
-    fn read_val(&self, i: usize, buf: &[u8]) -> Value {
+    /// Decodes a `widths[i]`-byte value to its canonical word
+    /// (sign-extending ints; bools to 0/1, vertex ids to 32 bits).
+    fn read_val(&self, i: usize, buf: &[u8]) -> u64 {
         let w = usize::from(self.widths[i]);
         let mut bytes = [0u8; 8];
         bytes[..w].copy_from_slice(&buf[..w]);
@@ -179,9 +194,9 @@ impl UdfDep {
             let shift = 64 - 8 * w as u32;
             bits = (((bits << shift) as i64) >> shift) as u64;
         }
-        let v = Value::from_bits(self.tys[i], bits);
-        self.debug_check_range(i, v);
-        v
+        let bits = Value::from_bits(self.tys[i], bits).to_bits();
+        self.debug_check_range(i, bits);
+        bits
     }
 
     /// Flat wire bytes of the slots in `range` at this instance's widths
@@ -200,11 +215,7 @@ impl DepState for UdfDep {
     fn reset_range(&mut self, range: Range<usize>) {
         self.skip[range.clone()].fill(false);
         let a = self.arity();
-        for slot in range {
-            for i in 0..a {
-                self.vals[slot * a + i] = Value::zero(self.tys[i]);
-            }
-        }
+        self.vals[range.start * a..range.end * a].fill(0);
     }
 
     fn should_skip(&self, slot: usize) -> bool {
@@ -248,9 +259,7 @@ impl DepState for UdfDep {
         let mut off = bits_len;
         for slot in range {
             if self.latch_elide && self.skip[slot] {
-                for i in 0..a {
-                    self.vals[slot * a + i] = Value::zero(self.tys[i]);
-                }
+                self.vals[slot * a..(slot + 1) * a].fill(0);
                 continue;
             }
             for i in 0..a {
@@ -262,24 +271,15 @@ impl DepState for UdfDep {
         }
     }
 
-    fn wire_bytes(_len: usize) -> usize {
-        // arity is per-instance; this associated fn cannot know it. Use
-        // `wire_bytes_for` instead.
-        unimplemented!("use UdfDep::wire_bytes_for(len, arity)")
-    }
-
     fn encode_range_coded(&self, range: Range<usize>, out: &mut Vec<u8>) -> WireFormat {
         let n = range.len();
         let a = self.arity();
         // A slot is non-default when its skip bit is set or any carried
-        // value's bits differ from the type's zero (bit comparison so
-        // float payloads stay exact).
-        let zeros: Vec<u64> = self.tys.iter().map(|&t| Value::zero(t).to_bits()).collect();
+        // word is nonzero (every type's zero is the all-zero word; bit
+        // comparison keeps float payloads exact).
         let slots: Vec<u32> = range
             .clone()
-            .filter(|&slot| {
-                self.skip[slot] || (0..a).any(|i| self.vals[slot * a + i].to_bits() != zeros[i])
-            })
+            .filter(|&slot| self.skip[slot] || self.words(slot).iter().any(|&w| w != 0))
             .map(|slot| (slot - range.start) as u32)
             .collect();
         encode_dep_range(
@@ -295,7 +295,7 @@ impl DepState for UdfDep {
                     // Latched slots write zeros so packed decodes land on
                     // the same canonical state as the elided flat decode.
                     let v = if self.latch_elide && self.skip[slot] {
-                        Value::zero(self.tys[i])
+                        0
                     } else {
                         self.vals[slot * a + i]
                     };
@@ -332,13 +332,7 @@ impl DepState for UdfDep {
             ranges: self.ranges.clone(),
             latch_elide: self.latch_elide,
             skip: vec![false; slots],
-            vals: self
-                .tys
-                .iter()
-                .cycle()
-                .take(slots * self.tys.len())
-                .map(|&t| Value::zero(t))
-                .collect(),
+            vals: vec![0; slots * self.tys.len()],
         }
     }
 

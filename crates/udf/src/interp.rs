@@ -4,10 +4,12 @@
 //! [`UdfProgram`] implements [`symple_core::PullProgram`], so an analyzed
 //! UDF executes under the exact same circulant/dependency machinery as a
 //! hand-written native program. Signal calls dispatch to one of two
-//! executors selected by [`UdfExec`]: the register-bytecode VM
-//! ([`crate::compile`], [`crate::vm`][self], the default) or the tree
-//! interpreter in this module, which is the differential reference and
-//! the fallback when compilation hits a resource limit (lint `W006`).
+//! executors selected by [`UdfExec`]: the typed bytecode VM
+//! ([`crate::compile`], then typed against the property store by
+//! [`crate::vm`][self]; the default) or the tree interpreter in this
+//! module, which is the differential reference and the fallback when
+//! compilation hits a resource limit (lint `W006`) or the program does
+//! not type against the store it is bound to.
 //! The instrumentation nodes map to the runtime like this:
 //!
 //! * `ReceiveDepGuard` — on the dependency-carried path: early-return if
@@ -27,56 +29,55 @@
 use crate::analysis::DepInfo;
 use crate::ast::{BinOp, Expr, Stmt, UnOp};
 use crate::dep_bridge::UdfDep;
-use crate::props::PropertyStore;
+use crate::props::{PropArray, PropertyStore};
 use crate::transform::InstrumentedUdf;
 use crate::types::Value;
 use crate::vm::BoundVm;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use symple_core::{DepState, DepWidth, PullProgram, SignalOutcome, UdfExec};
-use symple_graph::Vid;
+use symple_graph::{Bitmap, Vid};
 
 /// An instrumented UDF bound to a property store, executable as a pull
 /// program under either executor (bytecode VM or tree interpreter).
 pub struct UdfProgram<'a> {
     inst: &'a InstrumentedUdf,
     props: &'a PropertyStore,
-    active: Option<(String, bool)>,
-    engine: Engine<'a>,
+    /// The dense-activity predicate's bitmap and the value it must hold.
+    active: Option<(&'a Bitmap, bool)>,
+    /// The executor requested through [`UdfProgram::exec`].
+    exec: UdfExec,
+    /// The typed program signal calls run on; `None` is the interpreter,
+    /// by request or as the fallback when compiling or binding fails.
+    vm: Option<BoundVm<'a>>,
     dep_width: DepWidth,
 }
 
-/// The executor actually selected for signal calls. `Interp` either by
-/// request or as the fallback when compilation/binding fails.
-enum Engine<'a> {
-    Interp,
-    Vm(BoundVm<'a>),
-}
-
-fn build_engine<'a>(
-    inst: &'a InstrumentedUdf,
+/// Compiles `inst` and types it against `props`, if the VM was asked for
+/// and the program allows it.
+fn build_vm<'a>(
+    inst: &InstrumentedUdf,
     props: &'a PropertyStore,
     exec: UdfExec,
-) -> Engine<'a> {
-    if exec == UdfExec::Bytecode {
-        if let Ok(code) = crate::bytecode::lower(inst) {
-            if let Some(vm) = BoundVm::bind(code, props) {
-                return Engine::Vm(vm);
-            }
-        }
+) -> Option<BoundVm<'a>> {
+    if exec != UdfExec::Bytecode {
+        return None;
     }
-    Engine::Interp
+    let code = crate::bytecode::lower(inst).ok()?;
+    BoundVm::bind(&code, props)
 }
 
 impl<'a> UdfProgram<'a> {
     /// Binds `inst` to `props` under the default executor
     /// ([`UdfExec::Bytecode`], falling back to the interpreter if the
-    /// program hits a compiler resource limit or reads a property the
-    /// store lacks). All vertices are considered dense-active unless
-    /// [`UdfProgram::active_when`] is set.
+    /// program hits a compiler resource limit, reads a property the store
+    /// lacks, or is ill-typed for the store's arrays). All vertices are
+    /// considered dense-active unless [`UdfProgram::active_when`] is set.
     pub fn new(inst: &'a InstrumentedUdf, props: &'a PropertyStore) -> Self {
+        let exec = UdfExec::default();
         UdfProgram {
-            engine: build_engine(inst, props, UdfExec::default()),
+            vm: build_vm(inst, props, exec),
+            exec,
             inst,
             props,
             active: None,
@@ -87,21 +88,45 @@ impl<'a> UdfProgram<'a> {
     /// Selects the executor (wire `EngineConfig::udf_exec` through here).
     /// `Bytecode` silently falls back to the interpreter when the program
     /// cannot be compiled or bound; outputs are identical either way.
+    /// Asking for the executor already in effect keeps the program
+    /// [`UdfProgram::new`] built.
     pub fn exec(mut self, exec: UdfExec) -> Self {
-        self.engine = build_engine(self.inst, self.props, exec);
+        if exec != self.exec {
+            self.exec = exec;
+            self.vm = build_vm(self.inst, self.props, exec);
+        }
         self
     }
 
     /// Returns `true` if signal calls run on the bytecode VM (false:
     /// interpreter, by request or by fallback).
     pub fn uses_bytecode(&self) -> bool {
-        matches!(self.engine, Engine::Vm(_))
+        self.vm.is_some()
+    }
+
+    /// The typed program signal calls run on, one op per line followed by
+    /// the constant pool; `None` under the interpreter.
+    pub fn disassemble(&self) -> Option<String> {
+        self.vm.as_ref().map(BoundVm::disassemble)
     }
 
     /// Restricts dense activity to vertices where boolean property
     /// `prop` equals `value` (Gemini's dense frontier predicate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has no property `prop` or it is not a boolean
+    /// array.
     pub fn active_when(mut self, prop: &str, value: bool) -> Self {
-        self.active = Some((prop.to_string(), value));
+        let bits = match self.props.get(prop) {
+            Some(PropArray::Bools(bits)) => bits,
+            Some(other) => panic!(
+                "active predicate: property `{prop}` is {}, not bool",
+                other.ty()
+            ),
+            None => panic!("active predicate: unknown property `{prop}`"),
+        };
+        self.active = Some((bits, value));
         self
     }
 
@@ -306,21 +331,20 @@ impl Ctx<'_> {
     }
 }
 
-/// Unary evaluation, shared with the bytecode VM so both executors agree
-/// bit-for-bit.
-pub(crate) fn unary(op: UnOp, v: Value) -> Value {
+/// Unary evaluation. Integer negation wraps, like `+`/`-`/`*`.
+fn unary(op: UnOp, v: Value) -> Value {
     match op {
         UnOp::Not => Value::Bool(!v.as_bool()),
         UnOp::Neg => match v {
-            Value::Int(i) => Value::Int(-i),
+            Value::Int(i) => Value::Int(i.wrapping_neg()),
             other => Value::Float(-other.as_float()),
         },
     }
 }
 
-/// Non-short-circuit binary evaluation, shared with the bytecode VM
-/// (`&&`/`||` compile to control flow there and short-circuit here).
-pub(crate) fn binary(op: BinOp, a: Value, b: Value) -> Value {
+/// Non-short-circuit binary evaluation (`&&`/`||` short-circuit in
+/// `eval`).
+fn binary(op: BinOp, a: Value, b: Value) -> Value {
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul => arith(op, a, b),
         BinOp::And | BinOp::Or => unreachable!("short-circuit ops are control flow"),
@@ -372,15 +396,9 @@ impl PullProgram for UdfProgram<'_> {
     type Dep = UdfDep;
 
     fn dense_active(&self, v: Vid) -> bool {
-        match &self.active {
+        match self.active {
             None => true,
-            Some((prop, want)) => {
-                self.props
-                    .read(prop, v)
-                    .unwrap_or_else(|e| panic!("active predicate failed: {e}"))
-                    .as_bool()
-                    == *want
-            }
+            Some((bits, want)) => bits.get_vid(v) == want,
         }
     }
 
@@ -404,9 +422,9 @@ impl PullProgram for UdfProgram<'_> {
         carried: bool,
         emit: &mut dyn FnMut(u64),
     ) -> SignalOutcome {
-        match &self.engine {
-            Engine::Vm(vm) => vm.signal(v, srcs, dep, slot, carried, emit),
-            Engine::Interp => self.signal_interp(v, srcs, dep, slot, carried, emit),
+        match &self.vm {
+            Some(vm) => vm.signal(v, srcs, dep, slot, carried, emit),
+            None => self.signal_interp(v, srcs, dep, slot, carried, emit),
         }
     }
 }
@@ -453,9 +471,7 @@ impl UdfProgram<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::props::PropArray;
     use crate::{instrument, paper_udfs};
-    use symple_graph::Bitmap;
 
     fn bfs_setup(frontier_bits: &[u32], n: usize) -> (InstrumentedUdf, PropertyStore) {
         let inst = instrument(&paper_udfs::bfs_udf()).unwrap();

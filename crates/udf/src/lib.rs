@@ -18,12 +18,14 @@
 //! [`symple_core::PullProgram`], with the carried locals bridged into a
 //! real dependency payload ([`UdfDep`]) that the engine circulates
 //! between machines. Two executors share bit-identical semantics,
-//! selected by `EngineConfig::udf_exec`: the default **register-bytecode
-//! VM** ([`compile`] lowers the instrumented AST to a flat instruction
-//! stream with pre-resolved property and register indices; signal calls
-//! allocate nothing) and the **tree interpreter**, which remains the
-//! differential reference and the fallback when compilation hits a
-//! resource limit (reported by lint `W006`). The test suite shows the
+//! selected by `EngineConfig::udf_exec`: the default **typed bytecode VM**
+//! ([`compile`] lowers the instrumented AST to a flat, store-independent
+//! instruction stream; binding it to a [`PropertyStore`] gives every
+//! register its static type and specialises every op, so signal calls
+//! run over untagged 64-bit registers and allocate nothing) and the
+//! **tree interpreter**, which remains the differential reference and the
+//! fallback when compilation hits a resource limit (lint `W006`) or the
+//! program does not type against the store it is bound to. The test suite shows the
 //! interpreted bottom-up BFS producing *identical results and identical
 //! edge counts* to the hand-written native program — the paper's "manual
 //! vs automatic" equivalence (§4.3).

@@ -1,0 +1,257 @@
+//! Binding a compiled UDF to a property store: the typed program it
+//! produces, and the stores and programs it must hand back to the
+//! interpreter instead of mis-executing.
+
+use symple_core::{PullProgram, UdfExec};
+use symple_graph::{Bitmap, Vid};
+use symple_udf::ast::{BinOp, Expr, Stmt, UdfFn};
+use symple_udf::types::{Ty, Value};
+use symple_udf::{instrument, paper_udfs, InstrumentedUdf, PropArray, PropertyStore, UdfProgram};
+
+fn sampling_store(weight: PropArray) -> PropertyStore {
+    let mut props = PropertyStore::new();
+    props.insert("weight", weight);
+    props.insert("r", PropArray::Floats(vec![4.5; 8]));
+    props
+}
+
+/// Emissions and outcome of one scratch-mode signal over `srcs`.
+fn signal(prog: &UdfProgram<'_>, srcs: &[u32]) -> (Vec<u64>, u64, bool) {
+    let srcs: Vec<Vid> = srcs.iter().map(|&u| Vid::new(u)).collect();
+    let mut dep = prog.make_dep(1);
+    let mut got = Vec::new();
+    let out = prog.signal(Vid::new(0), &srcs, &mut dep, 0, false, &mut |x| got.push(x));
+    (got, out.edges, out.broke)
+}
+
+fn both(inst: &InstrumentedUdf, props: &PropertyStore, srcs: &[u32]) -> (Vec<u64>, u64, bool) {
+    let interp = signal(&UdfProgram::new(inst, props).exec(UdfExec::Interp), srcs);
+    assert_eq!(signal(&UdfProgram::new(inst, props), srcs), interp);
+    interp
+}
+
+#[test]
+fn sampling_typed_listing() {
+    // Nine ops per edge (5..=12 and 17), none of them generic: the float
+    // add and compare are chosen here, once, from the store's arrays.
+    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
+    let props = sampling_store(PropArray::Floats(vec![1.0; 8]));
+    let listing = UdfProgram::new(&inst, &props).disassemble().unwrap();
+    let golden = [
+        "   0: Guard",
+        "   1: JumpIfPending { idx: 0, target: 3 }",
+        "   2: Const { dst: 0, k: 0 }",
+        "   3: Declare { idx: 0 }",
+        "   4: LoopInit",
+        "   5: LoopHead { exit: 18 }",
+        "   6: LoadU(2)",
+        "   7: LoadPropF { dst: 1, idx: 2, prop: 0 }",
+        "   8: AddF(0, 0, 1)",
+        "   9: LoadV(3)",
+        "  10: LoadPropF { dst: 2, idx: 3, prop: 1 }",
+        "  11: GeF(1, 0, 2)",
+        "  12: JumpIfFalse { cond: 1, target: 17 }",
+        "  13: LoadU(1)",
+        "  14: Emit(1)",
+        "  15: EmitDep",
+        "  16: Break { exit: 18 }",
+        "  17: Jump { target: 5 }",
+        "  18: Halt",
+        "  k0: 0x0000000000000000",
+    ];
+    assert_eq!(listing.lines().collect::<Vec<_>>(), golden);
+    assert!(UdfProgram::new(&inst, &props)
+        .exec(UdfExec::Interp)
+        .disassemble()
+        .is_none());
+}
+
+#[test]
+fn int_array_as_an_arithmetic_operand_is_widened_in_place() {
+    // `acc + weight[u]` with `weight` bound to integers: the language
+    // widens the operand, so the typed program does too — an `I2F` into a
+    // scratch register above the program's own, then the float add.
+    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
+    let props = sampling_store(PropArray::Ints(vec![1, 2, 3, 4, 5, 6, 7, 8]));
+    let prog = UdfProgram::new(&inst, &props);
+    assert!(prog.uses_bytecode());
+    let listing = prog.disassemble().unwrap();
+    assert!(
+        listing.contains("LoadPropI { dst: 1, idx: 2, prop: 0 }"),
+        "{listing}"
+    );
+    assert!(
+        listing.contains("I2F(5, 1)") && listing.contains("AddF(0, 0, 5)"),
+        "{listing}"
+    );
+    // 2 + 3 = 5 >= 4.5 at the second neighbour.
+    assert_eq!(both(&inst, &props, &[1, 2, 3]), (vec![2], 2, true));
+}
+
+#[test]
+fn int_array_stored_into_a_float_local_falls_back() {
+    // The source says `float w = weight[u]`; the store holds integers.
+    // The interpreter keeps the integer in `w` (and emits its integer
+    // bits); a float register cannot, so the program does not bind.
+    let udf = UdfFn::new(
+        "lazy",
+        Ty::Float,
+        vec![Stmt::for_neighbors(vec![
+            Stmt::let_("w", Ty::Float, Expr::prop_u("weight")),
+            Stmt::Emit(Expr::local("w")),
+        ])],
+    );
+    let inst = instrument(&udf).unwrap();
+    let ints = sampling_store(PropArray::Ints(vec![10, 11, 12, 13, 14, 15, 16, 17]));
+    assert!(!UdfProgram::new(&inst, &ints).uses_bytecode());
+    let (got, edges, broke) = signal(&UdfProgram::new(&inst, &ints), &[3, 5]);
+    assert_eq!(got, [Value::Int(13).to_bits(), Value::Int(15).to_bits()]);
+    assert_eq!((edges, broke), (2, false));
+    // Against the array type it was written for, the same program binds.
+    let floats = sampling_store(PropArray::Floats(vec![0.5; 8]));
+    assert!(UdfProgram::new(&inst, &floats).uses_bytecode());
+    assert_eq!(both(&inst, &floats, &[3, 5]).0, [0.5f64.to_bits(); 2]);
+}
+
+#[test]
+fn bool_array_read_as_a_number_falls_back() {
+    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
+    let props = sampling_store(PropArray::Bools(Bitmap::new(8)));
+    let prog = UdfProgram::new(&inst, &props);
+    assert!(!prog.uses_bytecode());
+    // No neighbours, no read: the interpreter types lazily.
+    assert_eq!(signal(&prog, &[]), (vec![], 0, false));
+}
+
+#[test]
+#[should_panic(expected = "expected float, got Bool")]
+fn bool_array_read_as_a_number_panics_as_before() {
+    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
+    let props = sampling_store(PropArray::Bools(Bitmap::new(8)));
+    signal(&UdfProgram::new(&inst, &props), &[1]);
+}
+
+#[test]
+fn missing_property_falls_back() {
+    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
+    let mut props = PropertyStore::new();
+    props.insert("weight", PropArray::Floats(vec![1.0; 8]));
+    let prog = UdfProgram::new(&inst, &props);
+    assert!(!prog.uses_bytecode());
+    // `exec(Bytecode)` is the executor already in effect: still the
+    // fallback, and no second attempt changes that.
+    assert!(!prog.exec(UdfExec::Bytecode).uses_bytecode());
+}
+
+#[test]
+fn executor_can_be_switched_back() {
+    let inst = instrument(&paper_udfs::bfs_udf()).unwrap();
+    let mut props = PropertyStore::new();
+    props.insert("frontier", PropArray::Bools(Bitmap::new(4)));
+    let prog = UdfProgram::new(&inst, &props).exec(UdfExec::Interp);
+    assert!(!prog.uses_bytecode());
+    assert!(prog.exec(UdfExec::Bytecode).uses_bytecode());
+}
+
+/// Programs the checker rejects must not bind either: the typed VM has no
+/// dynamic check left to catch them.
+#[test]
+fn unchecked_programs_do_not_bind() {
+    let props = sampling_store(PropArray::Floats(vec![1.0; 8]));
+    let bad: Vec<(&str, Vec<Stmt>)> = vec![
+        // One branch of the short-circuit leaves a bool in the result
+        // register, the other an int.
+        (
+            "join",
+            vec![
+                Stmt::let_("x", Ty::Int, Expr::b(false).and(Expr::i(5))),
+                Stmt::Emit(Expr::local("x")),
+            ],
+        ),
+        (
+            "int condition",
+            vec![Stmt::if_(Expr::i(1), vec![Stmt::Emit(Expr::i(1))])],
+        ),
+        (
+            "u outside the loop",
+            vec![Stmt::Emit(Expr::prop_u("weight"))],
+        ),
+        ("break outside the loop", vec![Stmt::Break]),
+        ("undeclared local", vec![Stmt::assign("y", Expr::i(1))]),
+        (
+            "local declared at two types",
+            vec![
+                Stmt::let_("z", Ty::Int, Expr::i(1)),
+                Stmt::let_("z", Ty::Bool, Expr::b(true)),
+            ],
+        ),
+        (
+            "float index",
+            vec![Stmt::Emit(Expr::prop("weight", Expr::f(1.0)))],
+        ),
+        (
+            "vertex arithmetic",
+            vec![Stmt::Emit(Expr::CurrentVertex.add(Expr::i(1)))],
+        ),
+        (
+            "bool compared with int",
+            vec![Stmt::if_(Expr::b(true).lt(Expr::i(1)), vec![])],
+        ),
+        (
+            "negated bool",
+            vec![Stmt::Emit(Expr::Unary(
+                symple_udf::UnOp::Neg,
+                Box::new(Expr::b(true)),
+            ))],
+        ),
+    ];
+    for (what, body) in bad {
+        let udf = UdfFn::new("bad", Ty::Int, body);
+        assert!(
+            symple_udf::check(&udf, &props.schema()).is_err(),
+            "{what}: the checker accepts this"
+        );
+        let inst = instrument(&udf).unwrap();
+        assert!(!UdfProgram::new(&inst, &props).uses_bytecode(), "{what}");
+    }
+}
+
+#[test]
+fn programs_past_the_small_register_file_run_on_the_large_one() {
+    // 40 locals: more registers than the 16-entry file most programs use.
+    let mut body: Vec<Stmt> = (0..40)
+        .map(|i| Stmt::let_(&format!("x{i}"), Ty::Int, Expr::i(i)))
+        .collect();
+    let sum = (1..40).fold(Expr::local("x0"), |acc, i| {
+        acc.add(Expr::local(&format!("x{i}")))
+    });
+    body.push(Stmt::for_neighbors(vec![Stmt::assign(
+        "x39",
+        Expr::local("x39").bin(BinOp::Mul, Expr::i(2)),
+    )]));
+    body.push(Stmt::Emit(sum));
+    let inst = instrument(&UdfFn::new("wide", Ty::Int, body)).unwrap();
+    let props = PropertyStore::new();
+    assert!(UdfProgram::new(&inst, &props).uses_bytecode());
+    let expect = (0..39).sum::<i64>() + 39 * 8;
+    assert_eq!(
+        both(&inst, &props, &[1, 2, 3]),
+        (vec![expect as u64], 3, false)
+    );
+}
+
+#[test]
+#[should_panic(expected = "active predicate: unknown property `visited`")]
+fn active_predicate_on_a_missing_property_is_reported_once_up_front() {
+    let inst = instrument(&paper_udfs::bfs_udf()).unwrap();
+    let props = PropertyStore::new();
+    let _ = UdfProgram::new(&inst, &props).active_when("visited", false);
+}
+
+#[test]
+#[should_panic(expected = "active predicate: property `weight` is float, not bool")]
+fn active_predicate_on_a_non_bool_property_is_reported_once_up_front() {
+    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
+    let props = sampling_store(PropArray::Floats(vec![1.0; 8]));
+    let _ = UdfProgram::new(&inst, &props).active_when("weight", true);
+}

@@ -512,19 +512,30 @@ fn exchange_modes_agree_across_kernels() {
 }
 
 /// Knob-driven, well-typed-by-construction random UDF: an int
-/// accumulator over a neighbour loop with an optional bounded break,
-/// property-dependent conditions, and an epilogue emit.
+/// accumulator (and, for two of the step knobs, a float one fed by a
+/// float or a widened int property) over a neighbour loop with an
+/// optional bounded break, conditions over bool, int, float and vertex
+/// properties, and an epilogue emit.
 fn knob_udf(cond_prop: u8, arith: u8, emit_kind: u8, break_at: u8, use_break: bool) -> UdfFn {
-    let cond = match cond_prop % 3 {
+    use symplegraph::udf::BinOp;
+    let cond = match cond_prop % 5 {
         0 => Expr::prop_u("active"),
         1 => Expr::prop_u("flag").and(Expr::prop_u("active")),
-        _ => Expr::prop_u("num").lt(Expr::prop_v("num")),
+        2 => Expr::prop_u("num").lt(Expr::prop_v("num")),
+        3 => Expr::prop_u("wt").lt(Expr::prop_v("wt")),
+        _ => Expr::prop_u("parent").bin(BinOp::Ne, Expr::CurrentVertex),
     };
-    let step = match arith % 3 {
-        0 => Expr::local("acc").add(Expr::i(1)),
+    let step = match arith % 5 {
+        0 | 3 | 4 => Expr::local("acc").add(Expr::i(1)),
         1 => Expr::local("acc").add(Expr::prop_u("num")),
-        _ => Expr::local("acc")
-            .add(Expr::prop_u("num").bin(symplegraph::udf::BinOp::Mul, Expr::i(3))),
+        _ => Expr::local("acc").add(Expr::prop_u("num").bin(BinOp::Mul, Expr::i(3))),
+    };
+    // The float accumulator: `facc + wt[u]`, or `facc + num[u]` with the
+    // int operand widened.
+    let fstep = match arith % 5 {
+        3 => Some(Expr::local("facc").add(Expr::prop_u("wt"))),
+        4 => Some(Expr::local("facc").add(Expr::prop_u("num"))),
+        _ => None,
     };
     // All variants are Int-typed, matching the declared update type.
     let emit = match emit_kind % 3 {
@@ -532,22 +543,25 @@ fn knob_udf(cond_prop: u8, arith: u8, emit_kind: u8, break_at: u8, use_break: bo
         1 => Expr::local("acc"),
         _ => Expr::prop_u("num"),
     };
-    let mut then_branch = vec![Stmt::assign("acc", step), Stmt::Emit(emit)];
-    if use_break {
-        then_branch.push(Stmt::if_(
-            Expr::local("acc").ge(Expr::i(i64::from(break_at % 7) + 1)),
-            vec![Stmt::Break],
-        ));
+    let bound = Expr::i(i64::from(break_at % 7) + 1);
+    let mut then_branch = vec![Stmt::assign("acc", step)];
+    if let Some(fstep) = &fstep {
+        then_branch.push(Stmt::assign("facc", fstep.clone()));
     }
-    UdfFn::new(
-        "rand",
-        Ty::Int,
-        vec![
-            Stmt::let_("acc", Ty::Int, Expr::i(0)),
-            Stmt::for_neighbors(vec![Stmt::if_(cond, then_branch)]),
-            Stmt::Emit(Expr::local("acc")),
-        ],
-    )
+    then_branch.push(Stmt::Emit(emit));
+    if use_break {
+        // Break on the float prefix sum (against an int bound, widened)
+        // where there is one, on the int accumulator otherwise.
+        let acc = if fstep.is_some() { "facc" } else { "acc" };
+        then_branch.push(Stmt::if_(Expr::local(acc).ge(bound), vec![Stmt::Break]));
+    }
+    let mut body = vec![Stmt::let_("acc", Ty::Int, Expr::i(0))];
+    if fstep.is_some() {
+        body.push(Stmt::let_("facc", Ty::Float, Expr::f(0.0)));
+    }
+    body.push(Stmt::for_neighbors(vec![Stmt::if_(cond, then_branch)]));
+    body.push(Stmt::Emit(Expr::local("acc")));
+    UdfFn::new("rand", Ty::Int, body)
 }
 
 fn rand_props(n: usize) -> PropertyStore {
@@ -567,6 +581,14 @@ fn rand_props(n: usize) -> PropertyStore {
     props.insert(
         "num",
         PropArray::Ints((0..n).map(|i| (i * 13 % 17) as i64).collect()),
+    );
+    props.insert(
+        "wt",
+        PropArray::Floats((0..n).map(|i| (i * 5 % 11) as f64 * 0.375).collect()),
+    );
+    props.insert(
+        "parent",
+        PropArray::Vertices((0..n).map(|i| (i * 3 % n) as u32).collect()),
     );
     props
 }
@@ -590,7 +612,7 @@ proptest! {
     fn random_checked_udfs_agree_across_executors(
         g in arb_graph(80, 250),
         (cond_prop, arith, emit_kind, break_at, use_break)
-            in (0u8..3, 0u8..3, 0u8..3, 0u8..7, any::<bool>()),
+            in (0u8..5, 0u8..5, 0u8..3, 0u8..7, any::<bool>()),
         (machines, threads) in (1usize..5, 1usize..5),
     ) {
         let udf = knob_udf(cond_prop, arith, emit_kind, break_at, use_break);
@@ -600,6 +622,10 @@ proptest! {
             "generated UDF must pass the checker"
         );
         let inst = instrument(&udf).expect("instrumentation");
+        prop_assert!(
+            UdfProgram::new(&inst, &props).uses_bytecode(),
+            "generated UDF fell back to the interpreter"
+        );
         let policy = effective_policy(&inst.info, Policy::symple_basic());
         let mk = |exec: UdfExec| {
             EngineConfig::new(machines, policy).threads(threads).udf_exec(exec)
@@ -632,7 +658,7 @@ proptest! {
     fn random_udfs_respect_their_certificates(
         g in arb_graph(80, 250),
         (cond_prop, arith, emit_kind, break_at, use_break)
-            in (0u8..3, 0u8..3, 0u8..3, 0u8..7, any::<bool>()),
+            in (0u8..5, 0u8..5, 0u8..3, 0u8..7, any::<bool>()),
         (machines, threads) in (1usize..5, 1usize..5),
     ) {
         let udf = knob_udf(cond_prop, arith, emit_kind, break_at, use_break);
