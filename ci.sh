@@ -55,9 +55,13 @@ step "UDF executor differential tests (release profile)"
 # The workspace run above is a debug build: overflow checks on, and the
 # `debug_assert` certificate-range checks of `UdfDep` compiled in. The
 # job benchmark and every experiment run release, where both are off, so
-# the typed-VM-vs-interpreter suites run under that profile too. Runs
-# under --quick.
-cargo test -q --release --offline -p symple-udf \
+# the typed-VM-vs-interpreter suites run under that profile too. The
+# tests that pin what the bind-time optimiser produces ride along in
+# both profiles: the eight committed listings and the ops-per-edge
+# budgets (typed_bind), and the optimiser's idempotence/range proptest
+# (--lib; debug builds also re-check idempotence inside every bind).
+# Runs under --quick.
+cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind
 cargo test -q --release --offline --test exec_equivalence
 
@@ -124,7 +128,10 @@ cargo run --offline -p symple-bench --bin experiments -- --pipeline-smoke
 
 step "executor equivalence smoke (interp vs bytecode, full engine)"
 # One kernel through the engine under both executors; outputs, work,
-# comm counters, and modelled time must match bit for bit. Runs under
+# comm counters, and modelled time must match bit for bit. Also prints
+# the ops each dispatch-study kernel takes per edge before and after the
+# bind-time optimiser and fails if one is over its budget: an exact,
+# host-independent stand-in for a timing gate on the VM. Runs under
 # --quick so every push enforces the compile-don't-interpret contract.
 cargo run --offline -p symple-bench --bin experiments -- --exec-smoke
 

@@ -22,7 +22,7 @@ use symple_bench::experiments;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--chrome-trace FILE] [--metrics-json FILE]\n                   [--threads LIST [--scale N] [--scaling-json FILE]]\n                   [--scaling-check FILE] [--exec-json FILE] [--exec-smoke]\n                   [--comm-json FILE [--comm-graph NAME] [--comm-machines N]]\n                   [--comm-check FILE] [--faults] [--fault-json FILE]\n                   [--udf-report FILE] [--transport-json FILE]\n                   [--pipeline-json FILE] [--pipeline-check FILE]\n                   [--pipeline-smoke] [--matrix] [--matrix-json FILE]\n                   [--matrix-check FILE] [--matrix-smoke]\n                   [<id>... | all]\n  ids: table1..table7, fig10, fig11, cost, ablation_threshold,\n       ablation_groups, direction, replication, comm, transport,\n       pipeline, faults, udf, matrix\n  --threads LIST   comma-separated executor thread counts (e.g. 1,2,4);\n                   runs the intra-machine scaling sweep (one dense\n                   BFS-UDF pull pass under both executors) on an RMAT\n                   graph of 2^N vertices (--scale N, default 18) and\n                   writes the points to --scaling-json (default\n                   BENCH_scaling.json)\n  --scaling-check FILE  re-runs the sweep at the scale/thread counts\n                   recorded in FILE (a committed BENCH_scaling.json,\n                   best of three runs per cell) and exits nonzero if\n                   any cell's bytecode/interp wall ratio regressed by\n                   more than 10%\n  --exec-json FILE runs the executor study (per-edge UDF dispatch,\n                   interp vs bytecode, plus the streamed-vs-blocked\n                   apply sweep at scale 25) and writes BENCH_exec.json\n  --exec-smoke     runs one kernel through the full engine under both\n                   executors and fails unless outputs, work, comm, and\n                   modelled time are bit-identical\n  --comm-json FILE runs the wire-codec byte study (flat vs adaptive,\n                   Gemini vs SympleGraph) on --comm-graph (default s27)\n                   at --comm-machines (default 8) and writes the grid\n  --comm-check FILE  re-runs the byte study at the graph/machine count\n                   recorded in FILE (a committed BENCH_comm.json) and\n                   exits nonzero if any adaptive/flat data ratio\n                   regressed by more than 10%\n  --faults         runs the fault-injection absorption sweep (same as\n                   the `faults` id): seeded chaos plan, outputs and work\n                   asserted bit-identical to fault-free\n  --fault-json FILE  runs the sweep and also writes the raw grid\n  --udf-report FILE  runs the UDF carried-state minimization study\n                   (naive vs dataflow-minimized instrumentation) and\n                   writes the per-kernel payload grid (BENCH_udf.json)\n  --transport-json FILE  runs the transport backend study (simulator vs\n                   OS-thread transport; outputs asserted bit-identical,\n                   modelled virtual vs measured wall time per algorithm)\n                   and writes the grid (BENCH_transport.json)\n  --pipeline-json FILE  runs the pipelined-exchange study (bulk vs\n                   chunked pipelined update exchange across a machine\n                   sweep; outputs/work/comm asserted bit-identical,\n                   modelled stall overlap plus measured thread-backend\n                   walls, best of three) and writes the grid\n                   (BENCH_pipeline.json)\n  --pipeline-check FILE  re-runs the study at the graph/machine counts\n                   recorded in FILE (a committed BENCH_pipeline.json)\n                   and exits nonzero if any cell's overlap ratio\n                   (exchange stall / bulk send stall) regressed by more\n                   than 10%\n  --pipeline-smoke runs BFS / K-core / MIS under both exchange modes and\n                   both backends and fails unless work, comm, and the\n                   stall ordering are bit-identical\n  --matrix         runs the consolidated scenario matrix (algo x graph\n                   x policy x codec x exchange x threads x faults,\n                   same as the `matrix` id), asserting cross-cell\n                   output/work/byte bit-identity inline\n  --matrix-json FILE  runs the matrix and writes every cell\n                   (BENCH_matrix.json)\n  --matrix-check FILE  re-runs the matrix over the graphs/machine count\n                   recorded in FILE (a committed BENCH_matrix.json) and\n                   exits nonzero if any cell's virtual seconds or data\n                   bytes regressed by more than 10% — the consolidated\n                   perf gate\n  --matrix-smoke   runs the matrix restricted to the SNAP-loaded karate\n                   graph (all workloads, policies, and knob variants)\n                   with the same inline invariants"
+        "usage: experiments [--chrome-trace FILE] [--metrics-json FILE]\n                   [--threads LIST [--scale N] [--scaling-json FILE]]\n                   [--scaling-check FILE] [--exec-json FILE] [--exec-smoke]\n                   [--comm-json FILE [--comm-graph NAME] [--comm-machines N]]\n                   [--comm-check FILE] [--faults] [--fault-json FILE]\n                   [--udf-report FILE] [--transport-json FILE]\n                   [--pipeline-json FILE] [--pipeline-check FILE]\n                   [--pipeline-smoke] [--matrix] [--matrix-json FILE]\n                   [--matrix-check FILE] [--matrix-smoke]\n                   [<id>... | all]\n  ids: table1..table7, fig10, fig11, cost, ablation_threshold,\n       ablation_groups, direction, replication, comm, transport,\n       pipeline, faults, udf, matrix\n  --threads LIST   comma-separated executor thread counts (e.g. 1,2,4);\n                   runs the intra-machine scaling sweep (one dense\n                   BFS-UDF pull pass under both executors) on an RMAT\n                   graph of 2^N vertices (--scale N, default 18) and\n                   writes the points to --scaling-json (default\n                   BENCH_scaling.json)\n  --scaling-check FILE  re-runs the sweep at the scale/thread counts\n                   recorded in FILE (a committed BENCH_scaling.json,\n                   best of three runs per cell) and exits nonzero if\n                   any cell's bytecode/interp wall ratio regressed by\n                   more than 10%\n  --exec-json FILE runs the executor study (per-edge UDF dispatch,\n                   interp vs bytecode, plus the streamed-vs-blocked\n                   apply sweep at scale 25) and writes BENCH_exec.json\n  --exec-smoke     runs one kernel through the full engine under both\n                   executors and fails unless outputs, work, comm, and\n                   modelled time are bit-identical; prints the ops per\n                   edge of each dispatch-study kernel's typed program,\n                   before and after the bind-time optimiser, and fails\n                   if one is over its budget\n  --comm-json FILE runs the wire-codec byte study (flat vs adaptive,\n                   Gemini vs SympleGraph) on --comm-graph (default s27)\n                   at --comm-machines (default 8) and writes the grid\n  --comm-check FILE  re-runs the byte study at the graph/machine count\n                   recorded in FILE (a committed BENCH_comm.json) and\n                   exits nonzero if any adaptive/flat data ratio\n                   regressed by more than 10%\n  --faults         runs the fault-injection absorption sweep (same as\n                   the `faults` id): seeded chaos plan, outputs and work\n                   asserted bit-identical to fault-free\n  --fault-json FILE  runs the sweep and also writes the raw grid\n  --udf-report FILE  runs the UDF carried-state minimization study\n                   (naive vs dataflow-minimized instrumentation) and\n                   writes the per-kernel payload grid (BENCH_udf.json)\n  --transport-json FILE  runs the transport backend study (simulator vs\n                   OS-thread transport; outputs asserted bit-identical,\n                   modelled virtual vs measured wall time per algorithm)\n                   and writes the grid (BENCH_transport.json)\n  --pipeline-json FILE  runs the pipelined-exchange study (bulk vs\n                   chunked pipelined update exchange across a machine\n                   sweep; outputs/work/comm asserted bit-identical,\n                   modelled stall overlap plus measured thread-backend\n                   walls, best of three) and writes the grid\n                   (BENCH_pipeline.json)\n  --pipeline-check FILE  re-runs the study at the graph/machine counts\n                   recorded in FILE (a committed BENCH_pipeline.json)\n                   and exits nonzero if any cell's overlap ratio\n                   (exchange stall / bulk send stall) regressed by more\n                   than 10%\n  --pipeline-smoke runs BFS / K-core / MIS under both exchange modes and\n                   both backends and fails unless work, comm, and the\n                   stall ordering are bit-identical\n  --matrix         runs the consolidated scenario matrix (algo x graph\n                   x policy x codec x exchange x threads x faults,\n                   same as the `matrix` id), asserting cross-cell\n                   output/work/byte bit-identity inline\n  --matrix-json FILE  runs the matrix and writes every cell\n                   (BENCH_matrix.json)\n  --matrix-check FILE  re-runs the matrix over the graphs/machine count\n                   recorded in FILE (a committed BENCH_matrix.json) and\n                   exits nonzero if any cell's virtual seconds or data\n                   bytes regressed by more than 10% — the consolidated\n                   perf gate\n  --matrix-smoke   runs the matrix restricted to the SNAP-loaded karate\n                   graph (all workloads, policies, and knob variants)\n                   with the same inline invariants"
     );
     std::process::exit(2);
 }

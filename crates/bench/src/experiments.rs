@@ -1946,6 +1946,39 @@ pub struct DispatchPoint {
     pub interp_wall_secs: f64,
     /// Best-of-reps wall seconds, typed bytecode VM.
     pub bytecode_wall_secs: f64,
+    /// Ops one edge dispatches at most, before and after the bind-time
+    /// optimiser (see [`loop_ops`]).
+    pub ops_per_edge: (usize, usize),
+}
+
+/// The dispatch-study kernels with the most ops per edge the optimised
+/// typed program may take: the longest path through one iteration of the
+/// neighbour loop, the op binding the next neighbour included. Exact and
+/// host-independent, so `--exec-smoke` can hold every push to it.
+fn dispatch_kernels() -> [(&'static str, symple_udf::UdfFn, usize); 4] {
+    use symple_udf::paper_udfs;
+    [
+        ("bfs", paper_udfs::bfs_udf(), 2),
+        ("kcore", paper_udfs::kcore_udf(8), 4),
+        ("kmeans", paper_udfs::kmeans_udf(), 2),
+        ("sampling", paper_udfs::sampling_udf(), 3),
+    ]
+}
+
+/// Ops per edge of `inst`'s one neighbour loop: as the typing pass leaves
+/// it (one op per portable op) and as the program bound to `props` runs.
+fn loop_ops(
+    inst: &symple_udf::InstrumentedUdf,
+    props: &symple_udf::PropertyStore,
+) -> (usize, usize) {
+    let before = symple_udf::compile(inst)
+        .expect("compile kernel")
+        .loop_ops();
+    let after = symple_udf::UdfProgram::new(inst, props)
+        .loop_ops()
+        .expect("kernel runs on the bytecode VM");
+    assert_eq!((before.len(), after.len()), (1, 1), "one neighbour loop");
+    (before[0], after[0])
 }
 
 impl DispatchPoint {
@@ -2063,6 +2096,7 @@ fn dispatch_bench(
         edges: edges_b,
         interp_wall_secs,
         bytecode_wall_secs,
+        ops_per_edge: loop_ops(&inst, props),
     }
 }
 
@@ -2145,19 +2179,12 @@ pub fn apply_study(scale: u32, reps: usize) -> ApplyPoint {
 /// where the 256 MiB state array outgrows the host's last-level cache
 /// and the blocked layout's locality pays for the binning copy).
 pub fn exec_study(apply_scale: u32) -> ExecStudy {
-    use symple_udf::paper_udfs;
     let n = 2048usize;
     let rounds = 256usize;
     let props = study_props(n, 64);
-    let kernels: Vec<(&'static str, symple_udf::UdfFn)> = vec![
-        ("bfs", paper_udfs::bfs_udf()),
-        ("kcore", paper_udfs::kcore_udf(8)),
-        ("kmeans", paper_udfs::kmeans_udf()),
-        ("sampling", paper_udfs::sampling_udf()),
-    ];
-    let dispatch = kernels
+    let dispatch = dispatch_kernels()
         .iter()
-        .map(|(name, udf)| dispatch_bench(name, udf, &props, n, rounds, 5))
+        .map(|(name, udf, _)| dispatch_bench(name, udf, &props, n, rounds, 5))
         .collect();
     ExecStudy {
         dispatch,
@@ -2174,7 +2201,9 @@ pub fn exec_json(study: &ExecStudy) -> String {
     w.key("note").string(
         "udf_dispatch: PullProgram::signal over synthetic neighbour lists, \
          AST interpreter vs typed bytecode VM, checksums asserted \
-         bit-identical, wall = best of 5. apply_sweep: one uniform \
+         bit-identical, wall = best of 5; ops_per_edge = longest path \
+         through one loop iteration, before (typing pass, one op per \
+         portable op) and after the bind-time optimiser. apply_sweep: one uniform \
          update stream scattered directly vs binned by CacheBlocks and \
          applied block by block (binning included in the blocked wall, \
          bins pre-allocated), states asserted bit-identical, wall = \
@@ -2188,6 +2217,10 @@ pub fn exec_json(study: &ExecStudy) -> String {
         w.key("interp_wall_secs").f64(p.interp_wall_secs);
         w.key("bytecode_wall_secs").f64(p.bytecode_wall_secs);
         w.key("speedup").f64(p.speedup());
+        w.key("ops_per_edge").begin_object();
+        w.key("before").u64(p.ops_per_edge.0 as u64);
+        w.key("after").u64(p.ops_per_edge.1 as u64);
+        w.end_object();
         w.end_object();
     }
     w.end_array();
@@ -2216,6 +2249,7 @@ pub fn exec_report(study: &ExecStudy) -> Report {
                 secs(p.interp_wall_secs),
                 secs(p.bytecode_wall_secs),
                 speedup(p.speedup()),
+                format!("{} -> {}", p.ops_per_edge.0, p.ops_per_edge.1),
             ]
         })
         .collect();
@@ -2226,10 +2260,14 @@ pub fn exec_report(study: &ExecStudy) -> Report {
         secs(a.stream_wall_secs),
         secs(a.blocked_wall_secs),
         speedup(a.speedup()),
+        String::new(),
     ]);
     let text = format!(
         "{}\nDispatch rows: per-edge UDF cost, interpreter (baseline) vs\nbytecode VM. Apply row: direct scatter (baseline) vs cache-blocked\nbin-then-apply with a cache-sized block, state past the host LLC.\n",
-        table(&["bench", "units", "baseline", "compiled", "speedup"], &rows)
+        table(
+            &["bench", "units", "baseline", "compiled", "speedup", "ops/edge"],
+            &rows
+        )
     );
     Report::new("exec", "Executor study (extension)", text)
 }
@@ -2237,7 +2275,10 @@ pub fn exec_report(study: &ExecStudy) -> Report {
 /// The `--exec-smoke` gate: one kernel (k-core 4) through the full
 /// engine — 4 machines, SympleGraph policy, 2 executor threads — under
 /// both executors. Outputs, work and communication counters, and
-/// modelled time must match bit for bit.
+/// modelled time must match bit for bit. Next to it, the ops every
+/// dispatch-study kernel takes per edge, held to [`dispatch_kernels`]'s
+/// budgets: what a regression in the optimiser changes first, and exact
+/// where a timing is not.
 pub fn exec_smoke() -> String {
     use symple_core::UdfExec;
     use symple_graph::RmatConfig;
@@ -2280,12 +2321,22 @@ pub fn exec_smoke() -> String {
         st_b.virtual_time().to_bits(),
         "exec smoke: modelled time differs"
     );
-    format!(
+    let mut report = format!(
         "exec smoke: kcore on graph500(8,8), 4 machines, {policy:?}: outputs, \
          work, comm, and virtual time ({:.3e}s) bit-identical across \
-         Interp/Bytecode",
+         Interp/Bytecode\nexec smoke: ops per edge, typed -> optimised (budget):",
         st_b.virtual_time()
-    )
+    );
+    for (kernel, udf, budget) in dispatch_kernels() {
+        let inst = instrument(&udf).expect("instrument kernel");
+        let (before, after) = loop_ops(&inst, &props);
+        assert!(
+            after <= budget,
+            "exec smoke: {kernel} dispatches {after} ops per edge, budget {budget}"
+        );
+        report.push_str(&format!(" {kernel} {before} -> {after} ({budget})"));
+    }
+    report
 }
 
 /// One kernel of the carried-state minimization study: the same UDF

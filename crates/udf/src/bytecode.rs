@@ -42,6 +42,7 @@
 
 use crate::analysis::DepInfo;
 use crate::ast::{BinOp, Expr, Stmt, UnOp};
+use crate::opt::longest_loop_path;
 use crate::transform::InstrumentedUdf;
 use crate::types::{Ty, Value};
 use std::collections::HashMap;
@@ -266,6 +267,29 @@ impl CompiledUdf {
     /// the VM refuses to bind such a program.
     pub fn named_tys(&self) -> &[Option<Ty>] {
         &self.named_tys
+    }
+
+    /// Per neighbour loop, in program order: the most ops one iteration
+    /// dispatches, loop head and back edge included. The typed program
+    /// starts out one op per portable op, so this is the "before" that
+    /// [`crate::UdfProgram::loop_ops`] is read against.
+    pub fn loop_ops(&self) -> Vec<usize> {
+        let succs = |pc: usize| match self.ops[pc] {
+            Op::Jump { target } | Op::Break { exit: target } => [Some(target as usize), None],
+            Op::JumpIfFalse { target, .. }
+            | Op::JumpIfTrue { target, .. }
+            | Op::JumpIfPending { target, .. }
+            | Op::LoopHead { exit: target } => [Some(pc + 1), Some(target as usize)],
+            Op::Halt => [None, None],
+            _ => [Some(pc + 1), None],
+        };
+        (0..self.ops.len())
+            .filter_map(|head| match self.ops[head] {
+                // The back edge is the op in front of the exit.
+                Op::LoopHead { exit } => Some(longest_loop_path(head, exit as usize - 1, succs)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Human-readable instruction listing (for diagnostics and docs).

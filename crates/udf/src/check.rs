@@ -32,6 +32,9 @@ struct Checker<'a> {
     locals: BTreeMap<String, Ty>,
     update_ty: Ty,
     errors: Vec<(StmtId, UdfError)>,
+    /// `let`s and assignments that store an `int` expression into a
+    /// `float` local, with the local's name (lint W006).
+    widened_stores: Vec<(StmtId, String)>,
     next_id: StmtId,
 }
 
@@ -51,7 +54,7 @@ struct Checker<'a> {
 /// check(&paper_udfs::bfs_udf(), &schema).unwrap();
 /// ```
 pub fn check(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Result<(), UdfError> {
-    match collect_errors(udf, schema).into_iter().next() {
+    match run_checker(udf, schema).errors.into_iter().next() {
         Some((_, err)) => Err(err),
         None => Ok(()),
     }
@@ -62,25 +65,38 @@ pub fn check(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Result<(), UdfError>
 /// [`crate::SpanMap`] (see [`crate::diag::attach_spans`]) to get source
 /// locations.
 pub fn check_all(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic> {
-    collect_errors(udf, schema)
+    run_checker(udf, schema)
+        .errors
         .into_iter()
         .map(|(id, err)| Diagnostic::error(error_code(&err), err.to_string()).with_stmt(id))
         .collect()
 }
 
+/// The statements that store an `int`-typed expression into a `float`
+/// local, and that local's name. The language widens there, lazily: the
+/// interpreter keeps the integer. Typed registers cannot, so such a
+/// program runs on the interpreter (see [`crate::vm`]).
+pub(crate) fn int_stores_into_float_locals(
+    udf: &UdfFn,
+    schema: &BTreeMap<String, Ty>,
+) -> Vec<(StmtId, String)> {
+    run_checker(udf, schema).widened_stores
+}
+
 /// Runs the collecting checker; errors come back in traversal (pre-)order,
 /// so the first element is exactly what the fail-fast checker used to
 /// return.
-fn collect_errors(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Vec<(StmtId, UdfError)> {
+fn run_checker<'a>(udf: &UdfFn, schema: &'a BTreeMap<String, Ty>) -> Checker<'a> {
     let mut c = Checker {
         schema,
         locals: BTreeMap::new(),
         update_ty: udf.update_ty,
         errors: Vec::new(),
+        widened_stores: Vec::new(),
         next_id: 0,
     };
     c.check_block(&udf.body, false);
-    c.errors
+    c
 }
 
 impl Checker<'_> {
@@ -105,6 +121,7 @@ impl Checker<'_> {
                         {
                             self.err(id, e);
                         }
+                        self.note_store(id, name, *ty, found);
                     }
                     Err(e) => self.err(id, e),
                 }
@@ -133,6 +150,7 @@ impl Checker<'_> {
                             {
                                 self.err(id, e);
                             }
+                            self.note_store(id, name, declared, found);
                         }
                     }
                     Err(e) => self.err(id, e),
@@ -179,6 +197,12 @@ impl Checker<'_> {
                     self.err(id, UdfError::OutsideLoop("emit_dep".into()));
                 }
             }
+        }
+    }
+
+    fn note_store(&mut self, id: StmtId, name: &str, declared: Ty, found: Ty) {
+        if (declared, found) == (Ty::Float, Ty::Int) {
+            self.widened_stores.push((id, name.to_string()));
         }
     }
 

@@ -208,9 +208,17 @@ pub fn explain(code: &str) -> Option<&'static str> {
              for sampling; differentiated propagation makes it visible)."
         }
         "W006" => {
-            "The program exceeds a bytecode-compiler resource limit (registers, \
-             carried slots, code size), so the engine falls back to the tree \
-             interpreter. Results are identical; per-edge dispatch is slower."
+            "The engine will run this program on the tree interpreter instead of \
+             the typed bytecode VM. Results are identical; per-edge dispatch is \
+             an order of magnitude slower. Two causes. (1) The program exceeds a \
+             bytecode-compiler resource limit (registers, carried slots, code \
+             size). (2) An `int`-typed expression is stored into a `float` local \
+             (`float w = 1;`, `w = count[u];`): the language widens such a value \
+             lazily — the interpreter keeps the integer, wrapping arithmetic and \
+             all — and a float register cannot, so the VM refuses the program \
+             rather than guess. The diagnostic points at the store; make the \
+             value a float where it is written (`1.0`, `count[u] + 0.0`). \
+             `UdfProgram::uses_bytecode()` reports the same fact at run time."
         }
         "W007" => {
             "The abstract interpreter could not bound an integer carried local's \

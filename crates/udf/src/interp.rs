@@ -5,11 +5,12 @@
 //! UDF executes under the exact same circulant/dependency machinery as a
 //! hand-written native program. Signal calls dispatch to one of two
 //! executors selected by [`UdfExec`]: the typed bytecode VM
-//! ([`crate::compile`], then typed against the property store by
-//! [`crate::vm`][self]; the default) or the tree interpreter in this
-//! module, which is the differential reference and the fallback when
-//! compilation hits a resource limit (lint `W006`) or the program does
-//! not type against the store it is bound to.
+//! ([`crate::compile`], then typed against the property store and
+//! optimised by [`crate::vm`][self]; the default) or the tree interpreter
+//! in this module, which is the differential reference and the fallback
+//! when compilation hits a resource limit or the program does not type
+//! against the store it is bound to (lint `W006` reports both where the
+//! schema shows them).
 //! The instrumentation nodes map to the runtime like this:
 //!
 //! * `ReceiveDepGuard` — on the dependency-carried path: early-return if
@@ -104,10 +105,19 @@ impl<'a> UdfProgram<'a> {
         self.vm.is_some()
     }
 
-    /// The typed program signal calls run on, one op per line followed by
-    /// the constant pool; `None` under the interpreter.
+    /// The program signal calls run on — typed, then optimised — one op
+    /// per line followed by the constant pool; `None` under the
+    /// interpreter.
     pub fn disassemble(&self) -> Option<String> {
         self.vm.as_ref().map(BoundVm::disassemble)
+    }
+
+    /// Per neighbour loop of the typed program, in program order: the
+    /// most ops one iteration dispatches (see
+    /// [`crate::CompiledUdf::loop_ops`] for the unoptimised count).
+    /// `None` under the interpreter.
+    pub fn loop_ops(&self) -> Option<Vec<usize>> {
+        self.vm.as_ref().map(BoundVm::loop_ops)
     }
 
     /// Restricts dense activity to vertices where boolean property

@@ -61,6 +61,7 @@ mod error;
 pub mod fold_while;
 mod interp;
 pub mod lint;
+mod opt;
 pub mod paper_udfs;
 pub mod parser;
 mod pretty;
@@ -92,3 +93,11 @@ pub use types::{Ty, Value};
 // harnesses can write `UdfProgram::new(..).exec(cfg.udf_exec)` without a
 // direct symple-core dependency in scope.
 pub use symple_core::UdfExec;
+
+// The random-UDF generator of `tests/typed_vm_differential.rs`, for the
+// optimiser's unit tests; it is written against the public API.
+#[cfg(test)]
+extern crate self as symple_udf;
+#[cfg(test)]
+#[path = "../tests/support/gen.rs"]
+mod test_gen;

@@ -12,11 +12,15 @@
 //! temporaries by forward propagation), and emits one type-specialised
 //! [`TOp`] per op — `AddF` or `AddI`, `GeF` or `GeI`, `LoadPropF` over a
 //! `&[f64]` resolved here — with an explicit `I2F` wherever the language
-//! widens an integer operand. Execution is then a flat dispatch loop over
-//! 8-byte ops and an untagged `[u64; N]` register file on the stack: each
-//! register holds the [`crate::Value::to_bits`] image of its value, and
-//! the dependency instrumentation copies raw words to and from
-//! [`UdfDep`].
+//! widens an integer operand. [`crate::opt`] then rewrites that program —
+//! loop-invariant code into a preheader, the loop test to the bottom and
+//! fused with the next neighbour's load, compares fused with their
+//! branches — and the result *is* the bound program: there is no second
+//! executor and nothing selects the unoptimised form. Execution is a flat
+//! dispatch loop over 8-byte ops and an untagged `[u64; N]` register file
+//! on the stack: each register holds the [`crate::Value::to_bits`] image
+//! of its value, and the dependency instrumentation copies raw words to
+//! and from [`UdfDep`].
 //!
 //! **Binding is also the type check.** A store the UDF was never checked
 //! against can hold an array of another type than the source assumed.
@@ -25,10 +29,11 @@
 //! typing would do something static types cannot express: an operand of
 //! the wrong type (the interpreter panics there, if the code runs), or an
 //! integer stored into a `float` local (the interpreter keeps the integer
-//! and its wrapping arithmetic). A program that binds therefore has, at
-//! every op, exactly the types the interpreter would see, and the two
-//! agree bit for bit: emissions, edge counts, break flags, dependency
-//! payloads, and the `NaN in comparison` panic.
+//! and its wrapping arithmetic; lint `W006` points at the store). A
+//! program that binds therefore has, at every op, exactly the types the
+//! interpreter would see, and the two agree bit for bit: emissions, edge
+//! counts, break flags, dependency payloads, and the `NaN in comparison`
+//! panic.
 //!
 //! Temporaries are typed by one forward pass that is sound at control-flow
 //! joins: each forward jump records the temporaries' types at its target,
@@ -45,6 +50,7 @@
 use crate::ast::{BinOp, UnOp};
 use crate::bytecode::{CompiledUdf, Op, Reg, MAX_REGS};
 use crate::dep_bridge::UdfDep;
+use crate::opt::optimize;
 use crate::props::{PropArray, PropertyStore};
 use crate::types::Ty;
 use std::cmp::Ordering;
@@ -58,7 +64,7 @@ use symple_graph::{Bitmap, Vid};
 /// all [`MAX_REGS`] measured ~8 ns per call, a tenth of a BFS signal over
 /// a short neighbour list. Larger programs run the same loop over
 /// [`MAX_REGS`] registers.
-const SMALL_REGS: usize = 16;
+pub(crate) const SMALL_REGS: usize = 16;
 
 /// One type-specialised instruction. Tuple operands are registers,
 /// destination first: `AddF(dst, lhs, rhs)`, `I2F(dst, src)`. The `…I`
@@ -150,6 +156,102 @@ pub(crate) enum TOp {
     },
     EmitDep,
     Halt,
+    // Everything below is produced by [`crate::opt`] only; the typing
+    // pass never emits it.
+    /// `LoopInit` of a rotated loop: also jumps to `exit` when there is
+    /// no neighbour, so what follows (the loop's preheader) runs iff the
+    /// body runs at least once.
+    LoopEnter {
+        exit: u32,
+    },
+    /// The bottom test of a rotated loop: binds the next neighbour and
+    /// counts the edge exactly as `LoopHead` does, then jumps back to
+    /// `body`; falls through when the list is exhausted. A copy sits in
+    /// front of the body for the first neighbour.
+    LoopNext {
+        body: u32,
+    },
+    /// `LoopNext` fused with the `LoadU(dst)` that opens the body.
+    NextU {
+        dst: Reg,
+        body: u32,
+    },
+    /// `LoopNext` fused with `LoadU` and the `LoadProp…[u]` after it.
+    NextLoadPropF {
+        dst: Reg,
+        prop: u16,
+        body: u32,
+    },
+    NextLoadPropI {
+        dst: Reg,
+        prop: u16,
+        body: u32,
+    },
+    NextLoadPropB {
+        dst: Reg,
+        prop: u16,
+        body: u32,
+    },
+    NextLoadPropV {
+        dst: Reg,
+        prop: u16,
+        body: u32,
+    },
+    /// Compare-and-branch: `JumpUnlessLtI(a, b, target)` jumps unless
+    /// `r[a] < r[b]`. `>`/`>=` swap their operands into these; the `…F`
+    /// forms keep the NaN panic.
+    JumpUnlessLtI(Reg, Reg, u32),
+    JumpUnlessLeI(Reg, Reg, u32),
+    JumpUnlessEqI(Reg, Reg, u32),
+    JumpUnlessNeI(Reg, Reg, u32),
+    JumpUnlessLtF(Reg, Reg, u32),
+    JumpUnlessLeF(Reg, Reg, u32),
+    JumpUnlessEqF(Reg, Reg, u32),
+    JumpUnlessNeF(Reg, Reg, u32),
+    /// `LoadPropB` fused with the branch on its result.
+    JumpUnlessPropB {
+        idx: Reg,
+        prop: u16,
+        target: u32,
+    },
+    JumpIfPropB {
+        idx: Reg,
+        prop: u16,
+        target: u32,
+    },
+}
+
+impl TOp {
+    /// The instruction index this op may transfer control to, if any.
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        use TOp::*;
+        match self {
+            JumpIfFalse { target, .. }
+            | JumpIfTrue { target, .. }
+            | Jump { target }
+            | JumpIfPending { target, .. }
+            | LoopHead { exit: target }
+            | Break { exit: target }
+            | LoopEnter { exit: target }
+            | LoopNext { body: target }
+            | NextU { body: target, .. }
+            | NextLoadPropF { body: target, .. }
+            | NextLoadPropI { body: target, .. }
+            | NextLoadPropB { body: target, .. }
+            | NextLoadPropV { body: target, .. }
+            | JumpUnlessLtI(_, _, target)
+            | JumpUnlessLeI(_, _, target)
+            | JumpUnlessEqI(_, _, target)
+            | JumpUnlessNeI(_, _, target)
+            | JumpUnlessLtF(_, _, target)
+            | JumpUnlessLeF(_, _, target)
+            | JumpUnlessEqF(_, _, target)
+            | JumpUnlessNeF(_, _, target)
+            | JumpUnlessPropB { target, .. }
+            | JumpIfPropB { target, .. } => Some(target),
+            _ => None,
+        }
+    }
 }
 
 const _: () = assert!(std::mem::size_of::<TOp>() == 8);
@@ -445,6 +547,27 @@ impl<'a> BoundVm<'a> {
     /// back to the interpreter, which resolves names and types lazily and
     /// therefore tolerates both in never-executed code.
     pub(crate) fn bind(code: &CompiledUdf, store: &'a PropertyStore) -> Option<Self> {
+        let mut vm = Self::typed(code, store)?;
+        (vm.ops, vm.nregs) = optimize(std::mem::take(&mut vm.ops), vm.nregs, vm.carried);
+        debug_assert!(
+            vm.ops.iter().all(|&(mut op)| {
+                let target = op.target_mut().map_or(0, |t| *t as usize);
+                target < vm.ops.len()
+            }),
+            "optimiser left a jump out of range:\n{}",
+            vm.disassemble()
+        );
+        debug_assert_eq!(
+            optimize(vm.ops.clone(), vm.nregs, vm.carried),
+            (vm.ops.clone(), vm.nregs),
+            "optimiser is not idempotent"
+        );
+        Some(vm)
+    }
+
+    /// The typing pass alone: one specialised op per portable op, not yet
+    /// optimised. [`BoundVm::bind`] is its only caller outside tests.
+    pub(crate) fn typed(code: &CompiledUdf, store: &'a PropertyStore) -> Option<Self> {
         let mut vm = BoundVm {
             ops: Vec::new(),
             consts: Vec::new(),
@@ -486,13 +609,7 @@ impl<'a> BoundVm<'a> {
         }
         new_pc.push(typer.out.len() as u32);
         for op in &mut typer.out {
-            if let TOp::JumpIfFalse { target, .. }
-            | TOp::JumpIfTrue { target, .. }
-            | TOp::Jump { target }
-            | TOp::JumpIfPending { target, .. }
-            | TOp::LoopHead { exit: target }
-            | TOp::Break { exit: target } = op
-            {
+            if let Some(target) = op.target_mut() {
                 *target = new_pc[*target as usize];
             }
         }
@@ -505,7 +622,8 @@ impl<'a> BoundVm<'a> {
         Some(vm)
     }
 
-    /// The typed program, one op per line, then the constant pool.
+    /// The program signal calls run — typed, then optimised — one op per
+    /// line, then the constant pool.
     pub(crate) fn disassemble(&self) -> String {
         let mut s = String::new();
         for (i, op) in self.ops.iter().enumerate() {
@@ -515,6 +633,18 @@ impl<'a> BoundVm<'a> {
             let _ = writeln!(s, "  k{k}: {bits:#018x}");
         }
         s
+    }
+
+    /// The program, the registers it needs and how many of them are
+    /// carried: the arguments of [`optimize`].
+    #[cfg(test)]
+    pub(crate) fn program(&self) -> (Vec<TOp>, usize, usize) {
+        (self.ops.clone(), self.nregs, self.carried)
+    }
+
+    /// See [`crate::UdfProgram::loop_ops`].
+    pub(crate) fn loop_ops(&self) -> Vec<usize> {
+        crate::opt::loop_ops(&self.ops)
     }
 
     pub(crate) fn signal(
@@ -562,25 +692,77 @@ impl<'a> BoundVm<'a> {
                 r!($d) = (f64::from_bits(r!($a)) $op f64::from_bits(r!($b))).to_bits()
             };
         }
+        macro_rules! test_int {
+            ($a:expr, $b:expr, $test:ident) => {
+                (r!($a) as i64).cmp(&(r!($b) as i64)).$test()
+            };
+        }
+        macro_rules! test_float {
+            ($a:expr, $b:expr, $test:ident) => {
+                float_cmp(r!($a), r!($b)).$test()
+            };
+        }
         macro_rules! cmp_int {
             ($d:expr, $a:expr, $b:expr, $test:ident) => {
-                r!($d) = u64::from((r!($a) as i64).cmp(&(r!($b) as i64)).$test())
+                r!($d) = u64::from(test_int!($a, $b, $test))
             };
         }
         macro_rules! cmp_float {
             ($d:expr, $a:expr, $b:expr, $test:ident) => {
-                r!($d) = u64::from(float_cmp(r!($a), r!($b)).$test())
+                r!($d) = u64::from(test_float!($a, $b, $test))
             };
         }
         let ops = self.ops.as_slice();
         let carried_n = self.carried;
         let mut pc = 0usize;
-        let mut cursor = 0usize; // neighbour-loop position (loops don't nest)
+        // Neighbours the current loop has yet to bind (loops don't nest).
+        // Each one bound is an edge traversed, so the edge count is what
+        // the loops consumed: summed when a loop starts over, and at the
+        // end.
+        let mut rest = srcs.iter();
         let mut u = 0u64;
         let mut edges = 0u64;
         let mut broke = false;
         let mut pending = 0u64;
         let mut declared = 0u64;
+        // A taken conditional jump. Left as a plain assignment it compiles
+        // to a conditional move, which makes fetching the next op wait for
+        // the whole load chain behind the condition — a bitmap word, a
+        // property — on every edge. The opaque no-op cannot be executed
+        // speculatively, so the compiler has to emit a branch, which the
+        // processor predicts.
+        macro_rules! branch {
+            ($target:expr) => {{
+                pc = $target as usize;
+                std::hint::black_box(());
+            }};
+        }
+        // Binds the next neighbour as `LoopHead` does, loads `$load` into
+        // `$dst` and continues at `$body`; falls through when there is
+        // none.
+        macro_rules! next {
+            ($body:expr $(, $dst:expr => $load:expr)?) => {
+                if let Some(next) = rest.next() {
+                    u = u64::from(next.raw());
+                    $(r!($dst) = $load;)?
+                    pc = $body as usize;
+                }
+            };
+        }
+        macro_rules! unless_int {
+            ($a:expr, $b:expr, $target:expr, $test:ident) => {
+                if !test_int!($a, $b, $test) {
+                    branch!($target);
+                }
+            };
+        }
+        macro_rules! unless_float {
+            ($a:expr, $b:expr, $target:expr, $test:ident) => {
+                if !test_float!($a, $b, $test) {
+                    branch!($target);
+                }
+            };
+        }
         loop {
             let op = ops[pc];
             pc += 1;
@@ -625,23 +807,22 @@ impl<'a> BoundVm<'a> {
                 TOp::NeF(d, a, b) => cmp_float!(d, a, b, is_ne),
                 TOp::JumpIfFalse { cond, target } => {
                     if r!(cond) == 0 {
-                        pc = target as usize;
+                        branch!(target);
                     }
                 }
                 TOp::JumpIfTrue { cond, target } => {
                     if r!(cond) != 0 {
-                        pc = target as usize;
+                        branch!(target);
                     }
                 }
                 TOp::Jump { target } => pc = target as usize,
                 TOp::Emit(src) => emit(r!(src)),
-                TOp::LoopInit => cursor = 0,
-                TOp::LoopHead { exit } => match srcs.get(cursor) {
-                    Some(next) => {
-                        edges += 1;
-                        u = u64::from(next.raw());
-                        cursor += 1;
-                    }
+                TOp::LoopInit => {
+                    edges += (srcs.len() - rest.len()) as u64;
+                    rest = srcs.iter();
+                }
+                TOp::LoopHead { exit } => match rest.next() {
+                    Some(next) => u = u64::from(next.raw()),
                     None => pc = exit as usize,
                 },
                 TOp::Break { exit } => {
@@ -661,7 +842,7 @@ impl<'a> BoundVm<'a> {
                     let bit = 1u64 << idx;
                     if pending & bit != 0 {
                         pending &= !bit;
-                        pc = target as usize;
+                        branch!(target);
                     }
                 }
                 TOp::Declare { idx } => declared |= 1u64 << idx,
@@ -670,6 +851,45 @@ impl<'a> BoundVm<'a> {
                     dep.store_words(slot, declared, &regs[..carried_n]);
                 }
                 TOp::Halt => break,
+                TOp::LoopEnter { exit } => {
+                    edges += (srcs.len() - rest.len()) as u64;
+                    rest = srcs.iter();
+                    if srcs.is_empty() {
+                        pc = exit as usize;
+                    }
+                }
+                TOp::LoopNext { body } => next!(body),
+                TOp::NextU { dst, body } => next!(body, dst => u),
+                TOp::NextLoadPropF { dst, prop, body } => {
+                    next!(body, dst => self.floats[prop as usize][u as usize].to_bits());
+                }
+                TOp::NextLoadPropI { dst, prop, body } => {
+                    next!(body, dst => self.ints[prop as usize][u as usize] as u64);
+                }
+                TOp::NextLoadPropB { dst, prop, body } => {
+                    next!(body, dst => u64::from(self.bools[prop as usize].get(u as usize)));
+                }
+                TOp::NextLoadPropV { dst, prop, body } => {
+                    next!(body, dst => u64::from(self.verts[prop as usize][u as usize]));
+                }
+                TOp::JumpUnlessLtI(a, b, target) => unless_int!(a, b, target, is_lt),
+                TOp::JumpUnlessLeI(a, b, target) => unless_int!(a, b, target, is_le),
+                TOp::JumpUnlessEqI(a, b, target) => unless_int!(a, b, target, is_eq),
+                TOp::JumpUnlessNeI(a, b, target) => unless_int!(a, b, target, is_ne),
+                TOp::JumpUnlessLtF(a, b, target) => unless_float!(a, b, target, is_lt),
+                TOp::JumpUnlessLeF(a, b, target) => unless_float!(a, b, target, is_le),
+                TOp::JumpUnlessEqF(a, b, target) => unless_float!(a, b, target, is_eq),
+                TOp::JumpUnlessNeF(a, b, target) => unless_float!(a, b, target, is_ne),
+                TOp::JumpUnlessPropB { idx, prop, target } => {
+                    if !self.bools[prop as usize].get(r!(idx) as usize) {
+                        branch!(target);
+                    }
+                }
+                TOp::JumpIfPropB { idx, prop, target } => {
+                    if self.bools[prop as usize].get(r!(idx) as usize) {
+                        branch!(target);
+                    }
+                }
             }
         }
         // Data dependency flows onward even without a break (same
@@ -677,6 +897,7 @@ impl<'a> BoundVm<'a> {
         if !broke && carried_n > 0 {
             dep.store_words(slot, declared, &regs[..carried_n]);
         }
+        edges += (srcs.len() - rest.len()) as u64;
         SignalOutcome { edges, broke }
     }
 }

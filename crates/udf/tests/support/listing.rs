@@ -1,0 +1,19 @@
+//! Reading `UdfProgram::disassemble()` output in tests that assert on the
+//! shape of the program a UDF runs as.
+
+/// The ops of a listing, one per element, without the `NNNN: ` prefix
+/// (the constant pool that follows them is dropped).
+pub fn ops(listing: &str) -> Vec<&str> {
+    listing
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('k'))
+        .map(|l| &l[6..])
+        .collect()
+}
+
+/// The number after `key` in an op, e.g. `field(op, "exit: ")`.
+pub fn field(op: &str, key: &str) -> Option<usize> {
+    let rest = &op[op.find(key)? + key.len()..];
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    rest[..digits].parse().ok()
+}

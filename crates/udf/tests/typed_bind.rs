@@ -8,6 +8,10 @@ use symple_udf::ast::{BinOp, Expr, Stmt, UdfFn};
 use symple_udf::types::{Ty, Value};
 use symple_udf::{instrument, paper_udfs, InstrumentedUdf, PropArray, PropertyStore, UdfProgram};
 
+#[path = "support/listing.rs"]
+mod listing;
+use listing::field;
+
 fn sampling_store(weight: PropArray) -> PropertyStore {
     let mut props = PropertyStore::new();
     props.insert("weight", weight);
@@ -30,40 +34,130 @@ fn both(inst: &InstrumentedUdf, props: &PropertyStore, srcs: &[u32]) -> (Vec<u64
     interp
 }
 
+/// A store holding every array the eight paper UDFs read, at the types
+/// their sources assume.
+fn paper_store() -> PropertyStore {
+    let mut props = sampling_store(PropArray::Floats(vec![1.0; 8]));
+    for name in ["frontier", "active", "assigned", "reached", "changed"] {
+        props.insert(name, PropArray::Bools(Bitmap::new(8)));
+    }
+    for name in ["color", "cluster", "dist", "w", "label", "contrib"] {
+        props.insert(name, PropArray::Ints(vec![1; 8]));
+    }
+    props
+}
+
+fn paper_udfs() -> [(&'static str, UdfFn); 8] {
+    [
+        ("bfs", paper_udfs::bfs_udf()),
+        ("mis", paper_udfs::mis_udf()),
+        ("kcore", paper_udfs::kcore_udf(4)),
+        ("kmeans", paper_udfs::kmeans_udf()),
+        ("sampling", paper_udfs::sampling_udf()),
+        ("sssp", paper_udfs::sssp_udf()),
+        ("cc", paper_udfs::cc_udf()),
+        ("pagerank", paper_udfs::pagerank_udf()),
+    ]
+}
+
+/// The program each paper UDF runs as, op for op: `tests/listings/` holds
+/// what `UdfProgram::disassemble` prints. A change to the optimiser or the
+/// lowering shows up here as a diff to review: run the test with
+/// `BLESS_LISTINGS=1` to rewrite the files, then read `git diff`.
 #[test]
-fn sampling_typed_listing() {
-    // Nine ops per edge (5..=12 and 17), none of them generic: the float
-    // add and compare are chosen here, once, from the store's arrays.
+fn paper_udf_listings() {
+    let props = paper_store();
+    for (name, udf) in paper_udfs() {
+        let inst = instrument(&udf).unwrap();
+        let listing = UdfProgram::new(&inst, &props).disassemble().unwrap();
+        let path = format!("{}/tests/listings/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var_os("BLESS_LISTINGS").is_some() {
+            std::fs::write(&path, &listing).unwrap();
+        }
+        let golden = std::fs::read_to_string(&path).unwrap_or_default();
+        assert_eq!(listing, golden, "{name}: typed program differs from {path}");
+    }
     let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
-    let props = sampling_store(PropArray::Floats(vec![1.0; 8]));
-    let listing = UdfProgram::new(&inst, &props).disassemble().unwrap();
-    let golden = [
-        "   0: Guard",
-        "   1: JumpIfPending { idx: 0, target: 3 }",
-        "   2: Const { dst: 0, k: 0 }",
-        "   3: Declare { idx: 0 }",
-        "   4: LoopInit",
-        "   5: LoopHead { exit: 18 }",
-        "   6: LoadU(2)",
-        "   7: LoadPropF { dst: 1, idx: 2, prop: 0 }",
-        "   8: AddF(0, 0, 1)",
-        "   9: LoadV(3)",
-        "  10: LoadPropF { dst: 2, idx: 3, prop: 1 }",
-        "  11: GeF(1, 0, 2)",
-        "  12: JumpIfFalse { cond: 1, target: 17 }",
-        "  13: LoadU(1)",
-        "  14: Emit(1)",
-        "  15: EmitDep",
-        "  16: Break { exit: 18 }",
-        "  17: Jump { target: 5 }",
-        "  18: Halt",
-        "  k0: 0x0000000000000000",
-    ];
-    assert_eq!(listing.lines().collect::<Vec<_>>(), golden);
     assert!(UdfProgram::new(&inst, &props)
         .exec(UdfExec::Interp)
         .disassemble()
         .is_none());
+}
+
+/// The ops of a listing's (one) loop: those between the first loop test
+/// and the bottom one from which control can come back to the bottom
+/// test. The ops of a `break` path lie there too but run once per call.
+fn natural_loop(listing: &str) -> Vec<&str> {
+    let ops = listing::ops(listing);
+    let enter = ops
+        .iter()
+        .position(|op| op.starts_with("LoopEnter"))
+        .unwrap();
+    let bottom = field(ops[enter], "exit: ").unwrap() - 1;
+    let body = field(ops[bottom], "body: ").unwrap();
+    // Jumps in a body go forward, so one backward sweep settles it.
+    let mut returns = vec![false; ops.len()];
+    returns[bottom] = true;
+    for pc in (body..bottom).rev() {
+        let op = ops[pc];
+        let leaves = ["Jump {", "Break", "Halt"]
+            .iter()
+            .any(|l| op.starts_with(l));
+        // `JumpUnlessLtI(a, b, target)` is the one tuple-shaped branch.
+        let target = field(op, "target: ").or(field(op, "exit: ")).or_else(|| {
+            let last = op.strip_prefix("JumpUnless")?.rsplit(", ").next()?;
+            last.trim_end_matches(')').parse().ok()
+        });
+        returns[pc] =
+            (!leaves && returns[pc + 1]) || target.is_some_and(|t| t <= bottom && returns[t]);
+    }
+    (body..bottom)
+        .filter(|&pc| returns[pc])
+        .map(|pc| ops[pc])
+        .collect()
+}
+
+/// Ops dispatched per edge are the VM's unit of cost, so the loops of the
+/// paper UDFs are held to a budget: the longest path through one
+/// iteration, the op that binds the next neighbour included. (The typing
+/// pass leaves 5, 5, 5, 9, 10, 12, 15 and 18.) Beyond the count, nothing
+/// loop-invariant and no unconditional jump may be left in a loop.
+#[test]
+fn loop_budget() {
+    let props = paper_store();
+    for (name, udf) in paper_udfs() {
+        let inst = instrument(&udf).unwrap();
+        let before = symple_udf::compile(&inst).unwrap().loop_ops();
+        let prog = UdfProgram::new(&inst, &props);
+        let after = prog.loop_ops().unwrap();
+        assert_eq!((before.len(), after.len()), (1, 1), "{name}: one loop");
+        let budget = match name {
+            "bfs" | "kmeans" | "pagerank" => 2,
+            "sampling" => 3,
+            "kcore" => 4,
+            "mis" => 6,
+            "cc" => 8,
+            "sssp" => 13,
+            other => panic!("no budget for {other}"),
+        };
+        assert!(
+            after[0] <= budget,
+            "{name}: {} ops per edge (was {}), budget {budget}",
+            after[0],
+            before[0]
+        );
+        let listing = prog.disassemble().unwrap();
+        for op in natural_loop(&listing) {
+            assert!(
+                !["Const", "LoadV", "Jump {", "LoopHead"]
+                    .iter()
+                    .any(|left| op.starts_with(left)),
+                "{name}: `{op}` inside the loop\n{listing}"
+            );
+        }
+    }
+    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
+    assert_eq!(symple_udf::compile(&inst).unwrap().loop_ops(), [9]);
 }
 
 #[test]
@@ -77,7 +171,7 @@ fn int_array_as_an_arithmetic_operand_is_widened_in_place() {
     assert!(prog.uses_bytecode());
     let listing = prog.disassemble().unwrap();
     assert!(
-        listing.contains("LoadPropI { dst: 1, idx: 2, prop: 0 }"),
+        listing.contains("NextLoadPropI { dst: 1, prop: 0, body: 8 }"),
         "{listing}"
     );
     assert!(

@@ -6,6 +6,11 @@
 //! operands, `i64` literals at the wrap-around extremes, short-circuit
 //! `&&`/`||`, float and int locals carried across segments, vertex-typed
 //! properties, locals and emits, and `break`s nested at varying depth.
+//! It also leaves loop-invariant work inside the loop — `prop[v]` reads
+//! and constant subexpressions, unconditional, under `if prop[u]`, after
+//! an `emit`, folded into a carried local — because what runs is the
+//! *optimised* typed program ([`UdfProgram::disassemble`]), and hoisting,
+//! fusing and threading must each be seen to fire and to be refused.
 //! It never stores an `int` into a `float` local (the one well-typed
 //! construct the typed VM hands back to the interpreter), so every
 //! generated program must bind: a silent fallback would make the
@@ -23,262 +28,17 @@
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use symple_core::{DepState, DepWidth, PullProgram, UdfExec};
-use symple_graph::{Bitmap, Vid};
-use symple_udf::ast::{BinOp, Expr, Stmt, UdfFn, UnOp};
+use symple_graph::Vid;
+use symple_udf::ast::{BinOp, Expr, Stmt, UdfFn};
 use symple_udf::types::Ty;
 use symple_udf::{check, instrument, instrument_naive, PropArray, PropertyStore, UdfProgram};
 
-/// Vertices every property array covers.
-const N: usize = 24;
-
-fn store() -> PropertyStore {
-    let mut flag = Bitmap::new(N);
-    let mut live = Bitmap::new(N);
-    for i in 0..N {
-        if i % 3 == 1 {
-            flag.set(i);
-        }
-        if i % 5 != 0 {
-            live.set(i);
-        }
-    }
-    let mut props = PropertyStore::new();
-    props.insert("flag", PropArray::Bools(flag));
-    props.insert("live", PropArray::Bools(live));
-    props.insert(
-        "num",
-        PropArray::Ints((0..N as i64).map(|i| i * 13 % 17 - 5).collect()),
-    );
-    props.insert(
-        "big",
-        PropArray::Ints(
-            (0..N as i64)
-                .map(|i| [i64::MAX, i64::MIN, -1, 7][i as usize % 4].wrapping_sub(i))
-                .collect(),
-        ),
-    );
-    props.insert(
-        "wt",
-        PropArray::Floats((0..N).map(|i| (i % 9) as f64 * 0.25 - 0.5).collect()),
-    );
-    props.insert(
-        "parent",
-        PropArray::Vertices((0..N as u32).map(|i| i * 7 % N as u32).collect()),
-    );
-    props
-}
-
-const NUMERIC: [BinOp; 3] = [BinOp::Add, BinOp::Sub, BinOp::Mul];
-const COMPARE: [BinOp; 6] = [
-    BinOp::Lt,
-    BinOp::Le,
-    BinOp::Gt,
-    BinOp::Ge,
-    BinOp::Eq,
-    BinOp::Ne,
-];
-
-/// Builds one UDF from a choice sequence; an exhausted sequence answers 0,
-/// which always selects a leaf, so generation terminates.
-struct Gen<'c> {
-    choices: &'c [u32],
-    at: usize,
-    locals: Vec<(String, Ty)>,
-    in_loop: bool,
-    update_ty: Ty,
-}
-
-impl Gen<'_> {
-    fn pick(&mut self, n: usize) -> usize {
-        let c = self.choices.get(self.at).copied().unwrap_or(0);
-        self.at += 1;
-        c as usize % n
-    }
-
-    fn one_of<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.pick(items.len())]
-    }
-
-    fn local_of(&mut self, ty: Ty) -> Option<Expr> {
-        let names: Vec<String> = self
-            .locals
-            .iter()
-            .filter(|(_, t)| *t == ty)
-            .map(|(n, _)| n.clone())
-            .collect();
-        if names.is_empty() {
-            return None;
-        }
-        Some(Expr::local(&names[self.pick(names.len())]))
-    }
-
-    fn vertex(&mut self, depth: u32) -> Expr {
-        match self.pick(if depth == 0 { 3 } else { 4 }) {
-            0 => Expr::CurrentVertex,
-            1 if self.in_loop => Expr::CurrentNeighbor,
-            2 => self.local_of(Ty::Vertex).unwrap_or(Expr::CurrentVertex),
-            3 => Expr::prop("parent", self.vertex(depth - 1)),
-            _ => Expr::CurrentVertex,
-        }
-    }
-
-    fn int(&mut self, depth: u32) -> Expr {
-        match self.pick(if depth == 0 { 3 } else { 6 }) {
-            0 => Expr::i(self.one_of(&[0, 1, -1, 3, 1 << 40, i64::MAX, i64::MIN])),
-            1 => self.local_of(Ty::Int).unwrap_or(Expr::i(2)),
-            2 => {
-                let array = self.one_of(&["num", "big"]);
-                Expr::prop(array, self.vertex(0))
-            }
-            3 => Expr::Unary(UnOp::Neg, Box::new(self.int(depth - 1))),
-            _ => {
-                let op = self.one_of(&NUMERIC);
-                self.int(depth - 1).bin(op, self.int(depth - 1))
-            }
-        }
-    }
-
-    /// A float expression; arithmetic takes an `int` on one side about
-    /// half the time, which the language widens.
-    fn float(&mut self, depth: u32) -> Expr {
-        match self.pick(if depth == 0 { 3 } else { 6 }) {
-            0 => Expr::f(self.one_of(&[0.0, 0.25, -1.5, 3.0, 1e300, f64::INFINITY])),
-            1 => self.local_of(Ty::Float).unwrap_or(Expr::f(0.5)),
-            2 => Expr::prop("wt", self.vertex(0)),
-            3 => Expr::Unary(UnOp::Neg, Box::new(self.float(depth - 1))),
-            _ => {
-                let op = self.one_of(&NUMERIC);
-                let (a, b) = match self.pick(4) {
-                    0 => (self.int(depth - 1), self.float(depth - 1)),
-                    1 => (self.float(depth - 1), self.int(depth - 1)),
-                    _ => (self.float(depth - 1), self.float(depth - 1)),
-                };
-                a.bin(op, b)
-            }
-        }
-    }
-
-    fn numeric(&mut self, depth: u32) -> Expr {
-        if self.pick(2) == 0 {
-            self.int(depth)
-        } else {
-            self.float(depth)
-        }
-    }
-
-    fn bool(&mut self, depth: u32) -> Expr {
-        match self.pick(if depth == 0 { 3 } else { 8 }) {
-            0 => Expr::b(self.pick(2) == 1),
-            1 => self.local_of(Ty::Bool).unwrap_or(Expr::b(true)),
-            2 => {
-                let array = self.one_of(&["flag", "live"]);
-                Expr::prop(array, self.vertex(0))
-            }
-            3 => self.bool(depth - 1).not(),
-            4 => {
-                let op = self.one_of(&[BinOp::And, BinOp::Or]);
-                self.bool(depth - 1).bin(op, self.bool(depth - 1))
-            }
-            5 => {
-                let op = self.one_of(&COMPARE);
-                self.vertex(1).bin(op, self.vertex(1))
-            }
-            6 => {
-                let op = self.one_of(&COMPARE);
-                self.bool(depth - 1).bin(op, self.bool(depth - 1))
-            }
-            // int/int, float/float and the two mixed (widened) pairs
-            _ => {
-                let op = self.one_of(&COMPARE);
-                self.numeric(depth - 1).bin(op, self.numeric(depth - 1))
-            }
-        }
-    }
-
-    fn expr(&mut self, ty: Ty, depth: u32) -> Expr {
-        match ty {
-            Ty::Bool => self.bool(depth),
-            Ty::Int => self.int(depth),
-            Ty::Float => self.float(depth),
-            Ty::Vertex => self.vertex(depth),
-        }
-    }
-
-    /// An update: of the declared type, or — the checker's one widening
-    /// at an `emit` — an `int` for a `float` update.
-    fn emit(&mut self) -> Stmt {
-        if self.update_ty == Ty::Float && self.pick(4) == 0 {
-            return Stmt::Emit(self.int(2));
-        }
-        Stmt::Emit(self.expr(self.update_ty, 2))
-    }
-
-    fn assign(&mut self) -> Stmt {
-        let i = self.pick(self.locals.len());
-        let (name, ty) = self.locals[i].clone();
-        Stmt::assign(&name, self.expr(ty, 3))
-    }
-
-    /// Loop-body statements; `break` closes a block, at any nesting depth.
-    fn block(&mut self, depth: u32) -> Vec<Stmt> {
-        let mut out = Vec::new();
-        for _ in 0..1 + self.pick(3) {
-            match self.pick(if depth == 0 { 2 } else { 4 }) {
-                0 => out.push(self.assign()),
-                1 => out.push(self.emit()),
-                _ => {
-                    let cond = self.bool(2);
-                    let then_branch = self.block(depth - 1);
-                    let else_branch = if self.pick(3) == 0 {
-                        self.block(depth - 1)
-                    } else {
-                        Vec::new()
-                    };
-                    out.push(Stmt::If {
-                        cond,
-                        then_branch,
-                        else_branch,
-                    });
-                }
-            }
-        }
-        if self.pick(3) == 0 {
-            out.push(Stmt::Break);
-        }
-        out
-    }
-
-    fn udf(mut self) -> UdfFn {
-        let mut body = Vec::new();
-        for (name, ty) in [
-            ("i0", Ty::Int),
-            ("f0", Ty::Float),
-            ("b0", Ty::Bool),
-            ("v0", Ty::Vertex),
-            ("i1", Ty::Int),
-            ("f1", Ty::Float),
-        ] {
-            if self.pick(4) == 0 {
-                continue; // not every program has every type
-            }
-            let init = self.expr(ty, 1);
-            body.push(Stmt::let_(name, ty, init));
-            self.locals.push((name.to_string(), ty));
-        }
-        if self.locals.is_empty() {
-            body.push(Stmt::let_("i0", Ty::Int, Expr::i(0)));
-            self.locals.push(("i0".to_string(), Ty::Int));
-        }
-        self.in_loop = true;
-        let loop_body = self.block(3);
-        self.in_loop = false;
-        body.push(Stmt::for_neighbors(loop_body));
-        if self.pick(2) == 0 {
-            body.push(self.emit());
-        }
-        UdfFn::new("gen", self.update_ty, body)
-    }
-}
+#[path = "support/gen.rs"]
+mod gen;
+#[path = "support/listing.rs"]
+mod listing;
+use gen::{store, Gen, N};
+use listing::field;
 
 /// What one segment did, as far as the engine can observe.
 #[derive(Debug, PartialEq)]
@@ -356,8 +116,7 @@ proptest! {
         naive in any::<bool>(),
         lists in arb_lists(),
     ) {
-        let udf = Gen { choices: &choices, at: 0, locals: Vec::new(), in_loop: false, update_ty }
-            .udf();
+        let udf = Gen::new(&choices, update_ty).udf();
         let props = store();
         prop_assert!(check(&udf, &props.schema()).is_ok(), "generated UDF must pass the checker");
         let inst = if naive { instrument_naive(&udf) } else { instrument(&udf) }
@@ -420,6 +179,7 @@ fn generator_reaches_every_type_and_construct() {
     // ints, widened comparisons, vertex emits and nested breaks.
     let props = store();
     let (mut float_carried, mut int_carried, mut vertex_update, mut breaks) = (0, 0, 0, 0);
+    let mut census = Census::default();
     let mut x = 0x9E37_79B9u32;
     for case in 0..400u32 {
         let choices: Vec<u32> = (0..160)
@@ -429,17 +189,13 @@ fn generator_reaches_every_type_and_construct() {
             })
             .collect();
         let update_ty = [Ty::Bool, Ty::Int, Ty::Float, Ty::Vertex][case as usize % 4];
-        let udf = Gen {
-            choices: &choices,
-            at: 0,
-            locals: Vec::new(),
-            in_loop: false,
-            update_ty,
-        }
-        .udf();
+        let udf = Gen::new(&choices, update_ty).udf();
         check(&udf, &props.schema()).expect("generated UDF must pass the checker");
         let inst = instrument(&udf).unwrap();
-        assert!(UdfProgram::new(&inst, &props).uses_bytecode());
+        let listing = UdfProgram::new(&inst, &props)
+            .disassemble()
+            .expect("a generated program fell back to the interpreter");
+        census.count(&listing);
         float_carried += usize::from(inst.info.carried.iter().any(|(_, t)| *t == Ty::Float));
         int_carried += usize::from(inst.info.carried.iter().any(|(_, t)| *t == Ty::Int));
         vertex_update += usize::from(update_ty == Ty::Vertex);
@@ -451,4 +207,301 @@ fn generator_reaches_every_type_and_construct() {
         vertex_update > 20 && breaks > 100,
         "{vertex_update} {breaks}"
     );
+    // ... and the programs that ran must show every transformation of the
+    // optimiser both applied and refused, or the comparison says nothing
+    // about one side of it.
+    for (what, seen) in census.report() {
+        assert!(seen > 0, "no generated program shows: {what} ({census:?})");
+    }
+}
+
+/// What the listings of a batch of bound programs show of the optimiser.
+#[derive(Debug, Default)]
+struct Census {
+    hoisted: usize,
+    invariant_left_in_loop: usize,
+    conditional_prop_v_left_in_loop: usize,
+    next_fused: usize,
+    next_plain: usize,
+    compare_fused: usize,
+    compare_unfused: usize,
+    threaded_to_the_loop_test: usize,
+}
+
+impl Census {
+    fn count(&mut self, listing: &str) {
+        let ops = listing::ops(listing);
+        let is = |at: usize, names: &[&str]| names.iter().any(|n| ops[at].starts_with(n));
+        const COMPARE: [&str; 12] = [
+            "LtI(", "LeI(", "GtI(", "GeI(", "EqI(", "NeI(", "LtF(", "LeF(", "GtF(", "GeF(", "EqF(",
+            "NeF(",
+        ];
+        for at in 0..ops.len() {
+            self.compare_fused += usize::from(is(at, &["JumpUnless", "JumpIfPropB"]));
+            if at > 0 && is(at, &["JumpIfFalse", "JumpIfTrue"]) && is(at - 1, &COMPARE) {
+                let cond = field(ops[at], "cond: ");
+                self.compare_unfused += usize::from(field(ops[at - 1], "(") == cond);
+            }
+            let Some(exit) = field(ops[at], "LoopEnter { exit: ") else {
+                continue;
+            };
+            let bottom = exit - 1;
+            let Some(body) = field(ops[bottom], "body: ") else {
+                continue; // a loop that always breaks lost its bottom test
+            };
+            self.next_fused += usize::from(is(bottom, &["NextU", "NextLoadProp"]));
+            self.next_plain += usize::from(is(bottom, &["LoopNext"]));
+            let preheader = at + 1..body - 1;
+            self.hoisted += usize::from(!preheader.is_empty());
+            for pc in body..bottom {
+                self.invariant_left_in_loop += usize::from(is(pc, &["Const", "LoadV"]));
+                self.threaded_to_the_loop_test += usize::from(
+                    is(pc, &["Jump"])
+                        && field(ops[pc], "target: ").or(field(ops[pc], ", ")) == Some(bottom),
+                );
+                if let (true, Some(idx)) = (is(pc, &["LoadProp"]), field(ops[pc], "idx: ")) {
+                    let v = format!("LoadV({idx})");
+                    self.conditional_prop_v_left_in_loop +=
+                        usize::from(preheader.clone().any(|pre| ops[pre] == v));
+                }
+            }
+        }
+    }
+
+    fn report(&self) -> [(&'static str, usize); 8] {
+        [
+            ("an op hoisted into a preheader", self.hoisted),
+            (
+                "a constant or `v` left in the loop",
+                self.invariant_left_in_loop,
+            ),
+            (
+                "a conditional `prop[v]` read left in the loop",
+                self.conditional_prop_v_left_in_loop,
+            ),
+            ("a fused next-neighbour load", self.next_fused),
+            ("a plain loop test", self.next_plain),
+            ("a fused compare-and-branch", self.compare_fused),
+            (
+                "a comparison kept apart from its branch",
+                self.compare_unfused,
+            ),
+            (
+                "a branch threaded to the loop test",
+                self.threaded_to_the_loop_test,
+            ),
+        ]
+    }
+}
+
+/// Both executors over `lists` on one slot history; they must agree on
+/// every completed segment and on the panic that ended the run, if any.
+/// Returns the number of completed segments and that panic.
+fn agree(udf: &UdfFn, props: &PropertyStore, lists: &[Vec<Vec<u32>>]) -> (usize, Option<String>) {
+    let inst = instrument(udf).unwrap();
+    let vm = UdfProgram::new(&inst, props);
+    assert!(vm.uses_bytecode());
+    let interp = UdfProgram::new(&inst, props).exec(UdfExec::Interp);
+    let mut outcome = None;
+    for carried in [true, false] {
+        let (got, got_panic) = drive(&vm, lists, carried);
+        let (want, want_panic) = drive(&interp, lists, carried);
+        assert_eq!(got, want, "carried {carried}");
+        assert_eq!(got_panic, want_panic, "carried {carried}");
+        outcome = Some((got.len(), got_panic));
+    }
+    outcome.unwrap()
+}
+
+/// `short` covers vertices 0..4 only; everything else is [`store`].
+fn store_with_short_array() -> PropertyStore {
+    let mut props = store();
+    props.insert("short", PropArray::Floats(vec![0.5; 4]));
+    props
+}
+
+/// `for u { acc = acc + short[v]; if flag[u] { emit(u); break; } }`:
+/// the read of `short[v]` is hoisted, and out of range for `v >= 4`.
+fn hoisted_short_read() -> UdfFn {
+    UdfFn::new(
+        "short",
+        Ty::Vertex,
+        vec![
+            Stmt::let_("acc", Ty::Float, Expr::f(0.0)),
+            Stmt::for_neighbors(vec![
+                Stmt::assign("acc", Expr::local("acc").add(Expr::prop_v("short"))),
+                Stmt::if_(
+                    Expr::prop_u("flag"),
+                    vec![Stmt::Emit(Expr::CurrentNeighbor), Stmt::Break],
+                ),
+            ]),
+        ],
+    )
+}
+
+#[test]
+fn a_hoisted_read_does_not_run_on_a_zero_trip_list() {
+    let props = store_with_short_array();
+    let udf = hoisted_short_read();
+    let listing = UdfProgram::new(&instrument(&udf).unwrap(), &props)
+        .disassemble()
+        .unwrap();
+    let (enter, load) = (
+        listing.find("LoopEnter").unwrap(),
+        listing.find("LoadPropF").unwrap(),
+    );
+    assert!(
+        enter < load && load < listing.find("LoopNext").unwrap(),
+        "short[v] is not in the preheader:\n{listing}"
+    );
+    // Vertex 9 is past the end of `short`. Its first two segments are
+    // empty: no read, no panic, in either executor. The third reads.
+    let lists: Vec<Vec<Vec<u32>>> = (0..10)
+        .map(|v| match v {
+            9 => vec![vec![], vec![], vec![2, 3]],
+            _ => vec![vec![]],
+        })
+        .collect();
+    let (done, panic) = agree(&udf, &props, &lists);
+    assert_eq!(done, 9 + 2, "{panic:?}");
+    assert!(panic.unwrap().contains("index out of bounds"));
+    // In range, the same lists run to the end.
+    assert_eq!(agree(&udf, &props, &lists[..4]), (4, None));
+}
+
+#[test]
+fn a_hoisted_read_does_not_run_when_the_guard_skips() {
+    let props = store_with_short_array();
+    let inst = instrument(&hoisted_short_read()).unwrap();
+    for exec in [UdfExec::Bytecode, UdfExec::Interp] {
+        let prog = UdfProgram::new(&inst, &props).exec(exec);
+        let mut dep = prog.make_dep(1);
+        dep.mark(0); // an earlier machine broke
+        let srcs = [Vid::new(1), Vid::new(2)];
+        let mut emitted = Vec::new();
+        let out = prog.signal(Vid::new(9), &srcs, &mut dep, 0, true, &mut |x| {
+            emitted.push(x)
+        });
+        assert_eq!(
+            (out.edges, out.broke, emitted.len()),
+            (0, false, 0),
+            "{exec:?}"
+        );
+    }
+}
+
+#[test]
+fn a_conditional_read_panics_only_where_the_loop_reaches_it() {
+    // `for u { if flag[u] { acc = acc + short[v]; } }`: not hoisted, so a
+    // vertex past the end of `short` is harmless until a neighbour has its
+    // flag set (vertices 1, 4, 7, ... do).
+    let udf = UdfFn::new(
+        "conditional",
+        Ty::Float,
+        vec![
+            Stmt::let_("acc", Ty::Float, Expr::f(0.0)),
+            Stmt::for_neighbors(vec![Stmt::if_(
+                Expr::prop_u("flag"),
+                vec![Stmt::assign(
+                    "acc",
+                    Expr::local("acc").add(Expr::prop_v("short")),
+                )],
+            )]),
+            Stmt::Emit(Expr::local("acc")),
+        ],
+    );
+    let props = store_with_short_array();
+    let lists = |last: Vec<u32>| -> Vec<Vec<Vec<u32>>> {
+        (0..10)
+            .map(|v| {
+                if v == 9 {
+                    vec![vec![0, 2], last.clone()]
+                } else {
+                    vec![vec![0]]
+                }
+            })
+            .collect()
+    };
+    assert_eq!(agree(&udf, &props, &lists(vec![3, 5])), (9 + 2, None));
+    let (done, panic) = agree(&udf, &props, &lists(vec![3, 4]));
+    assert_eq!(done, 9 + 1);
+    assert!(panic.unwrap().contains("index out of bounds"));
+}
+
+#[test]
+fn an_invariant_nan_comparison_panics_in_the_call_that_evaluates_it() {
+    // `inf - inf < wt[v]` does not depend on the neighbour: the compare
+    // moves to the preheader when every iteration evaluates it, and stays
+    // where it is under `if flag[u]`.
+    let nan = || Expr::f(f64::INFINITY).bin(BinOp::Sub, Expr::f(f64::INFINITY));
+    let test = |conditional: bool| {
+        let compare = Stmt::if_(
+            nan().lt(Expr::prop_v("wt")),
+            vec![Stmt::assign("n", Expr::local("n").add(Expr::i(1)))],
+        );
+        let body = if conditional {
+            vec![Stmt::if_(Expr::prop_u("flag"), vec![compare])]
+        } else {
+            vec![compare]
+        };
+        UdfFn::new(
+            "nan",
+            Ty::Int,
+            vec![
+                Stmt::let_("n", Ty::Int, Expr::i(0)),
+                Stmt::for_neighbors(body),
+                Stmt::Emit(Expr::local("n")),
+            ],
+        )
+    };
+    let props = store();
+    // No edge, no comparison; the first edge of vertex 1 meets it.
+    let lists = vec![vec![vec![], vec![]], vec![vec![], vec![0, 2], vec![1]]];
+    let (done, panic) = agree(&test(false), &props, &lists);
+    assert_eq!((done, panic.as_deref()), (3, Some("NaN in comparison")));
+    // Under `if flag[u]` it waits for neighbour 1, the first with the flag.
+    let (done, panic) = agree(&test(true), &props, &lists);
+    assert_eq!((done, panic.as_deref()), (4, Some("NaN in comparison")));
+}
+
+#[test]
+fn a_second_loop_and_a_loop_under_an_if_agree() {
+    // The generator writes one loop per program; the language allows
+    // more. Each is rotated and gets a preheader of its own (`num[v]` is
+    // hoisted twice), the second starts over on the neighbour list, and
+    // the edge count is what both consumed.
+    let udf = UdfFn::new(
+        "twice",
+        Ty::Int,
+        vec![
+            Stmt::let_("n", Ty::Int, Expr::i(0)),
+            Stmt::for_neighbors(vec![
+                Stmt::assign("n", Expr::local("n").add(Expr::prop_v("num"))),
+                Stmt::if_(Expr::prop_u("flag"), vec![Stmt::Break]),
+            ]),
+            Stmt::if_(
+                Expr::local("n").lt(Expr::i(9)),
+                vec![Stmt::for_neighbors(vec![Stmt::if_(
+                    Expr::prop_u("live"),
+                    vec![Stmt::assign(
+                        "n",
+                        Expr::local("n")
+                            .add(Expr::prop_u("num").bin(BinOp::Mul, Expr::prop_v("num"))),
+                    )],
+                )])],
+            ),
+            Stmt::Emit(Expr::local("n")),
+        ],
+    );
+    let props = store();
+    check(&udf, &props.schema()).unwrap();
+    let listing = UdfProgram::new(&instrument(&udf).unwrap(), &props)
+        .disassemble()
+        .unwrap();
+    assert_eq!(listing.matches("LoopEnter").count(), 2, "{listing}");
+    assert_eq!(listing.matches("LoadV").count(), 2, "{listing}");
+    let lists: Vec<Vec<Vec<u32>>> = (0..N as u32)
+        .map(|v| vec![vec![], vec![v, 2, 3], vec![(v + 1) % N as u32, 0, 5, 6]])
+        .collect();
+    assert_eq!(agree(&udf, &props, &lists), (3 * N, None));
 }

@@ -23,7 +23,8 @@
 //!
 //! Warning lints (W001 unused local, W002 constant condition, W003
 //! unreachable statement, W004 dead carried state, W005 order-sensitive
-//! float accumulation, W006 interpreter fallback, W007 unbounded carried
+//! float accumulation, W006 interpreter fallback (compiler limit, or an
+//! `int` stored into a `float` local), W007 unbounded carried
 //! range, W008 non-monotone break) never gate by default; error codes
 //! (E000 parse, E001–E007 checker) exit 1. Two extra modes:
 //!
@@ -236,6 +237,33 @@ mod tests {
             let (code, out) = run_args(&["--explain", known]);
             assert_eq!(code, 0, "{known}: {out}");
         }
+    }
+
+    #[test]
+    fn int_stored_into_a_float_local_is_reported_at_the_store() {
+        // The one well-typed construct that costs a program the bytecode
+        // VM: W006 points at each store, and the file still passes.
+        let (code, out) = run_args(&["examples/lazy_widening.sg", "count:int"]);
+        let w006 = "warning[W006]: an `int` value is stored into float local `w`; the typed \
+                    VM cannot keep a lazily widened integer, so the whole program falls back \
+                    to the interpreter (write the value as a float)";
+        let golden = format!(
+            "---- examples/lazy_widening.sg ----\n\
+             {w006}\n  --> line 2, col 3\n  |\n2 |   float w = 0;\n  |   ^^^^^^^^^^^^\n\n\
+             {w006}\n  --> line 4, col 5\n  |\n4 |     w = count[u];\n  |     ^^^^^^^^^^^^^\n\n\
+             symple-lint: 1 case(s), 0 error(s), 2 warning(s)\n"
+        );
+        assert_eq!((code, out.as_str()), (0, golden.as_str()));
+        // Over a float array only the literal is left to fix.
+        let (code, out) = run_args(&["examples/lazy_widening.sg", "count:float"]);
+        assert_eq!(code, 0);
+        assert!(
+            out.contains("1 warning(s)") && out.contains("float w = 0;"),
+            "{out}"
+        );
+        let (_, out) = run_args(&["--explain", "W006"]);
+        assert!(out.contains("stored into a `float` local"), "{out}");
+        assert!(out.contains("resource limit"), "{out}");
     }
 
     #[test]
