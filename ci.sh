@@ -9,7 +9,9 @@
 # scenario matrix (`--matrix-check` against the committed
 # BENCH_matrix.json), which replays every {algo x graph x policy x
 # codec x exchange x threads x faults} cell and fails on any >10%
-# regression in virtual seconds or data bytes. The old per-feature
+# regression in virtual seconds or data bytes; `--matrix-identity`
+# (also under --quick) holds every cell to the committed bytes, so a
+# change moves only the cells it says it moves. The old per-feature
 # scaling/comm/pipeline checks are subsumed by it (their baselines stay
 # committed for the docs and can still be replayed by hand via the
 # experiments CLI).
@@ -17,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 usage() {
-  sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
   exit "${1:-2}"
 }
 
@@ -60,10 +62,14 @@ step "UDF executor differential tests (release profile)"
 # both profiles: the eight committed listings and the ops-per-edge
 # budgets (typed_bind), and the optimiser's idempotence/range proptest
 # (--lib; debug builds also re-check idempotence inside every bind).
+# So do the two dense-path suites: the order oracle and the
+# communication-shape pins must hold without the debug assertion that
+# catches a program lying about `carries_dependency`.
 # Runs under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind
-cargo test -q --release --offline --test exec_equivalence
+cargo test -q --release --offline --test exec_equivalence \
+  --test dense_path --test dense_comm
 
 step "job benchmark builds and smokes (benchmark/)"
 # benchmark/ is a workspace of its own that calls public functions of
@@ -117,6 +123,16 @@ step "scenario-matrix smoke (SNAP karate, all knobs)"
 # asserted inline. Runs under --quick so every push exercises the SNAP
 # loader and the new kernels end to end.
 cargo run --offline -p symple-bench --bin experiments -- --matrix-smoke
+
+step "scenario-matrix identity gate (vs committed BENCH_matrix.json)"
+# Replays all 68 cells and fails unless each one serializes to exactly
+# the committed bytes — knobs, virtual seconds, data bytes, edges,
+# fingerprint. Only the cells of a dependency-free workload (PageRank)
+# may read lower than committed, never higher: what the dense path is
+# licensed to change. Modelled quantities, so the debug build (~12 s)
+# reads the same as release. Runs under --quick.
+cargo run --offline -p symple-bench --bin experiments -- \
+  --matrix-identity BENCH_matrix.json
 
 step "exchange-mode equivalence smoke (bulk vs pipelined)"
 # BFS / K-core / MIS on s27, 4 machines, under both exchange modes and

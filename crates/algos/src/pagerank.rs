@@ -61,6 +61,12 @@ impl PullProgram for PagerankPull<'_> {
         true
     }
 
+    /// No break, nothing carried: every edge is summed whatever the other
+    /// machines saw, so the engine runs the dense schedule.
+    fn carries_dependency(&self) -> bool {
+        false
+    }
+
     fn signal(
         &self,
         _v: Vid,
@@ -81,6 +87,12 @@ impl PullProgram for PagerankPull<'_> {
     }
 }
 
+/// A machine reads `rank[u]` and `contrib[u]` for its own masters only:
+/// the sources of every bucket it walks are local by construction, and the
+/// updates it applies target its masters. So an iteration touches master
+/// entries alone, the only per-iteration collective is one `allreduce` of
+/// `(residual, next iteration's dangling mass)`, and the rank array is
+/// synchronised once, after the loop, for the caller.
 fn pagerank_body(w: &mut Worker, tol: u64, max_iters: u32) -> (Vec<u64>, u32, bool) {
     let graph = w.graph();
     let n = graph.num_vertices();
@@ -90,22 +102,16 @@ fn pagerank_body(w: &mut Worker, tol: u64, max_iters: u32) -> (Vec<u64>, u32, bo
     let mut dep = BitDep::new(w.dep_slots_needed());
     let mut iterations = 0u32;
     let mut converged = false;
+    let dangling_masters = w.masters().filter(|&v| graph.out_degree(v) == 0).count();
+    let mut dangling = w.allreduce(dangling_masters as u64 * SCALE, |a, b| a + b);
     while iterations < max_iters && !converged {
         iterations += 1;
-        // Contributions and dangling mass come from the globally synced
-        // rank array, so every machine derives the same values.
-        let mut local_dangling = 0u64;
-        for v in graph.vertices() {
+        let dangling_share = dangling / n as u64;
+        for v in w.masters() {
             let deg = graph.out_degree(v) as u64;
             contrib[v.index()] = rank[v.index()].checked_div(deg).unwrap_or(0);
+            sums[v.index()] = 0;
         }
-        for v in w.masters() {
-            if graph.out_degree(v) == 0 {
-                local_dangling += rank[v.index()];
-            }
-        }
-        let dangling_share = w.allreduce(local_dangling, |a, b| a + b) / n as u64;
-        sums.fill(0);
         {
             let prog = PagerankPull { contrib: &contrib };
             let mut apply = |v: Vid, partial: u64| -> bool {
@@ -115,15 +121,22 @@ fn pagerank_body(w: &mut Worker, tol: u64, max_iters: u32) -> (Vec<u64>, u32, bo
             w.pull(&prog, &mut dep, &mut apply);
         }
         let mut local_residual = 0u64;
+        let mut local_dangling = 0u64;
         for v in w.masters() {
             let new = BASE + ALPHA * (sums[v.index()] + dangling_share) / SCALE;
             local_residual = local_residual.max(new.abs_diff(rank[v.index()]));
             rank[v.index()] = new;
+            if graph.out_degree(v) == 0 {
+                local_dangling += new;
+            }
         }
-        w.sync_values(&mut rank);
-        let residual = w.allreduce(local_residual, |a, b| a.max(b));
+        let (residual, next_dangling) = w.allreduce((local_residual, local_dangling), |a, b| {
+            (a.0.max(b.0), a.1 + b.1)
+        });
+        dangling = next_dangling;
         converged = residual <= tol;
     }
+    w.sync_values(&mut rank);
     (rank, iterations, converged)
 }
 

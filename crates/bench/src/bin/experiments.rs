@@ -10,7 +10,9 @@
 //! `--matrix-json FILE` regenerates the consolidated scenario matrix
 //! (`BENCH_matrix.json`); `--matrix-check FILE` replays a committed
 //! baseline wholesale and exits nonzero on any >10% cell regression —
-//! the single perf gate `ci.sh` runs.
+//! the single perf gate `ci.sh` runs; `--matrix-identity FILE` replays it
+//! and exits nonzero unless every cell is identical to the committed one
+//! (a dependency-free workload's seconds and bytes may be lower).
 //!
 //! `--chrome-trace FILE` and `--metrics-json FILE` run one fully-traced
 //! BFS (4 machines) and export the virtual-time timeline (open in
@@ -22,7 +24,7 @@ use symple_bench::experiments;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--chrome-trace FILE] [--metrics-json FILE]\n                   [--threads LIST [--scale N] [--scaling-json FILE]]\n                   [--scaling-check FILE] [--exec-json FILE] [--exec-smoke]\n                   [--comm-json FILE [--comm-graph NAME] [--comm-machines N]]\n                   [--comm-check FILE] [--faults] [--fault-json FILE]\n                   [--udf-report FILE] [--transport-json FILE]\n                   [--pipeline-json FILE] [--pipeline-check FILE]\n                   [--pipeline-smoke] [--matrix] [--matrix-json FILE]\n                   [--matrix-check FILE] [--matrix-smoke]\n                   [<id>... | all]\n  ids: table1..table7, fig10, fig11, cost, ablation_threshold,\n       ablation_groups, direction, replication, comm, transport,\n       pipeline, faults, udf, matrix\n  --threads LIST   comma-separated executor thread counts (e.g. 1,2,4);\n                   runs the intra-machine scaling sweep (one dense\n                   BFS-UDF pull pass under both executors) on an RMAT\n                   graph of 2^N vertices (--scale N, default 18) and\n                   writes the points to --scaling-json (default\n                   BENCH_scaling.json)\n  --scaling-check FILE  re-runs the sweep at the scale/thread counts\n                   recorded in FILE (a committed BENCH_scaling.json,\n                   best of three runs per cell) and exits nonzero if\n                   any cell's bytecode/interp wall ratio regressed by\n                   more than 10%\n  --exec-json FILE runs the executor study (per-edge UDF dispatch,\n                   interp vs bytecode, plus the streamed-vs-blocked\n                   apply sweep at scale 25) and writes BENCH_exec.json\n  --exec-smoke     runs one kernel through the full engine under both\n                   executors and fails unless outputs, work, comm, and\n                   modelled time are bit-identical; prints the ops per\n                   edge of each dispatch-study kernel's typed program,\n                   before and after the bind-time optimiser, and fails\n                   if one is over its budget\n  --comm-json FILE runs the wire-codec byte study (flat vs adaptive,\n                   Gemini vs SympleGraph) on --comm-graph (default s27)\n                   at --comm-machines (default 8) and writes the grid\n  --comm-check FILE  re-runs the byte study at the graph/machine count\n                   recorded in FILE (a committed BENCH_comm.json) and\n                   exits nonzero if any adaptive/flat data ratio\n                   regressed by more than 10%\n  --faults         runs the fault-injection absorption sweep (same as\n                   the `faults` id): seeded chaos plan, outputs and work\n                   asserted bit-identical to fault-free\n  --fault-json FILE  runs the sweep and also writes the raw grid\n  --udf-report FILE  runs the UDF carried-state minimization study\n                   (naive vs dataflow-minimized instrumentation) and\n                   writes the per-kernel payload grid (BENCH_udf.json)\n  --transport-json FILE  runs the transport backend study (simulator vs\n                   OS-thread transport; outputs asserted bit-identical,\n                   modelled virtual vs measured wall time per algorithm)\n                   and writes the grid (BENCH_transport.json)\n  --pipeline-json FILE  runs the pipelined-exchange study (bulk vs\n                   chunked pipelined update exchange across a machine\n                   sweep; outputs/work/comm asserted bit-identical,\n                   modelled stall overlap plus measured thread-backend\n                   walls, best of three) and writes the grid\n                   (BENCH_pipeline.json)\n  --pipeline-check FILE  re-runs the study at the graph/machine counts\n                   recorded in FILE (a committed BENCH_pipeline.json)\n                   and exits nonzero if any cell's overlap ratio\n                   (exchange stall / bulk send stall) regressed by more\n                   than 10%\n  --pipeline-smoke runs BFS / K-core / MIS under both exchange modes and\n                   both backends and fails unless work, comm, and the\n                   stall ordering are bit-identical\n  --matrix         runs the consolidated scenario matrix (algo x graph\n                   x policy x codec x exchange x threads x faults,\n                   same as the `matrix` id), asserting cross-cell\n                   output/work/byte bit-identity inline\n  --matrix-json FILE  runs the matrix and writes every cell\n                   (BENCH_matrix.json)\n  --matrix-check FILE  re-runs the matrix over the graphs/machine count\n                   recorded in FILE (a committed BENCH_matrix.json) and\n                   exits nonzero if any cell's virtual seconds or data\n                   bytes regressed by more than 10% — the consolidated\n                   perf gate\n  --matrix-smoke   runs the matrix restricted to the SNAP-loaded karate\n                   graph (all workloads, policies, and knob variants)\n                   with the same inline invariants"
+        "usage: experiments [--chrome-trace FILE] [--metrics-json FILE]\n                   [--threads LIST [--scale N] [--scaling-json FILE]]\n                   [--scaling-check FILE] [--exec-json FILE] [--exec-smoke]\n                   [--comm-json FILE [--comm-graph NAME] [--comm-machines N]]\n                   [--comm-check FILE] [--faults] [--fault-json FILE]\n                   [--udf-report FILE] [--transport-json FILE]\n                   [--pipeline-json FILE] [--pipeline-check FILE]\n                   [--pipeline-smoke] [--matrix] [--matrix-json FILE]\n                   [--matrix-check FILE] [--matrix-identity FILE]\n                   [--matrix-smoke]\n                   [<id>... | all]\n  ids: table1..table7, fig10, fig11, cost, ablation_threshold,\n       ablation_groups, direction, replication, comm, transport,\n       pipeline, faults, udf, matrix\n  --threads LIST   comma-separated executor thread counts (e.g. 1,2,4);\n                   runs the intra-machine scaling sweep (one dense\n                   BFS-UDF pull pass under both executors) on an RMAT\n                   graph of 2^N vertices (--scale N, default 18) and\n                   writes the points to --scaling-json (default\n                   BENCH_scaling.json)\n  --scaling-check FILE  re-runs the sweep at the scale/thread counts\n                   recorded in FILE (a committed BENCH_scaling.json,\n                   best of three runs per cell) and exits nonzero if\n                   any cell's bytecode/interp wall ratio regressed by\n                   more than 10%\n  --exec-json FILE runs the executor study (per-edge UDF dispatch,\n                   interp vs bytecode, plus the streamed-vs-blocked\n                   apply sweep at scale 25) and writes BENCH_exec.json\n  --exec-smoke     runs one kernel through the full engine under both\n                   executors and fails unless outputs, work, comm, and\n                   modelled time are bit-identical; prints the ops per\n                   edge of each dispatch-study kernel's typed program,\n                   before and after the bind-time optimiser, and fails\n                   if one is over its budget\n  --comm-json FILE runs the wire-codec byte study (flat vs adaptive,\n                   Gemini vs SympleGraph) on --comm-graph (default s27)\n                   at --comm-machines (default 8) and writes the grid\n  --comm-check FILE  re-runs the byte study at the graph/machine count\n                   recorded in FILE (a committed BENCH_comm.json) and\n                   exits nonzero if any adaptive/flat data ratio\n                   regressed by more than 10%\n  --faults         runs the fault-injection absorption sweep (same as\n                   the `faults` id): seeded chaos plan, outputs and work\n                   asserted bit-identical to fault-free\n  --fault-json FILE  runs the sweep and also writes the raw grid\n  --udf-report FILE  runs the UDF carried-state minimization study\n                   (naive vs dataflow-minimized instrumentation) and\n                   writes the per-kernel payload grid (BENCH_udf.json)\n  --transport-json FILE  runs the transport backend study (simulator vs\n                   OS-thread transport; outputs asserted bit-identical,\n                   modelled virtual vs measured wall time per algorithm)\n                   and writes the grid (BENCH_transport.json)\n  --pipeline-json FILE  runs the pipelined-exchange study (bulk vs\n                   chunked pipelined update exchange across a machine\n                   sweep; outputs/work/comm asserted bit-identical,\n                   modelled stall overlap plus measured thread-backend\n                   walls, best of three) and writes the grid\n                   (BENCH_pipeline.json)\n  --pipeline-check FILE  re-runs the study at the graph/machine counts\n                   recorded in FILE (a committed BENCH_pipeline.json)\n                   and exits nonzero if any cell's overlap ratio\n                   (exchange stall / bulk send stall) regressed by more\n                   than 10%\n  --pipeline-smoke runs BFS / K-core / MIS under both exchange modes and\n                   both backends and fails unless work, comm, and the\n                   stall ordering are bit-identical\n  --matrix         runs the consolidated scenario matrix (algo x graph\n                   x policy x codec x exchange x threads x faults,\n                   same as the `matrix` id), asserting cross-cell\n                   output/work/byte bit-identity inline\n  --matrix-json FILE  runs the matrix and writes every cell\n                   (BENCH_matrix.json)\n  --matrix-check FILE  re-runs the matrix over the graphs/machine count\n                   recorded in FILE (a committed BENCH_matrix.json) and\n                   exits nonzero if any cell's virtual seconds or data\n                   bytes regressed by more than 10% — the consolidated\n                   perf gate\n  --matrix-identity FILE  re-runs the matrix the same way and exits\n                   nonzero unless every cell is byte-identical to the\n                   committed one; only a dependency-free workload's\n                   (PageRank's) virtual seconds and data bytes may\n                   differ, and only downward\n  --matrix-smoke   runs the matrix restricted to the SNAP-loaded karate\n                   graph (all workloads, policies, and knob variants)\n                   with the same inline invariants"
     );
     std::process::exit(2);
 }
@@ -49,6 +51,7 @@ fn main() {
     let mut pipeline_smoke = false;
     let mut matrix_json_path: Option<String> = None;
     let mut matrix_check_path: Option<String> = None;
+    let mut matrix_identity_path: Option<String> = None;
     let mut matrix_smoke = false;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -95,6 +98,9 @@ fn main() {
             "--matrix" => ids.push("matrix".into()),
             "--matrix-json" => matrix_json_path = Some(it.next().unwrap_or_else(|| usage())),
             "--matrix-check" => matrix_check_path = Some(it.next().unwrap_or_else(|| usage())),
+            "--matrix-identity" => {
+                matrix_identity_path = Some(it.next().unwrap_or_else(|| usage()));
+            }
             "--matrix-smoke" => matrix_smoke = true,
             "--help" | "-h" => usage(),
             _ => ids.push(arg),
@@ -117,6 +123,7 @@ fn main() {
         && !pipeline_smoke
         && matrix_json_path.is_none()
         && matrix_check_path.is_none()
+        && matrix_identity_path.is_none()
         && !matrix_smoke
     {
         usage();
@@ -210,21 +217,27 @@ fn main() {
             cells.len()
         );
     }
-    if let Some(path) = &matrix_check_path {
+    let matrix_gate = |gate: &str, path: &str, check: fn(&str) -> Result<String, String>| {
         let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: reading {path}: {e}");
             std::process::exit(1);
         });
-        match symple_bench::matrix::matrix_check(&baseline) {
+        match check(&baseline) {
             Ok(summary) => {
                 println!("{summary}");
-                eprintln!("[matrix regression check against {path} passed]");
+                eprintln!("[matrix {gate} check against {path} passed]");
             }
             Err(failures) => {
-                eprintln!("matrix regression check against {path} FAILED:\n{failures}");
+                eprintln!("matrix {gate} check against {path} FAILED:\n{failures}");
                 std::process::exit(1);
             }
         }
+    };
+    if let Some(path) = &matrix_check_path {
+        matrix_gate("regression", path, symple_bench::matrix::matrix_check);
+    }
+    if let Some(path) = &matrix_identity_path {
+        matrix_gate("identity", path, symple_bench::matrix::matrix_identity);
     }
     if let Some(path) = &udf_path {
         let scale = 8;

@@ -425,25 +425,30 @@ pub fn matrix_json(machines: usize, cells: &[MatrixCell]) -> String {
     w.key("machines").u64(machines as u64);
     w.key("cells").begin_array();
     for c in cells {
-        w.begin_object();
-        w.key("id").string(&c.id());
-        w.key("algo").string(c.algo);
-        w.key("graph").string(c.graph);
-        w.key("policy").string(c.policy);
-        w.key("codec").string(c.codec);
-        w.key("exchange").string(c.exchange);
-        w.key("threads").u64(c.threads as u64);
-        w.key("faults").bool(c.faults);
-        w.key("virtual_secs").f64(c.virtual_secs);
-        w.key("data_bytes").u64(c.data_bytes);
-        w.key("edges").u64(c.edges);
-        w.key("fingerprint")
-            .string(&format!("{:016x}", c.fingerprint));
-        w.end_object();
+        write_cell(&mut w, c);
     }
     w.end_array();
     w.end_object();
     w.finish()
+}
+
+/// One cell as its `BENCH_matrix.json` object.
+fn write_cell(w: &mut symple_trace::json::JsonWriter, c: &MatrixCell) {
+    w.begin_object();
+    w.key("id").string(&c.id());
+    w.key("algo").string(c.algo);
+    w.key("graph").string(c.graph);
+    w.key("policy").string(c.policy);
+    w.key("codec").string(c.codec);
+    w.key("exchange").string(c.exchange);
+    w.key("threads").u64(c.threads as u64);
+    w.key("faults").bool(c.faults);
+    w.key("virtual_secs").f64(c.virtual_secs);
+    w.key("data_bytes").u64(c.data_bytes);
+    w.key("edges").u64(c.edges);
+    w.key("fingerprint")
+        .string(&format!("{:016x}", c.fingerprint));
+    w.end_object();
 }
 
 /// A parsed `BENCH_matrix.json` baseline.
@@ -563,7 +568,14 @@ pub fn matrix_check_points(
 /// that replaces the per-feature scaling/comm/pipeline checks.
 pub fn matrix_check(baseline_json: &str) -> Result<String, String> {
     let baseline = parse_matrix_baseline(baseline_json)?;
-    let mut graphs: Vec<&'static str> = Vec::new();
+    let graphs = known_graphs(&baseline)?;
+    let cells = matrix_study(&graphs, baseline.machines);
+    matrix_check_points(&baseline, &cells, 0.10)
+}
+
+/// The registry names of the graphs a baseline's cells run on.
+fn known_graphs(baseline: &MatrixBaseline) -> Result<Vec<&'static str>, String> {
+    let mut graphs = Vec::new();
     for name in baseline.graphs() {
         let known = DATASETS
             .iter()
@@ -571,8 +583,92 @@ pub fn matrix_check(baseline_json: &str) -> Result<String, String> {
             .ok_or_else(|| format!("baseline references unknown dataset `{name}`"))?;
         graphs.push(known.name);
     }
-    let cells = matrix_study(&graphs, baseline.machines);
-    matrix_check_points(&baseline, &cells, 0.10)
+    Ok(graphs)
+}
+
+/// Matrix workloads whose pull program carries no dependency
+/// (`PullProgram::carries_dependency` is `false`): the cells the dense
+/// path is licensed to make cheaper. [`matrix_identity_points`] lets
+/// their virtual seconds and data bytes shrink and nothing else move.
+pub const MATRIX_DENSE_ALGOS: [&str; 1] = ["pagerank"];
+
+/// Compares freshly measured cells with the committed document text,
+/// exactly: every cell must serialize to the committed cell's bytes —
+/// same knobs, virtual seconds, data bytes, edges and fingerprint —
+/// except that a [`MATRIX_DENSE_ALGOS`] cell's virtual seconds and data
+/// bytes may be *lower* than committed (the file is then due for
+/// regeneration). A cell on one side only fails too. Where
+/// [`matrix_check_points`] bounds a regression, this shows that a change
+/// moved only what it says it moved.
+pub fn matrix_identity_points(baseline_json: &str, cells: &[MatrixCell]) -> Result<String, String> {
+    let cell_json = |c: &MatrixCell| {
+        let mut w = symple_trace::json::JsonWriter::new();
+        write_cell(&mut w, c);
+        w.finish()
+    };
+    let mut committed_ids = Vec::new();
+    let mut failures = Vec::new();
+    let (mut identical, mut lower) = (0usize, 0usize);
+    // Cell objects are flat, so each runs from its `{"id":` to the next `}`.
+    for (at, _) in baseline_json.match_indices("{\"id\":\"") {
+        let rest = &baseline_json[at..];
+        let committed = &rest[..rest.find('}').map_or(rest.len(), |end| end + 1)];
+        let id = scan_str(committed, "\"id\":\"").unwrap_or_default();
+        committed_ids.push(id);
+        let Some(cell) = cells.iter().find(|c| c.id() == id) else {
+            failures.push(format!("{id}: cell missing from the current matrix"));
+            continue;
+        };
+        if cell_json(cell) == committed {
+            identical += 1;
+            continue;
+        }
+        let secs = scan_num(committed, "\"virtual_secs\":").and_then(|d| d.parse::<f64>().ok());
+        let bytes = scan_num(committed, "\"data_bytes\":").and_then(|d| d.parse::<u64>().ok());
+        let only_lower = match (secs, bytes) {
+            (Some(secs), Some(bytes)) if MATRIX_DENSE_ALGOS.contains(&cell.algo) => {
+                let rest_identical = cell_json(&MatrixCell {
+                    virtual_secs: secs,
+                    data_bytes: bytes,
+                    ..cell.clone()
+                }) == committed;
+                rest_identical && cell.virtual_secs <= secs && cell.data_bytes <= bytes
+            }
+            _ => false,
+        };
+        if only_lower {
+            lower += 1;
+        } else {
+            failures.push(format!(
+                "{id}: differs from the committed cell\n  committed {committed}\n  measured  {}",
+                cell_json(cell)
+            ));
+        }
+    }
+    for c in cells {
+        if !committed_ids.contains(&c.id().as_str()) {
+            failures.push(format!(
+                "{}: cell missing from the committed matrix",
+                c.id()
+            ));
+        }
+    }
+    if failures.is_empty() {
+        Ok(format!(
+            "{identical} cells identical to the committed file, {lower} dependency-free cells lower"
+        ))
+    } else {
+        Err(failures.join("\n"))
+    }
+}
+
+/// The `--matrix-identity` entry point: re-runs the scenario matrix over
+/// the committed baseline's graphs and machine count and holds every cell
+/// to [`matrix_identity_points`].
+pub fn matrix_identity(baseline_json: &str) -> Result<String, String> {
+    let baseline = parse_matrix_baseline(baseline_json)?;
+    let cells = matrix_study(&known_graphs(&baseline)?, baseline.machines);
+    matrix_identity_points(baseline_json, &cells)
 }
 
 fn render(machines: usize, cells: &[MatrixCell]) -> String {
@@ -724,6 +820,53 @@ mod tests {
             c.1 /= 1.05;
         }
         matrix_check_points(&drift, &cells, 0.10).expect("5% drift is within tolerance");
+    }
+
+    #[test]
+    fn identity_check_licenses_only_cheaper_dependency_free_cells() {
+        let cells = karate_cells();
+        let committed = matrix_json(2, &cells);
+        let ok = matrix_identity_points(&committed, &cells).expect("identical run must pass");
+        assert!(ok.starts_with("34 cells identical"), "{ok}");
+        let at = |algo: &str| cells.iter().position(|c| c.algo == algo).unwrap();
+        let with = |i: usize, edit: fn(&mut MatrixCell)| {
+            let mut moved = cells.clone();
+            edit(&mut moved[i]);
+            matrix_identity_points(&committed, &moved)
+        };
+
+        // A dependency-free cell may get cheaper, and only cheaper.
+        let ok = with(at("pagerank"), |c| {
+            c.virtual_secs *= 0.5;
+            c.data_bytes -= 1;
+        });
+        assert!(ok
+            .expect("lower must pass")
+            .contains("1 dependency-free cells lower"));
+        let err = with(at("pagerank"), |c| c.data_bytes += 1).expect_err("higher must fail");
+        assert!(err.contains("differs from the committed cell"), "{err}");
+        // ... and nothing else about it may move.
+        with(at("pagerank"), |c| {
+            c.data_bytes -= 1;
+            c.edges += 1;
+        })
+        .expect_err("edges must be identical");
+        with(at("pagerank"), |c| {
+            c.data_bytes -= 1;
+            c.fingerprint ^= 1;
+        })
+        .expect_err("fingerprint must be identical");
+
+        // Any other cell must not move at all, in either direction.
+        with(at("kcore"), |c| c.data_bytes -= 1).expect_err("kcore bytes moved");
+        with(at("bfs"), |c| c.virtual_secs *= 0.999).expect_err("bfs seconds moved");
+
+        // A cell on one side only fails.
+        let err = matrix_identity_points(&committed, &cells[1..]).expect_err("dropped cell");
+        assert!(err.contains("missing from the current matrix"), "{err}");
+        let fewer = matrix_json(2, &cells[1..]);
+        let err = matrix_identity_points(&fewer, &cells).expect_err("uncommitted cell");
+        assert!(err.contains("missing from the committed matrix"), "{err}");
     }
 
     #[test]

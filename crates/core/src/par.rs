@@ -1,19 +1,21 @@
 //! Deterministic chunked intra-machine executor (Gemini's multicore edge
 //! loop, §5.1 of the paper's baseline).
 //!
-//! Each hot loop of [`crate::Worker`] — the Gemini/Galois bucket walk,
-//! SympleGraph's low-degree (dependency-free) pass, its high-degree
-//! dependency pass, and the update decode loops — is split into
-//! fixed-size chunks of destination entries. A scoped pool of
-//! `EngineConfig::threads` workers claims chunks from a shared atomic
-//! cursor (work stealing by racing for the next index), and every chunk
-//! serializes its updates into a private outbox segment.
+//! Each hot loop of [`crate::Worker`] — the dense bucket walk (Gemini,
+//! Galois, dependency-free programs), SympleGraph's low-degree pass, its
+//! high-degree dependency pass, and the push frontier walk — is split
+//! into fixed-size chunks of destination entries. `EngineConfig::threads`
+//! workers (the caller and scoped threads) claim chunks from a shared
+//! atomic cursor (work stealing by racing for the next index), and every
+//! chunk pushes its typed `(destination, update)` pairs into a private
+//! outbox segment; nothing is serialized until a segment is written into
+//! a send buffer.
 //!
 //! **Determinism.** All observable artifacts depend only on chunk
 //! *identity*, never on which worker ran a chunk or in what order:
 //!
-//! * outbox segments concatenate in chunk order, so the update byte
-//!   stream is byte-identical to sequential execution;
+//! * outbox segments are kept in chunk order, so the update stream is
+//!   identical to sequential execution;
 //! * per-chunk counters are integers and sum in chunk order;
 //! * the virtual clock is charged via a *simulated* schedule
 //!   (`CostModel::schedule_lanes`), not measured wall time.
@@ -30,12 +32,12 @@
 //! range, mutates it privately, and the shards merge back in chunk
 //! order — reproducing sequential loop-carried semantics exactly.
 
-use crate::{BucketPart, CacheBlocks, DepState, Partition, PullProgram, PushProgram};
+use crate::{BucketPart, DepState, Partition, PullProgram, PushProgram};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use symple_graph::{Graph, Vid};
-use symple_net::Wire;
 
 /// Executor parameters, copied from `EngineConfig`: worker threads per
 /// simulated machine and destination entries per work-stealing chunk.
@@ -71,11 +73,12 @@ pub fn chunk_ranges(range: Range<usize>, chunk: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Applies `f` to every task on a pool of `threads` scoped workers that
-/// claim tasks by racing on a shared atomic cursor — idle workers steal
-/// whatever is next, so imbalanced chunks self-balance. Results come back
-/// **in task order** regardless of which worker processed what: the
-/// scheduling is free to race, the output is not.
+/// Applies `f` to every task on `threads` workers — the calling thread
+/// and `threads - 1` scoped threads — that claim tasks by racing on a
+/// shared atomic cursor: idle workers steal whatever is next, so
+/// imbalanced chunks self-balance. Results come back **in task order**
+/// regardless of which worker processed what: the scheduling is free to
+/// race, the output is not.
 ///
 /// With `threads <= 1` (or fewer than two tasks) no threads are spawned
 /// and the closure runs inline, in order.
@@ -96,25 +99,33 @@ where
     let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    let share = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let task = slots[i]
+            .lock()
+            .expect("executor task slot poisoned")
+            .take()
+            .expect("cursor hands each task out once");
+        let out = f(i, task);
+        let prev = results[i]
+            .lock()
+            .expect("executor result slot poisoned")
+            .replace(out);
+        debug_assert!(prev.is_none(), "cursor hands each result slot out once");
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let task = slots[i]
-                    .lock()
-                    .expect("executor task slot poisoned")
-                    .take()
-                    .expect("cursor hands each task out once");
-                let out = f(i, task);
-                let prev = results[i]
-                    .lock()
-                    .expect("executor result slot poisoned")
-                    .replace(out);
-                debug_assert!(prev.is_none(), "cursor hands each result slot out once");
-            });
+        for _ in 1..threads.min(n) {
+            scope.spawn(share);
+        }
+        // The caller works its own share instead of parking. A task that
+        // panics here is reported as one on a spawned worker is (the hook
+        // has already printed its message), so a failure reads the same
+        // whichever worker happened to claim the task.
+        if catch_unwind(AssertUnwindSafe(share)).is_err() {
+            panic!("a scoped thread panicked");
         }
     });
     results
@@ -127,23 +138,34 @@ where
         .collect()
 }
 
-/// What one chunk produced: a private outbox segment plus integer
-/// counters. Everything a pass needs to reassemble deterministic output.
-#[derive(Default)]
-struct ChunkOut {
-    bytes: Vec<u8>,
+/// What one chunk produced: its `(destination, update)` pairs in emission
+/// order plus integer counters. Everything a pass needs to reassemble
+/// deterministic output.
+struct ChunkOut<U> {
+    updates: Vec<(Vid, U)>,
     edges: u64,
     verts: u64,
     skipped: u64,
-    emitted: u64,
 }
 
-/// Accumulated result of one (or several concatenated) chunked passes:
-/// the in-order outbox bytes, summed counters, and the per-chunk
+impl<U> ChunkOut<U> {
+    /// An empty chunk with room for one update per entry — what almost
+    /// every program emits at most — so a dense chunk never regrows.
+    fn for_entries(entries: usize) -> Self {
+        ChunkOut {
+            updates: Vec::with_capacity(entries),
+            edges: 0,
+            verts: 0,
+            skipped: 0,
+        }
+    }
+}
+
+/// Accumulated result of the chunked passes of one step: each chunk's
+/// typed updates in chunk order, summed counters, and the per-chunk
 /// `(edges, vertices)` costs the critical-path charge is computed from.
-#[derive(Default)]
-pub(crate) struct PassOutput {
-    pub bytes: Vec<u8>,
+pub(crate) struct PassOutput<U> {
+    pub chunks: Vec<Vec<(Vid, U)>>,
     pub edges: u64,
     pub verts: u64,
     pub skipped: u64,
@@ -151,95 +173,98 @@ pub(crate) struct PassOutput {
     pub chunk_costs: Vec<(u64, u64)>,
 }
 
-impl PassOutput {
-    fn push_chunk(&mut self, c: ChunkOut) {
+impl<U> Default for PassOutput<U> {
+    fn default() -> Self {
+        PassOutput {
+            chunks: Vec::new(),
+            edges: 0,
+            verts: 0,
+            skipped: 0,
+            emitted: 0,
+            chunk_costs: Vec::new(),
+        }
+    }
+}
+
+impl<U> PassOutput<U> {
+    fn push_chunk(&mut self, c: ChunkOut<U>) {
         self.chunk_costs.push((c.edges, c.verts));
-        self.bytes.extend_from_slice(&c.bytes);
         self.edges += c.edges;
         self.verts += c.verts;
         self.skipped += c.skipped;
-        self.emitted += c.emitted;
-    }
-
-    fn from_chunks(chunks: Vec<ChunkOut>) -> Self {
-        let mut pass = PassOutput::default();
-        for c in chunks {
-            pass.push_chunk(c);
+        self.emitted += c.updates.len() as u64;
+        if !c.updates.is_empty() {
+            self.chunks.push(c.updates);
         }
-        pass
-    }
-
-    /// Appends `other` after this pass (bytes and chunk costs keep their
-    /// relative order).
-    pub fn absorb(&mut self, other: PassOutput) {
-        self.bytes.extend_from_slice(&other.bytes);
-        self.edges += other.edges;
-        self.verts += other.verts;
-        self.skipped += other.skipped;
-        self.emitted += other.emitted;
-        self.chunk_costs.extend_from_slice(&other.chunk_costs);
     }
 }
 
 /// Chunked walk of a bucket part whose destinations carry no propagated
-/// dependency (the Gemini/Galois walk and SympleGraph's low-degree
-/// fallback): every chunk gets its own single-slot scratch state detached
-/// from `dep`, so breaks act locally exactly as in sequential execution.
+/// dependency (the Gemini/Galois walk, a dependency-free program under any
+/// policy, and SympleGraph's low-degree fallback), appended to `out`:
+/// every chunk gets its own single-slot scratch state detached from
+/// `dep`, so breaks act locally exactly as in sequential execution. A
+/// program that declares [`PullProgram::carries_dependency`] `false`
+/// never writes the slot, so it is not reset between destinations.
 pub(crate) fn scratch_pass<P: PullProgram>(
     prog: &P,
     part: &BucketPart,
     dep: &P::Dep,
     pc: ParCfg,
-) -> PassOutput {
+    out: &mut PassOutput<P::Update>,
+) {
+    let carries = prog.carries_dependency();
     let tasks: Vec<(Range<usize>, P::Dep)> = chunk_ranges(0..part.len(), pc.chunk)
         .into_iter()
         .map(|r| (r, dep.detach(1)))
         .collect();
     let chunks = par_map(pc.threads, tasks, |_, (range, mut scratch)| {
-        let mut out = ChunkOut::default();
+        let mut c = ChunkOut::for_entries(range.len());
         for idx in range {
             let (v, _slot, srcs) = part.entry(idx);
-            out.verts += 1;
+            c.verts += 1;
             if !prog.dense_active(v) {
                 continue;
             }
-            scratch.reset_range(0..1);
+            if carries {
+                scratch.reset_range(0..1);
+            }
             let res = prog.signal(v, srcs, &mut scratch, 0, false, &mut |upd| {
-                v.write(&mut out.bytes);
-                upd.write(&mut out.bytes);
-                out.emitted += 1;
+                c.updates.push((v, upd));
             });
-            out.edges += res.edges;
+            debug_assert!(
+                carries || !scratch.should_skip(0),
+                "program declares carries_dependency() == false but marked its dependency slot"
+            );
+            c.edges += res.edges;
         }
-        out
+        c
     });
-    PassOutput::from_chunks(chunks)
+    for c in chunks {
+        out.push_chunk(c);
+    }
 }
 
 /// Chunked walk of the high-degree (dependency-propagated) entries in
-/// `entries`. Entries are slot-ascending, so each chunk's slot range is
-/// contiguous and disjoint from every other chunk's; the chunk mutates a
-/// detached shard of `dep` over exactly that range and the shards merge
-/// back afterwards — sequential loop-carried semantics, preserved.
+/// `entries`, appended to `out`. Entries are slot-ascending, so each
+/// chunk's slot range is contiguous and disjoint from every other chunk's;
+/// the chunk mutates a detached shard of `dep` over exactly that range and
+/// the shards merge back afterwards — sequential loop-carried semantics,
+/// preserved.
 pub(crate) fn hi_pass<P: PullProgram>(
     prog: &P,
     part: &BucketPart,
     entries: Range<usize>,
     dep: &mut P::Dep,
     pc: ParCfg,
-) -> PassOutput {
+    out: &mut PassOutput<P::Update>,
+) {
     let tasks: Vec<(Range<usize>, Range<usize>, P::Dep)> = chunk_ranges(entries, pc.chunk)
         .into_iter()
         .map(|r| {
-            let s0 = part.entry(r.start).1;
-            let s1 = part.entry(r.end - 1).1 + 1;
-            (r, s0..s1)
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|(r, s)| {
-            let shard = dep.extract_shard(s.clone());
-            (r, s, shard)
+            let slots = part.entry(r.start).1..part.entry(r.end - 1).1 + 1;
+            let shard = dep.extract_shard(slots.clone());
+            (r, slots, shard)
         })
         .collect();
     debug_assert!(
@@ -247,16 +272,16 @@ pub(crate) fn hi_pass<P: PullProgram>(
         "bucket entries must be slot-ascending for disjoint shards"
     );
     let chunks = par_map(pc.threads, tasks, |_, (range, slots, mut shard)| {
-        let mut out = ChunkOut::default();
+        let mut c = ChunkOut::for_entries(range.len());
         for idx in range {
             let (v, slot, srcs) = part.entry(idx);
-            out.verts += 1;
+            c.verts += 1;
             if !prog.dense_active(v) {
                 continue;
             }
             let local = slot - slots.start;
             if shard.should_skip(local) {
-                out.skipped += 1;
+                c.skipped += 1;
                 // Certified early-exit (the skip itself) is the seed
                 // behaviour; what the knob adds is the *audit*: re-run
                 // the segment when asked to (Evaluate mode) or when the
@@ -275,26 +300,22 @@ pub(crate) fn hi_pass<P: PullProgram>(
                 continue;
             }
             let res = prog.signal(v, srcs, &mut shard, local, true, &mut |upd| {
-                v.write(&mut out.bytes);
-                upd.write(&mut out.bytes);
-                out.emitted += 1;
+                c.updates.push((v, upd));
             });
-            out.edges += res.edges;
+            c.edges += res.edges;
         }
-        (out, slots, shard)
+        (c, slots, shard)
     });
-    let mut pass = PassOutput::default();
-    for (out, slots, shard) in chunks {
+    for (c, slots, shard) in chunks {
         dep.merge_shard(slots, &shard);
-        pass.push_chunk(out);
+        out.push_chunk(c);
     }
-    pass
 }
 
-/// Result of a chunked push (sparse) walk: one outbox per destination
-/// machine, assembled from per-chunk segments in chunk order.
-pub(crate) struct PushOutput {
-    pub outboxes: Vec<Vec<u8>>,
+/// Result of a chunked push (sparse) walk: per destination machine, each
+/// chunk's typed updates in chunk order.
+pub(crate) struct PushOutput<U> {
+    pub outboxes: Vec<Vec<Vec<(Vid, U)>>>,
     pub edges: u64,
     pub emitted: u64,
     pub chunk_costs: Vec<(u64, u64)>,
@@ -302,91 +323,47 @@ pub(crate) struct PushOutput {
 
 /// Chunked walk of the frontier's out-edges. Push mode has no
 /// loop-carried dependency, so chunks only need private per-destination
-/// outboxes, concatenated in chunk order per destination.
+/// outboxes, kept in chunk order per destination.
 pub(crate) fn push_pass<P: PushProgram>(
     prog: &P,
     graph: &Graph,
     part: &Partition,
     frontier: &[Vid],
     pc: ParCfg,
-) -> PushOutput {
+) -> PushOutput<P::Update> {
     let world = part.num_parts();
     let chunks = par_map(
         pc.threads,
         chunk_ranges(0..frontier.len(), pc.chunk),
         |_, range| {
-            let mut boxes: Vec<Vec<u8>> = vec![Vec::new(); world];
+            let mut boxes: Vec<Vec<(Vid, P::Update)>> = (0..world).map(|_| Vec::new()).collect();
             let mut edges = 0u64;
-            let mut emitted = 0u64;
             let examined = range.len() as u64;
             for &u in &frontier[range] {
                 edges += prog.signal(u, graph.out_neighbors(u), &mut |dst, upd| {
-                    let owner = part.owner(dst);
-                    dst.write(&mut boxes[owner]);
-                    upd.write(&mut boxes[owner]);
-                    emitted += 1;
+                    boxes[part.owner(dst)].push((dst, upd));
                 });
             }
-            (boxes, edges, emitted, examined)
+            (boxes, edges, examined)
         },
     );
     let mut out = PushOutput {
-        outboxes: vec![Vec::new(); world],
+        outboxes: (0..world).map(|_| Vec::new()).collect(),
         edges: 0,
         emitted: 0,
         chunk_costs: Vec::with_capacity(chunks.len()),
     };
-    for (boxes, edges, emitted, examined) in chunks {
+    for (boxes, edges, examined) in chunks {
         for (dst, segment) in boxes.into_iter().enumerate() {
-            out.outboxes[dst].extend_from_slice(&segment);
+            out.emitted += segment.len() as u64;
+            if !segment.is_empty() {
+                out.outboxes[dst].push(segment);
+            }
         }
         out.edges += edges;
-        out.emitted += emitted;
         out.chunk_costs.push((edges, examined));
     }
     out
-}
-
-/// Decoded `(vid, update)` pairs in stream order, plus the per-chunk
-/// `(edges, vertices)` apply costs.
-pub(crate) type DecodedUpdates<U> = (Vec<(Vid, U)>, Vec<(u64, u64)>);
-
-/// Chunked decode of a `(vid, update)` byte stream. Returns the pairs in
-/// stream order plus per-chunk `(0, pairs)` costs (applying an update is
-/// charged as one vertex header, as in sequential execution).
-pub(crate) fn decode_pass<U: Wire + Copy + Send>(buf: &[u8], pc: ParCfg) -> DecodedUpdates<U> {
-    let pair = 4 + U::SIZE;
-    let n = buf.len() / pair;
-    let chunks = par_map(pc.threads, chunk_ranges(0..n, pc.chunk), |_, range| {
-        let mut out = Vec::with_capacity(range.len());
-        for i in range {
-            let c = &buf[i * pair..(i + 1) * pair];
-            out.push((Vid::read(c), U::read(&c[4..])));
-        }
-        out
-    });
-    let mut pairs = Vec::with_capacity(n);
-    let mut costs = Vec::with_capacity(chunks.len());
-    for c in chunks {
-        costs.push((0, c.len() as u64));
-        pairs.extend_from_slice(&c);
-    }
-    (pairs, costs)
-}
-
-/// Scatters a decoded pair stream into per-cache-block bins (the blocked
-/// apply layout's bucketing step). Appending preserves stream order within
-/// each bin, so all updates targeting one vertex keep their arrival order
-/// — the blocked sweep reorders *across* vertices only.
-pub(crate) fn bin_updates<U: Copy>(
-    pairs: &[(Vid, U)],
-    blocks: &CacheBlocks,
-    bins: &mut [Vec<(Vid, U)>],
-) {
-    debug_assert_eq!(bins.len(), blocks.num_blocks());
-    for &(v, upd) in pairs {
-        bins[blocks.block_of(v)].push((v, upd));
-    }
 }
 
 #[cfg(test)]

@@ -184,6 +184,7 @@ impl CacheBlocks {
     /// # Panics
     ///
     /// Panics (in debug builds) if `v` is outside `[lo, hi)`.
+    #[inline]
     pub fn block_of(&self, v: Vid) -> usize {
         debug_assert!(
             self.lo <= v.raw() && v.raw() < self.hi,

@@ -52,9 +52,10 @@ impl SignalOutcome {
 /// nothing in practice.
 pub trait PullProgram: Sync {
     /// Payload of update messages sent to the master (paired with the
-    /// destination vertex id on the wire). `Send` so chunks can serialize
-    /// updates on executor threads.
-    type Update: Wire + Copy + Send;
+    /// destination vertex id on the wire). `Send` so chunks can collect
+    /// updates on executor threads; `'static` so the worker can keep its
+    /// apply bins for this type from one iteration to the next.
+    type Update: Wire + Copy + Send + 'static;
 
     /// Dependency state type (choose [`crate::BitDep`],
     /// [`crate::CountDep`], [`crate::WeightDep`], or a custom impl).
@@ -64,6 +65,20 @@ pub trait PullProgram: Sync {
     /// Is `v` a candidate destination this iteration? (Gemini's dense
     /// frontier predicate — e.g. "not yet visited" for bottom-up BFS.)
     fn dense_active(&self, v: Vid) -> bool;
+
+    /// Does [`PullProgram::signal`] ever write its dependency state — does
+    /// the neighbour loop `break` or thread a value from one segment to
+    /// the next? The paper's analyzer instruments a UDF only when it finds
+    /// such a dependency (§4); a program that answers `false` here (no
+    /// break: every edge is examined whatever the other machines saw) is
+    /// run on the dense schedule Gemini uses — one pass over each bucket,
+    /// no dependency messages, no waiting on the previous machine — under
+    /// every policy. Outputs and edges traversed are the same either way;
+    /// only the schedule's cost differs. A program that answers `false`
+    /// and marks its slot anyway trips a debug assertion.
+    fn carries_dependency(&self) -> bool {
+        true
+    }
 
     /// Does [`PullProgram::signal`] begin with a skip-bit guard that
     /// returns before any observable work? Hand-written programs check
@@ -114,8 +129,9 @@ pub trait PullProgram: Sync {
 /// state. `Sync` for the same reason as [`PullProgram`]: the chunked
 /// executor fans the frontier walk out over worker threads.
 pub trait PushProgram: Sync {
-    /// Payload of update messages (paired with the destination id).
-    type Update: Wire + Copy + Send;
+    /// Payload of update messages (paired with the destination id);
+    /// bounded as [`PullProgram::Update`] is.
+    type Update: Wire + Copy + Send + 'static;
 
     /// Process the out-neighbours `dsts` of frontier vertex `u`.
     /// `emit(dst, update)` queues an update for `dst`'s master.

@@ -3,13 +3,20 @@
 //! Algorithms run the same closure on every machine; the [`Worker`] gives
 //! them pull/push edge processing, frontier synchronisation, and
 //! convergence collectives. One [`Worker::pull`] call executes one dense
-//! iteration under the configured [`crate::Policy`]:
+//! iteration in three phases — *scatter* (walk this machine's bucket for
+//! each circulant step's destination partition), *exchange* (ship the
+//! step's updates to that partition's master) and *gather* (apply every
+//! source's updates at the masters, in circulant order). The scatter is
+//! chosen by the configured [`crate::Policy`] and the program together:
 //!
-//! * **SympleGraph** — circulant steps with dependency receive → process →
-//!   send per step (or per double-buffering group), low-degree fallback
-//!   under differentiated propagation;
-//! * **Gemini** — same bucket walk, no dependency messages; breaks apply
-//!   only within the machine-local segment;
+//! * **SympleGraph**, for a program that
+//!   [carries a dependency](crate::PullProgram::carries_dependency) —
+//!   dependency receive → process → send per step (or per
+//!   double-buffering group), low-degree fallback under differentiated
+//!   propagation;
+//! * **SympleGraph** for a dependency-free program, and **Gemini** — the
+//!   dense scatter: same bucket walk, no dependency messages; breaks, if
+//!   any, apply only within the machine-local segment;
 //! * **Galois** — Gemini compute plus a Gluon-style broadcast phase
 //!   (masters push applied updates back to all peers) and a BSP barrier.
 //!
@@ -31,25 +38,35 @@ use crate::{
     ApplyLayout, CacheBlocks, DepState, EarlyExit, EngineConfig, LocalGraph, Partition, Policy,
     PreparedGraph, PullProgram, PushProgram, WorkMetric, WorkStats,
 };
+use std::any::Any;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symple_graph::{Bitmap, Graph, Vid};
 use symple_net::{CodecStats, CommKind, NodeCtx, SpanCategory, Tag, TagKind, Wire, WireFormat};
 
-/// Per-cache-block update bins of the blocked apply layout, paired with
-/// the block geometry that routes a vertex to its bin.
-type ApplyBins<U> = (CacheBlocks, Vec<Vec<(Vid, U)>>);
+/// The update bins of the blocked apply layout: one per `apply_block`
+/// vertices of this machine's master range, in block order.
+type Bins<U> = Vec<Vec<(Vid, U)>>;
+
+/// One update source of a gather phase, listed in consumption order: the
+/// machine that produced it (this machine included) and the step at which
+/// it did, which names the stream's tag ([`Worker::update_tag`]) and the
+/// trace scope its apply time is attributed to.
+#[derive(Clone, Copy)]
+struct Source {
+    rank: usize,
+    step: usize,
+}
 
 /// One in-flight update stream of the pipelined exchange: frames are
-/// absorbed (and, once the stream completes, decoded) whenever this
-/// machine would otherwise be blocked, then the stream is *consumed* —
-/// charged on the virtual clock and folded into master state — in the
-/// canonical circulant order. Gathering and decoding are physical overlap
-/// only; every modelled cost is replayed at consumption, which is what
-/// keeps pipelined runs deterministic and bit-identical in outputs to the
-/// bulk exchange.
-struct PipeStream<U> {
+/// absorbed whenever this machine would otherwise be blocked, then the
+/// stream is *consumed* — charged on the virtual clock, decoded and folded
+/// into master state — in the canonical circulant order. Gathering is
+/// physical overlap only; every modelled cost is replayed at consumption,
+/// which is what keeps pipelined runs deterministic and bit-identical in
+/// outputs to the bulk exchange.
+struct PipeStream {
     src: usize,
     tag: Tag,
     /// Per-frame `(bytes, modelled arrival)` in frame order — the charge
@@ -59,7 +76,6 @@ struct PipeStream<U> {
     wire: Vec<u8>,
     next_frame: u32,
     complete: bool,
-    decoded: Option<par::DecodedUpdates<U>>,
 }
 
 /// Splits `records` apply records into `chunk`-record cost lanes, so a
@@ -92,15 +108,16 @@ pub struct Worker<'a> {
     setup_wall: Duration,
     stats: WorkStats,
     iter_seq: u64,
-    /// One scratch encode buffer per peer rank. `send` moves its payload
-    /// into the channel, so the pool is replenished with decoded receive
-    /// buffers — allocations circulate between machines instead of being
-    /// made fresh every step. Capacity only; never observable on the wire.
-    enc_pool: Vec<Vec<u8>>,
-    /// One frame-assembly buffer per peer rank, reused across iterations
-    /// by the pipelined exchange so steady-state gathering allocates
-    /// nothing. Capacity only; never observable on the wire.
-    dec_pool: Vec<Vec<u8>>,
+    /// Spent byte buffers (send scratch, received payloads, frame
+    /// assembly), handed out again instead of allocating: `send` moves
+    /// its payload into the channel and the receiver recycles it, so
+    /// allocations circulate between machines. Capacity only; never
+    /// observable on the wire.
+    buf_pool: Vec<Vec<u8>>,
+    /// The blocked layout's bins, one `Bins<U>` per update type the job
+    /// has gathered, kept (empty) between iterations so a steady-state
+    /// gather appends into capacity it already owns.
+    bin_cache: Vec<Box<dyn Any>>,
 }
 
 /// The slot range of double-buffering group `g` out of `groups` over a
@@ -154,38 +171,36 @@ impl<'a> Worker<'a> {
             setup_wall: started.elapsed(),
             stats: WorkStats::default(),
             iter_seq: 0,
-            enc_pool: vec![Vec::new(); cfg.machines],
-            dec_pool: vec![Vec::new(); cfg.machines],
+            buf_pool: Vec::new(),
+            bin_cache: Vec::new(),
         }
     }
 
-    /// Takes the pooled scratch buffer for peer `rank`, cleared.
-    fn take_buf(&mut self, rank: usize) -> Vec<u8> {
-        let mut buf = std::mem::take(&mut self.enc_pool[rank]);
-        buf.clear();
-        buf
+    /// A cleared byte buffer, pooled capacity if there is any.
+    fn take_buf(&mut self) -> Vec<u8> {
+        self.buf_pool.pop().unwrap_or_default()
     }
 
-    /// Returns a spent buffer (typically a decoded receive buffer) to the
-    /// pool slot for peer `rank`, keeping the larger capacity.
-    fn recycle_buf(&mut self, rank: usize, buf: Vec<u8>) {
-        if buf.capacity() > self.enc_pool[rank].capacity() {
-            self.enc_pool[rank] = buf;
+    /// Returns a spent buffer to the pool. The pool holds what one
+    /// iteration has in flight (a few buffers per peer); beyond that a
+    /// buffer is simply dropped.
+    fn recycle_buf(&mut self, mut buf: Vec<u8>) {
+        if buf.capacity() > 0 && self.buf_pool.len() < 4 * self.cfg.machines {
+            buf.clear();
+            self.buf_pool.push(buf);
         }
     }
 
-    /// Takes the pooled frame-assembly buffer for peer `rank`, cleared.
-    fn take_dec_buf(&mut self, rank: usize) -> Vec<u8> {
-        let mut buf = std::mem::take(&mut self.dec_pool[rank]);
-        buf.clear();
-        buf
-    }
-
-    /// Returns a frame-assembly buffer to the pool slot for peer `rank`,
-    /// keeping the larger capacity.
-    fn recycle_dec_buf(&mut self, rank: usize, buf: Vec<u8>) {
-        if buf.capacity() > self.dec_pool[rank].capacity() {
-            self.dec_pool[rank] = buf;
+    /// This update type's bins from the last gather (empty, capacity
+    /// kept), or `blocks` fresh ones.
+    fn take_bins<U: 'static>(&mut self, blocks: usize) -> Bins<U> {
+        match self.bin_cache.iter().position(|b| b.is::<Bins<U>>()) {
+            Some(at) => *self
+                .bin_cache
+                .swap_remove(at)
+                .downcast()
+                .expect("`is` found this entry"),
+            None => (0..blocks).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -277,7 +292,7 @@ impl<'a> Worker<'a> {
     /// Encodes `dep` over `range` — adaptive codec or seed-flat layout per
     /// the configured [`crate::WireCodec`] — and ships it to `dst`.
     fn send_dep<D: DepState>(&mut self, dst: usize, tag: Tag, dep: &D, range: Range<usize>) {
-        let mut payload = self.take_buf(dst);
+        let mut payload = self.take_buf();
         let fmt = if self.cfg.adaptive_wire() {
             dep.encode_range_coded(range, &mut payload)
         } else {
@@ -296,84 +311,128 @@ impl<'a> Worker<'a> {
         if self.cfg.pipelined() {
             self.ctx
                 .send_framed(dst, tag, kind, &payload, self.cfg.exchange_chunk);
-            self.recycle_buf(dst, payload);
+            self.recycle_buf(payload);
         } else {
             self.ctx.send(dst, tag, kind, payload);
         }
     }
 
-    /// Receives the dependency message from `src` and decodes it into
-    /// `dep` over `range`. Both sides dispatch on the same config, so the
-    /// decoder always matches what the peer encoded.
-    fn recv_dep<D: DepState>(&mut self, src: usize, tag: Tag, dep: &mut D, range: Range<usize>) {
-        let buf = self.ctx.recv(src, tag);
+    /// Receives the dependency message from `src` into `dep` over `range`.
+    /// Under the pipelined exchange the message arrives in frames, and
+    /// whenever the next one has not landed yet the wait is spent
+    /// absorbing update frames into `streams`. Arrival waits are charged
+    /// per frame as `DepWait`, exactly like the bulk receive's single wait
+    /// (the final clock is identical: both end at the last byte's modelled
+    /// arrival). Both sides dispatch on the same config, so the decoder
+    /// always matches what the peer encoded.
+    fn recv_dep<D: DepState>(
+        &mut self,
+        src: usize,
+        tag: Tag,
+        dep: &mut D,
+        range: Range<usize>,
+        streams: &mut [PipeStream],
+    ) {
+        let buf = if self.cfg.pipelined() {
+            let chunk = self.cfg.exchange_chunk;
+            let mut buf = self.take_buf();
+            for frame in 0.. {
+                let ftag = tag.with_frame(frame);
+                let deadline = Instant::now() + self.ctx.recv_deadline();
+                let (frag, arrival) = loop {
+                    self.sweep_streams(streams);
+                    if let Some(got) = self.ctx.try_take_frame(src, ftag) {
+                        break got;
+                    }
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if !self.ctx.drain_one(remaining) {
+                        self.ctx.stream_timeout_panic(src, ftag);
+                    }
+                };
+                self.ctx.wait_until(arrival, SpanCategory::DepWait);
+                buf.extend_from_slice(&frag);
+                if frag.len() < chunk {
+                    break;
+                }
+            }
+            buf
+        } else {
+            self.ctx.recv(src, tag)
+        };
         if self.cfg.adaptive_wire() {
             dep.decode_range_coded(range, &buf);
         } else {
             dep.decode_range(range, &buf);
         }
-        self.recycle_buf(src, buf);
+        self.recycle_buf(buf);
     }
 
-    /// Ships a flat `(vid, payload)` update stream to `dst`, re-encoding
-    /// it through the adaptive codec when configured (the flat stream is
-    /// then recycled as future scratch).
-    fn send_updates(&mut self, dst: usize, tag: Tag, psize: usize, flat: Vec<u8>) {
+    /// The tag under which the updates produced at step `step` of
+    /// iteration `iter` travel.
+    fn update_tag(&self, iter: u64, step: usize) -> Tag {
+        let p = self.ctx.world() as u64;
+        Tag::new(TagKind::Update, iter * p + step as u64, 0)
+    }
+
+    /// Ships one step's updates to `dst`: the chunks' pairs are written
+    /// once, as flat `(vid, payload)` records, into a pooled buffer, which
+    /// is what travels — or, under the adaptive codec, what
+    /// `encode_updates` re-encodes (the flat stream is then recycled).
+    fn send_updates<U: Wire>(&mut self, dst: usize, tag: Tag, chunks: &[Vec<(Vid, U)>]) {
+        let mut flat = self.take_buf();
+        let records: usize = chunks.iter().map(Vec::len).sum();
+        flat.reserve(records * (4 + U::SIZE));
+        for (v, upd) in chunks.iter().flatten() {
+            v.write(&mut flat);
+            upd.write(&mut flat);
+        }
         if self.cfg.adaptive_wire() {
-            let mut wire = self.take_buf(dst);
-            let formats = symple_net::encode_updates(&flat, psize, &mut wire);
+            let mut wire = self.take_buf();
+            let formats = symple_net::encode_updates(&flat, U::SIZE, &mut wire);
             self.ctx.record_wire_formats(&formats);
             self.ship(dst, tag, CommKind::Update, wire);
-            self.recycle_buf(dst, flat);
+            self.recycle_buf(flat);
         } else {
             self.note_format(WireFormat::Flat, flat.len());
             self.ship(dst, tag, CommKind::Update, flat);
         }
     }
 
-    /// Receives an update message from `src` and returns the flat record
-    /// stream it carries, undoing the adaptive framing when configured.
-    fn recv_updates(&mut self, src: usize, tag: Tag, psize: usize) -> Vec<u8> {
-        let buf = self.ctx.recv(src, tag);
-        if !self.cfg.adaptive_wire() {
-            return buf;
-        }
-        let mut flat = self.take_buf(src);
-        symple_net::decode_updates(&buf, psize, &mut flat);
-        self.recycle_buf(src, buf);
-        flat
-    }
-
-    // === Pipelined exchange: gather / decode / charge ===
+    // === Pipelined exchange: gather / charge ===
     //
-    // Division of labour: `sweep_streams` and `decode_stream` do *physical*
-    // work at whatever wall-clock moment is convenient (while this machine
-    // would otherwise block), and never touch the virtual clock;
-    // `charge_stream` replays each consumed stream's modelled waits and
-    // apply costs in the canonical circulant order. Physical progress is
-    // therefore free to race with host scheduling while the model stays
-    // bit-deterministic.
+    // Division of labour: `sweep_streams` does *physical* work at whatever
+    // wall-clock moment is convenient (while this machine would otherwise
+    // block), and never touches the virtual clock; `charge_stream` replays
+    // each consumed stream's modelled waits and apply costs in the
+    // canonical circulant order. Physical progress is therefore free to
+    // race with host scheduling while the model stays bit-deterministic.
 
-    /// Fresh gather state for the given `(source rank, stream tag)` pairs,
-    /// listed in canonical consumption order.
-    fn pipe_streams<U>(&mut self, sources: &[(usize, Tag)]) -> Vec<PipeStream<U>> {
-        sources
+    /// Fresh gather state for the remote `sources` of iteration `iter`,
+    /// which are listed in canonical consumption order; none under the
+    /// bulk exchange.
+    fn pipe_streams(&mut self, iter: u64, sources: &[Source]) -> Vec<PipeStream> {
+        let rank = self.ctx.rank();
+        let remote = sources
             .iter()
-            .map(|&(src, tag)| PipeStream {
-                src,
-                tag,
+            .filter(|src| self.cfg.pipelined() && src.rank != rank);
+        remote
+            .map(|src| PipeStream {
+                src: src.rank,
+                tag: self.update_tag(iter, src.step),
                 frames: Vec::new(),
-                wire: self.take_dec_buf(src),
+                wire: Vec::new(),
                 next_frame: 0,
                 complete: false,
-                decoded: None,
             })
             .collect()
     }
 
     /// Drains the transport inbox and absorbs every already-arrived frame
     /// into its stream. Never blocks, never advances the virtual clock.
-    fn sweep_streams<U>(&mut self, streams: &mut [PipeStream<U>]) {
+    fn sweep_streams(&mut self, streams: &mut [PipeStream]) {
+        if streams.is_empty() {
+            return;
+        }
         self.ctx.poll_drain();
         let chunk = self.cfg.exchange_chunk;
         for st in streams.iter_mut().filter(|st| !st.complete) {
@@ -382,6 +441,9 @@ impl<'a> Worker<'a> {
                 .try_take_frame(st.src, st.tag.with_frame(st.next_frame))
             {
                 st.frames.push((frag.len(), arrival));
+                if st.wire.capacity() == 0 {
+                    st.wire = self.take_buf();
+                }
                 st.wire.extend_from_slice(&frag);
                 st.next_frame += 1;
                 if frag.len() < chunk {
@@ -392,63 +454,18 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Decodes a completed stream's wire bytes into `(vid, update)` pairs.
-    /// Physical only — the decode CPU runs now (ideally inside somebody
-    /// else's network latency), the modelled cost is charged at
-    /// consumption by [`Worker::charge_stream`].
-    fn decode_stream<U: Wire + Copy + Send>(&mut self, st: &mut PipeStream<U>, psize: usize) {
-        debug_assert!(st.complete && st.decoded.is_none());
-        let wire = std::mem::take(&mut st.wire);
-        let pc = self.par_cfg();
-        let decoded = if self.cfg.adaptive_wire() {
-            let mut flat = self.take_buf(st.src);
-            symple_net::decode_updates(&wire, psize, &mut flat);
-            let d = par::decode_pass::<U>(&flat, pc);
-            self.recycle_buf(st.src, flat);
-            d
-        } else {
-            par::decode_pass::<U>(&wire, pc)
-        };
-        self.recycle_dec_buf(st.src, wire);
-        st.decoded = Some(decoded);
-    }
-
-    /// Decodes the first stream that has fully arrived but not yet been
-    /// decoded, if any. The unit of useful work a blocked wait loop can do.
-    fn decode_one_ready<U: Wire + Copy + Send>(
-        &mut self,
-        streams: &mut [PipeStream<U>],
-        psize: usize,
-    ) -> bool {
-        for st in streams.iter_mut() {
-            if st.complete && st.decoded.is_none() {
-                self.decode_stream(st, psize);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Blocks until `streams[target]` has fully arrived, decoding other
-    /// completed streams while waiting.
+    /// Blocks until `streams[target]` has fully arrived, absorbing the
+    /// other streams' frames while waiting.
     ///
     /// # Panics
     ///
     /// On protocol timeout, with the stalled stream's coordinates.
-    fn complete_stream<U: Wire + Copy + Send>(
-        &mut self,
-        streams: &mut [PipeStream<U>],
-        target: usize,
-        psize: usize,
-    ) {
+    fn complete_stream(&mut self, streams: &mut [PipeStream], target: usize) {
         let deadline = Instant::now() + self.ctx.recv_deadline();
         loop {
             self.sweep_streams(streams);
             if streams[target].complete {
                 return;
-            }
-            if self.decode_one_ready(streams, psize) {
-                continue;
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if !self.ctx.drain_one(remaining) {
@@ -457,54 +474,6 @@ impl<'a> Worker<'a> {
                     .stream_timeout_panic(st.src, st.tag.with_frame(st.next_frame));
             }
         }
-    }
-
-    /// Receives a framed dependency message, doing update-stream gather
-    /// and decode work whenever the next dependency frame has not landed
-    /// yet. Arrival waits are charged per frame as `DepWait`, exactly like
-    /// the bulk receive's single wait (the final clock is identical: both
-    /// end at the last byte's modelled arrival).
-    fn recv_dep_framed<D: DepState, U: Wire + Copy + Send>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        dep: &mut D,
-        range: Range<usize>,
-        streams: &mut [PipeStream<U>],
-        psize: usize,
-    ) {
-        let chunk = self.cfg.exchange_chunk;
-        let mut buf = self.take_buf(src);
-        let mut frame = 0u32;
-        loop {
-            let ftag = tag.with_frame(frame);
-            let deadline = Instant::now() + self.ctx.recv_deadline();
-            let (frag, arrival) = loop {
-                self.sweep_streams(streams);
-                if let Some(got) = self.ctx.try_take_frame(src, ftag) {
-                    break got;
-                }
-                if self.decode_one_ready(streams, psize) {
-                    continue;
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if !self.ctx.drain_one(remaining) {
-                    self.ctx.stream_timeout_panic(src, ftag);
-                }
-            };
-            self.ctx.wait_until(arrival, SpanCategory::DepWait);
-            buf.extend_from_slice(&frag);
-            if frag.len() < chunk {
-                break;
-            }
-            frame += 1;
-        }
-        if self.cfg.adaptive_wire() {
-            dep.decode_range_coded(range, &buf);
-        } else {
-            dep.decode_range(range, &buf);
-        }
-        self.recycle_buf(src, buf);
     }
 
     /// Replays a consumed stream's modelled schedule in canonical order:
@@ -543,53 +512,145 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Cache-block bins for the blocked apply layout (`None` under
-    /// `Stream`): one bin per `apply_block`-vertex block of this machine's
-    /// master range, filled as update buffers are decoded and drained by
-    /// [`Worker::apply_blocked`].
-    fn blocked_bins<U: Copy>(&self) -> Option<ApplyBins<U>> {
-        if self.cfg.apply_layout != ApplyLayout::Blocked {
-            return None;
-        }
+    /// The gather phase of [`Worker::pull`] and [`Worker::push`]: consumes
+    /// the iteration's update sources in the order given — the circulant
+    /// processing order of this partition for pull (…, rank−2, rank−1
+    /// first; local last), so the master folds partial results in exactly
+    /// the sequential neighbour order the dependency semantics define —
+    /// and applies every update at its master via `apply`; returns the
+    /// activations. `local` is this machine's own share, still typed; a
+    /// remote stream is decoded record by record as it is consumed.
+    /// Updates go straight into `apply` under the `Stream` layout, into
+    /// cache-block bins that a final sweep folds under `Blocked` (same
+    /// per-vertex order either way; see [`crate::ApplyLayout`]). `apply`
+    /// runs sequentially (it is a `FnMut` over caller state). Under the
+    /// Galois policy the applied pairs are then broadcast back.
+    ///
+    /// Charges: a source consumed whole is charged `chunk_size`-record
+    /// lanes at its turn — except where the blocked sweep charges its bins
+    /// instead (bulk exchange). A pipelined stream is charged frame by
+    /// frame, and the sweep after it is then a pure fold, so the local
+    /// share is charged at its turn there too.
+    fn gather<U: Wire + Copy + 'static>(
+        &mut self,
+        iter: u64,
+        sources: &[Source],
+        local: &[Vec<(Vid, U)>],
+        mut streams: Vec<PipeStream>,
+        apply: &mut dyn FnMut(Vid, U) -> bool,
+    ) -> u64 {
+        let rank = self.ctx.rank();
+        let pipelined = self.cfg.pipelined();
+        let adaptive = self.cfg.adaptive_wire();
+        let galois = matches!(self.cfg.policy, Policy::Galois);
+        let threads = self.cfg.threads;
         let (lo, hi) = self.my_range();
         let blocks = CacheBlocks::new(lo, hi, self.cfg.apply_block);
-        let bins = vec![Vec::new(); blocks.num_blocks()];
-        Some((blocks, bins))
-    }
-
-    /// The blocked sweep: folds each bin into its cache-resident block of
-    /// master state, one block at a time, so the pass touches each block's
-    /// state exactly once. Charges the per-bin lane costs under
-    /// `SpanCategory::Apply` — the same total as the stream layout's
-    /// per-buffer charges, scheduled over one balanced sweep. Returns the
-    /// number of activations.
-    fn apply_blocked<U: Copy>(
-        &mut self,
-        bins: Vec<Vec<(Vid, U)>>,
-        apply: &mut dyn FnMut(Vid, U) -> bool,
-    ) -> u64 {
-        let costs: Vec<(u64, u64)> = bins.iter().map(|b| (0, b.len() as u64)).collect();
-        let activated = self.fold_bins(bins, apply);
-        self.ctx.apply_sharded(&costs, self.cfg.threads);
-        activated
-    }
-
-    /// The fold half of the blocked sweep, with no model charge: the
-    /// pipelined exchange charges apply time frame by frame as streams are
-    /// consumed, so its end-of-phase sweep must only move the data.
-    fn fold_bins<U: Copy>(
-        &mut self,
-        bins: Vec<Vec<(Vid, U)>>,
-        apply: &mut dyn FnMut(Vid, U) -> bool,
-    ) -> u64 {
+        let blocked = self.cfg.apply_layout == ApplyLayout::Blocked;
+        let mut bins: Bins<U> = if blocked {
+            self.take_bins(blocks.num_blocks())
+        } else {
+            Vec::new()
+        };
+        debug_assert!(!blocked || bins.len() == blocks.num_blocks());
         let mut activated = 0u64;
-        for bin in bins {
-            for (v, upd) in bin {
-                debug_assert!(self.is_master(v), "update routed to wrong master");
-                if apply(v, upd) {
-                    activated += 1;
+        let mut applied = 0u64;
+        // Gluon broadcasts every reduced value back to the mirrors, whether
+        // or not it activated the vertex. The feedback stream is the
+        // consumed records in consumption order, so its bytes are
+        // identical under both apply layouts.
+        let mut feedback: Vec<u8> = Vec::new();
+        let mut sink = |v: Vid, upd: U| {
+            debug_assert!(lo <= v && v < hi, "update routed to wrong master");
+            if blocked {
+                bins[blocks.block_of(v)].push((v, upd));
+            } else if apply(v, upd) {
+                activated += 1;
+            }
+        };
+        let mut next_stream = 0usize;
+        for src in sources {
+            self.ctx.set_trace_scope(iter as u32, src.step as u32, 0);
+            if src.rank == rank {
+                let records: u64 = local.iter().map(|c| c.len() as u64).sum();
+                for &(v, upd) in local.iter().flatten() {
+                    if galois {
+                        v.write(&mut feedback);
+                        upd.write(&mut feedback);
+                    }
+                    sink(v, upd);
+                }
+                if !blocked || pipelined {
+                    let costs = chunked_costs(records, self.cfg.chunk_size);
+                    self.ctx.apply_sharded(&costs, threads);
+                }
+                applied += records;
+                continue;
+            }
+            // Pipelined: the stream may already be gathered; block only
+            // for what has not physically arrived.
+            let (wire, frames) = if pipelined {
+                self.complete_stream(&mut streams, next_stream);
+                let st = &mut streams[next_stream];
+                debug_assert_eq!(st.src, src.rank, "streams follow consumption order");
+                next_stream += 1;
+                (std::mem::take(&mut st.wire), std::mem::take(&mut st.frames))
+            } else {
+                let tag = self.update_tag(iter, src.step);
+                (self.ctx.recv(src.rank, tag), Vec::new())
+            };
+            let mut decoded = Vec::new();
+            let flat: &[u8] = if adaptive {
+                decoded = self.take_buf();
+                symple_net::decode_updates(&wire, U::SIZE, &mut decoded);
+                &decoded
+            } else {
+                &wire
+            };
+            let records = (flat.len() / (4 + U::SIZE)) as u64;
+            if pipelined {
+                self.charge_stream(&frames, records);
+            }
+            for r in flat.chunks_exact(4 + U::SIZE) {
+                sink(Vid::read(r), U::read(&r[4..]));
+            }
+            if galois {
+                feedback.extend_from_slice(flat);
+            }
+            if !pipelined && !blocked {
+                let costs = chunked_costs(records, self.cfg.chunk_size);
+                self.ctx.apply_sharded(&costs, threads);
+            }
+            applied += records;
+            self.recycle_buf(wire);
+            self.recycle_buf(decoded);
+        }
+        if blocked {
+            // The blocked sweep: folds each bin into its cache-resident
+            // block of master state, one block at a time, so the pass
+            // touches each block's state exactly once. Its per-bin lane
+            // costs are the same total as the stream layout's per-source
+            // charges, scheduled over one balanced sweep.
+            self.ctx.set_trace_scope(iter as u32, 0, 0);
+            let costs: Vec<(u64, u64)> = bins.iter().map(|b| (0, b.len() as u64)).collect();
+            for bin in &mut bins {
+                for (v, upd) in bin.drain(..) {
+                    if apply(v, upd) {
+                        activated += 1;
+                    }
                 }
             }
+            // A pipelined run charged these records frame by frame.
+            if !pipelined {
+                self.ctx.apply_sharded(&costs, threads);
+            }
+            self.bin_cache.push(Box::new(bins));
+        }
+        self.stats.add(WorkMetric::UpdatesApplied, applied);
+        if galois {
+            // Gluon-style second phase: masters broadcast applied values
+            // back to every machine's mirrors, then a BSP barrier.
+            self.galois_broadcast(U::SIZE, feedback);
         }
         activated
     }
@@ -666,8 +727,24 @@ impl<'a> Worker<'a> {
             if mlo == mhi {
                 continue;
             }
-            let w: Vec<u64> = symple_net::decode_vec(bytes);
-            bm.assign_range_words(mlo.index(), mhi.index(), &w);
+            assert_eq!(
+                bytes.len(),
+                (mhi.index() - mlo.index()).div_ceil(64) * 8,
+                "machine {m} synced a slice of the wrong length"
+            );
+            // Decoded through a fixed block of words straight into the
+            // bitmap: no per-peer `Vec`.
+            const SYNC_WORDS: usize = 64;
+            let mut words = [0u64; SYNC_WORDS];
+            for (i, block) in bytes.chunks(SYNC_WORDS * 8).enumerate() {
+                let n = block.len() / 8;
+                for (w, c) in words.iter_mut().zip(block.chunks_exact(8)) {
+                    *w = u64::read(c);
+                }
+                let start = mlo.index() + i * SYNC_WORDS * 64;
+                let end = (start + n * 64).min(mhi.index());
+                bm.assign_range_words(start, end, &words[..n]);
+            }
         }
     }
 
@@ -693,8 +770,17 @@ impl<'a> Worker<'a> {
                 continue;
             }
             let (mlo, mhi) = self.partition().range(m);
-            let vals: Vec<T> = symple_net::decode_vec(bytes);
-            arr[mlo.index()..mhi.index()].copy_from_slice(&vals);
+            let slice = &mut arr[mlo.index()..mhi.index()];
+            assert_eq!(
+                bytes.len(),
+                slice.len() * T::SIZE,
+                "machine {m} synced a slice of the wrong length"
+            );
+            if T::SIZE > 0 {
+                for (slot, c) in slice.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                    *slot = T::read(c);
+                }
+            }
         }
     }
 
@@ -733,6 +819,16 @@ impl<'a> Worker<'a> {
     /// policy and applies the produced updates at their masters via
     /// `apply(v, update) -> activated`.
     ///
+    /// The iteration is `p` steps of *scatter* (walk the bucket of the
+    /// step's destination partition, collecting typed updates) and
+    /// *exchange* (ship them to that partition's master), then one
+    /// *gather* (consume every source's updates in circulant order).
+    /// Which scatter a step runs is decided once, by the policy and the
+    /// program together: only a program that
+    /// [carries a dependency](PullProgram::carries_dependency) under a
+    /// dependency-propagating policy pays for the circulant dependency
+    /// schedule; everything else takes the dense pass.
+    ///
     /// `dep` must have at least [`Worker::dep_slots_needed`] slots; the
     /// engine resets ranges as the circulant schedule requires, so the
     /// same state can be reused across iterations.
@@ -756,127 +852,30 @@ impl<'a> Worker<'a> {
         self.iter_seq += 1;
         let iter = self.iter_seq;
         self.stats.add(WorkMetric::PullIterations, 1);
-        let symple = self.cfg.policy.propagates_dependency();
-        let galois = matches!(self.cfg.policy, Policy::Galois);
-        let groups = self.cfg.effective_groups();
-        let right = (rank + 1) % p;
-        let left = (rank + p - 1) % p;
-        let pc = self.par_cfg();
-        let mut local_updates: Vec<u8> = Vec::new();
-
-        // Pipelined exchange: set up gather state for the update streams
-        // this machine will consume, in canonical circulant order, so
-        // frames can be absorbed (and completed streams decoded) while the
-        // scatter phase is still running or blocked on dependencies.
-        let pipelined = self.cfg.pipelined();
-        let specs: Vec<(usize, Tag)> = processing_order(rank, p)
+        let carried = self.cfg.policy.propagates_dependency() && prog.carries_dependency();
+        // Machine `m` produces (and sends) this partition's updates at
+        // step `rank − 1 − m`; the local share comes last.
+        let sources: Vec<Source> = processing_order(rank, p)
             .into_iter()
-            .filter(|&m| m != rank)
-            .map(|m| {
-                let s = (rank + p - 1 - m) % p;
-                (m, Tag::new(TagKind::Update, iter * p as u64 + s as u64, 0))
+            .map(|m| Source {
+                rank: m,
+                step: (rank + p - 1 - m) % p,
             })
             .collect();
-        let mut streams: Vec<PipeStream<P::Update>> = if pipelined {
-            self.pipe_streams(&specs)
-        } else {
-            Vec::new()
-        };
-
+        // Pipelined exchange: gather state is set up before the first
+        // step, so frames can be absorbed while the scatter phase is still
+        // running or blocked on dependencies.
+        let mut streams = self.pipe_streams(iter, &sources);
+        let mut local = Vec::new();
         for s in 0..p {
             self.ctx.set_trace_scope(iter as u32, s as u32, 0);
             let j = dst_partition(rank, s, p);
-            let first = s == 0;
-            let last = s + 1 == p;
-            let n_slots = self.prepared.dep_layout().slots(j);
             let mut step = PassOutput::default();
-
-            if !symple {
-                // Gemini/Galois: every destination uses a detached scratch
-                // slot; breaks act locally only.
-                let bucket = self.local.bucket(j);
-                step = par::scratch_pass(prog, &bucket.hi, dep, pc);
-                step.absorb(par::scratch_pass(prog, &bucket.lo, dep, pc));
-                self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
-            } else if groups == 1 {
-                // Plain circulant (with or without differentiated
-                // propagation, but no double buffering): wait for the whole
-                // dependency message up front.
-                if n_slots > 0 {
-                    if first {
-                        dep.reset_range(0..n_slots);
-                    } else {
-                        let tag = Tag::new(TagKind::Dep, iter * p as u64 + (s as u64 - 1), 0);
-                        if pipelined {
-                            self.recv_dep_framed(
-                                right,
-                                tag,
-                                dep,
-                                0..n_slots,
-                                &mut streams,
-                                P::Update::SIZE,
-                            );
-                        } else {
-                            self.recv_dep(right, tag, dep, 0..n_slots);
-                        }
-                    }
-                }
-                let bucket = self.local.bucket(j);
-                step = par::hi_pass(prog, &bucket.hi, 0..bucket.hi.len(), dep, pc);
-                step.absorb(par::scratch_pass(prog, &bucket.lo, dep, pc));
-                self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
-                if !last && n_slots > 0 {
-                    let tag = Tag::new(TagKind::Dep, iter * p as u64 + s as u64, 0);
-                    self.send_dep(left, tag, dep, 0..n_slots);
-                }
+            if carried {
+                self.scatter_circulant(prog, dep, iter, s, &mut streams, &mut step);
             } else {
-                // Double buffering: low-degree work first (it needs no
-                // dependency, so it overlaps the wait), then per-group
-                // receive → process → send.
-                {
-                    let bucket = self.local.bucket(j);
-                    let lo = par::scratch_pass(prog, &bucket.lo, dep, pc);
-                    self.ctx.compute_sharded(&lo.chunk_costs, pc.threads);
-                    step.absorb(lo);
-                }
-                for g in 0..groups {
-                    self.ctx.set_trace_scope(iter as u32, s as u32, g as u32);
-                    let slot_range = group_range(g, groups, n_slots);
-                    if !slot_range.is_empty() {
-                        if first {
-                            dep.reset_range(slot_range.clone());
-                        } else {
-                            let tag =
-                                Tag::new(TagKind::Dep, iter * p as u64 + (s as u64 - 1), g as u32);
-                            if pipelined {
-                                self.recv_dep_framed(
-                                    right,
-                                    tag,
-                                    dep,
-                                    slot_range.clone(),
-                                    &mut streams,
-                                    P::Update::SIZE,
-                                );
-                            } else {
-                                self.recv_dep(right, tag, dep, slot_range.clone());
-                            }
-                        }
-                    }
-                    let gp = {
-                        let bucket = self.local.bucket(j);
-                        let e0 = bucket.hi.first_entry_with_slot(slot_range.start);
-                        let e1 = bucket.hi.first_entry_with_slot(slot_range.end);
-                        par::hi_pass(prog, &bucket.hi, e0..e1, dep, pc)
-                    };
-                    self.ctx.compute_sharded(&gp.chunk_costs, pc.threads);
-                    step.absorb(gp);
-                    if !last && !slot_range.is_empty() {
-                        let tag = Tag::new(TagKind::Dep, iter * p as u64 + s as u64, g as u32);
-                        self.send_dep(left, tag, dep, slot_range);
-                    }
-                }
+                self.scatter_dense(prog, dep, j, &mut step);
             }
-
             self.stats.add(WorkMetric::EdgesTraversed, step.edges);
             self.stats.add(WorkMetric::VerticesExamined, step.verts);
             self.stats.add(WorkMetric::SkippedByDep, step.skipped);
@@ -884,124 +883,92 @@ impl<'a> Worker<'a> {
 
             self.ctx.set_trace_scope(iter as u32, s as u32, 0);
             if j == rank {
-                local_updates = step.bytes;
+                local = step.chunks;
             } else {
-                let tag = Tag::new(TagKind::Update, iter * p as u64 + s as u64, 0);
-                self.send_updates(j, tag, P::Update::SIZE, step.bytes);
+                self.send_updates(j, self.update_tag(iter, s), &step.chunks);
             }
-            if pipelined {
-                // Opportunistically absorb frames that landed while this
-                // step's compute ran — pure physical overlap.
-                self.sweep_streams(&mut streams);
-            }
+            // Opportunistically absorb frames that landed while this
+            // step's compute ran — pure physical overlap.
+            self.sweep_streams(&mut streams);
         }
+        self.gather(iter, &sources, &local, streams, apply)
+    }
 
-        // Apply phase: consume update buffers in the circulant processing
-        // order of this partition (…, rank−2, rank−1 first; local last), so
-        // the master folds partial results in exactly the sequential
-        // neighbour order the dependency semantics define. Decoding is
-        // chunked; `apply` itself runs sequentially (it is a `FnMut` over
-        // caller state) — in stream order under the `Stream` layout, in
-        // cache-block order under `Blocked` (same per-vertex order either
-        // way; see [`crate::ApplyLayout`]).
-        let mut activated = 0u64;
-        let mut applied = 0u64;
-        let mut feedback: Vec<u8> = Vec::new();
-        let mut sweep = self.blocked_bins::<P::Update>();
-        let mut si = 0usize;
-        for m in processing_order(rank, p) {
-            // Attribute apply-phase time to the step at which machine `m`
-            // produced (and sent) the buffer being consumed.
-            let s = (rank + p - 1 - m) % p;
-            self.ctx.set_trace_scope(iter as u32, s as u32, 0);
-            if m == rank || !pipelined {
-                let buf = if m == rank {
-                    std::mem::take(&mut local_updates)
+    /// Scatter of a step with no dependency to propagate — the Gemini and
+    /// Galois policies, and a dependency-free program under any policy:
+    /// one pass over the bucket's parts, every destination on a detached
+    /// scratch slot (breaks, if the program has any, act locally only), no
+    /// dependency message sent or awaited.
+    fn scatter_dense<P: PullProgram>(
+        &mut self,
+        prog: &P,
+        dep: &P::Dep,
+        j: usize,
+        step: &mut PassOutput<P::Update>,
+    ) {
+        let pc = self.par_cfg();
+        let bucket = self.local.bucket(j);
+        par::scratch_pass(prog, &bucket.hi, dep, pc, step);
+        par::scratch_pass(prog, &bucket.lo, dep, pc, step);
+        self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
+    }
+
+    /// Scatter of circulant step `s` with dependency propagation: per
+    /// double-buffering group (one group without double buffering),
+    /// receive the group's dependency slots from the right neighbour (or
+    /// reset them at the first step), walk the group's high-degree
+    /// entries, and send the slots on to the left neighbour (except at the
+    /// last step). The low-degree entries need no dependency: with double
+    /// buffering they go first, so they overlap the wait; without, they
+    /// ride in the single group's pass.
+    fn scatter_circulant<P: PullProgram>(
+        &mut self,
+        prog: &P,
+        dep: &mut P::Dep,
+        iter: u64,
+        s: usize,
+        streams: &mut [PipeStream],
+        step: &mut PassOutput<P::Update>,
+    ) {
+        let p = self.ctx.world();
+        let rank = self.ctx.rank();
+        let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
+        let (first, last) = (s == 0, s + 1 == p);
+        let j = dst_partition(rank, s, p);
+        let n_slots = self.prepared.dep_layout().slots(j);
+        let groups = self.cfg.effective_groups();
+        let pc = self.par_cfg();
+        let local = Arc::clone(&self.local);
+        let bucket = local.bucket(j);
+        let dep_tag =
+            |s: usize, g: usize| Tag::new(TagKind::Dep, iter * p as u64 + s as u64, g as u32);
+        if groups > 1 {
+            par::scratch_pass(prog, &bucket.lo, dep, pc, step);
+            self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
+        }
+        for g in 0..groups {
+            self.ctx.set_trace_scope(iter as u32, s as u32, g as u32);
+            let slots = group_range(g, groups, n_slots);
+            if !slots.is_empty() {
+                if first {
+                    dep.reset_range(slots.clone());
                 } else {
-                    let tag = Tag::new(TagKind::Update, iter * p as u64 + s as u64, 0);
-                    self.recv_updates(m, tag, P::Update::SIZE)
-                };
-                let (pairs, costs) = par::decode_pass::<P::Update>(&buf, pc);
-                applied += pairs.len() as u64;
-                if galois {
-                    // Gluon broadcasts every reduced value back to the
-                    // mirrors, whether or not it activated the vertex. The
-                    // feedback stream is written at decode time, so its
-                    // bytes are identical under both apply layouts.
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
-                let charge = if let Some((blocks, bins)) = &mut sweep {
-                    // The blocked sweep charges binned records itself —
-                    // except under the pipelined exchange, whose sweep is
-                    // a pure fold (remote records are charged per frame),
-                    // so the local buffer must be charged here.
-                    par::bin_updates(&pairs, blocks, bins);
-                    m == rank && pipelined
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
-                    true
-                };
-                if charge {
-                    self.ctx.apply_sharded(&costs, pc.threads);
-                }
-                self.recycle_buf(m, buf);
-            } else {
-                // Pipelined: the stream may already be gathered and even
-                // decoded; block only for what has not physically arrived,
-                // then replay its modelled schedule in canonical order.
-                self.complete_stream(&mut streams, si, P::Update::SIZE);
-                if streams[si].decoded.is_none() {
-                    self.decode_stream(&mut streams[si], P::Update::SIZE);
-                }
-                let st = &mut streams[si];
-                debug_assert_eq!(st.src, m, "streams follow processing order");
-                let (pairs, _) = st.decoded.take().expect("decoded above");
-                let frames = std::mem::take(&mut st.frames);
-                si += 1;
-                applied += pairs.len() as u64;
-                if galois {
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
-                self.charge_stream(&frames, pairs.len() as u64);
-                if let Some((blocks, bins)) = &mut sweep {
-                    par::bin_updates(&pairs, blocks, bins);
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
+                    self.recv_dep(right, dep_tag(s - 1, g), dep, slots.clone(), streams);
                 }
             }
+            let charged = step.chunk_costs.len();
+            let e0 = bucket.hi.first_entry_with_slot(slots.start);
+            let e1 = bucket.hi.first_entry_with_slot(slots.end);
+            par::hi_pass(prog, &bucket.hi, e0..e1, dep, pc, step);
+            if groups == 1 {
+                par::scratch_pass(prog, &bucket.lo, dep, pc, step);
+            }
+            self.ctx
+                .compute_sharded(&step.chunk_costs[charged..], pc.threads);
+            if !last && !slots.is_empty() {
+                self.send_dep(left, dep_tag(s, g), dep, slots);
+            }
         }
-        if let Some((_, bins)) = sweep {
-            self.ctx.set_trace_scope(iter as u32, 0, 0);
-            activated += if pipelined {
-                self.fold_bins(bins, apply)
-            } else {
-                self.apply_blocked(bins, apply)
-            };
-        }
-        self.stats.add(WorkMetric::UpdatesApplied, applied);
-
-        if galois {
-            // Gluon-style second phase: masters broadcast applied values
-            // back to every machine's mirrors, then a BSP barrier.
-            self.galois_broadcast(P::Update::SIZE, feedback);
-        }
-        activated
     }
 
     /// The Gluon-style broadcast half of the Galois policy: masters ship
@@ -1048,7 +1015,6 @@ impl<'a> Worker<'a> {
         let iter = self.iter_seq;
         self.stats.add(WorkMetric::PushIterations, 1);
         self.ctx.set_trace_scope(iter as u32, 0, 0);
-        let galois = matches!(self.cfg.policy, Policy::Galois);
 
         debug_assert!(
             frontier.iter().all(|&u| self.is_master(u)),
@@ -1062,112 +1028,19 @@ impl<'a> Worker<'a> {
         self.stats.add(WorkMetric::UpdatesEmitted, pass.emitted);
         self.ctx.compute_sharded(&pass.chunk_costs, pc.threads);
 
-        let mut outboxes = pass.outboxes;
-        let tag = Tag::new(TagKind::Update, iter * p as u64, 0);
-        // Pipelined exchange: gather state up front, swept between sends,
-        // so early senders' frames are absorbed while later outboxes are
-        // still being shipped. Push consumes sources in rank order.
-        let pipelined = self.cfg.pipelined();
-        let specs: Vec<(usize, Tag)> = (0..p).filter(|&m| m != rank).map(|m| (m, tag)).collect();
-        let mut streams: Vec<PipeStream<P::Update>> = if pipelined {
-            self.pipe_streams(&specs)
-        } else {
-            Vec::new()
-        };
-        for (m, outbox) in outboxes.iter_mut().enumerate() {
+        // Push has one step: its sources are consumed in rank order, all
+        // under that step's tag. Pipelined exchange: gather state up
+        // front, swept between sends, so early senders' frames are
+        // absorbed while later outboxes are still being shipped.
+        let sources: Vec<Source> = (0..p).map(|rank| Source { rank, step: 0 }).collect();
+        let mut streams = self.pipe_streams(iter, &sources);
+        for (m, outbox) in pass.outboxes.iter().enumerate() {
             if m != rank {
-                let payload = std::mem::take(outbox);
-                self.send_updates(m, tag, P::Update::SIZE, payload);
-                if pipelined {
-                    self.sweep_streams(&mut streams);
-                }
+                self.send_updates(m, self.update_tag(iter, 0), outbox);
+                self.sweep_streams(&mut streams);
             }
         }
-
-        let mut activated = 0u64;
-        let mut applied = 0u64;
-        let mut feedback: Vec<u8> = Vec::new();
-        let mut sweep = self.blocked_bins::<P::Update>();
-        let mut si = 0usize;
-        for m in 0..p {
-            if m == rank || !pipelined {
-                let buf = if m == rank {
-                    std::mem::take(&mut outboxes[rank])
-                } else {
-                    self.recv_updates(m, tag, P::Update::SIZE)
-                };
-                let (pairs, costs) = par::decode_pass::<P::Update>(&buf, pc);
-                applied += pairs.len() as u64;
-                if galois {
-                    // Gluon broadcasts every reduced value back to the
-                    // mirrors, whether or not it activated the vertex.
-                    // Written at decode time, so the feedback bytes are
-                    // identical under both apply layouts.
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
-                let charge = if let Some((blocks, bins)) = &mut sweep {
-                    // As in pull: the pipelined sweep is a pure fold, so
-                    // the local buffer's records are charged here.
-                    par::bin_updates(&pairs, blocks, bins);
-                    m == rank && pipelined
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
-                    true
-                };
-                if charge {
-                    self.ctx.apply_sharded(&costs, pc.threads);
-                }
-                self.recycle_buf(m, buf);
-            } else {
-                self.complete_stream(&mut streams, si, P::Update::SIZE);
-                if streams[si].decoded.is_none() {
-                    self.decode_stream(&mut streams[si], P::Update::SIZE);
-                }
-                let st = &mut streams[si];
-                debug_assert_eq!(st.src, m, "streams follow rank order");
-                let (pairs, _) = st.decoded.take().expect("decoded above");
-                let frames = std::mem::take(&mut st.frames);
-                si += 1;
-                applied += pairs.len() as u64;
-                if galois {
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
-                self.charge_stream(&frames, pairs.len() as u64);
-                if let Some((blocks, bins)) = &mut sweep {
-                    par::bin_updates(&pairs, blocks, bins);
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((_, bins)) = sweep {
-            activated += if pipelined {
-                self.fold_bins(bins, apply)
-            } else {
-                self.apply_blocked(bins, apply)
-            };
-        }
-        self.stats.add(WorkMetric::UpdatesApplied, applied);
-        if galois {
-            self.galois_broadcast(P::Update::SIZE, feedback);
-        }
-        activated
+        self.gather(iter, &sources, &pass.outboxes[rank], streams, apply)
     }
 }
 

@@ -412,6 +412,13 @@ impl PullProgram for UdfProgram<'_> {
         }
     }
 
+    fn carries_dependency(&self) -> bool {
+        // What the analyzer found (paper §4): no reachable break and no
+        // carried local means nothing was instrumented, so the engine
+        // runs the UDF on the dense schedule under every policy.
+        self.inst.info.has_dependency()
+    }
+
     fn guards_skip(&self) -> bool {
         // Instrumented UDFs with dependency open with `ReceiveDepGuard`,
         // which returns before any observable work when the skip bit is
