@@ -2,24 +2,22 @@
 # Tier-1 gate plus lint checks. Run from the repository root.
 #
 #   ./ci.sh            # build, test, smokes, matrix gate, fmt, clippy
-#   ./ci.sh --quick    # skip the release build and the full perf gate
+#   ./ci.sh --quick    # skip the release build and the release-profile studies
 #   ./ci.sh --help     # this text
 #
-# Performance regressions are caught by ONE consolidated guard: the
-# scenario matrix (`--matrix-check` against the committed
-# BENCH_matrix.json), which replays every {algo x graph x policy x
-# codec x exchange x threads x faults} cell and fails on any >10%
-# regression in virtual seconds or data bytes; `--matrix-identity`
-# (also under --quick) holds every cell to the committed bytes, so a
-# change moves only the cells it says it moves. The old per-feature
-# scaling/comm/pipeline checks are subsumed by it (their baselines stay
-# committed for the docs and can still be replayed by hand via the
-# experiments CLI).
+# Performance regressions are caught by ONE guard: the scenario matrix
+# (`--matrix-identity` against the committed BENCH_matrix.json), which
+# replays every {algo x graph x policy x codec x threads x faults} cell
+# and fails unless each one serializes to exactly the committed bytes —
+# virtual seconds, data bytes, edges, fingerprint. The quantities are
+# modelled, so they read the same on every host and in both profiles: it
+# runs under --quick (debug) and in the full run (release). A change that
+# means to move a cell regenerates the file (`--matrix-json`) and says so.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 usage() {
-  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
   exit "${1:-2}"
 }
 
@@ -64,7 +62,8 @@ step "UDF executor differential tests (release profile)"
 # (--lib; debug builds also re-check idempotence inside every bind).
 # So do the two dense-path suites: the order oracle and the
 # communication-shape pins must hold without the debug assertion that
-# catches a program lying about `carries_dependency`.
+# catches a program lying about `carries_dependency`, and the latch audit
+# must still catch an uncertified violator where debug assertions are off.
 # Runs under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind
@@ -99,15 +98,17 @@ if [ "$QUICK" = 0 ]; then
   cargo run --release --offline -p symple-bench --bin experiments -- \
     --transport-json "$SMOKE_DIR/BENCH_transport_smoke.json"
 
-  step "scenario-matrix regression gate (vs committed BENCH_matrix.json)"
-  # THE consolidated perf gate: replays every cell of the committed
-  # matrix baseline (all algorithms x graphs x policies x codec/exchange/
-  # thread/fault variants) and fails if any cell's virtual seconds or
-  # data bytes regressed by more than 10%. Output fingerprints, edge
-  # counts, and logical bytes are asserted bit-identical across cells
-  # inside the sweep itself.
+  step "scenario-matrix identity gate, release profile (vs committed BENCH_matrix.json)"
+  # THE consolidated perf gate, as the release build reads it: replays
+  # every cell of the committed matrix (all algorithms x graphs x policies
+  # x codec/thread/fault variants) and fails unless each serializes to the
+  # committed bytes. Output fingerprints, edge counts, and logical bytes
+  # are asserted bit-identical across cells inside the sweep itself. The
+  # debug-profile twin below audits every skipped segment of the UDF
+  # cells; this one trusts their latch certificates, and both must read
+  # the same file.
   cargo run --release --offline -p symple-bench --bin experiments -- \
-    --matrix-check BENCH_matrix.json
+    --matrix-identity BENCH_matrix.json
 
   step "fault-injection smoke (chaos plan, outputs bit-identical)"
   # BFS / K-core / MIS on s27, 4 machines, under a seeded drop+dup+delay+
@@ -119,28 +120,18 @@ fi
 step "scenario-matrix smoke (SNAP karate, all knobs)"
 # The matrix restricted to the real SNAP-loaded karate graph: every
 # workload (BFS, K-core, SSSP, CC, PageRank), both policies, and all
-# four knob variants, with the cross-cell bit-identity invariants
+# three knob variants, with the cross-cell bit-identity invariants
 # asserted inline. Runs under --quick so every push exercises the SNAP
 # loader and the new kernels end to end.
 cargo run --offline -p symple-bench --bin experiments -- --matrix-smoke
 
 step "scenario-matrix identity gate (vs committed BENCH_matrix.json)"
-# Replays all 68 cells and fails unless each one serializes to exactly
+# Replays all 58 cells and fails unless each one serializes to exactly
 # the committed bytes — knobs, virtual seconds, data bytes, edges,
-# fingerprint. Only the cells of a dependency-free workload (PageRank)
-# may read lower than committed, never higher: what the dense path is
-# licensed to change. Modelled quantities, so the debug build (~12 s)
-# reads the same as release. Runs under --quick.
+# fingerprint; no cell may read lower either. Modelled quantities, so
+# the debug build (~12 s) reads the same as release. Runs under --quick.
 cargo run --offline -p symple-bench --bin experiments -- \
   --matrix-identity BENCH_matrix.json
-
-step "exchange-mode equivalence smoke (bulk vs pipelined)"
-# BFS / K-core / MIS on s27, 4 machines, under both exchange modes and
-# both transport backends; the study asserts work, comm, and the stall
-# ordering (exchange stall never above the bulk send stall) bit for
-# bit. Runs under --quick so every push enforces that the pipelined
-# default stays invisible to the computation.
-cargo run --offline -p symple-bench --bin experiments -- --pipeline-smoke
 
 step "executor equivalence smoke (interp vs bytecode, full engine)"
 # One kernel through the engine under both executors; outputs, work,

@@ -10,11 +10,10 @@ use crate::datasets::dataset;
 use crate::fmt::{geomean, secs, speedup, table};
 use symple_algos::{bfs, cc, kcore, kmeans, mis, pagerank, sampling, sssp};
 use symple_core::{
-    Backend, EngineConfig, Exchange, FaultPlan, Policy, ReliableStats, RunStats, TraceLevel,
-    WireCodec,
+    Backend, EngineConfig, FaultPlan, Policy, ReliableStats, RunStats, TraceLevel, WireCodec,
 };
 use symple_graph::{Graph, GraphStats, Vid};
-use symple_net::{CommKind, CostModel, SpanCategory, WireFormat, COMM_KINDS};
+use symple_net::{CommKind, CostModel, WireFormat, COMM_KINDS};
 
 /// A rendered experiment.
 #[derive(Debug, Clone)]
@@ -404,7 +403,7 @@ pub fn table6() -> Report {
     Report::new("table6", "Communication breakdown (Table 6)", text)
 }
 
-/// Workloads of the wire-codec byte study (`comm` / `BENCH_comm.json`):
+/// Workloads of the wire-codec byte study (id `comm`):
 /// the five paper algorithms plus a pull-only BFS whose frontier is dense
 /// every iteration — the codec's best case alongside K-core.
 pub const COMM_ALGOS: [(&str, Algo); 6] = [
@@ -479,46 +478,8 @@ pub fn comm_study(name: &str, machines: usize) -> Vec<CommPoint> {
     points
 }
 
-/// Renders a byte study as a machine-readable JSON document
-/// (`BENCH_comm.json`).
-pub fn comm_json(name: &str, machines: usize, points: &[CommPoint]) -> String {
-    let mut w = symple_trace::json::JsonWriter::new();
-    w.begin_object();
-    w.key("bench").string("wire_codec_bytes");
-    w.key("graph").string(name);
-    w.key("machines").u64(machines as u64);
-    w.key("note").string(
-        "exact modelled wire bytes; data_ratio = adaptive/flat over \
-         update+dependency (collective sync is never codec-encoded)",
-    );
-    w.key("points").begin_array();
-    for p in points {
-        w.begin_object();
-        w.key("algo").string(p.algo);
-        w.key("policy").string(p.policy);
-        for (key, m) in [("flat", &p.flat), ("adaptive", &p.adaptive)] {
-            w.key(key).begin_object();
-            w.key("update_bytes").u64(m.upd_bytes);
-            w.key("dependency_bytes").u64(m.dep_bytes);
-            w.key("collective_bytes").u64(m.coll_bytes);
-            w.end_object();
-        }
-        w.key("adaptive_format_bytes").begin_object();
-        for f in WireFormat::ALL {
-            w.key(f.name()).u64(p.adaptive.fmt_bytes[f.index()]);
-        }
-        w.end_object();
-        w.key("data_ratio").f64(p.data_ratio());
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// The byte study as a report table (id `comm`). Uses the small s27
-/// stand-in at 8 machines so the smoke invocation in `ci.sh` stays cheap;
-/// `--comm-json` re-runs it and writes `BENCH_comm.json`.
+/// The byte study as a report table (id `comm`), on the small s27
+/// stand-in at 8 machines.
 pub fn comm_report() -> Report {
     let (name, machines) = ("s27", 8);
     let points = comm_study(name, machines);
@@ -535,7 +496,7 @@ pub fn comm_report() -> Report {
         })
         .collect::<Vec<_>>();
     let text = format!(
-        "{}\nExact update+dependency bytes on {name}, {machines} machines, flat vs\nadaptive wire codec (outputs are bit-identical by construction; the\ncodec picks per payload among flat/dense-bitmap/sparse-varint by exact\nsize). Dense-frontier workloads (BFS-dense, K-core) show the largest\nwins; see BENCH_comm.json for the raw grid.\n",
+        "{}\nExact update+dependency bytes on {name}, {machines} machines, flat vs\nadaptive wire codec (outputs are bit-identical by construction; the\ncodec picks per payload among flat/dense-bitmap/sparse-varint by exact\nsize). Dense-frontier workloads (BFS-dense, K-core) show the largest\nwins.\n",
         table(
             &["app", "system", "flat kB", "adaptive kB", "ratio"],
             &rows
@@ -707,351 +668,6 @@ pub fn transport_report() -> Report {
     )
 }
 
-/// One (workload, machine-count) cell of the pipelined-exchange study:
-/// the same run under the bulk end-of-step exchange and the chunked
-/// pipelined exchange. A point only exists if the two modes were
-/// bit-identical in everything logical (asserted inside
-/// [`pipeline_study`]); the modelled columns carry the overlap signal,
-/// the wall columns are measured on this host.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelinePoint {
-    /// Workload label.
-    pub algo: &'static str,
-    /// Simulated machine count.
-    pub machines: usize,
-    /// Modelled virtual seconds under `Exchange::Bulk`.
-    pub bulk_modelled_secs: f64,
-    /// Modelled virtual seconds under `Exchange::Pipelined` — never above
-    /// the bulk column (asserted).
-    pub pipe_modelled_secs: f64,
-    /// Modelled seconds the bulk run spent stalled waiting for whole
-    /// update messages (`SpanCategory::Send`).
-    pub bulk_send_stall_secs: f64,
-    /// Modelled seconds the pipelined run spent stalled waiting for
-    /// update *frames* (`SpanCategory::Exchange`) — never above the bulk
-    /// send stall (asserted).
-    pub pipe_exchange_stall_secs: f64,
-    /// Measured critical-path wall seconds (slowest machine, best of the
-    /// study's repetitions) on the thread backend, bulk exchange.
-    pub bulk_thread_wall_secs: f64,
-    /// Measured critical-path wall seconds on the thread backend,
-    /// pipelined exchange.
-    pub pipe_thread_wall_secs: f64,
-}
-
-impl PipelinePoint {
-    /// Fraction of the bulk send stall that survives pipelining
-    /// (exchange stall / send stall; lower is better). Cells where the
-    /// bulk run had no send stall report 1.0 — there was nothing to
-    /// overlap. This deterministic modelled ratio is what
-    /// `--pipeline-check` gates on.
-    pub fn overlap_ratio(&self) -> f64 {
-        if self.bulk_send_stall_secs <= 0.0 {
-            1.0
-        } else {
-            self.pipe_exchange_stall_secs / self.bulk_send_stall_secs
-        }
-    }
-
-    /// Modelled end-to-end speedup of pipelined over bulk.
-    pub fn modelled_speedup(&self) -> f64 {
-        self.bulk_modelled_secs / self.pipe_modelled_secs
-    }
-
-    /// Measured thread-backend wall speedup of pipelined over bulk.
-    pub fn wall_speedup(&self) -> f64 {
-        self.bulk_thread_wall_secs / self.pipe_thread_wall_secs
-    }
-}
-
-/// Measures every transport-study workload under both exchange modes on
-/// dataset `name` at each machine count, asserting along the way that
-/// the exchange mode is invisible to the computation: identical work
-/// counters, identical logical byte/message accounting, pipelined
-/// modelled time and exchange stall never above their bulk
-/// counterparts. Each (mode, machine-count, workload) cell also runs on
-/// the OS-thread backend `wall_reps` times (asserted logically equal to
-/// the simulator run) and keeps the best measured critical-path wall.
-pub fn pipeline_study(name: &str, machine_counts: &[usize], wall_reps: u32) -> Vec<PipelinePoint> {
-    let g = dataset(name);
-    let cost = model_for(name, CostModel::cluster_a());
-    let mut points = Vec::new();
-    for &machines in machine_counts {
-        for (algo_name, algo) in TRANSPORT_ALGOS {
-            let config =
-                |exchange: Exchange| cfg(machines, Policy::symple(), cost).exchange(exchange);
-            let bulk = run_algo_once(algo, g, &config(Exchange::Bulk));
-            let pipe = run_algo_once(algo, g, &config(Exchange::Pipelined));
-            assert_eq!(
-                bulk.work, pipe.work,
-                "pipeline {algo_name}/{machines}m: work counters diverged across exchange modes"
-            );
-            assert_eq!(
-                bulk.comm, pipe.comm,
-                "pipeline {algo_name}/{machines}m: CommStats diverged across exchange modes"
-            );
-            assert!(
-                pipe.virtual_time() <= bulk.virtual_time() * (1.0 + 1e-9),
-                "pipeline {algo_name}/{machines}m: pipelined modelled time {} above bulk {}",
-                pipe.virtual_time(),
-                bulk.virtual_time()
-            );
-            let bulk_stall = bulk.time.category(SpanCategory::Send);
-            let pipe_stall = pipe.time.category(SpanCategory::Exchange);
-            assert!(
-                pipe_stall <= bulk_stall * (1.0 + 1e-9),
-                "pipeline {algo_name}/{machines}m: exchange stall {pipe_stall} above bulk \
-                 send stall {bulk_stall}"
-            );
-            let wall = |exchange: Exchange, sim: &RunStats| -> f64 {
-                let mut best = f64::INFINITY;
-                for _ in 0..wall_reps.max(1) {
-                    let st = run_algo_once(algo, g, &config(exchange).backend(Backend::Thread));
-                    assert_eq!(
-                        st.work, sim.work,
-                        "pipeline {algo_name}/{machines}m/{exchange:?}: work counters \
-                         diverged across backends"
-                    );
-                    assert_eq!(
-                        st.comm, sim.comm,
-                        "pipeline {algo_name}/{machines}m/{exchange:?}: CommStats diverged \
-                         across backends"
-                    );
-                    assert_eq!(
-                        st.virtual_time(),
-                        sim.virtual_time(),
-                        "pipeline {algo_name}/{machines}m/{exchange:?}: virtual time \
-                         diverged across backends"
-                    );
-                    best = best.min(st.max_node_wall().as_secs_f64());
-                }
-                best
-            };
-            let bulk_wall = wall(Exchange::Bulk, &bulk);
-            let pipe_wall = wall(Exchange::Pipelined, &pipe);
-            points.push(PipelinePoint {
-                algo: algo_name,
-                machines,
-                bulk_modelled_secs: bulk.virtual_time(),
-                pipe_modelled_secs: pipe.virtual_time(),
-                bulk_send_stall_secs: bulk_stall,
-                pipe_exchange_stall_secs: pipe_stall,
-                bulk_thread_wall_secs: bulk_wall,
-                pipe_thread_wall_secs: pipe_wall,
-            });
-        }
-    }
-    points
-}
-
-/// Renders the pipelined-exchange study as a machine-readable JSON
-/// document (`BENCH_pipeline.json`).
-pub fn pipeline_json(name: &str, points: &[PipelinePoint]) -> String {
-    let mut w = symple_trace::json::JsonWriter::new();
-    w.begin_object();
-    w.key("bench").string("pipelined_exchange");
-    w.key("graph").string(name);
-    w.key("note").string(
-        "bulk = monolithic end-of-step exchange, pipe = chunked pipelined \
-         exchange (Exchange::Pipelined, the default); outputs, work and \
-         comm counters are bit-identical across modes (asserted). The \
-         modelled columns and overlap_ratio (exchange stall / bulk send \
-         stall, lower is better) are deterministic virtual-clock \
-         quantities; the thread wall columns are measured on this host \
-         and depend on its core count",
-    );
-    w.key("points").begin_array();
-    for p in points {
-        w.begin_object();
-        w.key("algo").string(p.algo);
-        w.key("machines").u64(p.machines as u64);
-        w.key("bulk_modelled_virtual_secs")
-            .f64(p.bulk_modelled_secs);
-        w.key("pipe_modelled_virtual_secs")
-            .f64(p.pipe_modelled_secs);
-        w.key("modelled_speedup").f64(p.modelled_speedup());
-        w.key("bulk_send_stall_secs").f64(p.bulk_send_stall_secs);
-        w.key("pipe_exchange_stall_secs")
-            .f64(p.pipe_exchange_stall_secs);
-        w.key("overlap_ratio").f64(p.overlap_ratio());
-        w.key("bulk_thread_wall_secs").f64(p.bulk_thread_wall_secs);
-        w.key("pipe_thread_wall_secs").f64(p.pipe_thread_wall_secs);
-        w.key("thread_wall_speedup").f64(p.wall_speedup());
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// The committed reference points of a `BENCH_pipeline.json`.
-#[derive(Debug, Clone)]
-pub struct PipelineBaseline {
-    /// Dataset the baseline was measured on.
-    pub graph: String,
-    /// Per-cell `(algo, machines, overlap_ratio)`.
-    pub ratios: Vec<(String, usize, f64)>,
-}
-
-/// Parses the committed `BENCH_pipeline.json` (own writer's shape: no
-/// whitespace, known key order) without a JSON dependency.
-pub fn parse_pipeline_baseline(json: &str) -> Result<PipelineBaseline, String> {
-    let graph = scan_str(json, "\"graph\":\"")
-        .ok_or("baseline: missing \"graph\"")?
-        .to_string();
-    let scan_num = |point: &str, key: &str| -> Option<f64> {
-        point.find(key).and_then(|j| {
-            let r = &point[j + key.len()..];
-            let end = r.find([',', '}']).unwrap_or(r.len());
-            r[..end].parse::<f64>().ok()
-        })
-    };
-    let mut ratios = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"algo\":\"") {
-        let point = &rest[i..];
-        let algo = scan_str(point, "\"algo\":\"")
-            .ok_or("baseline: unterminated \"algo\"")?
-            .to_string();
-        let machines = scan_num(point, "\"machines\":")
-            .ok_or_else(|| format!("baseline: point {algo} missing \"machines\""))?
-            as usize;
-        let ratio = scan_num(point, "\"overlap_ratio\":").ok_or_else(|| {
-            format!("baseline: point {algo}/{machines}m missing \"overlap_ratio\"")
-        })?;
-        ratios.push((algo, machines, ratio));
-        rest = &point["\"algo\":\"".len()..];
-    }
-    if ratios.is_empty() {
-        return Err("baseline: no points found".into());
-    }
-    Ok(PipelineBaseline { graph, ratios })
-}
-
-/// Compares freshly measured pipeline points against a parsed baseline.
-/// A cell regresses when its overlap ratio (exchange stall / bulk send
-/// stall — the fraction of the bulk stall pipelining failed to hide)
-/// exceeds the baseline's by more than `tolerance` (relative); missing
-/// cells fail too.
-pub fn pipeline_check_points(
-    baseline: &PipelineBaseline,
-    points: &[PipelinePoint],
-    tolerance: f64,
-) -> Result<String, String> {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    for (algo, machines, base) in &baseline.ratios {
-        match points
-            .iter()
-            .find(|p| p.algo == algo && p.machines == *machines)
-        {
-            None => failures.push(format!(
-                "{algo}/{machines}m: cell missing from the current study"
-            )),
-            Some(p) => {
-                let cur = p.overlap_ratio();
-                let bound = base * (1.0 + tolerance) + 1e-12;
-                if cur > bound {
-                    failures.push(format!(
-                        "{algo}/{machines}m: overlap_ratio {cur:.4} exceeds baseline \
-                         {base:.4} by more than {:.0}%",
-                        tolerance * 100.0
-                    ));
-                } else {
-                    lines.push(format!(
-                        "{algo}/{machines}m: overlap_ratio {cur:.4} (baseline {base:.4}) ok"
-                    ));
-                }
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(lines.join("\n"))
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-/// The `--pipeline-check` entry point: parses the committed baseline,
-/// re-runs the pipelined-exchange study at the baseline's graph and
-/// machine counts (one thread-backend repetition — the gated ratio is
-/// modelled, not measured), and fails if any cell's overlap ratio
-/// regressed by more than 10% relative.
-pub fn pipeline_check(baseline_json: &str) -> Result<String, String> {
-    let baseline = parse_pipeline_baseline(baseline_json)?;
-    let mut machine_counts: Vec<usize> = baseline.ratios.iter().map(|r| r.1).collect();
-    machine_counts.sort_unstable();
-    machine_counts.dedup();
-    let points = pipeline_study(&baseline.graph, &machine_counts, 1);
-    pipeline_check_points(&baseline, &points, 0.10)
-}
-
-/// The `--pipeline-smoke` entry point: runs the pipelined-exchange study
-/// on the small s27 stand-in at 4 machines with one thread-backend
-/// repetition per mode. Every gate lives inside [`pipeline_study`]
-/// itself — bit-identical work and comm counters across exchange modes
-/// and backends, pipelined modelled time and exchange stall never above
-/// their bulk counterparts — so reaching the summary string *is* the
-/// pass.
-pub fn pipeline_smoke() -> String {
-    let points = pipeline_study("s27", &[4], 1);
-    let mut lines = vec![format!(
-        "pipeline smoke: bulk and pipelined exchanges bit-identical on s27, \
-         4 machines, both backends ({} workloads)",
-        points.len()
-    )];
-    for p in &points {
-        lines.push(format!(
-            "  {}: modelled {} -> {} (overlap_ratio {:.3})",
-            p.algo,
-            secs(p.bulk_modelled_secs),
-            secs(p.pipe_modelled_secs),
-            p.overlap_ratio()
-        ));
-    }
-    lines.join("\n")
-}
-
-/// The pipelined-exchange study as a report table (id `pipeline`). Uses
-/// the small s27 stand-in at 4 machines so the smoke invocation in
-/// `ci.sh` stays cheap; `--pipeline-json` re-runs the full machine sweep
-/// and writes `BENCH_pipeline.json`.
-pub fn pipeline_report() -> Report {
-    let points = pipeline_study("s27", &[4], 1);
-    let rows = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.algo.to_string(),
-                secs(p.bulk_modelled_secs),
-                secs(p.pipe_modelled_secs),
-                secs(p.bulk_send_stall_secs),
-                secs(p.pipe_exchange_stall_secs),
-                format!("{:.3}", p.overlap_ratio()),
-            ]
-        })
-        .collect::<Vec<_>>();
-    let text = format!(
-        "{}\nSame computation on s27, 4 machines, bulk vs chunked pipelined\nupdate exchange (the default). Outputs, work and comm counters are\nbit-identical across modes (asserted); the pipelined run turns\nend-of-step send stalls into per-frame exchange stalls overlapped with\napply work. overlap = exchange stall / bulk send stall (lower is\nbetter); see BENCH_pipeline.json for the machine sweep with measured\nthread-backend walls.\n",
-        table(
-            &[
-                "app",
-                "bulk",
-                "pipelined",
-                "send stall",
-                "exch stall",
-                "overlap"
-            ],
-            &rows
-        )
-    );
-    Report::new(
-        "pipeline",
-        "Pipelined exchange: stall overlap (extension)",
-        text,
-    )
-}
-
 /// One (workload, policy) cell of the fault-injection study: the same run
 /// fault-free and under a seeded chaos plan, with the reliable-delivery
 /// overlay it took to absorb the injected faults. Output and work-counter
@@ -1214,119 +830,6 @@ pub fn fault_report() -> Report {
         )
     );
     Report::new("faults", "Fault-injection absorption (extension)", text)
-}
-
-/// A parsed `BENCH_comm.json` baseline: where the study ran and the
-/// adaptive/flat data ratio of every (workload, policy) cell.
-#[derive(Debug, Clone)]
-pub struct CommBaseline {
-    /// Dataset name the baseline was measured on.
-    pub graph: String,
-    /// Machine count the baseline was measured at.
-    pub machines: usize,
-    /// `(algo, policy, data_ratio)` per point.
-    pub ratios: Vec<(String, String, f64)>,
-}
-
-fn scan_str<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let rest = &s[s.find(key)? + key.len()..];
-    rest.split('"').next()
-}
-
-/// Parses a `BENCH_comm.json` document as written by [`comm_json`] (no
-/// whitespace, known key order) without a JSON dependency.
-pub fn parse_comm_baseline(json: &str) -> Result<CommBaseline, String> {
-    let graph = scan_str(json, "\"graph\":\"")
-        .ok_or("baseline: missing \"graph\"")?
-        .to_string();
-    let machines = json
-        .find("\"machines\":")
-        .map(|i| &json[i + "\"machines\":".len()..])
-        .and_then(|rest| {
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits.parse::<usize>().ok()
-        })
-        .ok_or("baseline: missing \"machines\"")?;
-    let mut ratios = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"algo\":\"") {
-        let point = &rest[i..];
-        let algo = scan_str(point, "\"algo\":\"")
-            .ok_or("baseline: unterminated \"algo\"")?
-            .to_string();
-        let policy = scan_str(point, "\"policy\":\"")
-            .ok_or("baseline: point missing \"policy\"")?
-            .to_string();
-        let ratio = point
-            .find("\"data_ratio\":")
-            .map(|j| &point[j + "\"data_ratio\":".len()..])
-            .and_then(|r| {
-                let end = r.find([',', '}']).unwrap_or(r.len());
-                r[..end].parse::<f64>().ok()
-            })
-            .ok_or_else(|| format!("baseline: point {algo}/{policy} missing \"data_ratio\""))?;
-        ratios.push((algo, policy, ratio));
-        rest = &point["\"algo\":\"".len()..];
-    }
-    if ratios.is_empty() {
-        return Err("baseline: no points found".into());
-    }
-    Ok(CommBaseline {
-        graph,
-        machines,
-        ratios,
-    })
-}
-
-/// Compares freshly measured study points against a parsed baseline.
-/// A cell regresses when its adaptive/flat data ratio exceeds the
-/// baseline's by more than `tolerance` (relative); missing cells fail
-/// too. Returns a per-cell summary on success, the list of regressions
-/// on failure.
-pub fn comm_check_points(
-    baseline: &CommBaseline,
-    points: &[CommPoint],
-    tolerance: f64,
-) -> Result<String, String> {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    for (algo, policy, base) in &baseline.ratios {
-        match points.iter().find(|p| p.algo == algo && p.policy == policy) {
-            None => failures.push(format!(
-                "{algo}/{policy}: cell missing from the current study"
-            )),
-            Some(p) => {
-                let cur = p.data_ratio();
-                let bound = base * (1.0 + tolerance) + 1e-12;
-                if cur > bound {
-                    failures.push(format!(
-                        "{algo}/{policy}: data_ratio {cur:.4} exceeds baseline {base:.4} \
-                         by more than {:.0}%",
-                        tolerance * 100.0
-                    ));
-                } else {
-                    lines.push(format!(
-                        "{algo}/{policy}: data_ratio {cur:.4} (baseline {base:.4}) ok"
-                    ));
-                }
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(lines.join("\n"))
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-/// The `--comm-check` entry point: parses the committed baseline, re-runs
-/// the wire-codec byte study at the baseline's graph and machine count,
-/// and fails if any cell's adaptive/flat data ratio regressed by more
-/// than 10% relative.
-pub fn comm_check(baseline_json: &str) -> Result<String, String> {
-    let baseline = parse_comm_baseline(baseline_json)?;
-    let points = comm_study(&baseline.graph, baseline.machines);
-    comm_check_points(&baseline, &points, 0.10)
 }
 
 /// Runs one fully-traced workload (BFS on s27, 4 machines, SympleGraph
@@ -1661,277 +1164,6 @@ pub fn replication() -> Report {
     )
 }
 
-/// One point of the intra-machine executor scaling sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
-    /// Executor threads per simulated machine.
-    pub threads: usize,
-    /// Host wall-clock seconds, bytecode executor (the default).
-    pub wall_secs: f64,
-    /// Host wall-clock seconds for the same pass under the AST
-    /// interpreter. The per-point `wall/interp` ratio is what
-    /// `--scaling-check` guards: it cancels the host's absolute speed,
-    /// so a committed baseline is portable across machines.
-    pub interp_wall_secs: f64,
-    /// Modelled virtual seconds (critical-path compute charging);
-    /// asserted bit-identical across executors.
-    pub virtual_secs: f64,
-}
-
-impl ScalingPoint {
-    /// Bytecode wall time relative to the interpreter (below 1 is a win).
-    pub fn exec_ratio(&self) -> f64 {
-        self.wall_secs / self.interp_wall_secs
-    }
-}
-
-/// Sweeps `EngineConfig::threads` on one dense bottom-up pass of the
-/// paper's BFS UDF over an RMAT graph (`graph500(scale, 16)`, one
-/// simulated machine so the measurement is pure intra-machine compute),
-/// running every cell under both executors. The frontier holds only the
-/// highest vertex id — an RMAT cold spot — so nearly every signal call
-/// scans its whole neighbour list without breaking: the cell measures
-/// per-edge dispatch, not call setup or update traffic. Each run makes
-/// four pull passes, so per-edge work dominates the one-off local-graph
-/// build inside `run_spmd`. Outputs and modelled time are asserted
-/// identical across all cells (threads and the executor are performance
-/// knobs only); wall cells keep the best of `reps` runs.
-pub fn scaling_sweep_reps(scale: u32, threads_list: &[usize], reps: usize) -> Vec<ScalingPoint> {
-    use symple_core::UdfExec;
-    use symple_graph::{Bitmap, RmatConfig};
-    use symple_udf::{instrument, paper_udfs, PropArray, PropertyStore, UdfProgram};
-
-    let graph = RmatConfig::graph500(scale, 16).cleaned(true).generate();
-    let n = graph.num_vertices();
-    let mut frontier = Bitmap::new(n);
-    frontier.set(n - 1);
-    let mut props = PropertyStore::new();
-    props.insert("frontier", PropArray::Bools(frontier));
-    let inst = instrument(&paper_udfs::bfs_udf()).expect("instrument bfs");
-
-    let run = |threads: usize, exec: UdfExec| {
-        let cfg = EngineConfig::new(1, Policy::Gemini)
-            .threads(threads)
-            .udf_exec(exec);
-        let mut wall = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..reps.max(1) {
-            let start = std::time::Instant::now();
-            let res = symple_core::run_spmd(&graph, &cfg, |w| {
-                let prog = UdfProgram::new(&inst, &props).exec(cfg.udf_exec);
-                let mut dep = prog.make_dep(w.dep_slots_needed());
-                let mut acc: Vec<u64> = vec![0; n];
-                let mut apply = |v: Vid, bits: u64| -> bool {
-                    acc[v.index()] = acc[v.index()].wrapping_add(bits | 1);
-                    false
-                };
-                for _ in 0..4 {
-                    w.pull(&prog, &mut dep, &mut apply);
-                }
-                acc
-            });
-            wall = wall.min(start.elapsed().as_secs_f64());
-            last = Some(res);
-        }
-        let res = last.expect("reps >= 1");
-        (res.outputs, res.stats.virtual_time(), wall)
-    };
-
-    let mut reference = None;
-    threads_list
-        .iter()
-        .map(|&threads| {
-            let (out_b, virt_b, wall_secs) = run(threads, UdfExec::Bytecode);
-            let (out_i, virt_i, interp_wall_secs) = run(threads, UdfExec::Interp);
-            assert_eq!(out_b, out_i, "executor changed the pass outputs");
-            assert_eq!(
-                virt_b.to_bits(),
-                virt_i.to_bits(),
-                "executor changed the modelled time"
-            );
-            match &reference {
-                None => reference = Some(out_b),
-                Some(r) => assert_eq!(&out_b, r, "thread count changed the pass outputs"),
-            }
-            ScalingPoint {
-                threads,
-                wall_secs,
-                interp_wall_secs,
-                virtual_secs: virt_b,
-            }
-        })
-        .collect()
-}
-
-/// [`scaling_sweep_reps`] with a single run per cell — the CLI entry
-/// point behind `--threads`.
-pub fn scaling_sweep(scale: u32, threads_list: &[usize]) -> Vec<ScalingPoint> {
-    scaling_sweep_reps(scale, threads_list, 1)
-}
-
-/// Renders a scaling sweep as a machine-readable JSON document
-/// (`BENCH_scaling.json`).
-pub fn scaling_json(scale: u32, points: &[ScalingPoint]) -> String {
-    let mut w = symple_trace::json::JsonWriter::new();
-    w.begin_object();
-    w.key("bench").string("intra_machine_scaling");
-    w.key("graph").string(&format!("rmat graph500({scale},16)"));
-    w.key("scale").u64(u64::from(scale));
-    w.key("algo")
-        .string("bfs UDF, one dense pull pass, 1 machine, Gemini policy");
-    w.key("note").string(
-        "wall_secs = bytecode executor (the default), interp_wall_secs = \
-         AST interpreter on the same cell; ci.sh --scaling-check guards \
-         the wall/interp ratio, which is independent of host speed",
-    );
-    w.key("points").begin_array();
-    for p in points {
-        w.begin_object();
-        w.key("threads").u64(p.threads as u64);
-        w.key("wall_secs").f64(p.wall_secs);
-        w.key("interp_wall_secs").f64(p.interp_wall_secs);
-        w.key("virtual_secs").f64(p.virtual_secs);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// Renders a scaling sweep as a report table. Virtual-time speedup is
-/// deterministic (the modelled critical path shrinks with lanes); wall
-/// speedup depends on the host's physical core count.
-pub fn scaling_report(scale: u32, points: &[ScalingPoint]) -> Report {
-    let base = points.first().copied();
-    let rows = points
-        .iter()
-        .map(|p| {
-            let (w0, v0) = base.map(|b| (b.wall_secs, b.virtual_secs)).unwrap();
-            vec![
-                p.threads.to_string(),
-                secs(p.wall_secs),
-                speedup(w0 / p.wall_secs),
-                secs(p.interp_wall_secs),
-                speedup(p.interp_wall_secs / p.wall_secs),
-                secs(p.virtual_secs),
-                speedup(v0 / p.virtual_secs),
-            ]
-        })
-        .collect::<Vec<_>>();
-    let text = format!(
-        "{}\nOne dense bottom-up BFS-UDF pass on rmat graph500({scale},16), 1 machine,\nGemini policy. `wall` is the bytecode executor, `interp` the AST\ninterpreter on the same cell (`exec x` = interp/wall). Virtual speedup\nis the modelled critical-path gain (deterministic); wall speedup\nsaturates at the host's physical core count.\n",
-        table(
-            &[
-                "threads", "wall", "wall x", "interp", "exec x", "virtual", "virtual x",
-            ],
-            &rows
-        )
-    );
-    Report::new(
-        "scaling",
-        "Intra-machine executor scaling (extension)",
-        text,
-    )
-}
-
-/// A parsed `BENCH_scaling.json` baseline: the graph scale the sweep ran
-/// at and each thread count's bytecode/interp wall ratio.
-#[derive(Debug, Clone)]
-pub struct ScalingBaseline {
-    /// RMAT scale the baseline was measured at.
-    pub scale: u32,
-    /// `(threads, wall_secs / interp_wall_secs)` per point.
-    pub ratios: Vec<(usize, f64)>,
-}
-
-/// Scans the first number following `key` (as written by the in-repo
-/// `JsonWriter`: no whitespace, value ends at `,` or `}`).
-fn scan_f64(s: &str, key: &str) -> Option<f64> {
-    let rest = &s[s.find(key)? + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parses a `BENCH_scaling.json` document as written by [`scaling_json`]
-/// without a JSON dependency.
-pub fn parse_scaling_baseline(json: &str) -> Result<ScalingBaseline, String> {
-    let scale = scan_f64(json, "\"scale\":")
-        .filter(|&s| (1.0..=40.0).contains(&s))
-        .ok_or("baseline: missing \"scale\"")? as u32;
-    let mut ratios = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"threads\":") {
-        let point = &rest[i..];
-        let threads = scan_f64(point, "\"threads\":")
-            .filter(|&t| t >= 1.0)
-            .ok_or("baseline: unparsable \"threads\"")? as usize;
-        let wall = scan_f64(point, "\"wall_secs\":")
-            .ok_or_else(|| format!("baseline: threads={threads} missing \"wall_secs\""))?;
-        let interp = scan_f64(point, "\"interp_wall_secs\":")
-            .filter(|&w| w > 0.0)
-            .ok_or_else(|| format!("baseline: threads={threads} missing \"interp_wall_secs\""))?;
-        ratios.push((threads, wall / interp));
-        rest = &point["\"threads\":".len()..];
-    }
-    if ratios.is_empty() {
-        return Err("baseline: no points found".into());
-    }
-    Ok(ScalingBaseline { scale, ratios })
-}
-
-/// Compares a freshly measured sweep against a parsed baseline. A cell
-/// regresses when its bytecode/interp wall ratio exceeds the baseline's
-/// by more than `tolerance` (relative) — i.e. the compiled executor
-/// lost ground against its own interpreter on the same host. Missing
-/// cells fail too.
-pub fn scaling_check_points(
-    baseline: &ScalingBaseline,
-    points: &[ScalingPoint],
-    tolerance: f64,
-) -> Result<String, String> {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    for &(threads, base) in &baseline.ratios {
-        match points.iter().find(|p| p.threads == threads) {
-            None => failures.push(format!(
-                "threads={threads}: cell missing from the current sweep"
-            )),
-            Some(p) => {
-                let cur = p.exec_ratio();
-                let bound = base * (1.0 + tolerance) + 1e-12;
-                if cur > bound {
-                    failures.push(format!(
-                        "threads={threads}: bytecode/interp wall ratio {cur:.3} exceeds \
-                         baseline {base:.3} by more than {:.0}%",
-                        tolerance * 100.0
-                    ));
-                } else {
-                    lines.push(format!(
-                        "threads={threads}: bytecode/interp wall ratio {cur:.3} \
-                         (baseline {base:.3}) ok"
-                    ));
-                }
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(lines.join("\n"))
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-/// The `--scaling-check` entry point: parses the committed baseline,
-/// re-runs the sweep at the baseline's scale and thread counts (best of
-/// three runs per cell to suppress host noise), and fails if any cell's
-/// bytecode/interp wall ratio regressed by more than 10% relative.
-pub fn scaling_check(baseline_json: &str) -> Result<String, String> {
-    let baseline = parse_scaling_baseline(baseline_json)?;
-    let threads: Vec<usize> = baseline.ratios.iter().map(|&(t, _)| t).collect();
-    let points = scaling_sweep_reps(baseline.scale, &threads, 3);
-    scaling_check_points(&baseline, &points, 0.10)
-}
-
 /// One kernel of the per-edge dispatch microbench: the same instrumented
 /// UDF driven straight through `PullProgram::signal` over synthetic
 /// neighbour lists, once per executor. Emission checksums and edge
@@ -1986,50 +1218,6 @@ impl DispatchPoint {
     pub fn speedup(&self) -> f64 {
         self.interp_wall_secs / self.bytecode_wall_secs
     }
-}
-
-/// The streamed-vs-blocked apply measurement: the same
-/// uniformly-random update stream scattered into a `2^scale`-entry
-/// state array in arrival order, vs binned by the engine's
-/// [`symple_core::CacheBlocks`] and applied block by block. The
-/// blocked wall includes the binning pass (bins are pre-allocated, as
-/// the engine reuses them across passes) — the win is cache residency
-/// net of the extra copy, and it only appears once the state array
-/// outgrows the last-level cache, so the committed point uses a scale
-/// whose state exceeds the host's LLC.
-#[derive(Debug, Clone, Copy)]
-pub struct ApplyPoint {
-    /// `2^scale` state entries (`8 * 2^scale` bytes), `4 * 2^scale`
-    /// uniformly-random updates.
-    pub scale: u32,
-    /// Updates applied per variant.
-    pub updates: u64,
-    /// Cache-block width in vertices. The microbench uses a block
-    /// whose state slice is cache-sized at full scale; the engine's
-    /// `apply_block` default (1024) instead targets per-lane slices at
-    /// simulator scale.
-    pub block: usize,
-    /// Best-of-reps wall seconds, direct scatter in arrival order.
-    pub stream_wall_secs: f64,
-    /// Best-of-reps wall seconds, bin-then-apply per cache block.
-    pub blocked_wall_secs: f64,
-}
-
-impl ApplyPoint {
-    /// Stream wall over blocked wall (above 1 is a blocked win).
-    pub fn speedup(&self) -> f64 {
-        self.stream_wall_secs / self.blocked_wall_secs
-    }
-}
-
-/// The executor study behind `BENCH_exec.json`: per-edge UDF dispatch
-/// cost per kernel plus the apply-layout sweep.
-#[derive(Debug, Clone)]
-pub struct ExecStudy {
-    /// Interp-vs-bytecode dispatch cost, one point per kernel.
-    pub dispatch: Vec<DispatchPoint>,
-    /// Streamed-vs-blocked apply pass.
-    pub apply: ApplyPoint,
 }
 
 /// Times `rounds` sweeps of `signal` calls (one per vertex, `deg`
@@ -2100,101 +1288,22 @@ fn dispatch_bench(
     }
 }
 
-/// The apply-layout half of the study (see [`ApplyPoint`]). Both
-/// variants must produce a bit-identical state array.
-pub fn apply_study(scale: u32, reps: usize) -> ApplyPoint {
-    use symple_core::CacheBlocks;
-
-    let n = 1usize << scale;
-    // An 8 MiB state slice per bin: small enough to stay cache-hot
-    // while a bin drains, wide enough that the binning fan-out stays
-    // narrow and each bin push is a near-sequential append.
-    let block = (1usize << 20).min(n);
-    let updates: Vec<(u32, u64)> = {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        (0..n * 4)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (((x >> 33) % n as u64) as u32, x | 1)
-            })
-            .collect()
-    };
-
-    let mut stream_wall = f64::INFINITY;
-    let mut stream_state = vec![0u64; n];
-    for _ in 0..reps.max(1) {
-        stream_state.fill(0);
-        let start = std::time::Instant::now();
-        for &(v, x) in &updates {
-            let s = &mut stream_state[v as usize];
-            *s = s.wrapping_add(x);
-        }
-        stream_wall = stream_wall.min(start.elapsed().as_secs_f64());
-    }
-
-    let blocks = CacheBlocks::new(Vid::new(0), Vid::new(n as u32), block);
-    let mut bins: Vec<Vec<(u32, u64)>> = vec![Vec::new(); blocks.num_blocks()];
-    let mut blocked_wall = f64::INFINITY;
-    let mut blocked_state = vec![0u64; n];
-    for rep in 0..reps.max(1) {
-        blocked_state.fill(0);
-        for bin in &mut bins {
-            bin.clear();
-        }
-        let start = std::time::Instant::now();
-        for &(v, x) in &updates {
-            bins[blocks.block_of(Vid::new(v))].push((v, x));
-        }
-        for bin in &bins {
-            for &(v, x) in bin {
-                let s = &mut blocked_state[v as usize];
-                *s = s.wrapping_add(x);
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        // The first rep pays the bins' growth reallocations, which the
-        // engine amortizes across passes; time warm bins only.
-        if rep > 0 || reps <= 1 {
-            blocked_wall = blocked_wall.min(elapsed);
-        }
-    }
-    assert_eq!(
-        stream_state, blocked_state,
-        "apply layout changed the state array"
-    );
-    ApplyPoint {
-        scale,
-        updates: updates.len() as u64,
-        block,
-        stream_wall_secs: stream_wall,
-        blocked_wall_secs: blocked_wall,
-    }
-}
-
-/// Runs the full executor study: the dispatch microbench on four paper
-/// kernels (8M+ edges each, best of five runs) and the apply-layout
-/// sweep at `apply_scale` (the committed `BENCH_exec.json` uses 25,
-/// where the 256 MiB state array outgrows the host's last-level cache
-/// and the blocked layout's locality pays for the binning copy).
-pub fn exec_study(apply_scale: u32) -> ExecStudy {
+/// Runs the executor study behind `BENCH_exec.json`: the per-edge
+/// dispatch microbench on four paper kernels (8M+ edges each, best of
+/// five runs), one point per kernel.
+pub fn exec_study() -> Vec<DispatchPoint> {
     let n = 2048usize;
     let rounds = 256usize;
     let props = study_props(n, 64);
-    let dispatch = dispatch_kernels()
+    dispatch_kernels()
         .iter()
         .map(|(name, udf, _)| dispatch_bench(name, udf, &props, n, rounds, 5))
-        .collect();
-    ExecStudy {
-        dispatch,
-        apply: apply_study(apply_scale, 3),
-    }
+        .collect()
 }
 
 /// Renders the executor study as a machine-readable JSON document
 /// (`BENCH_exec.json`).
-pub fn exec_json(study: &ExecStudy) -> String {
+pub fn exec_json(study: &[DispatchPoint]) -> String {
     let mut w = symple_trace::json::JsonWriter::new();
     w.begin_object();
     w.key("bench").string("executor");
@@ -2203,14 +1312,10 @@ pub fn exec_json(study: &ExecStudy) -> String {
          AST interpreter vs typed bytecode VM, checksums asserted \
          bit-identical, wall = best of 5; ops_per_edge = longest path \
          through one loop iteration, before (typing pass, one op per \
-         portable op) and after the bind-time optimiser. apply_sweep: one uniform \
-         update stream scattered directly vs binned by CacheBlocks and \
-         applied block by block (binning included in the blocked wall, \
-         bins pre-allocated), states asserted bit-identical, wall = \
-         best of 3, state sized past the host LLC",
+         portable op) and after the bind-time optimiser",
     );
     w.key("udf_dispatch").begin_array();
-    for p in &study.dispatch {
+    for p in study {
         w.begin_object();
         w.key("kernel").string(p.kernel);
         w.key("edges").u64(p.edges);
@@ -2224,23 +1329,13 @@ pub fn exec_json(study: &ExecStudy) -> String {
         w.end_object();
     }
     w.end_array();
-    w.key("apply_sweep").begin_object();
-    w.key("scale").u64(u64::from(study.apply.scale));
-    w.key("updates").u64(study.apply.updates);
-    w.key("block").u64(study.apply.block as u64);
-    w.key("stream_wall_secs").f64(study.apply.stream_wall_secs);
-    w.key("blocked_wall_secs")
-        .f64(study.apply.blocked_wall_secs);
-    w.key("speedup").f64(study.apply.speedup());
-    w.end_object();
     w.end_object();
     w.finish()
 }
 
 /// Renders the executor study as a report table.
-pub fn exec_report(study: &ExecStudy) -> Report {
-    let mut rows: Vec<Vec<String>> = study
-        .dispatch
+pub fn exec_report(study: &[DispatchPoint]) -> Report {
+    let rows: Vec<Vec<String>> = study
         .iter()
         .map(|p| {
             vec![
@@ -2253,17 +1348,8 @@ pub fn exec_report(study: &ExecStudy) -> Report {
             ]
         })
         .collect();
-    let a = &study.apply;
-    rows.push(vec![
-        format!("apply/s{}", a.scale),
-        a.updates.to_string(),
-        secs(a.stream_wall_secs),
-        secs(a.blocked_wall_secs),
-        speedup(a.speedup()),
-        String::new(),
-    ]);
     let text = format!(
-        "{}\nDispatch rows: per-edge UDF cost, interpreter (baseline) vs\nbytecode VM. Apply row: direct scatter (baseline) vs cache-blocked\nbin-then-apply with a cache-sized block, state past the host LLC.\n",
+        "{}\nPer-edge UDF cost, interpreter (baseline) vs bytecode VM.\n",
         table(
             &["bench", "units", "baseline", "compiled", "speedup", "ops/edge"],
             &rows
@@ -2718,7 +1804,6 @@ pub fn all() -> Vec<Report> {
         replication(),
         comm_report(),
         transport_report(),
-        pipeline_report(),
         fault_report(),
         udf_report(),
         crate::matrix::matrix_report(),
@@ -2744,7 +1829,6 @@ pub fn by_id(id: &str) -> Option<fn() -> Report> {
         "replication" => replication,
         "comm" => comm_report,
         "transport" => transport_report,
-        "pipeline" => pipeline_report,
         "faults" => fault_report,
         "udf" => udf_report,
         "matrix" => crate::matrix::matrix_report,
@@ -2775,7 +1859,6 @@ mod tests {
             "replication",
             "comm",
             "transport",
-            "pipeline",
             "faults",
             "udf",
             "matrix",
@@ -2838,9 +1921,6 @@ mod tests {
                 );
             }
         }
-        let json = comm_json("s27", 4, &points);
-        assert!(json.contains("\"data_ratio\""));
-        assert!(json.contains("\"BFS-dense\""));
     }
 
     #[test]
@@ -2867,44 +1947,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_study_overlaps_stalls_and_round_trips_its_baseline() {
-        // The study itself asserts mode bit-identity and the stall
-        // ordering; here we pin the shape of what it reports and that the
-        // committed-baseline parser reads back what the writer emitted.
-        let points = pipeline_study("s27", &[2], 1);
-        assert_eq!(points.len(), TRANSPORT_ALGOS.len());
-        for p in &points {
-            assert!(p.bulk_modelled_secs > 0.0, "{}", p.algo);
-            assert!(
-                p.pipe_modelled_secs <= p.bulk_modelled_secs * (1.0 + 1e-9),
-                "{}",
-                p.algo
-            );
-            assert!(p.overlap_ratio() <= 1.0 + 1e-9, "{}", p.algo);
-            assert!(p.bulk_thread_wall_secs > 0.0, "{}", p.algo);
-            assert!(p.pipe_thread_wall_secs > 0.0, "{}", p.algo);
-        }
-        let json = pipeline_json("s27", &points);
-        assert!(json.contains("\"bench\":\"pipelined_exchange\""));
-        assert!(json.contains("\"overlap_ratio\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
-        );
-        let baseline = parse_pipeline_baseline(&json).expect("own JSON must parse");
-        assert_eq!(baseline.graph, "s27");
-        assert_eq!(baseline.ratios.len(), points.len());
-        for ((algo, machines, ratio), p) in baseline.ratios.iter().zip(&points) {
-            assert_eq!(algo, p.algo);
-            assert_eq!(*machines, p.machines);
-            assert!((ratio - p.overlap_ratio()).abs() < 1e-9);
-        }
-        // The freshly measured points cannot regress against themselves.
-        pipeline_check_points(&baseline, &points, 0.10).expect("self-check must pass");
-    }
-
-    #[test]
     fn fault_study_absorbs_chaos_and_counts_it() {
         // The study itself asserts output/work/traffic bit-identity; here
         // we additionally pin the shape of what it reports.
@@ -2924,108 +1966,6 @@ mod tests {
         assert!(json.contains("\"bench\":\"fault_injection\""));
         assert!(json.contains("\"retransmits\""));
         assert!(json.contains("\"seed\":7"));
-    }
-
-    fn fake_points() -> Vec<CommPoint> {
-        let m = |upd: u64| Measured {
-            upd_bytes: upd,
-            ..Measured::default()
-        };
-        vec![
-            CommPoint {
-                algo: "BFS",
-                policy: "Gemini",
-                flat: m(1000),
-                adaptive: m(400),
-            },
-            CommPoint {
-                algo: "BFS",
-                policy: "SympleGraph",
-                flat: m(1000),
-                adaptive: m(900),
-            },
-        ]
-    }
-
-    #[test]
-    fn comm_baseline_roundtrips_through_json() {
-        let points = fake_points();
-        let json = comm_json("s27", 4, &points);
-        let base = parse_comm_baseline(&json).unwrap();
-        assert_eq!(base.graph, "s27");
-        assert_eq!(base.machines, 4);
-        assert_eq!(base.ratios.len(), 2);
-        assert_eq!(base.ratios[0].0, "BFS");
-        assert_eq!(base.ratios[0].1, "Gemini");
-        assert!((base.ratios[0].2 - 0.4).abs() < 1e-12);
-        // Identical measurements always pass their own baseline.
-        assert!(comm_check_points(&base, &points, 0.10).is_ok());
-    }
-
-    #[test]
-    fn comm_check_flags_regressions_and_missing_cells() {
-        let points = fake_points();
-        let mut base = parse_comm_baseline(&comm_json("s27", 4, &points)).unwrap();
-        // Shrink one baseline ratio below the measured value: regression.
-        base.ratios[0].2 = 0.2;
-        let err = comm_check_points(&base, &points, 0.10).unwrap_err();
-        assert!(err.contains("BFS/Gemini"), "{err}");
-        assert!(err.contains("exceeds baseline"), "{err}");
-        // A baseline cell the study no longer produces also fails.
-        base.ratios[0].2 = 0.4;
-        base.ratios.push(("K-core".into(), "Gemini".into(), 0.5));
-        let err = comm_check_points(&base, &points, 0.10).unwrap_err();
-        assert!(err.contains("cell missing"), "{err}");
-        // Garbage documents are rejected with a reason.
-        assert!(parse_comm_baseline("{}").is_err());
-    }
-
-    fn fake_scaling_points() -> Vec<ScalingPoint> {
-        vec![
-            ScalingPoint {
-                threads: 1,
-                wall_secs: 0.8,
-                interp_wall_secs: 1.0,
-                virtual_secs: 2.0,
-            },
-            ScalingPoint {
-                threads: 4,
-                wall_secs: 0.75,
-                interp_wall_secs: 0.76,
-                virtual_secs: 0.5,
-            },
-        ]
-    }
-
-    #[test]
-    fn scaling_baseline_roundtrips_through_json() {
-        let points = fake_scaling_points();
-        let json = scaling_json(18, &points);
-        let base = parse_scaling_baseline(&json).unwrap();
-        assert_eq!(base.scale, 18);
-        assert_eq!(base.ratios.len(), 2);
-        assert_eq!(base.ratios[0].0, 1);
-        assert!((base.ratios[0].1 - 0.8).abs() < 1e-12);
-        // Identical measurements always pass their own baseline.
-        assert!(scaling_check_points(&base, &points, 0.10).is_ok());
-    }
-
-    #[test]
-    fn scaling_check_flags_regressions_and_missing_cells() {
-        let points = fake_scaling_points();
-        let mut base = parse_scaling_baseline(&scaling_json(18, &points)).unwrap();
-        // Shrink one baseline ratio below the measured value: regression.
-        base.ratios[0].1 = 0.6;
-        let err = scaling_check_points(&base, &points, 0.10).unwrap_err();
-        assert!(err.contains("threads=1"), "{err}");
-        assert!(err.contains("exceeds baseline"), "{err}");
-        // A baseline cell the sweep no longer produces also fails.
-        base.ratios[0].1 = 0.8;
-        base.ratios.push((8, 0.9));
-        let err = scaling_check_points(&base, &points, 0.10).unwrap_err();
-        assert!(err.contains("cell missing"), "{err}");
-        // Garbage documents are rejected with a reason.
-        assert!(parse_scaling_baseline("{}").is_err());
     }
 
     #[test]

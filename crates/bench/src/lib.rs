@@ -5,8 +5,8 @@
 //! * [`experiments`] — one function per table/figure; each returns a
 //!   [`experiments::Report`] with the formatted table and the raw rows.
 //! * [`matrix`] — the consolidated scenario matrix
-//!   ({algo × graph × policy × codec × exchange × threads × faults})
-//!   behind `BENCH_matrix.json` and the `--matrix-check` perf gate.
+//!   ({algo × graph × policy × codec × threads × faults})
+//!   behind `BENCH_matrix.json` and the `--matrix-identity` perf gate.
 //! * `src/bin/experiments.rs` — the CLI that regenerates everything
 //!   (`cargo run --release -p symple-bench --bin experiments -- all`).
 //! * `benches/` — criterion wrappers over the same runners.
@@ -25,4 +25,4 @@ pub mod matrix;
 
 pub use datasets::{dataset, dataset_names, Dataset};
 pub use experiments::Report;
-pub use matrix::{matrix_check, matrix_json, matrix_smoke, matrix_study, MatrixCell};
+pub use matrix::{matrix_identity, matrix_json, matrix_smoke, matrix_study, MatrixCell};

@@ -14,10 +14,7 @@ pub enum ConfigError {
     ZeroThreads,
     /// `chunk_size` was 0 — chunks must contain at least one entry.
     ZeroChunkSize,
-    /// `apply_block` was 0 — cache blocks must hold at least one vertex.
-    ZeroApplyBlock,
-    /// `exchange_chunk` was 0 — pipelined frames must carry at least one
-    /// byte.
+    /// `exchange_chunk` was 0 — frames must carry at least one byte.
     ZeroExchangeChunk,
     /// The fault plan's rates were not probabilities; carries the
     /// offending knob's message.
@@ -41,9 +38,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroChunkSize => {
                 write!(f, "chunk_size must be at least 1 (got 0)")
-            }
-            ConfigError::ZeroApplyBlock => {
-                write!(f, "apply_block must be at least 1 (got 0)")
             }
             ConfigError::ZeroExchangeChunk => {
                 write!(f, "exchange_chunk must be at least 1 (got 0)")
@@ -150,101 +144,6 @@ impl std::str::FromStr for UdfExec {
     }
 }
 
-/// How the receive/apply pass touches destination-vertex state.
-///
-/// Outputs, `WorkStats`, and `CommStats` are bit-identical across
-/// layouts; with `threads = 1` virtual time is too. With a parallel
-/// executor the blocked layout charges one balanced per-block sweep
-/// instead of one small sweep per circulant step, so the modelled
-/// critical path (and the measured wall time) differ — that is the
-/// optimisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ApplyLayout {
-    /// Apply each received buffer's updates immediately, in circulant
-    /// arrival order (the seed behaviour). Each step's sweep touches the
-    /// whole local vertex range.
-    Stream,
-    /// GPOP-style cache blocking: bucket decoded updates into
-    /// cache-resident vertex blocks as buffers arrive, then fold all bins
-    /// block-by-block in one sweep, touching each block's state once.
-    #[default]
-    Blocked,
-}
-
-impl ApplyLayout {
-    /// Stable lower-case name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            ApplyLayout::Stream => "stream",
-            ApplyLayout::Blocked => "blocked",
-        }
-    }
-}
-
-impl fmt::Display for ApplyLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ApplyLayout {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "stream" => Ok(ApplyLayout::Stream),
-            "blocked" => Ok(ApplyLayout::Blocked),
-            other => Err(format!("unknown apply layout `{other}` (stream|blocked)")),
-        }
-    }
-}
-
-/// How a superstep's update and dependency payloads cross the wire.
-///
-/// Outputs, `WorkStats`, and `CommStats` are bit-identical between the
-/// two modes (the frame protocol is a physical detail below the logical
-/// message accounting); the virtual clock and the measured wall time
-/// differ — pipelining is the optimisation. `Bulk` remains the reference
-/// the pipelined path is validated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Exchange {
-    /// One monolithic message per (source, step): the receiver blocks for
-    /// the whole payload, then decodes it (the seed behaviour).
-    Bulk,
-    /// Fixed-size frames with staggered departures: receivers drain and
-    /// decode completed streams while waiting for the canonically-next
-    /// one, and the model charges the residual per-frame stalls to
-    /// `SpanCategory::Exchange` interleaved with the decode work.
-    #[default]
-    Pipelined,
-}
-
-impl Exchange {
-    /// Stable lower-case name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Exchange::Bulk => "bulk",
-            Exchange::Pipelined => "pipelined",
-        }
-    }
-}
-
-impl fmt::Display for Exchange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Exchange {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bulk" => Ok(Exchange::Bulk),
-            "pipelined" => Ok(Exchange::Pipelined),
-            other => Err(format!("unknown exchange mode `{other}` (bulk|pipelined)")),
-        }
-    }
-}
-
 /// How carried dependency values are sized on the wire.
 ///
 /// Outputs, `WorkStats`, and `CommStats` are bit-identical between the
@@ -288,55 +187,6 @@ impl std::str::FromStr for DepWidth {
             "wide" => Ok(DepWidth::Wide),
             "certified" => Ok(DepWidth::Certified),
             other => Err(format!("unknown dep width `{other}` (wide|certified)")),
-        }
-    }
-}
-
-/// What the high-degree pass does with a segment whose dependency slot
-/// says "skip".
-///
-/// Outputs, `WorkStats`, and `CommStats` are bit-identical between the
-/// two modes, and so is virtual time: the skip-bit check was always the
-/// charged work. `Evaluate` re-runs the skipped segment's UDF under a
-/// no-emission harness and asserts it changes nothing — the dynamic
-/// audit of the certificate's latch proof.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EarlyExit {
-    /// Re-evaluate skipped segments defensively and assert the latch
-    /// held (the audit mode; costs host wall time only).
-    Evaluate,
-    /// Trust certificates that prove the break latches and skip the
-    /// segment without re-evaluation; programs without a latch proof
-    /// still fall back to auditing in this mode.
-    #[default]
-    Certified,
-}
-
-impl EarlyExit {
-    /// Stable lower-case name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            EarlyExit::Evaluate => "evaluate",
-            EarlyExit::Certified => "certified",
-        }
-    }
-}
-
-impl fmt::Display for EarlyExit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for EarlyExit {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "evaluate" => Ok(EarlyExit::Evaluate),
-            "certified" => Ok(EarlyExit::Certified),
-            other => Err(format!(
-                "unknown early-exit mode `{other}` (evaluate|certified)"
-            )),
         }
     }
 }
@@ -409,31 +259,17 @@ pub struct EngineConfig {
     /// outputs, `WorkStats`, `CommStats`, and virtual time either way —
     /// only host wall time changes.
     pub udf_exec: UdfExec,
-    /// Receive/apply pass layout: `Blocked` (cache-resident vertex blocks,
-    /// the default) or `Stream` (the seed's apply-on-arrival sweep).
-    pub apply_layout: ApplyLayout,
-    /// Vertices per cache block for the blocked apply layout (the
-    /// cache-residency granule; also the lane-scheduling unit for the
-    /// apply sweep's virtual-time charge).
-    pub apply_block: usize,
-    /// How update/dependency payloads cross the wire: `Pipelined`
-    /// (fixed-size frames, overlapped with decode — the default) or
-    /// `Bulk` (one monolithic message per source and step).
-    pub exchange: Exchange,
-    /// Frame size in bytes for the pipelined exchange (ignored by
-    /// `Bulk`). Payloads at most this size ship as a single frame, making
-    /// the two modes physically identical for small messages.
+    /// Frame size in bytes of the exchange: update and dependency
+    /// payloads cross the wire as frames of this size with staggered
+    /// departures, and receivers absorb them while they would otherwise
+    /// block. A payload smaller than this ships as a single frame.
+    /// Outputs, `WorkStats` and `CommStats` do not depend on it.
     pub exchange_chunk: usize,
     /// Wire sizing for carried dependency values: `Certified` (narrowed
     /// to the abstract-interpretation certificate's proven widths, the
     /// default) or `Wide` (the seed's 8-bytes-per-value reference
     /// layout). Outputs and `WorkStats` are bit-identical either way.
     pub dep_width: DepWidth,
-    /// Skipped-segment handling: `Certified` (trust latch certificates,
-    /// the default) or `Evaluate` (re-run skipped segments and assert the
-    /// latch held). Outputs, `WorkStats`, and virtual time are
-    /// bit-identical either way.
-    pub early_exit: EarlyExit,
 }
 
 impl EngineConfig {
@@ -455,12 +291,8 @@ impl EngineConfig {
             retry: RetryConfig::default(),
             backend: Backend::Sim,
             udf_exec: UdfExec::Bytecode,
-            apply_layout: ApplyLayout::Blocked,
-            apply_block: 1024,
-            exchange: Exchange::Pipelined,
             exchange_chunk: 16 * 1024,
             dep_width: DepWidth::Certified,
-            early_exit: EarlyExit::Certified,
         }
     }
 
@@ -530,25 +362,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the receive/apply pass layout.
-    pub fn apply_layout(mut self, layout: ApplyLayout) -> Self {
-        self.apply_layout = layout;
-        self
-    }
-
-    /// Sets the blocked layout's vertices-per-cache-block granule.
-    pub fn apply_block(mut self, block: usize) -> Self {
-        self.apply_block = block;
-        self
-    }
-
-    /// Sets the exchange mode (bulk vs pipelined).
-    pub fn exchange(mut self, exchange: Exchange) -> Self {
-        self.exchange = exchange;
-        self
-    }
-
-    /// Sets the pipelined exchange's frame size in bytes.
+    /// Sets the exchange's frame size in bytes.
     pub fn exchange_chunk(mut self, bytes: usize) -> Self {
         self.exchange_chunk = bytes;
         self
@@ -558,17 +372,6 @@ impl EngineConfig {
     pub fn dep_width(mut self, width: DepWidth) -> Self {
         self.dep_width = width;
         self
-    }
-
-    /// Sets the skipped-segment handling (evaluate vs certified).
-    pub fn early_exit(mut self, mode: EarlyExit) -> Self {
-        self.early_exit = mode;
-        self
-    }
-
-    /// Does this run frame its update/dependency payloads?
-    pub fn pipelined(&self) -> bool {
-        self.exchange == Exchange::Pipelined
     }
 
     /// Does this run adaptively re-encode remote messages?
@@ -600,9 +403,6 @@ impl EngineConfig {
         }
         if self.chunk_size == 0 {
             return Err(ConfigError::ZeroChunkSize);
-        }
-        if self.apply_block == 0 {
-            return Err(ConfigError::ZeroApplyBlock);
         }
         if self.exchange_chunk == 0 {
             return Err(ConfigError::ZeroExchangeChunk);
@@ -771,66 +571,38 @@ mod tests {
     }
 
     #[test]
-    fn exec_and_layout_default_to_fast_paths() {
+    fn udf_exec_defaults_to_bytecode() {
         let cfg = EngineConfig::new(4, Policy::symple());
         assert_eq!(cfg.udf_exec, UdfExec::Bytecode);
-        assert_eq!(cfg.apply_layout, ApplyLayout::Blocked);
-        assert_eq!(cfg.apply_block, 1024);
-        let cfg = cfg
-            .udf_exec(UdfExec::Interp)
-            .apply_layout(ApplyLayout::Stream)
-            .apply_block(64);
+        let cfg = cfg.udf_exec(UdfExec::Interp);
         assert_eq!(cfg.udf_exec, UdfExec::Interp);
-        assert_eq!(cfg.apply_layout, ApplyLayout::Stream);
-        assert_eq!(cfg.apply_block, 64);
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!("bytecode".parse::<UdfExec>(), Ok(UdfExec::Bytecode));
-        assert_eq!("stream".parse::<ApplyLayout>(), Ok(ApplyLayout::Stream));
         assert!("fancy".parse::<UdfExec>().is_err());
-        assert!("fancy".parse::<ApplyLayout>().is_err());
         assert_eq!(UdfExec::Bytecode.to_string(), "bytecode");
-        assert_eq!(ApplyLayout::Blocked.to_string(), "blocked");
     }
 
     #[test]
-    fn exchange_defaults_and_knobs() {
+    fn exchange_chunk_default_and_setter() {
         let cfg = EngineConfig::new(4, Policy::symple());
-        assert_eq!(cfg.exchange, Exchange::Pipelined);
         assert_eq!(cfg.exchange_chunk, 16 * 1024);
-        assert!(cfg.pipelined());
-        let cfg = cfg.exchange(Exchange::Bulk).exchange_chunk(64);
-        assert_eq!(cfg.exchange, Exchange::Bulk);
+        let cfg = cfg.exchange_chunk(64);
         assert_eq!(cfg.exchange_chunk, 64);
-        assert!(!cfg.pipelined());
         assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!("pipelined".parse::<Exchange>(), Ok(Exchange::Pipelined));
-        assert_eq!("bulk".parse::<Exchange>(), Ok(Exchange::Bulk));
-        assert!("fancy".parse::<Exchange>().is_err());
-        assert_eq!(Exchange::Bulk.to_string(), "bulk");
-        assert_eq!(Exchange::default(), Exchange::Pipelined);
     }
 
     #[test]
-    fn certificate_knobs_default_to_certified() {
+    fn dep_width_defaults_to_certified() {
         let cfg = EngineConfig::new(4, Policy::symple());
         assert_eq!(cfg.dep_width, DepWidth::Certified);
-        assert_eq!(cfg.early_exit, EarlyExit::Certified);
-        let cfg = cfg
-            .dep_width(DepWidth::Wide)
-            .early_exit(EarlyExit::Evaluate);
+        let cfg = cfg.dep_width(DepWidth::Wide);
         assert_eq!(cfg.dep_width, DepWidth::Wide);
-        assert_eq!(cfg.early_exit, EarlyExit::Evaluate);
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!("wide".parse::<DepWidth>(), Ok(DepWidth::Wide));
         assert_eq!("certified".parse::<DepWidth>(), Ok(DepWidth::Certified));
         assert!("fancy".parse::<DepWidth>().is_err());
-        assert_eq!("evaluate".parse::<EarlyExit>(), Ok(EarlyExit::Evaluate));
-        assert_eq!("certified".parse::<EarlyExit>(), Ok(EarlyExit::Certified));
-        assert!("fancy".parse::<EarlyExit>().is_err());
         assert_eq!(DepWidth::Wide.to_string(), "wide");
-        assert_eq!(EarlyExit::Evaluate.to_string(), "evaluate");
         assert_eq!(DepWidth::default(), DepWidth::Certified);
-        assert_eq!(EarlyExit::default(), EarlyExit::Certified);
     }
 
     #[test]
@@ -841,16 +613,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroExchangeChunk);
         assert!(err.to_string().contains("exchange_chunk"));
-    }
-
-    #[test]
-    fn zero_apply_block_invalid() {
-        let err = EngineConfig::new(2, Policy::Gemini)
-            .apply_block(0)
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroApplyBlock);
-        assert!(err.to_string().contains("apply_block"));
     }
 
     #[test]

@@ -47,13 +47,11 @@ mod stats;
 mod worker;
 
 pub use circulant::{dst_partition, processing_order, src_machine};
-pub use config::{
-    ApplyLayout, ConfigError, DepWidth, EarlyExit, EngineConfig, Exchange, Policy, UdfExec,
-};
+pub use config::{ConfigError, DepWidth, EngineConfig, Policy, UdfExec};
 pub use dep::{BitDep, CountDep, DepLayout, DepState, WeightDep};
 pub use dist_graph::{Bucket, BucketPart, LocalGraph};
 pub use driver::{run_spmd, DistResult};
-pub use partition::{CacheBlocks, Partition};
+pub use partition::Partition;
 pub use prepared::PreparedGraph;
 pub use program::{PullProgram, PushProgram, SignalOutcome};
 #[allow(deprecated)]

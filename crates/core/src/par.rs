@@ -47,11 +47,6 @@ pub struct ParCfg {
     pub threads: usize,
     /// Entries per chunk (the stealing granule and cost-model unit).
     pub chunk: usize,
-    /// Audit skipped segments (`EngineConfig::early_exit = Evaluate`):
-    /// re-run each skipped segment's guarded UDF and assert it is inert.
-    /// Programs whose certificate does not prove the latch are audited
-    /// even when this is `false`.
-    pub evaluate_skipped: bool,
 }
 
 /// Splits `range` into contiguous chunks of at most `chunk` items, in
@@ -282,13 +277,12 @@ pub(crate) fn hi_pass<P: PullProgram>(
             let local = slot - slots.start;
             if shard.should_skip(local) {
                 c.skipped += 1;
-                // Certified early-exit (the skip itself) is the seed
-                // behaviour; what the knob adds is the *audit*: re-run
-                // the segment when asked to (Evaluate mode) or when the
-                // program's certificate cannot prove the latch, and
-                // assert the guarded UDF is inert. Only programs whose
-                // signal opens with a skip guard can be re-run safely.
-                if (pc.evaluate_skipped || !prog.certified_latch()) && prog.guards_skip() {
+                // The audit of the skip: in debug builds, and in every
+                // build for a program whose certificate cannot prove the
+                // latch, re-run the segment and assert the guarded UDF is
+                // inert. Only programs whose signal opens with a skip
+                // guard can be re-run safely.
+                if (cfg!(debug_assertions) || !prog.certified_latch()) && prog.guards_skip() {
                     let res = prog.signal(v, srcs, &mut shard, local, true, &mut |_| {
                         panic!("skipped segment emitted an update: latch violated")
                     });

@@ -146,63 +146,6 @@ impl Partition {
     }
 }
 
-/// Cache-resident blocking of one machine's master range `[lo, hi)`:
-/// `block`-vertex sub-ranges the blocked apply pass bins updates into and
-/// sweeps one at a time, so each block's state stays hot while its bin
-/// drains (GPOP's partition-centric layout, scaled down to one machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheBlocks {
-    lo: u32,
-    hi: u32,
-    block: u32,
-}
-
-impl CacheBlocks {
-    /// Blocks the range `[lo, hi)` into `block`-vertex sub-ranges (the
-    /// last one may be short).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block == 0` or `hi < lo`.
-    pub fn new(lo: Vid, hi: Vid, block: usize) -> Self {
-        assert!(block > 0, "cache blocks must hold at least one vertex");
-        assert!(hi.raw() >= lo.raw(), "inverted block range");
-        CacheBlocks {
-            lo: lo.raw(),
-            hi: hi.raw(),
-            block: u32::try_from(block).unwrap_or(u32::MAX),
-        }
-    }
-
-    /// Number of blocks (0 for an empty range).
-    pub fn num_blocks(&self) -> usize {
-        ((self.hi - self.lo) as usize).div_ceil(self.block as usize)
-    }
-
-    /// The block containing vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `v` is outside `[lo, hi)`.
-    #[inline]
-    pub fn block_of(&self, v: Vid) -> usize {
-        debug_assert!(
-            self.lo <= v.raw() && v.raw() < self.hi,
-            "vertex {v} outside blocked range [{}, {})",
-            self.lo,
-            self.hi
-        );
-        ((v.raw() - self.lo) / self.block) as usize
-    }
-
-    /// The id range `[lo, hi)` of block `i`.
-    pub fn range(&self, i: usize) -> (Vid, Vid) {
-        let lo = self.lo + (i as u32) * self.block;
-        let hi = (lo + self.block).min(self.hi);
-        (Vid::new(lo), Vid::new(hi))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,38 +244,5 @@ mod tests {
     #[should_panic(expected = "not word-aligned")]
     fn from_starts_validates_alignment() {
         Partition::from_starts(vec![0, 10, 20]);
-    }
-
-    #[test]
-    fn cache_blocks_cover_range() {
-        let blocks = CacheBlocks::new(Vid::new(64), Vid::new(300), 100);
-        assert_eq!(blocks.num_blocks(), 3);
-        assert_eq!(blocks.range(0), (Vid::new(64), Vid::new(164)));
-        assert_eq!(blocks.range(2), (Vid::new(264), Vid::new(300)));
-        assert_eq!(blocks.block_of(Vid::new(64)), 0);
-        assert_eq!(blocks.block_of(Vid::new(163)), 0);
-        assert_eq!(blocks.block_of(Vid::new(164)), 1);
-        assert_eq!(blocks.block_of(Vid::new(299)), 2);
-        // Every id maps into the block whose range contains it.
-        for raw in 64..300 {
-            let b = blocks.block_of(Vid::new(raw));
-            let (lo, hi) = blocks.range(b);
-            assert!(lo.raw() <= raw && raw < hi.raw());
-        }
-    }
-
-    #[test]
-    fn cache_blocks_empty_and_oversized() {
-        let empty = CacheBlocks::new(Vid::new(10), Vid::new(10), 8);
-        assert_eq!(empty.num_blocks(), 0);
-        let one = CacheBlocks::new(Vid::new(0), Vid::new(5), 1024);
-        assert_eq!(one.num_blocks(), 1);
-        assert_eq!(one.range(0), (Vid::new(0), Vid::new(5)));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one vertex")]
-    fn cache_blocks_reject_zero_block() {
-        CacheBlocks::new(Vid::new(0), Vid::new(10), 0);
     }
 }

@@ -53,9 +53,8 @@ impl SignalOutcome {
 pub trait PullProgram: Sync {
     /// Payload of update messages sent to the master (paired with the
     /// destination vertex id on the wire). `Send` so chunks can collect
-    /// updates on executor threads; `'static` so the worker can keep its
-    /// apply bins for this type from one iteration to the next.
-    type Update: Wire + Copy + Send + 'static;
+    /// updates on executor threads.
+    type Update: Wire + Copy + Send;
 
     /// Dependency state type (choose [`crate::BitDep`],
     /// [`crate::CountDep`], [`crate::WeightDep`], or a custom impl).
@@ -93,8 +92,9 @@ pub trait PullProgram: Sync {
     /// segment provably changes nothing? Defaults to `true` (a local
     /// break is structurally permanent for every built-in dependency
     /// state); instrumented UDFs answer from their abstract-interpretation
-    /// certificate. When `false` the executor's `EarlyExit::Certified`
-    /// fast path falls back to the auditing re-evaluation.
+    /// certificate. When `false` the executor re-runs every skipped
+    /// segment under a no-emission audit, in release builds too (debug
+    /// builds audit every program that [guards its skip](Self::guards_skip)).
     fn certified_latch(&self) -> bool {
         true
     }
@@ -131,7 +131,7 @@ pub trait PullProgram: Sync {
 pub trait PushProgram: Sync {
     /// Payload of update messages (paired with the destination id);
     /// bounded as [`PullProgram::Update`] is.
-    type Update: Wire + Copy + Send + 'static;
+    type Update: Wire + Copy + Send;
 
     /// Process the out-neighbours `dsts` of frontier vertex `u`.
     /// `emit(dst, update)` queues an update for `dst`'s master.

@@ -35,19 +35,14 @@
 use crate::circulant::{dst_partition, processing_order};
 use crate::par::{self, ParCfg, PassOutput};
 use crate::{
-    ApplyLayout, CacheBlocks, DepState, EarlyExit, EngineConfig, LocalGraph, Partition, Policy,
-    PreparedGraph, PullProgram, PushProgram, WorkMetric, WorkStats,
+    DepState, EngineConfig, LocalGraph, Partition, Policy, PreparedGraph, PullProgram, PushProgram,
+    WorkMetric, WorkStats,
 };
-use std::any::Any;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symple_graph::{Bitmap, Graph, Vid};
 use symple_net::{CodecStats, CommKind, NodeCtx, SpanCategory, Tag, TagKind, Wire, WireFormat};
-
-/// The update bins of the blocked apply layout: one per `apply_block`
-/// vertices of this machine's master range, in block order.
-type Bins<U> = Vec<Vec<(Vid, U)>>;
 
 /// One update source of a gather phase, listed in consumption order: the
 /// machine that produced it (this machine included) and the step at which
@@ -59,13 +54,12 @@ struct Source {
     step: usize,
 }
 
-/// One in-flight update stream of the pipelined exchange: frames are
-/// absorbed whenever this machine would otherwise be blocked, then the
-/// stream is *consumed* — charged on the virtual clock, decoded and folded
-/// into master state — in the canonical circulant order. Gathering is
-/// physical overlap only; every modelled cost is replayed at consumption,
-/// which is what keeps pipelined runs deterministic and bit-identical in
-/// outputs to the bulk exchange.
+/// One in-flight update stream of the exchange: frames are absorbed
+/// whenever this machine would otherwise be blocked, then the stream is
+/// *consumed* — charged on the virtual clock, decoded and folded into
+/// master state — in the canonical circulant order. Gathering is physical
+/// overlap only; every modelled cost is replayed at consumption, which is
+/// what keeps runs deterministic whatever the host's scheduling.
 struct PipeStream {
     src: usize,
     tag: Tag,
@@ -79,8 +73,8 @@ struct PipeStream {
 }
 
 /// Splits `records` apply records into `chunk`-record cost lanes, so a
-/// sharded charge of a frame's share gets the same lane treatment a bulk
-/// decode of equal size would.
+/// sharded charge of a frame's share gets the same lane treatment as a
+/// whole source of equal size.
 fn chunked_costs(records: u64, chunk: usize) -> Vec<(u64, u64)> {
     let chunk = chunk.max(1) as u64;
     let mut costs = Vec::with_capacity((records / chunk + 1) as usize);
@@ -114,10 +108,6 @@ pub struct Worker<'a> {
     /// allocations circulate between machines. Capacity only; never
     /// observable on the wire.
     buf_pool: Vec<Vec<u8>>,
-    /// The blocked layout's bins, one `Bins<U>` per update type the job
-    /// has gathered, kept (empty) between iterations so a steady-state
-    /// gather appends into capacity it already owns.
-    bin_cache: Vec<Box<dyn Any>>,
 }
 
 /// The slot range of double-buffering group `g` out of `groups` over a
@@ -172,7 +162,6 @@ impl<'a> Worker<'a> {
             stats: WorkStats::default(),
             iter_seq: 0,
             buf_pool: Vec::new(),
-            bin_cache: Vec::new(),
         }
     }
 
@@ -188,19 +177,6 @@ impl<'a> Worker<'a> {
         if buf.capacity() > 0 && self.buf_pool.len() < 4 * self.cfg.machines {
             buf.clear();
             self.buf_pool.push(buf);
-        }
-    }
-
-    /// This update type's bins from the last gather (empty, capacity
-    /// kept), or `blocks` fresh ones.
-    fn take_bins<U: 'static>(&mut self, blocks: usize) -> Bins<U> {
-        match self.bin_cache.iter().position(|b| b.is::<Bins<U>>()) {
-            Some(at) => *self
-                .bin_cache
-                .swap_remove(at)
-                .downcast()
-                .expect("`is` found this entry"),
-            None => (0..blocks).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -303,28 +279,21 @@ impl<'a> Worker<'a> {
         self.ship(dst, tag, CommKind::Dependency, payload);
     }
 
-    /// Ships an encoded payload to `dst`: whole under the bulk exchange
-    /// (the buffer moves into the channel), in `exchange_chunk`-byte
-    /// frames under the pipelined exchange — frames copy out of the
-    /// buffer, so it is recycled locally instead.
+    /// Ships an encoded payload to `dst` in `exchange_chunk`-byte frames.
+    /// Frames copy out of the buffer, so it is recycled locally.
     fn ship(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Vec<u8>) {
-        if self.cfg.pipelined() {
-            self.ctx
-                .send_framed(dst, tag, kind, &payload, self.cfg.exchange_chunk);
-            self.recycle_buf(payload);
-        } else {
-            self.ctx.send(dst, tag, kind, payload);
-        }
+        self.ctx
+            .send_framed(dst, tag, kind, &payload, self.cfg.exchange_chunk);
+        self.recycle_buf(payload);
     }
 
     /// Receives the dependency message from `src` into `dep` over `range`.
-    /// Under the pipelined exchange the message arrives in frames, and
-    /// whenever the next one has not landed yet the wait is spent
-    /// absorbing update frames into `streams`. Arrival waits are charged
-    /// per frame as `DepWait`, exactly like the bulk receive's single wait
-    /// (the final clock is identical: both end at the last byte's modelled
-    /// arrival). Both sides dispatch on the same config, so the decoder
-    /// always matches what the peer encoded.
+    /// The message arrives in frames, and whenever the next one has not
+    /// landed yet the wait is spent absorbing update frames into
+    /// `streams`. Arrival waits are charged per frame as `DepWait`, so the
+    /// clock ends at the last byte's modelled arrival. Both sides dispatch
+    /// on the same config, so the decoder always matches what the peer
+    /// encoded.
     fn recv_dep<D: DepState>(
         &mut self,
         src: usize,
@@ -333,32 +302,27 @@ impl<'a> Worker<'a> {
         range: Range<usize>,
         streams: &mut [PipeStream],
     ) {
-        let buf = if self.cfg.pipelined() {
-            let chunk = self.cfg.exchange_chunk;
-            let mut buf = self.take_buf();
-            for frame in 0.. {
-                let ftag = tag.with_frame(frame);
-                let deadline = Instant::now() + self.ctx.recv_deadline();
-                let (frag, arrival) = loop {
-                    self.sweep_streams(streams);
-                    if let Some(got) = self.ctx.try_take_frame(src, ftag) {
-                        break got;
-                    }
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if !self.ctx.drain_one(remaining) {
-                        self.ctx.stream_timeout_panic(src, ftag);
-                    }
-                };
-                self.ctx.wait_until(arrival, SpanCategory::DepWait);
-                buf.extend_from_slice(&frag);
-                if frag.len() < chunk {
-                    break;
+        let chunk = self.cfg.exchange_chunk;
+        let mut buf = self.take_buf();
+        for frame in 0.. {
+            let ftag = tag.with_frame(frame);
+            let deadline = Instant::now() + self.ctx.recv_deadline();
+            let (frag, arrival) = loop {
+                self.sweep_streams(streams);
+                if let Some(got) = self.ctx.try_take_frame(src, ftag) {
+                    break got;
                 }
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if !self.ctx.drain_one(remaining) {
+                    self.ctx.stream_timeout_panic(src, ftag);
+                }
+            };
+            self.ctx.wait_until(arrival, SpanCategory::DepWait);
+            buf.extend_from_slice(&frag);
+            if frag.len() < chunk {
+                break;
             }
-            buf
-        } else {
-            self.ctx.recv(src, tag)
-        };
+        }
         if self.cfg.adaptive_wire() {
             dep.decode_range_coded(range, &buf);
         } else {
@@ -398,7 +362,7 @@ impl<'a> Worker<'a> {
         }
     }
 
-    // === Pipelined exchange: gather / charge ===
+    // === Exchange: gather / charge ===
     //
     // Division of labour: `sweep_streams` does *physical* work at whatever
     // wall-clock moment is convenient (while this machine would otherwise
@@ -408,13 +372,10 @@ impl<'a> Worker<'a> {
     // race with host scheduling while the model stays bit-deterministic.
 
     /// Fresh gather state for the remote `sources` of iteration `iter`,
-    /// which are listed in canonical consumption order; none under the
-    /// bulk exchange.
+    /// which are listed in canonical consumption order.
     fn pipe_streams(&mut self, iter: u64, sources: &[Source]) -> Vec<PipeStream> {
         let rank = self.ctx.rank();
-        let remote = sources
-            .iter()
-            .filter(|src| self.cfg.pipelined() && src.rank != rank);
+        let remote = sources.iter().filter(|src| src.rank != rank);
         remote
             .map(|src| PipeStream {
                 src: src.rank,
@@ -508,7 +469,6 @@ impl<'a> Worker<'a> {
         ParCfg {
             threads: self.cfg.threads,
             chunk: self.cfg.chunk_size,
-            evaluate_skipped: self.cfg.early_exit == EarlyExit::Evaluate,
         }
     }
 
@@ -517,21 +477,15 @@ impl<'a> Worker<'a> {
     /// processing order of this partition for pull (…, rank−2, rank−1
     /// first; local last), so the master folds partial results in exactly
     /// the sequential neighbour order the dependency semantics define —
-    /// and applies every update at its master via `apply`; returns the
-    /// activations. `local` is this machine's own share, still typed; a
-    /// remote stream is decoded record by record as it is consumed.
-    /// Updates go straight into `apply` under the `Stream` layout, into
-    /// cache-block bins that a final sweep folds under `Blocked` (same
-    /// per-vertex order either way; see [`crate::ApplyLayout`]). `apply`
-    /// runs sequentially (it is a `FnMut` over caller state). Under the
-    /// Galois policy the applied pairs are then broadcast back.
+    /// and applies every update at its master via `apply`, as it is
+    /// consumed; returns the activations. `local` is this machine's own
+    /// share, still typed; a remote stream is decoded record by record.
+    /// `apply` runs sequentially (it is a `FnMut` over caller state).
+    /// Under the Galois policy the applied pairs are then broadcast back.
     ///
-    /// Charges: a source consumed whole is charged `chunk_size`-record
-    /// lanes at its turn — except where the blocked sweep charges its bins
-    /// instead (bulk exchange). A pipelined stream is charged frame by
-    /// frame, and the sweep after it is then a pure fold, so the local
-    /// share is charged at its turn there too.
-    fn gather<U: Wire + Copy + 'static>(
+    /// Charges: the local share as `chunk_size`-record lanes at its turn,
+    /// a remote stream frame by frame ([`Worker::charge_stream`]).
+    fn gather<U: Wire + Copy>(
         &mut self,
         iter: u64,
         sources: &[Source],
@@ -540,31 +494,18 @@ impl<'a> Worker<'a> {
         apply: &mut dyn FnMut(Vid, U) -> bool,
     ) -> u64 {
         let rank = self.ctx.rank();
-        let pipelined = self.cfg.pipelined();
         let adaptive = self.cfg.adaptive_wire();
         let galois = matches!(self.cfg.policy, Policy::Galois);
-        let threads = self.cfg.threads;
         let (lo, hi) = self.my_range();
-        let blocks = CacheBlocks::new(lo, hi, self.cfg.apply_block);
-        let blocked = self.cfg.apply_layout == ApplyLayout::Blocked;
-        let mut bins: Bins<U> = if blocked {
-            self.take_bins(blocks.num_blocks())
-        } else {
-            Vec::new()
-        };
-        debug_assert!(!blocked || bins.len() == blocks.num_blocks());
         let mut activated = 0u64;
         let mut applied = 0u64;
         // Gluon broadcasts every reduced value back to the mirrors, whether
-        // or not it activated the vertex. The feedback stream is the
-        // consumed records in consumption order, so its bytes are
-        // identical under both apply layouts.
+        // or not it activated the vertex: the consumed records, in
+        // consumption order.
         let mut feedback: Vec<u8> = Vec::new();
         let mut sink = |v: Vid, upd: U| {
             debug_assert!(lo <= v && v < hi, "update routed to wrong master");
-            if blocked {
-                bins[blocks.block_of(v)].push((v, upd));
-            } else if apply(v, upd) {
+            if apply(v, upd) {
                 activated += 1;
             }
         };
@@ -580,25 +521,18 @@ impl<'a> Worker<'a> {
                     }
                     sink(v, upd);
                 }
-                if !blocked || pipelined {
-                    let costs = chunked_costs(records, self.cfg.chunk_size);
-                    self.ctx.apply_sharded(&costs, threads);
-                }
+                let costs = chunked_costs(records, self.cfg.chunk_size);
+                self.ctx.apply_sharded(&costs, self.cfg.threads);
                 applied += records;
                 continue;
             }
-            // Pipelined: the stream may already be gathered; block only
-            // for what has not physically arrived.
-            let (wire, frames) = if pipelined {
-                self.complete_stream(&mut streams, next_stream);
-                let st = &mut streams[next_stream];
-                debug_assert_eq!(st.src, src.rank, "streams follow consumption order");
-                next_stream += 1;
-                (std::mem::take(&mut st.wire), std::mem::take(&mut st.frames))
-            } else {
-                let tag = self.update_tag(iter, src.step);
-                (self.ctx.recv(src.rank, tag), Vec::new())
-            };
+            // The stream may already be gathered; block only for what has
+            // not physically arrived.
+            self.complete_stream(&mut streams, next_stream);
+            let st = &mut streams[next_stream];
+            debug_assert_eq!(st.src, src.rank, "streams follow consumption order");
+            next_stream += 1;
+            let (wire, frames) = (std::mem::take(&mut st.wire), std::mem::take(&mut st.frames));
             let mut decoded = Vec::new();
             let flat: &[u8] = if adaptive {
                 decoded = self.take_buf();
@@ -608,43 +542,16 @@ impl<'a> Worker<'a> {
                 &wire
             };
             let records = (flat.len() / (4 + U::SIZE)) as u64;
-            if pipelined {
-                self.charge_stream(&frames, records);
-            }
+            self.charge_stream(&frames, records);
             for r in flat.chunks_exact(4 + U::SIZE) {
                 sink(Vid::read(r), U::read(&r[4..]));
             }
             if galois {
                 feedback.extend_from_slice(flat);
             }
-            if !pipelined && !blocked {
-                let costs = chunked_costs(records, self.cfg.chunk_size);
-                self.ctx.apply_sharded(&costs, threads);
-            }
             applied += records;
             self.recycle_buf(wire);
             self.recycle_buf(decoded);
-        }
-        if blocked {
-            // The blocked sweep: folds each bin into its cache-resident
-            // block of master state, one block at a time, so the pass
-            // touches each block's state exactly once. Its per-bin lane
-            // costs are the same total as the stream layout's per-source
-            // charges, scheduled over one balanced sweep.
-            self.ctx.set_trace_scope(iter as u32, 0, 0);
-            let costs: Vec<(u64, u64)> = bins.iter().map(|b| (0, b.len() as u64)).collect();
-            for bin in &mut bins {
-                for (v, upd) in bin.drain(..) {
-                    if apply(v, upd) {
-                        activated += 1;
-                    }
-                }
-            }
-            // A pipelined run charged these records frame by frame.
-            if !pipelined {
-                self.ctx.apply_sharded(&costs, threads);
-            }
-            self.bin_cache.push(Box::new(bins));
         }
         self.stats.add(WorkMetric::UpdatesApplied, applied);
         if galois {
@@ -862,9 +769,9 @@ impl<'a> Worker<'a> {
                 step: (rank + p - 1 - m) % p,
             })
             .collect();
-        // Pipelined exchange: gather state is set up before the first
-        // step, so frames can be absorbed while the scatter phase is still
-        // running or blocked on dependencies.
+        // Gather state is set up before the first step, so frames can be
+        // absorbed while the scatter phase is still running or blocked on
+        // dependencies.
         let mut streams = self.pipe_streams(iter, &sources);
         let mut local = Vec::new();
         for s in 0..p {
@@ -1029,9 +936,9 @@ impl<'a> Worker<'a> {
         self.ctx.compute_sharded(&pass.chunk_costs, pc.threads);
 
         // Push has one step: its sources are consumed in rank order, all
-        // under that step's tag. Pipelined exchange: gather state up
-        // front, swept between sends, so early senders' frames are
-        // absorbed while later outboxes are still being shipped.
+        // under that step's tag. Gather state up front, swept between
+        // sends, so early senders' frames are absorbed while later
+        // outboxes are still being shipped.
         let sources: Vec<Source> = (0..p).map(|rank| Source { rank, step: 0 }).collect();
         let mut streams = self.pipe_streams(iter, &sources);
         for (m, outbox) in pass.outboxes.iter().enumerate() {

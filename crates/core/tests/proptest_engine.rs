@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use symple_core::{
     dst_partition, processing_order, run_spmd, src_machine, Backend, BitDep, BucketPart, DepLayout,
-    EngineConfig, Exchange, FaultPlan, LocalGraph, Partition, Policy, PreparedGraph, PullProgram,
+    EngineConfig, FaultPlan, LocalGraph, Partition, Policy, PreparedGraph, PullProgram,
     SignalOutcome, TraceLevel, WireCodec,
 };
 use symple_graph::{Graph, GraphBuilder, Vid};
@@ -170,7 +170,7 @@ proptest! {
             .threads(3)
             .chunk_size(7)
             .wire_codec(WireCodec::Adaptive)
-            .exchange(Exchange::Bulk)
+            .exchange_chunk(64)
             .trace_level(TraceLevel::Full)
             .backend(Backend::Thread)
             .fault_plan(FaultPlan::chaos(5));

@@ -90,18 +90,16 @@ pub enum SpanCategory {
     /// fault-free runs — the category exists so fault recovery is visible
     /// without polluting the six fault-free categories.
     Retry,
-    /// The partition-blocked apply sweep: folding binned updates into the
-    /// destination masters' state, one cache-resident vertex block at a
-    /// time. Charged from per-block lane costs, so it is distinguishable
-    /// from the signal-side [`SpanCategory::Compute`] edge work.
+    /// The apply pass: folding consumed updates into the destination
+    /// masters' state. Charged from per-chunk lane costs, so it is
+    /// distinguishable from the signal-side [`SpanCategory::Compute`]
+    /// edge work.
     Apply,
-    /// Waiting for the next frame of a pipelined exchange stream. Under
-    /// `Exchange::Pipelined` the apply phase consumes update payloads one
-    /// fixed-size frame at a time, interleaving the per-frame decode with
-    /// the arrival waits; the residual stall (arrival ahead of the clock)
-    /// is charged here instead of [`SpanCategory::Send`], so the overlap
-    /// won by the pipeline is directly visible as `Send + Exchange`
-    /// shrinking relative to the bulk configuration.
+    /// Waiting for the next frame of an update stream. The gather phase
+    /// consumes update payloads one fixed-size frame at a time,
+    /// interleaving each frame's apply charge with the arrival waits; the
+    /// residual stall (arrival ahead of the clock) is charged here, not
+    /// to [`SpanCategory::Send`].
     Exchange,
 }
 

@@ -231,9 +231,9 @@ pub fn explain(code: &str) -> Option<&'static str> {
             "The break condition is not provably monotone: the analysis cannot \
              show that once it triggers it stays triggered (e.g. it compares a \
              float accumulator, or a carried value that can decrease). The latch \
-             certificate fails, so `early_exit = Certified` re-evaluates every \
-             skipped segment under a no-emission audit instead of trusting the \
-             skip bit outright."
+             certificate fails, so the engine re-evaluates every skipped \
+             segment under a no-emission audit, in release builds too, instead \
+             of trusting the skip bit outright."
         }
         _ => return None,
     })

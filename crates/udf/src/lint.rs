@@ -263,8 +263,8 @@ fn warning_passes(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic>
     }
 
     // W008: the break condition is not provably monotone, so the latch
-    // certificate fails and `early_exit = Certified` falls back to
-    // auditing every skipped segment instead of trusting the skip bit.
+    // certificate fails and the engine audits every skipped segment, in
+    // release builds too, instead of trusting the skip bit.
     if let Some(min) = &minimized {
         if min.has_dependency() && !min.cert.latches() {
             out.push(Diagnostic::warning(

@@ -3,14 +3,14 @@
 //! `Policy::Gemini` does (no dependency message, the same update and
 //! sync messages byte for byte), PageRank synchronises its rank array
 //! once per job rather than once per iteration, a program that declares
-//! itself dependency-free and marks its slot anyway is caught, and the
+//! itself dependency-free and marks its slot anyway is caught — as is one
+//! that claims a skip guard and emits from a skipped segment — and the
 //! kernels that do carry a dependency send what they sent before the
 //! dense path existed.
 
 use symplegraph::algos::{bfs, kcore, pagerank, sampling};
 use symplegraph::core::{
-    run_spmd, BitDep, EngineConfig, Exchange, Policy, PullProgram, RunStats, SignalOutcome,
-    WireCodec,
+    run_spmd, BitDep, EngineConfig, Policy, PullProgram, RunStats, SignalOutcome, WireCodec,
 };
 use symplegraph::graph::{Graph, RmatConfig, Vid};
 use symplegraph::net::{CommKind, CommStats, COMM_KINDS};
@@ -50,50 +50,44 @@ fn a_dependency_free_program_pays_what_gemini_pays() {
     let g = graph();
     for machines in [2usize, 3, 5] {
         for codec in [WireCodec::Flat, WireCodec::Adaptive] {
-            for exchange in [Exchange::Pipelined, Exchange::Bulk] {
-                let cfg = |policy| {
-                    EngineConfig::new(machines, policy)
-                        .wire_codec(codec)
-                        .exchange(exchange)
-                };
-                let label = format!("{machines} machines, {codec:?}, {exchange}");
-                let jobs: [(&str, RunStats, RunStats); 2] = [
-                    (
-                        "pagerank",
-                        pagerank(&g, &cfg(Policy::symple()), 0, 4).1,
-                        pagerank(&g, &cfg(Policy::Gemini), 0, 4).1,
-                    ),
-                    (
-                        "pagerank_udf",
-                        udf_pull(&g, &cfg(Policy::symple())),
-                        udf_pull(&g, &cfg(Policy::Gemini)),
-                    ),
-                ];
-                for (job, symple, gemini) in jobs {
-                    let label = format!("{job}, {label}");
-                    assert_eq!(shape(&symple.comm)[1], (0, 0), "{label}");
-                    assert!(symple.comm.bytes(CommKind::Update) > 0, "{label}");
-                    assert_eq!(symple.work, gemini.work, "{label}");
-                    if codec == WireCodec::Flat {
-                        // Every kind's bytes and messages and the format
-                        // histogram: the same job on the same schedule.
-                        assert_eq!(symple.comm, gemini.comm, "{label}");
-                        assert_eq!(
-                            symple.virtual_time().to_bits(),
-                            gemini.virtual_time().to_bits(),
-                            "{label}"
-                        );
-                    } else {
-                        // The differentiated layout lists a bucket's
-                        // high-degree destinations before its low-degree
-                        // ones, so an update stream holds Gemini's records
-                        // in another order and the adaptive codec's block
-                        // choices differ by a few bytes. Messages and
-                        // collectives do not.
-                        let messages = |c: &CommStats| shape(c).map(|(_, m)| m);
-                        assert_eq!(messages(&symple.comm), messages(&gemini.comm), "{label}");
-                        assert_eq!(shape(&symple.comm)[2], shape(&gemini.comm)[2], "{label}");
-                    }
+            let cfg = |policy| EngineConfig::new(machines, policy).wire_codec(codec);
+            let label = format!("{machines} machines, {codec:?}");
+            let jobs: [(&str, RunStats, RunStats); 2] = [
+                (
+                    "pagerank",
+                    pagerank(&g, &cfg(Policy::symple()), 0, 4).1,
+                    pagerank(&g, &cfg(Policy::Gemini), 0, 4).1,
+                ),
+                (
+                    "pagerank_udf",
+                    udf_pull(&g, &cfg(Policy::symple())),
+                    udf_pull(&g, &cfg(Policy::Gemini)),
+                ),
+            ];
+            for (job, symple, gemini) in jobs {
+                let label = format!("{job}, {label}");
+                assert_eq!(shape(&symple.comm)[1], (0, 0), "{label}");
+                assert!(symple.comm.bytes(CommKind::Update) > 0, "{label}");
+                assert_eq!(symple.work, gemini.work, "{label}");
+                if codec == WireCodec::Flat {
+                    // Every kind's bytes and messages and the format
+                    // histogram: the same job on the same schedule.
+                    assert_eq!(symple.comm, gemini.comm, "{label}");
+                    assert_eq!(
+                        symple.virtual_time().to_bits(),
+                        gemini.virtual_time().to_bits(),
+                        "{label}"
+                    );
+                } else {
+                    // The differentiated layout lists a bucket's
+                    // high-degree destinations before its low-degree
+                    // ones, so an update stream holds Gemini's records
+                    // in another order and the adaptive codec's block
+                    // choices differ by a few bytes. Messages and
+                    // collectives do not.
+                    let messages = |c: &CommStats| shape(c).map(|(_, m)| m);
+                    assert_eq!(messages(&symple.comm), messages(&gemini.comm), "{label}");
+                    assert_eq!(shape(&symple.comm)[2], shape(&gemini.comm)[2], "{label}");
                 }
             }
         }
@@ -123,11 +117,21 @@ fn pagerank_syncs_one_rank_array_per_job() {
     }
 }
 
-/// Claims to be dependency-free, then breaks at the first neighbour and
-/// marks its slot.
-struct Liar;
+/// Emits and marks its slot at the first neighbour, whatever the slot
+/// already says — and makes three claims about itself, each of which the
+/// engine can catch as a lie.
+#[derive(Clone, Copy)]
+struct FirstNeighbour {
+    /// `false`: claims to be dependency-free (it marks its slot).
+    carries: bool,
+    /// `true`: claims its `signal` opens with a skip guard (it has none,
+    /// so it emits from a skipped segment).
+    guards: bool,
+    /// Claims its skip is a certified latch.
+    certified: bool,
+}
 
-impl PullProgram for Liar {
+impl PullProgram for FirstNeighbour {
     type Update = u32;
     type Dep = BitDep;
 
@@ -136,7 +140,15 @@ impl PullProgram for Liar {
     }
 
     fn carries_dependency(&self) -> bool {
-        false
+        self.carries
+    }
+
+    fn guards_skip(&self) -> bool {
+        self.guards
+    }
+
+    fn certified_latch(&self) -> bool {
+        self.certified
     }
 
     fn signal(
@@ -152,11 +164,22 @@ impl PullProgram for Liar {
             Some(u) => {
                 emit(u.raw());
                 dep.mark(slot);
-                SignalOutcome::scanned(1)
+                SignalOutcome::broke_after(1)
             }
             None => SignalOutcome::scanned(0),
         }
     }
+}
+
+/// One pull on two machines. Under `symple_basic` every destination's
+/// slot circulates, so whatever step 0 marked reaches step 1 as a skipped
+/// segment.
+fn pull_once(prog: FirstNeighbour, policy: Policy) {
+    let g = graph();
+    run_spmd(&g, &EngineConfig::new(2, policy), |w| {
+        let mut dep = BitDep::new(w.dep_slots_needed());
+        w.pull(&prog, &mut dep, &mut |_, _| false)
+    });
 }
 
 /// The check is a debug assertion: a release build runs the liar to
@@ -168,12 +191,39 @@ impl PullProgram for Liar {
     should_panic(expected = "carries_dependency() == false but marked")
 )]
 fn a_program_that_lies_about_its_dependency_is_caught_in_debug() {
-    let g = graph();
-    let cfg = EngineConfig::new(2, Policy::symple());
-    run_spmd(&g, &cfg, |w| {
-        let mut dep = BitDep::new(w.dep_slots_needed());
-        w.pull(&Liar, &mut dep, &mut |_, _| false)
-    });
+    let liar = FirstNeighbour {
+        carries: false,
+        guards: false,
+        certified: true,
+    };
+    pull_once(liar, Policy::symple());
+}
+
+/// A program that claims a certified latch is audited in debug builds
+/// only: a release build trusts the certificate and skips the segment
+/// without running it.
+#[test]
+#[cfg_attr(debug_assertions, should_panic(expected = "latch violated"))]
+fn a_certified_latch_that_does_not_hold_is_caught_in_debug() {
+    let unguarded = FirstNeighbour {
+        carries: true,
+        guards: true,
+        certified: true,
+    };
+    pull_once(unguarded, Policy::symple_basic());
+}
+
+/// Without a latch certificate every skipped segment is audited, in
+/// release builds too.
+#[test]
+#[should_panic(expected = "latch violated")]
+fn an_uncertified_latch_that_does_not_hold_is_caught_in_every_build() {
+    let unguarded = FirstNeighbour {
+        carries: true,
+        guards: true,
+        certified: false,
+    };
+    pull_once(unguarded, Policy::symple_basic());
 }
 
 #[test]

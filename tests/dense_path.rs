@@ -12,8 +12,8 @@
 
 use symplegraph::algos::{pagerank, pagerank_reference, PagerankOutput};
 use symplegraph::core::{
-    processing_order, run_spmd, ApplyLayout, Backend, BitDep, EngineConfig, Exchange, FaultPlan,
-    Partition, Policy, PullProgram, SignalOutcome, WireCodec,
+    processing_order, run_spmd, Backend, BitDep, EngineConfig, FaultPlan, Partition, Policy,
+    PullProgram, SignalOutcome, WireCodec,
 };
 use symplegraph::graph::{path, star, Graph, GraphBuilder, RmatConfig, Vid};
 use symplegraph::udf::{instrument, paper_udfs, PropArray, PropertyStore, UdfProgram};
@@ -54,8 +54,8 @@ impl PullProgram for FloatSum<'_> {
     }
 }
 
-/// Pull passes per job: the second one gathers into the bins the first
-/// one left behind.
+/// Pull passes per job: the second one runs on the buffers the first one
+/// pooled.
 const PASSES: usize = 2;
 
 /// Weights spread over forty binary orders of magnitude, so that the
@@ -112,13 +112,12 @@ fn fold_in_order(
     acc.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Small chunks, blocks and frames, so that a 256-vertex graph still
-/// splits into several of each.
+/// Small chunks and frames, so that a 256-vertex graph still splits into
+/// several of each.
 fn small_grain(machines: usize, policy: Policy) -> EngineConfig {
     EngineConfig::new(machines, policy)
         .degree_threshold(4)
         .chunk_size(16)
-        .apply_block(32)
         .exchange_chunk(64)
 }
 
@@ -135,29 +134,27 @@ fn float_partials_fold_in_circulant_order_under_every_knob() {
             let by_rank = fold_in_order(&g, &part, &weight, |_| (0..machines).collect());
             assert_ne!(oracle, by_rank, "{machines} machines: order-insensitive");
         }
-        // The dense path under SympleGraph, across the whole product.
+        // The dense path under SympleGraph, across the whole product;
+        // `frame` is 64-byte frames or one frame per message.
         for threads in [1usize, 2] {
-            for exchange in [Exchange::Pipelined, Exchange::Bulk] {
-                for layout in [ApplyLayout::Blocked, ApplyLayout::Stream] {
-                    for codec in [WireCodec::Flat, WireCodec::Adaptive] {
-                        for backend in [Backend::Sim, Backend::Thread] {
-                            for faults in [None, Some(FaultPlan::chaos(7))] {
-                                let cfg = base
-                                    .clone()
-                                    .threads(threads)
-                                    .exchange(exchange)
-                                    .apply_layout(layout)
-                                    .wire_codec(codec)
-                                    .backend(backend)
-                                    .fault_plan(faults);
-                                assert_eq!(
-                                    float_job(&g, &cfg, &weight),
-                                    oracle,
-                                    "{machines} machines, {threads} threads, {exchange}, \
-                                     {layout}, {codec:?}, {backend:?}, faults {}",
-                                    faults.is_some()
-                                );
-                            }
+            for frame in [64usize, 1 << 30] {
+                for codec in [WireCodec::Flat, WireCodec::Adaptive] {
+                    for backend in [Backend::Sim, Backend::Thread] {
+                        for faults in [None, Some(FaultPlan::chaos(7))] {
+                            let cfg = base
+                                .clone()
+                                .threads(threads)
+                                .exchange_chunk(frame)
+                                .wire_codec(codec)
+                                .backend(backend)
+                                .fault_plan(faults);
+                            assert_eq!(
+                                float_job(&g, &cfg, &weight),
+                                oracle,
+                                "{machines} machines, {threads} threads, {frame}-byte frames, \
+                                 {codec:?}, {backend:?}, faults {}",
+                                faults.is_some()
+                            );
                         }
                     }
                 }

@@ -1,5 +1,5 @@
-//! Executor and layout equivalence: the UDF bytecode VM and the
-//! partition-centric blocked apply pass are *performance* features and
+//! Executor and dep-width equivalence: the UDF bytecode VM and the
+//! certificate-narrowed dependency wire are *performance* features and
 //! must be invisible to every observable the engine models.
 //!
 //! * **Executor axis** (`UdfExec::Interp` vs `UdfExec::Bytecode`): the
@@ -8,19 +8,6 @@
 //!   (including the per-category trace breakdown) at every thread count —
 //!   the executor only changes host-CPU dispatch, which virtual time by
 //!   design does not observe.
-//! * **Layout axis** (`ApplyLayout::Blocked` vs `ApplyLayout::Stream`):
-//!   binning decoded updates into cache blocks reorders the apply sweep
-//!   across vertices (never per vertex), so outputs, work, and
-//!   communication stay bit-identical. Virtual *makespan* legitimately
-//!   differs even at one thread: stream interleaves apply charges with
-//!   the per-step receives (overlapping apply with waiting), while
-//!   blocked defers the whole sweep past the last arrival. What is
-//!   conserved at `threads = 1` is the *amount* of charged work — the
-//!   signal-side `Compute` total is bit-identical and the `Apply` total
-//!   matches up to f64 summation order (the layouts group the same
-//!   per-update costs into different partial sums). At higher thread
-//!   counts the blocked sweep's balanced lane schedule *is* the modelled
-//!   optimisation and even the Apply amount may differ.
 //! * **Dep-width axis** (`DepWidth::Wide` vs `DepWidth::Certified`):
 //!   the abstract-interpretation certificate narrows carried-value wire
 //!   slots and elides latched payloads, which changes *dependency bytes
@@ -29,26 +16,21 @@
 //!   shrink (strictly, for the kernels whose certificates actually
 //!   narrow — K-core and sampling). Virtual time is free where dep
 //!   bytes differ and bit-identical where they do not.
-//! * **Early-exit axis** (`EarlyExit::Evaluate` vs
-//!   `EarlyExit::Certified`): `Evaluate` re-runs every skipped segment
-//!   under a no-emission audit; the audit is pure assertion, so *every*
-//!   observable — outputs, work, comm, and the full virtual-time
-//!   breakdown — must be bit-identical.
 //!
 //! Covered: the five paper kernels, the three scenario-matrix kernels
 //! (SSSP, CC, PageRank), and the dead-break `bounded` kernel, under the
 //! SympleGraph and Gemini policies, threads {1, 4, 8}, and a proptest
 //! sweep over randomly generated (checked) UDFs on random graphs. The
-//! random sweep doubles as the certificate *soundness* harness: test
-//! builds keep debug assertions on, so every carried value written to or
-//! read from the narrowed wire is dynamically checked against its
-//! certified interval, and the `Evaluate` audit asserts the skip latch
-//! never un-triggers.
+//! random sweep doubles as the certificate *soundness* harness: in a
+//! debug build every carried value written to or read from the narrowed
+//! wire is checked against its certified interval and every skipped
+//! segment is re-run under the no-emission latch audit; `ci.sh` runs the
+//! suite under `--release` too, where only programs without a latch
+//! certificate are audited.
 
 use proptest::prelude::*;
 use symplegraph::core::{
-    run_spmd, DepWidth, EarlyExit, EngineConfig, Policy, RunStats, SpanCategory, UdfExec,
-    WorkMetric,
+    run_spmd, DepWidth, EngineConfig, Policy, RunStats, SpanCategory, UdfExec,
 };
 use symplegraph::graph::{Bitmap, Graph, GraphBuilder, RmatConfig, Vid};
 use symplegraph::net::CommKind;
@@ -191,73 +173,8 @@ fn run_kernel(
     (res.outputs, res.stats)
 }
 
-/// How strictly virtual time must match between two runs.
-#[derive(Clone, Copy, PartialEq)]
-enum TimeMatch {
-    /// Bit-identical makespan and per-category breakdown.
-    Exact,
-    /// Work-conservation only: Compute totals bit-identical, Apply
-    /// totals equal up to f64 summation order. Makespan and the waiting
-    /// categories are free — the layouts schedule the same charges at
-    /// different points of the timeline.
-    Conserved,
-    /// Not compared (the difference is the modelled optimisation).
-    Free,
-}
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-30)
-}
-
-/// Asserts the deterministic observable surface matches: outputs, work
-/// counters, comm counters, and (per `time`) the virtual makespan and
-/// per-category breakdown.
-#[allow(clippy::type_complexity)]
-fn assert_identical(
-    label: &str,
-    a: &(Vec<Vec<(u64, u64)>>, RunStats),
-    b: &(Vec<Vec<(u64, u64)>>, RunStats),
-    time: TimeMatch,
-) {
-    assert_eq!(a.0, b.0, "{label}: outputs diverged");
-    assert_eq!(a.1.work, b.1.work, "{label}: work counters diverged");
-    assert_eq!(a.1.comm, b.1.comm, "{label}: comm counters diverged");
-    match time {
-        TimeMatch::Exact => {
-            assert_eq!(
-                a.1.time.virtual_secs, b.1.time.virtual_secs,
-                "{label}: virtual makespan diverged"
-            );
-            for cat in SpanCategory::ALL {
-                assert_eq!(
-                    a.1.time.category(cat),
-                    b.1.time.category(cat),
-                    "{label}: virtual breakdown diverged in {cat:?}"
-                );
-            }
-        }
-        TimeMatch::Conserved => {
-            assert_eq!(
-                a.1.time.category(SpanCategory::Compute),
-                b.1.time.category(SpanCategory::Compute),
-                "{label}: signal-side Compute total diverged"
-            );
-            assert!(
-                close(
-                    a.1.time.category(SpanCategory::Apply),
-                    b.1.time.category(SpanCategory::Apply)
-                ),
-                "{label}: Apply total diverged beyond f64 reassociation ({} vs {})",
-                a.1.time.category(SpanCategory::Apply),
-                b.1.time.category(SpanCategory::Apply)
-            );
-        }
-        TimeMatch::Free => {}
-    }
-}
-
 #[test]
-fn executors_and_layouts_agree_across_kernels() {
+fn executors_agree_across_kernels() {
     let graph = RmatConfig::graph500(8, 8).cleaned(true).generate();
     let props = study_props(graph.num_vertices());
     for (name, udf) in kernels() {
@@ -273,57 +190,27 @@ fn executors_and_layouts_agree_across_kernels() {
             Policy::Gemini,
         ] {
             for threads in [1usize, 4, 8] {
-                let mk = |exec: UdfExec, layout: symplegraph::core::ApplyLayout| {
-                    EngineConfig::new(4, policy)
-                        .threads(threads)
-                        .udf_exec(exec)
-                        .apply_layout(layout)
-                };
-                use symplegraph::core::ApplyLayout;
-                let bytecode = run_kernel(
-                    &graph,
-                    &props,
-                    &inst,
-                    &mk(UdfExec::Bytecode, ApplyLayout::Blocked),
-                );
-                let interp = run_kernel(
-                    &graph,
-                    &props,
-                    &inst,
-                    &mk(UdfExec::Interp, ApplyLayout::Blocked),
-                );
-                // Executor axis: identical in everything, always.
-                assert_identical(
-                    &format!("{name}/{policy:?}/t{threads} interp-vs-bytecode"),
-                    &interp,
-                    &bytecode,
-                    TimeMatch::Exact,
-                );
-                let stream = run_kernel(
-                    &graph,
-                    &props,
-                    &inst,
-                    &mk(UdfExec::Bytecode, ApplyLayout::Stream),
-                );
-                // Layout axis: identical outputs/work/comm; charged-work
-                // conservation at threads = 1 (above that the blocked
-                // sweep's balanced lanes are the optimisation).
-                assert_identical(
-                    &format!("{name}/{policy:?}/t{threads} stream-vs-blocked"),
-                    &stream,
-                    &bytecode,
-                    if threads == 1 {
-                        TimeMatch::Conserved
-                    } else {
-                        TimeMatch::Free
-                    },
-                );
-                // The apply pass consumed every update it decoded,
-                // under either layout.
+                let mk =
+                    |exec: UdfExec| EngineConfig::new(4, policy).threads(threads).udf_exec(exec);
+                let (out_b, st_b) = run_kernel(&graph, &props, &inst, &mk(UdfExec::Bytecode));
+                let (out_i, st_i) = run_kernel(&graph, &props, &inst, &mk(UdfExec::Interp));
+                // Identical in everything, always: outputs, work, comm, the
+                // virtual makespan and its per-category breakdown.
+                let label = format!("{name}/{policy:?}/t{threads} interp-vs-bytecode");
+                assert_eq!(out_i, out_b, "{label}: outputs diverged");
+                assert_eq!(st_i.work, st_b.work, "{label}: work counters diverged");
+                assert_eq!(st_i.comm, st_b.comm, "{label}: comm counters diverged");
                 assert_eq!(
-                    bytecode.1.work.get(WorkMetric::UpdatesApplied),
-                    stream.1.work.get(WorkMetric::UpdatesApplied),
+                    st_i.time.virtual_secs, st_b.time.virtual_secs,
+                    "{label}: virtual makespan diverged"
                 );
+                for cat in SpanCategory::ALL {
+                    assert_eq!(
+                        st_i.time.category(cat),
+                        st_b.time.category(cat),
+                        "{label}: virtual breakdown diverged in {cat:?}"
+                    );
+                }
             }
         }
     }
@@ -392,123 +279,6 @@ fn dep_width_narrowing_is_invisible_except_for_dep_bytes() {
             }
         }
     }
-}
-
-#[test]
-fn early_exit_audit_is_invisible_to_every_observable() {
-    let graph = RmatConfig::graph500(8, 8).cleaned(true).generate();
-    let props = study_props(graph.num_vertices());
-    for (name, udf) in kernels() {
-        let inst = instrument(&udf).expect("instrumentation");
-        for policy in [
-            effective_policy(&inst.info, Policy::symple()),
-            Policy::Gemini,
-        ] {
-            for threads in [1usize, 4] {
-                let mk = |mode: EarlyExit| {
-                    EngineConfig::new(4, policy)
-                        .threads(threads)
-                        .early_exit(mode)
-                };
-                let audited = run_kernel(&graph, &props, &inst, &mk(EarlyExit::Evaluate));
-                let certified = run_kernel(&graph, &props, &inst, &mk(EarlyExit::Certified));
-                // The audit re-executes skipped segments purely to assert
-                // the latch held (no emissions, no edges); it charges
-                // nothing, so the runs match bit for bit — including the
-                // full virtual-time breakdown.
-                assert_identical(
-                    &format!("{name}/{policy:?}/t{threads} evaluate-vs-certified"),
-                    &audited,
-                    &certified,
-                    TimeMatch::Exact,
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn exchange_modes_agree_across_kernels() {
-    use symplegraph::core::{ApplyLayout, Exchange};
-    use symplegraph::net::CostModel;
-    // A chunk far below the per-step payloads, so streams really frame.
-    let graph = RmatConfig::graph500(8, 8).cleaned(true).generate();
-    let props = study_props(graph.num_vertices());
-    // A message that fits one frame waits exactly like bulk, so the stall
-    // shrinks strictly only where framing really happens — require that
-    // somewhere in the matrix, not pointwise.
-    let mut any_strict = false;
-    for (name, udf) in kernels() {
-        let inst = instrument(&udf).expect("instrumentation");
-        for policy in [
-            effective_policy(&inst.info, Policy::symple()),
-            Policy::Gemini,
-            Policy::Galois,
-        ] {
-            for threads in [1usize, 4] {
-                for layout in [ApplyLayout::Blocked, ApplyLayout::Stream] {
-                    let mk = |exchange: Exchange| {
-                        EngineConfig::new(4, policy)
-                            .threads(threads)
-                            .apply_layout(layout)
-                            .cost(CostModel::cluster_a().scale_fixed_costs(1e-3))
-                            .exchange(exchange)
-                            .exchange_chunk(256)
-                    };
-                    let bulk = run_kernel(&graph, &props, &inst, &mk(Exchange::Bulk));
-                    let pipe = run_kernel(&graph, &props, &inst, &mk(Exchange::Pipelined));
-                    let label =
-                        format!("{name}/{policy:?}/t{threads}/{layout:?} bulk-vs-pipelined");
-                    // Outputs, work, and comm are bit-identical always; at
-                    // one thread the charged work is conserved too, and
-                    // the pipelined timeline can only be shorter — the
-                    // overlap of frame arrivals with apply charges is the
-                    // modelled optimisation.
-                    assert_identical(
-                        &label,
-                        &pipe,
-                        &bulk,
-                        if threads == 1 {
-                            TimeMatch::Conserved
-                        } else {
-                            TimeMatch::Free
-                        },
-                    );
-                    if threads == 1 {
-                        assert!(
-                            pipe.1.time.virtual_secs <= bulk.1.time.virtual_secs * (1.0 + 1e-9),
-                            "{label}: pipelined makespan {} above bulk {}",
-                            pipe.1.time.virtual_secs,
-                            bulk.1.time.virtual_secs
-                        );
-                        // The update-arrival stall moves category (Send →
-                        // Exchange) and shrinks strictly: apply work now
-                        // fills the gaps between frame arrivals.
-                        let bulk_send = bulk.1.time.category(SpanCategory::Send);
-                        let pipe_exchange = pipe.1.time.category(SpanCategory::Exchange);
-                        assert_eq!(
-                            pipe.1.time.category(SpanCategory::Send),
-                            0.0,
-                            "{label}: pipelined runs have no bulk update waits"
-                        );
-                        assert!(
-                            pipe_exchange <= bulk_send * (1.0 + 1e-9),
-                            "{label}: exchange stall {pipe_exchange} \
-                             above bulk send stall {bulk_send}"
-                        );
-                        if pipe_exchange < bulk_send {
-                            any_strict = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(
-        any_strict,
-        "no configuration showed a strictly smaller exchange stall — \
-         the pipeline overlapped nothing"
-    );
 }
 
 /// Knob-driven, well-typed-by-construction random UDF: an int
@@ -647,13 +417,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Certificate soundness over random UDFs: (a) interval soundness —
-    /// test builds run with debug assertions, so the narrowed wire codec
-    /// dynamically checks every carried value it writes or reads against
-    /// the certified range and panics on an escape; (b) latch soundness —
-    /// the `Evaluate` audit re-runs every skipped segment and panics if
+    /// with debug assertions on, the narrowed wire codec checks every
+    /// carried value it writes or reads against the certified range and
+    /// panics on an escape; (b) latch soundness — the executor's audit
+    /// (every guarded program in a debug build, programs without a latch
+    /// certificate in release) re-runs each skipped segment and panics if
     /// it emits or scans an edge, i.e. if the skip latch un-triggered;
-    /// (c) both consumers stay observation-equivalent to the wide,
-    /// unaudited baseline.
+    /// (c) the narrowed run stays observation-equivalent to the wide one.
     #[test]
     fn random_udfs_respect_their_certificates(
         g in arb_graph(80, 250),
@@ -665,31 +435,19 @@ proptest! {
         let props = rand_props(g.num_vertices());
         let inst = instrument(&udf).expect("instrumentation");
         let policy = effective_policy(&inst.info, Policy::symple_basic());
-        let mk = |width: DepWidth, exit: EarlyExit| {
+        let mk = |width: DepWidth| {
             EngineConfig::new(machines, policy)
                 .threads(threads)
                 .dep_width(width)
-                .early_exit(exit)
         };
-        let wide = run_kernel(&g, &props, &inst, &mk(DepWidth::Wide, EarlyExit::Certified));
-        let narrow =
-            run_kernel(&g, &props, &inst, &mk(DepWidth::Certified, EarlyExit::Certified));
+        let wide = run_kernel(&g, &props, &inst, &mk(DepWidth::Wide));
+        let narrow = run_kernel(&g, &props, &inst, &mk(DepWidth::Certified));
         prop_assert_eq!(&wide.0, &narrow.0, "narrowed outputs diverged");
         prop_assert_eq!(wide.1.work, narrow.1.work, "narrowed work diverged");
         prop_assert!(
             narrow.1.comm.bytes(CommKind::Dependency)
                 <= wide.1.comm.bytes(CommKind::Dependency),
             "narrowing grew the dependency stream"
-        );
-        let audited =
-            run_kernel(&g, &props, &inst, &mk(DepWidth::Certified, EarlyExit::Evaluate));
-        prop_assert_eq!(&audited.0, &narrow.0, "audited outputs diverged");
-        prop_assert_eq!(audited.1.work, narrow.1.work, "audited work diverged");
-        prop_assert_eq!(audited.1.comm, narrow.1.comm, "audited comm diverged");
-        prop_assert_eq!(
-            audited.1.time.virtual_secs,
-            narrow.1.time.virtual_secs,
-            "the audit is free in virtual time"
         );
     }
 }

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use symplegraph::algos::{bfs, kcore, sampling};
-use symplegraph::core::{EngineConfig, Exchange, FaultPlan, Policy, SpanCategory, WireCodec};
+use symplegraph::core::{EngineConfig, FaultPlan, Policy, RunStats, SpanCategory, WireCodec};
 use symplegraph::graph::{Graph, GraphBuilder, RmatConfig, Vid};
 
 /// The policies whose pull paths differ (baseline walk, plain circulant,
@@ -30,13 +30,16 @@ fn cfg(machines: usize, policy: Policy, threads: usize) -> EngineConfig {
         .threads(threads)
 }
 
-#[test]
-fn bfs_identical_for_any_thread_count() {
-    let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
+/// Outputs, work and comm of `job` at 2 and 8 threads equal the
+/// single-thread run's, under every policy.
+fn assert_thread_invariant<O: PartialEq + std::fmt::Debug>(
+    machines: usize,
+    job: impl Fn(&EngineConfig) -> (O, RunStats),
+) {
     for policy in policies() {
-        let (base_out, base_st) = bfs(&g, &cfg(4, policy, 1), Vid::new(7));
+        let (base_out, base_st) = job(&cfg(machines, policy, 1));
         for threads in [2, 8] {
-            let (out, st) = bfs(&g, &cfg(4, policy, threads), Vid::new(7));
+            let (out, st) = job(&cfg(machines, policy, threads));
             assert_eq!(out, base_out, "{policy:?} threads={threads}: output");
             assert_eq!(st.work, base_st.work, "{policy:?} threads={threads}: work");
             assert_eq!(st.comm, base_st.comm, "{policy:?} threads={threads}: comm");
@@ -45,17 +48,15 @@ fn bfs_identical_for_any_thread_count() {
 }
 
 #[test]
+fn bfs_identical_for_any_thread_count() {
+    let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
+    assert_thread_invariant(4, |c| bfs(&g, c, Vid::new(7)));
+}
+
+#[test]
 fn kcore_identical_for_any_thread_count() {
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
-    for policy in policies() {
-        let (base_out, base_st) = kcore(&g, &cfg(3, policy, 1), 3);
-        for threads in [2, 8] {
-            let (out, st) = kcore(&g, &cfg(3, policy, threads), 3);
-            assert_eq!(out, base_out, "{policy:?} threads={threads}: output");
-            assert_eq!(st.work, base_st.work, "{policy:?} threads={threads}: work");
-            assert_eq!(st.comm, base_st.comm, "{policy:?} threads={threads}: comm");
-        }
-    }
+    assert_thread_invariant(3, |c| kcore(&g, c, 3));
 }
 
 #[test]
@@ -63,15 +64,7 @@ fn sampling_identical_for_any_thread_count() {
     // Sampling exercises the data-carried (prefix sum) dependency path,
     // the one most sensitive to slot-range sharding mistakes.
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
-    for policy in policies() {
-        let (base_out, base_st) = sampling(&g, &cfg(4, policy, 1), 5);
-        for threads in [2, 8] {
-            let (out, st) = sampling(&g, &cfg(4, policy, threads), 5);
-            assert_eq!(out, base_out, "{policy:?} threads={threads}: output");
-            assert_eq!(st.work, base_st.work, "{policy:?} threads={threads}: work");
-            assert_eq!(st.comm, base_st.comm, "{policy:?} threads={threads}: comm");
-        }
-    }
+    assert_thread_invariant(4, |c| sampling(&g, c, 5));
 }
 
 #[test]
@@ -140,92 +133,86 @@ fn adaptive_comm_is_thread_invariant_and_never_larger() {
     }
 }
 
+/// An `exchange_chunk` above every payload of these tests: one frame per
+/// message, physically the monolithic message of a bulk exchange.
+const ONE_FRAME: usize = 1 << 30;
+
 #[test]
-fn exchange_mode_invisible_at_any_thread_count() {
-    // Bulk vs pipelined exchange, with a chunk small enough that the test
-    // graph's messages really frame: bit-identical outputs, work, and comm
-    // (including the wire-format histogram) at every thread count — the
-    // pipeline only moves waits and host wall time.
+fn exchange_framing_invisible_at_any_thread_count() {
+    // One frame per message vs 64-byte frames, small enough that the test
+    // graph's messages really split: bit-identical outputs, work, and comm
+    // (including the wire-format histogram) at every thread count —
+    // framing only moves waits and host wall time. At one thread the
+    // framed timeline is never the longer one, and it never stalls longer
+    // for update frames: apply work fills the gaps between arrivals.
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
     for policy in policies() {
         for threads in [1, 4] {
-            let mk = |exchange: Exchange| {
-                cfg(4, policy, threads)
-                    .exchange(exchange)
-                    .exchange_chunk(64)
-            };
-            let (bulk_out, bulk_st) = bfs(&g, &mk(Exchange::Bulk), Vid::new(7));
-            let (pipe_out, pipe_st) = bfs(&g, &mk(Exchange::Pipelined), Vid::new(7));
-            assert_eq!(pipe_out, bulk_out, "{policy:?} t{threads}: output");
-            assert_eq!(pipe_st.work, bulk_st.work, "{policy:?} t{threads}: work");
-            assert_eq!(pipe_st.comm, bulk_st.comm, "{policy:?} t{threads}: comm");
+            let mk = |chunk: usize| cfg(4, policy, threads).exchange_chunk(chunk);
+            let (whole_out, whole_st) = bfs(&g, &mk(ONE_FRAME), Vid::new(7));
+            let (framed_out, framed_st) = bfs(&g, &mk(64), Vid::new(7));
+            assert_eq!(framed_out, whole_out, "{policy:?} t{threads}: output");
+            assert_eq!(framed_st.work, whole_st.work, "{policy:?} t{threads}: work");
+            assert_eq!(framed_st.comm, whole_st.comm, "{policy:?} t{threads}: comm");
 
-            let (bulk_out, bulk_st) = kcore(&g, &mk(Exchange::Bulk), 3);
-            let (pipe_out, pipe_st) = kcore(&g, &mk(Exchange::Pipelined), 3);
-            assert_eq!(pipe_out, bulk_out, "{policy:?} t{threads}: kcore output");
-            assert_eq!(
-                pipe_st.work, bulk_st.work,
-                "{policy:?} t{threads}: kcore work"
-            );
-            assert_eq!(
-                pipe_st.comm, bulk_st.comm,
-                "{policy:?} t{threads}: kcore comm"
-            );
+            let (whole_out, whole) = kcore(&g, &mk(ONE_FRAME), 3);
+            let (framed_out, framed) = kcore(&g, &mk(64), 3);
+            assert_eq!(framed_out, whole_out, "{policy:?} t{threads}: kcore output");
+            assert_eq!(framed.work, whole.work, "{policy:?} t{threads}: kcore work");
+            assert_eq!(framed.comm, whole.comm, "{policy:?} t{threads}: kcore comm");
+            if threads == 1 {
+                let stall = |st: &RunStats| st.time.category(SpanCategory::Exchange);
+                for (what, framed, whole) in [
+                    ("makespan", framed.virtual_time(), whole.virtual_time()),
+                    ("exchange stall", stall(&framed), stall(&whole)),
+                ] {
+                    assert!(
+                        framed <= whole * (1.0 + 1e-9),
+                        "{policy:?}: framed {what} {framed} above one-frame {whole}"
+                    );
+                }
+            }
         }
     }
 }
 
 #[test]
-fn exchange_modes_absorb_chaos_plans_identically() {
-    // Replay of a seeded chaos plan through the PR 4 reliable layer, per
-    // exchange mode: outputs and work stay bit-identical to the fault-free
-    // run of the same mode, logical traffic matches across modes, and each
-    // mode is individually reproducible. (The reliable overlay counters may
-    // differ between modes — frames draw their own per-stream fates.)
+fn exchange_framings_absorb_chaos_plans_identically() {
+    // Replay of a seeded chaos plan through the reliable layer, per
+    // framing: outputs and work stay bit-identical to the fault-free run,
+    // logical traffic matches across framings, and a faulted run is
+    // reproducible. (The reliable overlay counters may differ between
+    // framings — frames draw their own per-stream fates.)
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
     for policy in [Policy::Gemini, Policy::symple()] {
-        let mk = |exchange: Exchange, faults: bool| {
-            let c = cfg(4, policy, 2).exchange(exchange).exchange_chunk(64);
-            if faults {
-                c.fault_plan(FaultPlan::chaos(42))
-            } else {
-                c
-            }
+        let mk = |chunk: usize, plan: Option<FaultPlan>| {
+            cfg(4, policy, 2).exchange_chunk(chunk).fault_plan(plan)
         };
-        let (bulk_out, bulk_st) = bfs(&g, &mk(Exchange::Bulk, true), Vid::new(7));
-        let (pipe_out, pipe_st) = bfs(&g, &mk(Exchange::Pipelined, true), Vid::new(7));
-        let (clean_out, clean_st) = bfs(&g, &mk(Exchange::Pipelined, false), Vid::new(7));
-        assert_eq!(pipe_out, clean_out, "{policy:?}: chaos changed outputs");
-        assert_eq!(pipe_out, bulk_out, "{policy:?}: modes diverged under chaos");
+        let chaos = Some(FaultPlan::chaos(42));
+        let (whole_out, whole) = bfs(&g, &mk(ONE_FRAME, chaos), Vid::new(7));
+        let (framed_out, framed) = bfs(&g, &mk(64, chaos), Vid::new(7));
+        let (clean_out, clean) = bfs(&g, &mk(64, None), Vid::new(7));
+        assert_eq!(framed_out, clean_out, "{policy:?}: chaos changed outputs");
+        assert_eq!(framed_out, whole_out, "{policy:?}: framings diverged");
+        assert_eq!(framed.work, clean.work, "{policy:?}: chaos changed work");
+        assert_eq!(framed.work, whole.work, "{policy:?}: work across framings");
+        let logical = |st: &RunStats| (st.comm.total_bytes(), st.comm.total_messages());
         assert_eq!(
-            pipe_st.work, clean_st.work,
-            "{policy:?}: chaos changed work"
-        );
-        assert_eq!(pipe_st.work, bulk_st.work, "{policy:?}: work across modes");
-        assert_eq!(
-            pipe_st.comm.total_bytes(),
-            bulk_st.comm.total_bytes(),
-            "{policy:?}: logical bytes across modes under chaos"
-        );
-        assert_eq!(
-            pipe_st.comm.total_messages(),
-            bulk_st.comm.total_messages(),
-            "{policy:?}: logical messages across modes under chaos"
+            logical(&framed),
+            logical(&whole),
+            "{policy:?}: logical bytes and messages across framings under chaos"
         );
         assert!(
-            pipe_st.comm.reliable().retransmits > 0,
+            framed.comm.reliable().retransmits > 0,
             "{policy:?}: the chaos plan injected nothing"
         );
-        // Reproducibility of the faulted pipelined run, overlay included.
-        let (again_out, again_st) = bfs(&g, &mk(Exchange::Pipelined, true), Vid::new(7));
-        assert_eq!(again_out, pipe_out, "{policy:?}: faulted replay output");
+        // Reproducibility of the faulted framed run, overlay included.
+        let (again_out, again) = bfs(&g, &mk(64, chaos), Vid::new(7));
+        assert_eq!(again_out, framed_out, "{policy:?}: faulted replay output");
+        assert_eq!(again.comm, framed.comm, "{policy:?}: faulted replay comm");
         assert_eq!(
-            again_st.comm, pipe_st.comm,
-            "{policy:?}: faulted replay comm"
-        );
-        assert_eq!(
-            again_st.virtual_time(),
-            pipe_st.virtual_time(),
+            again.virtual_time(),
+            framed.virtual_time(),
             "{policy:?}: faulted replay virtual time"
         );
     }
@@ -253,8 +240,8 @@ fn compute_charge_is_critical_path_not_sum() {
     assert_eq!(st1.work, st4.work);
 
     let (m1, m4) = (st1.metrics(), st4.metrics());
-    // Compute-like charge = signal-side Compute plus the blocked Apply
-    // sweep (both feed `compute_cpu`).
+    // Compute-like charge = signal-side Compute plus the Apply pass
+    // (both feed `compute_cpu`).
     let charge = |m: &symplegraph::core::MetricsReport| {
         m.time(SpanCategory::Compute) + m.time(SpanCategory::Apply)
     };

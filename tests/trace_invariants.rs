@@ -7,7 +7,7 @@
 //! deterministic across repeated seeded runs.
 
 use symplegraph::algos::{bfs, kcore, mis};
-use symplegraph::core::{EngineConfig, Exchange, Policy, RunStats, TraceLevel};
+use symplegraph::core::{EngineConfig, Policy, RunStats, TraceLevel};
 use symplegraph::graph::{Graph, RmatConfig, Vid};
 use symplegraph::net::{ByteCategory, CommKind, CostModel, SpanCategory, COMM_KINDS};
 
@@ -134,28 +134,24 @@ fn traces_are_identical_across_repeated_runs() {
 
 #[test]
 fn chrome_export_has_one_track_per_machine_with_expected_spans() {
-    // Update-arrival stalls are categorized by the exchange mode: "send"
-    // under the bulk exchange, "exchange" under the pipelined default.
-    for (exchange, wait_span) in [(Exchange::Bulk, "send"), (Exchange::Pipelined, "exchange")] {
-        let g = graph();
-        let config = cfg(4, Policy::symple()).exchange(exchange);
-        let (_, stats) = bfs(&g, &config, Vid::new(1));
-        let json = stats.trace.to_chrome_json();
-        for machine in 0..4 {
-            assert!(
-                json.contains(&format!("\"tid\":{machine}")),
-                "missing track for machine {machine}"
-            );
-        }
-        for name in ["compute", "dep-wait", wait_span] {
-            assert!(
-                json.contains(&format!("\"name\":\"{name}\"")),
-                "no {name} spans under {exchange}"
-            );
-        }
-        // Scope labels ride along as event args.
-        assert!(json.contains("\"iteration\""));
+    let g = graph();
+    let (_, stats) = bfs(&g, &cfg(4, Policy::symple()), Vid::new(1));
+    let json = stats.trace.to_chrome_json();
+    for machine in 0..4 {
+        assert!(
+            json.contains(&format!("\"tid\":{machine}")),
+            "missing track for machine {machine}"
+        );
     }
+    // "exchange" is the update-arrival stall.
+    for name in ["compute", "dep-wait", "exchange"] {
+        assert!(
+            json.contains(&format!("\"name\":\"{name}\"")),
+            "no {name} spans"
+        );
+    }
+    // Scope labels ride along as event args.
+    assert!(json.contains("\"iteration\""));
 }
 
 #[test]
