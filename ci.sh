@@ -1,23 +1,26 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus lint checks. Run from the repository root.
 #
-#   ./ci.sh            # build, test, smokes, matrix gate, fmt, clippy
-#   ./ci.sh --quick    # skip the release build and the release-profile studies
+#   ./ci.sh            # build, test, matrix gate, doc gate, fmt, clippy
+#   ./ci.sh --quick    # skip the release build and the release-profile steps
 #   ./ci.sh --help     # this text
 #
-# Performance regressions are caught by ONE guard: the scenario matrix
-# (`--matrix-identity` against the committed BENCH_matrix.json), which
+# Two instruments, and this script holds one of them: the deterministic
+# cells of symple-bench (modelled seconds, exact edges and bytes — the
+# same on every host and in both profiles). ONE guard catches a moved
+# number: `--matrix-identity` against the committed BENCH_matrix.json
 # replays every {algo x graph x policy x codec x threads x faults} cell
-# and fails unless each one serializes to exactly the committed bytes —
-# virtual seconds, data bytes, edges, fingerprint. The quantities are
-# modelled, so they read the same on every host and in both profiles: it
-# runs under --quick (debug) and in the full run (release). A change that
-# means to move a cell regenerates the file (`--matrix-json`) and says so.
+# and fails unless each serializes to exactly the committed bytes; it runs
+# under --quick (debug) and in the full run (release). The full run also
+# diffs `experiments all` against the block EXPERIMENTS.md prints. A change
+# that means to move a number regenerates the file (`--matrix-json`) or
+# the block and says so. Wall clock is benchmark/'s job (BENCHMARK.json);
+# here it is only built, unit-tested and smoked.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 usage() {
-  sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
   exit "${1:-2}"
 }
 
@@ -89,15 +92,6 @@ step "backend equivalence gate (sim vs thread transport)"
 cargo test -q --offline --test backend_equivalence
 
 if [ "$QUICK" = 0 ]; then
-  step "thread-transport smoke (modelled vs measured wall)"
-  # Runs the transport study (BFS / K-core / MIS on both backends; the
-  # study asserts logical bit-identity) and writes a throwaway grid to a
-  # temp dir so the repo root stays clean.
-  SMOKE_DIR="$(mktemp -d)"
-  trap 'rm -rf "$SMOKE_DIR"' EXIT
-  cargo run --release --offline -p symple-bench --bin experiments -- \
-    --transport-json "$SMOKE_DIR/BENCH_transport_smoke.json"
-
   step "scenario-matrix identity gate, release profile (vs committed BENCH_matrix.json)"
   # THE consolidated perf gate, as the release build reads it: replays
   # every cell of the committed matrix (all algorithms x graphs x policies
@@ -110,11 +104,15 @@ if [ "$QUICK" = 0 ]; then
   cargo run --release --offline -p symple-bench --bin experiments -- \
     --matrix-identity BENCH_matrix.json
 
-  step "fault-injection smoke (chaos plan, outputs bit-identical)"
-  # BFS / K-core / MIS on s27, 4 machines, under a seeded drop+dup+delay+
-  # reorder plan; the sweep itself asserts outputs, work counters, and
-  # logical traffic match the fault-free run bit for bit.
-  cargo run --release --offline -p symple-bench --bin experiments -- --faults
+  step "doc gate (experiments all vs EXPERIMENTS.md \"Full output\")"
+  # Every report is modelled or counted, so the stdout of `experiments all`
+  # is byte-deterministic and EXPERIMENTS.md's fenced "Full output" block
+  # must be exactly it. Running all eighteen reports also runs every
+  # assertion they make inline (the fault sweep's bit-identity under a
+  # chaos plan, the codec's, the UDF certificates', the matrix's).
+  cargo run --release --offline -p symple-bench --bin experiments -- all |
+    diff - <(awk '/^## Full output/ {sec = 1} sec && /^```/ {if (blk) exit; blk = 1; next} blk' \
+      EXPERIMENTS.md)
 fi
 
 step "scenario-matrix smoke (SNAP karate, all knobs)"
@@ -132,15 +130,6 @@ step "scenario-matrix identity gate (vs committed BENCH_matrix.json)"
 # the debug build (~12 s) reads the same as release. Runs under --quick.
 cargo run --offline -p symple-bench --bin experiments -- \
   --matrix-identity BENCH_matrix.json
-
-step "executor equivalence smoke (interp vs bytecode, full engine)"
-# One kernel through the engine under both executors; outputs, work,
-# comm counters, and modelled time must match bit for bit. Also prints
-# the ops each dispatch-study kernel takes per edge before and after the
-# bind-time optimiser and fails if one is over its budget: an exact,
-# host-independent stand-in for a timing gate on the VM. Runs under
-# --quick so every push enforces the compile-don't-interpret contract.
-cargo run --offline -p symple-bench --bin experiments -- --exec-smoke
 
 step "symple-lint (paper UDFs + scenario-matrix UDFs)"
 # Lints the five paper kernels plus the SSSP/CC/PageRank matrix kernels

@@ -52,9 +52,24 @@ impl Dataset {
 pub fn spec(name: &str) -> &'static Dataset {
     DATASETS
         .iter()
+        .chain([&RMAT8])
         .find(|d| d.name == name)
         .unwrap_or_else(|| panic!("unknown dataset `{name}`"))
 }
+
+/// The small R-MAT graph the `udf` report runs on. It stands in for none
+/// of the paper's datasets, so Table 1 ([`DATASETS`]) does not list it and,
+/// like `karate`, it runs at native cost (`paper_edges` is its own edge
+/// count); it resolves by name like the others.
+const RMAT8: Dataset = Dataset {
+    name: "rmat8",
+    stands_for: "R-MAT scale 8, ef 8 (UDF carried-state study)",
+    scale: 8,
+    edge_factor: 8,
+    seed: 1,
+    paper_edges: 2550,
+    snap: None,
+};
 
 /// The `karate` SNAP source, anchored at the workspace root so the
 /// registry resolves it from any working directory (tests run from the
@@ -155,10 +170,7 @@ fn registry() -> &'static Mutex<HashMap<&'static str, &'static Graph>> {
 ///
 /// Panics on an unknown name.
 pub fn dataset(name: &str) -> &'static Graph {
-    let spec = DATASETS
-        .iter()
-        .find(|d| d.name == name)
-        .unwrap_or_else(|| panic!("unknown dataset `{name}`"));
+    let spec = spec(name);
     let mut cache = registry().lock().expect("registry poisoned");
     if let Some(g) = cache.get(spec.name) {
         return g;

@@ -2,18 +2,22 @@
 //!
 //! * [`datasets`] — the dataset registry: scaled-down R-MAT stand-ins for
 //!   the paper's graphs (Table 1), cached per process.
-//! * [`experiments`] — one function per table/figure; each returns a
-//!   [`experiments::Report`] with the formatted table and the raw rows.
+//! * [`registry`] — the registry of measured cells: one engine run per
+//!   (workload, dataset, configuration), memoized, behind the crate's one
+//!   dispatcher into `symple_algos`.
+//! * [`experiments`] — one view per table/figure over those cells, and
+//!   [`experiments::REPORTS`], the one table of what exists.
 //! * [`matrix`] — the consolidated scenario matrix
-//!   ({algo × graph × policy × codec × threads × faults})
+//!   ({algo × graph × policy × codec × threads × faults}), another view,
 //!   behind `BENCH_matrix.json` and the `--matrix-identity` perf gate.
 //! * `src/bin/experiments.rs` — the CLI that regenerates everything
 //!   (`cargo run --release -p symple-bench --bin experiments -- all`).
-//! * `benches/` — criterion wrappers over the same runners.
 //!
-//! Absolute numbers come from the virtual-time cost model (see
-//! `symple-net`); the claims under reproduction are the *relative* ones:
-//! who wins, by what factor, where communication drops.
+//! Everything here is modelled or counted — virtual time from the cost
+//! model (see `symple-net`), exact edges and bytes — so the output is the
+//! same on every host; wall-clock measurement lives in `benchmark/`. The
+//! claims under reproduction are the *relative* ones: who wins, by what
+//! factor, where communication drops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +26,9 @@ pub mod datasets;
 pub mod experiments;
 pub mod fmt;
 pub mod matrix;
+pub mod registry;
 
 pub use datasets::{dataset, dataset_names, Dataset};
 pub use experiments::Report;
 pub use matrix::{matrix_identity, matrix_json, matrix_smoke, matrix_study, MatrixCell};
+pub use registry::{Cell, Registry, Workload};

@@ -4,9 +4,9 @@
 //! Each *base* cell runs an algorithm on a graph under the SympleGraph
 //! and Gemini policies with the default knobs (flat codec, one thread,
 //! no faults); each SympleGraph base cell then fans out into three
-//! *variant* cells flipping exactly one knob (adaptive codec, two apply
-//! threads, seeded chaos faults). While the sweep runs it asserts the
-//! engine's determinism story **inline**:
+//! *variant* cells flipping exactly one knob (adaptive codec, two
+//! executor threads, seeded chaos faults). While the sweep runs it
+//! asserts the engine's determinism story **inline**:
 //!
 //! * every cell of an (algorithm, graph) pair — both policies and all
 //!   three variants — produces the same output fingerprint (BFS is
@@ -25,33 +25,56 @@
 //! while *strictly* shrinking bytes — and the committed file then holds
 //! the narrowed bytes.
 //!
-//! The sweep serializes to `BENCH_matrix.json`, and [`matrix_identity`]
-//! replays the committed file wholesale: every cell is re-measured and
-//! must serialize to exactly the committed bytes — the single perf gate
-//! `ci.sh` runs. The quantities are modelled, so they are the same on
-//! every host and in every profile; a change that means to move a cell
-//! regenerates the file and says so.
+//! Every row is a [`Cell`] of the shared [`Registry`] under its knob
+//! labels, so the matrix re-measures nothing another report of the same
+//! process already has (its fault-free s27 cells are the `faults`
+//! report's). The sweep serializes to `BENCH_matrix.json` — the one
+//! committed schema — and [`matrix_identity`] replays the committed file
+//! wholesale: every cell is re-measured and must serialize to exactly
+//! the committed bytes — the single perf gate `ci.sh` runs. The
+//! quantities are modelled, so they are the same on every host and in
+//! every profile; a change that means to move a cell regenerates the
+//! file and says so.
 
-use crate::datasets::{dataset, DATASETS};
-use crate::experiments::{
-    bfs_roots, cfg, model_for, study_props, Report, PAGERANK_ITERS, PAGERANK_TOL, SSSP_SEED,
-};
+use crate::datasets::DATASETS;
+use crate::experiments::{cfg, model_for};
 use crate::fmt::table;
-use symple_algos::{bfs, cc, kcore, pagerank, sssp};
-use symple_core::{DepWidth, EngineConfig, FaultPlan, Policy, RunStats};
-use symple_graph::{fnv1a64, Graph, Vid};
+use crate::registry::{Cell, Registry, Workload, BFS};
+use symple_core::{DepWidth, EngineConfig, FaultPlan, Policy};
 use symple_net::{CostModel, WireCodec};
 
-/// Matrix workloads: paper kernels (BFS, K-core) next to the three
-/// scenario-matrix kernels (SSSP, CC, PageRank).
-pub const MATRIX_ALGOS: [&str; 5] = ["bfs", "kcore", "sssp", "cc", "pagerank"];
+/// Matrix workloads: paper kernels (BFS from one root, K-core at the
+/// grid's k) next to the three scenario-matrix kernels (SSSP, CC,
+/// PageRank).
+const MATRIX_ALGOS: [(&str, Workload); 5] = [
+    ("bfs", BFS),
+    ("kcore", Workload::Kcore(4)),
+    ("sssp", Workload::Sssp),
+    ("cc", Workload::Cc),
+    ("pagerank", Workload::Pagerank),
+];
 
 /// UDF-driven matrix workloads: the instrumented kernels whose
 /// certificates actually narrow the dependency wire (K-core's counter
 /// fits one byte; sampling's latch elides its float payload). Each gets
 /// a wide base cell plus a `certified-width` variant cell so the
 /// `--matrix-identity` gate holds the narrowed-encoding bytes.
-pub const MATRIX_UDF_ALGOS: [&str; 2] = ["kcore-udf", "sampling-udf"];
+const MATRIX_UDF_ALGOS: [(&str, Workload); 2] = [
+    (
+        "kcore-udf",
+        Workload::Udf {
+            kernel: "kcore",
+            naive: false,
+        },
+    ),
+    (
+        "sampling-udf",
+        Workload::Udf {
+            kernel: "sampling",
+            naive: false,
+        },
+    ),
+];
 
 /// Graphs of the full matrix: the R-MAT Table-1 stand-in plus the real
 /// SNAP-loaded dataset.
@@ -60,24 +83,22 @@ pub const MATRIX_GRAPHS: [&str; 2] = ["s27", "karate"];
 /// Machine count every matrix cell runs at.
 pub const MATRIX_MACHINES: usize = 4;
 
-/// K-core threshold used by the matrix (matches the grid's K-core(4)).
-const KCORE_K: u32 = 4;
-
 /// Chaos-plan seed for the fault variant.
 const FAULT_SEED: u64 = 42;
 
-/// One measured cell of the scenario matrix.
+/// One row of the scenario matrix: a registry [`Cell`] under its knob
+/// labels, reduced to the four numbers `BENCH_matrix.json` holds.
 #[derive(Debug, Clone)]
 pub struct MatrixCell {
-    /// Workload name (one of [`MATRIX_ALGOS`]).
+    /// Workload name.
     pub algo: &'static str,
     /// Dataset name (one of the registry's).
     pub graph: &'static str,
     /// Engine policy (`symple` or `gemini`).
     pub policy: &'static str,
-    /// Wire codec (`flat` or `adaptive`).
+    /// Wire codec (`flat` or `adaptive`), or `certified-width`.
     pub codec: &'static str,
-    /// Apply threads.
+    /// Executor threads.
     pub threads: usize,
     /// Whether the seeded chaos fault plan was active.
     pub faults: bool,
@@ -107,103 +128,6 @@ impl MatrixCell {
     }
 }
 
-/// Fingerprints an output as FNV-1a-64 over its little-endian bytes.
-fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    fnv1a64(bytes)
-}
-
-fn fp_u32s(values: &[u32]) -> u64 {
-    let mut buf = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fingerprint_bytes(&buf)
-}
-
-fn fp_u64s(values: &[u64]) -> u64 {
-    let mut buf = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fingerprint_bytes(&buf)
-}
-
-/// Runs one matrix workload and returns `(output fingerprint, stats)`.
-fn run_cell(algo: &str, g: &Graph, config: &EngineConfig) -> (u64, RunStats) {
-    match algo {
-        "bfs" => {
-            let root = bfs_roots(g, 1)[0];
-            let (out, stats) = bfs(g, config, root);
-            // Depths only: the parent of a multi-parent vertex depends on
-            // the scan order the policy chooses.
-            (fp_u32s(&out.depth), stats)
-        }
-        "kcore" => {
-            let (out, stats) = kcore(g, config, KCORE_K);
-            let flags: Vec<u32> = g
-                .vertices()
-                .map(|v| u32::from(out.in_core.get_vid(v)))
-                .collect();
-            (fp_u32s(&flags), stats)
-        }
-        "sssp" => {
-            let root = bfs_roots(g, 1)[0];
-            let (out, stats) = sssp(g, config, root, SSSP_SEED);
-            (fp_u64s(&out.dist), stats)
-        }
-        "cc" => {
-            let (out, stats) = cc(g, config);
-            (fp_u32s(&out.label), stats)
-        }
-        "pagerank" => {
-            let (out, stats) = pagerank(g, config, PAGERANK_TOL, PAGERANK_ITERS);
-            let mut buf = Vec::with_capacity(out.rank.len() * 8 + 5);
-            for r in &out.rank {
-                buf.extend_from_slice(&r.to_le_bytes());
-            }
-            buf.extend_from_slice(&out.iterations.to_le_bytes());
-            buf.push(u8::from(out.converged));
-            (fingerprint_bytes(&buf), stats)
-        }
-        other => panic!("unknown matrix workload `{other}`"),
-    }
-}
-
-/// Runs one UDF matrix workload (an instrumented paper kernel on the
-/// engine, per-vertex update counters as the output) and returns
-/// `(output fingerprint, stats)`. `config.dep_width` selects the wide
-/// vs certificate-narrowed dependency encoding.
-fn run_udf_cell(algo: &str, g: &Graph, config: &EngineConfig) -> (u64, RunStats) {
-    use symple_udf::{instrument, paper_udfs, UdfProgram};
-    let udf = match algo {
-        "kcore-udf" => paper_udfs::kcore_udf(KCORE_K.into()),
-        "sampling-udf" => paper_udfs::sampling_udf(),
-        other => panic!("unknown UDF matrix workload `{other}`"),
-    };
-    let inst = instrument(&udf).expect("instrumentation");
-    let n = g.num_vertices();
-    let props = study_props(n, 5);
-    let res = symple_core::run_spmd(g, config, |w| {
-        let prog = UdfProgram::new(&inst, &props)
-            .exec(config.udf_exec)
-            .dep_width(config.dep_width);
-        let mut dep = prog.make_dep(w.dep_slots_needed());
-        let mut acc: Vec<u64> = vec![0; n * 2];
-        let mut apply = |v: Vid, bits: u64| -> bool {
-            acc[v.index() * 2] += 1;
-            acc[v.index() * 2 + 1] = acc[v.index() * 2 + 1].wrapping_add(bits);
-            false
-        };
-        w.pull(&prog, &mut dep, &mut apply);
-        acc
-    });
-    let mut buf = Vec::new();
-    for machine in &res.outputs {
-        buf.extend_from_slice(machine);
-    }
-    (fp_u64s(&buf), res.stats)
-}
-
 /// The knob half of a cell id: everything except the workload pair.
 #[derive(Clone, Copy)]
 struct Knobs {
@@ -213,13 +137,7 @@ struct Knobs {
     faults: bool,
 }
 
-fn cell_from(
-    algo: &'static str,
-    graph: &'static str,
-    knobs: Knobs,
-    fp: u64,
-    stats: &RunStats,
-) -> MatrixCell {
+fn cell_from(algo: &'static str, graph: &'static str, knobs: Knobs, cell: &Cell) -> MatrixCell {
     MatrixCell {
         algo,
         graph,
@@ -227,10 +145,10 @@ fn cell_from(
         codec: knobs.codec,
         threads: knobs.threads,
         faults: knobs.faults,
-        virtual_secs: stats.virtual_time(),
-        data_bytes: stats.comm.total_bytes(),
-        edges: stats.work.edges_traversed(),
-        fingerprint: fp,
+        virtual_secs: cell.time,
+        data_bytes: cell.comm.total_bytes(),
+        edges: cell.edges(),
+        fingerprint: cell.fingerprint,
     }
 }
 
@@ -250,106 +168,96 @@ const BASE_KNOBS: Knobs = Knobs {
 /// Panics on an unknown graph name or on any violated invariant —
 /// a fingerprint or work divergence here is an engine bug, not a
 /// perf regression.
-pub fn matrix_study(graphs: &[&'static str], machines: usize) -> Vec<MatrixCell> {
+pub fn matrix_study(reg: &Registry, graphs: &[&'static str], machines: usize) -> Vec<MatrixCell> {
     let mut cells = Vec::new();
     for &graph_name in graphs {
-        let g = dataset(graph_name);
         let cost = model_for(graph_name, CostModel::cluster_a());
-        for algo in MATRIX_ALGOS {
+        let symple = || cfg(machines, Policy::symple(), cost);
+        for (algo, workload) in MATRIX_ALGOS {
+            let row = |knobs: Knobs, config: EngineConfig| {
+                let cell = reg.cell(workload, graph_name, &config);
+                cell_from(algo, graph_name, knobs, &cell)
+            };
             // Base cell: SympleGraph policy, default knobs.
-            let base_cfg = cfg(machines, Policy::symple(), cost);
-            let (base_fp, base_stats) = run_cell(algo, g, &base_cfg);
-            let base = cell_from(algo, graph_name, BASE_KNOBS, base_fp, &base_stats);
-            let (base_edges, base_bytes) = (base.edges, base.data_bytes);
-            cells.push(base);
+            let base = row(BASE_KNOBS, symple());
 
             // Gemini counterpart: same output, no dependency savings.
-            let (gem_fp, gem_stats) = run_cell(algo, g, &cfg(machines, Policy::Gemini, cost));
-            assert_eq!(
-                gem_fp, base_fp,
-                "{algo}/{graph_name}: Gemini output fingerprint diverged from SympleGraph"
-            );
-            cells.push(cell_from(
-                algo,
-                graph_name,
+            let gemini = row(
                 Knobs {
                     policy: "gemini",
                     ..BASE_KNOBS
                 },
-                gem_fp,
-                &gem_stats,
-            ));
+                cfg(machines, Policy::Gemini, cost),
+            );
+            assert_eq!(
+                gemini.fingerprint, base.fingerprint,
+                "{algo}/{graph_name}: Gemini output fingerprint diverged from SympleGraph"
+            );
 
             // Variants: one knob flipped per cell, SympleGraph policy.
-            let variants: [(&str, usize, bool, EngineConfig); 3] = [
+            let variants = [
                 (
-                    "adaptive",
-                    1,
-                    false,
-                    cfg(machines, Policy::symple(), cost).wire_codec(WireCodec::Adaptive),
+                    Knobs {
+                        codec: "adaptive",
+                        ..BASE_KNOBS
+                    },
+                    symple().wire_codec(WireCodec::Adaptive),
                 ),
                 (
-                    "flat",
-                    2,
-                    false,
-                    cfg(machines, Policy::symple(), cost).threads(2),
+                    Knobs {
+                        threads: 2,
+                        ..BASE_KNOBS
+                    },
+                    symple().threads(2),
                 ),
                 (
-                    "flat",
-                    1,
-                    true,
-                    cfg(machines, Policy::symple(), cost).fault_plan(FaultPlan::chaos(FAULT_SEED)),
+                    Knobs {
+                        faults: true,
+                        ..BASE_KNOBS
+                    },
+                    symple().fault_plan(FaultPlan::chaos(FAULT_SEED)),
                 ),
-            ];
-            for (codec, threads, faults, config) in variants {
-                let (fp, stats) = run_cell(algo, g, &config);
-                let knobs = Knobs {
-                    policy: "symple",
-                    codec,
-                    threads,
-                    faults,
-                };
-                let cell = cell_from(algo, graph_name, knobs, fp, &stats);
+            ]
+            .map(|(knobs, config)| row(knobs, config));
+            for cell in &variants {
                 assert_eq!(
-                    fp,
-                    base_fp,
+                    cell.fingerprint,
+                    base.fingerprint,
                     "{}: output fingerprint diverged from the base cell",
                     cell.id()
                 );
                 assert_eq!(
                     cell.edges,
-                    base_edges,
+                    base.edges,
                     "{}: edge traversals diverged from the base cell",
                     cell.id()
                 );
-                if codec == "flat" {
-                    // Apply threading and injected faults live below the
-                    // logical byte accounting.
+                if cell.codec == "flat" {
+                    // Executor threading and injected faults live below
+                    // the logical byte accounting.
                     assert_eq!(
                         cell.data_bytes,
-                        base_bytes,
+                        base.data_bytes,
                         "{}: logical bytes diverged from the base cell",
                         cell.id()
                     );
                 }
-                cells.push(cell);
             }
+            cells.extend([base, gemini]);
+            cells.extend(variants);
         }
 
         // UDF workloads: wide base cell vs `certified-width` variant.
         // The certificate only re-encodes the dependency wire, so the
         // variant must reproduce the base cell's outputs and work bit
         // for bit while strictly shrinking its bytes.
-        for algo in MATRIX_UDF_ALGOS {
-            let policy = Policy::symple_basic();
-            let wide_cfg = cfg(machines, policy, cost).dep_width(DepWidth::Wide);
-            let (wide_fp, wide_stats) = run_udf_cell(algo, g, &wide_cfg);
-            let wide = cell_from(algo, graph_name, BASE_KNOBS, wide_fp, &wide_stats);
-            let (wide_edges, wide_bytes) = (wide.edges, wide.data_bytes);
-            cells.push(wide);
-
-            let cert_cfg = cfg(machines, policy, cost).dep_width(DepWidth::Certified);
-            let (cert_fp, cert_stats) = run_udf_cell(algo, g, &cert_cfg);
+        for (algo, workload) in MATRIX_UDF_ALGOS {
+            let at = |width: DepWidth| {
+                let config = cfg(machines, Policy::symple_basic(), cost).dep_width(width);
+                reg.cell(workload, graph_name, &config)
+            };
+            let wide_cell = at(DepWidth::Wide);
+            let wide = cell_from(algo, graph_name, BASE_KNOBS, &wide_cell);
             let cert = cell_from(
                 algo,
                 graph_name,
@@ -357,43 +265,34 @@ pub fn matrix_study(graphs: &[&'static str], machines: usize) -> Vec<MatrixCell>
                     codec: "certified-width",
                     ..BASE_KNOBS
                 },
-                cert_fp,
-                &cert_stats,
+                &at(DepWidth::Certified),
             );
             assert_eq!(
-                cert_fp,
-                wide_fp,
+                cert.fingerprint,
+                wide.fingerprint,
                 "{}: output fingerprint diverged from the wide cell",
                 cert.id()
             );
             assert_eq!(
                 cert.edges,
-                wide_edges,
+                wide.edges,
                 "{}: edge traversals diverged from the wide cell",
                 cert.id()
-            );
-            assert!(
-                cert.data_bytes <= wide_bytes,
-                "{}: certified-width encoding grew the wire ({} vs {} bytes)",
-                cert.id(),
-                cert.data_bytes,
-                wide_bytes
             );
             // K-core's counter narrows 8 → 1 bytes, so any dependency
             // traffic shrinks strictly. Sampling's float stays 8 bytes
             // wide — its win is latch elision, which by construction
             // only removes payload where a segment actually latched.
-            if algo == "kcore-udf" || wide_stats.work.skipped_by_dep() > 0 {
-                assert!(
-                    cert.data_bytes < wide_bytes,
-                    "{}: certified-width encoding did not shrink the wire \
-                     ({} vs {} bytes)",
-                    cert.id(),
-                    cert.data_bytes,
-                    wide_bytes
-                );
-            }
-            cells.push(cert);
+            let must_shrink = algo == "kcore-udf" || wide_cell.work.skipped_by_dep() > 0;
+            assert!(
+                cert.data_bytes < wide.data_bytes
+                    || (!must_shrink && cert.data_bytes == wide.data_bytes),
+                "{}: certified-width encoding did not shrink the wire ({} vs {} bytes)",
+                cert.id(),
+                cert.data_bytes,
+                wide.data_bytes
+            );
+            cells.extend([wide, cert]);
         }
     }
     cells
@@ -487,7 +386,7 @@ pub fn matrix_identity_points(baseline_json: &str, cells: &[MatrixCell]) -> Resu
 /// the committed file's graphs and machine count (as written by
 /// [`matrix_json`]: no whitespace, known key order) and holds every cell
 /// to [`matrix_identity_points`].
-pub fn matrix_identity(baseline_json: &str) -> Result<String, String> {
+pub fn matrix_identity(reg: &Registry, baseline_json: &str) -> Result<String, String> {
     let machines = baseline_json
         .split_once("\"machines\":")
         .and_then(|(_, rest)| rest.split([',', '}']).next())
@@ -507,7 +406,7 @@ pub fn matrix_identity(baseline_json: &str) -> Result<String, String> {
     if graphs.is_empty() {
         return Err("baseline: no cells found".into());
     }
-    let cells = matrix_study(&graphs, machines);
+    let cells = matrix_study(reg, &graphs, machines);
     matrix_identity_points(baseline_json, &cells)
 }
 
@@ -543,21 +442,17 @@ fn render(machines: usize, cells: &[MatrixCell]) -> String {
 }
 
 /// The full scenario matrix as a report (id `matrix`).
-pub fn matrix_report() -> Report {
-    let cells = matrix_study(&MATRIX_GRAPHS, MATRIX_MACHINES);
-    Report::new(
-        "matrix",
-        "Scenario matrix (extension)",
-        render(MATRIX_MACHINES, &cells),
-    )
+pub(crate) fn matrix_report(reg: &Registry) -> String {
+    let cells = matrix_study(reg, &MATRIX_GRAPHS, MATRIX_MACHINES);
+    render(MATRIX_MACHINES, &cells)
 }
 
 /// The quick-path smoke: the matrix restricted to the SNAP-loaded
 /// `karate` graph, exercising every workload, policy, and knob variant
 /// (29 cells, including the UDF `certified-width` pairs) plus all the
 /// inline invariants in well under a second.
-pub fn matrix_smoke() -> String {
-    let cells = matrix_study(&["karate"], MATRIX_MACHINES);
+pub fn matrix_smoke(reg: &Registry) -> String {
+    let cells = matrix_study(reg, &["karate"], MATRIX_MACHINES);
     render(MATRIX_MACHINES, &cells)
 }
 
@@ -566,7 +461,7 @@ mod tests {
     use super::*;
 
     fn karate_cells() -> Vec<MatrixCell> {
-        matrix_study(&["karate"], 2)
+        matrix_study(&Registry::new(), &["karate"], 2)
     }
 
     #[test]
@@ -587,7 +482,7 @@ mod tests {
         // K-core narrows its counter and must shrink strictly even on
         // karate; sampling's elision has nothing to elide on a graph
         // where no segment latches, so it only must not grow.
-        for algo in MATRIX_UDF_ALGOS {
+        for (algo, _) in MATRIX_UDF_ALGOS {
             let wide = cells
                 .iter()
                 .find(|c| c.algo == algo && c.codec == "flat")
@@ -618,7 +513,7 @@ mod tests {
         assert!(ok.starts_with("29 cells identical"), "{ok}");
         // The entry point reads the graphs and machine count back out of
         // the document it is given.
-        assert_eq!(matrix_identity(&committed), Ok(ok));
+        assert_eq!(matrix_identity(&Registry::new(), &committed), Ok(ok));
         let at = |algo: &str| cells.iter().position(|c| c.algo == algo).unwrap();
         let with = |i: usize, edit: fn(&mut MatrixCell)| {
             let mut moved = cells.clone();
@@ -645,11 +540,12 @@ mod tests {
     #[test]
     fn malformed_baselines_are_errors_not_panics() {
         let json = r#"{"experiment":"matrix","machines":2,"cells":[{"id":"bfs/nope/symple/flat/t1/clean","algo":"bfs","graph":"nope","virtual_secs":1.0,"data_bytes":10}]}"#;
-        let err = matrix_identity(json).expect_err("unknown graph must not panic");
+        let reg = Registry::new();
+        let err = matrix_identity(&reg, json).expect_err("unknown graph must not panic");
         assert!(err.contains("unknown dataset"), "{err}");
-        let err = matrix_identity(r#"{"machines":2,"cells":[]}"#).expect_err("no cells");
+        let err = matrix_identity(&reg, r#"{"machines":2,"cells":[]}"#).expect_err("no cells");
         assert!(err.contains("no cells"), "{err}");
-        let err = matrix_identity("{}").expect_err("no machine count");
+        let err = matrix_identity(&reg, "{}").expect_err("no machine count");
         assert!(err.contains("machines"), "{err}");
     }
 }

@@ -1,0 +1,544 @@
+//! The registry of measured cells: the one place `symple-bench` runs the
+//! engine.
+//!
+//! A [`Cell`] is one engine run — a [`Workload`] on a named dataset under
+//! one `EngineConfig` — reduced to what the reports read: the output
+//! fingerprint, the modelled seconds, and the exact work and communication
+//! counters. Every quantity is modelled or counted, so a cell is the same
+//! on every host and in every profile, and a [`Registry`] measures each
+//! one once: the tables, the figures and the scenario matrix are views
+//! over the same cells (Table 5 and 6 read Table 4's runs; the matrix's
+//! single-root BFS is the first of the tables' four roots).
+//!
+//! `run` is the only function here that calls into `symple_algos`, and
+//! `udf_pull` the only one that drives an instrumented UDF through
+//! `Worker::pull`.
+
+use crate::datasets::dataset;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use symple_algos::{
+    bfs_with_direction, cc, kcore, kmeans, mis, pagerank, sampling, sssp, Direction,
+};
+use symple_core::{EngineConfig, RunStats, WorkStats};
+use symple_graph::{fnv1a64, Bitmap, Graph, Vid};
+use symple_net::{CommKind, CommStats, COMM_KINDS};
+use symple_udf::{InstrumentedUdf, PropertyStore, UdfFn};
+
+/// One engine run's worth of algorithm: everything but the graph and the
+/// engine configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// BFS from the `root`-th deterministic root (see `bfs_roots`).
+    Bfs {
+        /// Index into the root list.
+        root: usize,
+        /// Traversal direction policy (the evaluation's is adaptive).
+        direction: Direction,
+    },
+    /// K-core at the given k.
+    Kcore(u32),
+    /// Maximal independent set.
+    Mis,
+    /// Graph K-means (scaled-down outer iterations).
+    Kmeans,
+    /// Weighted neighbour sampling under one RNG seed.
+    Sampling {
+        /// The RNG seed.
+        seed: u64,
+    },
+    /// Delta-stepping SSSP from the first root over hash-derived edge
+    /// weights (scenario matrix).
+    Sssp,
+    /// Connected components by min-label propagation (scenario matrix).
+    Cc,
+    /// Fixed-point PageRank with convergence detection (scenario matrix).
+    Pagerank,
+    /// An instrumented UDF (see `udf_kernel`) pulled once over the
+    /// whole graph, per-vertex update counters as the output.
+    Udf {
+        /// Kernel name.
+        kernel: &'static str,
+        /// Instrument with the naive syntactic analysis instead of the
+        /// dataflow-minimized one.
+        naive: bool,
+    },
+}
+
+const fn bfs_root(root: usize, direction: Direction) -> Workload {
+    Workload::Bfs { root, direction }
+}
+
+/// Adaptive BFS from the first root: the single run the matrix, the
+/// fault sweep and the traced probe use.
+pub(crate) const BFS: Workload = bfs_root(0, Direction::Adaptive);
+
+/// The evaluation's BFS: adaptive, averaged over four roots.
+pub(crate) const BFS_ROOTS: [Workload; 4] = [
+    BFS,
+    bfs_root(1, Direction::Adaptive),
+    bfs_root(2, Direction::Adaptive),
+    bfs_root(3, Direction::Adaptive),
+];
+
+/// Pull-only BFS over the same four roots: every iteration walks the
+/// dense bottom-up direction — the dense-frontier datapoint of the
+/// wire-codec byte study.
+pub(crate) const BFS_PULL_ROOTS: [Workload; 4] = [
+    bfs_root(0, Direction::PullOnly),
+    bfs_root(1, Direction::PullOnly),
+    bfs_root(2, Direction::PullOnly),
+    bfs_root(3, Direction::PullOnly),
+];
+
+/// The evaluation's sampling: averaged over three seeds.
+pub(crate) const SAMPLING_SEEDS: [Workload; 3] = [
+    Workload::Sampling { seed: 0 },
+    Workload::Sampling { seed: 1 },
+    Workload::Sampling { seed: 2 },
+];
+
+/// Algorithm list for the main grids (paper order), each as the runs its
+/// figures average over.
+pub(crate) const GRID_ALGOS: [(&str, &[Workload]); 5] = [
+    ("BFS", &BFS_ROOTS),
+    ("K-core", &[Workload::Kcore(4)]),
+    ("MIS", &[Workload::Mis]),
+    ("K-means", &[Workload::Kmeans]),
+    ("Sampling", &SAMPLING_SEEDS),
+];
+
+/// The five main-grid graphs (paper Table 4).
+pub(crate) const GRID_GRAPHS: [&str; 5] = ["tw", "fr", "s27", "s28", "s29"];
+
+const KMEANS_ITERS: u32 = 3;
+/// Edge-weight seed for the SSSP workload (see
+/// `symple_algos::common::edge_weight`).
+const SSSP_SEED: u64 = 0x5557;
+/// PageRank convergence tolerance in fixed-point millionths (1e-3).
+const PAGERANK_TOL: u64 = 1_000;
+/// PageRank iteration cap — keeps the big R-MAT stand-ins tractable
+/// while still exercising convergence detection every round.
+const PAGERANK_ITERS: u32 = 20;
+
+/// Picks deterministic non-isolated BFS roots; a longer list extends a
+/// shorter one.
+pub(crate) fn bfs_roots(graph: &Graph, count: usize) -> Vec<Vid> {
+    let n = graph.num_vertices() as u64;
+    let mut roots = Vec::new();
+    let mut probe = 0u64;
+    while roots.len() < count {
+        let v = Vid::new((symple_algos::common::hash3(17, probe, 0) % n) as u32);
+        probe += 1;
+        if graph.out_degree(v) > 0 && !roots.contains(&v) {
+            roots.push(v);
+        }
+    }
+    roots
+}
+
+/// One measured engine run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cell {
+    /// FNV-1a-64 fingerprint of the algorithm output.
+    pub fingerprint: u64,
+    /// Modelled seconds on the emulated cluster.
+    pub time: f64,
+    /// Exact work counters.
+    pub work: WorkStats,
+    /// Exact logical traffic, plus the reliable overlay under a fault
+    /// plan.
+    pub comm: CommStats,
+    /// Whether the trace's categorized byte totals reconciled exactly with
+    /// the raw `CommStats` counters (Table 6 depends on this invariant).
+    pub reconciled: bool,
+}
+
+impl Cell {
+    fn new(fingerprint: u64, stats: &RunStats) -> Self {
+        let report = stats.metrics();
+        Cell {
+            fingerprint,
+            time: stats.virtual_time(),
+            work: stats.work,
+            comm: stats.comm,
+            reconciled: COMM_KINDS
+                .iter()
+                .all(|&k| report.bytes(k.byte_category()) == stats.comm.bytes(k)),
+        }
+    }
+
+    /// Edges traversed.
+    pub fn edges(&self) -> u64 {
+        self.work.edges_traversed()
+    }
+
+    /// Dependency bytes sent.
+    pub fn dep_bytes(&self) -> u64 {
+        self.comm.bytes(CommKind::Dependency)
+    }
+}
+
+/// A workload's figures as the paper's tables report them: the mean over
+/// its runs (roots, seeds).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Measured {
+    /// Mean modelled seconds.
+    pub time: f64,
+    /// Mean edges traversed.
+    pub edges: u64,
+    /// Mean update bytes.
+    pub upd_bytes: u64,
+    /// Mean dependency bytes.
+    pub dep_bytes: u64,
+    /// Whether every run reconciled (see [`Cell::reconciled`]).
+    pub reconciled: bool,
+}
+
+/// The memo of measured cells, one per process in the CLI. Reports take
+/// it by shared reference; it is single-threaded by construction.
+#[derive(Default)]
+pub struct Registry {
+    cells: RefCell<HashMap<String, Cell>>,
+    runs: std::cell::Cell<usize>,
+}
+
+impl Registry {
+    /// An empty registry.
+    pub fn new() -> Self {
+        Registry::default()
+    }
+
+    /// The cell of `workload` on dataset `graph` under `cfg`, measured on
+    /// first use. The key is everything that can change the result: the
+    /// workload, the dataset name and every field of the configuration.
+    pub fn cell(&self, workload: Workload, graph: &str, cfg: &EngineConfig) -> Cell {
+        let key = format!("{workload:?}/{graph}/{cfg:?}");
+        if let Some(cell) = self.cells.borrow().get(&key) {
+            return *cell;
+        }
+        self.runs.set(self.runs.get() + 1);
+        let (fingerprint, stats) = run(workload, dataset(graph), cfg);
+        let cell = Cell::new(fingerprint, &stats);
+        self.cells.borrow_mut().insert(key, cell);
+        cell
+    }
+
+    /// How many times this registry has run the engine — once per
+    /// distinct cell asked for.
+    pub fn engine_runs(&self) -> usize {
+        self.runs.get()
+    }
+
+    /// The mean of `runs` on `graph` under `cfg`. Integer counters divide
+    /// per run, as the tables always have.
+    pub(crate) fn measure(&self, runs: &[Workload], graph: &str, cfg: &EngineConfig) -> Measured {
+        let reps = runs.len() as u64;
+        let mut acc = Measured {
+            time: 0.0,
+            edges: 0,
+            upd_bytes: 0,
+            dep_bytes: 0,
+            reconciled: true,
+        };
+        for &workload in runs {
+            let cell = self.cell(workload, graph, cfg);
+            acc.time += cell.time / reps as f64;
+            acc.edges += cell.edges() / reps;
+            acc.upd_bytes += cell.comm.bytes(CommKind::Update) / reps;
+            acc.dep_bytes += cell.dep_bytes() / reps;
+            acc.reconciled &= cell.reconciled;
+        }
+        acc
+    }
+}
+
+fn fp_u32s(values: impl IntoIterator<Item = u32>) -> u64 {
+    let bytes: Vec<u8> = values.into_iter().flat_map(u32::to_le_bytes).collect();
+    fnv1a64(&bytes)
+}
+
+fn fp_u64s(values: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes: Vec<u8> = values.into_iter().flat_map(u64::to_le_bytes).collect();
+    fnv1a64(&bytes)
+}
+
+fn fp_members(g: &Graph, set: &Bitmap) -> u64 {
+    fp_u32s(g.vertices().map(|v| u32::from(set.get_vid(v))))
+}
+
+/// Runs `workload` on `g` under `cfg` once: the output fingerprint and the
+/// raw stats. The bench crate's one dispatcher into `symple_algos`.
+pub(crate) fn run(workload: Workload, g: &Graph, cfg: &EngineConfig) -> (u64, RunStats) {
+    match workload {
+        Workload::Bfs { root, direction } => {
+            let root = bfs_roots(g, root + 1)[root];
+            let (out, stats) = bfs_with_direction(g, cfg, root, direction);
+            // Depths only: the parent of a multi-parent vertex depends on
+            // the scan order the policy chooses.
+            (fp_u32s(out.depth), stats)
+        }
+        Workload::Kcore(k) => {
+            let (out, stats) = kcore(g, cfg, k);
+            (fp_members(g, &out.in_core), stats)
+        }
+        Workload::Mis => {
+            let (out, stats) = mis(g, cfg, 1);
+            (fp_members(g, &out.in_mis), stats)
+        }
+        Workload::Kmeans => {
+            let (out, stats) = kmeans(g, cfg, 1, KMEANS_ITERS);
+            (fp_u32s(out.cluster), stats)
+        }
+        Workload::Sampling { seed } => {
+            let (out, stats) = sampling(g, cfg, seed);
+            (fp_u32s(out.selected), stats)
+        }
+        Workload::Sssp => {
+            let (out, stats) = sssp(g, cfg, bfs_roots(g, 1)[0], SSSP_SEED);
+            (fp_u64s(out.dist), stats)
+        }
+        Workload::Cc => {
+            let (out, stats) = cc(g, cfg);
+            (fp_u32s(out.label), stats)
+        }
+        Workload::Pagerank => {
+            let (out, stats) = pagerank(g, cfg, PAGERANK_TOL, PAGERANK_ITERS);
+            let mut bytes: Vec<u8> = out.rank.iter().flat_map(|r| r.to_le_bytes()).collect();
+            bytes.extend_from_slice(&out.iterations.to_le_bytes());
+            bytes.push(u8::from(out.converged));
+            (fnv1a64(&bytes), stats)
+        }
+        Workload::Udf { kernel, naive } => udf_pull(&udf_instrumented(kernel, naive), g, cfg),
+    }
+}
+
+/// The UDF kernels by name: the five paper UDFs plus `bounded`, a
+/// k-sampling-style kernel whose only break is dead — the guard flag is
+/// provably false, so the minimized analysis removes the dependency
+/// entirely and `effective_policy` downgrades to Gemini.
+///
+/// # Panics
+///
+/// Panics on an unknown name.
+fn udf_kernel(name: &str) -> UdfFn {
+    use symple_udf::ast::{Expr, Stmt};
+    use symple_udf::{paper_udfs, Ty};
+    match name {
+        "bfs" => paper_udfs::bfs_udf(),
+        "mis" => paper_udfs::mis_udf(),
+        "kcore" => paper_udfs::kcore_udf(4),
+        "kmeans" => paper_udfs::kmeans_udf(),
+        "sampling" => paper_udfs::sampling_udf(),
+        "bounded" => UdfFn::new(
+            "bounded",
+            Ty::Int,
+            vec![
+                Stmt::let_("dbg", Ty::Bool, Expr::b(false)),
+                Stmt::let_("done", Ty::Bool, Expr::b(false)),
+                Stmt::for_neighbors(vec![
+                    Stmt::if_(Expr::prop_u("active"), vec![Stmt::Emit(Expr::i(1))]),
+                    Stmt::if_(
+                        Expr::local("dbg"),
+                        vec![Stmt::assign("done", Expr::b(true)), Stmt::Break],
+                    ),
+                ]),
+                Stmt::if_(Expr::local("done").not(), vec![Stmt::Emit(Expr::i(0))]),
+            ],
+        ),
+        other => panic!("unknown UDF kernel `{other}`"),
+    }
+}
+
+/// `udf_kernel` instrumented by the naive or the minimized analysis.
+pub(crate) fn udf_instrumented(kernel: &str, naive: bool) -> InstrumentedUdf {
+    let udf = udf_kernel(kernel);
+    let inst = if naive {
+        symple_udf::instrument_naive(&udf)
+    } else {
+        symple_udf::instrument(&udf)
+    };
+    inst.expect("instrumentation")
+}
+
+/// The property store the UDF kernels read: every array they name, at
+/// deterministic shapes (every fifth vertex in the frontier, so the BFS
+/// kernel breaks often).
+fn udf_props(n: usize) -> PropertyStore {
+    use symple_udf::PropArray;
+    let mut props = PropertyStore::new();
+    let mut frontier = Bitmap::new(n);
+    let mut active = Bitmap::new(n);
+    let mut assigned = Bitmap::new(n);
+    for i in 0..n {
+        if i % 5 == 0 {
+            frontier.set(i);
+        }
+        if i % 3 != 0 {
+            active.set(i);
+        }
+        if i % 4 == 0 {
+            assigned.set(i);
+        }
+    }
+    props.insert("frontier", PropArray::Bools(frontier));
+    props.insert("active", PropArray::Bools(active));
+    props.insert("assigned", PropArray::Bools(assigned));
+    props.insert(
+        "color",
+        PropArray::Ints((0..n).map(|i| (i * 7 % 31) as i64).collect()),
+    );
+    props.insert(
+        "cluster",
+        PropArray::Ints((0..n).map(|i| (i % 6) as i64).collect()),
+    );
+    props.insert(
+        "weight",
+        PropArray::Floats((0..n).map(|i| (i % 9) as f64 * 0.25).collect()),
+    );
+    props.insert(
+        "r",
+        PropArray::Floats((0..n).map(|i| (i % 13) as f64).collect()),
+    );
+    props
+}
+
+/// Pulls `inst` once over `g` with a per-vertex `(count, sum)` update
+/// accumulator as the output, under the policy the analysis actually
+/// requires ([`symple_udf::effective_policy`] of `config.policy`);
+/// `config.udf_exec` and `config.dep_width` select the executor and the
+/// dependency encoding.
+fn udf_pull(inst: &InstrumentedUdf, g: &Graph, config: &EngineConfig) -> (u64, RunStats) {
+    let n = g.num_vertices();
+    let props = udf_props(n);
+    let engine = EngineConfig {
+        policy: symple_udf::effective_policy(&inst.info, config.policy),
+        ..config.clone()
+    };
+    let res = symple_core::run_spmd(g, &engine, |w| {
+        let prog = symple_udf::UdfProgram::new(inst, &props)
+            .exec(engine.udf_exec)
+            .dep_width(engine.dep_width);
+        let mut dep = prog.make_dep(w.dep_slots_needed());
+        let mut acc: Vec<u64> = vec![0; n * 2];
+        let mut apply = |v: Vid, bits: u64| -> bool {
+            acc[v.index() * 2] += 1;
+            acc[v.index() * 2 + 1] = acc[v.index() * 2 + 1].wrapping_add(bits);
+            false
+        };
+        w.pull(&prog, &mut dep, &mut apply);
+        acc
+    });
+    (fp_u64s(res.outputs.into_iter().flatten()), res.stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use symple_core::Policy;
+    use symple_net::{CostModel, WireFormat};
+
+    fn small(policy: Policy) -> EngineConfig {
+        EngineConfig::new(2, policy).cost(CostModel::zero())
+    }
+
+    #[test]
+    fn bfs_roots_are_valid_distinct_and_prefix_stable() {
+        let g = dataset("s27");
+        let roots = bfs_roots(g, 4);
+        assert_eq!(roots.len(), 4);
+        for &r in &roots {
+            assert!(g.out_degree(r) > 0);
+        }
+        let mut sorted = roots.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 4);
+        assert_eq!(bfs_roots(g, 1)[..], roots[..1]);
+    }
+
+    #[test]
+    fn every_workload_runs_and_reconciles() {
+        let reg = Registry::new();
+        let c = small(Policy::symple());
+        let all = [
+            BFS,
+            BFS_PULL_ROOTS[0],
+            Workload::Kcore(4),
+            Workload::Mis,
+            Workload::Kmeans,
+            SAMPLING_SEEDS[0],
+            Workload::Sssp,
+            Workload::Cc,
+            Workload::Pagerank,
+            Workload::Udf {
+                kernel: "kcore",
+                naive: false,
+            },
+        ];
+        for w in all {
+            let cell = reg.cell(w, "karate", &c);
+            assert!(cell.edges() > 0, "{w:?} traversed nothing");
+            assert!(cell.reconciled, "{w:?} trace bytes diverged from CommStats");
+        }
+        assert_eq!(reg.engine_runs(), all.len());
+    }
+
+    /// Every number a report can read off a cell, as bits.
+    fn bits(c: &Cell) -> Vec<u64> {
+        let mut out = vec![
+            c.fingerprint,
+            c.time.to_bits(),
+            c.edges(),
+            c.comm.total_messages(),
+        ];
+        out.extend(COMM_KINDS.iter().map(|&k| c.comm.bytes(k)));
+        out.extend(WireFormat::ALL.iter().map(|&f| c.comm.format_bytes(f)));
+        out
+    }
+
+    #[test]
+    fn a_memoized_cell_is_a_fresh_measurement_and_costs_no_second_run() {
+        let reg = Registry::new();
+        let c = EngineConfig::new(4, Policy::symple());
+        let w = Workload::Kcore(4);
+        let first = reg.cell(w, "s27", &c);
+        assert_eq!(reg.engine_runs(), 1);
+        let again = reg.cell(w, "s27", &c);
+        assert_eq!(reg.engine_runs(), 1, "the second read ran the engine");
+        let (fp, stats) = run(w, dataset("s27"), &c);
+        let fresh = Cell::new(fp, &stats);
+        assert_eq!(bits(&first), bits(&again));
+        assert_eq!(bits(&first), bits(&fresh));
+        assert_eq!(first, fresh);
+        // Any field of the configuration is part of the key.
+        reg.cell(w, "s27", &c.clone().threads(2));
+        reg.cell(w, "karate", &c);
+        assert_eq!(reg.engine_runs(), 3);
+    }
+
+    #[test]
+    fn the_four_root_average_starts_at_the_single_root_cell() {
+        // The matrix's BFS/SSSP cells and the tables' BFS average go
+        // through the same dispatcher: the first of the four roots *is*
+        // the single-root cell, and SSSP starts from that root too.
+        let reg = Registry::new();
+        let c = small(Policy::symple());
+        let single = reg.cell(BFS, "s27", &c);
+        let mean = reg.measure(&BFS_ROOTS, "s27", &c);
+        assert_eq!(reg.engine_runs(), 4, "the single-root cell was re-run");
+        let cells = BFS_ROOTS.map(|w| reg.cell(w, "s27", &c));
+        assert_eq!(cells[0], single);
+        assert_eq!(mean.edges, cells.iter().map(|x| x.edges() / 4).sum::<u64>());
+        let fps: Vec<u64> = cells.iter().map(|x| x.fingerprint).collect();
+        assert!(fps[1..].iter().all(|&f| f != fps[0]), "roots must differ");
+        let one = reg.measure(&[BFS], "s27", &c);
+        assert_eq!(one.time.to_bits(), single.time.to_bits());
+        assert_eq!(one.edges, single.edges());
+
+        let g = dataset("s27");
+        let (_, from_root) = sssp(g, &c, bfs_roots(g, 4)[0], SSSP_SEED);
+        let cell = reg.cell(Workload::Sssp, "s27", &c);
+        assert_eq!(cell.edges(), from_root.work.edges_traversed());
+    }
+}

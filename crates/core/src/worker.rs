@@ -306,17 +306,9 @@ impl<'a> Worker<'a> {
         let mut buf = self.take_buf();
         for frame in 0.. {
             let ftag = tag.with_frame(frame);
-            let deadline = Instant::now() + self.ctx.recv_deadline();
-            let (frag, arrival) = loop {
-                self.sweep_streams(streams);
-                if let Some(got) = self.ctx.try_take_frame(src, ftag) {
-                    break got;
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if !self.ctx.drain_one(remaining) {
-                    self.ctx.stream_timeout_panic(src, ftag);
-                }
-            };
+            let (frag, arrival) = self.absorb_until(streams, |w, _| {
+                w.ctx.try_take_frame(src, ftag).ok_or((src, ftag))
+            });
             self.ctx.wait_until(arrival, SpanCategory::DepWait);
             buf.extend_from_slice(&frag);
             if frag.len() < chunk {
@@ -422,17 +414,41 @@ impl<'a> Worker<'a> {
     ///
     /// On protocol timeout, with the stalled stream's coordinates.
     fn complete_stream(&mut self, streams: &mut [PipeStream], target: usize) {
+        self.absorb_until(streams, |_, streams| {
+            let st = &streams[target];
+            if st.complete {
+                Ok(())
+            } else {
+                Err((st.src, st.tag.with_frame(st.next_frame)))
+            }
+        })
+    }
+
+    /// The engine's one blocking wait: sweeps `streams`, asks `poll` for
+    /// what the caller is after, and while `poll` instead names the frame
+    /// it is still missing, blocks on the transport for the next envelope
+    /// of any stream. Never touches the virtual clock.
+    ///
+    /// # Panics
+    ///
+    /// When the configured receive deadline passes, naming the frame
+    /// `poll` last asked for.
+    fn absorb_until<T>(
+        &mut self,
+        streams: &mut [PipeStream],
+        mut poll: impl FnMut(&mut Self, &mut [PipeStream]) -> Result<T, (usize, Tag)>,
+    ) -> T {
         let deadline = Instant::now() + self.ctx.recv_deadline();
         loop {
             self.sweep_streams(streams);
-            if streams[target].complete {
-                return;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if !self.ctx.drain_one(remaining) {
-                let st = &streams[target];
-                self.ctx
-                    .stream_timeout_panic(st.src, st.tag.with_frame(st.next_frame));
+            match poll(self, streams) {
+                Ok(got) => return got,
+                Err((src, tag)) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if !self.ctx.drain_one(remaining) {
+                        self.ctx.stream_timeout_panic(src, tag);
+                    }
+                }
             }
         }
     }
@@ -591,18 +607,6 @@ impl<'a> Worker<'a> {
             .map(|bytes| T::read(bytes))
             .reduce(op)
             .expect("allgather returns one value per machine")
-    }
-
-    /// Sums `v` across machines. Collective.
-    #[deprecated(since = "0.2.0", note = "use allreduce(v, |a, b| a + b)")]
-    pub fn allreduce_sum(&mut self, v: u64) -> u64 {
-        self.allreduce(v, |a, b| a + b)
-    }
-
-    /// ORs `v` across machines. Collective.
-    #[deprecated(since = "0.2.0", note = "use allreduce(v, |a, b| a | b)")]
-    pub fn allreduce_or(&mut self, v: bool) -> bool {
-        self.allreduce(v, |a, b| a | b)
     }
 
     /// Synchronises a full-length bitmap: every machine's master slice

@@ -60,16 +60,17 @@ pub struct Tag {
     pub a: u64,
     /// Second discriminator (e.g. double-buffering group).
     pub b: u32,
-    /// Frame index within a pipelined exchange stream. Bulk messages are
-    /// frame 0; [`NodeCtx::send_framed`] numbers the fixed-size chunks of
-    /// one logical payload consecutively, so each frame is an independent
+    /// Frame index within a framed exchange stream. Unframed messages
+    /// (the collectives' [`NodeCtx::send`]) are frame 0;
+    /// [`NodeCtx::send_framed`] numbers the fixed-size chunks of one
+    /// logical payload consecutively, so each frame is an independent
     /// (src, tag) stream to the reliable layer and the `(a, frame)` pair
     /// is the epoch tag of the pipelined completion protocol.
     pub frame: u32,
 }
 
 impl Tag {
-    /// Convenience constructor (frame 0, the bulk stream).
+    /// Convenience constructor (frame 0).
     pub fn new(kind: TagKind, a: u64, b: u32) -> Self {
         Tag {
             kind,
@@ -202,10 +203,10 @@ impl NodeCtx {
     }
 
     /// [`NodeCtx::compute_sharded`], but charged to
-    /// [`SpanCategory::Apply`]: the partition-blocked sweep that folds
-    /// binned updates into the destination masters' state. Identical
-    /// critical-path math — only the trace attribution differs, so the
-    /// apply phase is separable from signal-side edge work in reports.
+    /// [`SpanCategory::Apply`]: the gather phase applying consumed
+    /// updates at their masters. Identical critical-path math — only the
+    /// trace attribution differs, so the apply phase is separable from
+    /// signal-side edge work in reports.
     pub fn apply_sharded(&mut self, chunks: &[(u64, u64)], threads: usize) {
         self.sharded(SpanCategory::Apply, chunks, threads);
     }
@@ -305,31 +306,38 @@ impl NodeCtx {
         kind: CommKind,
         payload: Arc<Vec<u8>>,
     ) -> Result<(), NetError> {
-        assert!(dst < self.world, "destination rank {dst} out of range");
-        assert_ne!(dst, self.rank, "self-send is a protocol error");
-        // Empty payloads are protocol placeholders (the receiver still
-        // blocks on the tag): they ship zero bytes and are charged zero
-        // header cost, and they do not count as traffic. Either way the
-        // logical message is accounted exactly once, here — the reliable
-        // layer below only ever adds to the separate retry counters, so
-        // byte/message accounting matches the fault-free run bit for bit.
-        if !payload.is_empty() {
-            let start = self.clock;
-            self.clock += self.cost.send_overhead(payload.len() as u64);
-            self.trace
-                .record_span(SpanCategory::Serialize, start, self.clock);
-            self.stats.record(kind, payload.len() as u64);
-            self.trace
-                .record_bytes(kind.byte_category(), payload.len() as u64, 1);
-        }
+        self.account(dst, kind, payload.len() as u64);
         self.dispatch(dst, tag, payload, 0.0)
     }
 
+    /// The logical half of a send, done once per message whether it
+    /// travels as one envelope or as frames: the serialize charge and the
+    /// stats/trace record of a `bytes`-long payload of `kind` for `dst`.
+    ///
+    /// Empty payloads are protocol placeholders (the receiver still
+    /// blocks on the tag): they ship zero bytes and are charged zero
+    /// header cost, and they do not count as traffic. Either way the
+    /// logical message is accounted exactly once, here — the reliable
+    /// layer below only ever adds to the separate retry counters, so
+    /// byte/message accounting matches the fault-free run bit for bit.
+    fn account(&mut self, dst: usize, kind: CommKind, bytes: u64) {
+        assert!(dst < self.world, "destination rank {dst} out of range");
+        assert_ne!(dst, self.rank, "self-send is a protocol error");
+        if bytes > 0 {
+            let start = self.clock;
+            self.clock += self.cost.send_overhead(bytes);
+            self.trace
+                .record_span(SpanCategory::Serialize, start, self.clock);
+            self.stats.record(kind, bytes);
+            self.trace.record_bytes(kind.byte_category(), bytes, 1);
+        }
+    }
+
     /// Puts one already-accounted payload on the wire: the physical half
-    /// of a send, shared by the bulk path (one envelope per message) and
-    /// the pipelined path (one envelope per frame). `depart_offset` is
-    /// added to the sender's clock to stagger frame departures; the
-    /// reliable layer treats each (tag, frame) as its own stream.
+    /// of a send, one envelope per unframed message or per frame.
+    /// `depart_offset` is added to the sender's clock to stagger frame
+    /// departures; the reliable layer treats each (tag, frame) as its own
+    /// stream.
     fn dispatch(
         &mut self,
         dst: usize,
@@ -454,8 +462,8 @@ impl NodeCtx {
     }
 
     /// Receives the message with exactly `tag` from `src`, blocking until it
-    /// arrives. Advances the virtual clock to the modelled arrival time.
-    /// Returns the payload.
+    /// arrives. Advances the virtual clock to the modelled arrival time,
+    /// charging the wait to the tag's usual category. Returns the payload.
     ///
     /// Under a fault plan this is where the reliable layer re-establishes
     /// exactly-once FIFO delivery: stale sequence numbers (duplicates and
@@ -468,35 +476,9 @@ impl NodeCtx {
     /// Panics if nothing matching arrives within the timeout (protocol
     /// deadlock) — the panic message names the rank, source and tag.
     pub fn recv(&mut self, src: usize, tag: Tag) -> Vec<u8> {
-        // Release anything we are holding back before blocking: a peer may
-        // be waiting on a deferred envelope of ours.
-        self.flush_all_deferred();
-        if self.reliable.is_some() {
-            return self.recv_reliable(src, tag);
-        }
-        if let Some(queue) = self.pending.get_mut(&(src, tag)) {
-            let env = queue.pop_front().expect("pending queues are never empty");
-            if queue.is_empty() {
-                self.pending.remove(&(src, tag));
-            }
-            return self.arrive(env);
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.port.recv(remaining) {
-                Some(env) if env.poison => {
-                    panic!("node {} aborting: peer {} panicked", self.rank, env.src)
-                }
-                Some(env) if env.src == src && env.tag == tag => return self.arrive(env),
-                Some(env) => self
-                    .pending
-                    .entry((env.src, env.tag))
-                    .or_default()
-                    .push_back(env),
-                None => self.recv_timeout_panic(src, tag),
-            }
-        }
+        let (payload, arrival) = self.recv_frame(src, tag);
+        self.wait_until(arrival, self.wait_category(tag.kind));
+        payload
     }
 
     fn recv_timeout_panic(&self, src: usize, tag: Tag) -> ! {
@@ -510,44 +492,6 @@ impl NodeCtx {
                 .map(|(&(s, t), q)| (s, t, q.len()))
                 .collect::<Vec<_>>()
         )
-    }
-
-    /// The receive path with an active fault plan: accept exactly the next
-    /// sequence number of the (src, tag) stream, dropping stale copies and
-    /// buffering overtakers.
-    fn recv_reliable(&mut self, src: usize, tag: Tag) -> Vec<u8> {
-        let link = self
-            .reliable
-            .as_mut()
-            .expect("reliable receive needs a link");
-        let expected = *link.expected.entry((src, tag)).or_insert(0);
-        if let Some(env) = self.take_pending_seq(src, tag, expected) {
-            return self.accept(src, tag, env);
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.port.recv(remaining) {
-                Some(env) if env.poison => {
-                    panic!("node {} aborting: peer {} panicked", self.rank, env.src)
-                }
-                Some(env) if env.src == src && env.tag == tag && env.seq == expected => {
-                    return self.accept(src, tag, env);
-                }
-                Some(env) => self.stash(env),
-                None => self.recv_timeout_panic(src, tag),
-            }
-        }
-    }
-
-    /// Accepts the expected copy: bump the stream cursor, count the
-    /// (zero-byte, free) acknowledgement, and advance the clock to the
-    /// modelled arrival.
-    fn accept(&mut self, src: usize, tag: Tag, env: Envelope) -> Vec<u8> {
-        let link = self.reliable.as_mut().expect("accept needs a link");
-        *link.expected.get_mut(&(src, tag)).expect("cursor exists") += 1;
-        self.stats.reliable.acks += 1;
-        self.arrive(env)
     }
 
     /// Buffers an envelope that is not the one being waited on, discarding
@@ -590,20 +534,6 @@ impl NodeCtx {
             self.pending.insert((src, tag), kept);
         }
         found
-    }
-
-    fn arrive(&mut self, env: Envelope) -> Vec<u8> {
-        let arrival = env.depart + self.cost.arrival_delay(env.payload.len() as u64);
-        if arrival > self.clock {
-            let start = self.clock;
-            let category = self.wait_category(env.tag.kind);
-            self.clock = arrival;
-            self.trace.record_span(category, start, self.clock);
-        }
-        // Usually the last reference by now — take the buffer without
-        // copying; fall back to one clone while the broadcast source (or a
-        // slower sibling) still holds it.
-        Arc::try_unwrap(env.payload).unwrap_or_else(|shared| (*shared).clone())
     }
 
     fn next_epoch(&mut self) -> u64 {
@@ -693,9 +623,9 @@ impl NodeCtx {
     // an already-encoded payload into `chunk`-byte frames with staggered
     // departure times, and the receive side takes frames out of order and
     // charges the waits explicitly. Logical accounting (CommStats, byte
-    // trace cells) is done once per message, exactly like the bulk path,
-    // so the two paths are indistinguishable in outputs and traffic; only
-    // where the virtual clock spends its waits differs. A frame shorter
+    // trace cells) is done once per message, exactly as for an unframed
+    // send, so framing is invisible in outputs and traffic; only where
+    // the virtual clock spends its waits differs. A frame shorter
     // than `chunk` terminates its stream, so a payload that divides evenly
     // gets a trailing empty frame (free and uncounted, like every empty
     // placeholder message).
@@ -715,70 +645,36 @@ impl NodeCtx {
         payload: &[u8],
         chunk: usize,
     ) {
-        if let Err(e) = self.try_send_framed(dst, tag, kind, payload, chunk) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`NodeCtx::send_framed`], surfacing reliable-delivery exhaustion
-    /// as [`NetError::Unreachable`].
-    pub fn try_send_framed(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        kind: CommKind,
-        payload: &[u8],
-        chunk: usize,
-    ) -> Result<(), NetError> {
         assert!(chunk > 0, "exchange chunk must be at least 1 byte");
-        assert!(dst < self.world, "destination rank {dst} out of range");
-        assert_ne!(dst, self.rank, "self-send is a protocol error");
-        if !payload.is_empty() {
-            let start = self.clock;
-            self.clock += self.cost.send_overhead(payload.len() as u64);
-            self.trace
-                .record_span(SpanCategory::Serialize, start, self.clock);
-            self.stats.record(kind, payload.len() as u64);
-            self.trace
-                .record_bytes(kind.byte_category(), payload.len() as u64, 1);
-        }
+        self.account(dst, kind, payload.len() as u64);
         let total = payload.len();
-        if total == 0 {
-            // A single empty frame: the same placeholder the bulk path
-            // ships, and already short, so it terminates the stream.
-            return self.dispatch(dst, tag.with_frame(0), Arc::new(Vec::new()), 0.0);
-        }
         let per_byte = self.cost.per_byte_sec;
+        // Frame k reaches the wire once the bytes before it have, so its
+        // departure is staggered by the wire time of the prefix — the
+        // last frame then arrives exactly when the whole message would
+        // have. A short frame terminates the stream: an evenly divisible
+        // payload (the empty one included) ends with an empty frame, which
+        // departs behind the last data byte and arrives no later than the
+        // final data frame (zero latency for zero bytes).
         let mut frame = 0u32;
         let mut pos = 0usize;
-        while pos < total {
+        loop {
             let end = (pos + chunk).min(total);
-            // Frame k reaches the wire once the bytes before it have, so
-            // its departure is staggered by the wire time of the prefix —
-            // the last frame then arrives exactly when the bulk message
-            // would have.
-            let offset = pos as f64 * per_byte;
-            self.dispatch(
+            let sent = self.dispatch(
                 dst,
                 tag.with_frame(frame),
                 Arc::new(payload[pos..end].to_vec()),
-                offset,
-            )?;
+                pos as f64 * per_byte,
+            );
+            if let Err(e) = sent {
+                panic!("{e}");
+            }
+            if end - pos < chunk {
+                return;
+            }
             pos = end;
             frame += 1;
         }
-        if total.is_multiple_of(chunk) {
-            // Evenly divisible payload: terminate with an empty frame. It
-            // departs behind the last data byte and arrives no later than
-            // the final data frame (zero latency for zero bytes).
-            self.dispatch(
-                dst,
-                tag.with_frame(frame),
-                Arc::new(Vec::new()),
-                total as f64 * per_byte,
-            )?;
-        }
-        Ok(())
     }
 
     /// Moves every envelope already sitting in the transport inbox into
@@ -805,15 +701,7 @@ impl NodeCtx {
     /// the blocking receive.
     pub fn try_take_frame(&mut self, src: usize, tag: Tag) -> Option<(Vec<u8>, f64)> {
         let env = if self.reliable.is_some() {
-            let expected = {
-                let link = self.reliable.as_mut().expect("checked above");
-                *link.expected.entry((src, tag)).or_insert(0)
-            };
-            let env = self.take_pending_seq(src, tag, expected)?;
-            let link = self.reliable.as_mut().expect("checked above");
-            *link.expected.get_mut(&(src, tag)).expect("cursor exists") += 1;
-            self.stats.reliable.acks += 1;
-            env
+            self.take_pending_seq(src, tag, self.expected_seq(src, tag))?
         } else {
             let queue = self.pending.get_mut(&(src, tag))?;
             let env = queue.pop_front().expect("pending queues are never empty");
@@ -822,9 +710,31 @@ impl NodeCtx {
             }
             env
         };
+        Some(self.open(env))
+    }
+
+    /// The sequence number the (src, tag) stream accepts next (always 0
+    /// without a fault plan, where every envelope carries 0).
+    fn expected_seq(&self, src: usize, tag: Tag) -> u64 {
+        let link = self.reliable.as_ref();
+        link.and_then(|l| l.expected.get(&(src, tag)).copied())
+            .unwrap_or(0)
+    }
+
+    /// Accepts the next envelope of its stream: under a fault plan bumps
+    /// the stream cursor and counts the (zero-byte, free) acknowledgement.
+    /// Returns the payload and its modelled arrival time.
+    fn open(&mut self, env: Envelope) -> (Vec<u8>, f64) {
+        if let Some(link) = &mut self.reliable {
+            *link.expected.entry((env.src, env.tag)).or_insert(0) += 1;
+            self.stats.reliable.acks += 1;
+        }
         let arrival = env.depart + self.cost.arrival_delay(env.payload.len() as u64);
+        // Usually the last reference by now — take the buffer without
+        // copying; fall back to one clone while the broadcast source (or a
+        // slower sibling) still holds it.
         let payload = Arc::try_unwrap(env.payload).unwrap_or_else(|shared| (*shared).clone());
-        Some((payload, arrival))
+        (payload, arrival)
     }
 
     /// Blocks until at least one envelope (any source, any tag) has been
@@ -859,7 +769,7 @@ impl NodeCtx {
     /// Blocking framed receive: assembles the whole (src, tag) stream
     /// into `out`, charging each frame's arrival wait to the tag's usual
     /// wait category as it lands. In a fault-free run the final clock
-    /// equals the bulk [`NodeCtx::recv`] of the same payload.
+    /// equals an unframed [`NodeCtx::recv`] of the same payload.
     ///
     /// # Panics
     ///
@@ -880,19 +790,32 @@ impl NodeCtx {
     }
 
     /// Blocks for exactly one frame of (src, tag) without advancing the
-    /// clock; the uncharged building block of the framed receives.
+    /// clock: the one blocking receive, under [`NodeCtx::recv`] and the
+    /// framed receives alike.
     fn recv_frame(&mut self, src: usize, tag: Tag) -> (Vec<u8>, f64) {
+        // Release anything we are holding back before blocking: a peer may
+        // be waiting on a deferred envelope of ours.
+        self.flush_all_deferred();
         if let Some(got) = self.try_take_frame(src, tag) {
             return got;
         }
         let deadline = Instant::now() + self.recv_timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if !self.drain_one(remaining) {
-                self.recv_timeout_panic(src, tag);
-            }
-            if let Some(got) = self.try_take_frame(src, tag) {
-                return got;
+            match self.port.recv(remaining) {
+                Some(env) if env.poison => {
+                    panic!("node {} aborting: peer {} panicked", self.rank, env.src)
+                }
+                // The awaited envelope is taken as it lands; everything
+                // else (other streams, overtakers, stale copies) is
+                // buffered or dropped by `stash`.
+                Some(env)
+                    if (env.src, env.tag, env.seq) == (src, tag, self.expected_seq(src, tag)) =>
+                {
+                    return self.open(env);
+                }
+                Some(env) => self.stash(env),
+                None => self.recv_timeout_panic(src, tag),
             }
         }
     }
