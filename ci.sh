@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus lint checks. Run from the repository root.
 #
-#   ./ci.sh            # build, test, matrix gate, doc gate, fmt, clippy
+#   ./ci.sh            # build, test, matrix gate, doc gates, fmt, clippy
 #   ./ci.sh --quick    # skip the release build and the release-profile steps
 #   ./ci.sh --help     # this text
 #
@@ -67,9 +67,11 @@ step "UDF executor differential tests (release profile)"
 # communication-shape pins must hold without the debug assertion that
 # catches a program lying about `carries_dependency`, and the latch audit
 # must still catch an uncertified violator where debug assertions are off.
-# Runs under --quick.
+# engine_integration rides along because the carried slot's type assertion
+# is a release-mode check too: a UDF whose float local was stored an int
+# must run, not panic, where jobs are measured. Runs under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
-  --test typed_vm_differential --test typed_bind
+  --test typed_vm_differential --test typed_bind --test engine_integration
 cargo test -q --release --offline --test exec_equivalence \
   --test dense_path --test dense_comm
 
@@ -148,6 +150,11 @@ for code in E000 E001 E002 E003 E004 E005 E006 E007 \
             W001 W002 W003 W004 W005 W006 W007 W008; do
   cargo run --offline --example symple_lint -- --explain "$code" >/dev/null
 done
+
+step "rustdoc (warnings are errors)"
+# Every intra-doc link must resolve to one item: a link to something a
+# change deleted, or an ambiguous one, fails here. Runs under --quick.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 step "rustfmt"
 cargo fmt --check

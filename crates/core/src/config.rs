@@ -109,10 +109,12 @@ impl Policy {
 pub enum UdfExec {
     /// Walk the checked AST directly (`symple-udf`'s tree interpreter).
     Interp,
-    /// Lower the checked AST to register bytecode at program construction
-    /// and dispatch a flat `Vec<Op>` per edge. Falls back to the
-    /// interpreter for the rare program the compiler rejects (lint W006
-    /// makes that fallback visible).
+    /// Lower the checked AST, once per program against its property
+    /// store, to ops specialised to their operands' types, optimise them,
+    /// and dispatch that flat program per edge. Falls back to the
+    /// interpreter for a program past a register or carried-local limit
+    /// (lint W006) or one that does not lower against its store (a
+    /// missing property, an array of a type it cannot read).
     #[default]
     Bytecode,
 }

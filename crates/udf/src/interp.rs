@@ -4,13 +4,12 @@
 //! [`UdfProgram`] implements [`symple_core::PullProgram`], so an analyzed
 //! UDF executes under the exact same circulant/dependency machinery as a
 //! hand-written native program. Signal calls dispatch to one of two
-//! executors selected by [`UdfExec`]: the typed bytecode VM
-//! ([`crate::compile`], then typed against the property store and
-//! optimised by [`crate::vm`][self]; the default) or the tree interpreter
-//! in this module, which is the differential reference and the fallback
-//! when compilation hits a resource limit or the program does not type
-//! against the store it is bound to (lint `W006` reports both where the
-//! schema shows them).
+//! executors selected by [`UdfExec`]: the typed VM (the default; see
+//! [`crate::compile`]) or the tree interpreter in this module, which is
+//! the differential reference and the fallback when the program hits a
+//! VM resource limit (lint `W006`) or does not lower against the store it
+//! is bound to. Both widen an `int` stored into a `float` local or
+//! emitted as a `float` update where it is stored.
 //! The instrumentation nodes map to the runtime like this:
 //!
 //! * `ReceiveDepGuard` — on the dependency-carried path: early-return if
@@ -32,7 +31,7 @@ use crate::ast::{BinOp, Expr, Stmt, UnOp};
 use crate::dep_bridge::UdfDep;
 use crate::props::{PropArray, PropertyStore};
 use crate::transform::InstrumentedUdf;
-use crate::types::Value;
+use crate::types::{Ty, Value};
 use crate::vm::BoundVm;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -49,13 +48,13 @@ pub struct UdfProgram<'a> {
     /// The executor requested through [`UdfProgram::exec`].
     exec: UdfExec,
     /// The typed program signal calls run on; `None` is the interpreter,
-    /// by request or as the fallback when compiling or binding fails.
+    /// by request or as the fallback when lowering fails.
     vm: Option<BoundVm<'a>>,
     dep_width: DepWidth,
 }
 
-/// Compiles `inst` and types it against `props`, if the VM was asked for
-/// and the program allows it.
+/// Lowers `inst` against `props`, if the VM was asked for and the program
+/// allows it.
 fn build_vm<'a>(
     inst: &InstrumentedUdf,
     props: &'a PropertyStore,
@@ -64,8 +63,7 @@ fn build_vm<'a>(
     if exec != UdfExec::Bytecode {
         return None;
     }
-    let code = crate::bytecode::lower(inst).ok()?;
-    BoundVm::bind(&code, props)
+    BoundVm::bind(inst, props)
 }
 
 impl<'a> UdfProgram<'a> {
@@ -88,7 +86,7 @@ impl<'a> UdfProgram<'a> {
 
     /// Selects the executor (wire `EngineConfig::udf_exec` through here).
     /// `Bytecode` silently falls back to the interpreter when the program
-    /// cannot be compiled or bound; outputs are identical either way.
+    /// cannot be lowered; outputs are identical either way.
     /// Asking for the executor already in effect keeps the program
     /// [`UdfProgram::new`] built.
     pub fn exec(mut self, exec: UdfExec) -> Self {
@@ -113,9 +111,7 @@ impl<'a> UdfProgram<'a> {
     }
 
     /// Per neighbour loop of the typed program, in program order: the
-    /// most ops one iteration dispatches (see
-    /// [`crate::CompiledUdf::loop_ops`] for the unoptimised count).
-    /// `None` under the interpreter.
+    /// most ops one iteration dispatches. `None` under the interpreter.
     pub fn loop_ops(&self) -> Option<Vec<usize>> {
         self.vm.as_ref().map(BoundVm::loop_ops)
     }
@@ -182,6 +178,7 @@ struct Ctx<'e> {
     slot: usize,
     carried: bool,
     emit: &'e mut dyn FnMut(u64),
+    update_ty: Ty,
     edges: u64,
     broke: bool,
     /// Values staged by `ReceiveDepGuard` for carried locals' `let`s.
@@ -209,10 +206,10 @@ impl Ctx<'_> {
 
     fn exec_stmt(&mut self, s: &Stmt, env: &mut Env, srcs: &[Vid]) -> Flow {
         match s {
-            Stmt::Let { name, init, .. } => {
+            Stmt::Let { name, ty, init } => {
                 let val = match self.pending.remove(name) {
                     Some(restored) => restored,
-                    None => self.eval(init, env),
+                    None => widen(*ty, self.eval(init, env)),
                 };
                 // Overwrite in place when the `let` re-executes (every
                 // edge-loop iteration): no per-edge key clone.
@@ -230,7 +227,7 @@ impl Ctx<'_> {
                     .locals
                     .get_mut(name)
                     .unwrap_or_else(|| panic!("undefined local `{name}` (run check first)"));
-                *slot = val;
+                *slot = widen(slot.ty(), val);
                 Flow::Normal
             }
             Stmt::If {
@@ -265,7 +262,7 @@ impl Ctx<'_> {
             }
             Stmt::Break => Flow::Broke,
             Stmt::Emit(e) => {
-                let val = self.eval(e, env);
+                let val = widen(self.update_ty, self.eval(e, env));
                 (self.emit)(val.to_bits());
                 Flow::Normal
             }
@@ -338,6 +335,15 @@ impl Ctx<'_> {
                 binary(*op, va, vb)
             }
         }
+    }
+}
+
+/// `v` stored into a place of type `ty`: the language's one implicit
+/// conversion, an `int` into a `float`, happens here.
+fn widen(ty: Ty, v: Value) -> Value {
+    match (ty, v) {
+        (Ty::Float, Value::Int(i)) => Value::Float(i as f64),
+        _ => v,
     }
 }
 
@@ -468,6 +474,7 @@ impl UdfProgram<'_> {
                 slot,
                 carried,
                 emit,
+                update_ty: self.inst.udf.update_ty,
                 edges: 0,
                 broke: false,
                 pending,
@@ -618,7 +625,6 @@ mod tests {
     #[test]
     fn interpreter_arithmetic_and_logic() {
         use crate::ast::{Expr, Stmt, UdfFn};
-        use crate::types::Ty;
         // emit((1 + 2) * 3) with a short-circuit guard
         let udf = UdfFn::new(
             "math",

@@ -18,30 +18,31 @@
 //! [`symple_core::PullProgram`], with the carried locals bridged into a
 //! real dependency payload ([`UdfDep`]) that the engine circulates
 //! between machines. Two executors share bit-identical semantics,
-//! selected by `EngineConfig::udf_exec`: the default **typed bytecode VM**
-//! ([`compile`] lowers the instrumented AST to a flat, store-independent
-//! instruction stream; binding it to a [`PropertyStore`] gives every
-//! register its static type and specialises every op, so signal calls
-//! run over untagged 64-bit registers and allocate nothing) and the
-//! **tree interpreter**, which remains the differential reference and the
-//! fallback when compilation hits a resource limit (lint `W006`) or the
-//! program does not type against the store it is bound to. The test suite shows the
-//! interpreted bottom-up BFS producing *identical results and identical
-//! edge counts* to the hand-written native program — the paper's "manual
-//! vs automatic" equivalence (§4.3).
+//! selected by `EngineConfig::udf_exec`: the default **typed VM** (one
+//! lowering, [`compile`]'s register plan plus a walk at bind time, takes
+//! the instrumented AST straight to ops specialised to the types of its
+//! locals and of the [`PropertyStore`]'s arrays, which the bind-time
+//! optimiser then rewrites; signal calls run over untagged 64-bit
+//! registers and allocate nothing) and the **tree interpreter**, which
+//! remains the differential reference and the fallback when the program
+//! hits a resource limit of the VM (lint `W006`) or does not lower
+//! against the store it is bound to. The test suite shows the interpreted
+//! bottom-up BFS producing *identical results and identical edge counts*
+//! to the hand-written native program — the paper's "manual vs automatic"
+//! equivalence (§4.3).
 //!
 //! UDFs are built with the [`ast`] constructors or the higher-level
 //! [`fold_while`] functional DSL (the paper's alternative interface,
 //! §4.3); the five paper kernels ship ready-made in [`paper_udfs`].
 //!
 //! On top of the syntactic analysis sits a small static-analysis engine: a
-//! per-statement control-flow graph ([`cfg`]), a generic forward/backward
-//! dataflow solver with liveness, reaching-definitions and
-//! constant-propagation instances ([`dataflow`]), and a diagnostics layer
-//! ([`diag`]) fed by byte-offset spans from the parser. It powers
+//! per-statement control-flow graph ([`cfg`](mod@cfg)), a generic
+//! forward/backward dataflow solver with liveness, reaching-definitions
+//! and constant-propagation instances ([`dataflow`]), and a diagnostics
+//! layer ([`diag`]) fed by byte-offset spans from the parser. It powers
 //! carried-state minimization and dead-dependency elimination inside
-//! [`analyze`], the collecting checker [`check_all`], and the
-//! clippy-style [`lint`] pass (`examples/symple_lint.rs` is the CLI).
+//! [`analyze`], the collecting checker [`check_all`], and the clippy-style
+//! [`lint`](mod@lint) pass (`examples/symple_lint.rs` is the CLI).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +50,6 @@
 pub mod absint;
 pub mod analysis;
 pub mod ast;
-mod bytecode;
 pub mod certificate;
 pub mod cfg;
 mod check;
@@ -73,10 +73,9 @@ mod vm;
 pub use absint::certify;
 pub use analysis::{analyze, analyze_naive, effective_policy, DepInfo, DepKind};
 pub use ast::{BinOp, Expr, Stmt, UdfFn, UnOp};
-pub use bytecode::{Op, Reg, MAX_CARRIED, MAX_REGS};
 pub use certificate::{width_for, CarriedCert, DepCertificate, Monotonicity, ValueRange};
 pub use check::{check, check_all, error_code};
-pub use compile::{compile, CompileError, CompiledUdf};
+pub use compile::{compile, CompileError, CompiledUdf, MAX_CARRIED, MAX_REGS};
 pub use dep_bridge::UdfDep;
 pub use diag::{explain, render_diagnostics, Diagnostic, Severity, Span, SpanMap, StmtId};
 pub use error::UdfError;

@@ -10,7 +10,7 @@
 //! | `W003` | unreachable statement (e.g. a write after `break`) |
 //! | `W004` | carried local dropped by carried-state minimization |
 //! | `W005` | neighbour-order-sensitive float accumulation into carried state |
-//! | `W006` | the program falls back to the tree interpreter (compiler limit, or an `int` stored into a `float` local) |
+//! | `W006` | the program exceeds a typed-VM resource limit, so it runs on the tree interpreter |
 //! | `W007` | unbounded carried integer range forces wide dependency encoding |
 //! | `W008` | non-monotone break defeats certified early-exit |
 //!
@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::analysis::{analyze, analyze_naive, DepInfo};
 use crate::ast::{Expr, Stmt, UdfFn};
 use crate::cfg::Cfg;
-use crate::check::{check_all, int_stores_into_float_locals};
+use crate::check::check_all;
 use crate::dataflow::{const_eval, solve, stmt_uses, Const, ConstProp, Liveness};
 use crate::diag::{attach_spans, Diagnostic, Span, StmtId};
 use crate::parser::parse_udf_with_spans;
@@ -36,7 +36,7 @@ use crate::types::{Ty, Value};
 /// order, then warnings ordered by statement.
 pub fn lint(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic> {
     let mut diags = check_all(udf, schema);
-    diags.extend(warning_passes(udf, schema));
+    diags.extend(warning_passes(udf));
     diags
 }
 
@@ -59,7 +59,7 @@ pub fn lint_source(src: &str, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic> 
     }
 }
 
-fn warning_passes(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic> {
+fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let cfg = Cfg::build(udf);
     // The analyses are optional: they fail on nested loops or instrumented
@@ -210,32 +210,16 @@ fn warning_passes(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic>
         }
     }
 
-    // W006: the program will not compile to bytecode, so the engine falls
-    // back to tree-walking interpretation (correct but slower dispatch).
+    // W006: the program exceeds a resource limit of the typed VM, so the
+    // engine falls back to tree-walking interpretation (correct but slower
+    // dispatch).
     if let Ok(inst) = crate::transform::instrument(udf) {
         if let Err(e) = crate::compile(&inst) {
             out.push(Diagnostic::warning(
                 "W006",
-                format!("bytecode compilation falls back to the interpreter: {e}"),
+                format!("the typed VM falls back to the interpreter: {e}"),
             ));
         }
-    }
-
-    // W006, second cause: the one well-typed construct the typed VM does
-    // not bind (`BoundVm::bind`'s named registers take their declared
-    // type exactly), reported where the value is stored.
-    for (id, name) in int_stores_into_float_locals(udf, schema) {
-        out.push(
-            Diagnostic::warning(
-                "W006",
-                format!(
-                    "an `int` value is stored into float local `{name}`; the typed VM cannot \
-                     keep a lazily widened integer, so the whole program falls back to the \
-                     interpreter (write the value as a float)"
-                ),
-            )
-            .with_stmt(id),
-        );
     }
 
     // W007: an integer carried local whose value range the abstract
@@ -485,31 +469,19 @@ mod tests {
             paper_udfs::kmeans_udf(),
             paper_udfs::sampling_udf(),
         ] {
-            let diags = warning_passes(&udf, &paper_schema());
+            let diags = warning_passes(&udf);
             assert!(diags.iter().all(|d| d.code != "W006"), "{diags:?}");
         }
     }
 
-    /// Every array the five paper kernels read.
-    fn paper_schema() -> BTreeMap<String, Ty> {
-        schema(&[
-            ("frontier", Ty::Bool),
-            ("active", Ty::Bool),
-            ("assigned", Ty::Bool),
-            ("color", Ty::Int),
-            ("cluster", Ty::Int),
-            ("weight", Ty::Float),
-            ("r", Ty::Float),
-        ])
-    }
-
     #[test]
-    fn int_stored_into_a_float_local_triggers_w006_at_the_store() {
+    fn int_stored_into_a_float_local_is_silent_and_binds() {
         use crate::ast::{Expr, Stmt, UdfFn};
-        // Statement ids are pre-order: 0 the `let`, 1 the loop, 2 and 3
-        // the assignments in it.
+        // The language widens an `int` where a `float` local stores it,
+        // and so do both executors: nothing to report, nothing to fall
+        // back from.
         let udf = UdfFn::new(
-            "lazy",
+            "widened",
             Ty::Float,
             vec![
                 Stmt::let_("w", Ty::Float, Expr::i(0)),
@@ -521,47 +493,10 @@ mod tests {
             ],
         );
         let diags = lint(&udf, &schema(&[("count", Ty::Int)]));
-        let at: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == "W006")
-            .map(|d| d.stmt)
-            .collect();
-        // `w + count[u]` is a float already: the language widened the
-        // operand, not the store.
-        assert_eq!(at, [Some(0), Some(2)], "{diags:?}");
-        assert!(diags.iter().all(|d| d.severity == crate::Severity::Warning));
-        // The same source over a float array has nothing to report in the
-        // loop, and the engine agrees with the lint in both cases.
-        let floats = lint(&udf, &schema(&[("count", Ty::Float)]));
-        let at: Vec<_> = floats.iter().filter(|d| d.code == "W006").collect();
-        assert_eq!(at.len(), 1, "{floats:?}");
-        for array in [
-            crate::PropArray::Ints(vec![1; 4]),
-            crate::PropArray::Floats(vec![1.0; 4]),
-        ] {
-            let mut props = crate::PropertyStore::new();
-            props.insert("count", array);
-            let inst = crate::instrument(&udf).unwrap();
-            assert!(!crate::UdfProgram::new(&inst, &props).uses_bytecode());
-        }
-        // Written as floats, it binds and the lint is silent.
-        let fixed = UdfFn::new(
-            "eager",
-            Ty::Float,
-            vec![
-                Stmt::let_("w", Ty::Float, Expr::f(0.0)),
-                Stmt::for_neighbors(vec![Stmt::assign(
-                    "w",
-                    Expr::prop_u("count").add(Expr::f(0.0)),
-                )]),
-                Stmt::Emit(Expr::local("w")),
-            ],
-        );
-        let diags = lint(&fixed, &schema(&[("count", Ty::Int)]));
         assert!(diags.iter().all(|d| d.code != "W006"), "{diags:?}");
         let mut props = crate::PropertyStore::new();
         props.insert("count", crate::PropArray::Ints(vec![1; 4]));
-        let inst = crate::instrument(&fixed).unwrap();
+        let inst = crate::instrument(&udf).unwrap();
         assert!(crate::UdfProgram::new(&inst, &props).uses_bytecode());
     }
 

@@ -1,11 +1,10 @@
-//! The bind-time optimiser: rewrites the typed program [`crate::vm`]'s
-//! typing pass produced into the one signal calls run.
+//! The bind-time optimiser: rewrites the typed program [`crate::compile`]'s
+//! lowering produced into the one signal calls run.
 //!
-//! The typing pass emits one op per portable op, so the neighbour loop of
-//! the sampling UDF is nine dispatched ops per edge, two of them reloading
-//! the loop-invariant `r[v]`. This module takes that `Vec<TOp>` — typing
-//! rules and the portable stage are untouched — and applies, to a fixed
-//! point:
+//! The lowering emits ops in source order, so the neighbour loop of the
+//! sampling UDF is nine dispatched ops per edge, two of them reloading the
+//! loop-invariant `r[v]`. This module takes that `Vec<TOp>` — the lowering
+//! and its typing rules are untouched — and applies, to a fixed point:
 //!
 //! 1. **Rotation.** `LoopInit; LoopHead; body; Jump head` becomes
 //!    `LoopEnter; LoopNext; body; LoopNext`: the test moves to the bottom
@@ -55,8 +54,8 @@
 //! [`optimize`] of its own output changes nothing — which `BoundVm::bind`
 //! checks in debug builds.
 
-use crate::bytecode::{Reg, MAX_REGS};
-use crate::vm::{TOp, SMALL_REGS};
+use crate::compile::MAX_REGS;
+use crate::vm::{Reg, TOp, SMALL_REGS};
 
 /// A set of registers.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
@@ -832,32 +831,9 @@ pub(crate) fn optimize(ops: Vec<TOp>, nregs: usize, carried: usize) -> (Vec<TOp>
     (ops, nregs)
 }
 
-/// The most ops any path from the op at `from` to the op at `to` — one
-/// iteration of a neighbour loop, the op that binds the next neighbour
-/// included — dispatches; a path that leaves the loop does not count.
-/// `succs(pc)` lists where the op at `pc` may continue. Shared by the
-/// portable and the typed program, which differ in op type only.
-pub(crate) fn longest_loop_path(
-    from: usize,
-    to: usize,
-    succs: impl Fn(usize) -> [Option<usize>; 2],
-) -> usize {
-    // Jumps inside a body go forward, so one backward sweep suffices.
-    let mut longest = vec![None::<usize>; to + 1];
-    longest[to] = Some(1);
-    for pc in (from..to).rev() {
-        longest[pc] = succs(pc)
-            .into_iter()
-            .flatten()
-            .filter(|&s| s > pc && s <= to)
-            .filter_map(|s| longest[s])
-            .max()
-            .map(|n| n + 1);
-    }
-    longest[from].unwrap_or(0)
-}
-
-/// [`longest_loop_path`] for every rotated loop of a typed program.
+/// Per rotated loop of `ops`, in program order: the most ops one
+/// iteration dispatches, the test that binds the next neighbour included;
+/// a path that leaves the loop does not count.
 pub(crate) fn loop_ops(ops: &[TOp]) -> Vec<usize> {
     let code = Code {
         ops: ops.iter().copied().map(Some).collect(),
@@ -866,10 +842,19 @@ pub(crate) fn loop_ops(ops: &[TOp]) -> Vec<usize> {
     code.find_loops()
         .into_iter()
         .map(|lp| {
-            longest_loop_path(lp.body, lp.bottom, |pc| {
-                let mut succs = code.succs(pc);
-                [succs.next(), succs.next()]
-            })
+            // Jumps inside a body go forward, so one backward sweep
+            // suffices.
+            let mut longest = vec![None::<usize>; lp.bottom + 1];
+            longest[lp.bottom] = Some(1);
+            for pc in (lp.body..lp.bottom).rev() {
+                longest[pc] = code
+                    .succs(pc)
+                    .filter(|&s| s > pc && s <= lp.bottom)
+                    .filter_map(|s| longest[s])
+                    .max()
+                    .map(|n| n + 1);
+            }
+            longest[lp.body].unwrap_or(0)
         })
         .collect()
 }
@@ -878,13 +863,13 @@ pub(crate) fn loop_ops(ops: &[TOp]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::ast::{Expr, Stmt, UdfFn};
+    use crate::compile::lower;
     use crate::test_gen::{store, Gen};
     use crate::types::Ty;
-    use crate::vm::BoundVm;
-    use crate::{bytecode, check, instrument, instrument_naive, PropertyStore};
+    use crate::{check, instrument, instrument_naive, PropertyStore};
     use proptest::prelude::*;
 
-    /// The typing pass's output for `udf`: what [`optimize`] is given.
+    /// The lowering's output for `udf`: what [`optimize`] is given.
     fn typed(udf: &UdfFn, props: &PropertyStore, naive: bool) -> (Vec<TOp>, usize, usize) {
         let inst = if naive {
             instrument_naive(udf)
@@ -892,10 +877,8 @@ mod tests {
             instrument(udf)
         }
         .expect("instrumentation");
-        let code = bytecode::lower(&inst).expect("lowering");
-        BoundVm::typed(&code, props)
-            .expect("the program types against the store")
-            .program()
+        let vm = lower(&inst, props).expect("the program lowers against the store");
+        (vm.ops, vm.nregs, vm.carried)
     }
 
     fn listing(ops: &[TOp]) -> String {

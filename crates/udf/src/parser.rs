@@ -535,7 +535,7 @@ pub fn parse_udf(src: &str) -> Result<UdfFn, ParseError> {
 /// Like [`parse_udf`], but also returns the byte-offset [`SpanMap`] mapping
 /// each statement's pre-order id to its source range. The AST itself stays
 /// span-free (structural equality is part of the language's contract); the
-/// side table is what lets [`crate::check_all`] and [`crate::lint`] render
+/// side table is what lets [`crate::check_all`] and [`crate::lint()`] render
 /// findings with line/column carets.
 ///
 /// # Errors

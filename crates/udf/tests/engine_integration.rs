@@ -7,10 +7,14 @@
 //! measured here).
 
 use symple_algos::bfs::{BfsPull, NONE};
-use symple_core::{run_spmd, BitDep, EngineConfig, Policy, RunStats, Worker};
+use symple_core::{run_spmd, BitDep, EngineConfig, Policy, PullProgram, RunStats, UdfExec, Worker};
 use symple_graph::{Bitmap, Graph, RmatConfig, Vid};
 use symple_udf::{
-    instrument, paper_udfs, types::Ty, types::Value, PropArray, PropertyStore, UdfProgram,
+    ast::{Expr, Stmt, UdfFn},
+    instrument, paper_udfs,
+    types::Ty,
+    types::Value,
+    InstrumentedUdf, PropArray, PropertyStore, UdfProgram,
 };
 
 /// Pull-only BFS loop, generic over how one level is executed.
@@ -185,4 +189,84 @@ fn interpreted_kcore_matches_native() {
         native_stats.work.edges_traversed(),
         "edge traversals differ"
     );
+}
+
+/// The sampling UDF with an `int` initialiser for its `float` prefix sum,
+/// which grows only past a neighbour of positive weight, and its store.
+fn widened_sampling() -> (InstrumentedUdf, PropertyStore) {
+    let acc = || Expr::local("acc");
+    let udf = UdfFn::new(
+        "sample",
+        Ty::Vertex,
+        vec![
+            Stmt::let_("acc", Ty::Float, Expr::i(0)),
+            Stmt::for_neighbors(vec![
+                Stmt::if_(
+                    Expr::f(0.0).lt(Expr::prop_u("weight")),
+                    vec![Stmt::assign("acc", acc().add(Expr::prop_u("weight")))],
+                ),
+                Stmt::if_(
+                    acc().ge(Expr::prop_v("r")),
+                    vec![Stmt::Emit(Expr::CurrentNeighbor), Stmt::Break],
+                ),
+            ]),
+        ],
+    );
+    let floats = |f: fn(usize) -> f64| PropArray::Floats((0..1024).map(f).collect());
+    let mut props = PropertyStore::new();
+    props.insert("weight", floats(|i| (i % 3) as f64 * 0.5));
+    props.insert("r", floats(|i| (i % 5) as f64 + 0.5));
+    (instrument(&udf).unwrap(), props)
+}
+
+/// An `int` stored into a `float` local is a float from the store on, in
+/// both executors, so the carried `float` slot takes it: the engine runs
+/// (it used to panic with "carried value type changed"), the typed VM
+/// binds, and the two agree.
+#[test]
+fn an_int_stored_into_a_float_local_runs_on_both_executors() {
+    let graph = RmatConfig::graph500(10, 8).cleaned(true).generate();
+    let (inst, props) = widened_sampling();
+    for policy in [Policy::symple(), Policy::Gemini] {
+        let run = |exec: UdfExec| {
+            let typed = UdfProgram::new(&inst, &props).exec(exec).uses_bytecode();
+            assert_eq!(typed, exec == UdfExec::Bytecode, "{policy:?}");
+            let res = run_spmd(&graph, &EngineConfig::new(2, policy), |w| {
+                let prog = UdfProgram::new(&inst, &props).exec(exec);
+                let mut dep = prog.make_dep(w.dep_slots_needed());
+                let mut picked = vec![u32::MAX; graph.num_vertices()];
+                let mut apply = |v: Vid, bits: u64| -> bool {
+                    picked[v.index()] = bits as u32;
+                    false
+                };
+                w.pull(&prog, &mut dep, &mut apply);
+                picked
+            });
+            (res.outputs, res.stats.work.edges_traversed())
+        };
+        let vm = run(UdfExec::Bytecode);
+        assert_eq!(vm, run(UdfExec::Interp), "{policy:?}");
+        assert!(vm.0.iter().flatten().any(|&u| u != u32::MAX));
+    }
+}
+
+#[test]
+fn a_widened_store_reaches_the_carried_slot_and_the_update_as_a_float() {
+    let (inst, props) = widened_sampling();
+    let emit = UdfFn::new("emit", Ty::Float, vec![Stmt::Emit(Expr::i(3))]);
+    let emits_int = instrument(&emit).unwrap();
+    for exec in [UdfExec::Bytecode, UdfExec::Interp] {
+        // A scratch-mode call on an empty list: only the initialiser ran,
+        // and the epilogue snapshots its value.
+        let prog = UdfProgram::new(&inst, &props).exec(exec);
+        let mut dep = prog.make_dep(1);
+        prog.signal(Vid::new(0), &[], &mut dep, 0, false, &mut |_| {});
+        assert_eq!(dep.value(0, 0), Value::Float(0.0), "{exec:?}");
+        // An `int` emitted as a `float` update ships the `f64` bits.
+        let prog = UdfProgram::new(&emits_int, &props).exec(exec);
+        assert_eq!(prog.uses_bytecode(), exec == UdfExec::Bytecode);
+        let mut got = Vec::new();
+        prog.signal(Vid::new(0), &[], &mut dep, 0, false, &mut |x| got.push(x));
+        assert_eq!(got, [3f64.to_bits()], "{exec:?}");
+    }
 }

@@ -291,10 +291,19 @@ impl<'c> Gen<'c> {
         Stmt::Emit(self.expr(self.update_ty, 2))
     }
 
+    /// A value to store into a local of type `ty`: of that type, or — the
+    /// checker's one widening at a store — an `int` for a `float` local.
+    fn stored(&mut self, ty: Ty, depth: u32) -> Expr {
+        if ty == Ty::Float && self.pick(4) == 0 {
+            return self.int(depth);
+        }
+        self.expr(ty, depth)
+    }
+
     fn assign(&mut self) -> Stmt {
         let i = self.pick(self.locals.len());
         let (name, ty) = self.locals[i].clone();
-        Stmt::assign(&name, self.expr(ty, 3))
+        Stmt::assign(&name, self.stored(ty, 3))
     }
 
     /// Loop-body statements; `break` closes a block, at any nesting depth.
@@ -340,7 +349,7 @@ impl<'c> Gen<'c> {
             if self.pick(4) == 0 {
                 continue; // not every program has every type
             }
-            let init = self.expr(ty, 1);
+            let init = self.stored(ty, 1);
             body.push(Stmt::let_(name, ty, init));
             self.locals.push((name.to_string(), ty));
         }

@@ -1,11 +1,11 @@
-//! Binding a compiled UDF to a property store: the typed program it
+//! Lowering a UDF against a property store: the typed program it
 //! produces, and the stores and programs it must hand back to the
 //! interpreter instead of mis-executing.
 
 use symple_core::{PullProgram, UdfExec};
 use symple_graph::{Bitmap, Vid};
 use symple_udf::ast::{BinOp, Expr, Stmt, UdfFn};
-use symple_udf::types::{Ty, Value};
+use symple_udf::types::Ty;
 use symple_udf::{instrument, paper_udfs, InstrumentedUdf, PropArray, PropertyStore, UdfProgram};
 
 #[path = "support/listing.rs"]
@@ -119,18 +119,17 @@ fn natural_loop(listing: &str) -> Vec<&str> {
 
 /// Ops dispatched per edge are the VM's unit of cost, so the loops of the
 /// paper UDFs are held to a budget: the longest path through one
-/// iteration, the op that binds the next neighbour included. (The typing
-/// pass leaves 5, 5, 5, 9, 10, 12, 15 and 18.) Beyond the count, nothing
+/// iteration, the op that binds the next neighbour included. (The lowering
+/// alone leaves 5, 5, 5, 9, 10, 12, 15 and 18.) Beyond the count, nothing
 /// loop-invariant and no unconditional jump may be left in a loop.
 #[test]
 fn loop_budget() {
     let props = paper_store();
     for (name, udf) in paper_udfs() {
         let inst = instrument(&udf).unwrap();
-        let before = symple_udf::compile(&inst).unwrap().loop_ops();
         let prog = UdfProgram::new(&inst, &props);
-        let after = prog.loop_ops().unwrap();
-        assert_eq!((before.len(), after.len()), (1, 1), "{name}: one loop");
+        let ops = prog.loop_ops().unwrap();
+        assert_eq!(ops.len(), 1, "{name}: one loop");
         let budget = match name {
             "bfs" | "kmeans" | "pagerank" => 2,
             "sampling" => 3,
@@ -141,10 +140,9 @@ fn loop_budget() {
             other => panic!("no budget for {other}"),
         };
         assert!(
-            after[0] <= budget,
-            "{name}: {} ops per edge (was {}), budget {budget}",
-            after[0],
-            before[0]
+            ops[0] <= budget,
+            "{name}: {} ops per edge, budget {budget}",
+            ops[0]
         );
         let listing = prog.disassemble().unwrap();
         for op in natural_loop(&listing) {
@@ -156,8 +154,6 @@ fn loop_budget() {
             );
         }
     }
-    let inst = instrument(&paper_udfs::sampling_udf()).unwrap();
-    assert_eq!(symple_udf::compile(&inst).unwrap().loop_ops(), [9]);
 }
 
 #[test]
@@ -183,12 +179,12 @@ fn int_array_as_an_arithmetic_operand_is_widened_in_place() {
 }
 
 #[test]
-fn int_array_stored_into_a_float_local_falls_back() {
+fn int_array_stored_into_a_float_local_is_widened_at_the_store() {
     // The source says `float w = weight[u]`; the store holds integers.
-    // The interpreter keeps the integer in `w` (and emits its integer
-    // bits); a float register cannot, so the program does not bind.
+    // Both executors widen where the value is stored, so `w` holds a float
+    // and the float update carries its bits.
     let udf = UdfFn::new(
-        "lazy",
+        "widened",
         Ty::Float,
         vec![Stmt::for_neighbors(vec![
             Stmt::let_("w", Ty::Float, Expr::prop_u("weight")),
@@ -197,11 +193,13 @@ fn int_array_stored_into_a_float_local_falls_back() {
     );
     let inst = instrument(&udf).unwrap();
     let ints = sampling_store(PropArray::Ints(vec![10, 11, 12, 13, 14, 15, 16, 17]));
-    assert!(!UdfProgram::new(&inst, &ints).uses_bytecode());
-    let (got, edges, broke) = signal(&UdfProgram::new(&inst, &ints), &[3, 5]);
-    assert_eq!(got, [Value::Int(13).to_bits(), Value::Int(15).to_bits()]);
-    assert_eq!((edges, broke), (2, false));
-    // Against the array type it was written for, the same program binds.
+    let listing = UdfProgram::new(&inst, &ints).disassemble().unwrap();
+    assert!(listing.contains("I2F(0, 0)"), "{listing}");
+    assert_eq!(
+        both(&inst, &ints, &[3, 5]),
+        (vec![13f64.to_bits(), 15f64.to_bits()], 2, false)
+    );
+    // Against the array type it was written for, nothing is widened.
     let floats = sampling_store(PropArray::Floats(vec![0.5; 8]));
     assert!(UdfProgram::new(&inst, &floats).uses_bytecode());
     assert_eq!(both(&inst, &floats, &[3, 5]).0, [0.5f64.to_bits(); 2]);

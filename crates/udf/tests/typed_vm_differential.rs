@@ -11,10 +11,10 @@
 //! an `emit`, folded into a carried local — because what runs is the
 //! *optimised* typed program ([`UdfProgram::disassemble`]), and hoisting,
 //! fusing and threading must each be seen to fire and to be refused.
-//! It never stores an `int` into a `float` local (the one well-typed
-//! construct the typed VM hands back to the interpreter), so every
-//! generated program must bind: a silent fallback would make the
-//! comparison vacuous, and the test asserts there is none.
+//! It stores an `int` into a `float` local now and then, at a `let`, an
+//! assignment or an `emit` — the language widens there, in both
+//! executors. Every generated program must bind: a silent fallback would
+//! make the comparison vacuous, and the test asserts there is none.
 //!
 //! Each program runs vertex by vertex, each neighbour list cut into
 //! segments that share one dependency slot — the way consecutive machines
@@ -226,6 +226,7 @@ struct Census {
     compare_fused: usize,
     compare_unfused: usize,
     threaded_to_the_loop_test: usize,
+    widened_store: usize,
 }
 
 impl Census {
@@ -238,6 +239,9 @@ impl Census {
         ];
         for at in 0..ops.len() {
             self.compare_fused += usize::from(is(at, &["JumpUnless", "JumpIfPropB"]));
+            // A store widens in place, an operand into a scratch register.
+            let i2f = ops[at].strip_prefix("I2F(");
+            self.widened_store += usize::from(i2f.is_some_and(|r| field(r, "") == field(r, ", ")));
             if at > 0 && is(at, &["JumpIfFalse", "JumpIfTrue"]) && is(at - 1, &COMPARE) {
                 let cond = field(ops[at], "cond: ");
                 self.compare_unfused += usize::from(field(ops[at - 1], "(") == cond);
@@ -268,7 +272,7 @@ impl Census {
         }
     }
 
-    fn report(&self) -> [(&'static str, usize); 8] {
+    fn report(&self) -> [(&'static str, usize); 9] {
         [
             ("an op hoisted into a preheader", self.hoisted),
             (
@@ -289,6 +293,10 @@ impl Census {
             (
                 "a branch threaded to the loop test",
                 self.threaded_to_the_loop_test,
+            ),
+            (
+                "an `int` widened where a `float` local stores it",
+                self.widened_store,
             ),
         ]
     }
