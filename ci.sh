@@ -86,12 +86,35 @@ step "job benchmark builds and smokes (benchmark/)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --offline --manifest-path benchmark/Cargo.toml -- smoke
 
-step "backend equivalence gate (sim vs thread transport)"
-# Bit-identical outputs, work, CommStats, and virtual time across the
-# deterministic simulator and the OS-thread backend, for the algorithm
-# suite and a proptest over random graphs. Runs under --quick so the
-# GitHub workflow enforces it on every push.
+step "backend equivalence gate (unbounded vs bounded inbox)"
+# The one transport port with an unbounded inbox (Backend::Sim) against
+# the same port with a bounded, backpressured inbox (Backend::Thread):
+# bit-identical outputs, work, CommStats, and virtual time for the
+# algorithm suite and a proptest over random graphs. Runs under --quick
+# so the GitHub workflow enforces it on every push.
 cargo test -q --offline --test backend_equivalence
+
+step "experiments exports smoke (--chrome-trace, --metrics-json)"
+# Both exports of the traced probe: the chrome timeline and the
+# `Trace::to_metrics_json` dump. Each must be written, non-empty, and
+# the metrics JSON must carry its per-machine and per-cell sections.
+# Runs under --quick.
+export_dir=$(mktemp -d)
+trap 'rm -rf "$export_dir"' EXIT
+cargo run -q --offline -p symple-bench --bin experiments -- \
+  --chrome-trace "$export_dir/t.json" --metrics-json "$export_dir/m.json" 2>/dev/null
+for f in t.json m.json; do
+  if [ ! -s "$export_dir/$f" ]; then
+    echo "ci.sh: experiments did not write a non-empty $f" >&2
+    exit 1
+  fi
+done
+for key in '"per_machine"' '"cells"'; do
+  if ! grep -q "$key" "$export_dir/m.json"; then
+    echo "ci.sh: metrics JSON lacks $key" >&2
+    exit 1
+  fi
+done
 
 if [ "$QUICK" = 0 ]; then
   step "scenario-matrix identity gate, release profile (vs committed BENCH_matrix.json)"

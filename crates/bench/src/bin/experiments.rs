@@ -18,8 +18,8 @@
 //!
 //! `--chrome-trace FILE` and `--metrics-json FILE` run one fully-traced
 //! BFS (4 machines) and export the virtual-time timeline (open in
-//! `chrome://tracing` or <https://ui.perfetto.dev>) or the structured
-//! metrics report.
+//! `chrome://tracing` or <https://ui.perfetto.dev>) or its categorized
+//! totals as JSON (`Trace::to_metrics_json`).
 
 use std::time::Instant;
 use symple_bench::experiments::{self, ReportSpec};
@@ -28,7 +28,7 @@ use symple_bench::Registry;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--chrome-trace FILE] [--metrics-json FILE]\n                   [--matrix-json FILE] [--matrix-identity FILE]\n                   [--matrix-smoke]\n                   [<id>... | all]\n  ids:{}\n  --chrome-trace FILE, --metrics-json FILE\n                   run one fully-traced BFS (s27, 4 machines) and write\n                   its timeline / its structured metrics report\n  --matrix-json FILE  runs the scenario matrix (algo x graph x policy\n                   x codec x threads x faults, the `matrix` report) and\n                   writes every cell (BENCH_matrix.json)\n  --matrix-identity FILE  re-runs the matrix over the graphs/machine\n                   count recorded in FILE (a committed\n                   BENCH_matrix.json) and exits nonzero unless every\n                   cell is byte-identical to the committed one — the\n                   consolidated perf gate\n  --matrix-smoke   runs the matrix restricted to the SNAP-loaded karate\n                   graph (all workloads, policies, and knob variants)\n                   with the same inline invariants",
+        "usage: experiments [--chrome-trace FILE] [--metrics-json FILE]\n                   [--matrix-json FILE] [--matrix-identity FILE]\n                   [--matrix-smoke]\n                   [<id>... | all]\n  ids:{}\n  --chrome-trace FILE, --metrics-json FILE\n                   run one fully-traced BFS (s27, 4 machines) and write\n                   its timeline / its metrics JSON\n  --matrix-json FILE  runs the scenario matrix (algo x graph x policy\n                   x codec x threads x faults, the `matrix` report) and\n                   writes every cell (BENCH_matrix.json)\n  --matrix-identity FILE  re-runs the matrix over the graphs/machine\n                   count recorded in FILE (a committed\n                   BENCH_matrix.json) and exits nonzero unless every\n                   cell is byte-identical to the committed one — the\n                   consolidated perf gate\n  --matrix-smoke   runs the matrix restricted to the SNAP-loaded karate\n                   graph (all workloads, policies, and knob variants)\n                   with the same inline invariants",
         experiments::usage_ids()
     );
     std::process::exit(2);
@@ -115,7 +115,7 @@ fn main() {
             eprintln!("[chrome trace written to {path} — open in chrome://tracing]");
         }
         if let Some(path) = &metrics_path {
-            write_or_exit(path, stats.metrics().to_json());
+            write_or_exit(path, stats.trace.to_metrics_json(stats.virtual_time()));
             eprintln!("[metrics report written to {path}]");
         }
     }

@@ -154,11 +154,6 @@ pub const DATASETS: [Dataset; 8] = [
     },
 ];
 
-/// All registry names, table order.
-pub fn dataset_names() -> Vec<&'static str> {
-    DATASETS.iter().map(|d| d.name).collect()
-}
-
 fn registry() -> &'static Mutex<HashMap<&'static str, &'static Graph>> {
     static CACHE: OnceLock<Mutex<HashMap<&'static str, &'static Graph>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
@@ -195,7 +190,7 @@ mod tests {
     #[test]
     fn names_are_the_papers() {
         assert_eq!(
-            dataset_names(),
+            DATASETS.iter().map(|d| d.name).collect::<Vec<_>>(),
             ["tw", "fr", "s27", "s28", "s29", "cl", "gsh", "karate"]
         );
     }

@@ -1089,11 +1089,10 @@ mod tests {
     #[test]
     fn traced_probe_produces_spans_and_reconciled_metrics() {
         let stats = traced_probe();
-        let report = stats.metrics();
-        assert_eq!(report.machines, 4);
-        assert!(report.total_bytes() > 0);
+        assert_eq!(stats.trace.nodes.len(), 4);
+        assert!(stats.comm.total_bytes() > 0);
         for k in COMM_KINDS {
-            assert_eq!(report.bytes(k.byte_category()), stats.comm.bytes(k));
+            assert_eq!(stats.trace.bytes(k.byte_category()), stats.comm.bytes(k));
         }
         // Full tracing keeps individual spans for the chrome export.
         assert!(stats.trace.nodes.iter().all(|n| !n.spans.is_empty()));

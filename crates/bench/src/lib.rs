@@ -28,7 +28,7 @@ pub mod fmt;
 pub mod matrix;
 pub mod registry;
 
-pub use datasets::{dataset, dataset_names, Dataset};
+pub use datasets::{dataset, Dataset};
 pub use experiments::Report;
 pub use matrix::{matrix_identity, matrix_json, matrix_smoke, matrix_study, MatrixCell};
 pub use registry::{Cell, Registry, Workload};

@@ -156,7 +156,6 @@ pub struct Cell {
 
 impl Cell {
     fn new(fingerprint: u64, stats: &RunStats) -> Self {
-        let report = stats.metrics();
         Cell {
             fingerprint,
             time: stats.virtual_time(),
@@ -164,7 +163,7 @@ impl Cell {
             comm: stats.comm,
             reconciled: COMM_KINDS
                 .iter()
-                .all(|&k| report.bytes(k.byte_category()) == stats.comm.bytes(k)),
+                .all(|&k| stats.trace.bytes(k.byte_category()) == stats.comm.bytes(k)),
         }
     }
 

@@ -119,33 +119,6 @@ pub enum UdfExec {
     Bytecode,
 }
 
-impl UdfExec {
-    /// Stable lower-case name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            UdfExec::Interp => "interp",
-            UdfExec::Bytecode => "bytecode",
-        }
-    }
-}
-
-impl fmt::Display for UdfExec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for UdfExec {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" => Ok(UdfExec::Interp),
-            "bytecode" => Ok(UdfExec::Bytecode),
-            other => Err(format!("unknown udf executor `{other}` (interp|bytecode)")),
-        }
-    }
-}
-
 /// How carried dependency values are sized on the wire.
 ///
 /// Outputs, `WorkStats`, and `CommStats` are bit-identical between the
@@ -164,33 +137,6 @@ pub enum DepWidth {
     /// values entirely.
     #[default]
     Certified,
-}
-
-impl DepWidth {
-    /// Stable lower-case name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            DepWidth::Wide => "wide",
-            DepWidth::Certified => "certified",
-        }
-    }
-}
-
-impl fmt::Display for DepWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for DepWidth {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "wide" => Ok(DepWidth::Wide),
-            "certified" => Ok(DepWidth::Certified),
-            other => Err(format!("unknown dep width `{other}` (wide|certified)")),
-        }
-    }
 }
 
 /// Configuration for a distributed run.
@@ -569,7 +515,6 @@ mod tests {
         let cfg = cfg.backend(Backend::Thread);
         assert_eq!(cfg.backend, Backend::Thread);
         assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!("thread".parse::<Backend>(), Ok(Backend::Thread));
     }
 
     #[test]
@@ -579,9 +524,6 @@ mod tests {
         let cfg = cfg.udf_exec(UdfExec::Interp);
         assert_eq!(cfg.udf_exec, UdfExec::Interp);
         assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!("bytecode".parse::<UdfExec>(), Ok(UdfExec::Bytecode));
-        assert!("fancy".parse::<UdfExec>().is_err());
-        assert_eq!(UdfExec::Bytecode.to_string(), "bytecode");
     }
 
     #[test]
@@ -600,10 +542,6 @@ mod tests {
         let cfg = cfg.dep_width(DepWidth::Wide);
         assert_eq!(cfg.dep_width, DepWidth::Wide);
         assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!("wide".parse::<DepWidth>(), Ok(DepWidth::Wide));
-        assert_eq!("certified".parse::<DepWidth>(), Ok(DepWidth::Certified));
-        assert!("fancy".parse::<DepWidth>().is_err());
-        assert_eq!(DepWidth::Wide.to_string(), "wide");
         assert_eq!(DepWidth::default(), DepWidth::Certified);
     }
 

@@ -330,11 +330,6 @@ impl WeightDep {
         }
     }
 
-    /// Current accumulated weight in `slot`.
-    pub fn accumulated(&self, slot: usize) -> f32 {
-        self.acc[slot]
-    }
-
     /// Adds `w` to the accumulator. Returns the new prefix sum.
     pub fn add_weight(&mut self, slot: usize, w: f32) -> f32 {
         self.acc[slot] += w;
@@ -587,7 +582,7 @@ mod tests {
         assert_eq!(out.len(), WeightDep::wire_bytes(3));
         let mut d2 = WeightDep::new(3);
         d2.decode_range(0..3, &out);
-        assert_eq!(d2.accumulated(0), 3.5);
+        assert_eq!(d2.acc[0], 3.5);
         assert!(d2.should_skip(2));
     }
 
@@ -600,9 +595,9 @@ mod tests {
         d.encode_range(4..8, &mut out);
         let mut d2 = WeightDep::new(10);
         d2.decode_range(4..8, &out);
-        assert_eq!(d2.accumulated(5), 9.0);
+        assert_eq!(d2.acc[5], 9.0);
         assert!(d2.should_skip(6));
-        assert_eq!(d2.accumulated(9), 0.0);
+        assert_eq!(d2.acc[9], 0.0);
     }
 
     #[test]
@@ -692,11 +687,7 @@ mod tests {
         d2.add_weight(3, 9.0); // stale
         d2.decode_range_coded(0..300, &wire);
         for s in 0..300 {
-            assert_eq!(
-                d2.accumulated(s).to_bits(),
-                d.accumulated(s).to_bits(),
-                "slot {s} acc bits"
-            );
+            assert_eq!(d2.acc[s].to_bits(), d.acc[s].to_bits(), "slot {s} acc bits");
             assert_eq!(d2.should_skip(s), d.should_skip(s), "slot {s} selected");
         }
     }
@@ -773,10 +764,10 @@ mod tests {
         d.add_weight(2, 0.1); // 0.1 is not exactly representable: the
         d.select(3); // round trip must preserve the f32 bits, not the value
         let shard = d.extract_shard(2..5);
-        assert_eq!(shard.accumulated(0).to_bits(), d.accumulated(2).to_bits());
+        assert_eq!(shard.acc[0].to_bits(), d.acc[2].to_bits());
         let mut d2 = WeightDep::new(6);
         d2.merge_shard(2..5, &shard);
-        assert_eq!(d2.accumulated(2).to_bits(), d.accumulated(2).to_bits());
+        assert_eq!(d2.acc[2].to_bits(), d.acc[2].to_bits());
         assert!(d2.should_skip(3));
     }
 

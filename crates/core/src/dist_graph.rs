@@ -162,11 +162,6 @@ impl LocalGraph {
         &self.buckets[j]
     }
 
-    /// Number of buckets (= number of partitions).
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Number of mirror vertices this machine hosts (destinations in
     /// non-local buckets).
     pub fn num_mirrors(&self) -> usize {
@@ -312,7 +307,6 @@ mod tests {
             (g, part, layout)
         };
         let local = LocalGraph::build(&g, &part, &layout, 0);
-        assert_eq!(local.num_buckets(), 1);
         assert_eq!(local.num_mirrors(), 0);
         assert_eq!(local.num_edges(), g.num_edges());
     }

@@ -26,16 +26,6 @@ impl<T> DistResult<T> {
     pub fn output(&self) -> Option<&T> {
         self.outputs.first()
     }
-
-    /// The rank-0 output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outputs` is empty; prefer [`DistResult::output`].
-    #[deprecated(since = "0.2.0", note = "use output(), which returns Option")]
-    pub fn first(&self) -> &T {
-        &self.outputs[0]
-    }
 }
 
 /// Runs `f` SPMD-style on `cfg.machines` simulated machines over `graph`.
@@ -239,7 +229,7 @@ mod tests {
             assert_eq!(stats.trace.bytes(cat), stats.comm.bytes(kind));
             assert_eq!(stats.trace.messages(cat), stats.comm.messages(kind));
         }
-        assert!(stats.metrics().total_bytes() > 0);
+        assert!(stats.trace.bytes(ByteCategory::Collective) > 0);
     }
 
     #[test]

@@ -54,17 +54,15 @@ pub use driver::{run_spmd, DistResult};
 pub use partition::Partition;
 pub use prepared::PreparedGraph;
 pub use program::{PullProgram, PushProgram, SignalOutcome};
-#[allow(deprecated)]
-pub use stats::WorkerStats;
 pub use stats::{RunStats, TimeStats, WorkMetric, WorkStats};
 pub use worker::Worker;
 
 // Tracing, codec, and fault-injection vocabulary, re-exported so
 // algorithm and application crates can configure
 // `EngineConfig::{trace_level,wire_codec,fault_plan,retry,backend}` and
-// consume `RunStats::{trace,comm}` without depending on symple-net
-// directly.
+// read `RunStats::{trace,comm}` (the trace carries every categorized
+// total) without depending on symple-net directly.
 pub use symple_net::{
-    Backend, ByteCategory, FaultPlan, MetricsReport, NetError, ReliableStats, RetryConfig,
-    SpanCategory, Trace, TraceLevel, WireCodec, WireFormat,
+    Backend, ByteCategory, FaultPlan, NetError, ReliableStats, RetryConfig, SpanCategory, Trace,
+    TraceLevel, WireCodec, WireFormat,
 };

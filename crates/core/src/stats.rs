@@ -5,13 +5,15 @@
 //! per-category virtual-time breakdown), **work** ([`WorkStats`]: typed
 //! computation counters keyed by [`WorkMetric`]), and **comm**
 //! (`symple_net::CommStats`: bytes and messages per kind). The raw
-//! per-machine [`Trace`] rides along, so any consumer can derive a
-//! [`MetricsReport`] or a chrome://tracing dump without re-running.
+//! per-machine [`Trace`] rides along and carries every categorized total,
+//! so any consumer can read them, dump them as JSON
+//! ([`Trace::to_metrics_json`]) or as a chrome://tracing timeline without
+//! re-running.
 
 use std::fmt;
 use std::time::Duration;
 use symple_net::CommStats;
-use symple_trace::{MetricsReport, SpanCategory, Trace};
+use symple_trace::{SpanCategory, Trace};
 
 /// A typed computation counter of the engine.
 ///
@@ -169,13 +171,6 @@ impl WorkStats {
     }
 }
 
-/// Deprecated name for [`WorkStats`].
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to WorkStats; the loose pub u64 fields became typed WorkMetric accessors"
-)]
-pub type WorkerStats = WorkStats;
-
 /// Time facet of a run: the modelled makespan, the host wall clock, and
 /// the per-category virtual-time breakdown (summed across machines).
 #[derive(Debug, Clone, Copy, Default)]
@@ -241,8 +236,9 @@ pub struct RunStats {
     pub work: WorkStats,
     /// Sum of all machines' communication.
     pub comm: CommStats,
-    /// Per-machine categorized attribution (export with
-    /// [`Trace::to_chrome_json`], summarise with [`RunStats::metrics`]).
+    /// Per-machine categorized attribution: totals per machine and per
+    /// run, exported with [`Trace::to_metrics_json`] and
+    /// [`Trace::to_chrome_json`].
     pub trace: Trace,
 }
 
@@ -269,22 +265,6 @@ impl RunStats {
     pub fn setup_wall(&self) -> Duration {
         self.time.setup_wall
     }
-
-    /// Edges traversed normalised to a graph's edge count — Table 5's
-    /// reporting unit.
-    pub fn edges_normalized(&self, num_edges: usize) -> f64 {
-        if num_edges == 0 {
-            0.0
-        } else {
-            self.work.edges_traversed() as f64 / num_edges as f64
-        }
-    }
-
-    /// The structured metrics report for this run (categorized totals per
-    /// machine and per (iteration, step, group) cell).
-    pub fn metrics(&self) -> MetricsReport {
-        MetricsReport::from_trace(&self.trace, self.time.virtual_secs)
-    }
 }
 
 impl fmt::Display for RunStats {
@@ -304,7 +284,7 @@ impl fmt::Display for RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symple_trace::{ByteCategory, TraceLevel, TraceRecorder};
+    use symple_trace::{TraceLevel, TraceRecorder};
 
     #[test]
     fn merge_sums_counters_and_maxes_iterations() {
@@ -331,18 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn normalization() {
-        let mut work = WorkStats::default();
-        work.add(WorkMetric::EdgesTraversed, 50);
-        let stats = RunStats {
-            work,
-            ..Default::default()
-        };
-        assert!((stats.edges_normalized(100) - 0.5).abs() < 1e-12);
-        assert_eq!(stats.edges_normalized(0), 0.0);
-    }
-
-    #[test]
     fn time_breakdown_from_trace() {
         let mut rec = TraceRecorder::new(0, TraceLevel::Metrics);
         rec.record_span(SpanCategory::Compute, 0.0, 2.0);
@@ -352,19 +320,6 @@ mod tests {
         assert_eq!(time.category(SpanCategory::Compute), 2.0);
         assert_eq!(time.category(SpanCategory::DepWait), 0.5);
         assert!((time.accounted() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metrics_report_reflects_trace() {
-        let mut rec = TraceRecorder::new(0, TraceLevel::Metrics);
-        rec.record_bytes(ByteCategory::Dependency, 64, 2);
-        let stats = RunStats {
-            trace: Trace::new(vec![rec.finish()]),
-            ..Default::default()
-        };
-        let report = stats.metrics();
-        assert_eq!(report.bytes(ByteCategory::Dependency), 64);
-        assert_eq!(report.machines, 1);
     }
 
     #[test]

@@ -239,8 +239,11 @@ impl<'a> Worker<'a> {
     }
 
     /// Slots the caller must allocate in dependency state passed to
-    /// [`Worker::pull`] (the per-partition maximum plus one scratch slot
-    /// used for local-only breaks).
+    /// [`Worker::pull`]: the per-partition maximum, plus one slot that
+    /// nothing reads. Local-only breaks run on a one-slot state that
+    /// `scratch_pass` detaches per chunk, not on a slot of `dep`; the
+    /// extra slot stays so the value is at least 1 even for a layout
+    /// without dependency slots, and callers' sizing does not change.
     pub fn dep_slots_needed(&self) -> usize {
         self.prepared.dep_layout().max_slots() + 1
     }

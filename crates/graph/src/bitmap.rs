@@ -136,53 +136,20 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// In-place union with `other`.
+    /// Overwrites the bit range `[start, end)` with raw `words`
+    /// (little-endian bit order, bit 0 of `words[0]` is `start`). Bits
+    /// beyond `end` inside the final word are zeroed only if they lie
+    /// beyond `len` (callers use word-aligned partition boundaries, so
+    /// interior ranges end on word boundaries).
     ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn union_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place union of the bit range `[start, end)` with raw `words`
-    /// (little-endian bit order, bit 0 of `words[0]` is `start`).
-    ///
-    /// This is the receive path of a control-dependency message: the sender
-    /// transmits a word-aligned slice covering one partition and the
-    /// receiver ORs it into its own skip bitmap.
+    /// This is the receive path of a frontier-synchronisation message:
+    /// the owner's slice *replaces* the local copy, so cleared bits
+    /// propagate.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds, not word-aligned at `start`,
     /// or `words` is shorter than the range requires.
-    pub fn union_range_words(&mut self, start: usize, end: usize, words: &[u64]) {
-        assert!(start <= end && end <= self.len, "range out of bounds");
-        assert_eq!(start % WORD_BITS, 0, "range start must be word aligned");
-        let nwords = (end - start).div_ceil(WORD_BITS);
-        assert!(words.len() >= nwords, "source words too short");
-        let w0 = start / WORD_BITS;
-        for (dst, src) in self.words[w0..w0 + nwords].iter_mut().zip(words) {
-            *dst |= *src;
-        }
-        self.mask_tail();
-    }
-
-    /// Overwrites the bit range `[start, end)` with raw `words` (bit 0 of
-    /// `words[0]` is `start`). Bits beyond `end` inside the final word are
-    /// zeroed only if they lie beyond `len` (callers use word-aligned
-    /// partition boundaries, so interior ranges end on word boundaries).
-    ///
-    /// This is the receive path of a frontier-synchronisation message:
-    /// the owner's slice *replaces* the local copy, so cleared bits
-    /// propagate (unlike [`Bitmap::union_range_words`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Bitmap::union_range_words`].
     pub fn assign_range_words(&mut self, start: usize, end: usize, words: &[u64]) {
         assert!(start <= end && end <= self.len, "range out of bounds");
         assert_eq!(start % WORD_BITS, 0, "range start must be word aligned");
@@ -293,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn union() {
-        let mut a = Bitmap::new(100);
-        let mut b = Bitmap::new(100);
-        a.set(1);
-        b.set(2);
-        b.set(1);
-        a.union_with(&b);
-        assert!(a.get(1) && a.get(2));
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
     fn iter_ones_ascending() {
         let mut bm = Bitmap::new(200);
         for i in [0usize, 5, 63, 64, 65, 190] {
@@ -315,14 +270,14 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_union_range_roundtrip() {
+    fn extract_and_assign_range_roundtrip() {
         let mut bm = Bitmap::new(256);
         for i in [64usize, 70, 100, 127] {
             bm.set(i);
         }
         let words = bm.extract_range_words(64, 128);
         let mut other = Bitmap::new(256);
-        other.union_range_words(64, 128, &words);
+        other.assign_range_words(64, 128, &words);
         let ones: Vec<_> = other.iter_ones().collect();
         assert_eq!(ones, [64, 70, 100, 127]);
     }

@@ -105,11 +105,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges currently buffered (before build-time cleanup).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the graph.
     pub fn build(&self) -> Graph {
         let mut edges = self.edges.clone();
@@ -142,7 +137,6 @@ mod tests {
         b.add_edge(v(0), v(1)).add_edge(v(1), v(2));
         let g = b.build();
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(b.pending_edges(), 2);
     }
 
     #[test]
@@ -182,7 +176,7 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         let err = b.try_add_edge(v(0), v(5)).unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfBounds { vid: 5, .. }));
-        assert_eq!(b.pending_edges(), 0);
+        assert_eq!(b.build().num_edges(), 0);
     }
 
     #[test]

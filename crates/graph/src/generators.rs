@@ -78,26 +78,6 @@ pub fn complete(n: usize) -> Graph {
     b.symmetrize(true).build()
 }
 
-/// Erdős–Rényi `G(n, p)` digraph (each ordered pair independently with
-/// probability `p`), deterministic per `seed`.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]`.
-pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "probability out of range");
-    let mut rng = Rng64::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in 0..n {
-            if i != j && rng.gen_f64() < p {
-                b.add_edge(Vid::from_index(i), Vid::from_index(j));
-            }
-        }
-    }
-    b.build()
-}
-
 /// Barabási–Albert preferential-attachment graph: starts from a small clique
 /// and attaches each new vertex to `m` existing vertices chosen
 /// proportionally to degree. Produces the heavy-tailed degree distribution
@@ -187,19 +167,6 @@ mod tests {
             assert_eq!(g.out_degree(v), 4);
         }
         assert_eq!(g.num_edges(), 20);
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        assert_eq!(erdos_renyi(10, 0.0, 1).num_edges(), 0);
-        assert_eq!(erdos_renyi(10, 1.0, 1).num_edges(), 90);
-    }
-
-    #[test]
-    fn erdos_renyi_deterministic() {
-        let a: Vec<_> = erdos_renyi(20, 0.3, 5).edges().collect();
-        let b: Vec<_> = erdos_renyi(20, 0.3, 5).edges().collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -118,16 +118,6 @@ impl Graph {
         self.incoming.degree(v)
     }
 
-    /// The forward CSR.
-    pub fn out_csr(&self) -> &Csr {
-        &self.out
-    }
-
-    /// The reverse CSR.
-    pub fn in_csr(&self) -> &Csr {
-        &self.incoming
-    }
-
     /// Iterates all vertex ids.
     pub fn vertices(&self) -> impl Iterator<Item = Vid> + '_ {
         Vid::range(0, self.num_vertices() as u32)

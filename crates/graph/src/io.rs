@@ -1,8 +1,10 @@
-//! Plain-text edge-list I/O.
+//! Graph I/O: plain-text edge lists and one binary image of a finished
+//! CSR.
 //!
-//! Format: one `src dst` pair per line, whitespace separated; `#`-prefixed
-//! lines are comments (SNAP convention, which the paper's real-world
-//! datasets ship in).
+//! Text format: one `src dst` pair per line, whitespace separated;
+//! `#`-prefixed lines are comments (SNAP convention, which the paper's
+//! real-world datasets ship in). The binary image ([`write_binary`]) is
+//! also the body of the on-disk SNAP cache ([`load_snap_cached`]).
 
 use crate::{Graph, GraphBuilder, GraphError, Result, Vid};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -136,15 +138,6 @@ pub fn read_snap<R: Read>(reader: R, opts: SnapOptions) -> Result<Graph> {
     Ok(b.build())
 }
 
-/// Loads a SNAP edge list from disk (no cache).
-///
-/// # Errors
-///
-/// As [`read_snap`].
-pub fn load_snap<P: AsRef<Path>>(path: P, opts: SnapOptions) -> Result<Graph> {
-    read_snap(std::fs::File::open(path)?, opts)
-}
-
 /// The sibling path where [`load_snap_cached`] keeps the CSR cache of a
 /// SNAP file (`foo.txt` → `foo.txt.csr`).
 pub fn snap_cache_path<P: AsRef<Path>>(path: P) -> PathBuf {
@@ -200,13 +193,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Magic header of the CSR cache format.
-const CSR_MAGIC: &[u8; 8] = b"SYMPLCS1";
+/// Magic header of the CSR cache format: the cache key, then a
+/// [`write_binary`] image.
+const CACHE_MAGIC: &[u8; 8] = b"SYMPLCS2";
 
-/// Serializes the finished CSR of `graph` with the source fingerprint and
-/// load options it was built under (`SYMPLCS1`, flags, vertex-count
-/// override, fingerprint, |V|, |E|, out-offsets as `u64`, out-targets as
-/// `u32`, all little-endian).
+/// Serializes `graph` with the source fingerprint and load options it was
+/// built under: the key (`SYMPLCS2`, flags, vertex-count override,
+/// fingerprint, little-endian) followed by the [`write_binary`] image.
 ///
 /// # Errors
 ///
@@ -217,36 +210,19 @@ pub fn write_csr_cache<W: Write>(
     opts: SnapOptions,
     mut writer: W,
 ) -> Result<()> {
-    writer.write_all(CSR_MAGIC)?;
+    writer.write_all(CACHE_MAGIC)?;
     writer.write_all(&[opts.flags()])?;
     let nv_opt = opts.num_vertices.map_or(u64::MAX, |n| n as u64);
     writer.write_all(&nv_opt.to_le_bytes())?;
     writer.write_all(&fingerprint.to_le_bytes())?;
-    writer.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
-    writer.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    let mut offset = 0u64;
-    for v in graph.vertices() {
-        writer.write_all(&offset.to_le_bytes())?;
-        offset += graph.out_degree(v) as u64;
-    }
-    writer.write_all(&offset.to_le_bytes())?;
-    let mut buf = Vec::with_capacity(64 * 1024);
-    for (_, d) in graph.edges() {
-        buf.extend_from_slice(&d.raw().to_le_bytes());
-        if buf.len() >= 64 * 1024 {
-            writer.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    writer.write_all(&buf)?;
-    writer.flush()?;
-    Ok(())
+    write_binary(graph, writer)
 }
 
 /// Deserializes a CSR cache written by [`write_csr_cache`], verifying the
 /// magic, the source `fingerprint`, and the load `opts` (a mismatch means
 /// the cache is stale and reports as [`GraphError::ParseEdge`] line 0 so
-/// callers fall back to a fresh parse).
+/// callers fall back to a fresh parse), then reads the image as
+/// [`read_binary`] does.
 ///
 /// # Errors
 ///
@@ -257,15 +233,11 @@ pub fn read_csr_cache<R: Read>(
     fingerprint: u64,
     opts: SnapOptions,
 ) -> Result<Graph> {
-    let bad = |what: &str| GraphError::ParseEdge {
-        line: 0,
-        content: what.to_string(),
-    };
     let mut magic = [0u8; 8];
     reader
         .read_exact(&mut magic)
         .map_err(|_| bad("missing magic"))?;
-    if &magic != CSR_MAGIC {
+    if &magic != CACHE_MAGIC {
         return Err(bad("bad magic header"));
     }
     let mut byte = [0u8; 1];
@@ -275,11 +247,6 @@ pub fn read_csr_cache<R: Read>(
     if byte[0] != opts.flags() {
         return Err(bad("stale cache: cleanup options differ"));
     }
-    let mut word = [0u8; 8];
-    let mut read_u64 = |reader: &mut R, what: &str| -> Result<u64> {
-        reader.read_exact(&mut word).map_err(|_| bad(what))?;
-        Ok(u64::from_le_bytes(word))
-    };
     let nv_opt = read_u64(&mut reader, "missing vertex-count override")?;
     if nv_opt != opts.num_vertices.map_or(u64::MAX, |n| n as u64) {
         return Err(bad("stale cache: vertex-count override differs"));
@@ -287,36 +254,22 @@ pub fn read_csr_cache<R: Read>(
     if read_u64(&mut reader, "missing fingerprint")? != fingerprint {
         return Err(bad("stale cache: source fingerprint differs"));
     }
-    let n = read_u64(&mut reader, "missing vertex count")? as usize;
-    let m = read_u64(&mut reader, "missing edge count")? as usize;
-    let mut offsets = vec![0u8; (n + 1) * 8];
-    reader
-        .read_exact(&mut offsets)
-        .map_err(|_| bad("truncated offsets"))?;
-    let offsets: Vec<u64> = offsets
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
-    if offsets[n] as usize != m || offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(bad("inconsistent offsets"));
+    read_binary(reader)
+}
+
+/// A corrupt or stale binary image: [`GraphError::ParseEdge`] line 0.
+fn bad(what: &str) -> GraphError {
+    GraphError::ParseEdge {
+        line: 0,
+        content: what.to_string(),
     }
-    let mut targets = vec![0u8; m * 4];
-    reader
-        .read_exact(&mut targets)
-        .map_err(|_| bad("truncated targets"))?;
-    let mut edges = Vec::with_capacity(m);
-    let mut src = 0usize;
-    for (i, t) in targets.chunks_exact(4).enumerate() {
-        while offsets[src + 1] as usize <= i {
-            src += 1;
-        }
-        let d = u32::from_le_bytes(t.try_into().expect("4 bytes"));
-        if src >= n || d as usize >= n {
-            return Err(bad("edge endpoint out of bounds"));
-        }
-        edges.push((Vid::new(src as u32), Vid::new(d)));
-    }
-    Ok(Graph::from_edges(n, &edges))
+}
+
+/// Reads one little-endian `u64` header field.
+fn read_u64<R: Read>(reader: &mut R, what: &str) -> Result<u64> {
+    let mut word = [0u8; 8];
+    reader.read_exact(&mut word).map_err(|_| bad(what))?;
+    Ok(u64::from_le_bytes(word))
 }
 
 /// Writes the graph as a `src dst` edge list with a size-comment header.
@@ -338,12 +291,12 @@ pub fn write_edge_list<W: Write>(graph: &Graph, mut writer: W) -> Result<()> {
 }
 
 /// Magic header of the binary graph format.
-const BINARY_MAGIC: &[u8; 8] = b"SYMPLEG1";
+const BINARY_MAGIC: &[u8; 8] = b"SYMPLEG2";
 
-/// Writes the graph in a compact little-endian binary format
-/// (`SYMPLEG1`, vertex count, edge count, then `(src, dst)` pairs of
-/// `u32`s) — 8 bytes per edge instead of text, for caching generated
-/// datasets.
+/// Writes the graph's finished CSR in a compact little-endian binary
+/// format: `SYMPLEG2`, vertex count `n` and edge count `m` as `u64`, the
+/// `n + 1` out-offsets as `u64`, then the `m` sorted out-targets as `u32`
+/// — 4 bytes per edge, for caching generated and parsed datasets.
 ///
 /// # Errors
 ///
@@ -353,29 +306,42 @@ pub fn write_binary<W: Write>(graph: &Graph, mut writer: W) -> Result<()> {
     writer.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
     writer.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
     let mut buf = Vec::with_capacity(64 * 1024);
-    for (s, d) in graph.edges() {
-        buf.extend_from_slice(&s.raw().to_le_bytes());
-        buf.extend_from_slice(&d.raw().to_le_bytes());
+    let mut put = |writer: &mut W, bytes: &[u8]| -> Result<()> {
+        buf.extend_from_slice(bytes);
         if buf.len() >= 64 * 1024 {
             writer.write_all(&buf)?;
             buf.clear();
         }
+        Ok(())
+    };
+    let mut offset = 0u64;
+    for v in graph.vertices() {
+        put(&mut writer, &offset.to_le_bytes())?;
+        offset += graph.out_degree(v) as u64;
+    }
+    put(&mut writer, &offset.to_le_bytes())?;
+    for (_, d) in graph.edges() {
+        put(&mut writer, &d.raw().to_le_bytes())?;
     }
     writer.write_all(&buf)?;
+    writer.flush()?;
     Ok(())
 }
 
 /// Reads a graph written by [`write_binary`].
 ///
+/// Nothing is sized from the header: the reader takes what the input
+/// holds and checks its length against the declared counts (with checked
+/// arithmetic) before trusting either, so a corrupt count is an error,
+/// never an overflow or a huge allocation.
+///
 /// # Errors
 ///
-/// Returns [`GraphError::ParseEdge`] (line 0) on a bad magic header or a
-/// truncated payload, and [`GraphError::Io`] on read failure.
+/// Returns [`GraphError::ParseEdge`] (line 0) on a bad magic header, a
+/// body whose length does not match the declared counts, or offsets and
+/// targets that do not describe a CSR of that size; [`GraphError::Io`] on
+/// read failure.
 pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph> {
-    let bad = |what: &str| GraphError::ParseEdge {
-        line: 0,
-        content: what.to_string(),
-    };
     let mut magic = [0u8; 8];
     reader
         .read_exact(&mut magic)
@@ -383,26 +349,42 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph> {
     if &magic != BINARY_MAGIC {
         return Err(bad("bad magic header"));
     }
-    let mut word = [0u8; 8];
-    reader
-        .read_exact(&mut word)
-        .map_err(|_| bad("missing vertex count"))?;
-    let n = u64::from_le_bytes(word) as usize;
-    reader
-        .read_exact(&mut word)
-        .map_err(|_| bad("missing edge count"))?;
-    let m = u64::from_le_bytes(word) as usize;
-    let mut payload = vec![0u8; m * 8];
-    reader
-        .read_exact(&mut payload)
-        .map_err(|_| bad("truncated edge payload"))?;
-    let mut b = GraphBuilder::new(n);
-    for pair in payload.chunks_exact(8) {
-        let s = u32::from_le_bytes(pair[..4].try_into().expect("4 bytes"));
-        let d = u32::from_le_bytes(pair[4..].try_into().expect("4 bytes"));
-        b.try_add_edge(Vid::new(s), Vid::new(d))?;
+    let n = read_u64(&mut reader, "missing vertex count")?;
+    let m = read_u64(&mut reader, "missing edge count")?;
+    let mut body = Vec::new();
+    reader.read_to_end(&mut body)?;
+    let offsets_len = n.checked_add(1).and_then(|k| k.checked_mul(8));
+    let expected = offsets_len.and_then(|o| m.checked_mul(4).and_then(|t| o.checked_add(t)));
+    if expected != Some(body.len() as u64) {
+        return Err(bad("body length does not match the declared counts"));
     }
-    Ok(b.build())
+    if n > u64::from(u32::MAX) + 1 {
+        return Err(bad("vertex count exceeds the 32-bit id space"));
+    }
+    // Both fit: the body that holds them is in memory.
+    let (n, m) = (n as usize, m as usize);
+    let (offsets, targets) = body.split_at(8 * (n + 1));
+    let offsets: Vec<u64> = offsets
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect();
+    if offsets[0] != 0 || offsets[n] != m as u64 || offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(bad("inconsistent offsets"));
+    }
+    let mut edges = Vec::with_capacity(m);
+    for (src, w) in offsets.windows(2).enumerate() {
+        // In bounds: the offsets ascend to `m`, and `targets` holds `4m`
+        // bytes.
+        let (lo, hi) = (4 * w[0] as usize, 4 * w[1] as usize);
+        for t in targets[lo..hi].chunks_exact(4) {
+            let d = u32::from_le_bytes(t.try_into().expect("4 bytes"));
+            if d as usize >= n {
+                return Err(bad("edge endpoint out of bounds"));
+            }
+            edges.push((Vid::new(src as u32), Vid::new(d)));
+        }
+    }
+    Ok(Graph::from_edges(n, &edges))
 }
 
 #[cfg(test)]
@@ -464,7 +446,10 @@ mod tests {
         let g = crate::RmatConfig::graph500(7, 4).generate();
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8 + 16 + g.num_edges() * 8);
+        assert_eq!(
+            buf.len(),
+            8 + 16 + (g.num_vertices() + 1) * 8 + g.num_edges() * 4
+        );
         let g2 = read_binary(&buf[..]).unwrap();
         assert_eq!(g2.num_vertices(), g.num_vertices());
         let e1: Vec<_> = g.edges().collect();
@@ -598,14 +583,64 @@ mod tests {
         assert!(read_csr_cache(&truncated[..], fp, opts).is_err());
     }
 
+    /// A fresh directory under the system temp dir for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("symple-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn corrupt_cache_vertex_count_falls_back_to_a_fresh_parse() {
+        let dir = scratch_dir("snap-corrupt");
+        let path = dir.join("tiny.txt");
+        std::fs::write(&path, "0 1\n1 2\n2 3\n").unwrap();
+        let opts = SnapOptions::default();
+        let fresh = read_snap(std::fs::File::open(&path).unwrap(), opts).unwrap();
+        load_snap_cached(&path, opts).unwrap();
+        let cache = snap_cache_path(&path);
+        let valid = std::fs::read(&cache).unwrap();
+        // Cache key (magic, flags, override, fingerprint), then the
+        // image's magic: the image's vertex count follows.
+        let field = 8 + 1 + 8 + 8 + 8;
+        let mut corrupt = valid.clone();
+        corrupt[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&cache, &corrupt).unwrap();
+        let loaded = load_snap_cached(&path, opts).unwrap();
+        assert_graphs_identical(&fresh, &loaded);
+        assert_eq!(std::fs::read(&cache).unwrap(), valid, "cache rewritten");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_strict_prefix_of_an_image_is_an_error() {
+        let g = crate::RmatConfig::graph500(5, 4).generate();
+        let opts = SnapOptions::default();
+        let mut image = Vec::new();
+        write_binary(&g, &mut image).unwrap();
+        let mut cache = Vec::new();
+        write_csr_cache(&g, 7, opts, &mut cache).unwrap();
+        for len in 0..image.len() {
+            assert!(read_binary(&image[..len]).is_err(), "image prefix {len}");
+        }
+        for len in 0..cache.len() {
+            assert!(
+                read_csr_cache(&cache[..len], 7, opts).is_err(),
+                "cache prefix {len}"
+            );
+        }
+        let mut trailing = image.clone();
+        trailing.push(0);
+        assert!(read_binary(&trailing[..]).is_err(), "trailing byte");
+    }
+
     #[test]
     fn load_snap_cached_writes_then_reuses_the_cache() {
-        let dir = std::env::temp_dir().join(format!("symple-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("snap");
         let path = dir.join("tiny.txt");
         std::fs::write(&path, "# c\n0 1\n1 2\n2 0\n").unwrap();
         let opts = SnapOptions::default();
-        let fresh = load_snap(&path, opts).unwrap();
+        let fresh = read_snap(std::fs::File::open(&path).unwrap(), opts).unwrap();
         let first = load_snap_cached(&path, opts).unwrap();
         assert!(snap_cache_path(&path).exists(), "cache file written");
         let second = load_snap_cached(&path, opts).unwrap();
@@ -653,6 +688,29 @@ mod tests {
             write_csr_cache(&fresh, fp, opts, &mut buf).unwrap();
             let cached = read_csr_cache(&buf[..], fp, opts).unwrap();
             assert_graphs_identical(&fresh, &cached);
+        }
+
+        #[test]
+        fn binary_image_and_cache_round_trip_random_graphs(
+            n in 0usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40), 0..150),
+            fingerprint in any::<u64>(),
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for (s, d) in edges {
+                if (s as usize) < n && (d as usize) < n {
+                    b.add_edge(Vid::new(s), Vid::new(d));
+                }
+            }
+            let g = b.build();
+            let mut image = Vec::new();
+            write_binary(&g, &mut image).unwrap();
+            assert_graphs_identical(&g, &read_binary(&image[..]).unwrap());
+            let opts = SnapOptions::raw();
+            let mut cache = Vec::new();
+            write_csr_cache(&g, fingerprint, opts, &mut cache).unwrap();
+            assert_eq!(&cache[8 + 1 + 8 + 8..], &image[..], "the cache body is the image");
+            assert_graphs_identical(&g, &read_csr_cache(&cache[..], fingerprint, opts).unwrap());
         }
     }
 }

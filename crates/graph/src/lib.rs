@@ -2,11 +2,10 @@
 //!
 //! This crate provides everything the distributed engines need to know about
 //! graphs *as data*: compressed sparse row storage ([`Csr`]), a directed
-//! [`Graph`] bundling forward and reverse adjacency, dense [`Bitmap`]s and
-//! Ligra-style sparse/dense [`VertexSubset`]s, degree statistics, simple
-//! text/binary I/O, and a family of graph generators (most importantly the
-//! Graph500-parameterised R-MAT generator used by the paper's synthetic
-//! datasets).
+//! [`Graph`] bundling forward and reverse adjacency, dense [`Bitmap`]s,
+//! degree statistics, simple text/binary I/O, and a family of graph
+//! generators (most importantly the Graph500-parameterised R-MAT generator
+//! used by the paper's synthetic datasets).
 //!
 //! Nothing in this crate knows about machines, partitions, or communication;
 //! that lives in `symple-core`.
@@ -40,21 +39,19 @@ mod io;
 mod rmat;
 mod rng;
 mod stats;
-mod vertex_set;
 mod vid;
 
 pub use bitmap::{Bitmap, IterOnes};
 pub use builder::GraphBuilder;
 pub use csr::Csr;
 pub use error::{GraphError, Result};
-pub use generators::{barabasi_albert, complete, cycle, erdos_renyi, grid, path, star};
+pub use generators::{barabasi_albert, complete, cycle, grid, path, star};
 pub use graph::Graph;
 pub use io::{
-    fnv1a64, load_snap, load_snap_cached, read_binary, read_csr_cache, read_edge_list, read_snap,
+    fnv1a64, load_snap_cached, read_binary, read_csr_cache, read_edge_list, read_snap,
     snap_cache_path, write_binary, write_csr_cache, write_edge_list, SnapOptions,
 };
 pub use rmat::{rmat, RmatConfig};
 pub use rng::Rng64;
-pub use stats::{high_degree_vertices, in_degree_histogram, DegreeStats, GraphStats};
-pub use vertex_set::VertexSubset;
+pub use stats::{DegreeStats, GraphStats};
 pub use vid::{Vid, VidRange};

@@ -5,7 +5,7 @@
 //! differentiated-propagation threshold (32; §6 "we search powers of two
 //! with the best performance and use 32").
 
-use crate::{Graph, Vid};
+use crate::Graph;
 use std::fmt;
 
 /// Summary of a degree distribution.
@@ -116,25 +116,6 @@ impl fmt::Display for GraphStats {
     }
 }
 
-/// Computes the in-degree histogram (index = degree, clamped at `cap`).
-pub fn in_degree_histogram(graph: &Graph, cap: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; cap + 1];
-    for v in graph.vertices() {
-        hist[graph.in_degree(v).min(cap)] += 1;
-    }
-    hist
-}
-
-/// Lists vertices whose in-degree is at least `threshold`, ascending by id.
-/// This is the `V'` set that differentiated dependency propagation applies
-/// to (§5.2).
-pub fn high_degree_vertices(graph: &Graph, threshold: usize) -> Vec<Vid> {
-    graph
-        .vertices()
-        .filter(|&v| graph.in_degree(v) >= threshold)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,29 +140,6 @@ mod tests {
         assert_eq!(s.high_degree_vertices, 0);
         let s = GraphStats::with_threshold(&g, 1);
         assert_eq!(s.high_degree_vertices, 33);
-    }
-
-    #[test]
-    fn histogram_sums_to_vertices() {
-        let g = star(10);
-        let h = in_degree_histogram(&g, 16);
-        assert_eq!(h.iter().sum::<usize>(), 10);
-        assert_eq!(h[9], 1); // hub
-        assert_eq!(h[1], 9); // leaves
-    }
-
-    #[test]
-    fn histogram_cap_clamps() {
-        let g = star(10);
-        let h = in_degree_histogram(&g, 4);
-        assert_eq!(h[4], 1); // hub clamped into the cap bucket
-    }
-
-    #[test]
-    fn high_degree_list() {
-        let g = star(40);
-        assert_eq!(high_degree_vertices(&g, 32), vec![Vid::new(0)]);
-        assert_eq!(high_degree_vertices(&g, 100), Vec::<Vid>::new());
     }
 
     #[test]

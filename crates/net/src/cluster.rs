@@ -1,5 +1,5 @@
 //! The cluster: nodes, tagged point-to-point messages, and collectives,
-//! all with virtual-time accounting, over a pluggable [`Transport`].
+//! all with virtual-time accounting, over one transport port per node.
 //!
 //! Protocol contract (SPMD, like MPI): every node runs the same closure;
 //! collectives must be called by all nodes in the same order; point-to-point
@@ -7,13 +7,14 @@
 //! generous timeout so protocol bugs surface as diagnostics instead of
 //! hangs.
 //!
-//! The message protocol is written against [`Transport`]/[`TransportPort`]
-//! (see [`crate::transport`]): everything in this module — tag matching,
-//! clock accounting, collectives, reliable delivery, tracing — is shared
-//! by every backend, which is why outputs, `CommStats`, virtual time, and
-//! traces are bit-identical between [`Backend::Sim`] and
-//! [`Backend::Thread`]. Construct clusters through [`ClusterBuilder`]
-//! (or the [`Cluster::new`] shorthand for defaults).
+//! The message protocol is written against the crate-private transport
+//! port, whose two backends differ only in their inbox discipline:
+//! everything in this module — tag matching, clock accounting,
+//! collectives, reliable delivery, tracing — is shared, which is why
+//! outputs, `CommStats`, virtual time, and traces are bit-identical
+//! between [`Backend::Sim`] and [`Backend::Thread`]. Construct clusters
+//! through [`ClusterBuilder`] (or the [`Cluster::new`] shorthand for
+//! defaults).
 //!
 //! With a [`FaultPlan`] installed ([`Cluster::fault_plan`]), every message
 //! additionally runs through a reliable-delivery layer: copies can be
@@ -25,10 +26,7 @@
 //! trace structure stay bit-identical to the fault-free run; only
 //! [`crate::ReliableStats`] and the virtual clock absorb the damage.
 
-use crate::transport::{
-    Backend, Envelope, SimTransport, ThreadTransport, Transport, TransportPort,
-    DEFAULT_CHANNEL_CAPACITY,
-};
+use crate::transport::{connect, Backend, Envelope, Port, DEFAULT_CHANNEL_CAPACITY};
 use crate::{CommKind, CommStats, CostModel, FaultPlan, NetError, RetryConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -109,7 +107,7 @@ pub struct NodeCtx {
     cost: CostModel,
     /// The transport endpoint carrying this node's traffic; everything
     /// above it (tag matching, clocks, reliability) is backend-agnostic.
-    port: Box<dyn TransportPort>,
+    port: Port,
     /// Out-of-order messages, indexed by (source, tag) so heavily
     /// reordered steps match in O(1) instead of rescanning a flat list.
     /// Without faults, messages with the same key stay FIFO in their
@@ -143,26 +141,9 @@ impl NodeCtx {
         self.world
     }
 
-    /// Which transport backend carries this node's messages.
-    pub fn backend(&self) -> Backend {
-        self.port.backend()
-    }
-
-    /// Wall-clock time this node has spent blocked in transport
-    /// operations (the *measured* communication wait, as opposed to the
-    /// modelled waits on the virtual clock).
-    pub fn comm_wall(&self) -> Duration {
-        self.port.comm_wall()
-    }
-
     /// Current virtual time in seconds.
     pub fn virtual_clock(&self) -> f64 {
         self.clock
-    }
-
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Communication sent by this node so far.
@@ -177,27 +158,18 @@ impl NodeCtx {
         self.trace.record_wire_formats(&formats.bytes);
     }
 
-    /// Advances the virtual clock by the modelled cost of visiting
-    /// `edges` edges and `vertices` vertex headers.
-    pub fn compute(&mut self, edges: u64, vertices: u64) {
-        let start = self.clock;
-        self.clock += self.cost.compute_time(edges, vertices);
-        self.trace
-            .record_span(SpanCategory::Compute, start, self.clock);
-    }
-
     /// Advances the virtual clock by the *critical path* of a chunked
     /// compute pass: per-chunk `(edges, vertices)` costs are scheduled
     /// onto `threads` lanes with [`CostModel::schedule_lanes`] and the
     /// busiest lane's time is charged — the modelled makespan of the
     /// intra-machine executor, not the total work.
     ///
-    /// With `threads <= 1` (or a single chunk) this is exactly
-    /// [`NodeCtx::compute`] on the summed chunks, bit for bit; otherwise
+    /// With `threads <= 1` (or a single chunk) this is one
+    /// [`CostModel::compute_time`] charge on the summed chunks; otherwise
     /// each lane's integer totals go through one `compute_time` call so
     /// the charge is deterministic regardless of how the real thread pool
     /// interleaved. Per-lane busy times are traced as parallel compute
-    /// spans (see `TraceRecorder::record_compute_lanes`).
+    /// spans (see `TraceRecorder::record_lanes`).
     pub fn compute_sharded(&mut self, chunks: &[(u64, u64)], threads: usize) {
         self.sharded(SpanCategory::Compute, chunks, threads);
     }
@@ -602,21 +574,6 @@ impl NodeCtx {
             .sum()
     }
 
-    /// Maximum of `value` across all nodes. Collective.
-    pub fn allreduce_f64_max(&mut self, value: f64) -> f64 {
-        let mut buf = Vec::with_capacity(8);
-        crate::Wire::write(&value, &mut buf);
-        self.allgather_bytes(buf, CommKind::Sync)
-            .iter()
-            .map(|b| <f64 as crate::Wire>::read(b))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Logical OR of `value` across all nodes. Collective.
-    pub fn allreduce_bool_or(&mut self, value: bool) -> bool {
-        self.allreduce_u64_sum(u64::from(value)) > 0
-    }
-
     // === Pipelined (framed) exchange ===
     //
     // One logical message, many physical envelopes: `send_framed` slices
@@ -851,8 +808,6 @@ pub struct ClusterResult<T> {
     /// rank — the per-node counterpart of `wall`, and the number to
     /// compare against per-node virtual clocks.
     pub node_wall: Vec<Duration>,
-    /// Which transport backend carried the run's messages.
-    pub backend: Backend,
     /// Categorized virtual-time and traffic attribution, one track per
     /// machine (empty cells at [`TraceLevel::Off`]).
     pub traces: Trace,
@@ -887,7 +842,6 @@ impl<T> ClusterResult<T> {
 ///     .unwrap();
 /// let r = cluster.run(|ctx| ctx.allreduce_u64_sum(1));
 /// assert_eq!(r.outputs, vec![4; 4]);
-/// assert_eq!(r.backend, Backend::Thread);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
@@ -895,7 +849,6 @@ pub struct ClusterBuilder {
     cost: CostModel,
     backend: Backend,
     channel_capacity: usize,
-    custom: Option<Arc<dyn Transport>>,
     recv_timeout: Duration,
     trace_level: TraceLevel,
     fault_plan: Option<FaultPlan>,
@@ -912,7 +865,6 @@ impl ClusterBuilder {
             cost: CostModel::cluster_a(),
             backend: Backend::Sim,
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            custom: None,
             recv_timeout: Duration::from_secs(120),
             trace_level: TraceLevel::default(),
             fault_plan: None,
@@ -926,7 +878,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Selects the built-in transport backend (default [`Backend::Sim`]).
+    /// Selects the inbox discipline (default [`Backend::Sim`]).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -937,13 +889,6 @@ impl ClusterBuilder {
     /// [`DEFAULT_CHANNEL_CAPACITY`]).
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = capacity;
-        self
-    }
-
-    /// Plugs in a custom [`Transport`], overriding
-    /// [`ClusterBuilder::backend`].
-    pub fn transport(mut self, transport: impl Transport + 'static) -> Self {
-        self.custom = Some(Arc::new(transport));
         self
     }
 
@@ -994,28 +939,22 @@ impl ClusterBuilder {
             plan.validate().map_err(NetError::InvalidFaultPlan)?;
             self.retry.validate().map_err(NetError::InvalidRetry)?;
         }
-        let transport: Arc<dyn Transport> = match self.custom {
-            Some(custom) => custom,
-            None => match self.backend {
-                Backend::Sim => Arc::new(SimTransport),
-                Backend::Thread => Arc::new(ThreadTransport::new(self.channel_capacity)),
-            },
-        };
         Ok(Cluster {
             nodes: self.nodes,
             cost: self.cost,
+            backend: self.backend,
+            channel_capacity: self.channel_capacity,
             recv_timeout: self.recv_timeout,
             trace_level: self.trace_level,
             fault_plan: self.fault_plan,
             retry: self.retry,
-            transport,
         })
     }
 }
 
-/// A cluster: `p` nodes with a shared cost model over a pluggable
-/// [`Transport`]. Build with [`Cluster::builder`] (validated) or
-/// [`Cluster::new`] (defaults shorthand).
+/// A cluster: `p` nodes with a shared cost model, each with one transport
+/// port. Build with [`Cluster::builder`] (validated) or [`Cluster::new`]
+/// (defaults shorthand).
 ///
 /// # Example
 ///
@@ -1038,11 +977,12 @@ impl ClusterBuilder {
 pub struct Cluster {
     nodes: usize,
     cost: CostModel,
+    backend: Backend,
+    channel_capacity: usize,
     recv_timeout: Duration,
     trace_level: TraceLevel,
     fault_plan: Option<FaultPlan>,
     retry: RetryConfig,
-    transport: Arc<dyn Transport>,
 }
 
 impl Cluster {
@@ -1071,11 +1011,6 @@ impl Cluster {
         self.nodes
     }
 
-    /// Which transport backend this cluster runs on.
-    pub fn backend(&self) -> Backend {
-        self.transport.backend()
-    }
-
     /// Runs `f` on every node (as a thread) and collects the results.
     ///
     /// # Panics
@@ -1087,12 +1022,7 @@ impl Cluster {
         F: Fn(&mut NodeCtx) -> T + Sync,
     {
         let p = self.nodes;
-        let mut ports = self.transport.connect(p, self.recv_timeout);
-        assert_eq!(
-            ports.len(),
-            p,
-            "transport must wire exactly one port per rank"
-        );
+        let mut ports = connect(p, self.backend, self.channel_capacity, self.recv_timeout);
         let start = Instant::now();
         type Slot<T> = Option<(T, CommStats, f64, symple_trace::NodeTrace, Duration)>;
         let mut slots: Vec<Slot<T>> = (0..p).map(|_| None).collect();
@@ -1207,7 +1137,6 @@ impl Cluster {
             virtual_time,
             wall,
             node_wall,
-            backend: self.transport.backend(),
             traces: Trace::new(node_traces),
         }
     }
@@ -1295,7 +1224,7 @@ mod tests {
             ctx.compute_sharded(&[(1, 2), (2, 2)], 1);
             ctx.virtual_clock()
         });
-        // Same charge as compute(3, 4).
+        // Same charge as one (3, 4) chunk.
         assert!((r.outputs[0] - 10.0).abs() < 1e-12);
     }
 
@@ -1335,16 +1264,12 @@ mod tests {
     fn allreduce_and_allgather() {
         let r = Cluster::new(4, CostModel::zero()).run(|ctx| {
             let sum = ctx.allreduce_u64_sum(ctx.rank() as u64 + 1);
-            let max = ctx.allreduce_f64_max(ctx.rank() as f64);
-            let any = ctx.allreduce_bool_or(ctx.rank() == 2);
             let gathered = ctx.allgather_bytes(vec![ctx.rank() as u8], CommKind::Sync);
             let ranks: Vec<u8> = gathered.iter().map(|b| b[0]).collect();
-            (sum, max, any, ranks)
+            (sum, ranks)
         });
-        for (sum, max, any, ranks) in r.outputs {
+        for (sum, ranks) in r.outputs {
             assert_eq!(sum, 10);
-            assert_eq!(max, 3.0);
-            assert!(any);
             assert_eq!(ranks, vec![0, 1, 2, 3]);
         }
     }
@@ -1384,20 +1309,6 @@ mod tests {
         for c in r.outputs {
             assert!((c - 5.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn compute_advances_clock() {
-        let cost = CostModel {
-            per_edge_sec: 2.0,
-            per_vertex_sec: 1.0,
-            ..CostModel::zero()
-        };
-        let r = Cluster::new(1, cost).run(|ctx| {
-            ctx.compute(3, 4);
-            ctx.virtual_clock()
-        });
-        assert!((r.outputs[0] - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1483,7 +1394,7 @@ mod tests {
             .run(|ctx| {
                 ctx.set_trace_scope(0, ctx.rank() as u32, 0);
                 if ctx.rank() == 0 {
-                    ctx.compute(3, 0);
+                    ctx.compute_sharded(&[(3, 0)], 1);
                     ctx.send(
                         1,
                         Tag::new(TagKind::Dep, 7, 0),
@@ -1764,7 +1675,7 @@ mod tests {
             .build()
             .unwrap()
             .run(|ctx| {
-                ctx.compute(100, 10);
+                ctx.compute_sharded(&[(100, 10)], 1);
                 ctx.barrier();
             });
         assert!(r.traces.nodes.iter().all(|n| n.cells.is_empty()));
@@ -1781,7 +1692,7 @@ mod tests {
                 .build()
                 .unwrap()
                 .run(|ctx| {
-                    ctx.compute(1000, 100);
+                    ctx.compute_sharded(&[(1000, 100)], 1);
                     let next = (ctx.rank() + 1) % ctx.world();
                     let prev = (ctx.rank() + ctx.world() - 1) % ctx.world();
                     ctx.send(
@@ -1802,8 +1713,6 @@ mod tests {
         };
         let sim = run(Backend::Sim);
         let thread = run(Backend::Thread);
-        assert_eq!(sim.backend, Backend::Sim);
-        assert_eq!(thread.backend, Backend::Thread);
         // Everything logical is bit-identical; only wall-clock measurements
         // may differ between backends.
         assert_eq!(sim.outputs, thread.outputs);
@@ -1815,7 +1724,7 @@ mod tests {
 
     #[test]
     fn node_wall_is_recorded_per_node() {
-        for backend in Backend::ALL {
+        for backend in [Backend::Sim, Backend::Thread] {
             let r = cluster(3, CostModel::cluster_a())
                 .backend(backend)
                 .trace_level(TraceLevel::Metrics)
@@ -1855,7 +1764,7 @@ mod tests {
     fn thread_backend_survives_tiny_channel_capacity() {
         // Capacity 1 forces constant backpressure: every rank sends a
         // burst before receiving, which would deadlock without the
-        // drain-while-blocked progress rule in `ThreadPort::send`.
+        // drain-while-blocked progress rule in `Port::send`.
         let r = cluster(3, CostModel::zero())
             .backend(Backend::Thread)
             .channel_capacity(1)

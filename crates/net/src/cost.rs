@@ -153,13 +153,6 @@ impl CostModel {
         edges as f64 * self.per_edge_sec + vertices as f64 * self.per_vertex_sec
     }
 
-    /// A single-core variant of this model, for the COST-metric baseline
-    /// (§7.4): compute slows by the node's core count, communication
-    /// disappears (irrelevant to a single-threaded run).
-    pub fn single_core_of(node_cores: u32) -> f64 {
-        f64::from(node_cores)
-    }
-
     /// Deterministically schedules per-chunk `(edges, vertices)` costs
     /// onto `lanes` executor lanes and returns each lane's integer
     /// totals.

@@ -1,21 +1,21 @@
-//! In-process distributed cluster for the SympleGraph reproduction, with
-//! a pluggable [`Transport`].
+//! In-process distributed cluster for the SympleGraph reproduction.
 //!
 //! The paper evaluates on real clusters (16 × dual-Xeon nodes over 56 Gb/s
 //! InfiniBand, MPI one-sided RDMA). This crate substitutes an **in-process
 //! cluster**: each machine is a thread, every inter-machine message
-//! travels through a [`Transport`] backend, and — crucially — every node
-//! maintains a **virtual clock** advanced by a configurable [`CostModel`].
+//! travels through the machines' transport ports, and — crucially — every
+//! node maintains a **virtual clock** advanced by a configurable
+//! [`CostModel`].
 //! Sends stamp the sender's clock; receives advance the receiver's clock
 //! to the modelled arrival time. Because the engine's message protocol is
 //! deterministic (blocking, point-to-point, tagged), the resulting virtual
 //! times are an exact conservative simulation of the modelled network,
 //! independent of host scheduling.
 //!
-//! Two backends ship ([`Backend`]):
-//! * [`SimTransport`] — unbounded channels, the bit-deterministic
+//! The port has two inbox disciplines ([`Backend`]):
+//! * [`Backend::Sim`] — unbounded inboxes, the bit-deterministic
 //!   reference;
-//! * [`ThreadTransport`] — bounded channels with real backpressure, so
+//! * [`Backend::Thread`] — bounded inboxes with real backpressure, so
 //!   compute and communication genuinely overlap and per-node wall time
 //!   becomes a *measured* signal next to the modelled virtual clock.
 //!
@@ -67,14 +67,11 @@ pub use cost::CostModel;
 pub use error::NetError;
 pub use reliable::{Delivery, FaultPlan, RetryConfig};
 pub use stats::{CommKind, CommStats, ReliableStats, COMM_KINDS};
-pub use transport::{
-    Backend, Envelope, SimTransport, ThreadTransport, Transport, TransportPort,
-    DEFAULT_CHANNEL_CAPACITY,
-};
+pub use transport::{Backend, DEFAULT_CHANNEL_CAPACITY};
 pub use wire::{decode_vec, encode_slice, Wire};
 
 // The tracing vocabulary is part of this crate's API surface
 // (`NodeCtx::trace`, `Cluster::trace_level`, `ClusterResult::traces`).
 pub use symple_trace::{
-    ByteCategory, MetricsReport, NodeTrace, Span, SpanCategory, Trace, TraceLevel, TraceRecorder,
+    ByteCategory, NodeTrace, Span, SpanCategory, Trace, TraceLevel, TraceRecorder,
 };

@@ -147,11 +147,6 @@ impl CommStats {
         self.formats.bytes[fmt.index()]
     }
 
-    /// Encoded blocks (whole messages count as one) chosen in `fmt`.
-    pub fn format_blocks(&self, fmt: WireFormat) -> u64 {
-        self.formats.blocks[fmt.index()]
-    }
-
     /// Payload bytes sent in `kind`.
     pub fn bytes(&self, kind: CommKind) -> u64 {
         self.bytes[kind.index()]
@@ -270,7 +265,6 @@ mod tests {
         a.record_formats(&cs);
         a.record_formats(&cs);
         assert_eq!(a.format_bytes(WireFormat::Dense), 80);
-        assert_eq!(a.format_blocks(WireFormat::Sparse), 2);
         let b = a + CommStats::default();
         assert_eq!(b.format_bytes(WireFormat::Sparse), 14);
         assert_eq!(b.format_bytes(WireFormat::Flat), 0);

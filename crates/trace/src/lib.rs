@@ -8,8 +8,9 @@
 //! [`ByteCategory`], keyed by the current [`Scope`] (iteration, circulant
 //! step, buffer group). The per-machine results combine into a [`Trace`],
 //! which exports to the `chrome://tracing` JSON format ([`Trace::to_chrome_json`],
-//! virtual time on the x-axis, one track per machine) and aggregates into
-//! a structured [`MetricsReport`] that the bench harness embeds.
+//! virtual time on the x-axis, one track per machine) and totals its
+//! counters per machine and per run ([`NodeTrace`], [`Trace`], and their
+//! JSON dump [`Trace::to_metrics_json`]).
 //!
 //! Recording is always available and cheap: at [`TraceLevel::Metrics`]
 //! (the default) only O(categories × cells) counters are touched; spans
@@ -32,13 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chrome;
+mod export;
 pub mod json;
 mod recorder;
-mod report;
 
 pub use recorder::{CellKey, CellStats, NodeTrace, Scope, Span, Trace, TraceRecorder};
-pub use report::{MachineReport, MetricsReport};
 
 /// How much the engine records.
 ///

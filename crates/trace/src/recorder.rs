@@ -70,7 +70,7 @@ impl CellStats {
         self.messages[cat.index()]
     }
 
-    fn absorb(&mut self, other: &CellStats) {
+    pub(crate) fn absorb(&mut self, other: &CellStats) {
         for i in 0..9 {
             self.time[i] += other.time[i];
         }
@@ -138,16 +138,6 @@ impl TraceRecorder {
         }
     }
 
-    /// The recording level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
-    }
-
-    /// The machine rank this recorder belongs to.
-    pub fn machine(&self) -> usize {
-        self.machine
-    }
-
     /// Sets the attribution scope for subsequent events.
     pub fn set_scope(&mut self, iteration: u32, step: u32, group: u32) {
         self.scope = Scope {
@@ -155,11 +145,6 @@ impl TraceRecorder {
             step,
             group,
         };
-    }
-
-    /// The current attribution scope.
-    pub fn scope(&self) -> Scope {
-        self.scope
     }
 
     /// Attributes the virtual interval `[start, end]` to `category` under
@@ -185,13 +170,6 @@ impl TraceRecorder {
                 thread: 0,
             });
         }
-    }
-
-    /// Attributes one chunked-executor compute phase starting at `start`
-    /// with the given per-lane busy seconds. Shorthand for
-    /// [`TraceRecorder::record_lanes`] with [`SpanCategory::Compute`].
-    pub fn record_compute_lanes(&mut self, start: f64, lane_secs: &[f64]) -> f64 {
-        self.record_lanes(SpanCategory::Compute, start, lane_secs)
     }
 
     /// Attributes one chunked-executor phase of `category` starting at
@@ -308,8 +286,8 @@ pub struct NodeTrace {
     pub retransmit_peers: BTreeMap<usize, u64>,
     /// Measured wall-clock seconds this machine's worker ran for (host
     /// time, not virtual time). Depends on the host scheduler, so it is
-    /// reported through [`crate::MetricsReport`] but deliberately kept out
-    /// of the deterministic chrome export.
+    /// reported by [`Trace::to_metrics_json`] but deliberately kept out of
+    /// the deterministic chrome export.
     pub wall_secs: f64,
     /// Measured wall-clock seconds this machine spent blocked in
     /// transport operations — the real counterpart of the modelled
@@ -331,11 +309,6 @@ impl NodeTrace {
     /// Total messages attributed to `cat` across all cells.
     pub fn messages(&self, cat: ByteCategory) -> u64 {
         self.cells.values().map(|c| c.messages(cat)).sum()
-    }
-
-    /// Sum of all categorized bytes on this machine.
-    pub fn total_bytes(&self) -> u64 {
-        ByteCategory::ALL.iter().map(|&c| self.bytes(c)).sum()
     }
 
     /// Total busy compute core-seconds across executor lanes. Equals
@@ -444,7 +417,6 @@ mod tests {
         assert_eq!(node.time(SpanCategory::DepWait), 0.5);
         assert_eq!(node.bytes(ByteCategory::Update), 100);
         assert_eq!(node.messages(ByteCategory::Dependency), 1);
-        assert_eq!(node.total_bytes(), 108);
         // Metrics level materialises no spans.
         assert!(node.spans.is_empty());
     }
@@ -476,7 +448,7 @@ mod tests {
     fn compute_lanes_charge_critical_path_and_track_cpu() {
         let mut rec = TraceRecorder::new(0, TraceLevel::Full);
         rec.set_scope(1, 0, 0);
-        let charged = rec.record_compute_lanes(2.0, &[0.5, 2.0, 0.0, 1.0]);
+        let charged = rec.record_lanes(SpanCategory::Compute, 2.0, &[0.5, 2.0, 0.0, 1.0]);
         assert_eq!(charged, 2.0, "charged time is the longest lane");
         let node = rec.finish();
         let cell = node.cells.values().next().unwrap();
@@ -499,7 +471,10 @@ mod tests {
     #[test]
     fn compute_lanes_return_charge_even_when_off() {
         let mut rec = TraceRecorder::new(0, TraceLevel::Off);
-        assert_eq!(rec.record_compute_lanes(0.0, &[1.0, 3.0]), 3.0);
+        assert_eq!(
+            rec.record_lanes(SpanCategory::Compute, 0.0, &[1.0, 3.0]),
+            3.0
+        );
         assert!(rec.finish().cells.is_empty());
     }
 

@@ -1,4 +1,4 @@
-//! Serializable dependency certificates.
+//! Dependency certificates.
 //!
 //! The abstract-interpretation layer ([`crate::absint`]) proves two kinds of
 //! facts about an instrumented UDF and records them here, attached to
@@ -9,15 +9,16 @@
 //!   counter proven to stay in `[0, k]` travels as one byte instead of
 //!   eight;
 //! * a **monotonicity/latch** fact — "once the break condition triggers it
-//!   stays triggered for the rest of the neighbour loop" — which justifies
-//!   the engine's certified early-exit: a machine that has locally latched
-//!   the break never re-evaluates the segment for that vertex.
+//!   stays triggered for the rest of the neighbour loop". It decides
+//!   whether the engine audits a skipped segment in release builds: a
+//!   segment whose vertex is already latched is skipped either way, and
+//!   without the certificate it is also re-run under a no-emission audit
+//!   (debug builds audit every guarded program).
 //!
-//! Certificates are plain data with a versioned byte encoding (the engine
-//! ships them alongside programs in tests and tooling; there is no serde
-//! dependency). Soundness is checked dynamically in debug builds: the
-//! dependency state asserts every concrete carried value it observes stays
-//! inside the certified interval.
+//! Certificates are plain data, built once per instrumented program.
+//! Soundness is checked dynamically in debug builds: the dependency state
+//! asserts every concrete carried value it observes stays inside the
+//! certified interval.
 
 use crate::types::Ty;
 use std::fmt;
@@ -175,130 +176,11 @@ impl DepCertificate {
         self.carried.iter().map(|c| usize::from(c.width)).sum()
     }
 
-    /// Whether any carried value ships narrower than eight bytes.
-    pub fn is_narrowed(&self) -> bool {
-        self.carried.iter().any(|c| c.width < 8)
-    }
-
-    /// Whether certified early-exit is justified: the structural skip
-    /// latch holds *and* every reachable break is monotone-stable.
+    /// Whether a skipped segment provably stays inert, so release builds
+    /// need not audit it: the structural skip latch holds *and* every
+    /// reachable break is monotone-stable.
     pub fn latches(&self) -> bool {
         self.skip_latch && self.stable_breaks
-    }
-
-    /// Versioned byte encoding (see the module docs).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![1u8]; // version
-        let mut flags = 0u8;
-        if self.skip_latch {
-            flags |= 1;
-        }
-        if self.stable_breaks {
-            flags |= 2;
-        }
-        out.push(flags);
-        debug_assert!(self.carried.len() <= u8::MAX as usize);
-        out.push(self.carried.len() as u8);
-        for c in &self.carried {
-            debug_assert!(c.name.len() <= u8::MAX as usize);
-            out.push(c.name.len() as u8);
-            out.extend_from_slice(c.name.as_bytes());
-            out.push(match c.ty {
-                Ty::Bool => 0,
-                Ty::Int => 1,
-                Ty::Float => 2,
-                Ty::Vertex => 3,
-            });
-            match c.range {
-                ValueRange::Interval { lo, hi } => {
-                    out.push(0);
-                    out.extend_from_slice(&lo.to_le_bytes());
-                    out.extend_from_slice(&hi.to_le_bytes());
-                }
-                ValueRange::Unbounded => out.push(1),
-            }
-            out.push(c.width);
-            out.push(match c.mono {
-                Monotonicity::Constant => 0,
-                Monotonicity::NonDecreasing => 1,
-                Monotonicity::NonIncreasing => 2,
-                Monotonicity::Unknown => 3,
-            });
-        }
-        out
-    }
-
-    /// Decodes [`DepCertificate::encode`]'s output. Returns `None` on a
-    /// truncated or malformed buffer or an unknown version.
-    pub fn decode(buf: &[u8]) -> Option<DepCertificate> {
-        let mut p = 0usize;
-        let byte = |p: &mut usize| -> Option<u8> {
-            let b = *buf.get(*p)?;
-            *p += 1;
-            Some(b)
-        };
-        if byte(&mut p)? != 1 {
-            return None;
-        }
-        let flags = byte(&mut p)?;
-        if flags & !3 != 0 {
-            return None;
-        }
-        let count = byte(&mut p)? as usize;
-        let mut carried = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name_len = byte(&mut p)? as usize;
-            let name_bytes = buf.get(p..p + name_len)?;
-            p += name_len;
-            let name = String::from_utf8(name_bytes.to_vec()).ok()?;
-            let ty = match byte(&mut p)? {
-                0 => Ty::Bool,
-                1 => Ty::Int,
-                2 => Ty::Float,
-                3 => Ty::Vertex,
-                _ => return None,
-            };
-            let range = match byte(&mut p)? {
-                0 => {
-                    let lo = i64::from_le_bytes(buf.get(p..p + 8)?.try_into().ok()?);
-                    p += 8;
-                    let hi = i64::from_le_bytes(buf.get(p..p + 8)?.try_into().ok()?);
-                    p += 8;
-                    if lo > hi {
-                        return None;
-                    }
-                    ValueRange::Interval { lo, hi }
-                }
-                1 => ValueRange::Unbounded,
-                _ => return None,
-            };
-            let width = byte(&mut p)?;
-            if ![1, 2, 4, 8].contains(&width) {
-                return None;
-            }
-            let mono = match byte(&mut p)? {
-                0 => Monotonicity::Constant,
-                1 => Monotonicity::NonDecreasing,
-                2 => Monotonicity::NonIncreasing,
-                3 => Monotonicity::Unknown,
-                _ => return None,
-            };
-            carried.push(CarriedCert {
-                name,
-                ty,
-                range,
-                width,
-                mono,
-            });
-        }
-        if p != buf.len() {
-            return None;
-        }
-        Some(DepCertificate {
-            carried,
-            skip_latch: flags & 1 != 0,
-            stable_breaks: flags & 2 != 0,
-        })
     }
 }
 
@@ -334,59 +216,8 @@ mod tests {
     fn wide_is_inert() {
         let c = DepCertificate::wide(&[("cnt".into(), Ty::Int), ("acc".into(), Ty::Float)]);
         assert_eq!(c.payload_width(), 16);
-        assert!(!c.is_narrowed());
+        assert!(c.carried.iter().all(|cc| cc.width == 8));
         assert!(!c.latches());
         assert_eq!(c.carried[0].mono, Monotonicity::Unknown);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let cert = DepCertificate {
-            carried: vec![
-                CarriedCert {
-                    name: "cnt".into(),
-                    ty: Ty::Int,
-                    range: ValueRange::Interval { lo: 0, hi: 4 },
-                    width: 1,
-                    mono: Monotonicity::NonDecreasing,
-                },
-                CarriedCert {
-                    name: "acc".into(),
-                    ty: Ty::Float,
-                    range: ValueRange::Unbounded,
-                    width: 8,
-                    mono: Monotonicity::Unknown,
-                },
-            ],
-            skip_latch: true,
-            stable_breaks: false,
-        };
-        let bytes = cert.encode();
-        assert_eq!(DepCertificate::decode(&bytes), Some(cert.clone()));
-        // The trivial and wide certificates roundtrip too.
-        for c in [
-            DepCertificate::default(),
-            DepCertificate::wide(&[("x".into(), Ty::Vertex)]),
-        ] {
-            assert_eq!(DepCertificate::decode(&c.encode()), Some(c.clone()));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        let cert = DepCertificate::wide(&[("x".into(), Ty::Int)]);
-        let bytes = cert.encode();
-        assert_eq!(DepCertificate::decode(&[]), None, "empty");
-        assert_eq!(
-            DepCertificate::decode(&bytes[..bytes.len() - 1]),
-            None,
-            "truncated"
-        );
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 9;
-        assert_eq!(DepCertificate::decode(&wrong_version), None);
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(DepCertificate::decode(&trailing), None, "trailing bytes");
     }
 }

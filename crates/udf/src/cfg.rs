@@ -41,7 +41,6 @@ pub struct Cfg<'a> {
     /// For `If` nodes: `(then_entry, else_entry)`; used for branch pruning
     /// under constant propagation.
     branch_targets: Vec<Option<(NodeId, NodeId)>>,
-    loop_head: Option<NodeId>,
     breaks: Vec<NodeId>,
 }
 
@@ -94,7 +93,6 @@ impl<'a> Cfg<'a> {
             succs: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
             branch_targets: vec![None; n],
-            loop_head: None,
             breaks: Vec::new(),
         };
         let entry = cfg.wire_block(&udf.body, 0, EXIT, None);
@@ -164,9 +162,6 @@ impl<'a> Cfg<'a> {
                     let body_entry = self.wire_block(body, ids[i] + 1, node, Some(next));
                     self.add_edge(node, body_entry);
                     self.add_edge(node, next);
-                    if self.loop_head.is_none() {
-                        self.loop_head = Some(node);
-                    }
                 }
             }
         }
@@ -220,19 +215,9 @@ impl<'a> Cfg<'a> {
         self.branch_targets[node]
     }
 
-    /// Node of the (single) neighbour loop head, if the body has one.
-    pub fn loop_head(&self) -> Option<NodeId> {
-        self.loop_head
-    }
-
     /// Nodes of all `Break` statements.
     pub fn breaks(&self) -> &[NodeId] {
         &self.breaks
-    }
-
-    /// Whether `node` is a `Break` statement.
-    pub fn is_break(&self, node: NodeId) -> bool {
-        self.breaks.contains(&node)
     }
 
     /// A copy of the graph with every edge *out of* `Break` nodes removed.
@@ -332,8 +317,7 @@ mod tests {
     fn loop_edges_and_break_target() {
         let udf = sample();
         let cfg = Cfg::build(&udf);
-        let head = cfg.loop_head().unwrap();
-        assert_eq!(head, cfg.node_of(1));
+        let head = cfg.node_of(1);
         // Head branches into the body and past the loop.
         assert!(cfg.succs(head).contains(&cfg.node_of(2)));
         assert!(cfg.succs(head).contains(&cfg.node_of(5)));
@@ -341,7 +325,7 @@ mod tests {
         assert!(cfg.succs(cfg.node_of(2)).contains(&head));
         // Break jumps to the suffix, not to Exit.
         assert_eq!(cfg.succs(cfg.node_of(4)), &[cfg.node_of(5)]);
-        assert!(cfg.is_break(cfg.node_of(4)));
+        assert!(cfg.breaks().contains(&cfg.node_of(4)));
     }
 
     #[test]

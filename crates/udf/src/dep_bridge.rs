@@ -110,11 +110,6 @@ impl UdfDep {
         self.widths.iter().map(|&w| usize::from(w)).sum()
     }
 
-    /// Whether latched slots' values are elided on the flat wire.
-    pub fn latch_elided(&self) -> bool {
-        self.latch_elide
-    }
-
     /// Marks the skip bit of `slot`.
     pub fn mark(&mut self, slot: usize) {
         self.skip[slot] = true;
@@ -551,7 +546,7 @@ mod tests {
         // slot latches — elision is where the bytes come from.
         let cert = narrow_cert(&[("acc", Ty::Float, ValueRange::Unbounded, 8)], true);
         let mut d = UdfDep::with_certificate(4, vec![Ty::Float], &cert);
-        assert!(d.latch_elided());
+        assert!(d.latch_elide);
         d.set_value(0, 0, Value::Float(0.5));
         d.set_value(1, 0, Value::Float(1.5));
         d.mark(1); // latched: its value is dead downstream

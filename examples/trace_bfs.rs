@@ -5,7 +5,7 @@
 //! `chrome://tracing` (or <https://ui.perfetto.dev>) to see one track per
 //! simulated machine with compute, serialize, send-wait, dep-wait,
 //! barrier, and collective spans laid out on the virtual-time axis. Also
-//! prints the structured metrics report the same trace aggregates into.
+//! prints the run's summary line (virtual time, wall, edges, traffic).
 //!
 //! ```text
 //! cargo run --release --example trace_bfs
@@ -54,7 +54,7 @@ fn main() {
         );
     }
 
-    println!("\n{}", stats.metrics());
+    println!("\n{stats}");
 
     // The first job on a graph partitions it and builds every machine's
     // buckets (the graph's `PreparedGraph`); a second job with the same

@@ -20,9 +20,8 @@
 //! * [`algos`] — the five evaluated algorithms with references and
 //!   validators;
 //! * [`trace`] — the always-on observability layer: categorized
-//!   virtual-time spans and byte counters, chrome://tracing export, and
-//!   the structured metrics report (see `RunStats::trace` /
-//!   `RunStats::metrics`).
+//!   virtual-time spans and byte counters per machine and per cell, with
+//!   a chrome://tracing and a metrics JSON export (see `RunStats::trace`).
 //!
 //! # Quickstart
 //!

@@ -116,11 +116,10 @@ fn thread_backend_measures_per_node_wall_time() {
     );
     assert!(st.max_node_wall() > std::time::Duration::ZERO);
     assert!(st.max_node_wall() <= st.wall());
-    let metrics = st.metrics();
-    assert_eq!(metrics.per_machine.len(), 4);
-    assert!(metrics.per_machine.iter().all(|m| m.wall_secs > 0.0));
-    assert!(metrics.max_wall_secs() > 0.0);
-    assert!(metrics.to_json().contains("max_wall_secs"));
+    assert_eq!(st.trace.nodes.len(), 4);
+    assert!(st.trace.nodes.iter().all(|m| m.wall_secs > 0.0));
+    let json = st.trace.to_metrics_json(st.virtual_time());
+    assert!(json.contains("\"max_wall_secs\":") && !json.contains("\"max_wall_secs\":0,"));
 }
 
 /// An arbitrary symmetric graph from an edge list over `n` vertices.

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use symplegraph::algos::{bfs, kcore, mis};
-use symplegraph::core::{EngineConfig, FaultPlan, Policy, RunStats, SpanCategory};
+use symplegraph::core::{ByteCategory, EngineConfig, FaultPlan, Policy, RunStats, SpanCategory};
 use symplegraph::graph::{Graph, GraphBuilder, RmatConfig, Vid};
 
 /// The policies with distinct communication patterns: plain pull, and the
@@ -38,22 +38,35 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 fn assert_trace_structure_eq(clean: &RunStats, faulted: &RunStats, label: &str) {
-    let (mc, mf) = (clean.metrics(), faulted.metrics());
-    assert_eq!(mc.machines, mf.machines, "{label}: machine count");
-    for (c, f) in mc.per_machine.iter().zip(&mf.per_machine) {
+    let (mc, mf) = (&clean.trace, &faulted.trace);
+    assert_eq!(mc.nodes.len(), mf.nodes.len(), "{label}: machine count");
+    for (c, f) in mc.nodes.iter().zip(&mf.nodes) {
         let rank = c.machine;
-        assert_eq!(c.bytes, f.bytes, "{label} m{rank}: logical bytes");
-        assert_eq!(c.messages, f.messages, "{label} m{rank}: logical messages");
+        for cat in ByteCategory::ALL {
+            assert_eq!(c.bytes(cat), f.bytes(cat), "{label} m{rank}: logical bytes");
+            assert_eq!(
+                c.messages(cat),
+                f.messages(cat),
+                "{label} m{rank}: logical messages"
+            );
+        }
+        for fmt in 0..3 {
+            assert_eq!(
+                c.wire_format_bytes(fmt),
+                f.wire_format_bytes(fmt),
+                "{label} m{rank}: wire formats"
+            );
+        }
         assert_eq!(
-            c.wire_format_bytes, f.wire_format_bytes,
-            "{label} m{rank}: wire formats"
+            c.max_lanes(),
+            f.max_lanes(),
+            "{label} m{rank}: executor lanes"
         );
-        assert_eq!(c.lanes, f.lanes, "{label} m{rank}: executor lanes");
         assert!(
-            close(c.compute_cpu, f.compute_cpu),
+            close(c.compute_cpu(), f.compute_cpu()),
             "{label} m{rank}: lane cpu {} vs {}",
-            c.compute_cpu,
-            f.compute_cpu
+            c.compute_cpu(),
+            f.compute_cpu()
         );
         // Deterministic time categories must agree; waits and the retry
         // overlay are the only time allowed to move materially.
@@ -66,11 +79,12 @@ fn assert_trace_structure_eq(clean: &RunStats, faulted: &RunStats, label: &str) 
             );
         }
     }
-    let ck: Vec<_> = mc.cells.keys().collect();
-    let fk: Vec<_> = mf.cells.keys().collect();
+    let (mc, mf) = (mc.merged_cells(), mf.merged_cells());
+    let ck: Vec<_> = mc.keys().collect();
+    let fk: Vec<_> = mf.keys().collect();
     assert_eq!(ck, fk, "{label}: cell (iteration, step, group) structure");
-    for (key, c) in &mc.cells {
-        let f = &mf.cells[key];
+    for (key, c) in &mc {
+        let f = &mf[key];
         assert_eq!(c.bytes, f.bytes, "{label} cell {key:?}: bytes");
         assert_eq!(c.messages, f.messages, "{label} cell {key:?}: messages");
     }
@@ -144,20 +158,18 @@ fn fault_counters_reach_the_metrics_report() {
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
     let c = cfg(4, Policy::symple(), 1).fault_plan(FaultPlan::chaos(42));
     let (_, st) = bfs(&g, &c, Vid::new(7));
-    let m = st.metrics();
+    let m = &st.trace;
     let rel = st.comm.reliable();
     assert_eq!(m.retransmits(), rel.retransmits, "trace/stats reconcile");
     assert_eq!(m.dup_drops(), rel.dup_drops, "trace/stats reconcile");
     assert!(m.time(SpanCategory::Retry) > 0.0, "retry time is charged");
-    let json = m.to_json();
+    let json = m.to_metrics_json(st.virtual_time());
     assert!(
         json.contains(&format!("\"retransmits\":{}", rel.retransmits)),
         "report JSON must surface the retransmit total"
     );
     assert!(
-        m.per_machine
-            .iter()
-            .any(|pm| !pm.retransmit_peers.is_empty()),
+        m.nodes.iter().any(|pm| !pm.retransmit_peers.is_empty()),
         "per-peer retransmit cells must be populated"
     );
 }

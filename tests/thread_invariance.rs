@@ -73,7 +73,7 @@ fn comm_byte_categories_identical_across_threads() {
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
     let (_, st1) = bfs(&g, &cfg(4, Policy::symple(), 1), Vid::new(3));
     let (_, st8) = bfs(&g, &cfg(4, Policy::symple(), 8), Vid::new(3));
-    let (m1, m8) = (st1.metrics(), st8.metrics());
+    let (m1, m8) = (&st1.trace, &st8.trace);
     for cat in ByteCategory::ALL {
         assert_eq!(m1.bytes(cat), m8.bytes(cat), "{cat:?} bytes");
         assert_eq!(m1.messages(cat), m8.messages(cat), "{cat:?} messages");
@@ -115,7 +115,7 @@ fn adaptive_comm_is_thread_invariant_and_never_larger() {
         assert_eq!(a1.comm, a8.comm, "{policy:?}: adaptive comm across threads");
 
         let (_, f1) = bfs(&g, &cfg(4, policy, 1), Vid::new(3));
-        let (mf, ma) = (f1.metrics(), a1.metrics());
+        let (mf, ma) = (&f1.trace, &a1.trace);
         for cat in [ByteCategory::Update, ByteCategory::Dependency] {
             assert!(
                 ma.bytes(cat) <= mf.bytes(cat),
@@ -239,13 +239,12 @@ fn compute_charge_is_critical_path_not_sum() {
     assert_eq!(out1, out4);
     assert_eq!(st1.work, st4.work);
 
-    let (m1, m4) = (st1.metrics(), st4.metrics());
+    let (m1, m4) = (&st1.trace, &st4.trace);
     // Compute-like charge = signal-side Compute plus the Apply pass
     // (both feed `compute_cpu`).
-    let charge = |m: &symplegraph::core::MetricsReport| {
-        m.time(SpanCategory::Compute) + m.time(SpanCategory::Apply)
-    };
-    let (compute1, compute4) = (charge(&m1), charge(&m4));
+    let charge =
+        |m: &symplegraph::core::Trace| m.time(SpanCategory::Compute) + m.time(SpanCategory::Apply);
+    let (compute1, compute4) = (charge(m1), charge(m4));
     assert!(
         compute4 < compute1,
         "critical path ({compute4:.3e}s) must be strictly below the \
@@ -267,9 +266,9 @@ fn compute_charge_is_critical_path_not_sum() {
         compute4 >= cpu4 / 4.0 - 1e-12,
         "charge below perfect speedup"
     );
-    assert_eq!(m1.per_machine[0].lanes, 1);
+    assert_eq!(m1.nodes[0].max_lanes(), 1);
     assert!(
-        m4.per_machine[0].lanes >= 2,
+        m4.nodes[0].max_lanes() >= 2,
         "trace must show executor fan-out"
     );
 }

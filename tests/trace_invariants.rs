@@ -34,8 +34,11 @@ fn assert_reconciled(stats: &RunStats) {
             "categorized {k} messages must equal CommStats"
         );
     }
-    let report = stats.metrics();
-    assert_eq!(report.total_bytes(), stats.comm.total_bytes());
+    let total: u64 = ByteCategory::ALL
+        .iter()
+        .map(|&c| stats.trace.bytes(c))
+        .sum();
+    assert_eq!(total, stats.comm.total_bytes());
 }
 
 #[test]
@@ -122,12 +125,12 @@ fn traces_are_identical_across_repeated_runs() {
     // non-deterministic part of the report (DESIGN.md §12). Everything
     // else in the metrics JSON must replay bit-for-bit.
     let logical_json = |stats: &RunStats| {
-        let mut report = stats.metrics();
-        for machine in &mut report.per_machine {
+        let mut trace = stats.trace.clone();
+        for machine in &mut trace.nodes {
             machine.wall_secs = 0.0;
             machine.comm_wall_secs = 0.0;
         }
-        report.to_json()
+        trace.to_metrics_json(stats.virtual_time())
     };
     assert_eq!(logical_json(&a), logical_json(&b));
 }
