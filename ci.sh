@@ -63,10 +63,18 @@ step "UDF executor differential tests (release profile)"
 # both profiles: the eight committed listings and the ops-per-edge
 # budgets (typed_bind), and the optimiser's idempotence/range proptest
 # (--lib; debug builds also re-check idempotence inside every bind).
-# So does the seeded config fuzzer (config_fuzz: a fixed budget of 88
-# cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels — each held
-# to its reference, then one semantics-free axis flipped; the budget is
-# set in code, not by any variable). Release is where the `UdfDep` certificate
+# So does the seeded config fuzzer (config_fuzz: a fixed budget of 104
+# cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels, each held
+# to its reference, then one semantics-free axis flipped, plus 16 that
+# flip the transport between the unbounded and the bounded inbox, 4 of
+# them under a pinned chaos plan; the budget is set in code, not by any
+# variable) and fault_invariance (random fault plans added or removed):
+# the backend and fault axes are the two the physical receive path
+# touches, and release is where the wall clock is measured. symple-net's
+# own tests ride along for the same reason: the bounded-inbox and chaos
+# runs and the framed-receive tests (`recv_frames` against the sender's
+# stagger on both inboxes and under chaos, a stalled stream's
+# diagnostic). Release is where the `UdfDep` certificate
 # range checks are compiled out and the latch audit re-runs only
 # uncertified programs' skipped segments. dense_comm's communication-shape
 # pins must hold without the debug assertion that catches a program lying
@@ -77,7 +85,8 @@ step "UDF executor differential tests (release profile)"
 # must run, not panic, where jobs are measured. Runs under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind --test engine_integration
-cargo test -q --release --offline --test config_fuzz --test dense_comm
+cargo test -q --release --offline --test config_fuzz --test fault_invariance --test dense_comm
+cargo test -q --release --offline -p symple-net --lib
 
 step "job benchmark builds and smokes (benchmark/)"
 # benchmark/ is a workspace of its own that calls public functions of

@@ -54,24 +54,6 @@ struct Source {
     step: usize,
 }
 
-/// One in-flight update stream of the exchange: frames are absorbed
-/// whenever this machine would otherwise be blocked, then the stream is
-/// *consumed* — charged on the virtual clock, decoded and folded into
-/// master state — in the canonical circulant order. Gathering is physical
-/// overlap only; every modelled cost is replayed at consumption, which is
-/// what keeps runs deterministic whatever the host's scheduling.
-struct PipeStream {
-    src: usize,
-    tag: Tag,
-    /// Per-frame `(bytes, modelled arrival)` in frame order — the charge
-    /// schedule [`Worker::charge_stream`] replays at consumption.
-    frames: Vec<(usize, f64)>,
-    /// Wire bytes assembled so far.
-    wire: Vec<u8>,
-    next_frame: u32,
-    complete: bool,
-}
-
 /// Splits `records` apply records into `chunk`-record cost lanes, so a
 /// sharded charge of a frame's share gets the same lane treatment as a
 /// whole source of equal size.
@@ -102,11 +84,9 @@ pub struct Worker<'a> {
     setup_wall: Duration,
     stats: WorkStats,
     iter_seq: u64,
-    /// Spent byte buffers (send scratch, received payloads, frame
-    /// assembly), handed out again instead of allocating: `send` moves
-    /// its payload into the channel and the receiver recycles it, so
-    /// allocations circulate between machines. Capacity only; never
-    /// observable on the wire.
+    /// Spent byte buffers (encode scratch, and the buffers received
+    /// streams are assembled into), handed out again instead of
+    /// allocating. Capacity only; never observable on the wire.
     buf_pool: Vec<Vec<u8>>,
 }
 
@@ -291,33 +271,15 @@ impl<'a> Worker<'a> {
     }
 
     /// Receives the dependency message from `src` into `dep` over `range`.
-    /// The message arrives in frames, and whenever the next one has not
-    /// landed yet the wait is spent absorbing update frames into
-    /// `streams`. Arrival waits are charged per frame as `DepWait`, so the
-    /// clock ends at the last byte's modelled arrival. Both sides dispatch
-    /// on the same config, so the decoder always matches what the peer
-    /// encoded.
-    fn recv_dep<D: DepState>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        dep: &mut D,
-        range: Range<usize>,
-        streams: &mut [PipeStream],
-    ) {
-        let chunk = self.cfg.exchange_chunk;
+    /// The message arrives in frames, each arrival wait charged as
+    /// `DepWait`, so the clock ends at the last byte's modelled arrival;
+    /// update frames that land meanwhile are buffered by the transport.
+    /// Both sides dispatch on the same config, so the decoder always
+    /// matches what the peer encoded.
+    fn recv_dep<D: DepState>(&mut self, src: usize, tag: Tag, dep: &mut D, range: Range<usize>) {
         let mut buf = self.take_buf();
-        for frame in 0.. {
-            let ftag = tag.with_frame(frame);
-            let (frag, arrival) = self.absorb_until(streams, |w, _| {
-                w.ctx.try_take_frame(src, ftag).ok_or((src, ftag))
-            });
-            self.ctx.wait_until(arrival, SpanCategory::DepWait);
-            buf.extend_from_slice(&frag);
-            if frag.len() < chunk {
-                break;
-            }
-        }
+        self.ctx
+            .recv_framed_into(src, tag, self.cfg.exchange_chunk, &mut buf);
         if self.cfg.adaptive_wire() {
             dep.decode_range_coded(range, &buf);
         } else {
@@ -354,105 +316,6 @@ impl<'a> Worker<'a> {
         } else {
             self.note_format(WireFormat::Flat, flat.len());
             self.ship(dst, tag, CommKind::Update, flat);
-        }
-    }
-
-    // === Exchange: gather / charge ===
-    //
-    // Division of labour: `sweep_streams` does *physical* work at whatever
-    // wall-clock moment is convenient (while this machine would otherwise
-    // block), and never touches the virtual clock; `charge_stream` replays
-    // each consumed stream's modelled waits and apply costs in the
-    // canonical circulant order. Physical progress is therefore free to
-    // race with host scheduling while the model stays bit-deterministic.
-
-    /// Fresh gather state for the remote `sources` of iteration `iter`,
-    /// which are listed in canonical consumption order.
-    fn pipe_streams(&mut self, iter: u64, sources: &[Source]) -> Vec<PipeStream> {
-        let rank = self.ctx.rank();
-        let remote = sources.iter().filter(|src| src.rank != rank);
-        remote
-            .map(|src| PipeStream {
-                src: src.rank,
-                tag: self.update_tag(iter, src.step),
-                frames: Vec::new(),
-                wire: Vec::new(),
-                next_frame: 0,
-                complete: false,
-            })
-            .collect()
-    }
-
-    /// Drains the transport inbox and absorbs every already-arrived frame
-    /// into its stream. Never blocks, never advances the virtual clock.
-    fn sweep_streams(&mut self, streams: &mut [PipeStream]) {
-        if streams.is_empty() {
-            return;
-        }
-        self.ctx.poll_drain();
-        let chunk = self.cfg.exchange_chunk;
-        for st in streams.iter_mut().filter(|st| !st.complete) {
-            while let Some((frag, arrival)) = self
-                .ctx
-                .try_take_frame(st.src, st.tag.with_frame(st.next_frame))
-            {
-                st.frames.push((frag.len(), arrival));
-                if st.wire.capacity() == 0 {
-                    st.wire = self.take_buf();
-                }
-                st.wire.extend_from_slice(&frag);
-                st.next_frame += 1;
-                if frag.len() < chunk {
-                    st.complete = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Blocks until `streams[target]` has fully arrived, absorbing the
-    /// other streams' frames while waiting.
-    ///
-    /// # Panics
-    ///
-    /// On protocol timeout, with the stalled stream's coordinates.
-    fn complete_stream(&mut self, streams: &mut [PipeStream], target: usize) {
-        self.absorb_until(streams, |_, streams| {
-            let st = &streams[target];
-            if st.complete {
-                Ok(())
-            } else {
-                Err((st.src, st.tag.with_frame(st.next_frame)))
-            }
-        })
-    }
-
-    /// The engine's one blocking wait: sweeps `streams`, asks `poll` for
-    /// what the caller is after, and while `poll` instead names the frame
-    /// it is still missing, blocks on the transport for the next envelope
-    /// of any stream. Never touches the virtual clock.
-    ///
-    /// # Panics
-    ///
-    /// When the configured receive deadline passes, naming the frame
-    /// `poll` last asked for.
-    fn absorb_until<T>(
-        &mut self,
-        streams: &mut [PipeStream],
-        mut poll: impl FnMut(&mut Self, &mut [PipeStream]) -> Result<T, (usize, Tag)>,
-    ) -> T {
-        let deadline = Instant::now() + self.ctx.recv_deadline();
-        loop {
-            self.sweep_streams(streams);
-            match poll(self, streams) {
-                Ok(got) => return got,
-                Err((src, tag)) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if !self.ctx.drain_one(remaining) {
-                        self.ctx.stream_timeout_panic(src, tag);
-                    }
-                }
-            }
         }
     }
 
@@ -498,18 +361,20 @@ impl<'a> Worker<'a> {
     /// the sequential neighbour order the dependency semantics define —
     /// and applies every update at its master via `apply`, as it is
     /// consumed; returns the activations. `local` is this machine's own
-    /// share, still typed; a remote stream is decoded record by record.
-    /// `apply` runs sequentially (it is a `FnMut` over caller state).
-    /// Under the Galois policy the applied pairs are then broadcast back.
+    /// share, still typed; a remote stream is received whole at its turn
+    /// (`NodeCtx::recv_frames`, which blocks only for frames that have not
+    /// physically arrived) and decoded record by record. `apply` runs
+    /// sequentially (it is a `FnMut` over caller state). Under the Galois
+    /// policy the applied pairs are then broadcast back.
     ///
     /// Charges: the local share as `chunk_size`-record lanes at its turn,
-    /// a remote stream frame by frame ([`Worker::charge_stream`]).
+    /// a remote stream frame by frame ([`Worker::charge_stream`]), so every
+    /// modelled cost follows the canonical order, not arrival order.
     fn gather<U: Wire + Copy>(
         &mut self,
         iter: u64,
         sources: &[Source],
         local: &[Vec<(Vid, U)>],
-        mut streams: Vec<PipeStream>,
         apply: &mut dyn FnMut(Vid, U) -> bool,
     ) -> u64 {
         let rank = self.ctx.rank();
@@ -528,7 +393,6 @@ impl<'a> Worker<'a> {
                 activated += 1;
             }
         };
-        let mut next_stream = 0usize;
         for src in sources {
             self.ctx.set_trace_scope(iter as u32, src.step as u32, 0);
             if src.rank == rank {
@@ -545,13 +409,11 @@ impl<'a> Worker<'a> {
                 applied += records;
                 continue;
             }
-            // The stream may already be gathered; block only for what has
-            // not physically arrived.
-            self.complete_stream(&mut streams, next_stream);
-            let st = &mut streams[next_stream];
-            debug_assert_eq!(st.src, src.rank, "streams follow consumption order");
-            next_stream += 1;
-            let (wire, frames) = (std::mem::take(&mut st.wire), std::mem::take(&mut st.frames));
+            let mut wire = self.take_buf();
+            let tag = self.update_tag(iter, src.step);
+            let frames = self
+                .ctx
+                .recv_frames(src.rank, tag, self.cfg.exchange_chunk, &mut wire);
             let mut decoded = Vec::new();
             let flat: &[u8] = if adaptive {
                 decoded = self.take_buf();
@@ -741,7 +603,10 @@ impl<'a> Worker<'a> {
     /// program together: only a program that
     /// [carries a dependency](PullProgram::carries_dependency) under a
     /// dependency-propagating policy pays for the circulant dependency
-    /// schedule; everything else takes the dense pass.
+    /// schedule; everything else takes the dense pass. After each step
+    /// the transport inbox is drained (`NodeCtx::poll_drain`), so frames
+    /// that landed while the step computed wait in the receive buffer
+    /// for the gather; that is physical only and charges nothing.
     ///
     /// `dep` must have at least [`Worker::dep_slots_needed`] slots; the
     /// engine resets ranges as the circulant schedule requires, so the
@@ -776,17 +641,13 @@ impl<'a> Worker<'a> {
                 step: (rank + p - 1 - m) % p,
             })
             .collect();
-        // Gather state is set up before the first step, so frames can be
-        // absorbed while the scatter phase is still running or blocked on
-        // dependencies.
-        let mut streams = self.pipe_streams(iter, &sources);
         let mut local = Vec::new();
         for s in 0..p {
             self.ctx.set_trace_scope(iter as u32, s as u32, 0);
             let j = dst_partition(rank, s, p);
             let mut step = PassOutput::default();
             if carried {
-                self.scatter_circulant(prog, dep, iter, s, &mut streams, &mut step);
+                self.scatter_circulant(prog, dep, iter, s, &mut step);
             } else {
                 self.scatter_dense(prog, dep, j, &mut step);
             }
@@ -801,11 +662,9 @@ impl<'a> Worker<'a> {
             } else {
                 self.send_updates(j, self.update_tag(iter, s), &step.chunks);
             }
-            // Opportunistically absorb frames that landed while this
-            // step's compute ran — pure physical overlap.
-            self.sweep_streams(&mut streams);
+            self.ctx.poll_drain();
         }
-        self.gather(iter, &sources, &local, streams, apply)
+        self.gather(iter, &sources, &local, apply)
     }
 
     /// Scatter of a step with no dependency to propagate — the Gemini and
@@ -841,7 +700,6 @@ impl<'a> Worker<'a> {
         dep: &mut P::Dep,
         iter: u64,
         s: usize,
-        streams: &mut [PipeStream],
         step: &mut PassOutput<P::Update>,
     ) {
         let p = self.ctx.world();
@@ -867,7 +725,7 @@ impl<'a> Worker<'a> {
                 if first {
                     dep.reset_range(slots.clone());
                 } else {
-                    self.recv_dep(right, dep_tag(s - 1, g), dep, slots.clone(), streams);
+                    self.recv_dep(right, dep_tag(s - 1, g), dep, slots.clone());
                 }
             }
             let charged = step.chunk_costs.len();
@@ -910,9 +768,9 @@ impl<'a> Worker<'a> {
     }
 
     /// Runs one sparse (push) iteration: walks the out-edges of the given
-    /// *local master* frontier vertices, routes updates to destination
-    /// masters, applies them via `apply`. Returns local activations.
-    /// Collective.
+    /// *local master* frontier vertices, ships each peer's updates, then
+    /// gathers every source's in rank order and applies them via `apply`.
+    /// Returns local activations. Collective.
     ///
     /// # Panics
     ///
@@ -943,18 +801,14 @@ impl<'a> Worker<'a> {
         self.ctx.compute_sharded(&pass.chunk_costs, pc.threads);
 
         // Push has one step: its sources are consumed in rank order, all
-        // under that step's tag. Gather state up front, swept between
-        // sends, so early senders' frames are absorbed while later
-        // outboxes are still being shipped.
+        // under that step's tag.
         let sources: Vec<Source> = (0..p).map(|rank| Source { rank, step: 0 }).collect();
-        let mut streams = self.pipe_streams(iter, &sources);
         for (m, outbox) in pass.outboxes.iter().enumerate() {
             if m != rank {
                 self.send_updates(m, self.update_tag(iter, 0), outbox);
-                self.sweep_streams(&mut streams);
             }
         }
-        self.gather(iter, &sources, &pass.outboxes[rank], streams, apply)
+        self.gather(iter, &sources, &pass.outboxes[rank], apply)
     }
 }
 

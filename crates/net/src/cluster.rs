@@ -211,11 +211,6 @@ impl NodeCtx {
             .record_span(SpanCategory::Compute, start, self.clock);
     }
 
-    /// The trace recorder attributing this node's virtual time and bytes.
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
     /// Sets the (iteration, circulant step, buffer group) scope that
     /// subsequent clock advances and byte movements are attributed to.
     pub fn set_trace_scope(&mut self, iteration: u32, step: u32, group: u32) {
@@ -578,14 +573,14 @@ impl NodeCtx {
     //
     // One logical message, many physical envelopes: `send_framed` slices
     // an already-encoded payload into `chunk`-byte frames with staggered
-    // departure times, and the receive side takes frames out of order and
-    // charges the waits explicitly. Logical accounting (CommStats, byte
-    // trace cells) is done once per message, exactly as for an unframed
-    // send, so framing is invisible in outputs and traffic; only where
-    // the virtual clock spends its waits differs. A frame shorter
-    // than `chunk` terminates its stream, so a payload that divides evenly
-    // gets a trailing empty frame (free and uncounted, like every empty
-    // placeholder message).
+    // departure times, and `recv_frames` reassembles the stream, leaving
+    // the arrival waits to whoever consumes it. Logical accounting
+    // (CommStats, byte trace cells) is done once per message, exactly as
+    // for an unframed send, so framing is invisible in outputs and
+    // traffic; only where the virtual clock spends its waits differs. A
+    // frame shorter than `chunk` terminates its stream, so a payload that
+    // divides evenly gets a trailing empty frame (free and uncounted, like
+    // every empty placeholder message).
 
     /// Sends `payload` to `dst` in `chunk`-byte frames. Accounting is
     /// identical to [`NodeCtx::send`]: one serialize charge, one
@@ -649,14 +644,11 @@ impl NodeCtx {
         }
     }
 
-    /// Takes the next frame of the (src, tag) stream if it has already
+    /// Takes the next envelope of the (src, tag) stream if it has already
     /// been drained into the pending buffer; never blocks and never
-    /// advances the clock. Returns the payload and its modelled arrival
-    /// time — the caller charges the wait (if any) when it *consumes* the
-    /// frame, in canonical order, via [`NodeCtx::wait_until`]. Under a
-    /// fault plan this honors the per-stream sequence cursor exactly like
-    /// the blocking receive.
-    pub fn try_take_frame(&mut self, src: usize, tag: Tag) -> Option<(Vec<u8>, f64)> {
+    /// advances the clock. Under a fault plan this honors the per-stream
+    /// sequence cursor exactly like the blocking receive.
+    fn try_take_frame(&mut self, src: usize, tag: Tag) -> Option<(Vec<u8>, f64)> {
         let env = if self.reliable.is_some() {
             self.take_pending_seq(src, tag, self.expected_seq(src, tag))?
         } else {
@@ -694,24 +686,6 @@ impl NodeCtx {
         (payload, arrival)
     }
 
-    /// Blocks until at least one envelope (any source, any tag) has been
-    /// moved into the pending buffer, or `timeout` elapses. Returns
-    /// whether anything arrived. Deferred traffic is flushed first — a
-    /// node must not sit on held-back envelopes while blocking.
-    pub fn drain_one(&mut self, timeout: Duration) -> bool {
-        self.flush_all_deferred();
-        match self.port.recv(timeout) {
-            Some(env) if env.poison => {
-                panic!("node {} aborting: peer {} panicked", self.rank, env.src)
-            }
-            Some(env) => {
-                self.stash(env);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Advances the virtual clock to `arrival` if it is ahead, charging
     /// the stall to `category`. The explicit-category counterpart of the
     /// implicit wait inside the blocking receive.
@@ -725,30 +699,52 @@ impl NodeCtx {
 
     /// Blocking framed receive: assembles the whole (src, tag) stream
     /// into `out`, charging each frame's arrival wait to the tag's usual
-    /// wait category as it lands. In a fault-free run the final clock
-    /// equals an unframed [`NodeCtx::recv`] of the same payload.
+    /// wait category. In a fault-free run the final clock equals an
+    /// unframed [`NodeCtx::recv`] of the same payload.
     ///
     /// # Panics
     ///
-    /// As [`NodeCtx::recv`] on a stalled stream; also if `chunk == 0`.
+    /// As [`NodeCtx::recv_frames`].
     pub fn recv_framed_into(&mut self, src: usize, tag: Tag, chunk: usize, out: &mut Vec<u8>) {
-        assert!(chunk > 0, "exchange chunk must be at least 1 byte");
         let category = self.wait_category(tag.kind);
-        let mut frame = 0u32;
-        loop {
-            let (frag, arrival) = self.recv_frame(src, tag.with_frame(frame));
+        for (_, arrival) in self.recv_frames(src, tag, chunk, out) {
             self.wait_until(arrival, category);
-            out.extend_from_slice(&frag);
-            if frag.len() < chunk {
-                return;
-            }
-            frame += 1;
         }
     }
 
+    /// Assembles the whole (src, tag) stream into `out`, blocking until
+    /// its terminating short frame has arrived, and returns each frame's
+    /// `(bytes, modelled arrival)` in frame order. Charges nothing: the
+    /// caller replays the arrivals ([`NodeCtx::wait_until`]) when it
+    /// consumes the stream, in whatever order its model prescribes.
+    ///
+    /// # Panics
+    ///
+    /// As [`NodeCtx::recv`] on a stalled stream — the message names the
+    /// missing frame's tag, frame index included; also if `chunk == 0`.
+    pub fn recv_frames(
+        &mut self,
+        src: usize,
+        tag: Tag,
+        chunk: usize,
+        out: &mut Vec<u8>,
+    ) -> Vec<(usize, f64)> {
+        assert!(chunk > 0, "exchange chunk must be at least 1 byte");
+        let mut frames = Vec::new();
+        for frame in 0.. {
+            let (frag, arrival) = self.recv_frame(src, tag.with_frame(frame));
+            out.extend_from_slice(&frag);
+            frames.push((frag.len(), arrival));
+            if frag.len() < chunk {
+                break;
+            }
+        }
+        frames
+    }
+
     /// Blocks for exactly one frame of (src, tag) without advancing the
-    /// clock: the one blocking receive, under [`NodeCtx::recv`] and the
-    /// framed receives alike.
+    /// clock: the one blocking receive, under [`NodeCtx::recv`] and
+    /// [`NodeCtx::recv_frames`] alike.
     fn recv_frame(&mut self, src: usize, tag: Tag) -> (Vec<u8>, f64) {
         // Release anything we are holding back before blocking: a peer may
         // be waiting on a deferred envelope of ours.
@@ -775,18 +771,6 @@ impl NodeCtx {
                 None => self.recv_timeout_panic(src, tag),
             }
         }
-    }
-
-    /// The configured deadlock-detection receive timeout (engine-level
-    /// gather loops bound their own blocking with it).
-    pub fn recv_deadline(&self) -> Duration {
-        self.recv_timeout
-    }
-
-    /// Diagnoses a stalled stream with the same message as a blocking
-    /// receive timeout: rank, source, tag, and the pending buffer.
-    pub fn stream_timeout_panic(&self, src: usize, tag: Tag) -> ! {
-        self.recv_timeout_panic(src, tag)
     }
 }
 
@@ -884,9 +868,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the bounded-inbox capacity used by [`Backend::Thread`]
-    /// (ignored by the simulator; default
-    /// [`DEFAULT_CHANNEL_CAPACITY`]).
+    /// Sets the bounded-inbox capacity, in envelopes, used by
+    /// [`Backend::Thread`] (ignored by the simulator; default 256).
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = capacity;
         self
@@ -1004,11 +987,6 @@ impl Cluster {
             Ok(cluster) => cluster,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Runs `f` on every node (as a thread) and collects the results.
@@ -1758,6 +1736,200 @@ mod tests {
         );
         assert_eq!(clean.outputs, faulted.outputs);
         assert!(faulted.stats.reliable().acks > 0);
+    }
+
+    /// Cost of the framed-receive tests: every term a power of two, so the
+    /// expected arrivals below are exact.
+    const FRAMED_COST: CostModel = CostModel {
+        per_edge_sec: 0.0,
+        per_vertex_sec: 0.0,
+        msg_latency_sec: 1.0,
+        per_byte_sec: 0.5,
+        msg_overhead_sec: 0.25,
+    };
+    const FRAMED_CHUNK: usize = 4;
+
+    /// What rank 0 received: per stream, in receive order, the assembled
+    /// payload and `recv_frames`' per-frame `(len, arrival)`.
+    type Received = Vec<(Vec<u8>, Vec<(usize, f64)>)>;
+
+    /// Ranks `1..` each ship one framed stream per entry of `lens[rank - 1]`
+    /// to rank 0, in rank order (rank `r` starts only once rank `r - 1` has
+    /// handed it a token), and rank 0 receives every stream in the reverse
+    /// of that order. Returns what rank 0 received, every rank's clock
+    /// (rank 0's after its receives, a sender's when it began sending),
+    /// and the run's reliable counters.
+    fn framed_streams(
+        builder: ClusterBuilder,
+        lens: &[&[usize]],
+    ) -> (Received, Vec<f64>, crate::ReliableStats) {
+        let world = lens.len() + 1;
+        let tag = |src: usize, i: usize| Tag::new(TagKind::Update, 10 * src as u64 + i as u64, 0);
+        let token = user_tag(99);
+        let r = builder.build().unwrap().run(|ctx| {
+            let rank = ctx.rank();
+            if rank == 0 {
+                let mut got = Vec::new();
+                for src in (1..world).rev() {
+                    for i in (0..lens[src - 1].len()).rev() {
+                        let mut out = Vec::new();
+                        let frames = ctx.recv_frames(src, tag(src, i), FRAMED_CHUNK, &mut out);
+                        got.push((out, frames));
+                    }
+                }
+                return (got, ctx.virtual_clock());
+            }
+            if rank > 1 {
+                ctx.recv(rank - 1, token);
+            }
+            ctx.advance(rank as f64);
+            let start = ctx.virtual_clock();
+            for (i, &len) in lens[rank - 1].iter().enumerate() {
+                let payload = framed_payload(rank, len);
+                ctx.send_framed(0, tag(rank, i), CommKind::Update, &payload, FRAMED_CHUNK);
+            }
+            if rank + 1 < world {
+                ctx.send(rank + 1, token, CommKind::Sync, vec![1]);
+            }
+            (Vec::new(), start)
+        });
+        let clocks = r.outputs.iter().map(|o| o.1).collect();
+        let got = r.outputs.into_iter().next().unwrap().0;
+        (got, clocks, r.stats.reliable())
+    }
+
+    /// The `len` bytes rank `src` ships in one stream.
+    fn framed_payload(src: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|b| (10 * src + b) as u8).collect()
+    }
+
+    /// The fault-free frames of a `len`-byte stream sent at clock `start`:
+    /// frame `k` departs `k · chunk` bytes of wire time after the send and
+    /// arrives one latency plus its own wire time later (an empty frame
+    /// arrives as it departs).
+    fn staggered_frames(start: f64, len: usize) -> Vec<(usize, f64)> {
+        let c = FRAMED_COST;
+        let clock = start + if len > 0 { c.msg_overhead_sec } else { 0.0 };
+        let mut frames = Vec::new();
+        for k in 0.. {
+            let pos = k * FRAMED_CHUNK;
+            let flen = FRAMED_CHUNK.min(len - pos);
+            let depart = clock + pos as f64 * c.per_byte_sec;
+            frames.push((flen, depart + c.arrival_delay(flen as u64)));
+            if flen < FRAMED_CHUNK {
+                return frames;
+            }
+        }
+        unreachable!()
+    }
+
+    /// Runs `lens` on the simulator, on a capacity-1 thread inbox, and
+    /// under chaos plans on both; checks the fault-free receipts against
+    /// the stagger and the injured ones against the fault-free ones.
+    /// Returns the fault-free receipts.
+    fn check_framed_streams(lens: &[&[usize]]) -> Received {
+        let base = || cluster(lens.len() + 1, FRAMED_COST).recv_timeout(Duration::from_secs(10));
+        let tiny = || base().backend(Backend::Thread).channel_capacity(1);
+        let (sim, clocks, _) = framed_streams(base(), lens);
+        assert_eq!(clocks[0], 0.0, "recv_frames charges nothing");
+        let mut expected = Vec::new();
+        for src in (1..=lens.len()).rev() {
+            let mut start = clocks[src];
+            // A sender's streams go out back to back; rank 0 takes them in
+            // reverse.
+            let mut sent = Vec::new();
+            for &len in lens[src - 1] {
+                sent.push((framed_payload(src, len), staggered_frames(start, len)));
+                start += if len > 0 {
+                    FRAMED_COST.msg_overhead_sec
+                } else {
+                    0.0
+                };
+            }
+            expected.extend(sent.into_iter().rev());
+        }
+        assert_eq!(sim, expected);
+        assert_eq!(
+            framed_streams(tiny(), lens).0,
+            sim,
+            "capacity-1 thread inbox"
+        );
+        for seed in [3, 17] {
+            let plan = FaultPlan::chaos(seed);
+            let (faulted, _, rel) = framed_streams(base().fault_plan(plan), lens);
+            let (threaded, _, rel_threaded) = framed_streams(tiny().fault_plan(plan), lens);
+            assert_eq!(faulted, threaded, "chaos({seed}) replays on both inboxes");
+            assert_eq!(rel, rel_threaded);
+            let frames: usize = faulted.iter().map(|(_, f)| f.len()).sum();
+            assert_eq!(
+                rel.acks as usize,
+                frames + lens.len() - 1,
+                "one ack per envelope"
+            );
+            assert!(rel.retransmits > 0, "chaos({seed}) drops something");
+            for ((out, frames), (clean_out, clean_frames)) in faulted.iter().zip(&sim) {
+                assert_eq!(out, clean_out, "chaos({seed}) payload");
+                assert_eq!(frames.len(), clean_frames.len());
+                for (&(len, at), &(clean_len, clean_at)) in frames.iter().zip(clean_frames) {
+                    assert_eq!(len, clean_len, "chaos({seed}) frame sizes");
+                    assert!(at >= clean_at, "an injured frame never lands early");
+                }
+            }
+        }
+        sim
+    }
+
+    /// The frame sizes of each received stream.
+    fn frame_lens(got: &Received) -> Vec<Vec<usize>> {
+        let lens = |frames: &[(usize, f64)]| frames.iter().map(|&(len, _)| len).collect();
+        got.iter().map(|(_, frames)| lens(frames)).collect()
+    }
+
+    #[test]
+    fn framed_streams_are_received_in_the_reverse_of_their_send_order() {
+        let got = check_framed_streams(&[&[9, 11], &[22]]);
+        assert_eq!(
+            frame_lens(&got),
+            [vec![4, 4, 4, 4, 4, 2], vec![4, 4, 3], vec![4, 4, 1]]
+        );
+    }
+
+    #[test]
+    fn an_exact_multiple_of_the_chunk_ends_with_an_empty_frame() {
+        let got = check_framed_streams(&[&[3 * FRAMED_CHUNK], &[FRAMED_CHUNK]]);
+        assert_eq!(frame_lens(&got), [vec![4, 0], vec![4, 4, 4, 0]]);
+        let frames = &got[1].1;
+        assert!(
+            frames[3].1 <= frames[2].1,
+            "the terminator lands no later than the last data frame"
+        );
+    }
+
+    #[test]
+    fn an_empty_payload_is_one_empty_frame() {
+        let got = check_framed_streams(&[&[0, 5], &[0]]);
+        assert_eq!(frame_lens(&got), [vec![0], vec![4, 1], vec![0]]);
+        assert!(got[0].0.is_empty() && got[2].0.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "frame: 2")]
+    fn a_stalled_stream_names_its_missing_frame() {
+        cluster(2, CostModel::zero())
+            .recv_timeout(Duration::from_millis(100))
+            .build()
+            .unwrap()
+            .run(|ctx| {
+                let tag = user_tag(5);
+                if ctx.rank() == 1 {
+                    // Two full frames and no terminator.
+                    for frame in 0..2 {
+                        ctx.send(0, tag.with_frame(frame), CommKind::Update, vec![0; 4]);
+                    }
+                } else {
+                    ctx.recv_frames(1, tag, 4, &mut Vec::new());
+                }
+            });
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn varint_len(v: u64) -> usize {
 }
 
 /// Appends `v` as an unsigned LEB128 varint.
-pub fn write_varint(mut v: u64, out: &mut Vec<u8>) {
+pub(crate) fn write_varint(mut v: u64, out: &mut Vec<u8>) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -143,7 +143,7 @@ pub fn write_varint(mut v: u64, out: &mut Vec<u8>) {
 }
 
 /// Reads an unsigned LEB128 varint at `*pos`, advancing the cursor.
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
+pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
     let mut shift = 0;
     loop {
@@ -231,6 +231,45 @@ fn argmin(sizes: &[u64; 3]) -> WireFormat {
     best
 }
 
+/// The one decision procedure behind [`encode_updates`] and
+/// [`measure_updates`], fixed before a byte is written: the message's
+/// exact length, its per-format histogram, and its blocks — per maximal
+/// non-decreasing key run, the run and its byte-minimal format — or no
+/// blocks when the message is the whole flat stream (or empty).
+///
+/// # Panics
+///
+/// If `flat` is not a whole number of `4 + psize`-byte records.
+fn plan_updates(flat: &[u8], psize: usize) -> (u64, CodecStats, Vec<(Run, WireFormat)>) {
+    let rec = 4 + psize;
+    assert!(
+        flat.len().is_multiple_of(rec),
+        "flat stream length {} is not a multiple of record size {rec}",
+        flat.len()
+    );
+    let mut stats = CodecStats::default();
+    if flat.is_empty() {
+        return (0, stats, Vec::new());
+    }
+    let mut blocks = Vec::new();
+    let mut blocked = 0;
+    for run in split_runs(flat, rec) {
+        let sizes = run_sizes(&run, rec);
+        let fmt = argmin(&sizes);
+        stats.note(fmt, sizes[fmt.index()]);
+        blocked += sizes[fmt.index()];
+        blocks.push((run, fmt));
+    }
+    blocked += 1 + varint_len(blocks.len() as u64) as u64;
+    let whole = 1 + flat.len() as u64;
+    if whole <= blocked {
+        let mut stats = CodecStats::default();
+        stats.note(WireFormat::Flat, whole);
+        return (whole, stats, Vec::new());
+    }
+    (blocked, stats, blocks)
+}
+
 /// Encodes a flat stream of `(u32 LE key, payload)` records (payloads of
 /// `psize` bytes) into the byte-minimal adaptive message, appended to
 /// `out`. Returns the per-format histogram of what was chosen.
@@ -250,34 +289,18 @@ fn argmin(sizes: &[u64; 3]) -> WireFormat {
 /// Every size is computed exactly before anything is written, so the
 /// chosen layout is a pure function of the input bytes.
 pub fn encode_updates(flat: &[u8], psize: usize, out: &mut Vec<u8>) -> CodecStats {
+    let (bytes, stats, blocks) = plan_updates(flat, psize);
     let rec = 4 + psize;
-    assert!(
-        flat.len().is_multiple_of(rec),
-        "flat stream length {} is not a multiple of record size {rec}",
-        flat.len()
-    );
-    let mut stats = CodecStats::default();
-    if flat.is_empty() {
-        return stats;
-    }
-    let runs = split_runs(flat, rec);
-    let sizes: Vec<[u64; 3]> = runs.iter().map(|r| run_sizes(r, rec)).collect();
-    let blocked: u64 = 1
-        + varint_len(runs.len() as u64) as u64
-        + sizes.iter().map(|s| s[argmin(s).index()]).sum::<u64>();
-    let flat_whole = 1 + flat.len() as u64;
-    if flat_whole <= blocked {
+    let start = out.len();
+    if !blocks.is_empty() {
+        out.push(1);
+        write_varint(blocks.len() as u64, out);
+    } else if !flat.is_empty() {
         out.push(0);
         out.extend_from_slice(flat);
-        stats.note(WireFormat::Flat, flat_whole);
-        return stats;
     }
-    out.push(1);
-    write_varint(runs.len() as u64, out);
-    for (run, sizes) in runs.iter().zip(&sizes) {
-        let fmt = argmin(sizes);
-        let before = out.len();
-        out.push(fmt as u8);
+    for (run, fmt) in &blocks {
+        out.push(*fmt as u8);
         let records = &flat[run.start * rec..(run.start + run.len) * rec];
         match fmt {
             WireFormat::Flat => {
@@ -310,46 +333,20 @@ pub fn encode_updates(flat: &[u8], psize: usize, out: &mut Vec<u8>) -> CodecStat
                 }
             }
         }
-        debug_assert_eq!((out.len() - before) as u64, sizes[fmt.index()]);
-        stats.note(fmt, sizes[fmt.index()]);
     }
+    debug_assert_eq!((out.len() - start) as u64, bytes);
     stats
 }
 
 /// Computes exactly what [`encode_updates`] would produce — the total
 /// encoded length and the per-format histogram — without materialising
-/// the encoding. Every size [`encode_updates`] writes is decided before
-/// its first output byte, so this is the same decision procedure with the
-/// write stage dropped. Send paths whose receivers discard the payload
-/// (the Galois feedback broadcast) use it to keep byte and format
-/// accounting bit-identical to a real encode while skipping the encode
-/// work itself.
+/// the encoding: the same plan with the write stage dropped. Send paths
+/// whose receivers discard the payload (the Galois feedback broadcast)
+/// use it to keep byte and format accounting bit-identical to a real
+/// encode while skipping the encode work itself.
 pub fn measure_updates(flat: &[u8], psize: usize) -> (u64, CodecStats) {
-    let rec = 4 + psize;
-    assert!(
-        flat.len().is_multiple_of(rec),
-        "flat stream length {} is not a multiple of record size {rec}",
-        flat.len()
-    );
-    let mut stats = CodecStats::default();
-    if flat.is_empty() {
-        return (0, stats);
-    }
-    let runs = split_runs(flat, rec);
-    let sizes: Vec<[u64; 3]> = runs.iter().map(|r| run_sizes(r, rec)).collect();
-    let blocked: u64 = 1
-        + varint_len(runs.len() as u64) as u64
-        + sizes.iter().map(|s| s[argmin(s).index()]).sum::<u64>();
-    let flat_whole = 1 + flat.len() as u64;
-    if flat_whole <= blocked {
-        stats.note(WireFormat::Flat, flat_whole);
-        return (flat_whole, stats);
-    }
-    for s in &sizes {
-        let fmt = argmin(s);
-        stats.note(fmt, s[fmt.index()]);
-    }
-    (blocked, stats)
+    let (bytes, stats, _) = plan_updates(flat, psize);
+    (bytes, stats)
 }
 
 /// Decodes a message produced by [`encode_updates`] back into the exact

@@ -60,18 +60,16 @@ mod wire;
 pub use cluster::{Cluster, ClusterBuilder, ClusterResult, NodeCtx, Tag, TagKind};
 pub use codec::{
     decode_dep_range, decode_updates, dep_range_sizes, dep_records, encode_dep_range,
-    encode_updates, measure_updates, read_varint, varint_len, write_varint, CodecStats, DepRecords,
-    WireCodec, WireFormat,
+    encode_updates, measure_updates, varint_len, CodecStats, DepRecords, WireCodec, WireFormat,
 };
 pub use cost::CostModel;
 pub use error::NetError;
 pub use reliable::{Delivery, FaultPlan, RetryConfig};
 pub use stats::{CommKind, CommStats, ReliableStats, COMM_KINDS};
-pub use transport::{Backend, DEFAULT_CHANNEL_CAPACITY};
+pub use transport::Backend;
 pub use wire::{decode_vec, encode_slice, Wire};
 
 // The tracing vocabulary is part of this crate's API surface
-// (`NodeCtx::trace`, `Cluster::trace_level`, `ClusterResult::traces`).
-pub use symple_trace::{
-    ByteCategory, NodeTrace, Span, SpanCategory, Trace, TraceLevel, TraceRecorder,
-};
+// (`ClusterBuilder::trace_level`, `ClusterResult::traces`,
+// `NodeCtx::wait_until`).
+pub use symple_trace::{ByteCategory, NodeTrace, Span, SpanCategory, Trace, TraceLevel};

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bounded-inbox capacity (envelopes) of [`Backend::Thread`].
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_CHANNEL_CAPACITY: usize = 256;
 
 /// How long a blocked bounded send waits between drain attempts.
 const SEND_POLL: Duration = Duration::from_micros(200);

@@ -5,15 +5,26 @@
 //! fixed budget of cases from a seed fixed by its name, so a run is
 //! reproducible; a failing case prints what it needs to be replayed as a
 //! unit test.
+//!
+//! The last three focus the transport: they flip it between the
+//! unbounded inbox (`Backend::Sim`) and the bounded, backpressured one
+//! (`Backend::Thread`). That class is exact — outputs, `WorkStats`,
+//! `CommStats`, virtual time, its breakdown and the chrome trace; only
+//! wall clocks may differ.
 
 #[macro_use]
 #[path = "support/fuzz.rs"]
 mod fuzz;
 
-use fuzz::{Axis, Focus, JobKind::*, KERNELS};
+use fuzz::{Axis, Focus, JobKind::*, ALL_JOBS, KERNELS};
+use symple_core::FaultPlan;
 
 fuzz_tests! {
     generated_udfs_match_definition_2_3: Focus::new(&[Generated], &Axis::ALL), 32;
     paper_udfs_match_definition_2_3: Focus::new(&[PaperUdf], &Axis::ALL), 32;
     kernels_match_their_references: Focus::new(KERNELS, &Axis::ALL), 24;
+    suite_is_bit_identical_across_backends: Focus::new(KERNELS, &[Axis::Backend]), 6;
+    backends_agree_on_random_graphs: Focus::new(ALL_JOBS, &[Axis::Backend]), 6;
+    fault_plans_replay_identically_on_both_backends:
+        Focus::new(ALL_JOBS, &[Axis::Backend]).pin(|c| c.fault_plan = Some(FaultPlan::chaos(17))), 4;
 }
