@@ -82,9 +82,16 @@ step "UDF executor differential tests (release profile)"
 # uncertified violator where debug assertions are off.
 # engine_integration rides along because the carried slot's type assertion
 # is a release-mode check too: a UDF whose float local was stored an int
-# must run, not panic, where jobs are measured. Runs under --quick.
+# must run, not panic, where jobs are measured. symple-algos' unit tests
+# ride along for the k-core kernel: its branch-free count is held to the
+# per-edge-branch loop it replaced (`kcore::tests`, seeded cases with
+# segments longer than 255 edges and slots already at k), and the `u16`
+# local and the saturating `CountDep::add` must agree with that oracle
+# where overflow checks are off, which is where jobs are timed. Runs
+# under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind --test engine_integration
+cargo test -q --release --offline -p symple-algos --lib
 cargo test -q --release --offline --test config_fuzz --test fault_invariance --test dense_comm
 cargo test -q --release --offline -p symple-net --lib
 

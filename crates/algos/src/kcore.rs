@@ -35,6 +35,18 @@ impl KcoreOutput {
 /// Signal UDF (Figure 3b): count active neighbours into the carried
 /// counter; once it reaches `k`, emit the local delta and break. If the
 /// segment ends below `k`, emit whatever was counted locally.
+///
+/// The count is branch-free per edge: the carried count is read once as
+/// `start`, every edge adds its active bit to a local (`local +=
+/// u16::from(bit)`, no branch on the bit, so an unpredictable bitmap
+/// costs no mispredictions), the loop breaks once `local` reaches `need
+/// = max(k − start, 1)`, and the slot is written once with
+/// [`CountDep::add`]. Emitted values, edges, the break and the final
+/// count are exactly those of one saturating step per active neighbour
+/// (the test module keeps that loop as its oracle). The `max(…, 1)` is
+/// what keeps them for a slot that already holds `k`: a saturating step
+/// returns `k` again, so the segment breaks at its *first active*
+/// neighbour and emits 1 — not at its first edge, emitting 0.
 pub struct KcorePull<'a> {
     /// Vertices still in the candidate core.
     pub active: &'a Bitmap,
@@ -57,18 +69,19 @@ impl PullProgram for KcorePull<'_> {
         _carried: bool,
         emit: &mut dyn FnMut(u16),
     ) -> SignalOutcome {
-        let k = dep.k();
+        let start = dep.count(slot);
+        let need = u16::from(dep.k().saturating_sub(start).max(1));
         let mut local: u16 = 0;
         for (i, &u) in srcs.iter().enumerate() {
-            if self.active.get_vid(u) {
-                local += 1;
-                if dep.increment(slot) >= k {
-                    emit(local);
-                    return SignalOutcome::broke_after(i as u64 + 1);
-                }
+            local += u16::from(self.active.get_vid(u));
+            if local >= need {
+                dep.add(slot, local);
+                emit(local);
+                return SignalOutcome::broke_after(i as u64 + 1);
             }
         }
         if local > 0 {
+            dep.add(slot, local);
             emit(local);
         }
         SignalOutcome::scanned(srcs.len() as u64)
@@ -203,8 +216,98 @@ pub fn validate_kcore(graph: &Graph, k: u32, out: &KcoreOutput) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symple_core::Policy;
-    use symple_graph::{complete, cycle, path, star, RmatConfig};
+    use symple_core::{DepState, Policy};
+    use symple_graph::{complete, cycle, path, star, RmatConfig, Rng64};
+
+    /// One saturating step of the carried count, written without
+    /// `CountDep::add` so the oracle below shares no code with the kernel.
+    fn increment(dep: &mut CountDep, slot: usize) -> u8 {
+        let c = dep.count(slot);
+        if c < dep.k() {
+            dep.decode_range(slot..slot + 1, &[c + 1]);
+        }
+        dep.count(slot)
+    }
+
+    /// The per-edge-branch signal `KcorePull::signal` replaced, kept as
+    /// its oracle: one saturating step of the carried count per active
+    /// neighbour, break as soon as that step returns `k`.
+    fn signal_per_edge(
+        active: &Bitmap,
+        srcs: &[Vid],
+        dep: &mut CountDep,
+        slot: usize,
+        emit: &mut dyn FnMut(u16),
+    ) -> SignalOutcome {
+        let k = dep.k();
+        let mut local: u16 = 0;
+        for (i, &u) in srcs.iter().enumerate() {
+            if active.get_vid(u) {
+                local += 1;
+                if increment(dep, slot) >= k {
+                    emit(local);
+                    return SignalOutcome::broke_after(i as u64 + 1);
+                }
+            }
+        }
+        if local > 0 {
+            emit(local);
+        }
+        SignalOutcome::scanned(srcs.len() as u64)
+    }
+
+    #[test]
+    fn branch_free_signal_matches_per_edge_oracle() {
+        const N: usize = 1024;
+        const SLOTS: usize = 4;
+        let mut rng = Rng64::seed_from_u64(88);
+        let mut starts_at_k = 0;
+        for case in 0..4000 {
+            // Densities from empty to full, with both extremes drawn
+            // often enough that all-inactive and all-active segments occur.
+            let density = match rng.gen_index(6) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen_f64(),
+            };
+            let mut active = Bitmap::new(N);
+            for i in 0..N {
+                if rng.gen_f64() < density {
+                    active.set(i);
+                }
+            }
+            let len = rng.gen_index(601);
+            let srcs: Vec<Vid> = (0..len)
+                .map(|_| Vid::new(rng.gen_index(N) as u32))
+                .collect();
+            let k = [1u8, 2, 88, 255][rng.gen_index(4)];
+            let start = rng.gen_index(usize::from(k) + 1) as u8;
+            starts_at_k += usize::from(start == k);
+            let slot = rng.gen_index(SLOTS);
+
+            let mut expect_dep = CountDep::new(SLOTS, k);
+            expect_dep.decode_range(slot..slot + 1, &[start]);
+            let mut got_dep = expect_dep.clone();
+            let mut expect = Vec::new();
+            let expect_out = signal_per_edge(&active, &srcs, &mut expect_dep, slot, &mut |d| {
+                expect.push(d)
+            });
+            let mut got = Vec::new();
+            let prog = KcorePull { active: &active };
+            let got_out = prog.signal(Vid::new(0), &srcs, &mut got_dep, slot, true, &mut |d| {
+                got.push(d)
+            });
+
+            let what =
+                format!("case {case}: len {len}, density {density:.3}, k {k}, start {start}");
+            assert_eq!(got, expect, "{what}: emit sequence");
+            assert_eq!(got_out, expect_out, "{what}: outcome");
+            for s in 0..SLOTS {
+                assert_eq!(got_dep.count(s), expect_dep.count(s), "{what}: slot {s}");
+            }
+        }
+        assert!(starts_at_k > 0, "the draw must cover a slot already at k");
+    }
 
     fn check_all_policies(graph: &Graph, machines: usize, k: u32) {
         for policy in [

@@ -213,6 +213,12 @@ impl DepState for BitDep {
 }
 
 /// Saturating-counter dependency (K-core): skip once the count reaches `k`.
+///
+/// One byte per slot. [`CountDep::add`] is the one counting mutator: it
+/// adds any number of counted neighbours at once and saturates at `k`,
+/// so a signal reads the carried count once ([`CountDep::count`]),
+/// counts its segment in a local and writes the slot once — the same
+/// final count as one saturating step per neighbour.
 #[derive(Debug, Clone)]
 pub struct CountDep {
     counts: Vec<u8>,
@@ -243,12 +249,12 @@ impl CountDep {
         self.counts[slot]
     }
 
-    /// Increments `slot`, saturating at `k`. Returns the new count.
-    pub fn increment(&mut self, slot: usize) -> u8 {
+    /// Adds `n` to `slot`, saturating at `k`, and returns the new count.
+    /// `add(slot, 1)` counts one neighbour; a kernel that counts a
+    /// segment in a local writes its total back with one call.
+    pub fn add(&mut self, slot: usize, n: u16) -> u8 {
         let c = &mut self.counts[slot];
-        if *c < self.k {
-            *c += 1;
-        }
+        *c = u16::from(*c).saturating_add(n).min(u16::from(self.k)) as u8;
         *c
     }
 
@@ -555,7 +561,7 @@ mod tests {
         let mut d = CountDep::new(4, 3);
         assert_eq!(d.k(), 3);
         for _ in 0..5 {
-            d.increment(1);
+            d.add(1, 1);
         }
         assert_eq!(d.count(1), 3, "saturates at k");
         assert!(d.should_skip(1));
@@ -568,6 +574,35 @@ mod tests {
         assert_eq!(d2.count(1), 3);
         d2.reset_range(1..2);
         assert_eq!(d2.count(1), 0);
+    }
+
+    #[test]
+    fn count_dep_add_saturates_at_k() {
+        let mut d = CountDep::new(4, 3);
+        assert_eq!(d.add(0, 0), 0, "adding nothing changes nothing");
+        assert_eq!(d.add(0, 2), 2);
+        assert_eq!(d.add(0, 0), 2);
+        assert_eq!(d.add(0, 5), 3, "an add past k saturates at k");
+        assert_eq!(d.add(0, 1), 3, "a slot at k stays at k");
+        assert_eq!(d.add(0, u16::MAX), 3);
+        assert_eq!(d.add(1, u16::MAX), 3, "a sum past u8 saturates too");
+        assert_eq!(d.add(2, 3), 3, "landing exactly on k");
+        assert_eq!(d.add(3, 1), 1);
+        assert_eq!(d.add(3, u16::MAX), 3, "a sum past u16 saturates too");
+        assert!((0..4).all(|s| d.count(s) == 3 && d.should_skip(s)));
+        // One add of n is n adds of 1, from every start.
+        let mut wide = CountDep::new(1, 255);
+        for start in 0..=255u16 {
+            for n in [0u16, 1, 7, 254, 255, 256] {
+                wide.reset_range(0..1);
+                wide.add(0, start);
+                let mut steps = wide.clone();
+                for _ in 0..n {
+                    steps.add(0, 1);
+                }
+                assert_eq!(wide.add(0, n), steps.count(0), "start {start}, n {n}");
+            }
+        }
     }
 
     #[test]
@@ -639,9 +674,9 @@ mod tests {
         for touched in [0usize, 2, 40, 256] {
             let mut d = CountDep::new(256, 3);
             for s in 0..touched {
-                d.increment(s);
+                d.add(s, 1);
                 if s % 2 == 0 {
-                    d.increment(s);
+                    d.add(s, 1);
                 }
             }
             let mut wire = Vec::new();
@@ -664,7 +699,7 @@ mod tests {
                 assert_eq!(fmt, WireFormat::Flat, "{touched} touched");
             }
             let mut d2 = CountDep::new(256, 3);
-            d2.increment(200); // stale
+            d2.add(200, 1); // stale
             d2.decode_range_coded(0..256, &wire);
             for s in 0..256 {
                 assert_eq!(d2.count(s), d.count(s), "slot {s}");
@@ -695,12 +730,12 @@ mod tests {
     #[test]
     fn coded_partial_ranges_leave_outside_slots_alone() {
         let mut d = CountDep::new(20, 2);
-        d.increment(6);
+        d.add(6, 1);
         let mut wire = Vec::new();
         d.encode_range_coded(4..12, &mut wire);
         let mut d2 = CountDep::new(20, 2);
-        d2.increment(0); // outside the range: must survive
-        d2.increment(8); // inside: must be reset by the packed decode
+        d2.add(0, 1); // outside the range: must survive
+        d2.add(8, 1); // inside: must be reset by the packed decode
         d2.decode_range_coded(4..12, &wire);
         assert_eq!(d2.count(0), 1);
         assert_eq!(d2.count(6), 1);
@@ -741,16 +776,15 @@ mod tests {
     #[test]
     fn shard_roundtrip_reproduces_sequential_state() {
         let mut d = CountDep::new(10, 3);
-        d.increment(4);
-        d.increment(4);
-        d.increment(7);
+        d.add(4, 2);
+        d.add(7, 1);
         // Split 3..8 off, mutate it shard-locally, merge back.
         let mut shard = d.extract_shard(3..8);
         assert_eq!(shard.k(), 3, "detach carries the threshold");
         assert_eq!(shard.count(1), 2, "shard slot 1 mirrors parent slot 4");
         assert_eq!(shard.count(4), 1, "shard slot 4 mirrors parent slot 7");
-        shard.increment(1); // parent slot 4 → saturated
-        shard.increment(0); // parent slot 3
+        shard.add(1, 1); // parent slot 4 → saturated
+        shard.add(0, 1); // parent slot 3
         d.merge_shard(3..8, &shard);
         assert!(d.should_skip(4));
         assert_eq!(d.count(3), 1);
