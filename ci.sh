@@ -63,11 +63,12 @@ step "UDF executor differential tests (release profile)"
 # both profiles: the eight committed listings and the ops-per-edge
 # budgets (typed_bind), and the optimiser's idempotence/range proptest
 # (--lib; debug builds also re-check idempotence inside every bind).
-# So does the seeded config fuzzer (config_fuzz: a fixed budget of 104
-# cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels, each held
-# to its reference, then one semantics-free axis flipped, plus 16 that
-# flip the transport between the unbounded and the bounded inbox, 4 of
-# them under a pinned chaos plan; the budget is set in code, not by any
+# So does the seeded config fuzzer (config_fuzz: a fixed budget of 120
+# cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels and 16
+# single-kernel cases, each held to its reference, then one
+# semantics-free axis flipped, plus 16 that flip the transport between
+# the unbounded and the bounded inbox, 4 of them under a pinned chaos
+# plan; the budget is set in code, not by any
 # variable) and fault_invariance (random fault plans added or removed):
 # the backend and fault axes are the two the physical receive path
 # touches, and release is where the wall clock is measured. symple-net's

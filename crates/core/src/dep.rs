@@ -21,7 +21,7 @@
 
 use std::ops::Range;
 use symple_graph::{Graph, Vid};
-use symple_net::{dep_records, encode_dep_range, WireFormat};
+use symple_net::{dep_records, encode_dep_range, pack_bits, unpack_bits, WireFormat};
 
 use crate::Partition;
 
@@ -90,30 +90,18 @@ pub trait DepState: Send {
     /// `split_at_mut` substitute: the high-degree pass hands each chunk a
     /// shard over its (disjoint, contiguous) slot sub-range, chunks
     /// mutate their shards concurrently, and merging the shards back in
-    /// any order reproduces sequential execution exactly — slot values
-    /// travel through the same wire codec used between machines, so the
-    /// round trip is bit-exact.
+    /// any order reproduces sequential execution exactly. Both copy the
+    /// in-memory slots directly, never through the wire codec, which may
+    /// canonicalise values a downstream machine cannot observe.
     fn extract_shard(&self, range: Range<usize>) -> Self
     where
-        Self: Sized,
-    {
-        let mut shard = self.detach(range.len());
-        let mut buf = Vec::new();
-        self.encode_range(range.clone(), &mut buf);
-        shard.decode_range(0..range.len(), &buf);
-        shard
-    }
+        Self: Sized;
 
     /// Writes a shard produced by [`DepState::extract_shard`] over
     /// `range` back into this state.
     fn merge_shard(&mut self, range: Range<usize>, shard: &Self)
     where
-        Self: Sized,
-    {
-        let mut buf = Vec::new();
-        shard.encode_range(0..range.len(), &mut buf);
-        self.decode_range(range, &buf);
-    }
+        Self: Sized;
 }
 
 /// Control-only dependency: one skip bit per slot.
@@ -151,28 +139,11 @@ impl DepState for BitDep {
     }
 
     fn encode_range(&self, range: Range<usize>, out: &mut Vec<u8>) {
-        let slice = &self.bits[range];
-        let mut byte = 0u8;
-        for (i, &b) in slice.iter().enumerate() {
-            if b {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !slice.len().is_multiple_of(8) {
-            out.push(byte);
-        }
+        pack_bits(&self.bits[range], out);
     }
 
     fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
-        let len = range.len();
-        assert!(buf.len() >= len.div_ceil(8), "dependency buffer too short");
-        for i in 0..len {
-            self.bits[range.start + i] = (buf[i / 8] >> (i % 8)) & 1 == 1;
-        }
+        unpack_bits(buf, &mut self.bits[range]);
     }
 
     fn encode_range_coded(&self, range: Range<usize>, out: &mut Vec<u8>) -> WireFormat {
@@ -209,6 +180,16 @@ impl DepState for BitDep {
 
     fn detach(&self, slots: usize) -> Self {
         BitDep::new(slots)
+    }
+
+    fn extract_shard(&self, range: Range<usize>) -> Self {
+        BitDep {
+            bits: self.bits[range].to_vec(),
+        }
+    }
+
+    fn merge_shard(&mut self, range: Range<usize>, shard: &Self) {
+        self.bits[range].copy_from_slice(&shard.bits);
     }
 }
 
@@ -317,6 +298,17 @@ impl DepState for CountDep {
     fn detach(&self, slots: usize) -> Self {
         CountDep::new(slots, self.k)
     }
+
+    fn extract_shard(&self, range: Range<usize>) -> Self {
+        CountDep {
+            counts: self.counts[range].to_vec(),
+            k: self.k,
+        }
+    }
+
+    fn merge_shard(&mut self, range: Range<usize>, shard: &Self) {
+        self.counts[range].copy_from_slice(&shard.counts);
+    }
 }
 
 /// Prefix-sum dependency (weighted sampling): a running `f32` weight sum
@@ -367,20 +359,7 @@ impl DepState for WeightDep {
         for &a in &self.acc[range.clone()] {
             out.extend_from_slice(&a.to_le_bytes());
         }
-        let sel = &self.selected[range];
-        let mut byte = 0u8;
-        for (i, &b) in sel.iter().enumerate() {
-            if b {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !sel.len().is_multiple_of(8) {
-            out.push(byte);
-        }
+        pack_bits(&self.selected[range], out);
     }
 
     fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
@@ -393,10 +372,7 @@ impl DepState for WeightDep {
             let off = i * 4;
             self.acc[range.start + i] = f32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
         }
-        let bits = &buf[len * 4..];
-        for i in 0..len {
-            self.selected[range.start + i] = (bits[i / 8] >> (i % 8)) & 1 == 1;
-        }
+        unpack_bits(&buf[len * 4..], &mut self.selected[range]);
     }
 
     fn encode_range_coded(&self, range: Range<usize>, out: &mut Vec<u8>) -> WireFormat {
@@ -439,6 +415,18 @@ impl DepState for WeightDep {
 
     fn detach(&self, slots: usize) -> Self {
         WeightDep::new(slots)
+    }
+
+    fn extract_shard(&self, range: Range<usize>) -> Self {
+        WeightDep {
+            acc: self.acc[range.clone()].to_vec(),
+            selected: self.selected[range].to_vec(),
+        }
+    }
+
+    fn merge_shard(&mut self, range: Range<usize>, shard: &Self) {
+        self.acc[range.clone()].copy_from_slice(&shard.acc);
+        self.selected[range].copy_from_slice(&shard.selected);
     }
 }
 
@@ -762,6 +750,12 @@ mod tests {
             }
             fn detach(&self, slots: usize) -> Self {
                 Plain(vec![0; slots])
+            }
+            fn extract_shard(&self, range: Range<usize>) -> Self {
+                Plain(self.0[range].to_vec())
+            }
+            fn merge_shard(&mut self, range: Range<usize>, shard: &Self) {
+                self.0[range].copy_from_slice(&shard.0);
             }
         }
         let d = Plain(vec![0, 9, 0]);

@@ -408,6 +408,31 @@ pub fn decode_updates(buf: &[u8], psize: usize, out: &mut Vec<u8>) {
 // Dependency slot-range codec
 // ---------------------------------------------------------------------------
 
+/// Appends `bits` packed eight to a byte, least significant bit first,
+/// the last byte zero-padded: the flat body of a skip-bit array.
+pub fn pack_bits(bits: &[bool], out: &mut Vec<u8>) {
+    out.extend(
+        bits.chunks(8).map(|byte| {
+            (byte.iter().enumerate()).fold(0u8, |acc, (i, &b)| acc | (u8::from(b) << i))
+        }),
+    );
+}
+
+/// Overwrites `bits` from the front of a buffer produced by [`pack_bits`].
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than `bits.len().div_ceil(8)` bytes.
+pub fn unpack_bits(buf: &[u8], bits: &mut [bool]) {
+    assert!(
+        buf.len() >= bits.len().div_ceil(8),
+        "dependency buffer too short"
+    );
+    for (i, b) in bits.iter_mut().enumerate() {
+        *b = (buf[i / 8] >> (i % 8)) & 1 == 1;
+    }
+}
+
 /// Exact candidate sizes (tag byte included) for a dep-range message over
 /// `n` slots with `slots.len()` non-default entries of `psize` payload
 /// bytes each, given the flat body costs `flat_len` bytes. `slots` must be
@@ -851,5 +876,25 @@ mod tests {
         let sizes = dep_range_sizes(64, 0, &slots, flat_len);
         assert_eq!(sizes[0], sizes[1]);
         assert_eq!(argmin(&sizes), WireFormat::Flat);
+    }
+
+    #[test]
+    fn bits_pack_lsb_first_and_round_trip() {
+        let bits: Vec<bool> = (0..11).map(|i| i % 3 == 0).collect();
+        let mut out = vec![0xAA];
+        pack_bits(&bits, &mut out);
+        // slots 0, 3, 6 | 9; the tail byte is zero-padded
+        assert_eq!(out, [0xAA, 0b0100_1001, 0b0000_0010]);
+        let mut back = vec![true; 11];
+        unpack_bits(&out[1..], &mut back);
+        assert_eq!(back, bits);
+        pack_bits(&[], &mut out);
+        assert_eq!(out.len(), 3, "no slots, no bytes");
+    }
+
+    #[test]
+    #[should_panic(expected = "dependency buffer too short")]
+    fn unpacking_a_short_buffer_panics() {
+        unpack_bits(&[0], &mut [false; 9]);
     }
 }

@@ -60,7 +60,8 @@ mod wire;
 pub use cluster::{Cluster, ClusterBuilder, ClusterResult, NodeCtx, Tag, TagKind};
 pub use codec::{
     decode_dep_range, decode_updates, dep_range_sizes, dep_records, encode_dep_range,
-    encode_updates, measure_updates, varint_len, CodecStats, DepRecords, WireCodec, WireFormat,
+    encode_updates, measure_updates, pack_bits, unpack_bits, varint_len, CodecStats, DepRecords,
+    WireCodec, WireFormat,
 };
 pub use cost::CostModel;
 pub use error::NetError;

@@ -50,7 +50,9 @@ pub struct CellStats {
     pub retransmits: u64,
     /// Payload bytes carried by those retransmitted copies.
     pub retransmit_bytes: u64,
-    /// Duplicate copies this machine received and discarded in this cell.
+    /// Duplicate copies the fault plan injected into this machine's sends
+    /// in this cell; each is later discarded by the receiver's
+    /// sequence-number filter, but counted here, on the sender.
     pub dup_drops: u64,
 }
 
@@ -247,8 +249,10 @@ impl TraceRecorder {
         *self.retransmit_peers.entry(peer).or_default() += copies;
     }
 
-    /// Records one duplicate copy received and discarded under the current
-    /// scope (the receiver half of the reliable-delivery overlay).
+    /// Records one duplicate copy the fault plan injected into a send under
+    /// the current scope. The sender counts it at injection, a pure
+    /// function of the plan; whether the receiver ever drains the copy to
+    /// discard it depends on host timing.
     pub fn record_dup_drop(&mut self) {
         if !self.level.metrics() {
             return;
@@ -334,7 +338,8 @@ impl NodeTrace {
         self.cells.values().map(|c| c.retransmits).sum()
     }
 
-    /// Total duplicate copies this machine discarded across all cells.
+    /// Total duplicate copies injected into this machine's sends across
+    /// all cells.
     pub fn dup_drops(&self) -> u64 {
         self.cells.values().map(|c| c.dup_drops).sum()
     }
@@ -380,7 +385,7 @@ impl Trace {
         self.nodes.iter().map(|n| n.retransmits()).sum()
     }
 
-    /// Total discarded duplicate copies across all machines.
+    /// Total duplicate copies the fault plan injected across all machines.
     pub fn dup_drops(&self) -> u64 {
         self.nodes.iter().map(|n| n.dup_drops()).sum()
     }

@@ -51,7 +51,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::ast::{BinOp, Expr, Stmt, UdfFn, UnOp};
+use crate::ast::{preorder, BinOp, Expr, Stmt, UdfFn, UnOp};
 use crate::certificate::{width_for, CarriedCert, DepCertificate, Monotonicity, ValueRange};
 use crate::cfg::{Cfg, NodeId, ENTRY, EXIT};
 use crate::diag::StmtId;
@@ -605,33 +605,35 @@ fn lower(x: Itv, floor: i128) -> Option<Itv> {
 
 /// One assignment site inside the neighbour loop, with its chain of
 /// governing `if` conditions (and branch polarity).
-struct AssignSite<'a> {
-    id: StmtId,
+pub(crate) struct AssignSite<'a> {
+    pub(crate) id: StmtId,
     name: &'a str,
     value: &'a Expr,
     guards: Vec<(&'a Expr, bool)>,
 }
 
 /// One `break` site inside the neighbour loop.
-struct BreakSite<'a> {
-    id: StmtId,
+pub(crate) struct BreakSite<'a> {
+    pub(crate) id: StmtId,
     guards: Vec<(&'a Expr, bool)>,
 }
 
 #[derive(Default)]
-struct LoopScan<'a> {
-    assigns: Vec<AssignSite<'a>>,
-    breaks: Vec<BreakSite<'a>>,
+pub(crate) struct LoopScan<'a> {
+    pub(crate) assigns: Vec<AssignSite<'a>>,
+    pub(crate) breaks: Vec<BreakSite<'a>>,
     /// Locals assigned (or re-`let`) anywhere inside the loop — not
     /// pass-invariant.
     loop_assigned: BTreeSet<&'a str>,
 }
 
-/// Walks the body in the CFG's pre-order, collecting loop assignment and
-/// break sites with their in-loop guard chains. Guards *outside* the
-/// loop are deliberately dropped: their conditions are evaluated once,
-/// before the loop, and cannot un-trigger mid-scan.
-fn scan<'a>(body: &'a [Stmt]) -> LoopScan<'a> {
+/// Walks the body in [`preorder`]'s order, collecting loop assignment
+/// and break sites with their in-loop guard chains; the guard stack is
+/// why this walk keeps its own statement counter, which
+/// `ast::tests::walk_ids_are_the_one_statement_numbering` pins. Guards
+/// *outside* the loop are deliberately dropped: their conditions are
+/// evaluated once, before the loop, and cannot un-trigger mid-scan.
+pub(crate) fn scan<'a>(body: &'a [Stmt]) -> LoopScan<'a> {
     fn walk<'a>(
         stmts: &'a [Stmt],
         id: &mut StmtId,
@@ -701,32 +703,6 @@ fn split_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-fn contains_current_neighbor(e: &Expr) -> bool {
-    match e {
-        Expr::CurrentNeighbor => true,
-        Expr::Lit(_) | Expr::Local(_) | Expr::CurrentVertex => false,
-        Expr::Prop { index, .. } => contains_current_neighbor(index),
-        Expr::Unary(_, inner) => contains_current_neighbor(inner),
-        Expr::Binary(_, l, r) => contains_current_neighbor(l) || contains_current_neighbor(r),
-    }
-}
-
-fn reads_local_from(e: &Expr, names: &BTreeSet<&str>) -> bool {
-    match e {
-        Expr::Local(n) => names.contains(n.as_str()),
-        Expr::Lit(_) | Expr::CurrentVertex | Expr::CurrentNeighbor => false,
-        Expr::Prop { index, .. } => reads_local_from(index, names),
-        Expr::Unary(_, inner) => reads_local_from(inner, names),
-        Expr::Binary(_, l, r) => reads_local_from(l, names) || reads_local_from(r, names),
-    }
-}
-
-fn reads_local(e: &Expr, name: &str) -> bool {
-    let mut set = BTreeSet::new();
-    set.insert(name);
-    reads_local_from(e, &set)
-}
-
 fn join_mono(a: Monotonicity, b: Monotonicity) -> Monotonicity {
     use Monotonicity::*;
     match (a, b) {
@@ -769,7 +745,7 @@ fn classify_assign(an: &Analyzer<'_>, site: &AssignSite<'_>, env: &Env) -> Monot
         // x = E (E free of x): a governing conjunct `E < x` proves the
         // assignment only ever lowers x (the cc min-fold shape); `E > x`
         // the dual.
-        value if !reads_local(value, x) => {
+        value if !value.any(|e| matches!(e, Expr::Local(n) if n == x)) => {
             for (g, positive) in &site.guards {
                 if !positive {
                     continue;
@@ -811,13 +787,16 @@ fn conjunct_stable(
     carried: &BTreeSet<&str>,
     loop_assigned: &BTreeSet<&str>,
 ) -> bool {
+    let reads_any = |e: &Expr, names: &BTreeSet<&str>| {
+        e.any(|x| matches!(x, Expr::Local(n) if names.contains(n.as_str())))
+    };
     // Per-neighbour selector: properties are frozen during the pass.
-    if contains_current_neighbor(c) {
+    if c.any(|e| matches!(e, Expr::CurrentNeighbor)) {
         return true;
     }
     // Carried-free and loop-invariant: cannot change mid-scan.
-    if !reads_local_from(c, carried) {
-        return !reads_local_from(c, loop_assigned);
+    if !reads_any(c, carried) {
+        return !reads_any(c, loop_assigned);
     }
     let dir_ok = |x: &str, toward_true: bool| -> bool {
         matches!(
@@ -846,7 +825,7 @@ fn conjunct_stable(
                 (b, Expr::Local(x)) if carried.contains(x.as_str()) => (x, swap_cmp(*op), b),
                 _ => return false,
             };
-            if reads_local_from(bound, carried) || reads_local_from(bound, loop_assigned) {
+            if reads_any(bound, carried) || reads_any(bound, loop_assigned) {
                 return false;
             }
             let op = if positive { op } else { negate_cmp(op) };
@@ -902,15 +881,26 @@ pub fn certify(
     let cfg = Cfg::build(udf);
     let pruned = cfg.prune_breaks();
 
-    let mut tys: BTreeMap<String, Ty> = BTreeMap::new();
-    collect_let_tys(&udf.body, &mut tys);
+    let mut tys: BTreeMap<String, Ty> = preorder(&udf.body)
+        .filter_map(|(_, s, _)| match s {
+            Stmt::Let { name, ty, .. } => Some((name.clone(), *ty)),
+            _ => None,
+        })
+        .collect();
     for (name, ty) in carried {
         tys.insert(name.clone(), *ty);
     }
 
-    let mut thresholds: BTreeSet<i64> = BTreeSet::new();
-    thresholds.insert(0);
-    collect_literals(&udf.body, &mut thresholds);
+    // Widening thresholds: 0 and every integer literal ± 1.
+    let mut thresholds: BTreeSet<i64> = BTreeSet::from([0]);
+    for e in preorder(&udf.body).filter_map(|(_, s, _)| s.expr()) {
+        e.any(|x| {
+            if let Expr::Lit(Value::Int(i)) = x {
+                thresholds.extend([*i, i.saturating_sub(1), i.saturating_add(1)]);
+            }
+            false
+        });
+    }
 
     let carried_map: BTreeMap<String, Ty> = carried.iter().cloned().collect();
     let mut an = Analyzer {
@@ -1039,64 +1029,6 @@ pub fn certify(
             .collect(),
         skip_latch,
         stable_breaks,
-    }
-}
-
-fn collect_let_tys(stmts: &[Stmt], out: &mut BTreeMap<String, Ty>) {
-    for s in stmts {
-        match s {
-            Stmt::Let { name, ty, .. } => {
-                out.insert(name.clone(), *ty);
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_let_tys(then_branch, out);
-                collect_let_tys(else_branch, out);
-            }
-            Stmt::ForNeighbors { body } => collect_let_tys(body, out),
-            _ => {}
-        }
-    }
-}
-
-fn collect_expr_literals(e: &Expr, out: &mut BTreeSet<i64>) {
-    match e {
-        Expr::Lit(Value::Int(i)) => {
-            out.insert(*i);
-            out.insert(i.saturating_sub(1));
-            out.insert(i.saturating_add(1));
-        }
-        Expr::Lit(_) | Expr::Local(_) | Expr::CurrentVertex | Expr::CurrentNeighbor => {}
-        Expr::Prop { index, .. } => collect_expr_literals(index, out),
-        Expr::Unary(_, inner) => collect_expr_literals(inner, out),
-        Expr::Binary(_, l, r) => {
-            collect_expr_literals(l, out);
-            collect_expr_literals(r, out);
-        }
-    }
-}
-
-fn collect_literals(stmts: &[Stmt], out: &mut BTreeSet<i64>) {
-    for s in stmts {
-        match s {
-            Stmt::Let { init, .. } => collect_expr_literals(init, out),
-            Stmt::Assign { value, .. } => collect_expr_literals(value, out),
-            Stmt::Emit(e) => collect_expr_literals(e, out),
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                collect_expr_literals(cond, out);
-                collect_literals(then_branch, out);
-                collect_literals(else_branch, out);
-            }
-            Stmt::ForNeighbors { body } => collect_literals(body, out),
-            _ => {}
-        }
     }
 }
 

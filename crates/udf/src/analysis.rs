@@ -29,7 +29,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::ast::{Expr, Stmt, UdfFn};
+use crate::ast::{preorder, Expr, Stmt, UdfFn};
 use crate::certificate::DepCertificate;
 use crate::cfg::Cfg;
 use crate::dataflow::{const_eval, solve, Const, ConstProp, Liveness, ReachingDefs};
@@ -247,39 +247,57 @@ fn init_is_zero(init: &Expr, env: &std::collections::BTreeMap<String, Const>, ty
 ///
 /// Same contract as [`analyze`].
 pub fn analyze_naive(udf: &UdfFn) -> Result<DepInfo, UdfError> {
+    let stmts = || preorder(&udf.body).map(|(_, s, in_loop)| (s, in_loop));
     // refuse pre-instrumented input
-    if block_contains(&udf.body, &|s| {
-        matches!(s, Stmt::ReceiveDepGuard | Stmt::EmitDep)
-    }) {
+    if stmts().any(|(s, _)| matches!(s, Stmt::ReceiveDepGuard | Stmt::EmitDep)) {
         return Err(UdfError::AlreadyInstrumented);
     }
-    check_no_nesting(&udf.body, false)?;
+    if stmts().any(|(s, in_loop)| in_loop && matches!(s, Stmt::ForNeighbors { .. })) {
+        return Err(UdfError::NestedLoop);
+    }
 
-    let Some(loop_body) = find_loop(&udf.body) else {
+    // The first neighbour loop in pre-order, possibly inside an `if`.
+    let Some(loop_body) = stmts().find_map(|(s, _)| match s {
+        Stmt::ForNeighbors { body } => Some(body),
+        _ => None,
+    }) else {
         return Ok(DepInfo::none(0));
     };
-    let breaks = count_breaks(loop_body);
+    let loop_stmts = || preorder(loop_body).map(|(_, s, _)| s);
+    let breaks = loop_stmts().filter(|s| matches!(s, Stmt::Break)).count();
     if breaks == 0 {
         return Ok(DepInfo::none(0));
     }
 
-    // locals declared before the loop, in declaration order
-    let pre_loop_locals = locals_before_loop(&udf.body);
-    let mut carried = Vec::new();
-    for (name, ty) in pre_loop_locals {
-        let assigned_in_loop = block_contains(loop_body, &|s| match s {
-            Stmt::Assign { name: n, .. } => *n == name,
-            _ => false,
-        });
-        if !assigned_in_loop {
-            continue;
-        }
-        let read_in_loop = block_reads(loop_body, &name);
-        let read_after = reads_after_loop(&udf.body, &name);
-        if read_in_loop || read_after {
-            carried.push((name, ty));
-        }
-    }
+    // Candidates are the top-level `let`s before the first top-level
+    // loop; "after the loop" is the top-level statements past it. A loop
+    // nested in an `if` has no top-level loop to split at: every
+    // top-level `let` is a candidate and nothing counts as after it.
+    let (before, after) = match udf
+        .body
+        .iter()
+        .position(|s| matches!(s, Stmt::ForNeighbors { .. }))
+    {
+        Some(at) => (&udf.body[..at], &udf.body[at + 1..]),
+        None => (&udf.body[..], &[][..]),
+    };
+    let reads = |block: &[Stmt], name: &str| {
+        preorder(block).any(|(_, s, _)| {
+            s.expr()
+                .is_some_and(|e| e.any(|x| matches!(x, Expr::Local(n) if n == name)))
+        })
+    };
+    let carried: Vec<(String, Ty)> = before
+        .iter()
+        .filter_map(|s| match s {
+            Stmt::Let { name, ty, .. } => Some((name.clone(), *ty)),
+            _ => None,
+        })
+        .filter(|(name, _)| {
+            loop_stmts().any(|s| matches!(s, Stmt::Assign { name: n, .. } if n == name))
+                && (reads(loop_body, name) || reads(after, name))
+        })
+        .collect();
 
     Ok(DepInfo {
         kind: if carried.is_empty() {
@@ -294,145 +312,99 @@ pub fn analyze_naive(udf: &UdfFn) -> Result<DepInfo, UdfError> {
     })
 }
 
-/// Finds the (first) neighbour loop body anywhere in a block.
-fn find_loop(block: &[Stmt]) -> Option<&[Stmt]> {
-    for s in block {
-        match s {
-            Stmt::ForNeighbors { body } => return Some(body),
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                if let Some(b) = find_loop(then_branch).or_else(|| find_loop(else_branch)) {
-                    return Some(b);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn check_no_nesting(block: &[Stmt], in_loop: bool) -> Result<(), UdfError> {
-    for s in block {
-        match s {
-            Stmt::ForNeighbors { body } => {
-                if in_loop {
-                    return Err(UdfError::NestedLoop);
-                }
-                check_no_nesting(body, true)?;
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                check_no_nesting(then_branch, in_loop)?;
-                check_no_nesting(else_branch, in_loop)?;
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-fn count_breaks(block: &[Stmt]) -> usize {
-    block
-        .iter()
-        .map(|s| match s {
-            Stmt::Break => 1,
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => count_breaks(then_branch) + count_breaks(else_branch),
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Top-level `let`s lexically before the neighbour loop.
-fn locals_before_loop(block: &[Stmt]) -> Vec<(String, Ty)> {
-    let mut out = Vec::new();
-    for s in block {
-        match s {
-            Stmt::Let { name, ty, .. } => out.push((name.clone(), *ty)),
-            Stmt::ForNeighbors { .. } => break,
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Does any statement in (or under) `block` satisfy `pred`?
-fn block_contains(block: &[Stmt], pred: &dyn Fn(&Stmt) -> bool) -> bool {
-    block.iter().any(|s| {
-        pred(s)
-            || match s {
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => block_contains(then_branch, pred) || block_contains(else_branch, pred),
-                Stmt::ForNeighbors { body } => block_contains(body, pred),
-                _ => false,
-            }
-    })
-}
-
-/// Does any expression in `block` read local `name`?
-fn block_reads(block: &[Stmt], name: &str) -> bool {
-    block.iter().any(|s| stmt_reads(s, name))
-}
-
-fn stmt_reads(s: &Stmt, name: &str) -> bool {
-    match s {
-        Stmt::Let { init, .. } => expr_reads(init, name),
-        Stmt::Assign { value, .. } => expr_reads(value, name),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            expr_reads(cond, name)
-                || block_reads(then_branch, name)
-                || block_reads(else_branch, name)
-        }
-        Stmt::ForNeighbors { body } => block_reads(body, name),
-        Stmt::Emit(e) => expr_reads(e, name),
-        Stmt::Break | Stmt::Return | Stmt::ReceiveDepGuard | Stmt::EmitDep => false,
-    }
-}
-
-fn expr_reads(e: &Expr, name: &str) -> bool {
-    match e {
-        Expr::Local(n) => n == name,
-        Expr::Prop { index, .. } => expr_reads(index, name),
-        Expr::Unary(_, a) => expr_reads(a, name),
-        Expr::Binary(_, a, b) => expr_reads(a, name) || expr_reads(b, name),
-        Expr::Lit(_) | Expr::CurrentVertex | Expr::CurrentNeighbor => false,
-    }
-}
-
-/// Is `name` read in statements after the neighbour loop?
-fn reads_after_loop(block: &[Stmt], name: &str) -> bool {
-    let mut seen_loop = false;
-    for s in block {
-        if seen_loop && stmt_reads(s, name) {
-            return true;
-        }
-        if matches!(s, Stmt::ForNeighbors { .. }) {
-            seen_loop = true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::certificate::{CarriedCert, Monotonicity, ValueRange};
     use crate::paper_udfs;
+
+    /// A neighbour loop inside an `if`: `x` is assigned in the loop but
+    /// read only after the `if`, where the rule's "after the loop" (the
+    /// top-level statements past a top-level loop) does not look.
+    pub(crate) fn loop_in_if() -> UdfFn {
+        UdfFn::new(
+            "loop_in_if",
+            Ty::Int,
+            vec![
+                Stmt::let_("a", Ty::Int, Expr::i(0)),
+                Stmt::let_("x", Ty::Int, Expr::i(0)),
+                Stmt::if_(
+                    Expr::prop_v("flag"),
+                    vec![Stmt::for_neighbors(vec![
+                        Stmt::assign("a", Expr::local("a").add(Expr::i(1))),
+                        Stmt::assign("x", Expr::i(1)),
+                        Stmt::if_(Expr::prop_u("flag"), vec![Stmt::Break]),
+                    ])],
+                ),
+                Stmt::Emit(Expr::local("x").add(Expr::local("a"))),
+            ],
+        )
+    }
+
+    /// Two sequential loops: the rule analyses the first one only, so
+    /// `s` (assigned in the second) is not carried and the second loop's
+    /// two breaks are not counted.
+    pub(crate) fn two_loops() -> UdfFn {
+        UdfFn::new(
+            "two_loops",
+            Ty::Int,
+            vec![
+                Stmt::let_("c", Ty::Int, Expr::i(0)),
+                Stmt::let_("s", Ty::Int, Expr::i(0)),
+                Stmt::for_neighbors(vec![
+                    Stmt::assign("c", Expr::local("c").add(Expr::i(1))),
+                    Stmt::if_(Expr::prop_u("flag"), vec![Stmt::Break]),
+                ]),
+                Stmt::for_neighbors(vec![
+                    Stmt::assign("s", Expr::local("s").add(Expr::i(1))),
+                    Stmt::if_(Expr::local("c").ge(Expr::i(2)), vec![Stmt::Break]),
+                    Stmt::if_(Expr::prop_u("flag"), vec![Stmt::Break]),
+                ]),
+                Stmt::Emit(Expr::local("s")),
+            ],
+        )
+    }
+
+    /// The `DepInfo` both shapes get: `carried` the one unbounded int
+    /// local, one counted break.
+    fn pinned(carried: &str, reachable_breaks: usize, minimized: bool) -> DepInfo {
+        DepInfo {
+            kind: DepKind::Data,
+            carried: vec![(carried.to_string(), Ty::Int)],
+            breaks: 1,
+            reachable_breaks,
+            cert: DepCertificate {
+                carried: vec![CarriedCert {
+                    name: carried.to_string(),
+                    ty: Ty::Int,
+                    range: ValueRange::Unbounded,
+                    width: 8,
+                    mono: if minimized {
+                        Monotonicity::NonDecreasing
+                    } else {
+                        Monotonicity::Unknown
+                    },
+                }],
+                skip_latch: minimized,
+                stable_breaks: minimized,
+            },
+        }
+    }
+
+    #[test]
+    fn a_loop_inside_an_if_has_no_after() {
+        let udf = loop_in_if();
+        assert_eq!(analyze_naive(&udf), Ok(pinned("a", 1, false)));
+        assert_eq!(analyze(&udf), Ok(pinned("a", 1, true)));
+    }
+
+    #[test]
+    fn only_the_first_of_two_loops_is_analysed() {
+        let udf = two_loops();
+        assert_eq!(analyze_naive(&udf), Ok(pinned("c", 1, false)));
+        // The dataflow half counts reachable breaks over the whole CFG.
+        assert_eq!(analyze(&udf), Ok(pinned("c", 3, true)));
+    }
 
     #[test]
     fn bfs_is_control_only() {

@@ -1,10 +1,9 @@
 //! Control-flow graph over a UDF body.
 //!
-//! One node per statement plus synthetic `Entry`/`Exit` nodes. Statements are
-//! numbered in *pre-order* (a statement before its children, `then` before
-//! `else`), the same order in which the parser produces them, so [`StmtId`]s
-//! here line up with the parser's [`crate::SpanMap`] and the collecting
-//! checker's diagnostics.
+//! One node per statement plus synthetic `Entry`/`Exit` nodes. Statement `id`
+//! of [`crate::ast::preorder`]'s numbering is node `id + 2`, so nodes line up
+//! with the parser's [`crate::SpanMap`] and the collecting checker's
+//! diagnostics.
 //!
 //! Edge shape (paper §4.2 control flow, one neighbour loop, no nesting):
 //!
@@ -19,7 +18,10 @@
 //! * `Return` → `Exit`. `ReceiveDepGuard` → fall-through *and* `Exit` (the
 //!   guard returns early when the incoming dependency says skip).
 
-use crate::ast::{Stmt, UdfFn};
+use std::collections::HashMap;
+use std::ptr;
+
+use crate::ast::{preorder, Stmt, UdfFn};
 use crate::diag::StmtId;
 
 /// Index of a CFG node. `0` is [`ENTRY`], `1` is [`EXIT`], and statement `s`
@@ -44,49 +46,10 @@ pub struct Cfg<'a> {
     breaks: Vec<NodeId>,
 }
 
-/// Number of statements in the pre-order subtree rooted at `s` (including
-/// `s` itself).
-fn subtree_size(s: &Stmt) -> usize {
-    match s {
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => 1 + block_size(then_branch) + block_size(else_branch),
-        Stmt::ForNeighbors { body } => 1 + block_size(body),
-        _ => 1,
-    }
-}
-
-fn block_size(block: &[Stmt]) -> usize {
-    block.iter().map(subtree_size).sum()
-}
-
-/// Flattens a body into pre-order, the numbering shared with the parser's
-/// span map.
-fn flatten<'a>(block: &'a [Stmt], out: &mut Vec<&'a Stmt>) {
-    for s in block {
-        out.push(s);
-        match s {
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                flatten(then_branch, out);
-                flatten(else_branch, out);
-            }
-            Stmt::ForNeighbors { body } => flatten(body, out),
-            _ => {}
-        }
-    }
-}
-
 impl<'a> Cfg<'a> {
     /// Builds the CFG for `udf`'s body.
     pub fn build(udf: &'a UdfFn) -> Self {
-        let mut stmts = Vec::new();
-        flatten(&udf.body, &mut stmts);
+        let stmts: Vec<&Stmt> = preorder(&udf.body).map(|(_, s, _)| s).collect();
         let n = stmts.len() + 2;
         let mut cfg = Cfg {
             stmts,
@@ -95,36 +58,32 @@ impl<'a> Cfg<'a> {
             branch_targets: vec![None; n],
             breaks: Vec::new(),
         };
-        let entry = cfg.wire_block(&udf.body, 0, EXIT, None);
+        // Each statement's node, found by address: the walk numbered them.
+        let nodes: HashMap<*const Stmt, NodeId> = cfg
+            .stmts
+            .iter()
+            .enumerate()
+            .map(|(id, &s)| (ptr::from_ref(s), cfg.node_of(id)))
+            .collect();
+        let entry = cfg.wire_block(&udf.body, &nodes, EXIT, None);
         cfg.add_edge(ENTRY, entry);
         cfg
     }
 
-    /// Wires edges for `block`, whose first statement has pre-order id
-    /// `base`. `follow` is the node control reaches after the block; `brk`
-    /// is the break target of the enclosing loop, if any. Returns the entry
-    /// node of the block (`follow` when the block is empty).
+    /// Wires edges for `block`. `follow` is the node control reaches after
+    /// the block; `brk` is the break target of the enclosing loop, if any.
+    /// Returns the entry node of the block (`follow` when the block is
+    /// empty).
     fn wire_block(
         &mut self,
         block: &'a [Stmt],
-        base: StmtId,
+        nodes: &HashMap<*const Stmt, NodeId>,
         follow: NodeId,
         brk: Option<NodeId>,
     ) -> NodeId {
-        let mut ids = Vec::with_capacity(block.len());
-        let mut id = base;
-        for s in block {
-            ids.push(id);
-            id += subtree_size(s);
-        }
-        let entry = if block.is_empty() { follow } else { ids[0] + 2 };
+        let node_at = |i: usize| block.get(i).map_or(follow, |s| nodes[&ptr::from_ref(s)]);
         for (i, s) in block.iter().enumerate() {
-            let node = ids[i] + 2;
-            let next = if i + 1 < block.len() {
-                ids[i + 1] + 2
-            } else {
-                follow
-            };
+            let (node, next) = (node_at(i), node_at(i + 1));
             match s {
                 Stmt::Let { .. } | Stmt::Assign { .. } | Stmt::Emit(_) | Stmt::EmitDep => {
                     self.add_edge(node, next);
@@ -145,13 +104,8 @@ impl<'a> Cfg<'a> {
                     else_branch,
                     ..
                 } => {
-                    let then_entry = self.wire_block(then_branch, ids[i] + 1, next, brk);
-                    let else_entry = self.wire_block(
-                        else_branch,
-                        ids[i] + 1 + block_size(then_branch),
-                        next,
-                        brk,
-                    );
+                    let then_entry = self.wire_block(then_branch, nodes, next, brk);
+                    let else_entry = self.wire_block(else_branch, nodes, next, brk);
                     self.add_edge(node, then_entry);
                     self.add_edge(node, else_entry);
                     self.branch_targets[node] = Some((then_entry, else_entry));
@@ -159,13 +113,13 @@ impl<'a> Cfg<'a> {
                 Stmt::ForNeighbors { body } => {
                     // Body falls through to the head (back edge); `break`
                     // jumps past the loop to `next`.
-                    let body_entry = self.wire_block(body, ids[i] + 1, node, Some(next));
+                    let body_entry = self.wire_block(body, nodes, node, Some(next));
                     self.add_edge(node, body_entry);
                     self.add_edge(node, next);
                 }
             }
         }
-        entry
+        node_at(0)
     }
 
     fn add_edge(&mut self, from: NodeId, to: NodeId) {

@@ -32,6 +32,9 @@ struct Checker<'a> {
     locals: BTreeMap<String, Ty>,
     update_ty: Ty,
     errors: Vec<(StmtId, UdfError)>,
+    /// [`crate::ast::preorder`]'s id of the next statement, counted as the
+    /// typing walk goes (`ast::tests::walk_ids_are_the_one_statement_numbering`
+    /// pins the two together).
     next_id: StmtId,
 }
 

@@ -194,36 +194,17 @@ pub fn solve_with_fuel<A: Analysis>(
 // Uses / defs
 // ---------------------------------------------------------------------------
 
-/// Collects the local variables read by `e` into `out`.
-pub fn expr_uses(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Local(name) => {
-            out.insert(name.clone());
-        }
-        Expr::Prop { index, .. } => expr_uses(index, out),
-        Expr::Unary(_, a) => expr_uses(a, out),
-        Expr::Binary(_, a, b) => {
-            expr_uses(a, out);
-            expr_uses(b, out);
-        }
-        Expr::Lit(_) | Expr::CurrentVertex | Expr::CurrentNeighbor => {}
-    }
-}
-
 /// Local variables read directly by `s` (not by its nested statements —
 /// those are separate CFG nodes).
 pub fn stmt_uses(s: &Stmt) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    match s {
-        Stmt::Let { init, .. } => expr_uses(init, &mut out),
-        Stmt::Assign { value, .. } => expr_uses(value, &mut out),
-        Stmt::If { cond, .. } => expr_uses(cond, &mut out),
-        Stmt::Emit(e) => expr_uses(e, &mut out),
-        Stmt::ForNeighbors { .. }
-        | Stmt::Break
-        | Stmt::Return
-        | Stmt::ReceiveDepGuard
-        | Stmt::EmitDep => {}
+    if let Some(e) = s.expr() {
+        e.any(|x| {
+            if let Expr::Local(name) = x {
+                out.insert(name.clone());
+            }
+            false
+        });
     }
     out
 }

@@ -34,7 +34,7 @@ use crate::certificate::{DepCertificate, ValueRange};
 use crate::types::{Ty, Value};
 use std::ops::Range;
 use symple_core::{DepState, WireFormat};
-use symple_net::{dep_records, encode_dep_range};
+use symple_net::{dep_records, encode_dep_range, pack_bits, unpack_bits};
 
 /// Generic dependency state for interpreted UDFs.
 #[derive(Debug, Clone)]
@@ -218,20 +218,7 @@ impl DepState for UdfDep {
     }
 
     fn encode_range(&self, range: Range<usize>, out: &mut Vec<u8>) {
-        let slice = &self.skip[range.clone()];
-        let mut byte = 0u8;
-        for (i, &b) in slice.iter().enumerate() {
-            if b {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !slice.len().is_multiple_of(8) {
-            out.push(byte);
-        }
+        pack_bits(&self.skip[range.clone()], out);
         let a = self.arity();
         for slot in range {
             if self.latch_elide && self.skip[slot] {
@@ -244,14 +231,9 @@ impl DepState for UdfDep {
     }
 
     fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
-        let len = range.len();
-        let bits_len = len.div_ceil(8);
-        assert!(buf.len() >= bits_len, "dependency buffer too short");
-        for i in 0..len {
-            self.skip[range.start + i] = (buf[i / 8] >> (i % 8)) & 1 == 1;
-        }
+        unpack_bits(buf, &mut self.skip[range.clone()]);
         let a = self.arity();
-        let mut off = bits_len;
+        let mut off = range.len().div_ceil(8);
         for slot in range {
             if self.latch_elide && self.skip[slot] {
                 self.vals[slot * a..(slot + 1) * a].fill(0);
@@ -331,18 +313,13 @@ impl DepState for UdfDep {
         }
     }
 
-    // The trait defaults round-trip shards through the wire codec. With
-    // latch elision that canonicalizes latched slots' (dead) values to
-    // zero mid-pass; direct copies keep in-memory state untouched so the
-    // chunked executor reproduces sequential execution field-for-field.
     fn extract_shard(&self, range: Range<usize>) -> Self {
-        let mut shard = self.detach(range.len());
         let a = self.arity();
-        shard.skip.copy_from_slice(&self.skip[range.clone()]);
-        shard
-            .vals
-            .copy_from_slice(&self.vals[range.start * a..range.end * a]);
-        shard
+        UdfDep {
+            skip: self.skip[range.clone()].to_vec(),
+            vals: self.vals[range.start * a..range.end * a].to_vec(),
+            ..self.detach(0)
+        }
     }
 
     fn merge_shard(&mut self, range: Range<usize>, shard: &Self) {

@@ -22,11 +22,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::analysis::{analyze, analyze_naive, DepInfo};
-use crate::ast::{Expr, Stmt, UdfFn};
+use crate::ast::{preorder, Expr, Stmt, UdfFn};
 use crate::cfg::Cfg;
 use crate::check::check_all;
 use crate::dataflow::{const_eval, solve, stmt_uses, Const, ConstProp, Liveness};
-use crate::diag::{attach_spans, Diagnostic, Span, StmtId};
+use crate::diag::{attach_spans, Diagnostic, Span};
 use crate::parser::parse_udf_with_spans;
 use crate::types::{Ty, Value};
 
@@ -105,10 +105,11 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
                 } else {
                     (else_branch, then_branch)
                 };
+                let has_break = |block| preorder(block).any(|(_, s, _)| matches!(s, Stmt::Break));
                 let mut msg = format!("`if` condition is always {b}");
-                if contains_break(dead) {
+                if has_break(dead) {
                     msg.push_str("; the `break` it guards can never fire");
-                } else if contains_break(taken) {
+                } else if has_break(taken) {
                     msg.push_str("; the `break` it guards always fires");
                 }
                 out.push(Diagnostic::warning("W002", msg).with_stmt(id));
@@ -183,14 +184,16 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
             .map(|(n, _)| n.as_str())
             .collect();
         if !float_carried.is_empty() {
-            for (id, stmt, in_loop) in preorder(udf) {
+            for (id, stmt, in_loop) in preorder(&udf.body) {
                 if !in_loop {
                     continue;
                 }
                 if let Stmt::Assign { name, value } = stmt {
                     if float_carried.contains(name.as_str())
                         && stmt_uses(stmt).contains(name)
-                        && reads_neighbor_prop(value)
+                        && value.any(|e| {
+                            matches!(e, Expr::Prop { index, .. } if **index == Expr::CurrentNeighbor)
+                        })
                     {
                         out.push(
                             Diagnostic::warning(
@@ -273,62 +276,6 @@ fn dropped_carried(naive: &DepInfo, min: &DepInfo) -> Vec<(String, Ty)> {
         .filter(|c| !min.carried.contains(c))
         .cloned()
         .collect()
-}
-
-fn contains_break(block: &[Stmt]) -> bool {
-    block.iter().any(|s| match s {
-        Stmt::Break => true,
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => contains_break(then_branch) || contains_break(else_branch),
-        Stmt::ForNeighbors { body } => contains_break(body),
-        _ => false,
-    })
-}
-
-fn reads_neighbor_prop(e: &Expr) -> bool {
-    match e {
-        Expr::Prop { index, .. } => {
-            matches!(**index, Expr::CurrentNeighbor) || reads_neighbor_prop(index)
-        }
-        Expr::Unary(_, a) => reads_neighbor_prop(a),
-        Expr::Binary(_, a, b) => reads_neighbor_prop(a) || reads_neighbor_prop(b),
-        Expr::Lit(_) | Expr::Local(_) | Expr::CurrentVertex | Expr::CurrentNeighbor => false,
-    }
-}
-
-/// Pre-order walk yielding `(id, stmt, inside-the-neighbour-loop)`.
-fn preorder(udf: &UdfFn) -> Vec<(StmtId, &Stmt, bool)> {
-    fn walk<'a>(
-        block: &'a [Stmt],
-        in_loop: bool,
-        next: &mut StmtId,
-        out: &mut Vec<(StmtId, &'a Stmt, bool)>,
-    ) {
-        for s in block {
-            let id = *next;
-            *next += 1;
-            out.push((id, s, in_loop));
-            match s {
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, in_loop, next, out);
-                    walk(else_branch, in_loop, next, out);
-                }
-                Stmt::ForNeighbors { body } => walk(body, true, next, out),
-                _ => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut next = 0;
-    walk(&udf.body, false, &mut next, &mut out);
-    out
 }
 
 #[cfg(test)]

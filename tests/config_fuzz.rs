@@ -6,11 +6,13 @@
 //! reproducible; a failing case prints what it needs to be replayed as a
 //! unit test.
 //!
-//! The last three focus the transport: they flip it between the
-//! unbounded inbox (`Backend::Sim`) and the bounded, backpressured one
+//! Three focus the transport: they flip it between the unbounded inbox
+//! (`Backend::Sim`) and the bounded, backpressured one
 //! (`Backend::Thread`). That class is exact — outputs, `WorkStats`,
 //! `CommStats`, virtual time, its breakdown and the chrome trace; only
-//! wall clocks may differ.
+//! wall clocks may differ. The last four run one paper kernel each on
+//! random graphs, validated against its sequential reference before one
+//! semantics-free axis is flipped.
 
 #[macro_use]
 #[path = "support/fuzz.rs"]
@@ -27,4 +29,8 @@ fuzz_tests! {
     backends_agree_on_random_graphs: Focus::new(ALL_JOBS, &[Axis::Backend]), 6;
     fault_plans_replay_identically_on_both_backends:
         Focus::new(ALL_JOBS, &[Axis::Backend]).pin(|c| c.fault_plan = Some(FaultPlan::chaos(17))), 4;
+    bfs_valid_on_random_graphs: Focus::new(&[Bfs], &Axis::ALL), 4;
+    kcore_valid_on_random_graphs: Focus::new(&[Kcore], &Axis::ALL), 4;
+    mis_valid_on_random_graphs: Focus::new(&[Mis], &Axis::ALL), 4;
+    sampling_valid_on_random_graphs: Focus::new(&[Sampling], &Axis::ALL), 4;
 }
