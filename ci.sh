@@ -63,15 +63,15 @@ step "UDF executor differential tests (release profile)"
 # both profiles: the eight committed listings and the ops-per-edge
 # budgets (typed_bind), and the optimiser's idempotence/range proptest
 # (--lib; debug builds also re-check idempotence inside every bind).
-# So does the seeded config fuzzer (config_fuzz: a fixed budget of 120
+# So does the seeded config fuzzer (config_fuzz: a fixed budget of 139
 # cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels and 16
 # single-kernel cases, each held to its reference, then one
 # semantics-free axis flipped, plus 16 that flip the transport between
 # the unbounded and the bounded inbox, 4 of them under a pinned chaos
-# plan; the budget is set in code, not by any
-# variable) and fault_invariance (random fault plans added or removed):
-# the backend and fault axes are the two the physical receive path
-# touches, and release is where the wall clock is measured. symple-net's
+# plan, and 19 that add or remove a random fault plan; the budget is set
+# in code, not by any variable): the backend and fault axes are the two
+# the physical receive path touches, and release is where the wall
+# clock is measured. symple-net's
 # own tests ride along for the same reason: the bounded-inbox and chaos
 # runs and the framed-receive tests (`recv_frames` against the sender's
 # stagger on both inboxes and under chaos, a stalled stream's
@@ -93,7 +93,7 @@ step "UDF executor differential tests (release profile)"
 cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind --test engine_integration
 cargo test -q --release --offline -p symple-algos --lib
-cargo test -q --release --offline --test config_fuzz --test fault_invariance --test dense_comm
+cargo test -q --release --offline --test config_fuzz --test dense_comm
 cargo test -q --release --offline -p symple-net --lib
 
 step "job benchmark builds and smokes (benchmark/)"
@@ -110,7 +110,8 @@ cargo run --offline --manifest-path benchmark/Cargo.toml -- smoke
 step "experiments exports smoke (--chrome-trace, --metrics-json)"
 # Both exports of the traced probe: the chrome timeline and the
 # `Trace::to_metrics_json` dump. Each must be written, non-empty, and
-# the metrics JSON must carry its per-machine and per-cell sections.
+# the metrics JSON must carry its per-machine and per-cell sections and
+# the communication ledger's message, wire-format and retransmit keys.
 # Runs under --quick.
 export_dir=$(mktemp -d)
 trap 'rm -rf "$export_dir"' EXIT
@@ -122,7 +123,7 @@ for f in t.json m.json; do
     exit 1
   fi
 done
-for key in '"per_machine"' '"cells"'; do
+for key in '"per_machine"' '"cells"' '"messages"' '"wire_format_bytes"' '"retransmits"'; do
   if ! grep -q "$key" "$export_dir/m.json"; then
     echo "ci.sh: metrics JSON lacks $key" >&2
     exit 1

@@ -299,21 +299,14 @@ fn table5(reg: &Registry) -> String {
     )
 }
 
-/// Table 6: communication breakdown normalised to Gemini's data bytes.
-///
-/// Every measured cell also cross-checks the trace's per-category byte
-/// totals against the engine's raw `CommStats` — the table refuses to
-/// render from irreconcilable numbers.
+/// Table 6: communication breakdown normalised to Gemini's data bytes,
+/// read off each run's trace ledger (`CommStats`).
 fn table6(reg: &Registry) -> String {
     let mut rows = Vec::new();
     for (algo_name, runs) in GRID_ALGOS {
         for name in GRID_GRAPHS {
             let cost = model_for(name, CostModel::cluster_a());
             let (gem, sym) = gemini_vs_symple(reg, runs, name, 16, cost);
-            assert!(
-                gem.reconciled && sym.reconciled,
-                "table6 {algo_name}/{name}: trace-categorized bytes diverged from CommStats"
-            );
             let base = (gem.upd_bytes + gem.dep_bytes) as f64;
             rows.push(vec![
                 algo_name.to_string(),
@@ -325,7 +318,7 @@ fn table6(reg: &Registry) -> String {
         }
     }
     format!(
-        "{}\nPaper: total below 1.0 everywhere except sampling (dependency\nmessages carry f32 prefix sums); average reduction 40.95%.\nPer-category bytes verified against trace categorization (exact).\n",
+        "{}\nPaper: total below 1.0 everywhere except sampling (dependency\nmessages carry f32 prefix sums); average reduction 40.95%.\nPer-category bytes are the trace ledger's own counts (exact).\n",
         table(
             &["app", "graph", "SymG.upt", "SymG.dep", "SymG.total"],
             &rows
@@ -368,8 +361,7 @@ impl CommPoint {
 
 /// Every byte-study workload under Gemini and SympleGraph with both
 /// codecs on dataset `name` at `machines`. Asserts along the way that the
-/// codec is invisible to the computation (same traversed-edge counts) and
-/// that trace byte categorization reconciles exactly.
+/// codec is invisible to the computation (same traversed-edge counts).
 fn comm_study(reg: &Registry, name: &str, machines: usize) -> Vec<CommPoint> {
     let cost = model_for(name, CostModel::cluster_a());
     let mut points = Vec::new();
@@ -380,10 +372,6 @@ fn comm_study(reg: &Registry, name: &str, machines: usize) -> Vec<CommPoint> {
                 runs,
                 name,
                 &cfg(machines, policy, cost).wire_codec(WireCodec::Adaptive),
-            );
-            assert!(
-                flat.reconciled && adaptive.reconciled,
-                "comm {algo_name}/{pname}: trace-categorized bytes diverged from CommStats"
             );
             assert_eq!(
                 flat.edges, adaptive.edges,
@@ -991,7 +979,7 @@ fn udf_report(reg: &Registry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symple_net::COMM_KINDS;
+    use symple_net::CommStats;
 
     #[test]
     fn report_ids_are_unique_and_in_paper_order() {
@@ -1091,9 +1079,9 @@ mod tests {
         let stats = traced_probe();
         assert_eq!(stats.trace.nodes.len(), 4);
         assert!(stats.comm.total_bytes() > 0);
-        for k in COMM_KINDS {
-            assert_eq!(stats.trace.bytes(k.byte_category()), stats.comm.bytes(k));
-        }
+        let cells = stats.trace.merged_cells();
+        let sum = cells.values().fold(CommStats::default(), |a, c| a + c.comm);
+        assert_eq!(sum, stats.comm, "the cells sum to the ledger");
         // Full tracing keeps individual spans for the chrome export.
         assert!(stats.trace.nodes.iter().all(|n| !n.spans.is_empty()));
         let chrome = stats.trace.to_chrome_json();

@@ -22,7 +22,7 @@ use symple_algos::{
 };
 use symple_core::{EngineConfig, RunStats, WorkStats};
 use symple_graph::{fnv1a64, Bitmap, Graph, Vid};
-use symple_net::{CommKind, CommStats, COMM_KINDS};
+use symple_net::{CommKind, CommStats};
 use symple_udf::{InstrumentedUdf, PropertyStore, UdfFn};
 
 /// One engine run's worth of algorithm: everything but the graph and the
@@ -149,9 +149,6 @@ pub struct Cell {
     /// Exact logical traffic, plus the reliable overlay under a fault
     /// plan.
     pub comm: CommStats,
-    /// Whether the trace's categorized byte totals reconciled exactly with
-    /// the raw `CommStats` counters (Table 6 depends on this invariant).
-    pub reconciled: bool,
 }
 
 impl Cell {
@@ -161,9 +158,6 @@ impl Cell {
             time: stats.virtual_time(),
             work: stats.work,
             comm: stats.comm,
-            reconciled: COMM_KINDS
-                .iter()
-                .all(|&k| stats.trace.bytes(k.byte_category()) == stats.comm.bytes(k)),
         }
     }
 
@@ -190,8 +184,6 @@ pub(crate) struct Measured {
     pub upd_bytes: u64,
     /// Mean dependency bytes.
     pub dep_bytes: u64,
-    /// Whether every run reconciled (see [`Cell::reconciled`]).
-    pub reconciled: bool,
 }
 
 /// The memo of measured cells, one per process in the CLI. Reports take
@@ -238,7 +230,6 @@ impl Registry {
             edges: 0,
             upd_bytes: 0,
             dep_bytes: 0,
-            reconciled: true,
         };
         for &workload in runs {
             let cell = self.cell(workload, graph, cfg);
@@ -246,7 +237,6 @@ impl Registry {
             acc.edges += cell.edges() / reps;
             acc.upd_bytes += cell.comm.bytes(CommKind::Update) / reps;
             acc.dep_bytes += cell.dep_bytes() / reps;
-            acc.reconciled &= cell.reconciled;
         }
         acc
     }
@@ -435,7 +425,7 @@ fn udf_pull(inst: &InstrumentedUdf, g: &Graph, config: &EngineConfig) -> (u64, R
 mod tests {
     use super::*;
     use symple_core::Policy;
-    use symple_net::{CostModel, WireFormat};
+    use symple_net::{CostModel, COMM_KINDS};
 
     fn small(policy: Policy) -> EngineConfig {
         EngineConfig::new(2, policy).cost(CostModel::zero())
@@ -478,7 +468,11 @@ mod tests {
         for w in all {
             let cell = reg.cell(w, "karate", &c);
             assert!(cell.edges() > 0, "{w:?} traversed nothing");
-            assert!(cell.reconciled, "{w:?} trace bytes diverged from CommStats");
+            // The cells of the run's trace sum to the ledger the cell keeps.
+            let (_, stats) = run(w, dataset("karate"), &c);
+            let cells = stats.trace.merged_cells();
+            let sum = cells.values().fold(CommStats::default(), |a, x| a + x.comm);
+            assert_eq!(sum, cell.comm, "{w:?}");
         }
         assert_eq!(reg.engine_runs(), all.len());
     }
@@ -492,7 +486,7 @@ mod tests {
             c.comm.total_messages(),
         ];
         out.extend(COMM_KINDS.iter().map(|&k| c.comm.bytes(k)));
-        out.extend(WireFormat::ALL.iter().map(|&f| c.comm.format_bytes(f)));
+        out.extend(c.comm.format_bytes());
         out
     }
 

@@ -98,7 +98,7 @@ where
         stats: RunStats {
             time,
             work,
-            comm: res.stats,
+            comm: res.traces.comm(),
             trace: res.traces,
         },
     }
@@ -110,7 +110,7 @@ mod tests {
     use crate::Policy;
     use std::time::Duration;
     use symple_graph::RmatConfig;
-    use symple_net::{ByteCategory, CommKind, SpanCategory, TraceLevel};
+    use symple_net::{CommKind, SpanCategory, TraceLevel};
 
     #[test]
     fn workers_cover_all_masters() {
@@ -221,15 +221,10 @@ mod tests {
         });
         let stats = &res.stats;
         assert_eq!(stats.trace.nodes.len(), 3);
-        for (kind, cat) in [
-            (CommKind::Update, ByteCategory::Update),
-            (CommKind::Dependency, ByteCategory::Dependency),
-            (CommKind::Sync, ByteCategory::Collective),
-        ] {
-            assert_eq!(stats.trace.bytes(cat), stats.comm.bytes(kind));
-            assert_eq!(stats.trace.messages(cat), stats.comm.messages(kind));
-        }
-        assert!(stats.trace.bytes(ByteCategory::Collective) > 0);
+        let cells = stats.trace.merged_cells();
+        let cells = cells.values().fold(Default::default(), |a, c| a + c.comm);
+        assert_eq!(stats.comm, cells, "the cells sum to the run's ledger");
+        assert!(stats.comm.bytes(CommKind::Sync) > 0);
     }
 
     #[test]
@@ -300,9 +295,9 @@ mod tests {
         let res = run_spmd(&g, &cfg, |w| {
             w.allreduce(1u64, |a, b| a + b);
         });
-        assert_eq!(res.stats.trace.bytes(ByteCategory::Collective), 0);
+        assert!(res.stats.trace.nodes.iter().all(|n| n.cells.is_empty()));
         assert_eq!(res.stats.time.category(SpanCategory::Compute), 0.0);
-        // raw CommStats accounting is independent of the trace level
+        // CommStats accounting is independent of the trace level
         assert!(res.stats.comm.bytes(CommKind::Sync) > 0);
     }
 }

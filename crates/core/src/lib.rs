@@ -65,6 +65,6 @@ pub use worker::Worker;
 // read `RunStats::{trace,comm}` (the trace carries every categorized
 // total) without depending on symple-net directly.
 pub use symple_net::{
-    Backend, ByteCategory, FaultPlan, NetError, ReliableStats, RetryConfig, SpanCategory, Trace,
-    TraceLevel, WireCodec, WireFormat,
+    Backend, FaultPlan, NetError, ReliableStats, RetryConfig, SpanCategory, Trace, TraceLevel,
+    WireCodec, WireFormat,
 };

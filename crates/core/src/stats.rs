@@ -4,7 +4,8 @@
 //! run: **time** ([`TimeStats`]: virtual makespan, wall clock, and the
 //! per-category virtual-time breakdown), **work** ([`WorkStats`]: typed
 //! computation counters keyed by [`WorkMetric`]), and **comm**
-//! (`symple_net::CommStats`: bytes and messages per kind). The raw
+//! (`symple_net::CommStats`: bytes and messages per kind, the trace's
+//! communication total). The raw
 //! per-machine [`Trace`] rides along and carries every categorized total,
 //! so any consumer can read them, dump them as JSON
 //! ([`Trace::to_metrics_json`]) or as a chrome://tracing timeline without
@@ -234,7 +235,8 @@ pub struct RunStats {
     pub time: TimeStats,
     /// Sum of all machines' typed work counters.
     pub work: WorkStats,
-    /// Sum of all machines' communication.
+    /// Sum of all machines' communication: [`Trace::comm`] of `trace`,
+    /// kept at every trace level.
     pub comm: CommStats,
     /// Per-machine categorized attribution: totals per machine and per
     /// run, exported with [`Trace::to_metrics_json`] and

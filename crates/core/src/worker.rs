@@ -172,7 +172,6 @@ impl<'a> Worker<'a> {
         }
         let mut formats = CodecStats::default();
         formats.bytes[fmt.index()] += bytes as u64;
-        formats.blocks[fmt.index()] += 1;
         self.ctx.record_wire_formats(&formats);
     }
 
@@ -236,16 +235,6 @@ impl<'a> Worker<'a> {
     /// This machine's accumulated counters.
     pub fn stats(&self) -> WorkStats {
         self.stats
-    }
-
-    /// This machine's communication counters so far, including the
-    /// reliable-delivery tallies (`symple_net::ReliableStats`) when a
-    /// fault plan is active. The engine never sees injected faults —
-    /// outputs and [`WorkStats`] match the fault-free run bit for bit —
-    /// so these counters are the only place a worker can observe that
-    /// retransmission happened beneath it.
-    pub fn comm_stats(&self) -> symple_net::CommStats {
-        self.ctx.comm_stats()
     }
 
     /// Encodes `dep` over `range` — adaptive codec or seed-flat layout per

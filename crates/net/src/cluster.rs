@@ -27,7 +27,7 @@
 //! [`crate::ReliableStats`] and the virtual clock absorb the damage.
 
 use crate::transport::{connect, Backend, Envelope, Port, DEFAULT_CHANNEL_CAPACITY};
-use crate::{CommKind, CommStats, CostModel, FaultPlan, NetError, RetryConfig};
+use crate::{CommKind, CostModel, FaultPlan, NetError, RetryConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -115,9 +115,10 @@ pub struct NodeCtx {
     /// duplicated sequence numbers, which the reliable receive path sorts
     /// out.
     pending: HashMap<(usize, Tag), VecDeque<Envelope>>,
-    stats: CommStats,
     coll_epoch: u64,
     recv_timeout: Duration,
+    /// Spans, cells and the communication ledger: every event below is
+    /// counted here, once.
     trace: TraceRecorder,
     in_barrier: bool,
     /// Reliable-delivery protocol state; `None` without a fault plan.
@@ -146,15 +147,10 @@ impl NodeCtx {
         self.clock
     }
 
-    /// Communication sent by this node so far.
-    pub fn comm_stats(&self) -> CommStats {
-        self.stats
-    }
-
-    /// Merges an encode's chosen-format histogram into this node's
-    /// [`CommStats`] and, at metrics trace levels, the current trace cell.
+    /// Counts an encode's chosen-format bytes in this node's
+    /// [`crate::CommStats`] (and, at metrics trace levels, its current
+    /// trace cell).
     pub fn record_wire_formats(&mut self, formats: &crate::CodecStats) {
-        self.stats.record_formats(formats);
         self.trace.record_wire_formats(&formats.bytes);
     }
 
@@ -279,7 +275,7 @@ impl NodeCtx {
 
     /// The logical half of a send, done once per message whether it
     /// travels as one envelope or as frames: the serialize charge and the
-    /// stats/trace record of a `bytes`-long payload of `kind` for `dst`.
+    /// ledger record of a `bytes`-long payload of `kind` for `dst`.
     ///
     /// Empty payloads are protocol placeholders (the receiver still
     /// blocks on the tag): they ship zero bytes and are charged zero
@@ -295,8 +291,7 @@ impl NodeCtx {
             self.clock += self.cost.send_overhead(bytes);
             self.trace
                 .record_span(SpanCategory::Serialize, start, self.clock);
-            self.stats.record(kind, bytes);
-            self.trace.record_bytes(kind.byte_category(), bytes, 1);
+            self.trace.record_message(kind, bytes);
         }
     }
 
@@ -348,12 +343,10 @@ impl NodeCtx {
             self.clock += f64::from(retransmits) * self.cost.send_overhead(bytes);
             self.trace
                 .record_span(SpanCategory::Retry, start, self.clock);
-            self.stats.reliable.retransmits += u64::from(retransmits);
-            self.stats.reliable.retransmit_bytes += u64::from(retransmits) * bytes;
             self.trace
                 .record_retransmits(dst, u64::from(retransmits), bytes);
         }
-        self.stats.reliable.timeouts += u64::from(timeouts);
+        self.trace.record_timeouts(u64::from(timeouts));
         let delivery = match schedule {
             Ok(d) => d,
             Err(attempts) => {
@@ -390,7 +383,6 @@ impl NodeCtx {
             // last message a node consumes never is), while the injection
             // itself is a pure function of the plan — so this is the spot
             // that keeps the counter deterministic and thread-invariant.
-            self.stats.reliable.dup_drops += 1;
             self.trace.record_dup_drop();
         }
         if delivery.reorder {
@@ -584,7 +576,7 @@ impl NodeCtx {
 
     /// Sends `payload` to `dst` in `chunk`-byte frames. Accounting is
     /// identical to [`NodeCtx::send`]: one serialize charge, one
-    /// stats/trace record for the whole message.
+    /// ledger record for the whole message.
     ///
     /// # Panics
     ///
@@ -676,7 +668,7 @@ impl NodeCtx {
     fn open(&mut self, env: Envelope) -> (Vec<u8>, f64) {
         if let Some(link) = &mut self.reliable {
             *link.expected.entry((env.src, env.tag)).or_insert(0) += 1;
-            self.stats.reliable.acks += 1;
+            self.trace.record_ack();
         }
         let arrival = env.depart + self.cost.arrival_delay(env.payload.len() as u64);
         // Usually the last reference by now — take the buffer without
@@ -779,10 +771,6 @@ impl NodeCtx {
 pub struct ClusterResult<T> {
     /// Per-node return values, indexed by rank.
     pub outputs: Vec<T>,
-    /// Per-node communication statistics, indexed by rank.
-    pub per_node_stats: Vec<CommStats>,
-    /// Sum of all nodes' communication.
-    pub stats: CommStats,
     /// Final virtual time: the maximum node clock (modelled makespan).
     pub virtual_time: f64,
     /// Host wall-clock duration of the whole run (includes spawn/join
@@ -793,7 +781,8 @@ pub struct ClusterResult<T> {
     /// compare against per-node virtual clocks.
     pub node_wall: Vec<Duration>,
     /// Categorized virtual-time and traffic attribution, one track per
-    /// machine (empty cells at [`TraceLevel::Off`]).
+    /// machine (no cells at [`TraceLevel::Off`]); [`Trace::comm`] is the
+    /// run's communication at every level.
     pub traces: Trace,
 }
 
@@ -953,7 +942,7 @@ impl ClusterBuilder {
 ///     }
 /// });
 /// assert_eq!(r.outputs, vec![0, 3]);
-/// assert_eq!(r.stats.bytes(CommKind::Update), 3);
+/// assert_eq!(r.traces.comm().bytes(CommKind::Update), 3);
 /// assert!(r.virtual_time > 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -1002,7 +991,7 @@ impl Cluster {
         let p = self.nodes;
         let mut ports = connect(p, self.backend, self.channel_capacity, self.recv_timeout);
         let start = Instant::now();
-        type Slot<T> = Option<(T, CommStats, f64, symple_trace::NodeTrace, Duration)>;
+        type Slot<T> = Option<(T, f64, symple_trace::NodeTrace, Duration)>;
         let mut slots: Vec<Slot<T>> = (0..p).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
@@ -1026,7 +1015,6 @@ impl Cluster {
                         cost,
                         port,
                         pending: HashMap::new(),
-                        stats: CommStats::default(),
                         coll_epoch: 0,
                         recv_timeout,
                         trace: TraceRecorder::new(rank, trace_level),
@@ -1047,7 +1035,7 @@ impl Cluster {
                             let mut trace = ctx.trace.finish();
                             trace.wall_secs = wall.as_secs_f64();
                             trace.comm_wall_secs = ctx.port.comm_wall().as_secs_f64();
-                            *slot = Some((out, ctx.stats, ctx.clock, trace, wall));
+                            *slot = Some((out, ctx.clock, trace, wall));
                         }
                         Err(e) => {
                             // fail fast: poison every peer so they don't
@@ -1094,24 +1082,18 @@ impl Cluster {
         });
         let wall = start.elapsed();
         let mut outputs = Vec::with_capacity(p);
-        let mut per_node_stats = Vec::with_capacity(p);
         let mut node_traces = Vec::with_capacity(p);
         let mut node_wall = Vec::with_capacity(p);
-        let mut total = CommStats::default();
         let mut virtual_time: f64 = 0.0;
         for slot in slots {
-            let (out, stats, clock, trace, wall) = slot.expect("node completed without result");
+            let (out, clock, trace, wall) = slot.expect("node completed without result");
             outputs.push(out);
-            per_node_stats.push(stats);
             node_traces.push(trace);
             node_wall.push(wall);
-            total += stats;
             virtual_time = virtual_time.max(clock);
         }
         ClusterResult {
             outputs,
-            per_node_stats,
-            stats: total,
             virtual_time,
             wall,
             node_wall,
@@ -1137,7 +1119,7 @@ mod tests {
     fn single_node_runs() {
         let r = Cluster::new(1, CostModel::zero()).run(|ctx| ctx.rank());
         assert_eq!(r.outputs, vec![0]);
-        assert_eq!(r.stats.total_bytes(), 0);
+        assert_eq!(r.traces.comm().total_bytes(), 0);
     }
 
     #[test]
@@ -1300,10 +1282,10 @@ mod tests {
                 ctx.recv(0, user_tag(1));
             }
         });
-        assert_eq!(r.stats.bytes(CommKind::Dependency), 10);
-        assert_eq!(r.stats.bytes(CommKind::Update), 6);
-        assert_eq!(r.per_node_stats[0].total_messages(), 2);
-        assert_eq!(r.per_node_stats[1].total_messages(), 0);
+        assert_eq!(r.traces.comm().bytes(CommKind::Dependency), 10);
+        assert_eq!(r.traces.comm().bytes(CommKind::Update), 6);
+        assert_eq!(r.traces.nodes[0].comm().total_messages(), 2);
+        assert_eq!(r.traces.nodes[1].comm().total_messages(), 0);
     }
 
     #[test]
@@ -1387,8 +1369,8 @@ mod tests {
         let receiver = &r.traces.nodes[1];
         assert!((sender.time(SpanCategory::Compute) - 6.0).abs() < 1e-12);
         assert!((sender.time(SpanCategory::Serialize) - 0.25).abs() < 1e-12);
-        assert_eq!(sender.bytes(symple_trace::ByteCategory::Dependency), 4);
-        assert_eq!(sender.messages(symple_trace::ByteCategory::Dependency), 1);
+        assert_eq!(sender.comm().bytes(CommKind::Dependency), 4);
+        assert_eq!(sender.comm().messages(CommKind::Dependency), 1);
         // Receiver sat idle from 0 until arrival at 6.25 + 1.0 + 4*0.5.
         assert!((receiver.time(SpanCategory::DepWait) - 9.25).abs() < 1e-12);
         // Spans carry the scope the node set.
@@ -1397,11 +1379,9 @@ mod tests {
             .iter()
             .all(|s| s.scope.step == 0 && s.scope.iteration == 0));
         assert!(receiver.spans.iter().all(|s| s.scope.step == 1));
-        // Categorized bytes reconcile exactly with CommStats.
-        assert_eq!(
-            r.traces.bytes(symple_trace::ByteCategory::Dependency),
-            r.stats.bytes(CommKind::Dependency)
-        );
+        // The message is filed under the scope the sender set.
+        let cell = &sender.cells[&symple_trace::Scope::default()];
+        assert_eq!(cell.comm, sender.comm());
     }
 
     #[test]
@@ -1423,10 +1403,9 @@ mod tests {
             "rank 0 should wait out rank 1's head start in the barrier"
         );
         // Collective traffic is tagged as such.
-        assert_eq!(
-            r.traces.bytes(symple_trace::ByteCategory::Collective),
-            r.stats.bytes(CommKind::Sync)
-        );
+        let comm = r.traces.comm();
+        assert!(comm.bytes(CommKind::Sync) > 0);
+        assert_eq!(comm.bytes(CommKind::Sync), comm.total_bytes());
     }
 
     fn ring_exchange(cluster: Cluster, rounds: u64) -> ClusterResult<Vec<u8>> {
@@ -1459,12 +1438,16 @@ mod tests {
         );
         assert_eq!(clean.outputs, faulted.outputs);
         assert_eq!(clean.virtual_time, faulted.virtual_time);
-        let r = faulted.stats.reliable();
+        let r = faulted.traces.comm().reliable();
         assert_eq!(r.acks, 12, "every delivered message is acknowledged");
         assert_eq!(r.timeouts, 0);
         assert_eq!(r.retransmits, 0);
         assert_eq!(r.dup_drops, 0);
-        assert_eq!(clean.stats.reliable().acks, 0, "no plan, no protocol");
+        assert_eq!(
+            clean.traces.comm().reliable().acks,
+            0,
+            "no plan, no protocol"
+        );
     }
 
     #[test]
@@ -1478,7 +1461,7 @@ mod tests {
             16,
         );
         assert_eq!(clean.outputs, faulted.outputs, "payloads survive chaos");
-        let r = faulted.stats.reliable();
+        let r = faulted.traces.comm().reliable();
         assert!(
             r.retransmits > 0,
             "chaos(7) must drop something in 64 sends"
@@ -1487,12 +1470,12 @@ mod tests {
         assert_eq!(r.timeouts, r.retransmits, "each timeout caused one resend");
         // Logical traffic accounting is untouched by the faults.
         assert_eq!(
-            clean.stats.bytes(CommKind::Update),
-            faulted.stats.bytes(CommKind::Update)
+            clean.traces.comm().bytes(CommKind::Update),
+            faulted.traces.comm().bytes(CommKind::Update)
         );
         assert_eq!(
-            clean.stats.messages(CommKind::Update),
-            faulted.stats.messages(CommKind::Update)
+            clean.traces.comm().messages(CommKind::Update),
+            faulted.traces.comm().messages(CommKind::Update)
         );
         assert!(
             faulted.virtual_time > clean.virtual_time,
@@ -1506,7 +1489,7 @@ mod tests {
                 .unwrap(),
             16,
         );
-        assert_eq!(again.stats, faulted.stats);
+        assert_eq!(again.traces.comm(), faulted.traces.comm());
         assert_eq!(again.virtual_time, faulted.virtual_time);
     }
 
@@ -1583,8 +1566,8 @@ mod tests {
             })
         );
         // The attempted traffic is still visible in the counters.
-        assert_eq!(r.stats.reliable().timeouts, 3);
-        assert_eq!(r.stats.reliable().retransmits, 2);
+        assert_eq!(r.traces.comm().reliable().timeouts, 3);
+        assert_eq!(r.traces.comm().reliable().retransmits, 2);
     }
 
     #[test]
@@ -1633,10 +1616,14 @@ mod tests {
                 .unwrap(),
             24,
         );
-        let rel = r.stats.reliable();
+        let rel = r.traces.comm().reliable();
         assert!(rel.retransmits > 0 && rel.dup_drops > 0);
-        assert_eq!(r.traces.retransmits(), rel.retransmits);
-        assert_eq!(r.traces.dup_drops(), rel.dup_drops);
+        let cells = r.traces.merged_cells();
+        let in_cells = |count: fn(crate::ReliableStats) -> u64| -> u64 {
+            cells.values().map(|c| count(c.comm.reliable())).sum()
+        };
+        assert_eq!(in_cells(|r| r.retransmits), rel.retransmits);
+        assert_eq!(in_cells(|r| r.dup_drops), rel.dup_drops);
         let retry_time: f64 = r
             .traces
             .nodes
@@ -1657,8 +1644,8 @@ mod tests {
                 ctx.barrier();
             });
         assert!(r.traces.nodes.iter().all(|n| n.cells.is_empty()));
-        // Raw stats still count.
-        assert!(r.stats.total_bytes() > 0);
+        // The communication ledger still counts.
+        assert!(r.traces.comm().total_bytes() > 0);
     }
 
     #[test]
@@ -1694,8 +1681,7 @@ mod tests {
         // Everything logical is bit-identical; only wall-clock measurements
         // may differ between backends.
         assert_eq!(sim.outputs, thread.outputs);
-        assert_eq!(sim.stats, thread.stats);
-        assert_eq!(sim.per_node_stats, thread.per_node_stats);
+        assert_eq!(sim.traces.comm(), thread.traces.comm());
         assert_eq!(sim.virtual_time, thread.virtual_time);
         assert_eq!(sim.traces.to_chrome_json(), thread.traces.to_chrome_json());
     }
@@ -1735,7 +1721,7 @@ mod tests {
             8,
         );
         assert_eq!(clean.outputs, faulted.outputs);
-        assert!(faulted.stats.reliable().acks > 0);
+        assert!(faulted.traces.comm().reliable().acks > 0);
     }
 
     /// Cost of the framed-receive tests: every term a power of two, so the
@@ -1795,7 +1781,7 @@ mod tests {
         });
         let clocks = r.outputs.iter().map(|o| o.1).collect();
         let got = r.outputs.into_iter().next().unwrap().0;
-        (got, clocks, r.stats.reliable())
+        (got, clocks, r.traces.comm().reliable())
     }
 
     /// The `len` bytes rank `src` ships in one stream.

@@ -53,7 +53,6 @@ mod codec;
 mod cost;
 mod error;
 mod reliable;
-mod stats;
 mod transport;
 mod wire;
 
@@ -66,11 +65,14 @@ pub use codec::{
 pub use cost::CostModel;
 pub use error::NetError;
 pub use reliable::{Delivery, FaultPlan, RetryConfig};
-pub use stats::{CommKind, CommStats, ReliableStats, COMM_KINDS};
 pub use transport::Backend;
 pub use wire::{decode_vec, encode_slice, Wire};
 
 // The tracing vocabulary is part of this crate's API surface
 // (`ClusterBuilder::trace_level`, `ClusterResult::traces`,
-// `NodeCtx::wait_until`).
-pub use symple_trace::{ByteCategory, NodeTrace, Span, SpanCategory, Trace, TraceLevel};
+// `NodeCtx::wait_until`), and so is the communication ledger the trace
+// recorder keeps (`NodeCtx::send`'s `CommKind`, `Trace::comm`).
+pub use symple_trace::{
+    CommKind, CommStats, NodeTrace, ReliableStats, Span, SpanCategory, Trace, TraceLevel,
+    COMM_KINDS,
+};

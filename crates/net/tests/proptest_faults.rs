@@ -83,15 +83,15 @@ proptest! {
         // Logical traffic accounting is fault-invariant; only the
         // reliable overlay may differ.
         prop_assert_eq!(
-            clean.stats.bytes(CommKind::Update),
-            faulted.stats.bytes(CommKind::Update)
+            clean.traces.comm().bytes(CommKind::Update),
+            faulted.traces.comm().bytes(CommKind::Update)
         );
         prop_assert_eq!(
-            clean.stats.messages(CommKind::Update),
-            faulted.stats.messages(CommKind::Update)
+            clean.traces.comm().messages(CommKind::Update),
+            faulted.traces.comm().messages(CommKind::Update)
         );
         prop_assert!(faulted.virtual_time >= clean.virtual_time);
-        let rel = faulted.stats.reliable();
+        let rel = faulted.traces.comm().reliable();
         prop_assert_eq!(rel.acks, (world * (world - 1)) as u64 * rounds);
         // Each timeout triggered exactly one resend (no exhaustion at
         // these rates), and duplicates never survive to the application.
@@ -110,7 +110,7 @@ proptest! {
         let a = all_to_all(build(plan), 3, 4);
         let b = all_to_all(build(plan), 3, 4);
         prop_assert_eq!(a.outputs, b.outputs);
-        prop_assert_eq!(a.stats, b.stats);
+        prop_assert_eq!(a.traces.comm(), b.traces.comm());
         prop_assert_eq!(a.virtual_time, b.virtual_time);
     }
 
@@ -165,6 +165,6 @@ proptest! {
             r.outputs[0].clone(),
             Err(NetError::Unreachable { src: 0, dst: 1, attempts: max_attempts })
         );
-        prop_assert_eq!(r.stats.reliable().timeouts, u64::from(max_attempts));
+        prop_assert_eq!(r.traces.comm().reliable().timeouts, u64::from(max_attempts));
     }
 }

@@ -49,8 +49,8 @@ proptest! {
                 }
             }
         });
-        prop_assert_eq!(r.stats.bytes(CommKind::Update), total as u64);
-        prop_assert_eq!(r.stats.messages(CommKind::Update), nonempty as u64);
+        prop_assert_eq!(r.traces.comm().bytes(CommKind::Update), total as u64);
+        prop_assert_eq!(r.traces.comm().messages(CommKind::Update), nonempty as u64);
     }
 
     #[test]
@@ -71,8 +71,8 @@ proptest! {
             }
             ctx.virtual_clock()
         });
-        prop_assert_eq!(r.stats.total_bytes(), 0);
-        prop_assert_eq!(r.stats.total_messages(), 0);
+        prop_assert_eq!(r.traces.comm().total_bytes(), 0);
+        prop_assert_eq!(r.traces.comm().total_messages(), 0);
         for clock in r.outputs {
             prop_assert_eq!(clock, 0.0);
         }

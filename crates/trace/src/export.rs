@@ -16,7 +16,11 @@
 use std::collections::BTreeSet;
 
 use crate::json::JsonWriter;
-use crate::{ByteCategory, CellStats, SpanCategory, Trace};
+use crate::{CellStats, SpanCategory, Trace, COMM_KINDS};
+
+/// The JSON key of each [`crate::CommKind`], in [`COMM_KINDS`] order
+/// (sync traffic is the export's `collective`).
+const KIND_KEYS: [&str; 3] = ["update", "dependency", "collective"];
 
 /// Chrome track id for one (machine, executor lane) pair. Lane 0 keeps
 /// the machine rank as its tid (the main per-machine track); other lanes
@@ -112,7 +116,10 @@ impl Trace {
         let machines: Vec<CellStats> = self
             .nodes
             .iter()
-            .map(|node| sum_cells(node.cells.values()))
+            .map(|node| CellStats {
+                comm: node.comm(),
+                ..sum_cells(node.cells.values())
+            })
             .collect();
         let total = sum_cells(&machines);
         let max_wall = self.nodes.iter().map(|n| n.wall_secs).fold(0.0, f64::max);
@@ -122,18 +129,19 @@ impl Trace {
         w.key("virtual_time").f64(virtual_time);
         w.key("max_wall_secs").f64(max_wall);
         w.key("compute_cpu").f64(total.compute_cpu);
-        w.key("retransmits").u64(total.retransmits);
-        w.key("dup_drops").u64(total.dup_drops);
+        let comm = total.comm;
+        w.key("retransmits").u64(comm.reliable().retransmits);
+        w.key("dup_drops").u64(comm.reliable().dup_drops);
         write_time_and_bytes(&mut w, &total);
         w.key("messages").begin_object();
-        for cat in ByteCategory::ALL {
-            w.key(cat.name()).u64(total.messages(cat));
+        for (kind, name) in COMM_KINDS.into_iter().zip(KIND_KEYS) {
+            w.key(name).u64(comm.messages(kind));
         }
         w.end_object();
         w.key("wire_format_bytes").begin_object();
         for (name, bytes) in ["flat", "dense", "sparse"]
             .into_iter()
-            .zip(total.wire_format_bytes)
+            .zip(comm.format_bytes())
         {
             w.key(name).u64(bytes);
         }
@@ -147,9 +155,10 @@ impl Trace {
             w.key("lanes").u64(m.lanes as u64);
             w.key("wall_secs").f64(node.wall_secs);
             w.key("comm_wall_secs").f64(node.comm_wall_secs);
-            w.key("retransmits").u64(m.retransmits);
-            w.key("retransmit_bytes").u64(m.retransmit_bytes);
-            w.key("dup_drops").u64(m.dup_drops);
+            let reliable = m.comm.reliable();
+            w.key("retransmits").u64(reliable.retransmits);
+            w.key("retransmit_bytes").u64(reliable.retransmit_bytes);
+            w.key("dup_drops").u64(reliable.dup_drops);
             w.key("retransmit_peers").begin_object();
             for (peer, copies) in &node.retransmit_peers {
                 w.key(&peer.to_string()).u64(*copies);
@@ -194,15 +203,15 @@ fn write_time_and_bytes(w: &mut JsonWriter, cell: &CellStats) {
     }
     w.end_object();
     w.key("bytes").begin_object();
-    for cat in ByteCategory::ALL {
-        w.key(cat.name()).u64(cell.bytes(cat));
+    for (kind, name) in COMM_KINDS.into_iter().zip(KIND_KEYS) {
+        w.key(name).u64(cell.comm.bytes(kind));
     }
     w.end_object();
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{ByteCategory, SpanCategory, Trace, TraceLevel, TraceRecorder};
+    use crate::{CommKind, SpanCategory, Trace, TraceLevel, TraceRecorder};
 
     #[test]
     fn export_contains_tracks_and_spans() {
@@ -260,13 +269,14 @@ mod tests {
         let mut a = TraceRecorder::new(0, TraceLevel::Metrics);
         a.set_scope(0, 0, 0);
         a.record_span(SpanCategory::Compute, 0.0, 2.0);
-        a.record_bytes(ByteCategory::Update, 100, 2);
+        a.record_message(CommKind::Update, 40);
+        a.record_message(CommKind::Update, 60);
         a.set_scope(1, 0, 0);
         a.record_lanes(SpanCategory::Compute, 2.0, &[3.0, 1.0]);
         let mut b = TraceRecorder::new(1, TraceLevel::Metrics);
         b.set_scope(0, 0, 0);
         b.record_span(SpanCategory::Retry, 0.0, 0.5);
-        b.record_bytes(ByteCategory::Update, 60, 1);
+        b.record_message(CommKind::Update, 60);
         b.record_retransmits(0, 2, 16);
         b.record_dup_drop();
         let (a, mut b) = (a.finish(), b.finish());

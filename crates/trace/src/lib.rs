@@ -4,39 +4,46 @@
 //! clock* for every modelled action — edge processing, message
 //! serialization, transfer waits, collectives. This crate gives every one
 //! of those clock advances a name. Each machine owns a [`TraceRecorder`];
-//! the engine attributes time to a [`SpanCategory`] and bytes to a
-//! [`ByteCategory`], keyed by the current [`Scope`] (iteration, circulant
-//! step, buffer group). The per-machine results combine into a [`Trace`],
+//! the engine attributes time to a [`SpanCategory`] and messages to a
+//! [`CommKind`], keyed by the current [`Scope`] (iteration, circulant
+//! step, buffer group). The recorder is the one place a communication
+//! event is counted: [`CommStats`] is the per-machine total of its
+//! ledger, and the cells are that total split by scope. The per-machine
+//! results combine into a [`Trace`],
 //! which exports to the `chrome://tracing` JSON format ([`Trace::to_chrome_json`],
 //! virtual time on the x-axis, one track per machine) and totals its
 //! counters per machine and per run ([`NodeTrace`], [`Trace`], and their
 //! JSON dump [`Trace::to_metrics_json`]).
 //!
-//! Recording is always available and cheap: at [`TraceLevel::Metrics`]
-//! (the default) only O(categories × cells) counters are touched; spans
+//! Recording is always available and cheap: at [`TraceLevel::Off`] only
+//! the communication totals are kept, at [`TraceLevel::Metrics`] (the
+//! default) O(categories × cells) counters are touched too, and spans
 //! are materialised only at [`TraceLevel::Full`].
 //!
 //! # Example
 //!
 //! ```
-//! use symple_trace::{ByteCategory, SpanCategory, Trace, TraceLevel, TraceRecorder};
+//! use symple_trace::{CommKind, SpanCategory, Trace, TraceLevel, TraceRecorder};
 //!
 //! let mut rec = TraceRecorder::new(0, TraceLevel::Full);
 //! rec.set_scope(0, 1, 0); // iteration 0, circulant step 1, group 0
 //! rec.record_span(SpanCategory::Compute, 0.0, 2.5e-3);
-//! rec.record_bytes(ByteCategory::Update, 128, 1);
+//! rec.record_message(CommKind::Update, 128);
 //! let trace = Trace::new(vec![rec.finish()]);
 //! assert_eq!(trace.nodes[0].time(SpanCategory::Compute), 2.5e-3);
+//! assert_eq!(trace.comm().bytes(CommKind::Update), 128);
 //! assert!(trace.to_chrome_json().contains("\"ph\":\"X\""));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod comm;
 mod export;
 pub mod json;
 mod recorder;
 
+pub use comm::{CommKind, CommStats, ReliableStats, COMM_KINDS};
 pub use recorder::{CellKey, CellStats, NodeTrace, Scope, Span, Trace, TraceRecorder};
 
 /// How much the engine records.
@@ -45,10 +52,11 @@ pub use recorder::{CellKey, CellStats, NodeTrace, Scope, Span, Trace, TraceRecor
 /// recorded at the levels above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
-    /// Record nothing beyond what the engine's own stats already count.
+    /// Keep only each machine's communication totals ([`CommStats`]):
+    /// no cells and no spans.
     Off,
-    /// Accumulate categorized time and byte counters per
-    /// (iteration, step, group) cell. Cheap; the default.
+    /// Additionally accumulate categorized time and communication
+    /// counters per (iteration, step, group) cell. Cheap; the default.
     #[default]
     Metrics,
     /// Additionally materialise every interval as a [`Span`] for the
@@ -155,51 +163,6 @@ impl SpanCategory {
 }
 
 impl std::fmt::Display for SpanCategory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// What kind of payload a counted byte belonged to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ByteCategory {
-    /// Vertex-update payloads (the bulk data of pull/push).
-    Update,
-    /// Dependency messages of the circulant schedule.
-    Dependency,
-    /// Collective traffic: barriers, allgathers, allreduces, owner-wins
-    /// syncs.
-    Collective,
-}
-
-impl ByteCategory {
-    /// All categories, in display order.
-    pub const ALL: [ByteCategory; 3] = [
-        ByteCategory::Update,
-        ByteCategory::Dependency,
-        ByteCategory::Collective,
-    ];
-
-    /// Dense index into per-category arrays.
-    pub fn index(self) -> usize {
-        match self {
-            ByteCategory::Update => 0,
-            ByteCategory::Dependency => 1,
-            ByteCategory::Collective => 2,
-        }
-    }
-
-    /// Stable lower-case name (used in exports).
-    pub fn name(self) -> &'static str {
-        match self {
-            ByteCategory::Update => "update",
-            ByteCategory::Dependency => "dependency",
-            ByteCategory::Collective => "collective",
-        }
-    }
-}
-
-impl std::fmt::Display for ByteCategory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }

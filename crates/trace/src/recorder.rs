@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{ByteCategory, SpanCategory, TraceLevel};
+use crate::{CommKind, CommStats, SpanCategory, TraceLevel};
 
 /// The engine context a recorded event is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -26,10 +26,9 @@ pub struct CellStats {
     /// (critical-path) time: with a multi-threaded executor it is the
     /// longest per-thread lane, not the sum.
     pub time: [f64; 9],
-    /// Bytes per [`ByteCategory`] (indexed by [`ByteCategory::index`]).
-    pub bytes: [u64; 3],
-    /// Messages per [`ByteCategory`].
-    pub messages: [u64; 3],
+    /// The cell's share of its machine's communication ledger: the same
+    /// events [`NodeTrace::comm`] totals, filed under this cell's scope.
+    pub comm: CommStats,
     /// Total busy compute seconds summed over executor threads
     /// (core-seconds). Equals the charged compute time when everything ran
     /// on one lane; the ratio `compute_cpu / (lanes × charged)` is the
@@ -39,21 +38,6 @@ pub struct CellStats {
     /// Largest number of executor lanes that contributed compute time to
     /// this cell (1 for purely sequential execution, 0 if no compute).
     pub lanes: u32,
-    /// Encoded bytes per wire format chosen by the adaptive codec
-    /// (flat / dense / sparse, in tag order). Complements `bytes`: that
-    /// array answers *what* was shipped, this one *how* it was encoded.
-    pub wire_format_bytes: [u64; 3],
-    /// Copies retransmitted by the reliable-delivery layer from this cell
-    /// (ack timer expired under an injected fault plan). Retransmitted
-    /// traffic is *not* folded into `bytes`/`messages` — those stay
-    /// bit-identical to the fault-free run; this counter is the overlay.
-    pub retransmits: u64,
-    /// Payload bytes carried by those retransmitted copies.
-    pub retransmit_bytes: u64,
-    /// Duplicate copies the fault plan injected into this machine's sends
-    /// in this cell; each is later discarded by the receiver's
-    /// sequence-number filter, but counted here, on the sender.
-    pub dup_drops: u64,
 }
 
 impl CellStats {
@@ -62,30 +46,13 @@ impl CellStats {
         self.time[cat.index()]
     }
 
-    /// Bytes attributed to `cat` in this cell.
-    pub fn bytes(&self, cat: ByteCategory) -> u64 {
-        self.bytes[cat.index()]
-    }
-
-    /// Messages attributed to `cat` in this cell.
-    pub fn messages(&self, cat: ByteCategory) -> u64 {
-        self.messages[cat.index()]
-    }
-
     pub(crate) fn absorb(&mut self, other: &CellStats) {
         for i in 0..9 {
             self.time[i] += other.time[i];
         }
-        for i in 0..3 {
-            self.bytes[i] += other.bytes[i];
-            self.messages[i] += other.messages[i];
-            self.wire_format_bytes[i] += other.wire_format_bytes[i];
-        }
+        self.comm += other.comm;
         self.compute_cpu += other.compute_cpu;
         self.lanes = self.lanes.max(other.lanes);
-        self.retransmits += other.retransmits;
-        self.retransmit_bytes += other.retransmit_bytes;
-        self.dup_drops += other.dup_drops;
     }
 }
 
@@ -117,6 +84,12 @@ impl Span {
 /// The engine sets the attribution [`Scope`] as it enters each
 /// (iteration, step, group) and then reports clock advances and byte
 /// movements; the recorder files them under the current scope.
+///
+/// It is also the one place a communication event is counted: each
+/// `record_*` call for one adds it to the machine's [`CommStats`] total
+/// (kept at every level, [`TraceLevel::Off`] included) and, at
+/// [`TraceLevel::Metrics`] and above, to the current cell, so the cells
+/// sum to the total by construction.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     machine: usize,
@@ -125,6 +98,7 @@ pub struct TraceRecorder {
     spans: Vec<Span>,
     cells: BTreeMap<CellKey, CellStats>,
     retransmit_peers: BTreeMap<usize, u64>,
+    comm: CommStats,
 }
 
 impl TraceRecorder {
@@ -137,6 +111,7 @@ impl TraceRecorder {
             spans: Vec::new(),
             cells: BTreeMap::new(),
             retransmit_peers: BTreeMap::new(),
+            comm: CommStats::default(),
         }
     }
 
@@ -211,53 +186,70 @@ impl TraceRecorder {
         charged
     }
 
-    /// Attributes `bytes` over `messages` messages to `category` under
-    /// the current scope.
-    pub fn record_bytes(&mut self, category: ByteCategory, bytes: u64, messages: u64) {
-        if !self.level.metrics() {
-            return;
+    /// Counts one communication event in the machine's total and, at
+    /// metrics levels, in the current cell.
+    fn count(&mut self, event: impl Fn(&mut CommStats)) {
+        event(&mut self.comm);
+        if self.level.metrics() {
+            event(&mut self.cells.entry(self.scope).or_default().comm);
         }
-        let cell = self.cells.entry(self.scope).or_default();
-        cell.bytes[category.index()] += bytes;
-        cell.messages[category.index()] += messages;
     }
 
-    /// Attributes encoded bytes per chosen wire format (flat / dense /
-    /// sparse, in tag order) under the current scope.
+    /// Counts one sent message of `kind` carrying `bytes` payload bytes.
+    pub fn record_message(&mut self, kind: CommKind, bytes: u64) {
+        self.count(|c| {
+            c.bytes[kind.index()] += bytes;
+            c.messages[kind.index()] += 1;
+        });
+    }
+
+    /// Counts encoded bytes per chosen wire format (flat / dense /
+    /// sparse, in tag order).
     pub fn record_wire_formats(&mut self, format_bytes: &[u64; 3]) {
-        if !self.level.metrics() {
-            return;
-        }
-        let cell = self.cells.entry(self.scope).or_default();
-        for (acc, &b) in cell.wire_format_bytes.iter_mut().zip(format_bytes) {
-            *acc += b;
-        }
+        self.count(|c| {
+            for (acc, &b) in c.formats.iter_mut().zip(format_bytes) {
+                *acc += b;
+            }
+        });
     }
 
-    /// Attributes `copies` retransmitted copies of `bytes` payload bytes
-    /// each towards `peer` under the current scope: the sender-side record
-    /// of the reliable-delivery layer resending after an ack timeout.
-    /// Tracked separately from [`TraceRecorder::record_bytes`] so the
-    /// regular byte cells stay bit-identical to the fault-free run.
+    /// Counts `copies` retransmitted copies of `bytes` payload bytes each
+    /// towards `peer`: the sender-side record of the reliable-delivery
+    /// layer resending after an ack timeout. Kept apart from
+    /// [`TraceRecorder::record_message`]'s counters, so those stay
+    /// bit-identical to the fault-free run. At metrics levels the copies
+    /// are also tallied per peer.
     pub fn record_retransmits(&mut self, peer: usize, copies: u64, bytes: u64) {
-        if !self.level.metrics() || copies == 0 {
+        if copies == 0 {
             return;
         }
-        let cell = self.cells.entry(self.scope).or_default();
-        cell.retransmits += copies;
-        cell.retransmit_bytes += copies * bytes;
-        *self.retransmit_peers.entry(peer).or_default() += copies;
+        self.count(|c| {
+            c.reliable.retransmits += copies;
+            c.reliable.retransmit_bytes += copies * bytes;
+        });
+        if self.level.metrics() {
+            *self.retransmit_peers.entry(peer).or_default() += copies;
+        }
     }
 
-    /// Records one duplicate copy the fault plan injected into a send under
-    /// the current scope. The sender counts it at injection, a pure
-    /// function of the plan; whether the receiver ever drains the copy to
-    /// discard it depends on host timing.
-    pub fn record_dup_drop(&mut self) {
-        if !self.level.metrics() {
-            return;
+    /// Counts `timeouts` expired retransmission timers.
+    pub fn record_timeouts(&mut self, timeouts: u64) {
+        if timeouts > 0 {
+            self.count(|c| c.reliable.timeouts += timeouts);
         }
-        self.cells.entry(self.scope).or_default().dup_drops += 1;
+    }
+
+    /// Counts one duplicate copy the fault plan injected into a send. The
+    /// sender counts it at injection, a pure function of the plan;
+    /// whether the receiver ever drains the copy to discard it depends on
+    /// host timing.
+    pub fn record_dup_drop(&mut self) {
+        self.count(|c| c.reliable.dup_drops += 1);
+    }
+
+    /// Counts one message the receiver accepted and acknowledged.
+    pub fn record_ack(&mut self) {
+        self.count(|c| c.reliable.acks += 1);
     }
 
     /// Finalises recording into an immutable per-machine trace. Measured
@@ -272,6 +264,7 @@ impl TraceRecorder {
             retransmit_peers: self.retransmit_peers,
             wall_secs: 0.0,
             comm_wall_secs: 0.0,
+            comm: self.comm,
         }
     }
 }
@@ -297,6 +290,7 @@ pub struct NodeTrace {
     /// transport operations — the real counterpart of the modelled
     /// wait-category virtual time.
     pub comm_wall_secs: f64,
+    comm: CommStats,
 }
 
 impl NodeTrace {
@@ -305,14 +299,10 @@ impl NodeTrace {
         self.cells.values().map(|c| c.time(cat)).sum()
     }
 
-    /// Total bytes attributed to `cat` across all cells.
-    pub fn bytes(&self, cat: ByteCategory) -> u64 {
-        self.cells.values().map(|c| c.bytes(cat)).sum()
-    }
-
-    /// Total messages attributed to `cat` across all cells.
-    pub fn messages(&self, cat: ByteCategory) -> u64 {
-        self.cells.values().map(|c| c.messages(cat)).sum()
+    /// Everything this machine sent, at every trace level: the total its
+    /// cells (at [`TraceLevel::Metrics`] and above) sum to.
+    pub fn comm(&self) -> CommStats {
+        self.comm
     }
 
     /// Total busy compute core-seconds across executor lanes. Equals
@@ -325,23 +315,6 @@ impl NodeTrace {
     /// The widest executor fan-out observed in any cell on this machine.
     pub fn max_lanes(&self) -> u32 {
         self.cells.values().map(|c| c.lanes).max().unwrap_or(0)
-    }
-
-    /// Encoded bytes attributed to wire format index `fmt` (tag order:
-    /// flat, dense, sparse) across all cells.
-    pub fn wire_format_bytes(&self, fmt: usize) -> u64 {
-        self.cells.values().map(|c| c.wire_format_bytes[fmt]).sum()
-    }
-
-    /// Total retransmitted copies this machine sent across all cells.
-    pub fn retransmits(&self) -> u64 {
-        self.cells.values().map(|c| c.retransmits).sum()
-    }
-
-    /// Total duplicate copies injected into this machine's sends across
-    /// all cells.
-    pub fn dup_drops(&self) -> u64 {
-        self.cells.values().map(|c| c.dup_drops).sum()
     }
 }
 
@@ -359,14 +332,13 @@ impl Trace {
         Trace { nodes }
     }
 
-    /// Total bytes attributed to `cat` across all machines.
-    pub fn bytes(&self, cat: ByteCategory) -> u64 {
-        self.nodes.iter().map(|n| n.bytes(cat)).sum()
-    }
-
-    /// Total messages attributed to `cat` across all machines.
-    pub fn messages(&self, cat: ByteCategory) -> u64 {
-        self.nodes.iter().map(|n| n.messages(cat)).sum()
+    /// The run's communication: every machine's [`NodeTrace::comm`]
+    /// summed.
+    pub fn comm(&self) -> CommStats {
+        self.nodes
+            .iter()
+            .map(NodeTrace::comm)
+            .fold(CommStats::default(), |a, b| a + b)
     }
 
     /// Total virtual seconds attributed to `cat`, summed over machines.
@@ -377,17 +349,6 @@ impl Trace {
     /// Total busy compute core-seconds summed over machines and lanes.
     pub fn compute_cpu(&self) -> f64 {
         self.nodes.iter().map(|n| n.compute_cpu()).sum()
-    }
-
-    /// Total retransmitted copies across all machines (the
-    /// reliable-delivery overlay; zero for fault-free runs).
-    pub fn retransmits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.retransmits()).sum()
-    }
-
-    /// Total duplicate copies the fault plan injected across all machines.
-    pub fn dup_drops(&self) -> u64 {
-        self.nodes.iter().map(|n| n.dup_drops()).sum()
     }
 
     /// Cell totals merged across machines (keyed by iteration/step/group).
@@ -411,17 +372,21 @@ mod tests {
         let mut rec = TraceRecorder::new(2, TraceLevel::Metrics);
         rec.set_scope(0, 0, 0);
         rec.record_span(SpanCategory::Compute, 0.0, 1.0);
-        rec.record_bytes(ByteCategory::Update, 100, 2);
+        rec.record_message(CommKind::Update, 60);
+        rec.record_message(CommKind::Update, 40);
         rec.set_scope(0, 1, 0);
         rec.record_span(SpanCategory::DepWait, 1.0, 1.5);
-        rec.record_bytes(ByteCategory::Dependency, 8, 1);
+        rec.record_message(CommKind::Dependency, 8);
         let node = rec.finish();
         assert_eq!(node.machine, 2);
         assert_eq!(node.cells.len(), 2);
         assert_eq!(node.time(SpanCategory::Compute), 1.0);
         assert_eq!(node.time(SpanCategory::DepWait), 0.5);
-        assert_eq!(node.bytes(ByteCategory::Update), 100);
-        assert_eq!(node.messages(ByteCategory::Dependency), 1);
+        assert_eq!(node.comm().bytes(CommKind::Update), 100);
+        assert_eq!(node.comm().messages(CommKind::Update), 2);
+        let second = node.cells.values().nth(1).unwrap();
+        assert_eq!(second.comm.messages(CommKind::Dependency), 1);
+        assert_eq!(second.comm.total_bytes(), 8);
         // Metrics level materialises no spans.
         assert!(node.spans.is_empty());
     }
@@ -444,9 +409,11 @@ mod tests {
     fn off_level_records_nothing() {
         let mut rec = TraceRecorder::new(0, TraceLevel::Off);
         rec.record_span(SpanCategory::Compute, 0.0, 1.0);
-        rec.record_bytes(ByteCategory::Update, 10, 1);
+        rec.record_message(CommKind::Update, 10);
         let node = rec.finish();
         assert!(node.cells.is_empty() && node.spans.is_empty());
+        // Nothing but the communication total, which every level keeps.
+        assert_eq!(node.comm().bytes(CommKind::Update), 10);
     }
 
     #[test]
@@ -501,62 +468,103 @@ mod tests {
         rec.set_scope(0, 1, 0);
         rec.record_wire_formats(&[0, 20, 0]);
         let node = rec.finish();
-        assert_eq!(node.wire_format_bytes(0), 10);
-        assert_eq!(node.wire_format_bytes(1), 20);
-        assert_eq!(node.wire_format_bytes(2), 3);
-
-        let mut off = TraceRecorder::new(0, TraceLevel::Off);
-        off.record_wire_formats(&[1, 1, 1]);
-        assert!(off.finish().cells.is_empty());
+        assert_eq!(node.comm().format_bytes(), [10, 20, 3]);
+        let cells: Vec<_> = node.cells.values().map(|c| c.comm.format_bytes()).collect();
+        assert_eq!(cells, [[10, 0, 3], [0, 20, 0]]);
     }
 
     #[test]
     fn retransmit_overlay_accumulates_without_touching_byte_cells() {
         let mut rec = TraceRecorder::new(0, TraceLevel::Metrics);
         rec.set_scope(0, 0, 0);
-        rec.record_bytes(ByteCategory::Update, 100, 1);
+        rec.record_message(CommKind::Update, 100);
         rec.record_retransmits(2, 3, 40);
         rec.record_retransmits(1, 1, 40);
         rec.record_dup_drop();
         rec.set_scope(0, 1, 0);
         rec.record_retransmits(2, 1, 8);
         let node = rec.finish();
-        assert_eq!(node.retransmits(), 5);
-        assert_eq!(node.dup_drops(), 1);
+        assert_eq!(node.comm().reliable().retransmits, 5);
+        assert_eq!(node.comm().reliable().dup_drops, 1);
         assert_eq!(node.retransmit_peers.get(&2), Some(&4));
         assert_eq!(node.retransmit_peers.get(&1), Some(&1));
         // The regular byte cells are untouched by the overlay.
-        assert_eq!(node.bytes(ByteCategory::Update), 100);
-        assert_eq!(node.messages(ByteCategory::Update), 1);
+        assert_eq!(node.comm().bytes(CommKind::Update), 100);
+        assert_eq!(node.comm().messages(CommKind::Update), 1);
         let cell = node.cells.values().next().unwrap();
-        assert_eq!(cell.retransmit_bytes, 3 * 40 + 40);
-        // Zero-copy records and the Off level are no-ops.
-        let mut off = TraceRecorder::new(0, TraceLevel::Off);
-        off.record_retransmits(1, 2, 10);
-        off.record_dup_drop();
-        assert!(off.finish().cells.is_empty());
+        assert_eq!(cell.comm.reliable().retransmit_bytes, 3 * 40 + 40);
+        // Zero-copy records are no-ops.
         let mut none = TraceRecorder::new(0, TraceLevel::Metrics);
         none.record_retransmits(1, 0, 10);
-        assert!(none.finish().cells.is_empty());
+        none.record_timeouts(0);
+        let none = none.finish();
+        assert!(none.cells.is_empty() && none.retransmit_peers.is_empty());
+        assert_eq!(none.comm(), CommStats::default());
     }
 
     #[test]
     fn trace_aggregates_and_merges() {
         let mut a = TraceRecorder::new(0, TraceLevel::Metrics);
         a.set_scope(0, 0, 0);
-        a.record_bytes(ByteCategory::Collective, 16, 2);
+        a.record_message(CommKind::Sync, 16);
         let mut b = TraceRecorder::new(1, TraceLevel::Metrics);
         b.set_scope(0, 0, 0);
-        b.record_bytes(ByteCategory::Collective, 24, 3);
+        b.record_message(CommKind::Sync, 24);
         b.record_span(SpanCategory::Collective, 0.0, 0.5);
         let trace = Trace::new(vec![b.finish(), a.finish()]);
         assert_eq!(trace.nodes[0].machine, 0);
-        assert_eq!(trace.bytes(ByteCategory::Collective), 40);
-        assert_eq!(trace.messages(ByteCategory::Collective), 5);
+        assert_eq!(trace.comm().bytes(CommKind::Sync), 40);
+        assert_eq!(trace.comm().messages(CommKind::Sync), 2);
         let merged = trace.merged_cells();
         assert_eq!(merged.len(), 1);
         let cell = merged.values().next().unwrap();
-        assert_eq!(cell.bytes(ByteCategory::Collective), 40);
+        assert_eq!(cell.comm, trace.comm());
         assert_eq!(cell.time(SpanCategory::Collective), 0.5);
+    }
+
+    /// The ledger pin: one event stream, fed to recorders at every level,
+    /// gives one total, and at the levels that keep cells the cells sum
+    /// to it. A record method that counted an event only in the cell, or
+    /// only in the total, or only at some levels, fails here.
+    #[test]
+    fn one_event_stream_is_one_ledger_at_every_level() {
+        let feed = |level| {
+            let mut rec = TraceRecorder::new(0, level);
+            for (step, kind) in crate::COMM_KINDS.into_iter().enumerate() {
+                rec.set_scope(1, step as u32, 0);
+                rec.record_message(kind, 10 + step as u64);
+                rec.record_wire_formats(&[1, 2, step as u64]);
+                rec.record_retransmits(step, 2, 5);
+                rec.record_timeouts(3);
+                rec.record_dup_drop();
+                rec.record_ack();
+            }
+            rec.finish()
+        };
+        let [off, metrics, full] =
+            [TraceLevel::Off, TraceLevel::Metrics, TraceLevel::Full].map(feed);
+        let total = off.comm();
+        let rel = total.reliable();
+        assert_eq!(
+            [
+                total.total_bytes(),
+                total.total_messages(),
+                rel.retransmits,
+                rel.retransmit_bytes
+            ],
+            [33, 3, 6, 30]
+        );
+        assert_eq!([rel.timeouts, rel.dup_drops, rel.acks], [9, 3, 3]);
+        assert_eq!(total.format_bytes(), [3, 6, 3]);
+        assert!(off.cells.is_empty());
+        for node in [metrics, full] {
+            assert_eq!(node.comm(), total);
+            let cells = node
+                .cells
+                .values()
+                .fold(CommStats::default(), |a, c| a + c.comm);
+            assert_eq!(cells, total, "the cells sum to the total");
+            assert_eq!(node.cells.len(), 3);
+        }
     }
 }

@@ -106,12 +106,22 @@ impl<'a> Lexer<'a> {
         }
         let c = rest.chars().next().unwrap();
         if c.is_ascii_digit() {
-            let end = rest
+            let digits = |s: &str| s.find(|ch: char| !ch.is_ascii_digit()).unwrap_or(s.len());
+            let mut end = rest
                 .find(|ch: char| !ch.is_ascii_digit() && ch != '.')
                 .unwrap_or(rest.len());
+            // An exponent part (`e`, an optional sign, digits) makes a
+            // float literal: `1e300`, `2.5E-3`, `1e999` (infinity).
+            if let Some(exp) = rest[end..].strip_prefix(['e', 'E']) {
+                let sign = usize::from(exp.starts_with(['+', '-']));
+                let n = digits(&exp[sign..]);
+                if n > 0 {
+                    end += 1 + sign + n;
+                }
+            }
             let text = &rest[..end];
             self.pos += end;
-            if text.contains('.') {
+            if text.contains(['.', 'e', 'E']) {
                 return text
                     .parse::<f64>()
                     .map(|f| Some(Tok::Float(f)))
@@ -606,6 +616,18 @@ mod tests {
     fn negative_literals_fold() {
         let udf = parse_udf("def t(Vertex v, Array[Vertex] nbrs) -> int { emit(v, -4); }").unwrap();
         assert_eq!(udf.body[0], Stmt::Emit(Expr::i(-4)));
+    }
+
+    #[test]
+    fn exponent_literals_parse_and_i64_min_prints_as_a_difference() {
+        let src = "def t(Vertex v, Array[Vertex] nbrs) -> float { emit(v, 2.5E-3 + -1e999); }";
+        let sum = Expr::f(2.5e-3).add(Expr::f(f64::NEG_INFINITY));
+        assert_eq!(parse_udf(src).unwrap().body, [Stmt::Emit(sum)]);
+        // `i64::MIN`'s magnitude is no int literal: it prints as a
+        // difference that evaluates to it without overflowing.
+        let udf = UdfFn::new("t", Ty::Int, vec![Stmt::Emit(Expr::i(i64::MIN))]);
+        let diff = Expr::i(i64::MIN + 1).bin(BinOp::Sub, Expr::i(1));
+        assert_eq!(parse_udf(&pretty(&udf)).unwrap().body, [Stmt::Emit(diff)]);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! figures, including the instrumentation primitives of Figure 5.
 
 use crate::ast::{BinOp, Expr, Stmt, UdfFn, UnOp};
+use crate::types::Value;
 
 /// Renders `udf` as indented pseudo-code.
 ///
@@ -80,9 +81,15 @@ fn print_stmt(s: &Stmt, depth: usize, out: &mut String) {
 
 fn expr(e: &Expr) -> String {
     match e {
-        // floats print with `{:?}` so `0.0` keeps its decimal point and
-        // the parser reads the same type back
-        Expr::Lit(crate::types::Value::Float(x)) => format!("{x:?}"),
+        // Literals print as text the parser reads back to the same value:
+        // floats with `{:?}`, so `0.0` keeps its decimal point and `1e300`
+        // its exponent; ±inf as an exponent that overflows to it; and
+        // `i64::MIN`, whose magnitude is no int literal, as a difference.
+        Expr::Lit(Value::Float(x)) if x.is_infinite() => {
+            if *x > 0.0 { "1e999" } else { "-1e999" }.to_string()
+        }
+        Expr::Lit(Value::Float(x)) => format!("{x:?}"),
+        Expr::Lit(Value::Int(i64::MIN)) => format!("({} - 1)", i64::MIN + 1),
         Expr::Lit(v) => v.to_string(),
         Expr::Local(n) => n.clone(),
         Expr::Prop { array, index } => format!("{array}[{}]", expr(index)),

@@ -1,12 +1,14 @@
 //! Property: `parse(pretty(udf)) == udf` for arbitrary well-formed ASTs.
 //! This pins the printer and parser to each other, so UDFs can live as
-//! source text without drift.
+//! source text without drift. And UDF source is a byte-level entry point:
+//! damaged text is an error, never a panic.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use symple_udf::ast::{BinOp, Expr, Stmt, UdfFn, UnOp};
 use symple_udf::parser::parse_udf;
-use symple_udf::pretty;
 use symple_udf::types::{Ty, Value};
+use symple_udf::{check_all, paper_udfs, pretty};
 
 const KEYWORDS: [&str; 23] = [
     "def",
@@ -45,6 +47,8 @@ fn literal() -> impl Strategy<Value = Expr> {
     prop_oneof![
         (0i64..10_000).prop_map(|i| Expr::Lit(Value::Int(i))),
         (0.0f64..1000.0).prop_map(|f| Expr::Lit(Value::Float(f))),
+        // exponent literals and the value that prints as one
+        (0usize..3).prop_map(|i| Expr::Lit(Value::Float([1e300, f64::MAX, f64::INFINITY][i]))),
         any::<bool>().prop_map(|b| Expr::Lit(Value::Bool(b))),
         (0u32..1000).prop_map(|r| Expr::Lit(Value::Vertex(symple_graph::Vid::new(r)))),
     ]
@@ -135,5 +139,57 @@ proptest! {
         let parsed = parse_udf(&text)
             .unwrap_or_else(|e| panic!("parse failed: {e}\n{text}"));
         prop_assert_eq!(parsed, udf, "roundtrip mismatch for:\n{}", text);
+    }
+}
+
+/// Every strict prefix and every single-bit flip of each paper UDF's
+/// pretty text (read as UTF-8, lossily) parses or fails to, and what
+/// parses is checked against the kernels' property schema — neither step
+/// may panic.
+#[test]
+fn truncated_and_flipped_paper_udfs_never_panic() {
+    let schema: BTreeMap<String, Ty> = [
+        (
+            Ty::Bool,
+            &["frontier", "active", "assigned", "reached", "changed"][..],
+        ),
+        (
+            Ty::Int,
+            &["color", "cluster", "dist", "w", "label", "contrib"],
+        ),
+        (Ty::Float, &["weight", "r"]),
+    ]
+    .into_iter()
+    .flat_map(|(ty, names)| names.iter().map(move |p| (p.to_string(), ty)))
+    .collect();
+    let udfs = [
+        paper_udfs::bfs_udf(),
+        paper_udfs::mis_udf(),
+        paper_udfs::kcore_udf(4),
+        paper_udfs::kmeans_udf(),
+        paper_udfs::sampling_udf(),
+        paper_udfs::sssp_udf(),
+        paper_udfs::cc_udf(),
+        paper_udfs::pagerank_udf(),
+    ];
+    for udf in &udfs {
+        let clean = check_all(&parse_udf(&pretty(udf)).unwrap(), &schema);
+        assert!(clean.is_empty(), "{}: {clean:?}", udf.name);
+        let text = pretty(udf).into_bytes();
+        let prefixes = (0..text.len()).map(|end| text[..end].to_vec());
+        let flips = (0..text.len() * 8).map(|bit| {
+            let mut damaged = text.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            damaged
+        });
+        for bytes in prefixes.chain(flips) {
+            let src = String::from_utf8_lossy(&bytes);
+            let outcome = std::panic::catch_unwind(|| {
+                if let Ok(parsed) = parse_udf(&src) {
+                    check_all(&parsed, &schema);
+                }
+            });
+            assert!(outcome.is_ok(), "panicked on:\n{src}");
+        }
     }
 }

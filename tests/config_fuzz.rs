@@ -10,9 +10,13 @@
 //! (`Backend::Sim`) and the bounded, backpressured one
 //! (`Backend::Thread`). That class is exact — outputs, `WorkStats`,
 //! `CommStats`, virtual time, its breakdown and the chrome trace; only
-//! wall clocks may differ. The last four run one paper kernel each on
-//! random graphs, validated against its sequential reference before one
-//! semantics-free axis is flipped.
+//! wall clocks may differ. Four run one paper kernel each on random
+//! graphs, validated against its sequential reference before one
+//! semantics-free axis is flipped. The last five add or remove a random
+//! fault plan: outputs, `WorkStats`, logical `CommStats` and the
+//! trace-cell structure stay identical; the faults fire (`retransmits >
+//! 0`, one timeout per resend) and a replay of the faulted run
+//! reproduces it exactly, reliable overlay and virtual time included.
 
 #[macro_use]
 #[path = "support/fuzz.rs"]
@@ -33,4 +37,9 @@ fuzz_tests! {
     kcore_valid_on_random_graphs: Focus::new(&[Kcore], &Axis::ALL), 4;
     mis_valid_on_random_graphs: Focus::new(&[Mis], &Axis::ALL), 4;
     sampling_valid_on_random_graphs: Focus::new(&[Sampling], &Axis::ALL), 4;
+    bfs_is_fault_invariant_across_threads: Focus::new(&[Bfs], &[Axis::Faults]), 3;
+    kcore_is_fault_invariant_across_threads: Focus::new(&[Kcore], &[Axis::Faults]), 3;
+    mis_is_fault_invariant_across_threads: Focus::new(&[Mis], &[Axis::Faults]), 3;
+    bfs_on_random_graphs_absorbs_random_plans: Focus::new(&[Bfs, PaperUdf], &[Axis::Faults]), 4;
+    faulted_runs_are_reproducible_end_to_end: Focus::new(ALL_JOBS, &[Axis::Faults]), 6;
 }

@@ -22,13 +22,12 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use symple_algos::{self as algos, PagerankOutput};
 use symple_core::{
-    reference_pull, run_spmd, Backend, ByteCategory, DepWidth, EngineConfig, FaultPlan, Policy,
-    RetryConfig, RunStats, SpanCategory, TraceLevel, UdfExec, WireCodec, WireFormat, WorkMetric,
-    WorkStats,
+    reference_pull, run_spmd, Backend, DepWidth, EngineConfig, FaultPlan, Policy, RetryConfig,
+    RunStats, SpanCategory, TraceLevel, UdfExec, WireCodec, WorkMetric, WorkStats,
 };
 use symple_graph::{Bitmap, Graph, GraphBuilder, Rng64, Vid};
 use symple_net::{CommKind, CommStats, CostModel, COMM_KINDS};
-use symple_trace::{CellStats, NodeTrace};
+use symple_trace::NodeTrace;
 use symple_udf::{
     check, instrument, instrument_naive, paper_udfs, pretty, BinOp, Expr, InstrumentedUdf,
     PropArray, PropertyStore, Stmt, Ty, UdfFn, UdfProgram,
@@ -816,12 +815,6 @@ impl Case {
             Axis::ExchangeChunk if faulted => assert_eq!(logical(ca), logical(cb), "frames"),
             Axis::Threads | Axis::ChunkSize | Axis::ExchangeChunk | Axis::Cost => {
                 assert_eq!(ca, cb, "{axis:?}: CommStats");
-                let per_category = |r: &Run| {
-                    let trace = &r.stats.trace;
-                    ByteCategory::ALL.map(|cat| (trace.bytes(cat), trace.messages(cat)))
-                };
-                let (pa, pb) = (per_category(a), per_category(&b));
-                assert_eq!(pa, pb, "{axis:?}: trace bytes per category");
                 // At one thread a finer framing never lengthens the
                 // timeline, nor the stall for update frames.
                 if axis == Axis::ExchangeChunk && self.cfg.threads == 1 {
@@ -922,8 +915,7 @@ impl Case {
 /// and the wire-format histogram.
 fn logical(c: &CommStats) -> Vec<u64> {
     let per_kind = COMM_KINDS.iter().flat_map(|&k| [c.bytes(k), c.messages(k)]);
-    let formats = WireFormat::ALL.iter().map(|&f| c.format_bytes(f));
-    per_kind.chain(formats).collect()
+    per_kind.chain(c.format_bytes()).collect()
 }
 
 /// Identical (machine, iteration, step, group) cells carrying identical
@@ -933,7 +925,6 @@ fn logical(c: &CommStats) -> Vec<u64> {
 fn assert_cells_eq(a: &RunStats, b: &RunStats) {
     assert_eq!(a.trace.nodes.len(), b.trace.nodes.len(), "faults: machines");
     let cpu = |n: &NodeTrace| [n.time(Compute), n.time(Serialize), n.compute_cpu()];
-    let cell = |c: &CellStats| ByteCategory::ALL.map(|cat| (c.bytes(cat), c.messages(cat)));
     for (na, nb) in a.trace.nodes.iter().zip(&b.trace.nodes) {
         let m = na.machine;
         assert_eq!(na.max_lanes(), nb.max_lanes(), "faults: m{m} lanes");
@@ -943,7 +934,11 @@ fn assert_cells_eq(a: &RunStats, b: &RunStats) {
         }
         assert!(na.cells.keys().eq(nb.cells.keys()), "faults: m{m} cells");
         for ((key, ca), cb) in na.cells.iter().zip(nb.cells.values()) {
-            assert_eq!(cell(ca), cell(cb), "faults: m{m} cell {key:?}");
+            assert_eq!(
+                logical(&ca.comm),
+                logical(&cb.comm),
+                "faults: m{m} cell {key:?}"
+            );
         }
     }
 }
