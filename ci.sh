@@ -63,9 +63,10 @@ step "UDF executor differential tests (release profile)"
 # both profiles: the eight committed listings and the ops-per-edge
 # budgets (typed_bind), and the optimiser's idempotence/range proptest
 # (--lib; debug builds also re-check idempotence inside every bind).
-# So does the seeded config fuzzer (config_fuzz: a fixed budget of 139
-# cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels and 16
-# single-kernel cases, each held to its reference, then one
+# So does the seeded config fuzzer (config_fuzz: a fixed budget of 155
+# cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels, 16
+# single-kernel cases and 16 on the dense path (an f64 fold order,
+# PageRank native and UDF-driven), each held to its reference, then one
 # semantics-free axis flipped, plus 16 that flip the transport between
 # the unbounded and the bounded inbox, 4 of them under a pinned chaos
 # plan, and 19 that add or remove a random fault plan; the budget is set

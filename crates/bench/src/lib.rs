@@ -2,9 +2,13 @@
 //!
 //! * [`datasets`] — the dataset registry: scaled-down R-MAT stand-ins for
 //!   the paper's graphs (Table 1), cached per process.
+//! * [`job`] — the job catalogue: each kernel or UDF pull with its
+//!   parameters resolved, the one dispatcher into `symple_algos` and
+//!   `run_spmd`, the output fingerprint and the reference check. The
+//!   registry, the config fuzzer and the prepared-reuse test all run it.
 //! * [`registry`] — the registry of measured cells: one engine run per
-//!   (workload, dataset, configuration), memoized, behind the crate's one
-//!   dispatcher into `symple_algos`.
+//!   (workload, dataset, configuration), memoized; a workload resolves to
+//!   a [`job::Job`] on its graph.
 //! * [`experiments`] — one view per table/figure over those cells, and
 //!   [`experiments::REPORTS`], the one table of what exists.
 //! * [`matrix`] — the consolidated scenario matrix
@@ -25,6 +29,7 @@
 pub mod datasets;
 pub mod experiments;
 pub mod fmt;
+pub mod job;
 pub mod matrix;
 pub mod registry;
 

@@ -12,11 +12,17 @@
 //! `CommStats`, virtual time, its breakdown and the chrome trace; only
 //! wall clocks may differ. Four run one paper kernel each on random
 //! graphs, validated against its sequential reference before one
-//! semantics-free axis is flipped. The last five add or remove a random
+//! semantics-free axis is flipped. Five add or remove a random
 //! fault plan: outputs, `WorkStats`, logical `CommStats` and the
 //! trace-cell structure stay identical; the faults fire (`retransmits >
 //! 0`, one timeout per resend) and a replay of the faulted run
 //! reproduces it exactly, reliable overlay and virtual time included.
+//!
+//! The last two hold the dense path (folded in from the deleted
+//! `dense_path.rs`): a dependency-free UDF's `f64` partial sums reach
+//! each master in the order Definition 2.3's reference executor applies
+//! them, under every knob; and PageRank, native and driven by the checked
+//! `pagerank_udf` to convergence, equals `pagerank_reference` bit for bit.
 
 #[macro_use]
 #[path = "support/fuzz.rs"]
@@ -42,4 +48,8 @@ fuzz_tests! {
     mis_is_fault_invariant_across_threads: Focus::new(&[Mis], &[Axis::Faults]), 3;
     bfs_on_random_graphs_absorbs_random_plans: Focus::new(&[Bfs, PaperUdf], &[Axis::Faults]), 4;
     faulted_runs_are_reproducible_end_to_end: Focus::new(ALL_JOBS, &[Axis::Faults]), 6;
+    float_partials_fold_in_circulant_order_under_every_knob:
+        Focus::new(&[DenseUdf], &Axis::ALL), 8;
+    pagerank_native_and_udf_match_the_reference:
+        Focus::new(&[Pagerank, RankUdf], &Axis::ALL), 8;
 }

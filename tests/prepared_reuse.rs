@@ -8,12 +8,14 @@
 //! them, under every way the memo could go stale: a different layout on
 //! the same graph, eviction, a new graph at a reused address, concurrent
 //! first use, and the graphs derived by `clone()` and `transpose()`.
+//! Every run is first held to its job's reference (`Job::check`).
 
 use std::sync::{Arc, Barrier};
-use symplegraph::algos::{bfs, kcore, pagerank, validate_bfs};
-use symplegraph::core::{run_spmd, Backend, EngineConfig, Policy, PreparedGraph, RunStats};
+use symple_bench::job::{paper_props, Job, Output, UdfJob};
+use symplegraph::algos::Direction;
+use symplegraph::core::{Backend, EngineConfig, Policy, PreparedGraph, RunStats};
 use symplegraph::graph::{Graph, GraphBuilder, RmatConfig, Vid};
-use symplegraph::udf::{instrument, paper_udfs, PropArray, PropertyStore, UdfProgram};
+use symplegraph::udf::paper_udfs;
 
 fn generate(scale: u32, seed: u64) -> Graph {
     RmatConfig::graph500(scale, 8)
@@ -22,66 +24,31 @@ fn generate(scale: u32, seed: u64) -> Graph {
         .generate()
 }
 
-/// A job's output (rendered, so that all kernels compare alike) and stats.
-type Outcome = (String, RunStats);
-type Job = (&'static str, fn(&Graph, &EngineConfig) -> Outcome);
+const BFS: Job = Job::Bfs(Vid::new(7), Direction::Adaptive);
 
-fn bfs_job(g: &Graph, cfg: &EngineConfig) -> Outcome {
-    let (out, stats) = bfs(g, cfg, Vid::new(7));
-    validate_bfs(g, Vid::new(7), &out);
-    (format!("{out:?}"), stats)
+/// BFS, K-core, PageRank, and one pull of the checked sampling UDF (float
+/// prefix sum carried across machines — the one job whose output depends
+/// on the layout), over `n` vertices.
+fn jobs(n: usize) -> [(&'static str, Job); 4] {
+    let props = paper_props(n);
+    let sampling = UdfJob::new("sampling", paper_udfs::sampling_udf(), false, props);
+    [
+        ("bfs", BFS),
+        ("kcore", Job::Kcore(6)),
+        ("pagerank", Job::Pagerank(1_000, 5)),
+        ("sampling-udf", Job::Udf(Box::new(sampling))),
+    ]
 }
 
-fn kcore_job(g: &Graph, cfg: &EngineConfig) -> Outcome {
-    let (out, stats) = kcore(g, cfg, 6);
-    (format!("{out:?}"), stats)
+/// Runs `job` and holds it to its reference.
+fn run(job: &Job, g: &Graph, cfg: &EngineConfig) -> (Output, RunStats) {
+    let run = job.run(g, cfg);
+    job.check(g, cfg, &run);
+    run
 }
-
-fn pagerank_job(g: &Graph, cfg: &EngineConfig) -> Outcome {
-    let (out, stats) = pagerank(g, cfg, 1_000, 5);
-    (format!("{out:?}"), stats)
-}
-
-/// One pull pass of the checked sampling UDF (float prefix sum carried
-/// across machines — the one kernel whose output depends on the layout).
-fn sampling_udf_job(g: &Graph, cfg: &EngineConfig) -> Outcome {
-    let n = g.num_vertices();
-    let inst = instrument(&paper_udfs::sampling_udf()).expect("the paper UDF instruments");
-    let mut props = PropertyStore::new();
-    props.insert(
-        "weight",
-        PropArray::Floats((0..n).map(|i| (i % 9) as f64 * 0.25).collect()),
-    );
-    props.insert(
-        "r",
-        PropArray::Floats((0..n).map(|i| (i % 13) as f64).collect()),
-    );
-    let res = run_spmd(g, cfg, |w| {
-        let prog = UdfProgram::new(&inst, &props)
-            .exec(cfg.udf_exec)
-            .dep_width(cfg.dep_width);
-        let mut dep = prog.make_dep(w.dep_slots_needed());
-        let mut acc = vec![(0u64, 0u64); n];
-        w.pull(&prog, &mut dep, &mut |v: Vid, bits: u64| {
-            let e = &mut acc[v.index()];
-            e.0 += 1;
-            e.1 = e.1.wrapping_add(bits);
-            false
-        });
-        acc
-    });
-    (format!("{:?}", res.outputs), res.stats)
-}
-
-const JOBS: [Job; 4] = [
-    ("bfs", bfs_job),
-    ("kcore", kcore_job),
-    ("pagerank", pagerank_job),
-    ("sampling-udf", sampling_udf_job),
-];
 
 /// Everything but the wall clocks must match bit for bit.
-fn assert_same(what: &str, warm: &Outcome, cold: &Outcome) {
+fn assert_same(what: &str, warm: &(Output, RunStats), cold: &(Output, RunStats)) {
     assert_eq!(warm.0, cold.0, "{what}: outputs diverged");
     assert_eq!(warm.1.work, cold.1.work, "{what}: work counters diverged");
     assert_eq!(warm.1.comm, cold.1.comm, "{what}: CommStats diverged");
@@ -104,12 +71,12 @@ fn consecutive_jobs_match_cold_graphs() {
         let warm = generate(9, 1);
         let held = PreparedGraph::of(&warm, &cfg);
         for round in 0..2 {
-            for (name, job) in JOBS {
+            for (name, job) in jobs(warm.num_vertices()) {
                 let cold = generate(9, 1);
                 assert_same(
                     &format!("{name}/{backend}/round {round}"),
-                    &job(&warm, &cfg),
-                    &job(&cold, &cfg),
+                    &run(&job, &warm, &cfg),
+                    &run(&job, &cold, &cfg),
                 );
             }
         }
@@ -151,16 +118,17 @@ fn interleaved_layouts_are_never_stale() {
     let n = layouts.len();
     assert!(n > 4, "eviction must be exercised");
     let warm = generate(9, 2);
+    let jobs = jobs(warm.num_vertices());
     // i, a far one, i again: hits, misses and evictions all occur.
     let order = (0..n).flat_map(|i| [i, (i + 5) % n, i]);
     for (visit, at) in order.enumerate() {
         let (label, cfg) = &layouts[at];
-        let (name, job) = JOBS[visit % JOBS.len()];
+        let (name, job) = &jobs[visit % jobs.len()];
         let cold = generate(9, 2);
         assert_same(
             &format!("{name} on layout {label} (visit {visit})"),
-            &job(&warm, cfg),
-            &job(&cold, cfg),
+            &run(job, &warm, cfg),
+            &run(job, &cold, cfg),
         );
         assert!(PreparedGraph::layouts_held(&warm) <= 4);
         assert_eq!(PreparedGraph::layouts_held(&cold), 1);
@@ -179,8 +147,8 @@ fn a_new_graph_at_a_reused_address_starts_empty() {
         let cold = generate(8 + (i % 2) as u32, 100 + i);
         assert_same(
             &format!("graph {i}"),
-            &bfs_job(&g, &cfg),
-            &bfs_job(&cold, &cfg),
+            &run(&BFS, &g, &cfg),
+            &run(&BFS, &cold, &cfg),
         );
         assert_eq!(PreparedGraph::layouts_held(&g), 1);
     }
@@ -190,18 +158,19 @@ fn a_new_graph_at_a_reused_address_starts_empty() {
 fn concurrent_first_jobs_share_one_layout() {
     let cfg = EngineConfig::new(2, Policy::symple());
     let cold = generate(9, 3);
-    let expected = [bfs_job(&cold, &cfg), kcore_job(&cold, &cfg)];
+    let kcore = Job::Kcore(6);
+    let expected = [run(&BFS, &cold, &cfg), run(&kcore, &cold, &cfg)];
     let warm = generate(9, 3);
     let start = Barrier::new(2);
-    let run = |job: fn(&Graph, &EngineConfig) -> Outcome| {
+    let first = |job: &Job| {
         // Both threads reach the empty slot together.
         start.wait();
         let held = PreparedGraph::of(&warm, &cfg);
-        (held, job(&warm, &cfg))
+        (held, run(job, &warm, &cfg))
     };
     let (a, b) = std::thread::scope(|s| {
-        let a = s.spawn(|| run(bfs_job));
-        let b = s.spawn(|| run(kcore_job));
+        let a = s.spawn(|| first(&BFS));
+        let b = s.spawn(|| first(&kcore));
         (
             a.join().expect("bfs thread"),
             b.join().expect("kcore thread"),
@@ -235,12 +204,12 @@ fn clone_and_transpose_start_empty() {
         b.dedup(true).drop_self_loops(true).build()
     };
     let warm = directed();
-    let on_warm = bfs_job(&warm, &cfg);
+    let on_warm = run(&BFS, &warm, &cfg);
     let held = PreparedGraph::of(&warm, &cfg);
 
     let clone = warm.clone();
     assert_eq!(PreparedGraph::layouts_held(&clone), 0);
-    assert_same("clone", &bfs_job(&clone, &cfg), &on_warm);
+    assert_same("clone", &run(&BFS, &clone, &cfg), &on_warm);
     assert_eq!(PreparedGraph::layouts_held(&clone), 1);
     assert!(!Arc::ptr_eq(&held, &PreparedGraph::of(&clone, &cfg)));
 
@@ -249,8 +218,8 @@ fn clone_and_transpose_start_empty() {
     let cold_transposed = directed().transpose();
     assert_same(
         "transpose",
-        &bfs_job(&transposed, &cfg),
-        &bfs_job(&cold_transposed, &cfg),
+        &run(&BFS, &transposed, &cfg),
+        &run(&BFS, &cold_transposed, &cfg),
     );
     assert_ne!(
         PreparedGraph::of(&transposed, &cfg).partition(),
