@@ -58,11 +58,14 @@ step "UDF executor differential tests (release profile)"
 # The workspace run above is a debug build: overflow checks on, and the
 # `debug_assert` certificate-range checks of `UdfDep` compiled in. The
 # job benchmark and every experiment run release, where both are off, so
-# the typed-VM-vs-interpreter suites run under that profile too. The
-# tests that pin what the bind-time optimiser produces ride along in
-# both profiles: the eight committed listings and the ops-per-edge
-# budgets (typed_bind), and the optimiser's idempotence/range proptest
-# (--lib; debug builds also re-check idempotence inside every bind).
+# the typed-VM-vs-interpreter suites run under that profile too, and so
+# does source_to_engine (parsed source through the engine against the
+# native kernels): jobs are timed in release. The tests that pin what the
+# bind-time optimiser produces ride along in both profiles: the eight
+# committed listings and the ops-per-edge budgets (typed_bind), which
+# pin each paper UDF's loop as a native scan and budget the ops past it,
+# and the optimiser's idempotence/range proptest (--lib; debug
+# builds also re-check idempotence inside every bind).
 # So does the seeded config fuzzer (config_fuzz: a fixed budget of 155
 # cases — 32 generated UDFs, 32 paper UDFs, 24 whole kernels, 16
 # single-kernel cases and 16 on the dense path (an f64 fold order,
@@ -92,7 +95,8 @@ step "UDF executor differential tests (release profile)"
 # where overflow checks are off, which is where jobs are timed. Runs
 # under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
-  --test typed_vm_differential --test typed_bind --test engine_integration
+  --test typed_vm_differential --test typed_bind --test engine_integration \
+  --test source_to_engine
 cargo test -q --release --offline -p symple-algos --lib
 cargo test -q --release --offline --test config_fuzz --test dense_comm
 cargo test -q --release --offline -p symple-net --lib

@@ -452,9 +452,10 @@ mod tests {
                     udf.update_ty,
                     &src[span.start..span.end]
                 );
+                // `Debug`, because a NaN literal is no NaN's `==`.
                 assert_eq!(
-                    parse_udf(&one).unwrap().body,
-                    std::slice::from_ref(s),
+                    format!("{:?}", parse_udf(&one).unwrap().body),
+                    format!("{:?}", std::slice::from_ref(s)),
                     "{id} of\n{src}"
                 );
             }

@@ -29,6 +29,7 @@
 use crate::analysis::DepInfo;
 use crate::ast::{BinOp, Expr, Stmt, UnOp};
 use crate::dep_bridge::UdfDep;
+use crate::opt::LoopOps;
 use crate::props::{PropArray, PropertyStore};
 use crate::transform::InstrumentedUdf;
 use crate::types::{Ty, Value};
@@ -110,9 +111,10 @@ impl<'a> UdfProgram<'a> {
         self.vm.as_ref().map(BoundVm::disassemble)
     }
 
-    /// Per neighbour loop of the typed program, in program order: the
-    /// most ops one iteration dispatches. `None` under the interpreter.
-    pub fn loop_ops(&self) -> Option<Vec<usize>> {
+    /// Per neighbour loop of the typed program, in program order: whether
+    /// it runs as a native scan, and the most ops one iteration
+    /// dispatches ([`LoopOps`]). `None` under the interpreter.
+    pub fn loop_ops(&self) -> Option<Vec<LoopOps>> {
         self.vm.as_ref().map(BoundVm::loop_ops)
     }
 

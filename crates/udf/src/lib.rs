@@ -82,6 +82,7 @@ pub use error::UdfError;
 pub use fold_while::FoldWhile;
 pub use interp::UdfProgram;
 pub use lint::{lint, lint_source};
+pub use opt::LoopOps;
 pub use parser::{parse_udf, parse_udf_with_spans, ParseError};
 pub use pretty::pretty;
 pub use props::{PropArray, PropertyStore};

@@ -41,11 +41,30 @@
 //! 5. **Next-neighbour fusion.** A `LoadU`, or `LoadU; LoadProp…[u]`, at
 //!    the top of the body folds into both copies of the loop test.
 //!
-//! A sixth pass — superinstructions for the per-call prologue and epilogue
-//! (`JumpIfPending; Const; Declare`, `LoadU; Emit`, `EmitDep; Break`) — was
-//! built and measured as its own step, and is not here: it took five
-//! dispatches out of a breaking call and neither the call nor the job got
-//! measurably faster (DESIGN.md §13).
+//! Then, once:
+//!
+//! 6. **Native scans.** The ops an edge runs when no exit fires — from the
+//!    top of the body back to the bottom test — are matched against a
+//!    grammar, in order: the test binds `u` (optionally loading `P[u]`);
+//!    an optional bool-property filter on that `u` (`JumpUnlessPropB` /
+//!    `JumpIfPropB` to the bottom test); an optional `acc = acc + y`
+//!    (`AddI`/`AddF`; `acc = y + acc` as `AddI` too), `y` the loaded
+//!    value or a register no op of the loop writes; an optional compare-and-branch (`JumpUnless{Lt,Le,Eq,
+//!    Ne}{I,F}` to the bottom test) between `acc` and such a register.
+//!    When the match leaves the loop a cycle — a filter or a test, or ops
+//!    running straight into the bottom test — both copies of the test
+//!    become one `Scan` op, whose descriptor ([`crate::vm::Scan`]) the VM
+//!    runs as a Rust loop over the neighbours left. The matched ops stay
+//!    in place, unreached; the passes above only ever see the loop tests
+//!    (each `Scan` turns back into its test first), so [`optimize`] of
+//!    its own output is the same program.
+//!
+//! Superinstructions for the per-call prologue and epilogue
+//! (`JumpIfPending; Const; Declare`, `LoadU; Emit`, `EmitDep; Break`) —
+//! fusing ops *around* the loop — were built and measured as their own
+//! step, and are not here: they took five dispatches out of a breaking
+//! call and neither the call nor the job got measurably faster (DESIGN.md
+//! §13). Pass 6 fuses the loop itself, where the dispatches are per edge.
 //!
 //! Liveness is a backward dataflow over the same CFG: carried registers
 //! are read by `EmitDep` and `Halt` (the dependency snapshots), everything
@@ -55,7 +74,21 @@
 //! checks in debug builds.
 
 use crate::compile::MAX_REGS;
-use crate::vm::{Reg, TOp, SMALL_REGS};
+use crate::vm::{jump_unless_operands, Reg, Scan, TOp, SMALL_REGS};
+
+/// What one neighbour loop of a bound program dispatches per edge
+/// ([`crate::UdfProgram::loop_ops`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopOps {
+    /// The loop test is a native scan: an edge that stays in its cycle
+    /// dispatches no op.
+    pub scan: bool,
+    /// The most ops one iteration that stays in the loop dispatches, the
+    /// test that binds the next neighbour included; under a scan, an
+    /// iteration the scan hands to the rest of the body (0 if none comes
+    /// back). A path that leaves the loop does not count.
+    pub per_edge: usize,
+}
 
 /// A set of registers.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
@@ -157,6 +190,8 @@ impl TOp {
             | Declare { .. }
             | EmitDep
             | Halt => (None, [None, None]),
+            // The passes never see one: `Code::unscanned`.
+            Scan { .. } => (None, [None, None]),
         }
     }
 
@@ -237,6 +272,18 @@ struct Code {
 }
 
 impl Code {
+    /// `ops` with each `Scan` back to the loop test it stands for.
+    fn unscanned(ops: &[TOp], scans: &[Scan], carried: usize) -> Self {
+        let test = |op| match op {
+            TOp::Scan { desc } => scans[desc as usize].next,
+            op => op,
+        };
+        Code {
+            ops: ops.iter().map(|&op| Some(test(op))).collect(),
+            carried,
+        }
+    }
+
     fn len(&self) -> usize {
         self.ops.len()
     }
@@ -757,6 +804,76 @@ impl Code {
         self.compact();
         changed
     }
+
+    /// Pass 6 for one loop: the [`Scan`] its cycle fits, if any (see the
+    /// module docs).
+    fn scan(&self, lp: Loop) -> Option<Scan> {
+        use TOp::*;
+        let next = self.ops[lp.bottom]?;
+        let (u, loaded) = match next {
+            LoopNext { .. } => (None, None),
+            NextU { dst, .. } => (Some(dst), None),
+            NextLoadPropF { dst, .. }
+            | NextLoadPropI { dst, .. }
+            | NextLoadPropB { dst, .. }
+            | NextLoadPropV { dst, .. } => (None, Some(dst)),
+            _ => return None,
+        };
+        let defs = self.loop_defs(lp)?;
+        let invariant = |r: Reg| !defs.contains(r);
+        let bottom = lp.bottom as u32;
+        let at = |pc: usize| self.ops[pc].filter(|_| pc < lp.bottom);
+        let mut pc = lp.body;
+        let filter = at(pc).filter(|op| {
+            matches!(*op, JumpUnlessPropB { idx, target, .. } | JumpIfPropB { idx, target, .. }
+                if Some(idx) == u && target == bottom)
+        });
+        pc += usize::from(filter.is_some());
+        // `acc = y + acc` only as an int add: a float add keeps its
+        // operand order, and the scan adds `acc + y`.
+        let add = at(pc).filter(|&op| {
+            let (d, y) = match op {
+                AddI(d, a, b) if a == d => (d, b),
+                AddI(d, a, b) if b == d => (d, a),
+                AddF(d, a, b) if a == d => (d, b),
+                _ => return false,
+            };
+            y != d && ![u, loaded].contains(&Some(d)) && (Some(y) == loaded || invariant(y))
+        });
+        pc += usize::from(add.is_some());
+        // A test falling through to the bottom test would leave for it.
+        let test = add.and_then(TOp::def).and_then(|acc| {
+            let op = at(pc).filter(|op| op.target() == Some(lp.bottom) && pc + 1 < lp.bottom)?;
+            let (a, b) = jump_unless_operands(op)?;
+            let other = if a == acc { b } else { a };
+            ((a == acc) != (b == acc) && invariant(other)).then_some(op)
+        });
+        pc += usize::from(test.is_some());
+        let fits = pc == lp.bottom || filter.is_some() || test.is_some();
+        fits.then_some(crate::vm::Scan {
+            next,
+            filter,
+            add,
+            test,
+            found: pc as u32,
+            exit: bottom + 1,
+        })
+    }
+
+    /// Pass 6: turns both tests of every loop whose cycle fits the
+    /// grammar into one `Scan` op; returns the descriptors.
+    fn scan_loops(&mut self) -> Vec<Scan> {
+        let mut scans = Vec::new();
+        for lp in self.find_loops() {
+            let (Some(scan), Ok(desc)) = (self.scan(lp), u16::try_from(scans.len())) else {
+                continue;
+            };
+            scans.push(scan);
+            self.ops[lp.body - 1] = Some(TOp::Scan { desc });
+            self.ops[lp.bottom] = Some(TOp::Scan { desc });
+        }
+        scans
+    }
 }
 
 /// The compare-and-branch op that jumps to `target` when comparison
@@ -799,19 +916,22 @@ fn jump_unless(cmp: TOp, sense: bool, target: u32) -> Option<TOp> {
 }
 
 /// Optimises a typed program of `nregs` registers whose first `carried`
-/// are the carried locals; returns the program to run and the registers
-/// it needs (see the module docs).
-pub(crate) fn optimize(ops: Vec<TOp>, nregs: usize, carried: usize) -> (Vec<TOp>, usize) {
+/// are the carried locals (`scans` describes its `Scan` ops, if it is an
+/// optimised one); returns the program to run, its scan descriptors and
+/// the registers it needs (see the module docs).
+pub(crate) fn optimize(
+    ops: Vec<TOp>,
+    scans: &[Scan],
+    nregs: usize,
+    carried: usize,
+) -> (Vec<TOp>, Vec<Scan>, usize) {
     let limit = if nregs <= SMALL_REGS {
         SMALL_REGS
     } else {
         MAX_REGS
     };
     let mut nregs = nregs;
-    let mut code = Code {
-        ops: ops.into_iter().map(Some).collect(),
-        carried,
-    };
+    let mut code = Code::unscanned(&ops, scans, carried);
     // Each pass only removes ops from a path or moves them out of a
     // loop, so this settles; the second round usually finds nothing.
     loop {
@@ -827,26 +947,36 @@ pub(crate) fn optimize(ops: Vec<TOp>, nregs: usize, carried: usize) -> (Vec<TOp>
             break;
         }
     }
+    let scans = code.scan_loops();
     let ops = code.ops.into_iter().flatten().collect();
-    (ops, nregs)
+    (ops, scans, nregs)
 }
 
-/// Per rotated loop of `ops`, in program order: the most ops one
-/// iteration dispatches, the test that binds the next neighbour included;
-/// a path that leaves the loop does not count.
-pub(crate) fn loop_ops(ops: &[TOp]) -> Vec<usize> {
-    let code = Code {
-        ops: ops.iter().copied().map(Some).collect(),
-        carried: 0,
-    };
+/// Per rotated loop of `ops` (whose `Scan` ops `scans` describes), in
+/// program order: see [`LoopOps`].
+pub(crate) fn loop_ops(ops: &[TOp], scans: &[Scan]) -> Vec<LoopOps> {
+    let code = Code::unscanned(ops, scans, 0);
     code.find_loops()
         .into_iter()
         .map(|lp| {
+            let scan = match ops[lp.bottom] {
+                TOp::Scan { desc } => Some(scans[desc as usize]),
+                _ => None,
+            };
+            // Where dispatch resumes in an iteration: the body, or the
+            // ops a scan leaves for.
+            let start = scan.map_or(lp.body, |s| s.found as usize);
+            if scan.is_some() && start == lp.bottom {
+                return LoopOps {
+                    scan: true,
+                    per_edge: 0,
+                };
+            }
             // Jumps inside a body go forward, so one backward sweep
             // suffices.
             let mut longest = vec![None::<usize>; lp.bottom + 1];
             longest[lp.bottom] = Some(1);
-            for pc in (lp.body..lp.bottom).rev() {
+            for pc in (start..lp.bottom).rev() {
                 longest[pc] = code
                     .succs(pc)
                     .filter(|&s| s > pc && s <= lp.bottom)
@@ -854,7 +984,10 @@ pub(crate) fn loop_ops(ops: &[TOp]) -> Vec<usize> {
                     .max()
                     .map(|n| n + 1);
             }
-            longest[lp.body].unwrap_or(0)
+            LoopOps {
+                scan: scan.is_some(),
+                per_edge: longest[start].unwrap_or(0),
+            }
         })
         .collect()
 }
@@ -889,11 +1022,8 @@ mod tests {
     }
 
     /// The ops of the (one) loop body of an optimised program.
-    fn loop_body(ops: &[TOp]) -> Vec<TOp> {
-        let code = Code {
-            ops: ops.iter().copied().map(Some).collect(),
-            carried: 0,
-        };
+    fn loop_body(ops: &[TOp], scans: &[Scan]) -> Vec<TOp> {
+        let code = Code::unscanned(ops, scans, 0);
         let [lp] = code.find_loops()[..] else {
             panic!("one rotated loop expected:\n{}", listing(ops));
         };
@@ -913,7 +1043,7 @@ mod tests {
             let props = store();
             prop_assert!(check(&udf, &props.schema()).is_ok());
             let (ops, nregs, carried) = typed(&udf, &props, naive);
-            let (once, nregs_once) = optimize(ops.clone(), nregs, carried);
+            let (once, scans, nregs_once) = optimize(ops.clone(), &[], nregs, carried);
             prop_assert!(once.len() <= ops.len() + (nregs_once - nregs), "{}", listing(&once));
             prop_assert!(nregs_once <= if nregs <= SMALL_REGS { SMALL_REGS } else { MAX_REGS });
             for &(mut op) in &once {
@@ -925,8 +1055,12 @@ mod tests {
                     prop_assert!((*r as usize) < nregs_once, "r{r} of {nregs_once}");
                 }
             }
-            let (twice, nregs_twice) = optimize(once.clone(), nregs_once, carried);
+            for scan in &scans {
+                prop_assert!(scan.found < scan.exit && (scan.exit as usize) < once.len(), "{scan:?}");
+            }
+            let (twice, scans_twice, nregs_twice) = optimize(once.clone(), &scans, nregs_once, carried);
             prop_assert_eq!(listing(&twice), listing(&once));
+            prop_assert_eq!(scans_twice, scans);
             prop_assert_eq!(nregs_twice, nregs_once);
         }
     }
@@ -948,8 +1082,8 @@ mod tests {
     #[test]
     fn hoisting_stops_at_the_small_register_file() {
         let props = PropertyStore::new();
-        let consts_in = |ops: &[TOp]| {
-            let body = loop_body(ops);
+        let consts_in = |(ops, scans): (&[TOp], &[Scan])| {
+            let body = loop_body(ops, scans);
             body.iter()
                 .filter(|op| matches!(op, TOp::Const { .. }))
                 .count()
@@ -957,15 +1091,15 @@ mod tests {
         // 13 locals and a temporary: two registers to spare of 16.
         let (ops, nregs, carried) = typed(&many_constants(13), &props, false);
         assert_eq!(nregs, 14);
-        let (small, nregs_small) = optimize(ops, nregs, carried);
+        let (small, scans, nregs_small) = optimize(ops, &[], nregs, carried);
         assert_eq!(nregs_small, SMALL_REGS, "{}", listing(&small));
-        assert_eq!(consts_in(&small), 8 - 2, "{}", listing(&small));
+        assert_eq!(consts_in((&small, &scans)), 8 - 2, "{}", listing(&small));
         // Already on the large file, there is room for all eight.
         let (ops, nregs, carried) = typed(&many_constants(20), &props, false);
         assert!(nregs > SMALL_REGS);
-        let (large, nregs_large) = optimize(ops, nregs, carried);
+        let (large, scans, nregs_large) = optimize(ops, &[], nregs, carried);
         assert_eq!(nregs_large, nregs + 8, "{}", listing(&large));
-        assert_eq!(consts_in(&large), 0, "{}", listing(&large));
+        assert_eq!(consts_in((&large, &scans)), 0, "{}", listing(&large));
     }
 
     #[test]
@@ -989,8 +1123,8 @@ mod tests {
         let props = store();
         check(&udf, &props.schema()).unwrap();
         let (ops, nregs, carried) = typed(&udf, &props, false);
-        let (ops, _) = optimize(ops, nregs, carried);
-        let body = loop_body(&ops);
+        let (ops, scans, _) = optimize(ops, &[], nregs, carried);
+        let body = loop_body(&ops, &scans);
         assert!(
             body.iter().any(|op| matches!(op, TOp::LtI(..))),
             "{}",

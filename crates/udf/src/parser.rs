@@ -491,6 +491,7 @@ impl Parser {
             Tok::Ident(name) => match name.as_str() {
                 "true" => Ok(Expr::Lit(Value::Bool(true))),
                 "false" => Ok(Expr::Lit(Value::Bool(false))),
+                "NaN" => Ok(Expr::Lit(Value::Float(f64::NAN))),
                 "v" => Ok(Expr::CurrentVertex),
                 "u" => Ok(Expr::CurrentNeighbor),
                 _ => {

@@ -83,10 +83,14 @@ fn expr(e: &Expr) -> String {
     match e {
         // Literals print as text the parser reads back to the same value:
         // floats with `{:?}`, so `0.0` keeps its decimal point and `1e300`
-        // its exponent; ±inf as an exponent that overflows to it; and
+        // its exponent; ±inf as an exponent that overflows to it; NaN as
+        // `NaN` (`f64::NAN`), negated if its sign bit is set; and
         // `i64::MIN`, whose magnitude is no int literal, as a difference.
         Expr::Lit(Value::Float(x)) if x.is_infinite() => {
             if *x > 0.0 { "1e999" } else { "-1e999" }.to_string()
+        }
+        Expr::Lit(Value::Float(x)) if x.is_nan() => {
+            if x.is_sign_negative() { "-NaN" } else { "NaN" }.to_string()
         }
         Expr::Lit(Value::Float(x)) => format!("{x:?}"),
         Expr::Lit(Value::Int(i64::MIN)) => format!("({} - 1)", i64::MIN + 1),

@@ -7,14 +7,21 @@
 //! the language widens an integer. [`BoundVm::bind`] hands that program to
 //! [`crate::opt`], which rewrites it — loop-invariant code into a
 //! preheader, the loop test to the bottom and fused with the next
-//! neighbour's load, compares fused with their branches — and the result
-//! *is* the bound program: there is no second executor and nothing selects
-//! the unoptimised form. Execution is a flat dispatch loop over 8-byte ops
-//! and an untagged `[u64; N]` register file on the stack: each register
-//! holds the [`crate::Value::to_bits`] image of its value, and the
-//! dependency instrumentation copies raw words to and from [`UdfDep`]. A
-//! program that binds agrees with the interpreter bit for bit: emissions,
-//! edge counts, break flags, dependency payloads, the NaN panic.
+//! neighbour's load, compares fused with their branches, and, sixth, a
+//! neighbour loop whose cycle fits a small grammar into one native `Scan`
+//! — and the result *is* the bound program: there is no second executor
+//! and nothing selects the unoptimised form. Execution is a flat dispatch
+//! loop over 8-byte ops and an untagged `[u64; N]` register file on the
+//! stack: each register holds the [`crate::Value::to_bits`] image of its
+//! value, and the dependency instrumentation copies raw words to and from
+//! [`UdfDep`]. A program that binds agrees with the interpreter bit for
+//! bit: emissions, edge counts, break flags, dependency payloads, the NaN
+//! panic.
+//!
+//! A `Scan` op runs a plain Rust loop over the neighbours left (see
+//! [`Scan`]); its descriptor sits in a side table, so `TOp` stays 8 bytes.
+//! The ops it stands for stay in the program, unreached, where the
+//! listing shows them.
 //!
 //! The interpreter's per-call maps are two 64-bit masks, as before:
 //! `pending` (set by `Guard` after staging the restored values into the
@@ -29,6 +36,7 @@ use crate::props::PropertyStore;
 use crate::transform::InstrumentedUdf;
 use std::cmp::Ordering;
 use std::fmt::Write;
+use std::slice;
 use symple_core::{DepState, SignalOutcome};
 use symple_graph::{Bitmap, Vid};
 
@@ -195,6 +203,12 @@ pub(crate) enum TOp {
         prop: u16,
         target: u32,
     },
+    /// Both copies of a loop test whose cycle [`crate::opt`] recognised:
+    /// runs `scans[desc]` natively, then continues at its `found` or
+    /// `exit`.
+    Scan {
+        desc: u16,
+    },
 }
 
 impl TOp {
@@ -232,6 +246,35 @@ impl TOp {
 
 const _: () = assert!(std::mem::size_of::<TOp>() == 8);
 
+/// What a [`TOp::Scan`] does to each neighbour left in the list: the loop
+/// test it replaces binds `u` (and loads `prop[u]`, or writes `u` to a
+/// register); `filter`, on `u`, sends an edge it rejects on to the next
+/// neighbour; `add` accumulates into its register the loaded value or a
+/// register the loop never writes; `test` compares the sum with another
+/// such register. The scan leaves for `found` — the first op past the
+/// three — when the test holds or, with no test, when the filter passes;
+/// with neither, or when `found` is the loop test itself, it only leaves
+/// for `exit` at the end of the list.
+///
+/// The scan is the ops it names, run edge by edge: the same `u` and
+/// registers written (the last edge's, when it leaves), the same
+/// neighbours consumed, wrapping `int` adds, and the same panic — an
+/// out-of-range read, `NaN in comparison` — at the same edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Scan {
+    /// `LoopNext`, `NextU` or `NextLoadProp…`: the loop test.
+    pub(crate) next: TOp,
+    /// `JumpUnlessPropB` or `JumpIfPropB` on `u`, to the loop test.
+    pub(crate) filter: Option<TOp>,
+    /// `AddI` or `AddF`: `acc = acc + y` (or, `int` only, `y + acc`).
+    pub(crate) add: Option<TOp>,
+    /// `JumpUnless{Lt,Le,Eq,Ne}{I,F}` between `acc` and an invariant
+    /// register, to the loop test.
+    pub(crate) test: Option<TOp>,
+    pub(crate) found: u32,
+    pub(crate) exit: u32,
+}
+
 /// A UDF lowered against, and bound to, a property store
 /// ([`crate::compile`] builds it; `bind` optimises it).
 #[derive(Default)]
@@ -242,6 +285,8 @@ pub(crate) struct BoundVm<'a> {
     pub(crate) ints: Vec<&'a [i64]>,
     pub(crate) bools: Vec<&'a Bitmap>,
     pub(crate) verts: Vec<&'a [u32]>,
+    /// The descriptors of the program's `Scan` ops.
+    pub(crate) scans: Vec<Scan>,
     /// Registers the program touches, widening scratch included.
     pub(crate) nregs: usize,
     pub(crate) carried: usize,
@@ -255,25 +300,26 @@ impl<'a> BoundVm<'a> {
     /// tolerates the last two in never-executed code.
     pub(crate) fn bind(inst: &InstrumentedUdf, store: &'a PropertyStore) -> Option<Self> {
         let mut vm = lower(inst, store)?;
-        (vm.ops, vm.nregs) = optimize(std::mem::take(&mut vm.ops), vm.nregs, vm.carried);
+        let ops = std::mem::take(&mut vm.ops);
+        (vm.ops, vm.scans, vm.nregs) = optimize(ops, &[], vm.nregs, vm.carried);
         debug_assert!(
             vm.ops.iter().all(|&(mut op)| {
                 let target = op.target_mut().map_or(0, |t| *t as usize);
                 target < vm.ops.len()
-            }),
+            }) && vm.scans.iter().all(|s| (s.exit as usize) < vm.ops.len()),
             "optimiser left a jump out of range:\n{}",
             vm.disassemble()
         );
         debug_assert_eq!(
-            optimize(vm.ops.clone(), vm.nregs, vm.carried),
-            (vm.ops.clone(), vm.nregs),
+            optimize(vm.ops.clone(), &vm.scans, vm.nregs, vm.carried),
+            (vm.ops.clone(), vm.scans.clone(), vm.nregs),
             "optimiser is not idempotent"
         );
         Some(vm)
     }
 
     /// The program signal calls run — lowered, then optimised — one op
-    /// per line, then the constant pool.
+    /// per line, then the constant pool and the scan descriptors.
     pub(crate) fn disassemble(&self) -> String {
         let mut s = String::new();
         for (i, op) in self.ops.iter().enumerate() {
@@ -282,12 +328,15 @@ impl<'a> BoundVm<'a> {
         for (k, bits) in self.consts.iter().enumerate() {
             let _ = writeln!(s, "  k{k}: {bits:#018x}");
         }
+        for (d, scan) in self.scans.iter().enumerate() {
+            let _ = writeln!(s, "  s{d}: {scan:?}");
+        }
         s
     }
 
     /// See [`crate::UdfProgram::loop_ops`].
-    pub(crate) fn loop_ops(&self) -> Vec<usize> {
-        crate::opt::loop_ops(&self.ops)
+    pub(crate) fn loop_ops(&self) -> Vec<crate::LoopOps> {
+        crate::opt::loop_ops(&self.ops, &self.scans)
     }
 
     pub(crate) fn signal(
@@ -533,6 +582,10 @@ impl<'a> BoundVm<'a> {
                         branch!(target);
                     }
                 }
+                TOp::Scan { desc } => {
+                    let scan = &self.scans[desc as usize];
+                    pc = self.scan(scan, &mut regs[..], &mut rest, &mut u) as usize;
+                }
             }
         }
         // Data dependency flows onward even without a break (same
@@ -543,6 +596,205 @@ impl<'a> BoundVm<'a> {
         edges += (srcs.len() - rest.len()) as u64;
         SignalOutcome { edges, broke }
     }
+
+    /// Runs `s` over the neighbours left in `rest` (see [`Scan`]) and
+    /// returns the op to continue at.
+    fn scan(
+        &self,
+        s: &Scan,
+        regs: &mut [u64],
+        rest: &mut slice::Iter<'_, Vid>,
+        u: &mut u64,
+    ) -> u32 {
+        let dst = match s.next {
+            TOp::NextU { dst, .. }
+            | TOp::NextLoadPropF { dst, .. }
+            | TOp::NextLoadPropI { dst, .. }
+            | TOp::NextLoadPropB { dst, .. }
+            | TOp::NextLoadPropV { dst, .. } => Some(dst),
+            _ => None,
+        };
+        let filter = s.filter.map(|op| match op {
+            TOp::JumpUnlessPropB { prop, .. } => (self.bools[prop as usize], true),
+            TOp::JumpIfPropB { prop, .. } => (self.bools[prop as usize], false),
+            op => unreachable!("not a filter: {op:?}"),
+        });
+        // `acc` lives in a local. `y`, unless it is the bound word, and the
+        // test's other operand are read once: no op of the loop writes
+        // them.
+        let (add, acc_reg, y_reg) = match s.add {
+            Some(TOp::AddI(d, a, b)) => (INT, d, if a == d { b } else { a }),
+            Some(TOp::AddF(d, _, b)) => (FLOAT, d, b),
+            _ => (NONE, 0, 0),
+        };
+        // The test as the orderings of `acc` against the other operand
+        // under which it falls through to `found` (bit `ordering + 1`).
+        // With no test, every edge past the filter leaves — unless the
+        // ops there are the loop test itself.
+        let (mut test, mut holds, mut other) = (NONE, 0b010 * u8::from(s.found + 1 != s.exit), 0);
+        if let Some(op) = s.test {
+            let (a, b) = jump_unless_operands(op).expect("a compare-and-branch");
+            let (lt, eq, gt) = (0b001, 0b010, 0b100);
+            (test, holds) = match op {
+                TOp::JumpUnlessLtI(..) => (INT, lt),
+                TOp::JumpUnlessLeI(..) => (INT, lt | eq),
+                TOp::JumpUnlessEqI(..) => (INT, eq),
+                TOp::JumpUnlessNeI(..) => (INT, lt | gt),
+                TOp::JumpUnlessLtF(..) => (FLOAT, lt),
+                TOp::JumpUnlessLeF(..) => (FLOAT, lt | eq),
+                TOp::JumpUnlessEqF(..) => (FLOAT, eq),
+                _ => (FLOAT, lt | gt),
+            };
+            if b == acc_reg {
+                holds = (holds & eq) | (holds & lt) << 2 | (holds & gt) >> 2;
+            }
+            other = regs[if b == acc_reg { a } else { b } as usize];
+        }
+        let edges = ScanEdges {
+            filter,
+            y_bound: dst == Some(y_reg),
+            y: regs[y_reg as usize],
+            other,
+            holds,
+        };
+        let list = rest.as_slice();
+        let acc = regs[acc_reg as usize];
+        // The word the loop test writes: `u`, or a property of `u`. A
+        // filter reads `u`, so it comes with `NextU` only.
+        let (left, word, acc) = match s.next {
+            TOp::NextLoadPropF { prop, .. } => {
+                let a = self.floats[prop as usize];
+                edges.shape::<false>(list, acc, add, test, |w| a[w].to_bits())
+            }
+            TOp::NextLoadPropI { prop, .. } => {
+                let a = self.ints[prop as usize];
+                edges.shape::<false>(list, acc, add, test, |w| a[w] as u64)
+            }
+            TOp::NextLoadPropB { prop, .. } => {
+                let a = self.bools[prop as usize];
+                edges.shape::<false>(list, acc, add, test, |w| u64::from(a.get(w)))
+            }
+            TOp::NextLoadPropV { prop, .. } => {
+                let a = self.verts[prop as usize];
+                edges.shape::<false>(list, acc, add, test, |w| u64::from(a[w]))
+            }
+            _ if filter.is_some() => edges.shape::<true>(list, acc, add, test, |w| w as u64),
+            _ => edges.shape::<false>(list, acc, add, test, |w| w as u64),
+        };
+        let consumed = left.map_or(list.len(), |i| i + 1);
+        if consumed > 0 {
+            *u = u64::from(list[consumed - 1].raw());
+            if let Some(dst) = dst {
+                regs[dst as usize] = word;
+            }
+            if add != NONE {
+                regs[acc_reg as usize] = acc;
+            }
+        }
+        *rest = list[consumed..].iter();
+        if left.is_some() {
+            s.found
+        } else {
+            s.exit
+        }
+    }
+}
+
+// A scan's add and test: none, on `int`s, on `float`s.
+const NONE: u8 = 0;
+const INT: u8 = 1;
+const FLOAT: u8 = 2;
+
+/// A [`Scan`] decoded for one call: the loop over the edges, compiled once
+/// per shape (filter or not, kind of add, kind of test) so that an edge
+/// runs only the work its shape has.
+#[derive(Clone, Copy)]
+struct ScanEdges<'a> {
+    filter: Option<(&'a Bitmap, bool)>,
+    /// `y` is the bound word, else the register value `y`.
+    y_bound: bool,
+    y: u64,
+    other: u64,
+    holds: u8,
+}
+
+impl ScanEdges<'_> {
+    fn shape<const FILTER: bool>(
+        &self,
+        list: &[Vid],
+        acc: u64,
+        add: u8,
+        test: u8,
+        load: impl Fn(usize) -> u64,
+    ) -> (Option<usize>, u64, u64) {
+        match (add, test) {
+            (INT, NONE) => self.edges::<FILTER, INT, NONE>(list, acc, &load),
+            (INT, INT) => self.edges::<FILTER, INT, INT>(list, acc, &load),
+            (INT, _) => self.edges::<FILTER, INT, FLOAT>(list, acc, &load),
+            (FLOAT, NONE) => self.edges::<FILTER, FLOAT, NONE>(list, acc, &load),
+            (FLOAT, INT) => self.edges::<FILTER, FLOAT, INT>(list, acc, &load),
+            (FLOAT, _) => self.edges::<FILTER, FLOAT, FLOAT>(list, acc, &load),
+            _ => self.edges::<FILTER, NONE, NONE>(list, acc, &load),
+        }
+    }
+
+    /// Runs the edges of `list` from `acc`: returns the index of the edge
+    /// that left for `found`, if any, the last bound word and `acc`.
+    #[inline(never)]
+    fn edges<const FILTER: bool, const ADD: u8, const TEST: u8>(
+        &self,
+        list: &[Vid],
+        mut acc: u64,
+        load: &impl Fn(usize) -> u64,
+    ) -> (Option<usize>, u64, u64) {
+        let ScanEdges {
+            filter,
+            y_bound,
+            y,
+            other,
+            holds,
+        } = *self;
+        let mut word = 0;
+        for (i, nb) in list.iter().enumerate() {
+            let w = nb.raw() as usize;
+            word = load(w);
+            if let (true, Some((bits, pass))) = (FILTER, filter) {
+                if bits.get(w) != pass {
+                    continue;
+                }
+            }
+            let y = if y_bound { word } else { y };
+            acc = match ADD {
+                NONE => acc,
+                INT => (acc as i64).wrapping_add(y as i64) as u64,
+                _ => (f64::from_bits(acc) + f64::from_bits(y)).to_bits(),
+            };
+            let order = match TEST {
+                NONE => Ordering::Equal,
+                INT => (acc as i64).cmp(&(other as i64)),
+                _ => float_cmp(acc, other),
+            };
+            if holds >> (order as i8 + 1) & 1 != 0 {
+                return (Some(i), word, acc);
+            }
+        }
+        (None, word, acc)
+    }
+}
+
+/// The two registers a compare-and-branch op compares.
+pub(crate) fn jump_unless_operands(op: TOp) -> Option<(Reg, Reg)> {
+    Some(match op {
+        TOp::JumpUnlessLtI(a, b, _)
+        | TOp::JumpUnlessLeI(a, b, _)
+        | TOp::JumpUnlessEqI(a, b, _)
+        | TOp::JumpUnlessNeI(a, b, _)
+        | TOp::JumpUnlessLtF(a, b, _)
+        | TOp::JumpUnlessLeF(a, b, _)
+        | TOp::JumpUnlessEqF(a, b, _)
+        | TOp::JumpUnlessNeF(a, b, _) => (a, b),
+        _ => return None,
+    })
 }
 
 /// Orders two float registers; like the interpreter, a NaN operand is a

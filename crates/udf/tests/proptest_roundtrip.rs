@@ -47,8 +47,10 @@ fn literal() -> impl Strategy<Value = Expr> {
     prop_oneof![
         (0i64..10_000).prop_map(|i| Expr::Lit(Value::Int(i))),
         (0.0f64..1000.0).prop_map(|f| Expr::Lit(Value::Float(f))),
-        // exponent literals and the value that prints as one
-        (0usize..3).prop_map(|i| Expr::Lit(Value::Float([1e300, f64::MAX, f64::INFINITY][i]))),
+        // exponent literals, the value that prints as one, and NaN
+        (0usize..4).prop_map(|i| {
+            Expr::Lit(Value::Float([1e300, f64::MAX, f64::INFINITY, f64::NAN][i]))
+        }),
         any::<bool>().prop_map(|b| Expr::Lit(Value::Bool(b))),
         (0u32..1000).prop_map(|r| Expr::Lit(Value::Vertex(symple_graph::Vid::new(r)))),
     ]
@@ -138,7 +140,21 @@ proptest! {
         let text = pretty(&udf);
         let parsed = parse_udf(&text)
             .unwrap_or_else(|e| panic!("parse failed: {e}\n{text}"));
-        prop_assert_eq!(parsed, udf, "roundtrip mismatch for:\n{}", text);
+        // `Debug` tells every float apart but NaN is no NaN's `==`.
+        prop_assert_eq!(format!("{parsed:?}"), format!("{udf:?}"), "roundtrip mismatch for:\n{}", text);
+    }
+}
+
+#[test]
+fn nan_literals_parse_back_bit_for_bit() {
+    for x in [f64::NAN, -f64::NAN] {
+        let udf = UdfFn::new("nan", Ty::Float, vec![Stmt::Emit(Expr::f(x))]);
+        let text = pretty(&udf);
+        let parsed = parse_udf(&text).unwrap();
+        let [Stmt::Emit(Expr::Lit(Value::Float(y)))] = parsed.body[..] else {
+            panic!("not a float literal:\n{text}");
+        };
+        assert_eq!(y.to_bits(), x.to_bits(), "{text}");
     }
 }
 

@@ -138,7 +138,7 @@ impl<'c> Gen<'c> {
     /// half the time, which the language widens.
     fn float(&mut self, depth: u32) -> Expr {
         match self.pick(if depth == 0 { 3 } else { 6 }) {
-            0 => Expr::f(self.one_of(&[0.0, 0.25, -1.5, 3.0, 1e300, f64::INFINITY])),
+            0 => Expr::f(self.one_of(&[0.0, 0.25, -1.5, 3.0, 1e300, f64::INFINITY, f64::NAN])),
             1 => self.local_of(Ty::Float).unwrap_or(Expr::f(0.5)),
             2 => Expr::prop("wt", self.vertex(0)),
             3 => Expr::Unary(UnOp::Neg, Box::new(self.float(depth - 1))),
@@ -193,7 +193,8 @@ impl<'c> Gen<'c> {
 
     /// A loop-invariant expression of type `ty`: constants, `prop[v]`
     /// reads and operators over them, never `u` or a local. Floats reach
-    /// `inf - inf`, so an invariant comparison can meet a NaN.
+    /// `NaN` and `inf - inf`, so an invariant comparison — a scan's
+    /// threshold among them — can meet a NaN.
     fn invariant(&mut self, ty: Ty, depth: u32) -> Expr {
         let leaf = depth == 0;
         match ty {
@@ -213,7 +214,7 @@ impl<'c> Gen<'c> {
                 }
             },
             Ty::Float => match self.pick(if leaf { 2 } else { 4 }) {
-                0 => Expr::f(self.one_of(&[0.0, 0.25, -1.5, 1e300, f64::INFINITY])),
+                0 => Expr::f(self.one_of(&[0.0, 0.25, -1.5, 1e300, f64::INFINITY, f64::NAN])),
                 1 => Expr::prop_v("wt"),
                 2 => {
                     let op = self.one_of(&NUMERIC);
@@ -342,6 +343,87 @@ impl<'c> Gen<'c> {
         out
     }
 
+    /// A loop body whose cycle fits a shape of the VM's native scan — a
+    /// filter on `u`; `acc = acc + prop[u]`; a filter, an invariant added
+    /// to `acc` and a test of `acc` against an invariant; `acc + prop[u]`
+    /// and that test — with the rest of the body behind the filter or the
+    /// test, or one that just misses: the threshold written in the loop,
+    /// the accumulator read by the filter (`flag[u] && acc < t`, or the
+    /// test ahead of the sum), a second accumulation, a filter with an
+    /// `else`.
+    fn scan_loop(&mut self) -> Vec<Stmt> {
+        let numeric: Vec<(String, Ty)> = self
+            .locals
+            .iter()
+            .filter(|(_, ty)| matches!(ty, Ty::Int | Ty::Float))
+            .cloned()
+            .collect();
+        if numeric.is_empty() {
+            return self.block(3);
+        }
+        let (acc, ty) = numeric[self.pick(numeric.len())].clone();
+        let flag = Expr::prop_u(self.one_of(&["flag", "live"]));
+        let load = match ty {
+            Ty::Int => Expr::prop_u(self.one_of(&["num", "big"])),
+            _ => Expr::prop_u("wt"),
+        };
+        let step = self.invariant(ty, 0);
+        // A local of `acc`'s type other than `acc` may stand for the
+        // threshold; the body behind the test may write it.
+        let local = numeric
+            .iter()
+            .find(|(name, t)| *t == ty && *name != acc)
+            .map(|(name, _)| name.clone());
+        let threshold = match (local.clone(), self.pick(2)) {
+            (Some(name), 0) => Expr::local(&name),
+            _ => self.invariant(ty, 1),
+        };
+        let op = self.one_of(&COMPARE);
+        let test = Expr::local(&acc).bin(op, threshold);
+        let sum = |y: Expr| Stmt::assign(&acc, Expr::local(&acc).add(y));
+        let rest = self.block(2);
+        match self.pick(9) {
+            0 => vec![Stmt::if_(flag, rest)],
+            1 if self.pick(2) == 0 => vec![sum(load)],
+            1 => [vec![sum(load)], rest].concat(),
+            2 => vec![Stmt::if_(flag, vec![sum(step), Stmt::if_(test, rest)])],
+            3 => vec![sum(load), Stmt::if_(test, rest)],
+            4 => {
+                let bump = match local {
+                    Some(name) => {
+                        let step = self.invariant(ty, 0);
+                        Stmt::assign(&name, Expr::local(&name).add(step))
+                    }
+                    None => self.assign(),
+                };
+                let rest = [vec![bump], rest].concat();
+                match self.pick(2) {
+                    0 => vec![sum(load), Stmt::if_(test, rest)],
+                    _ => vec![Stmt::if_(flag, vec![sum(step), Stmt::if_(test, rest)])],
+                }
+            }
+            5 => vec![Stmt::if_(flag.and(test), [vec![sum(step)], rest].concat())],
+            6 => vec![Stmt::if_(test, [vec![sum(load)], rest].concat())],
+            7 => {
+                let (other, _) = numeric[self.pick(numeric.len())].clone();
+                let second =
+                    Stmt::assign(&other, Expr::local(&other).add(self.invariant(Ty::Int, 0)));
+                match self.pick(2) {
+                    0 => vec![sum(load), second],
+                    _ => vec![sum(load), second, Stmt::if_(test, rest)],
+                }
+            }
+            _ => {
+                let else_branch = self.block(1);
+                vec![Stmt::If {
+                    cond: flag,
+                    then_branch: rest,
+                    else_branch,
+                }]
+            }
+        }
+    }
+
     pub fn udf(mut self) -> UdfFn {
         let mut body = Vec::new();
         for (name, ty) in [
@@ -364,7 +446,10 @@ impl<'c> Gen<'c> {
             self.locals.push(("i0".to_string(), Ty::Int));
         }
         self.in_loop = true;
-        let loop_body = self.block(3);
+        let loop_body = match self.pick(3) {
+            0 => self.scan_loop(),
+            _ => self.block(3),
+        };
         self.in_loop = false;
         body.push(Stmt::for_neighbors(loop_body));
         if self.pick(2) == 0 {

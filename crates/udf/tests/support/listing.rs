@@ -2,13 +2,22 @@
 //! shape of the program a UDF runs as.
 
 /// The ops of a listing, one per element, without the `NNNN: ` prefix
-/// (the constant pool that follows them is dropped).
+/// (the constant pool and the scan descriptors that follow them are
+/// dropped).
 pub fn ops(listing: &str) -> Vec<&str> {
     listing
         .lines()
-        .filter(|l| !l.trim_start().starts_with('k'))
+        .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
         .map(|l| &l[6..])
         .collect()
+}
+
+/// The descriptor of `Scan { desc: d }`: the text after `sd: `.
+pub fn scan<'a>(listing: &'a str, op: &str) -> Option<&'a str> {
+    let prefix = format!("s{}: ", field(op, "Scan { desc: ")?);
+    listing
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix(prefix.as_str()))
 }
 
 /// The number after `key` in an op, e.g. `field(op, "exit: ")`.

@@ -10,7 +10,9 @@
 //! and constant subexpressions, unconditional, under `if prop[u]`, after
 //! an `emit`, folded into a carried local — because what runs is the
 //! *optimised* typed program ([`UdfProgram::disassemble`]), and hoisting,
-//! fusing and threading must each be seen to fire and to be refused.
+//! fusing, threading and native scans must each be seen to fire and to
+//! be refused: one loop in three is drawn in a shape a scan runs, or one
+//! that just misses it.
 //! It stores an `int` into a `float` local now and then, at a `let`, an
 //! assignment or an `emit` — the language widens there, in both
 //! executors. Every generated program must bind: a silent fallback would
@@ -22,8 +24,9 @@
 //! the two runs must agree on the emitted words bit for bit, the
 //! `SignalOutcome`, the slot's skip bit, and the `encode_range` bytes of
 //! the whole dependency state; if one run panics (`NaN in comparison`
-//! from an `inf - inf` the generator can produce, or a debug-build range
-//! check) the other must panic with the same message at the same point.
+//! from an `inf - inf` or a `NaN` literal the generator can produce, or
+//! a debug-build range check) the other must panic with the same message
+//! at the same point.
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -227,6 +230,48 @@ struct Census {
     compare_unfused: usize,
     threaded_to_the_loop_test: usize,
     widened_store: usize,
+    /// Per shape of [`SCAN_SHAPES`]: loops scanned in that shape, and
+    /// loops whose body opens with its ops but are not.
+    scanned: [usize; 5],
+    not_scanned: [usize; 5],
+}
+
+/// The shapes of a native scan the generator aims at, as [`scan_key`]
+/// writes them (`T`: a test of either type).
+const SCAN_SHAPES: [(&str, &str); 5] = [
+    ("a filter scanned alone", "U F"),
+    ("a load and an add scanned", "L A"),
+    ("a filter, an add and a test scanned", "U F A T"),
+    ("a load, an add and an int test scanned", "L A TI"),
+    ("a load, an add and a float test scanned", "L A TF"),
+];
+
+/// The loop test's kind (`U`: `NextU`, `L`: `NextLoadProp…`) and the
+/// kinds of the ops after it as far as a scan may take them: `F`ilter,
+/// `A`dd, `TI`/`TF` test.
+fn scan_key<'a>(next: &str, ops: impl Iterator<Item = &'a str>) -> String {
+    let mut key = if next.starts_with("NextLoadProp") {
+        "L"
+    } else {
+        "U"
+    }
+    .to_string();
+    for op in ops.take(3) {
+        let name = op.split(['(', ' ']).next().unwrap_or_default();
+        key += match name {
+            "JumpUnlessPropB" | "JumpIfPropB" => " F",
+            "AddI" | "AddF" => " A",
+            _ if name.starts_with("JumpUnless") && name.ends_with('I') => " TI",
+            _ if name.starts_with("JumpUnless") => " TF",
+            _ => break,
+        };
+    }
+    key
+}
+
+/// Is `key` of `shape` (whose `T` stands for `TI` or `TF`)?
+fn fits(key: &str, shape: &str) -> bool {
+    key == shape || shape.ends_with('T') && key.len() == shape.len() + 1 && key.starts_with(shape)
 }
 
 impl Census {
@@ -250,11 +295,33 @@ impl Census {
                 continue;
             };
             let bottom = exit - 1;
-            let Some(body) = field(ops[bottom], "body: ") else {
+            // A scan stands for the loop test its descriptor names.
+            let scan = listing::scan(listing, ops[bottom]);
+            let next = scan.map_or(ops[bottom], |s| &s[s.find("next: ").unwrap() + 6..]);
+            let Some(body) = field(next, "body: ") else {
                 continue; // a loop that always breaks lost its bottom test
             };
-            self.next_fused += usize::from(is(bottom, &["NextU", "NextLoadProp"]));
-            self.next_plain += usize::from(is(bottom, &["LoopNext"]));
+            self.next_fused += usize::from(
+                ["NextU", "NextLoadProp"]
+                    .iter()
+                    .any(|n| next.starts_with(n)),
+            );
+            self.next_plain += usize::from(next.starts_with("LoopNext"));
+            // What the body opens with, against what the scan took.
+            let opened = scan_key(next, ops[body..bottom].iter().copied());
+            let taken = scan.map_or(String::new(), |s| {
+                let parts =
+                    ["filter: ", "add: ", "test: "].map(|f| &s[s.find(f).unwrap() + f.len()..]);
+                let taken = parts.into_iter().filter(|p| !p.starts_with("None"));
+                scan_key(next, taken.map(|p| &p["Some(".len()..]))
+            });
+            for (i, (_, shape)) in SCAN_SHAPES.iter().enumerate() {
+                if fits(&taken, shape) {
+                    self.scanned[i] += 1;
+                } else if fits(&opened, shape) {
+                    self.not_scanned[i] += 1;
+                }
+            }
             let preheader = at + 1..body - 1;
             self.hoisted += usize::from(!preheader.is_empty());
             for pc in body..bottom {
@@ -272,7 +339,13 @@ impl Census {
         }
     }
 
-    fn report(&self) -> [(&'static str, usize); 9] {
+    fn report(&self) -> Vec<(String, usize)> {
+        let scans = SCAN_SHAPES.iter().enumerate().flat_map(|(i, (what, _))| {
+            [
+                (what.to_string(), self.scanned[i]),
+                (format!("{what} refused"), self.not_scanned[i]),
+            ]
+        });
         [
             ("an op hoisted into a preheader", self.hoisted),
             (
@@ -299,6 +372,10 @@ impl Census {
                 self.widened_store,
             ),
         ]
+        .map(|(what, seen)| (what.to_string(), seen))
+        .into_iter()
+        .chain(scans)
+        .collect()
     }
 }
 
@@ -512,4 +589,175 @@ fn a_second_loop_and_a_loop_under_an_if_agree() {
         .map(|v| vec![vec![], vec![v, 2, 3], vec![(v + 1) % N as u32, 0, 5, 6]])
         .collect();
     assert_eq!(agree(&udf, &props, &lists), (3 * N, None));
+}
+
+/// `acc = acc + array[u]; if acc >= t { emit(u); break; }`, `acc` a
+/// carried `float`: the sampling loop, which the VM runs as one scan.
+fn prefix_sum(array: &str, t: f64) -> UdfFn {
+    UdfFn::new(
+        "prefix",
+        Ty::Vertex,
+        vec![
+            Stmt::let_("acc", Ty::Float, Expr::f(0.0)),
+            Stmt::for_neighbors(vec![
+                Stmt::assign("acc", Expr::local("acc").add(Expr::prop_u(array))),
+                Stmt::if_(
+                    Expr::local("acc").ge(Expr::f(t)),
+                    vec![Stmt::Emit(Expr::CurrentNeighbor), Stmt::Break],
+                ),
+            ]),
+        ],
+    )
+}
+
+/// The descriptor of the one scan `udf` runs as against `props`.
+fn scan_of(udf: &UdfFn, props: &PropertyStore) -> String {
+    let listing = UdfProgram::new(&instrument(udf).unwrap(), props)
+        .disassemble()
+        .unwrap();
+    let scan = listing::scan(&listing, "Scan { desc: 0 }");
+    scan.unwrap_or_else(|| panic!("no scan:\n{listing}"))
+        .to_string()
+}
+
+/// `(edges, broke, skip)` of each segment `drive` completed.
+fn outcomes(done: &[Segment]) -> Vec<(u64, bool, bool)> {
+    done.iter().map(|s| (s.edges, s.broke, s.skip)).collect()
+}
+
+#[test]
+fn a_scan_leaves_at_the_first_or_the_last_edge_and_skips_an_empty_list() {
+    // wt = -0.5, -0.25, 0, 0.25, 0.5, 0.75, 1, 1.25, 1.5 for vertices 0..9.
+    let props = store();
+    let udf = prefix_sum("wt", 1.0);
+    assert!(scan_of(&udf, &props).contains("test: Some(JumpUnlessLeF"));
+    let lists = vec![
+        vec![vec![], vec![8, 3]], // zero-trip, then the first edge leaves
+        vec![vec![3, 4, 5]],      // the last edge leaves
+        vec![vec![0, 1], vec![]], // the list ends, then zero-trip
+        vec![vec![3], vec![4], vec![5, 6]],
+    ];
+    assert_eq!(agree(&udf, &props, &lists), (8, None));
+    let inst = instrument(&udf).unwrap();
+    let (done, _) = drive(&UdfProgram::new(&inst, &props), &lists, false);
+    assert_eq!(
+        outcomes(&done),
+        [
+            (0, false, false),
+            (1, true, true),
+            (3, true, true),
+            (2, false, false),
+            (0, false, false),
+            (1, false, false),
+            (1, false, false),
+            (2, true, true),
+        ]
+    );
+    assert_eq!(done[1].emitted, [8]);
+    assert_eq!(done[2].emitted, [5]);
+}
+
+#[test]
+fn after_a_scan_the_dependency_snapshot_holds_the_sum() {
+    // Carried: 0.25, 0.75 and 1.5 over three segments. The first two
+    // end their lists (the epilogue stores `acc`), the third leaves the
+    // scan and breaks (`EmitDep`); the next segment is skipped.
+    let props = store();
+    let udf = prefix_sum("wt", 1.0);
+    let lists = vec![vec![vec![3], vec![4], vec![8, 1], vec![2]]];
+    assert_eq!(agree(&udf, &props, &lists), (4, None));
+    let inst = instrument(&udf).unwrap();
+    let (done, _) = drive(&UdfProgram::new(&inst, &props), &lists, true);
+    assert_eq!(
+        outcomes(&done),
+        [
+            (1, false, false),
+            (1, false, false),
+            (1, true, true),
+            (0, false, true)
+        ]
+    );
+    assert_ne!(done[0].wire, done[1].wire, "the epilogue stored the sum");
+    assert_eq!(done[2].emitted, [8]);
+}
+
+#[test]
+fn a_nan_met_mid_scan_panics_at_that_edge() {
+    // The sum turns NaN at vertex 5's edge; the comparison after it
+    // panics there, in the scan as in the interpreter.
+    let mut props = store();
+    let weights = (0..N).map(|i| if i == 5 { f64::NAN } else { 0.25 });
+    props.insert("nanwt", PropArray::Floats(weights.collect()));
+    let udf = prefix_sum("nanwt", 100.0);
+    scan_of(&udf, &props);
+    let lists = vec![vec![vec![1, 2], vec![3, 5, 4]]];
+    let (done, panic) = agree(&udf, &props, &lists);
+    assert_eq!((done, panic.as_deref()), (1, Some("NaN in comparison")));
+}
+
+#[test]
+fn an_out_of_range_read_mid_scan_panics_at_that_edge() {
+    let props = store_with_short_array();
+    let udf = prefix_sum("short", 100.0);
+    scan_of(&udf, &props);
+    let lists = vec![vec![vec![1, 2], vec![3, 7, 1]]];
+    let (done, panic) = agree(&udf, &props, &lists);
+    assert_eq!(done, 1);
+    assert!(
+        panic
+            .as_deref()
+            .is_some_and(|p| p.contains("the len is 4 but the index is 7")),
+        "{panic:?}"
+    );
+}
+
+#[test]
+fn an_int_sum_wraps_in_a_scan() {
+    // big[0] = i64::MAX, big[4] = i64::MAX - 4: the sum wraps past
+    // i64::MAX, which the scan adds as the VM's `AddI` does (wrapping,
+    // in both profiles).
+    let props = store();
+    let total = UdfFn::new(
+        "total",
+        Ty::Int,
+        vec![
+            Stmt::let_("n", Ty::Int, Expr::i(0)),
+            Stmt::for_neighbors(vec![Stmt::assign(
+                "n",
+                Expr::local("n").add(Expr::prop_u("big")),
+            )]),
+            Stmt::Emit(Expr::local("n")),
+        ],
+    );
+    assert!(scan_of(&total, &props).contains("add: Some(AddI"));
+    let lists = vec![vec![vec![0, 0, 4]]];
+    assert_eq!(agree(&total, &props, &lists), (1, None));
+    let inst = instrument(&total).unwrap();
+    let (done, _) = drive(&UdfProgram::new(&inst, &props), &lists, false);
+    let sum = i64::MAX.wrapping_add(i64::MAX).wrapping_add(i64::MAX - 4);
+    assert_eq!(done[0].emitted, [sum as u64]);
+    // Leaving when the sum turns negative: at the second edge.
+    let wraps = UdfFn::new(
+        "wraps",
+        Ty::Vertex,
+        vec![
+            Stmt::let_("n", Ty::Int, Expr::i(0)),
+            Stmt::for_neighbors(vec![
+                Stmt::assign("n", Expr::local("n").add(Expr::prop_u("big"))),
+                Stmt::if_(
+                    Expr::local("n").lt(Expr::i(0)),
+                    vec![Stmt::Emit(Expr::CurrentNeighbor), Stmt::Break],
+                ),
+            ]),
+        ],
+    );
+    assert!(scan_of(&wraps, &props).contains("test: Some(JumpUnlessLtI"));
+    let lists = vec![vec![vec![0, 4, 3]]];
+    assert_eq!(agree(&wraps, &props, &lists), (1, None));
+    let (done, _) = drive(
+        &UdfProgram::new(&instrument(&wraps).unwrap(), &props),
+        &lists,
+        false,
+    );
+    assert_eq!(outcomes(&done), [(2, true, true)]);
 }
