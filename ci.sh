@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus lint checks. Run from the repository root.
 #
-#   ./ci.sh            # build, test, matrix gate, doc gates, fmt, clippy
+#   ./ci.sh            # raise-site audit, build, test, matrix gate, doc gates, fmt, clippy
 #   ./ci.sh --quick    # skip the release build and the release-profile steps
 #   ./ci.sh --help     # this text
 #
@@ -45,6 +45,25 @@ step() {
   STEP_START=$SECONDS
   echo "== $1 =="
 }
+
+step "raise-site audit (crates/{net,core}/src vs DESIGN.md)"
+# Every `panic!`, `unwrap()` and `expect(` outside the test modules of
+# symple-net and symple-core, one `path: trimmed line` per site (no line
+# numbers, so unrelated edits leave the list alone), must equal the
+# fenced list under DESIGN.md's "Audited raise sites" heading: a change
+# that adds, removes or rewords a site edits that list too. Comment lines
+# (doc examples included) are not sites; a file's test module is its
+# last item, so the scan of a file stops at its `#[cfg(test)]`. Runs
+# under --quick.
+raise_sites() {
+  local f
+  for f in $(printf '%s\n' crates/net/src/*.rs crates/core/src/*.rs | LC_ALL=C sort); do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} /^[[:space:]]*\/\// {next}
+      /panic!|unwrap\(\)|expect\(/ {sub(/^[[:space:]]+/, ""); print f ": " $0}' "$f"
+  done
+}
+raise_sites | diff - <(awk '/^### Audited raise sites/ {sec = 1} sec && /^```/ {if (blk) exit; blk = 1; next} blk' \
+  DESIGN.md)
 
 step "build (release)"
 if [ "$QUICK" = 0 ]; then

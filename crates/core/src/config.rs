@@ -1,7 +1,7 @@
 //! Engine configuration and execution policies.
 
 use std::fmt;
-use symple_net::{Backend, CostModel, FaultPlan, RetryConfig, TraceLevel, WireCodec};
+use symple_net::{Backend, CostModel, FaultPlan, TraceLevel, WireCodec};
 
 /// Why an [`EngineConfig`] failed [`EngineConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,12 +16,13 @@ pub enum ConfigError {
     ZeroChunkSize,
     /// `exchange_chunk` was 0 — frames must carry at least one byte.
     ZeroExchangeChunk,
+    /// `partition_alpha` was NaN, infinite or negative — the partition's
+    /// balance degenerates (under NaN every vertex lands on the last
+    /// machine).
+    InvalidPartitionAlpha,
     /// The fault plan's rates were not probabilities; carries the
     /// offending knob's message.
     InvalidFaultPlan(&'static str),
-    /// The retry protocol knobs were out of range; carries the offending
-    /// knob's message.
-    InvalidRetry(&'static str),
 }
 
 impl fmt::Display for ConfigError {
@@ -42,7 +43,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroExchangeChunk => {
                 write!(f, "exchange_chunk must be at least 1 (got 0)")
             }
-            ConfigError::InvalidFaultPlan(why) | ConfigError::InvalidRetry(why) => f.write_str(why),
+            ConfigError::InvalidPartitionAlpha => {
+                write!(f, "partition_alpha must be finite and non-negative")
+            }
+            ConfigError::InvalidFaultPlan(why) => f.write_str(why),
         }
     }
 }
@@ -163,7 +167,8 @@ pub struct EngineConfig {
     /// Virtual-time cost model (which testbed to emulate).
     pub cost: CostModel,
     /// Extra per-vertex weight when balancing the partition by
-    /// `alpha · |V_i| + |E_i|` (Gemini's locality-aware chunking).
+    /// `alpha · |V_i| + |E_i|` (Gemini's locality-aware chunking). Must be
+    /// finite and non-negative ([`ConfigError::InvalidPartitionAlpha`]).
     pub partition_alpha: f64,
     /// Worker threads per simulated machine for the chunked intra-machine
     /// executor (Gemini's multicore edge loop). Outputs, `WorkStats`, and
@@ -187,13 +192,12 @@ pub struct EngineConfig {
     pub wire_codec: WireCodec,
     /// Deterministic fault plan injected below the engine (default:
     /// `None`, a perfect network). With a plan installed the reliable
-    /// delivery layer keeps outputs, `WorkStats`, and trace structure
-    /// bit-identical to the fault-free run — only the retransmit/ack
-    /// counters in `CommStats` and the virtual clock absorb the faults.
+    /// delivery layer (its retry protocol is fixed: see
+    /// [`symple_net::RETRY_ATTEMPTS`]) keeps outputs, `WorkStats`, and
+    /// trace structure bit-identical to the fault-free run — only the
+    /// retransmit/ack counters in `CommStats` and the virtual clock absorb
+    /// the faults.
     pub fault_plan: Option<FaultPlan>,
-    /// Ack/retry protocol knobs for the reliable-delivery layer (used
-    /// only when `fault_plan` is set).
-    pub retry: RetryConfig,
     /// Which transport carries inter-machine messages: `Sim` (unbounded
     /// channels, the bit-deterministic default) or `Thread` (bounded
     /// channels with real backpressure and measured per-machine wall
@@ -236,7 +240,6 @@ impl EngineConfig {
             trace_level: TraceLevel::Metrics,
             wire_codec: WireCodec::Flat,
             fault_plan: None,
-            retry: RetryConfig::default(),
             backend: Backend::Sim,
             udf_exec: UdfExec::Bytecode,
             exchange_chunk: 16 * 1024,
@@ -289,12 +292,6 @@ impl EngineConfig {
     /// Installs (or clears, with `None`) a deterministic fault plan.
     pub fn fault_plan(mut self, plan: impl Into<Option<FaultPlan>>) -> Self {
         self.fault_plan = plan.into();
-        self
-    }
-
-    /// Sets the ack/retry protocol knobs.
-    pub fn retry(mut self, retry: RetryConfig) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -355,9 +352,11 @@ impl EngineConfig {
         if self.exchange_chunk == 0 {
             return Err(ConfigError::ZeroExchangeChunk);
         }
+        if !(self.partition_alpha.is_finite() && self.partition_alpha >= 0.0) {
+            return Err(ConfigError::InvalidPartitionAlpha);
+        }
         if let Some(plan) = &self.fault_plan {
             plan.validate().map_err(ConfigError::InvalidFaultPlan)?;
-            self.retry.validate().map_err(ConfigError::InvalidRetry)?;
         }
         Ok(())
     }
@@ -467,12 +466,7 @@ mod tests {
     fn fault_knobs_default_off_and_validate() {
         let cfg = EngineConfig::new(4, Policy::symple());
         assert!(cfg.fault_plan.is_none());
-        assert_eq!(cfg.retry, RetryConfig::default());
-        let cfg = cfg.fault_plan(FaultPlan::chaos(42)).retry(RetryConfig {
-            timeout_steps: 3,
-            backoff: 1.5,
-            max_attempts: 10,
-        });
+        let cfg = cfg.fault_plan(FaultPlan::chaos(42));
         assert!(cfg.fault_plan.unwrap().injects());
         assert_eq!(cfg.validate(), Ok(()));
         let cleared = cfg.fault_plan(None);
@@ -487,25 +481,28 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ConfigError::InvalidFaultPlan(_)));
         assert!(err.to_string().contains("drop_rate"));
-        let err = EngineConfig::new(2, Policy::Gemini)
-            .fault_plan(FaultPlan::chaos(0))
-            .retry(RetryConfig {
-                max_attempts: 0,
-                ..RetryConfig::default()
-            })
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::InvalidRetry(_)));
-        // Bad retry knobs without a plan are inert — the layer is off.
-        assert_eq!(
-            EngineConfig::new(2, Policy::Gemini)
-                .retry(RetryConfig {
-                    max_attempts: 0,
-                    ..RetryConfig::default()
-                })
-                .validate(),
-            Ok(())
-        );
+    }
+
+    #[test]
+    fn partition_alpha_must_be_finite_and_non_negative() {
+        let with_alpha = |alpha: f64| {
+            let mut cfg = EngineConfig::new(2, Policy::Gemini);
+            cfg.partition_alpha = alpha;
+            cfg.validate()
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1e300] {
+            assert_eq!(
+                with_alpha(bad),
+                Err(ConfigError::InvalidPartitionAlpha),
+                "{bad}"
+            );
+        }
+        let err = with_alpha(f64::NAN).unwrap_err();
+        assert!(err.to_string().contains("partition_alpha"));
+        // The default and the values the config fuzzer draws stay valid.
+        for good in [0.0, 1.0, 8.0, 1.5] {
+            assert_eq!(with_alpha(good), Ok(()), "{good}");
+        }
     }
 
     #[test]
@@ -553,6 +550,27 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroExchangeChunk);
         assert!(err.to_string().contains("exchange_chunk"));
+    }
+
+    #[test]
+    fn readme_knob_table_lists_every_field_in_order() {
+        let src = include_str!("config.rs");
+        let body = src.split("pub struct EngineConfig {").nth(1).unwrap();
+        let body = body.split("\n}").next().unwrap();
+        let fields: Vec<&str> = body
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("pub ")?.split(':').next())
+            .collect();
+        let readme = include_str!("../../../README.md");
+        let table = readme.split("| Knob | Default | Effect |").nth(1).unwrap();
+        let knobs: Vec<&str> = table
+            .lines()
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.split('`').nth(1))
+            .collect();
+        assert!(!fields.is_empty());
+        assert_eq!(knobs, fields, "README's knob table vs EngineConfig");
     }
 
     #[test]

@@ -64,14 +64,16 @@ where
     if let Err(e) = cfg.validate() {
         panic!("invalid engine config: {e}");
     }
+    // Invariant: `validate` has checked everything `build` checks (at
+    // least one machine, a fault plan of probabilities; the inbox
+    // capacity is the builder's default), so this cannot fail.
     let cluster = Cluster::builder(cfg.machines)
         .cost(cfg.cost)
         .backend(cfg.backend)
         .trace_level(cfg.trace_level)
         .fault_plan(cfg.fault_plan)
-        .retry(cfg.retry)
         .build()
-        .unwrap_or_else(|e| panic!("invalid engine config: {e}"));
+        .expect("a validated EngineConfig builds its cluster");
     let fetch_started = Instant::now();
     let prepared = PreparedGraph::of(graph, cfg);
     let fetch_wall = fetch_started.elapsed();

@@ -61,10 +61,10 @@ pub use worker::Worker;
 
 // Tracing, codec, and fault-injection vocabulary, re-exported so
 // algorithm and application crates can configure
-// `EngineConfig::{trace_level,wire_codec,fault_plan,retry,backend}` and
-// read `RunStats::{trace,comm}` (the trace carries every categorized
-// total) without depending on symple-net directly.
+// `EngineConfig::{trace_level,wire_codec,fault_plan,backend}` and read
+// `RunStats::{trace,comm}` (the trace carries every categorized total)
+// without depending on symple-net directly.
 pub use symple_net::{
-    Backend, FaultPlan, NetError, ReliableStats, RetryConfig, SpanCategory, Trace, TraceLevel,
-    WireCodec, WireFormat,
+    Backend, FaultPlan, NetError, ReliableStats, SpanCategory, Trace, TraceLevel, WireCodec,
+    WireFormat,
 };

@@ -97,28 +97,12 @@ fn group_range(g: usize, groups: usize, n: usize) -> Range<usize> {
 }
 
 impl<'a> Worker<'a> {
-    /// The handle of machine `ctx.rank()` over `graph`'s
-    /// [`PreparedGraph`] for `cfg`. Builds nothing the graph already
-    /// holds: the partition, dependency layout and this rank's buckets
-    /// are built by the first job on the graph with this layout and found
-    /// by every later one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or its machine count differs
-    /// from the cluster's.
-    pub fn new(ctx: &'a mut NodeCtx, graph: &'a Graph, cfg: &'a EngineConfig) -> Self {
-        let started = Instant::now();
-        if let Err(e) = cfg.validate() {
-            panic!("invalid engine config: {e}");
-        }
-        let prepared = PreparedGraph::of(graph, cfg);
-        Worker::with_prepared(ctx, graph, cfg, prepared, started)
-    }
-
-    /// [`Worker::new`] over a `prepared` the caller already fetched with
-    /// `PreparedGraph::of(graph, cfg)` — once for all machines of a job.
-    /// `started` is when this machine's set-up began.
+    /// The handle of machine `ctx.rank()` over `prepared`, the
+    /// [`PreparedGraph`] `run_spmd` fetched with `PreparedGraph::of(graph,
+    /// cfg)` once for all machines of a job (after validating `cfg`).
+    /// Builds nothing the graph already holds: this rank's buckets are
+    /// built by the first job on the graph with this layout and found by
+    /// every later one. `started` is when this machine's set-up began.
     pub(crate) fn with_prepared(
         ctx: &'a mut NodeCtx,
         graph: &'a Graph,

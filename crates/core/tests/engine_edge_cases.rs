@@ -1,7 +1,10 @@
 //! Engine edge cases: degenerate graphs, extreme machine counts, and
 //! configuration corners that unit tests don't reach.
 
-use symple_core::{run_spmd, BitDep, EngineConfig, Policy, PullProgram, SignalOutcome};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use symple_core::{
+    run_spmd, Backend, BitDep, EngineConfig, FaultPlan, Policy, PullProgram, SignalOutcome,
+};
 use symple_graph::{star, Graph, GraphBuilder, Vid};
 
 /// Emit every active in-neighbour until the first one ≥ 10, then break.
@@ -34,8 +37,11 @@ impl PullProgram for ToyProgram {
 }
 
 fn run_toy(graph: &Graph, machines: usize, policy: Policy) -> u64 {
-    let cfg = EngineConfig::new(machines, policy);
-    let res = run_spmd(graph, &cfg, |w| {
+    run_toy_with(graph, &EngineConfig::new(machines, policy))
+}
+
+fn run_toy_with(graph: &Graph, cfg: &EngineConfig) -> u64 {
+    let res = run_spmd(graph, cfg, |w| {
         let mut dep = BitDep::new(w.dep_slots_needed());
         let mut received = 0u64;
         let mut apply = |_v: Vid, _u: Vid| -> bool {
@@ -181,4 +187,24 @@ fn virtual_time_increases_with_machines_for_fixed_latency_share() {
         last = Some(res.stats.virtual_time());
     }
     assert!(last.unwrap() > 0.0);
+}
+
+#[test]
+fn an_exhausted_retry_budget_is_the_root_cause() {
+    // Every copy of every message is dropped: the first send on either
+    // machine exhausts its budget. `run_spmd` must re-raise that, not the
+    // peer's abort on the poison envelope and not a receive timeout.
+    let g = star(64);
+    for backend in [Backend::Sim, Backend::Thread] {
+        for seed in [0, 7] {
+            let cfg = EngineConfig::new(2, Policy::symple())
+                .backend(backend)
+                .fault_plan(FaultPlan::new(seed).drop_rate(1.0));
+            let err = catch_unwind(AssertUnwindSafe(|| run_toy_with(&g, &cfg))).unwrap_err();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("all 20 attempts dropped"), "{backend}: {msg}");
+            assert!(!msg.contains("aborting:"), "{backend}: {msg}");
+            assert!(!msg.contains("timed out"), "{backend}: {msg}");
+        }
+    }
 }

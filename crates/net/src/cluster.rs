@@ -27,7 +27,7 @@
 //! [`crate::ReliableStats`] and the virtual clock absorb the damage.
 
 use crate::transport::{connect, Backend, Envelope, Port, DEFAULT_CHANNEL_CAPACITY};
-use crate::{CommKind, CostModel, FaultPlan, NetError, RetryConfig};
+use crate::{CommKind, CostModel, FaultPlan, NetError, RETRY_ATTEMPTS};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,7 +91,6 @@ impl Tag {
 /// the plan, independent of host scheduling or thread count.
 struct ReliableLink {
     plan: FaultPlan,
-    retry: RetryConfig,
     /// Next sequence number per outgoing (dst, tag) stream.
     next_seq: HashMap<(usize, Tag), u64>,
     /// Next expected sequence number per incoming (src, tag) stream.
@@ -232,17 +231,15 @@ impl NodeCtx {
     ///
     /// Panics on self-send (a protocol error: local work needs no message),
     /// if `dst` is out of range, or if an active fault plan drops all
-    /// retransmission attempts ([`NetError::Unreachable`]; use
+    /// [`RETRY_ATTEMPTS`] copies ([`NetError::Unreachable`]; use
     /// [`NodeCtx::try_send`] to handle that case).
     pub fn send(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Vec<u8>) {
-        if let Err(e) = self.try_send(dst, tag, kind, payload) {
-            panic!("{e}");
-        }
+        self.send_shared(dst, tag, kind, Arc::new(payload));
     }
 
     /// [`NodeCtx::send`], but surfacing reliable-delivery exhaustion as
     /// [`NetError::Unreachable`] instead of panicking. Without a fault
-    /// plan (or with enough `max_attempts`) this never fails.
+    /// plan this never fails.
     pub fn try_send(
         &mut self,
         dst: usize,
@@ -250,27 +247,24 @@ impl NodeCtx {
         kind: CommKind,
         payload: Vec<u8>,
     ) -> Result<(), NetError> {
-        self.try_send_shared(dst, tag, kind, Arc::new(payload))
+        self.account(dst, kind, payload.len() as u64);
+        self.dispatch(dst, tag, Arc::new(payload), 0.0)
     }
 
     /// [`NodeCtx::send`] on an already-shared buffer: collectives
     /// broadcast one allocation to every peer instead of cloning per
     /// destination. Accounting is identical to `send`.
     fn send_shared(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Arc<Vec<u8>>) {
-        if let Err(e) = self.try_send_shared(dst, tag, kind, payload) {
-            panic!("{e}");
-        }
+        self.account(dst, kind, payload.len() as u64);
+        self.deliver(dst, tag, payload, 0.0);
     }
 
-    fn try_send_shared(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        kind: CommKind,
-        payload: Arc<Vec<u8>>,
-    ) -> Result<(), NetError> {
-        self.account(dst, kind, payload.len() as u64);
-        self.dispatch(dst, tag, payload, 0.0)
+    /// `dispatch` for the infallible sends: the one place an exhausted
+    /// retry budget is raised.
+    fn deliver(&mut self, dst: usize, tag: Tag, payload: Arc<Vec<u8>>, depart_offset: f64) {
+        if let Err(e) = self.dispatch(dst, tag, payload, depart_offset) {
+            panic!("{e}");
+        }
     }
 
     /// The logical half of a send, done once per message whether it
@@ -307,7 +301,7 @@ impl NodeCtx {
         payload: Arc<Vec<u8>>,
         depart_offset: f64,
     ) -> Result<(), NetError> {
-        let (plan, retry, seq) = match &mut self.reliable {
+        let (plan, seq) = match &mut self.reliable {
             None => {
                 let env = Envelope {
                     src: self.rank,
@@ -324,19 +318,19 @@ impl NodeCtx {
                 let next = link.next_seq.entry((dst, tag)).or_insert(0);
                 let seq = *next;
                 *next += 1;
-                (link.plan, link.retry, seq)
+                (link.plan, seq)
             }
         };
         let bytes = payload.len() as u64;
         let quantum = self.cost.retry_timeout(bytes);
-        let schedule = plan.schedule(&retry, quantum, self.rank, dst, tag, seq);
+        let schedule = plan.schedule(quantum, self.rank, dst, tag, seq);
         // Copies resent after an ack timeout: the sender pays one header
         // overhead per resend (charged to the Retry category) and the
         // resent traffic is tallied in the reliable counters — never in
         // the per-kind byte/message arrays.
         let (timeouts, retransmits) = match &schedule {
-            Ok(d) => (d.retransmits, d.retransmits),
-            Err(attempts) => (*attempts, attempts - 1),
+            Some(d) => (d.retransmits, d.retransmits),
+            None => (RETRY_ATTEMPTS, RETRY_ATTEMPTS - 1),
         };
         if retransmits > 0 {
             let start = self.clock;
@@ -347,15 +341,11 @@ impl NodeCtx {
                 .record_retransmits(dst, u64::from(retransmits), bytes);
         }
         self.trace.record_timeouts(u64::from(timeouts));
-        let delivery = match schedule {
-            Ok(d) => d,
-            Err(attempts) => {
-                return Err(NetError::Unreachable {
-                    src: self.rank,
-                    dst,
-                    attempts,
-                })
-            }
+        let Some(delivery) = schedule else {
+            return Err(NetError::Unreachable {
+                src: self.rank,
+                dst,
+            });
         };
         // The surviving copy departs after the expired timers and any
         // injected transit delay; only the resend overhead above touched
@@ -604,15 +594,12 @@ impl NodeCtx {
         let mut pos = 0usize;
         loop {
             let end = (pos + chunk).min(total);
-            let sent = self.dispatch(
+            self.deliver(
                 dst,
                 tag.with_frame(frame),
                 Arc::new(payload[pos..end].to_vec()),
                 pos as f64 * per_byte,
             );
-            if let Err(e) = sent {
-                panic!("{e}");
-            }
             if end - pos < chunk {
                 return;
             }
@@ -629,11 +616,20 @@ impl NodeCtx {
     /// scatter work of its own.
     pub fn poll_drain(&mut self) {
         while let Some(env) = self.port.try_recv() {
-            if env.poison {
-                panic!("node {} aborting: peer {} panicked", self.rank, env.src);
-            }
+            let env = self.unpoisoned(env);
             self.stash(env);
         }
+    }
+
+    /// Passes `env` through unless it is a peer's poison, the envelope a
+    /// node that panicked sends every peer: then this node aborts at once
+    /// instead of waiting out its receive timeout. The one place a peer's
+    /// failure is raised on this node.
+    fn unpoisoned(&self, env: Envelope) -> Envelope {
+        if env.poison {
+            panic!("node {} aborting: peer {} panicked", self.rank, env.src);
+        }
+        env
     }
 
     /// Takes the next envelope of the (src, tag) stream if it has already
@@ -747,10 +743,7 @@ impl NodeCtx {
         let deadline = Instant::now() + self.recv_timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.port.recv(remaining) {
-                Some(env) if env.poison => {
-                    panic!("node {} aborting: peer {} panicked", self.rank, env.src)
-                }
+            match self.port.recv(remaining).map(|env| self.unpoisoned(env)) {
                 // The awaited envelope is taken as it lands; everything
                 // else (other streams, overtakers, stale copies) is
                 // buffered or dropped by `stash`.
@@ -796,9 +789,9 @@ impl<T> ClusterResult<T> {
     }
 }
 
-/// Validated construction of a [`Cluster`]: one coherent path shared by
-/// the engine driver, tests, benches, and examples (replacing the old
-/// scattered `Cluster` setter chain).
+/// Validated construction of a [`Cluster`]: the one way the engine
+/// driver, tests, benches and examples configure a cluster. A built
+/// [`Cluster`] holds the builder that passed validation.
 ///
 /// # Example
 ///
@@ -825,7 +818,6 @@ pub struct ClusterBuilder {
     recv_timeout: Duration,
     trace_level: TraceLevel,
     fault_plan: Option<FaultPlan>,
-    retry: RetryConfig,
 }
 
 impl ClusterBuilder {
@@ -841,7 +833,6 @@ impl ClusterBuilder {
             recv_timeout: Duration::from_secs(120),
             trace_level: TraceLevel::default(),
             fault_plan: None,
-            retry: RetryConfig::default(),
         }
     }
 
@@ -885,21 +876,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the retry protocol knobs (only meaningful together with
-    /// [`ClusterBuilder::fault_plan`]).
-    pub fn retry(mut self, retry: RetryConfig) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Validates the configuration and builds the cluster.
     ///
     /// # Errors
     ///
     /// [`NetError::EmptyCluster`] for zero nodes,
     /// [`NetError::ZeroChannelCapacity`] for a zero thread-backend inbox,
-    /// [`NetError::InvalidFaultPlan`] / [`NetError::InvalidRetry`] when a
-    /// fault plan is installed with out-of-range knobs.
+    /// [`NetError::InvalidFaultPlan`] for a fault plan whose rates are not
+    /// probabilities.
     pub fn build(self) -> Result<Cluster, NetError> {
         if self.nodes == 0 {
             return Err(NetError::EmptyCluster);
@@ -909,18 +893,8 @@ impl ClusterBuilder {
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate().map_err(NetError::InvalidFaultPlan)?;
-            self.retry.validate().map_err(NetError::InvalidRetry)?;
         }
-        Ok(Cluster {
-            nodes: self.nodes,
-            cost: self.cost,
-            backend: self.backend,
-            channel_capacity: self.channel_capacity,
-            recv_timeout: self.recv_timeout,
-            trace_level: self.trace_level,
-            fault_plan: self.fault_plan,
-            retry: self.retry,
-        })
+        Ok(Cluster(self))
     }
 }
 
@@ -946,16 +920,7 @@ impl ClusterBuilder {
 /// assert!(r.virtual_time > 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Cluster {
-    nodes: usize,
-    cost: CostModel,
-    backend: Backend,
-    channel_capacity: usize,
-    recv_timeout: Duration,
-    trace_level: TraceLevel,
-    fault_plan: Option<FaultPlan>,
-    retry: RetryConfig,
-}
+pub struct Cluster(ClusterBuilder);
 
 impl Cluster {
     /// Starts a validated [`ClusterBuilder`] for `nodes` nodes.
@@ -988,8 +953,9 @@ impl Cluster {
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
     {
-        let p = self.nodes;
-        let mut ports = connect(p, self.backend, self.channel_capacity, self.recv_timeout);
+        let cfg = &self.0;
+        let p = cfg.nodes;
+        let mut ports = connect(p, cfg.backend, cfg.channel_capacity, cfg.recv_timeout);
         let start = Instant::now();
         type Slot<T> = Option<(T, f64, symple_trace::NodeTrace, Duration)>;
         let mut slots: Vec<Slot<T>> = (0..p).map(|_| None).collect();
@@ -997,12 +963,8 @@ impl Cluster {
             let mut handles = Vec::with_capacity(p);
             for (rank, (port, slot)) in ports.drain(..).zip(slots.iter_mut()).enumerate() {
                 let f = &f;
-                let cost = self.cost;
-                let recv_timeout = self.recv_timeout;
-                let trace_level = self.trace_level;
-                let reliable = self.fault_plan.map(|plan| ReliableLink {
+                let reliable = cfg.fault_plan.map(|plan| ReliableLink {
                     plan,
-                    retry: self.retry,
                     next_seq: HashMap::new(),
                     expected: HashMap::new(),
                 });
@@ -1012,12 +974,12 @@ impl Cluster {
                         rank,
                         world: p,
                         clock: 0.0,
-                        cost,
+                        cost: cfg.cost,
                         port,
                         pending: HashMap::new(),
                         coll_epoch: 0,
-                        recv_timeout,
-                        trace: TraceRecorder::new(rank, trace_level),
+                        recv_timeout: cfg.recv_timeout,
+                        trace: TraceRecorder::new(rank, cfg.trace_level),
                         in_barrier: false,
                         reliable,
                         deferred: BTreeMap::new(),
@@ -1302,6 +1264,57 @@ mod tests {
             });
     }
 
+    /// Runs `wait` on rank 0 while rank 1 panics with "boom", under a
+    /// receive timeout far longer than the run may take. Returns the
+    /// message `Cluster::run` re-raised and how long the run took.
+    fn panic_while_rank_0_waits(backend: Backend, wait: fn(&mut NodeCtx)) -> (String, Duration) {
+        let cluster = cluster(2, CostModel::zero())
+            .backend(backend)
+            .recv_timeout(Duration::from_secs(60))
+            .build()
+            .unwrap();
+        let started = Instant::now();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.run(|ctx| {
+                if ctx.rank() == 1 {
+                    panic!("boom");
+                }
+                wait(ctx);
+            })
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        (msg, started.elapsed())
+    }
+
+    #[test]
+    fn a_peer_panic_aborts_a_blocked_recv() {
+        for backend in [Backend::Sim, Backend::Thread] {
+            let (msg, took) = panic_while_rank_0_waits(backend, |ctx| {
+                ctx.recv(1, user_tag(0));
+            });
+            assert_eq!(msg, "node 1 panicked: boom", "{backend}");
+            assert!(took < Duration::from_secs(10), "{backend}: took {took:?}");
+        }
+    }
+
+    #[test]
+    fn a_peer_panic_aborts_a_poll_drain_spin() {
+        for backend in [Backend::Sim, Backend::Thread] {
+            let (msg, took) = panic_while_rank_0_waits(backend, |ctx| {
+                // Only the poison ends this spin early; the deadline keeps
+                // a node that ignores it from hanging the test.
+                let give_up = Instant::now() + Duration::from_secs(60);
+                while Instant::now() < give_up {
+                    ctx.poll_drain();
+                    std::thread::yield_now();
+                }
+            });
+            assert_eq!(msg, "node 1 panicked: boom", "{backend}");
+            assert!(took < Duration::from_secs(10), "{backend}: took {took:?}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "timed out")]
     fn deadlock_is_diagnosed() {
@@ -1541,13 +1554,8 @@ mod tests {
     #[test]
     fn exhaustion_is_a_typed_error_not_a_hang() {
         let plan = FaultPlan::new(0).drop_rate(1.0);
-        let retry = RetryConfig {
-            max_attempts: 3,
-            ..RetryConfig::default()
-        };
         let r = cluster(2, CostModel::zero())
             .fault_plan(plan)
-            .retry(retry)
             .build()
             .unwrap()
             .run(|ctx| {
@@ -1557,30 +1565,19 @@ mod tests {
                     Ok(())
                 }
             });
-        assert_eq!(
-            r.outputs[0],
-            Err(NetError::Unreachable {
-                src: 0,
-                dst: 1,
-                attempts: 3
-            })
-        );
+        assert_eq!(r.outputs[0], Err(NetError::Unreachable { src: 0, dst: 1 }));
         // The attempted traffic is still visible in the counters.
-        assert_eq!(r.traces.comm().reliable().timeouts, 3);
-        assert_eq!(r.traces.comm().reliable().retransmits, 2);
+        let rel = r.traces.comm().reliable();
+        assert_eq!(rel.timeouts, u64::from(RETRY_ATTEMPTS));
+        assert_eq!(rel.retransmits, u64::from(RETRY_ATTEMPTS - 1));
     }
 
     #[test]
-    #[should_panic(expected = "all 2 attempts dropped")]
+    #[should_panic(expected = "all 20 attempts dropped")]
     fn send_panics_on_exhaustion() {
         let plan = FaultPlan::new(0).drop_rate(1.0);
-        let retry = RetryConfig {
-            max_attempts: 2,
-            ..RetryConfig::default()
-        };
         cluster(2, CostModel::zero())
             .fault_plan(plan)
-            .retry(retry)
             .recv_timeout(Duration::from_millis(200))
             .build()
             .unwrap()

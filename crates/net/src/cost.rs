@@ -139,8 +139,9 @@ impl CostModel {
 
     /// The modelled round trip the reliable layer's retransmission timer
     /// scales from: the data copy's [`CostModel::transfer_time`] out plus
-    /// the zero-byte ack's latency back. `RetryConfig::timeout_steps`
-    /// multiples of this are waited before each resend. Acks themselves
+    /// the zero-byte ack's latency back. A message's first ack timer is
+    /// [`crate::RETRY_TIMEOUT_QUANTA`] of these, and each expiry multiplies
+    /// the next timer by [`crate::RETRY_BACKOFF`]. Acks themselves
     /// are empty messages and therefore free on the sender
     /// ([`CostModel::send_overhead`] of 0 bytes is 0).
     pub fn retry_timeout(&self, bytes: u64) -> f64 {

@@ -1,5 +1,6 @@
 //! Error type for the simulated network.
 
+use crate::RETRY_ATTEMPTS;
 use std::fmt;
 
 /// Errors surfaced by the simulated cluster.
@@ -22,23 +23,18 @@ pub enum NetError {
     /// `ClusterBuilder` rejected an invalid fault plan; carries the
     /// offending knob's message.
     InvalidFaultPlan(&'static str),
-    /// `ClusterBuilder` rejected invalid retry protocol knobs; carries
-    /// the offending knob's message.
-    InvalidRetry(&'static str),
     /// `ClusterBuilder` was given a zero channel capacity for the thread
     /// backend (a rendezvous channel would deadlock the blocking
     /// tag-matched protocol).
     ZeroChannelCapacity,
     /// The reliable-delivery layer exhausted its retransmission budget:
-    /// every one of `attempts` copies of a message was dropped by the
-    /// active fault plan. Deterministic per (plan, message).
+    /// every one of the [`crate::RETRY_ATTEMPTS`] copies of a message was
+    /// dropped by the active fault plan. Deterministic per (plan, message).
     Unreachable {
         /// Sending rank.
         src: usize,
         /// Destination rank.
         dst: usize,
-        /// Transmission attempts made (the configured `max_attempts`).
-        attempts: u32,
     },
 }
 
@@ -50,13 +46,12 @@ impl fmt::Display for NetError {
             }
             NetError::EmptyCluster => write!(f, "cluster must have at least one node"),
             NetError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
-            NetError::InvalidRetry(why) => write!(f, "invalid retry config: {why}"),
             NetError::ZeroChannelCapacity => {
                 write!(f, "channel capacity must be at least 1 (got 0)")
             }
-            NetError::Unreachable { src, dst, attempts } => write!(
+            NetError::Unreachable { src, dst } => write!(
                 f,
-                "node {src} could not deliver to node {dst}: all {attempts} attempts dropped by the fault plan"
+                "node {src} could not deliver to node {dst}: all {RETRY_ATTEMPTS} attempts dropped by the fault plan"
             ),
         }
     }
@@ -76,11 +71,7 @@ mod tests {
         };
         assert!(e.to_string().contains("node 3"));
         assert!(NetError::EmptyCluster.to_string().contains("at least one"));
-        let u = NetError::Unreachable {
-            src: 0,
-            dst: 2,
-            attempts: 20,
-        };
+        let u = NetError::Unreachable { src: 0, dst: 2 };
         assert!(u.to_string().contains("node 0"));
         assert!(u.to_string().contains("20 attempts"));
     }

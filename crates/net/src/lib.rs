@@ -64,7 +64,7 @@ pub use codec::{
 };
 pub use cost::CostModel;
 pub use error::NetError;
-pub use reliable::{Delivery, FaultPlan, RetryConfig};
+pub use reliable::{Delivery, FaultPlan, RETRY_ATTEMPTS, RETRY_BACKOFF, RETRY_TIMEOUT_QUANTA};
 pub use transport::Backend;
 pub use wire::{decode_vec, encode_slice, Wire};
 

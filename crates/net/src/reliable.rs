@@ -19,64 +19,32 @@
 //! # Example
 //!
 //! ```
-//! use symple_net::{FaultPlan, RetryConfig, Tag, TagKind};
+//! use symple_net::{FaultPlan, Tag, TagKind};
 //!
 //! let plan = FaultPlan::new(42).drop_rate(0.3).dup_rate(0.2);
-//! let retry = RetryConfig::default();
 //! let tag = Tag::new(TagKind::User, 0, 0);
 //! // The schedule for one message is deterministic: same inputs, same
 //! // retransmit count and delivery delay, forever.
-//! let a = plan.schedule(&retry, 1.0, 0, 1, tag, 0).unwrap();
-//! let b = plan.schedule(&retry, 1.0, 0, 1, tag, 0).unwrap();
+//! let a = plan.schedule(1.0, 0, 1, tag, 0).unwrap();
+//! let b = plan.schedule(1.0, 0, 1, tag, 0).unwrap();
 //! assert_eq!(a.retransmits, b.retransmits);
 //! assert_eq!(a.extra_delay, b.extra_delay);
 //! ```
 
 use crate::{Tag, TagKind};
 
-/// Ack/retry protocol knobs, in virtual time.
-///
-/// The retransmission timeout (RTO) for a message of `n` payload bytes is
-/// `timeout_steps ×` the cost model's modelled round trip
-/// ([`crate::CostModel::retry_timeout`]); each expiry multiplies the next
-/// RTO by `backoff`. After `max_attempts` unacknowledged copies the send
-/// surfaces [`crate::NetError::Unreachable`] instead of retrying forever.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryConfig {
-    /// RTO as a multiple of the modelled round-trip time (default 2).
-    pub timeout_steps: u32,
-    /// Multiplicative backoff applied to the RTO per expiry (default 2.0).
-    pub backoff: f64,
-    /// Total transmission attempts before giving up (default 20).
-    pub max_attempts: u32,
-}
+/// Retransmission timeout of a message's first copy, in retry quanta
+/// ([`crate::CostModel::retry_timeout`], the modelled round trip of the
+/// copy and its ack).
+pub const RETRY_TIMEOUT_QUANTA: f64 = 2.0;
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            timeout_steps: 2,
-            backoff: 2.0,
-            max_attempts: 20,
-        }
-    }
-}
+/// Factor each expired retransmission timeout multiplies the next by.
+pub const RETRY_BACKOFF: f64 = 2.0;
 
-impl RetryConfig {
-    /// Validates the knobs: at least one attempt, a positive timeout, and
-    /// a backoff that never shrinks the timer.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if self.max_attempts == 0 {
-            return Err("retry.max_attempts must be at least 1");
-        }
-        if self.timeout_steps == 0 {
-            return Err("retry.timeout_steps must be at least 1");
-        }
-        if self.backoff.is_nan() || self.backoff < 1.0 {
-            return Err("retry.backoff must be at least 1.0");
-        }
-        Ok(())
-    }
-}
+/// Copies sent before a message is given up: when every one of them is
+/// dropped the send surfaces [`crate::NetError::Unreachable`] instead of
+/// retrying forever.
+pub const RETRY_ATTEMPTS: u32 = 20;
 
 /// A seeded, deterministic fault plan for the simulated network.
 ///
@@ -171,8 +139,8 @@ impl FaultPlan {
     }
 
     /// A canonical drop + duplicate + delay + reorder mix for smoke tests:
-    /// every fault class is exercised at rates the default
-    /// [`RetryConfig`] absorbs with margin.
+    /// every fault class is exercised at rates the [`RETRY_ATTEMPTS`]
+    /// budget absorbs with margin.
     pub fn chaos(seed: u64) -> Self {
         FaultPlan::new(seed)
             .drop_rate(0.2)
@@ -284,24 +252,23 @@ impl FaultPlan {
 
     /// Resolves the whole retransmission schedule of message `seq` on the
     /// `(src, dst, tag)` stream. `quantum` is the modelled round-trip time
-    /// the RTO scales from ([`crate::CostModel::retry_timeout`]). Returns
-    /// the attempt count on exhaustion (every copy dropped).
+    /// the RTO scales from ([`crate::CostModel::retry_timeout`]). `None`
+    /// means all [`RETRY_ATTEMPTS`] copies were dropped.
     pub fn schedule(
         &self,
-        retry: &RetryConfig,
         quantum: f64,
         src: usize,
         dst: usize,
         tag: Tag,
         seq: u64,
-    ) -> Result<Delivery, u32> {
+    ) -> Option<Delivery> {
         let mut waited = 0.0_f64;
-        let mut rto = retry.timeout_steps as f64 * quantum;
-        for attempt in 0..retry.max_attempts {
+        let mut rto = RETRY_TIMEOUT_QUANTA * quantum;
+        for attempt in 0..RETRY_ATTEMPTS {
             match self.fate(src, dst, tag, seq, attempt) {
                 AttemptFate::Dropped => {
                     waited += rto;
-                    rto *= retry.backoff;
+                    rto *= RETRY_BACKOFF;
                 }
                 AttemptFate::Delivered {
                     delay_steps,
@@ -312,7 +279,7 @@ impl FaultPlan {
                     if reorder {
                         extra += 0.5 * quantum;
                     }
-                    return Ok(Delivery {
+                    return Some(Delivery {
                         retransmits: attempt,
                         extra_delay: extra,
                         duplicate_delay: duplicate.then_some(0.25 * quantum),
@@ -321,7 +288,7 @@ impl FaultPlan {
                 }
             }
         }
-        Err(retry.max_attempts)
+        None
     }
 }
 
@@ -338,10 +305,7 @@ mod tests {
         let plan = FaultPlan::new(7);
         assert!(!plan.injects());
         assert_eq!(plan.validate(), Ok(()));
-        assert_eq!(RetryConfig::default().validate(), Ok(()));
-        let d = plan
-            .schedule(&RetryConfig::default(), 1.0, 0, 1, user_tag(0), 0)
-            .unwrap();
+        let d = plan.schedule(1.0, 0, 1, user_tag(0), 0).unwrap();
         assert_eq!(d.retransmits, 0);
         assert_eq!(d.extra_delay, 0.0);
         assert_eq!(d.duplicate_delay, None);
@@ -356,21 +320,6 @@ mod tests {
         assert!(FaultPlan::new(0).reorder_rate(f64::NAN).validate().is_err());
         assert!(FaultPlan::chaos(0).validate().is_ok());
         assert!(FaultPlan::chaos(0).injects());
-        let bad = RetryConfig {
-            max_attempts: 0,
-            ..RetryConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = RetryConfig {
-            backoff: 0.5,
-            ..RetryConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = RetryConfig {
-            timeout_steps: 0,
-            ..RetryConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -396,13 +345,9 @@ mod tests {
     #[test]
     fn always_drop_exhausts_attempts() {
         let plan = FaultPlan::new(5).drop_rate(1.0);
-        let retry = RetryConfig {
-            max_attempts: 3,
-            ..RetryConfig::default()
-        };
         assert_eq!(
-            plan.schedule(&retry, 1.0, 0, 1, user_tag(0), 0),
-            Err(3),
+            plan.schedule(1.0, 0, 1, user_tag(0), 0),
+            None,
             "every copy dropped: the schedule reports exhaustion"
         );
     }
@@ -412,20 +357,15 @@ mod tests {
         // Half the copies drop; find a message whose first two attempts
         // both dropped and check the accumulated timer delay.
         let plan = FaultPlan::new(17).drop_rate(0.5);
-        let retry = RetryConfig {
-            timeout_steps: 2,
-            backoff: 2.0,
-            max_attempts: 10,
-        };
         let quantum = 0.5;
         let tag = user_tag(0);
         let mut seen_two = false;
         for seq in 0..200 {
-            let d = plan.schedule(&retry, quantum, 0, 1, tag, seq).unwrap();
+            let d = plan.schedule(quantum, 0, 1, tag, seq).unwrap();
             if d.retransmits == 2 {
-                // rto0 + rto1 = 2q·ts + 2q·ts·backoff = 1.0 + 2.0
-                let base = retry.timeout_steps as f64 * quantum;
-                assert!(d.extra_delay >= base * (1.0 + 2.0) - 1e-12);
+                // rto0 + rto1 = q·ts + q·ts·backoff = 1.0 + 2.0
+                let base = RETRY_TIMEOUT_QUANTA * quantum;
+                assert!(d.extra_delay >= base * (1.0 + RETRY_BACKOFF) - 1e-12);
                 seen_two = true;
                 break;
             }
@@ -436,9 +376,8 @@ mod tests {
     #[test]
     fn delay_steps_are_bounded() {
         let plan = FaultPlan::new(3).delay_rate(1.0).max_delay_steps(2);
-        let retry = RetryConfig::default();
         for seq in 0..100 {
-            let d = plan.schedule(&retry, 1.0, 0, 1, user_tag(0), seq).unwrap();
+            let d = plan.schedule(1.0, 0, 1, user_tag(0), seq).unwrap();
             assert_eq!(d.retransmits, 0);
             assert!(
                 d.extra_delay >= 1.0 - 1e-12 && d.extra_delay <= 2.5 + 1e-12,
@@ -451,9 +390,7 @@ mod tests {
     #[test]
     fn duplicates_trail_the_original() {
         let plan = FaultPlan::new(11).dup_rate(1.0);
-        let d = plan
-            .schedule(&RetryConfig::default(), 2.0, 0, 1, user_tag(0), 0)
-            .unwrap();
+        let d = plan.schedule(2.0, 0, 1, user_tag(0), 0).unwrap();
         assert_eq!(d.duplicate_delay, Some(0.5));
     }
 
@@ -462,11 +399,10 @@ mod tests {
         // Under CostModel::zero the timers are instantaneous but the
         // retransmit/dup structure is unchanged.
         let plan = FaultPlan::chaos(8);
-        let retry = RetryConfig::default();
         let mut rts = 0u32;
         let mut dups = 0u32;
         for seq in 0..100 {
-            let d = plan.schedule(&retry, 0.0, 0, 1, user_tag(0), seq).unwrap();
+            let d = plan.schedule(0.0, 0, 1, user_tag(0), seq).unwrap();
             assert_eq!(d.extra_delay, 0.0);
             rts += d.retransmits;
             dups += u32::from(d.duplicate_delay.is_some());

@@ -6,11 +6,11 @@
 
 use proptest::prelude::*;
 use symple_net::{
-    Cluster, ClusterResult, CommKind, CostModel, FaultPlan, NetError, RetryConfig, Tag, TagKind,
+    Cluster, ClusterResult, CommKind, CostModel, FaultPlan, NetError, Tag, TagKind, RETRY_ATTEMPTS,
 };
 
-/// An arbitrary fault plan with every rate in a range the default retry
-/// budget absorbs with margin (drop ≤ 0.5 → P(20 consecutive drops) < 1e-6
+/// An arbitrary fault plan with every rate in a range the retry budget
+/// ([`RETRY_ATTEMPTS`]) absorbs with margin (drop ≤ 0.5 → P(20 consecutive drops) < 1e-6
 /// per message, negligible across every generated case).
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     (
@@ -140,18 +140,13 @@ proptest! {
     }
 
     #[test]
-    fn exhaustion_is_typed_and_deterministic(
-        seed in any::<u64>(),
-        max_attempts in 1u32..5,
-    ) {
+    fn exhaustion_is_typed_and_deterministic(seed in any::<u64>()) {
         // Certain drop: every send fails with the same typed error, no
         // matter the seed, and nothing hangs waiting for an ack.
         let plan = FaultPlan::new(seed).drop_rate(1.0);
-        let retry = RetryConfig { max_attempts, ..RetryConfig::default() };
         let r = Cluster::builder(2)
             .cost(CostModel::zero())
             .fault_plan(plan)
-            .retry(retry)
             .build()
             .unwrap()
             .run(move |ctx| {
@@ -163,8 +158,8 @@ proptest! {
             });
         prop_assert_eq!(
             r.outputs[0].clone(),
-            Err(NetError::Unreachable { src: 0, dst: 1, attempts: max_attempts })
+            Err(NetError::Unreachable { src: 0, dst: 1 })
         );
-        prop_assert_eq!(r.traces.comm().reliable().timeouts, u64::from(max_attempts));
+        prop_assert_eq!(r.traces.comm().reliable().timeouts, u64::from(RETRY_ATTEMPTS));
     }
 }

@@ -23,8 +23,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use symple_algos::Direction;
 use symple_bench::job::{paper_props, Job, Output, UdfJob};
 use symple_core::{
-    Backend, DepWidth, EngineConfig, FaultPlan, Policy, RetryConfig, RunStats, SpanCategory,
-    TraceLevel, UdfExec, WireCodec,
+    Backend, DepWidth, EngineConfig, FaultPlan, Policy, RunStats, SpanCategory, TraceLevel,
+    UdfExec, WireCodec,
 };
 use symple_graph::{Graph, GraphBuilder, Rng64, Vid};
 use symple_net::{CommKind, CommStats, CostModel, COMM_KINDS};
@@ -124,7 +124,6 @@ fn arb_config(d: &mut Draw) -> EngineConfig {
         trace_level,
         wire_codec,
         fault_plan,
-        retry,
         backend,
         udf_exec,
         exchange_chunk,
@@ -152,7 +151,6 @@ fn arb_config(d: &mut Draw) -> EngineConfig {
     *trace_level = d.pick(&LEVELS); // Axis::TraceLevel
     *wire_codec = d.pick(&[WireCodec::Flat, WireCodec::Adaptive]); // Axis::WireCodec
     *fault_plan = d.one_in(4).then(|| arb_plan(d)); // Axis::Faults
-    *retry = RetryConfig::default(); // Axis::Faults
     *backend = d.pick(&[Backend::Sim, Backend::Thread]); // Axis::Backend
     *udf_exec = d.pick(&[UdfExec::Bytecode, UdfExec::Interp]); // Axis::UdfExec
     *exchange_chunk = d.pick(&FRAMES); // Axis::ExchangeChunk
