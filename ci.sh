@@ -111,12 +111,17 @@ step "UDF executor differential tests (release profile)"
 # per-edge-branch loop it replaced (`kcore::tests`, seeded cases with
 # segments longer than 255 edges and slots already at k), and the `u16`
 # local and the saturating `CountDep::add` must agree with that oracle
-# where overflow checks are off, which is where jobs are timed. Runs
-# under --quick.
+# where overflow checks are off, which is where jobs are timed.
+# symple-core's unit tests ride along for the dependency codec: the
+# golden bytes of every state's messages under both codecs and the coded
+# round trips of BitDep, CountDep and WeightDep (`dep::tests`) must hold
+# with overflow checks and debug assertions off (UdfDep's are in
+# symple-udf's --lib above). Runs under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind --test engine_integration \
   --test source_to_engine
 cargo test -q --release --offline -p symple-algos --lib
+cargo test -q --release --offline -p symple-core --lib
 cargo test -q --release --offline --test config_fuzz --test dense_comm
 cargo test -q --release --offline -p symple-net --lib
 

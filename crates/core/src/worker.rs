@@ -221,16 +221,11 @@ impl<'a> Worker<'a> {
         self.stats
     }
 
-    /// Encodes `dep` over `range` — adaptive codec or seed-flat layout per
-    /// the configured [`crate::WireCodec`] — and ships it to `dst`.
+    /// Encodes `dep` over `range` under the configured
+    /// [`crate::WireCodec`] and ships it to `dst`.
     fn send_dep<D: DepState>(&mut self, dst: usize, tag: Tag, dep: &D, range: Range<usize>) {
         let mut payload = self.take_buf();
-        let fmt = if self.cfg.adaptive_wire() {
-            dep.encode_range_coded(range, &mut payload)
-        } else {
-            dep.encode_range(range, &mut payload);
-            WireFormat::Flat
-        };
+        let fmt = dep.encode_message(range, self.cfg.wire_codec, &mut payload);
         self.note_format(fmt, payload.len());
         self.ship(dst, tag, CommKind::Dependency, payload);
     }
@@ -253,11 +248,7 @@ impl<'a> Worker<'a> {
         let mut buf = self.take_buf();
         self.ctx
             .recv_framed_into(src, tag, self.cfg.exchange_chunk, &mut buf);
-        if self.cfg.adaptive_wire() {
-            dep.decode_range_coded(range, &buf);
-        } else {
-            dep.decode_range(range, &buf);
-        }
+        dep.decode_message(range, self.cfg.wire_codec, &buf);
         self.recycle_buf(buf);
     }
 
