@@ -112,6 +112,11 @@ step "UDF executor differential tests (release profile)"
 # segments longer than 255 edges and slots already at k), and the `u16`
 # local and the saturating `CountDep::add` must agree with that oracle
 # where overflow checks are off, which is where jobs are timed.
+# golden_analysis rides along for the UDF analyses: every certificate,
+# carried set and lint finding of its corpus (the paper UDFs, the
+# diagnostics sources, 256 generated UDFs) must equal the committed
+# listing where the interval arithmetic runs with overflow checks off,
+# which the two UDF cells of the matrix only sample.
 # symple-core's unit tests ride along for the dependency codec: the
 # golden bytes of every state's messages under both codecs and the coded
 # round trips of BitDep, CountDep and WeightDep (`dep::tests`) must hold
@@ -119,7 +124,7 @@ step "UDF executor differential tests (release profile)"
 # symple-udf's --lib above). Runs under --quick.
 cargo test -q --release --offline -p symple-udf --lib \
   --test typed_vm_differential --test typed_bind --test engine_integration \
-  --test source_to_engine
+  --test source_to_engine --test golden_analysis
 cargo test -q --release --offline -p symple-algos --lib
 cargo test -q --release --offline -p symple-core --lib
 cargo test -q --release --offline --test config_fuzz --test dense_comm

@@ -39,7 +39,7 @@ mod config;
 mod dep;
 mod dist_graph;
 mod driver;
-pub mod par;
+mod par;
 mod partition;
 mod prepared;
 mod program;

@@ -6,7 +6,8 @@
 //!
 //! Every integer-like local (`int`, `bool` as 0/1, `vertex` as its raw
 //! id) is tracked as an interval `[lo, hi]`; floats are untracked
-//! (unbounded). The fixpoint runs over the **break-pruned** CFG
+//! (unbounded). The fixpoint runs on the crate's one solver
+//! ([`crate::dataflow::solve`]) over the **break-pruned** CFG
 //! ([`Cfg::prune_breaks`]) so that the environment reaching `Exit`
 //! describes exactly the break-free executions — the only executions
 //! whose carried snapshot downstream machines restore. Branch edges are
@@ -49,16 +50,15 @@
 //! engine requires every reachable break to be stable; lint W008 reports
 //! the ones that are not.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{preorder, BinOp, Expr, Stmt, UdfFn, UnOp};
 use crate::certificate::{width_for, CarriedCert, DepCertificate, Monotonicity, ValueRange};
-use crate::cfg::{Cfg, NodeId, ENTRY, EXIT};
+use crate::cfg::{Cfg, NodeId, EXIT};
+use crate::dataflow::{solve, Analysis, Direction};
 use crate::diag::StmtId;
 use crate::types::{Ty, Value};
 
-/// Loop-head visits before widening kicks in.
-const WIDEN_DELAY: usize = 8;
 /// Outer restore-fixpoint rounds before the restore interval widens.
 const RESTORE_WIDEN_AFTER: usize = 4;
 /// Outer restore-fixpoint round cap.
@@ -169,26 +169,12 @@ enum AbsVal {
 /// one-sided value).
 type Env = BTreeMap<String, Itv>;
 
-fn join_env(a: &Env, b: &Env) -> Env {
-    let mut out = a.clone();
-    for (k, v) in b {
-        out.entry(k.clone())
-            .and_modify(|cur| *cur = cur.join(*v))
-            .or_insert(*v);
-    }
-    out
-}
-
-/// The interval analyser for one (pruned) CFG and one restore
-/// hypothesis.
-struct Analyzer<'a> {
-    cfg: &'a Cfg<'a>,
+/// The interval analyser for one restore hypothesis, run by
+/// [`crate::dataflow::solve`] over the break-pruned CFG.
+struct Analyzer {
     /// Declared type per local (from `let`s, overlaid with the carried
     /// slice so the carried types always win).
     tys: BTreeMap<String, Ty>,
-    /// Property schema (may be empty: property reads then bound only by
-    /// their use, not their type).
-    schema: BTreeMap<String, Ty>,
     /// Carried locals (restored by the receive guard).
     carried: BTreeMap<String, Ty>,
     /// Current hypothesis for restored carried values.
@@ -197,7 +183,7 @@ struct Analyzer<'a> {
     thresholds: Vec<i64>,
 }
 
-impl<'a> Analyzer<'a> {
+impl Analyzer {
     fn eval(&self, e: &Expr, env: &Env) -> AbsVal {
         match e {
             Expr::Lit(Value::Int(i)) => AbsVal::I(Itv::point(*i)),
@@ -208,10 +194,7 @@ impl<'a> Analyzer<'a> {
                 Some(i) => AbsVal::I(*i),
                 None => AbsVal::Unknown,
             },
-            Expr::Prop { array, .. } => match self.schema.get(array).copied().and_then(ty_full) {
-                Some(i) => AbsVal::I(i),
-                None => AbsVal::Unknown,
-            },
+            Expr::Prop { .. } => AbsVal::Unknown,
             Expr::CurrentVertex | Expr::CurrentNeighbor => AbsVal::I(Itv {
                 lo: 0,
                 hi: u32::MAX as i64,
@@ -259,54 +242,6 @@ impl<'a> Analyzer<'a> {
                     }),
                 }
             }
-        }
-    }
-
-    /// Transfer through the statement at `node` (identity for anything
-    /// that does not assign a local).
-    fn transfer(&self, node: NodeId, env: &Env) -> Env {
-        let Some(id) = self.cfg.stmt_of(node) else {
-            return env.clone();
-        };
-        match self.cfg.stmt(id) {
-            Stmt::Let { name, ty, init } => {
-                let mut out = env.clone();
-                match ty_full(*ty) {
-                    Some(full) => {
-                        let mut v = match self.eval(init, env) {
-                            AbsVal::I(i) => i.meet(full).unwrap_or(full),
-                            AbsVal::Unknown => full,
-                        };
-                        if self.carried.contains_key(name) {
-                            if let Some(r) = self.restore.get(name) {
-                                v = v.join(*r);
-                            }
-                        }
-                        out.insert(name.clone(), v);
-                    }
-                    None => {
-                        out.remove(name);
-                    }
-                }
-                out
-            }
-            Stmt::Assign { name, value } => {
-                let mut out = env.clone();
-                match self.tys.get(name).copied().and_then(ty_full) {
-                    Some(full) => {
-                        let v = match self.eval(value, env) {
-                            AbsVal::I(i) => i.meet(full).unwrap_or(full),
-                            AbsVal::Unknown => full,
-                        };
-                        out.insert(name.clone(), v);
-                    }
-                    None => {
-                        out.remove(name);
-                    }
-                }
-                out
-            }
-            _ => env.clone(),
         }
     }
 
@@ -426,16 +361,83 @@ impl<'a> Analyzer<'a> {
         }
         out
     }
+}
 
-    /// Environment propagated along the edge `from → to` given the
-    /// environment *after* `from`'s transfer. `None` = infeasible edge.
-    fn edge_env(&self, from: NodeId, to: NodeId, out: &Env) -> Option<Env> {
-        if let Some((then_e, else_e)) = self.cfg.branch_targets(from) {
+impl Analysis for Analyzer {
+    type Fact = Env;
+
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
+
+    fn boundary(&self) -> Env {
+        Env::new()
+    }
+
+    fn join(&self, into: &mut Env, from: &Env) {
+        for (k, v) in from {
+            into.entry(k.clone())
+                .and_modify(|cur| *cur = cur.join(*v))
+                .or_insert(*v);
+        }
+    }
+
+    /// Transfer through the statement at `node` (identity for anything
+    /// that does not assign a local).
+    fn transfer(&self, cfg: &Cfg<'_>, node: NodeId, env: &Env) -> Env {
+        let Some(id) = cfg.stmt_of(node) else {
+            return env.clone();
+        };
+        match cfg.stmt(id) {
+            Stmt::Let { name, ty, init } => {
+                let mut out = env.clone();
+                match ty_full(*ty) {
+                    Some(full) => {
+                        let mut v = match self.eval(init, env) {
+                            AbsVal::I(i) => i.meet(full).unwrap_or(full),
+                            AbsVal::Unknown => full,
+                        };
+                        if self.carried.contains_key(name) {
+                            if let Some(r) = self.restore.get(name) {
+                                v = v.join(*r);
+                            }
+                        }
+                        out.insert(name.clone(), v);
+                    }
+                    None => {
+                        out.remove(name);
+                    }
+                }
+                out
+            }
+            Stmt::Assign { name, value } => {
+                let mut out = env.clone();
+                match self.tys.get(name).copied().and_then(ty_full) {
+                    Some(full) => {
+                        let v = match self.eval(value, env) {
+                            AbsVal::I(i) => i.meet(full).unwrap_or(full),
+                            AbsVal::Unknown => full,
+                        };
+                        out.insert(name.clone(), v);
+                    }
+                    None => {
+                        out.remove(name);
+                    }
+                }
+                out
+            }
+            _ => env.clone(),
+        }
+    }
+
+    /// Refines the environment along a branch edge of an `if` by its
+    /// condition; `None` = infeasible edge.
+    fn edge(&self, cfg: &Cfg<'_>, from: NodeId, to: NodeId, out: &Env) -> Option<Env> {
+        if let Some((then_e, else_e)) = cfg.branch_targets(from) {
             if then_e != else_e {
-                if let Some(id) = self.cfg.stmt_of(from) {
-                    if let Stmt::If { cond, .. } = self.cfg.stmt(id) {
-                        let branch = to == then_e;
-                        return self.refine(out.clone(), cond, branch);
+                if let Some(id) = cfg.stmt_of(from) {
+                    if let Stmt::If { cond, .. } = cfg.stmt(id) {
+                        return self.refine(out.clone(), cond, to == then_e);
                     }
                 }
             }
@@ -443,82 +445,8 @@ impl<'a> Analyzer<'a> {
         Some(out.clone())
     }
 
-    /// Whether `node` is a loop head (widening point).
-    fn is_loop_head(&self, node: NodeId) -> bool {
-        self.cfg
-            .stmt_of(node)
-            .map(|id| matches!(self.cfg.stmt(id), Stmt::ForNeighbors { .. }))
-            .unwrap_or(false)
-    }
-
-    /// Worklist fixpoint with widening, then two narrowing sweeps.
-    /// Returns the environment *before* each node (`None` =
-    /// unreachable), or `None` if `fuel` ran out.
-    fn solve(&self, fuel: &mut usize) -> Option<Vec<Option<Env>>> {
-        let n = self.cfg.node_count();
-        let mut before: Vec<Option<Env>> = vec![None; n];
-        before[ENTRY] = Some(Env::new());
-        let mut visits = vec![0usize; n];
-        let mut queued = vec![false; n];
-        let mut wl = VecDeque::from([ENTRY]);
-        queued[ENTRY] = true;
-        while let Some(node) = wl.pop_front() {
-            queued[node] = false;
-            if *fuel == 0 {
-                return None;
-            }
-            *fuel -= 1;
-            let Some(env_in) = before[node].clone() else {
-                continue;
-            };
-            let out = self.transfer(node, &env_in);
-            for &s in self.cfg.succs(node) {
-                let Some(edge) = self.edge_env(node, s, &out) else {
-                    continue;
-                };
-                let updated = match &before[s] {
-                    None => Some(edge),
-                    Some(old) => {
-                        let mut joined = join_env(old, &edge);
-                        if self.is_loop_head(s) && visits[s] >= WIDEN_DELAY {
-                            joined = self.widen_env(old, &joined);
-                        }
-                        (joined != *old).then_some(joined)
-                    }
-                };
-                if let Some(newv) = updated {
-                    before[s] = Some(newv);
-                    visits[s] += 1;
-                    if !queued[s] {
-                        queued[s] = true;
-                        wl.push_back(s);
-                    }
-                }
-            }
-        }
-        // Narrowing: recompute from predecessors a couple of times. The
-        // solved state is a post-fixpoint and all transfers are
-        // monotone, so each sweep can only shrink while staying sound.
-        for _ in 0..2 {
-            for node in 0..n {
-                if node == ENTRY {
-                    continue;
-                }
-                let mut nb: Option<Env> = None;
-                for &p in self.cfg.preds(node) {
-                    let Some(penv) = &before[p] else { continue };
-                    let out = self.transfer(p, penv);
-                    if let Some(edge) = self.edge_env(p, node, &out) {
-                        nb = Some(match nb {
-                            None => edge,
-                            Some(cur) => join_env(&cur, &edge),
-                        });
-                    }
-                }
-                before[node] = nb;
-            }
-        }
-        Some(before)
+    fn widen(&self, old: &Env, joined: Env) -> Env {
+        self.widen_env(old, &joined)
     }
 }
 
@@ -714,7 +642,7 @@ fn join_mono(a: Monotonicity, b: Monotonicity) -> Monotonicity {
 
 /// Direction of one assignment `x = value` given its governing guards
 /// and the abstract environment before it.
-fn classify_assign(an: &Analyzer<'_>, site: &AssignSite<'_>, env: &Env) -> Monotonicity {
+fn classify_assign(an: &Analyzer, site: &AssignSite<'_>, env: &Env) -> Monotonicity {
     let x = site.name;
     match site.value {
         // x = x ± e: the sign of e decides the direction.
@@ -844,7 +772,7 @@ fn conjunct_stable(
 
 /// Fallback certificate when the fixpoint runs out of fuel: nothing
 /// range-proven (type-structural widths only), no latch facts.
-fn give_up(carried: &[(String, Ty)], skip_latch: bool) -> DepCertificate {
+fn give_up(carried: &[(String, Ty)]) -> DepCertificate {
     DepCertificate {
         carried: carried
             .iter()
@@ -856,28 +784,17 @@ fn give_up(carried: &[(String, Ty)], skip_latch: bool) -> DepCertificate {
                 mono: Monotonicity::Unknown,
             })
             .collect(),
-        skip_latch,
+        skip_latch: true,
         stable_breaks: false,
     }
 }
 
 /// Runs the abstract interpretation on an (uninstrumented) UDF and emits
-/// the certificate for the given carried-local set.
-///
-/// `schema` optionally types the property arrays (a `bool` property read
-/// is then known to be `[0, 1]`); pass an empty slice when no schema is
-/// at hand — every certificate stays sound, only possibly wider.
-/// `skip_latch` records whether the instrumentation this certificate
-/// will be attached to guards the segment with an early-returning skip
-/// check (true for the analyzer's minimized form, false for naive
-/// instrumentation, keeping the naive wire format byte-identical to the
-/// uncertified engine).
-pub fn certify(
-    udf: &UdfFn,
-    carried: &[(String, Ty)],
-    schema: &[(String, Ty)],
-    skip_latch: bool,
-) -> DepCertificate {
+/// the certificate for the given carried-local set, for the minimized
+/// instrumentation: its skip check returns early, so the certificate
+/// records the structural skip latch (naive instrumentation attaches
+/// [`DepCertificate::wide`] instead, keeping the uncertified wire format).
+pub(crate) fn certify(udf: &UdfFn, carried: &[(String, Ty)]) -> DepCertificate {
     let cfg = Cfg::build(udf);
     let pruned = cfg.prune_breaks();
 
@@ -904,9 +821,7 @@ pub fn certify(
 
     let carried_map: BTreeMap<String, Ty> = carried.iter().cloned().collect();
     let mut an = Analyzer {
-        cfg: &pruned,
         tys,
-        schema: schema.iter().cloned().collect(),
         carried: carried_map.clone(),
         restore: carried_map
             .iter()
@@ -922,8 +837,8 @@ pub fn certify(
     fuel += 512 * pruned.node_count();
     let mut solution = None;
     for round in 0..MAX_RESTORE_ROUNDS {
-        let Some(before) = an.solve(&mut fuel) else {
-            return give_up(carried, skip_latch);
+        let Some(before) = solve(&pruned, &an, &mut fuel) else {
+            return give_up(carried);
         };
         let exit_env = before[EXIT].clone().unwrap_or_default();
         let mut next = an.restore.clone();
@@ -943,7 +858,7 @@ pub fn certify(
         an.restore = next;
     }
     let Some(before) = solution else {
-        return give_up(carried, skip_latch);
+        return give_up(carried);
     };
 
     // Wire range = reset zero ∪ break-site snapshots ∪ break-free exit.
@@ -1027,7 +942,7 @@ pub fn certify(
                 }
             })
             .collect(),
-        skip_latch,
+        skip_latch: true,
         stable_breaks,
     }
 }
@@ -1043,7 +958,7 @@ mod tests {
 
     #[test]
     fn kcore_counter_certifies_narrow() {
-        let cert = certify(&kcore_udf(4), &int("cnt"), &[], true);
+        let cert = certify(&kcore_udf(4), &int("cnt"));
         assert_eq!(cert.carried.len(), 1);
         let c = &cert.carried[0];
         assert_eq!(c.range, ValueRange::Interval { lo: 0, hi: 4 });
@@ -1058,23 +973,18 @@ mod tests {
         // k = 200 needs more loop-head visits than the widening delay;
         // threshold widening (to the literal 200's neighbourhood) plus
         // narrowing keeps the bound tight instead of jumping to i64::MAX.
-        let cert = certify(&kcore_udf(200), &int("cnt"), &[], true);
+        let cert = certify(&kcore_udf(200), &int("cnt"));
         let c = &cert.carried[0];
         assert_eq!(c.range, ValueRange::Interval { lo: 0, hi: 200 });
         assert_eq!(c.width, 2, "[0, 200] needs two signed bytes");
         assert!(cert.latches());
-        let small = certify(&kcore_udf(100), &int("cnt"), &[], true);
+        let small = certify(&kcore_udf(100), &int("cnt"));
         assert_eq!(small.carried[0].width, 1, "[0, 100] fits one signed byte");
     }
 
     #[test]
     fn sampling_float_is_unbounded_and_unstable() {
-        let cert = certify(
-            &sampling_udf(),
-            &[("acc".to_string(), Ty::Float)],
-            &[],
-            true,
-        );
+        let cert = certify(&sampling_udf(), &[("acc".to_string(), Ty::Float)]);
         let c = &cert.carried[0];
         assert_eq!(c.range, ValueRange::Unbounded);
         assert_eq!(c.width, 8);
@@ -1090,7 +1000,7 @@ mod tests {
     #[test]
     fn sssp_and_pagerank_are_wide_but_vacuously_stable() {
         for (udf, name) in [(sssp_udf(), "best"), (pagerank_udf(), "acc")] {
-            let cert = certify(&udf, &int(name), &[], true);
+            let cert = certify(&udf, &int(name));
             assert_eq!(cert.carried[0].range, ValueRange::Unbounded, "{name}");
             assert_eq!(cert.carried[0].width, 8);
             assert!(cert.stable_breaks, "no reachable breaks: vacuous");
@@ -1099,7 +1009,7 @@ mod tests {
 
     #[test]
     fn cc_min_fold_is_nonincreasing_and_stable() {
-        let cert = certify(&cc_udf(), &int("best"), &[], true);
+        let cert = certify(&cc_udf(), &int("best"));
         let c = &cert.carried[0];
         assert_eq!(c.width, 8, "label[u] is an unbounded int property");
         assert_eq!(
@@ -1119,7 +1029,7 @@ mod tests {
         // bfs/mis/kmeans carry nothing; their break guards read only
         // u-indexed properties (frozen during a pass).
         for udf in [bfs_udf(), mis_udf(), kmeans_udf()] {
-            let cert = certify(&udf, &[], &[], true);
+            let cert = certify(&udf, &[]);
             assert!(cert.carried.is_empty());
             assert!(cert.stable_breaks, "{}", udf.name);
             assert!(cert.latches(), "{}", udf.name);
@@ -1143,34 +1053,9 @@ mod tests {
                 Stmt::Emit(Expr::local("x")),
             ],
         );
-        let cert = certify(&udf, &int("x"), &[], true);
+        let cert = certify(&udf, &int("x"));
         assert_eq!(cert.carried[0].range, ValueRange::Interval { lo: 0, hi: 7 });
         assert_eq!(cert.carried[0].width, 1);
-    }
-
-    #[test]
-    fn schema_bounds_bool_property_reads() {
-        use crate::ast::{Expr, Stmt};
-        // acc sums a bool property: with the schema the delta is [0, 1]
-        // per neighbour — monotone non-decreasing; without it the read
-        // is unknown.
-        let udf = UdfFn::new(
-            "t",
-            Ty::Int,
-            vec![
-                Stmt::let_("acc", Ty::Int, Expr::i(0)),
-                Stmt::for_neighbors(vec![Stmt::assign(
-                    "acc",
-                    Expr::local("acc").add(Expr::prop_u("flag")),
-                )]),
-                Stmt::Emit(Expr::local("acc")),
-            ],
-        );
-        let schema = vec![("flag".to_string(), Ty::Bool)];
-        let with = certify(&udf, &int("acc"), &schema, true);
-        assert_eq!(with.carried[0].mono, Monotonicity::NonDecreasing);
-        let without = certify(&udf, &int("acc"), &[], true);
-        assert_eq!(without.carried[0].mono, Monotonicity::Unknown);
     }
 
     #[test]
@@ -1187,7 +1072,7 @@ mod tests {
                 )]),
             ],
         );
-        let cert = certify(&udf, &[("seen".to_string(), Ty::Bool)], &[], true);
+        let cert = certify(&udf, &[("seen".to_string(), Ty::Bool)]);
         assert_eq!(cert.carried[0].width, 1);
         assert_eq!(cert.carried[0].mono, Monotonicity::NonDecreasing);
         assert!(cert.stable_breaks);

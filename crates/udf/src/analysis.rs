@@ -26,13 +26,18 @@
 //!   pruning can prove every `break` unreachable, in which case the UDF is
 //!   downgraded to [`DepKind::None`] and no dependency is circulated at
 //!   all ([`effective_policy`] then drops the SympleGraph machinery).
+//!
+//! The dataflow facts both halves need, and the lints read too, are solved
+//! once per UDF by [`Facts::of`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::absint::certify;
 use crate::ast::{preorder, Expr, Stmt, UdfFn};
 use crate::certificate::DepCertificate;
-use crate::cfg::Cfg;
-use crate::dataflow::{const_eval, solve, Const, ConstProp, Liveness, ReachingDefs};
+use crate::cfg::{Cfg, NodeId, EXIT};
+use crate::dataflow::{const_eval, solve_finite, Const, ConstProp, Liveness, ReachingDefs};
+use crate::diag::StmtId;
 use crate::types::{Ty, Value};
 use crate::UdfError;
 use symple_core::Policy;
@@ -62,7 +67,7 @@ pub struct DepInfo {
     /// is zero the dependency is dead and `kind` is [`DepKind::None`].
     pub reachable_breaks: usize,
     /// Abstract-interpretation certificate: value ranges and
-    /// monotonicity/latch facts for the carried locals ([`crate::absint`]).
+    /// monotonicity/latch facts for the carried locals.
     /// [`analyze`] attaches real inferred facts; [`analyze_naive`] attaches
     /// the inert wide certificate so naive instrumentation keeps the
     /// uncertified wire format.
@@ -124,112 +129,150 @@ pub fn effective_policy(info: &DepInfo, requested: Policy) -> Policy {
 /// assert_eq!(info.breaks, 1);
 /// ```
 pub fn analyze(udf: &UdfFn) -> Result<DepInfo, UdfError> {
-    let naive = analyze_naive(udf)?;
-    if !naive.has_dependency() {
-        return Ok(naive);
+    Facts::of(udf).analyze()
+}
+
+/// The dataflow facts of one UDF that [`analyze`] and the lints both
+/// read, solved once.
+pub(crate) struct Facts<'a> {
+    pub(crate) udf: &'a UdfFn,
+    pub(crate) cfg: Cfg<'a>,
+    /// [`analyze_naive`]'s result; its carried set (empty on an error) is
+    /// what the two analyses below assume.
+    pub(crate) naive: Result<DepInfo, UdfError>,
+    /// Constant propagation before each node, distrusting the initialisers
+    /// of the naive carried locals: instrumentation rewrites those `let`s
+    /// into wire restores, so their run-time value is whatever the
+    /// previous machine shipped.
+    consts: Vec<BTreeMap<String, Const>>,
+    /// Nodes reachable once constant branches are pruned.
+    pub(crate) reachable: Vec<bool>,
+    /// Locals live after each node, the naive carried set live at `Exit`
+    /// (a break-free exit snapshots them onto the wire).
+    pub(crate) live: Vec<BTreeSet<String>>,
+}
+
+impl<'a> Facts<'a> {
+    pub(crate) fn of(udf: &'a UdfFn) -> Self {
+        let cfg = Cfg::build(udf);
+        let naive = analyze_naive(udf);
+        let carried: BTreeSet<String> = naive
+            .iter()
+            .flat_map(|i| i.carried.iter().map(|(n, _)| n.clone()))
+            .collect();
+        let consts = solve_finite(
+            &cfg,
+            &ConstProp {
+                untrusted_lets: carried.clone(),
+            },
+        );
+        let live = solve_finite(&cfg, &Liveness { exit_live: carried });
+        let mut facts = Facts {
+            udf,
+            cfg,
+            naive,
+            consts,
+            reachable: Vec::new(),
+            live,
+        };
+        facts.reachable = facts.cfg.reachable(|node| facts.const_branch(node));
+        facts
     }
 
-    let cfg = Cfg::build(udf);
-    let carried_names: BTreeSet<String> = naive.carried.iter().map(|(n, _)| n.clone()).collect();
-
-    // Constant propagation, distrusting the initialisers of carried locals:
-    // instrumentation rewrites those `let`s into wire restores, so their
-    // run-time value is whatever the previous machine shipped.
-    let consts = solve(
-        &cfg,
-        &ConstProp {
-            untrusted_lets: carried_names.clone(),
-        },
-    );
-    let const_branch = |node| match cfg.stmt_of(node).map(|id| cfg.stmt(id)) {
-        Some(Stmt::If { cond, .. }) => match const_eval(cond, &consts.before[node]) {
-            Some(Const::Val(Value::Bool(b))) => Some(b),
+    /// The condition of the `if` at `node`, when constant propagation
+    /// proves it constant.
+    pub(crate) fn const_branch(&self, node: NodeId) -> Option<bool> {
+        match self.cfg.stmt_of(node).map(|id| self.cfg.stmt(id)) {
+            Some(Stmt::If { cond, .. }) => match const_eval(cond, &self.consts[node]) {
+                Some(Const::Val(Value::Bool(b))) => Some(b),
+                _ => None,
+            },
             _ => None,
-        },
-        _ => None,
-    };
-
-    // Dead-dependency elimination, step 1: a break pruned away by constant
-    // branches (or plain unreachability) can never fire, so the *skip*
-    // half of the dependency is dead. Whether circulation can stop
-    // entirely also depends on the carried state being unobservable — see
-    // below.
-    let reachable = cfg.reachable(const_branch);
-    let reachable_breaks = cfg.breaks().iter().filter(|&&b| reachable[b]).count();
-
-    // Carried-state minimization. Keep x iff
-    //   Live(x at its restore point)  ∧  (Mod(x) ∨ ¬InitZero(x))
-    // where Mod means an assignment to x reaches a break-free exit (the only
-    // exits whose snapshot downstream machines observe) and InitZero means
-    // the initialiser provably equals the zero value the first segment's
-    // restore produces.
-    let live = solve(
-        &cfg,
-        &Liveness {
-            exit_live: carried_names,
-        },
-    );
-    let pruned = cfg.prune_breaks();
-    let rd = solve(&pruned, &ReachingDefs);
-    let rd_exit = &rd.before[crate::cfg::EXIT];
-
-    let carried = naive
-        .carried
-        .iter()
-        .filter(|(name, ty)| {
-            let Some(let_id) = (0..cfg.num_stmts())
-                .find(|&id| matches!(cfg.stmt(id), Stmt::Let { name: n, .. } if n == name))
-            else {
-                return true; // defensive: no declaration found, keep it
-            };
-            let node = cfg.node_of(let_id);
-            let is_live = live.after[node].contains(name);
-            let modified = rd_exit
-                .iter()
-                .any(|(n, d)| n == name && matches!(cfg.stmt(*d), Stmt::Assign { .. }));
-            let init_zero = match cfg.stmt(let_id) {
-                Stmt::Let { init, .. } => init_is_zero(init, &consts.before[node], *ty),
-                _ => false,
-            };
-            is_live && (modified || !init_zero)
-        })
-        .cloned()
-        .collect::<Vec<_>>();
-
-    // Dead-dependency elimination, step 2: circulation may stop entirely
-    // only if no break can fire (no machine ever skips) AND the minimized
-    // carried set is empty (the restore writes only values that are dead
-    // or bit-identical to the zero-init, so downstream segments cannot
-    // observe whether circulation happened). A UDF that accumulates into a
-    // live local keeps its Data dependency even with all breaks dead:
-    // under circulant scheduling later segments observe the prefix value.
-    if reachable_breaks == 0 && carried.is_empty() {
-        return Ok(DepInfo::none(naive.breaks));
+        }
     }
 
-    // Abstract interpretation over the minimized carried set: value
-    // ranges for width-narrowed wire encoding and monotonicity/latch
-    // facts for certified early-exit. The minimized instrumentation
-    // guards the body with an early-returning skip check, so the
-    // structural latch holds.
-    let cert = crate::absint::certify(udf, &carried, &[], true);
+    /// The statement that declares local `name`.
+    pub(crate) fn let_of(&self, name: &str) -> Option<StmtId> {
+        (0..self.cfg.num_stmts())
+            .find(|&id| matches!(self.cfg.stmt(id), Stmt::Let { name: n, .. } if n == name))
+    }
 
-    Ok(DepInfo {
-        kind: if carried.is_empty() {
-            DepKind::Control
-        } else {
-            DepKind::Data
-        },
-        carried,
-        breaks: naive.breaks,
-        reachable_breaks,
-        cert,
-    })
+    /// [`analyze`]'s result.
+    pub(crate) fn analyze(&self) -> Result<DepInfo, UdfError> {
+        let naive = self.naive.clone()?;
+        if !naive.has_dependency() {
+            return Ok(naive);
+        }
+        let cfg = &self.cfg;
+
+        // Dead-dependency elimination, step 1: a break pruned away by
+        // constant branches (or plain unreachability) can never fire, so
+        // the *skip* half of the dependency is dead. Whether circulation
+        // can stop entirely also depends on the carried state being
+        // unobservable — see below.
+        let reachable_breaks = cfg.breaks().iter().filter(|&&b| self.reachable[b]).count();
+
+        // Carried-state minimization. Keep x iff
+        //   Live(x at its restore point)  ∧  (Mod(x) ∨ ¬InitZero(x))
+        // where Mod means an assignment to x reaches a break-free exit (the
+        // only exits whose snapshot downstream machines observe) and
+        // InitZero means the initialiser provably equals the zero value the
+        // first segment's restore produces.
+        let rd = solve_finite(&cfg.prune_breaks(), &ReachingDefs);
+        let carried = naive
+            .carried
+            .iter()
+            .filter(|(name, ty)| {
+                let Some(let_id) = self.let_of(name) else {
+                    return true; // defensive: no declaration found, keep it
+                };
+                let node = cfg.node_of(let_id);
+                let modified = rd[EXIT]
+                    .iter()
+                    .any(|(n, d)| n == name && matches!(cfg.stmt(*d), Stmt::Assign { .. }));
+                let init_zero = match cfg.stmt(let_id) {
+                    Stmt::Let { init, .. } => init_is_zero(init, &self.consts[node], *ty),
+                    _ => false,
+                };
+                self.live[node].contains(name) && (modified || !init_zero)
+            })
+            .cloned()
+            .collect::<Vec<_>>();
+
+        // Dead-dependency elimination, step 2: circulation may stop
+        // entirely only if no break can fire (no machine ever skips) AND
+        // the minimized carried set is empty (the restore writes only
+        // values that are dead or bit-identical to the zero-init, so
+        // downstream segments cannot observe whether circulation
+        // happened). A UDF that accumulates into a live local keeps its
+        // Data dependency even with all breaks dead: under circulant
+        // scheduling later segments observe the prefix value.
+        if reachable_breaks == 0 && carried.is_empty() {
+            return Ok(DepInfo::none(naive.breaks));
+        }
+
+        // Abstract interpretation over the minimized carried set: value
+        // ranges for width-narrowed wire encoding and monotonicity/latch
+        // facts for certified early-exit.
+        let cert = certify(self.udf, &carried);
+
+        Ok(DepInfo {
+            kind: if carried.is_empty() {
+                DepKind::Control
+            } else {
+                DepKind::Data
+            },
+            carried,
+            breaks: naive.breaks,
+            reachable_breaks,
+            cert,
+        })
+    }
 }
 
 /// Does `init` provably evaluate to `Value::zero(ty)` — the value the first
 /// circulant segment's restore produces for a carried local?
-fn init_is_zero(init: &Expr, env: &std::collections::BTreeMap<String, Const>, ty: Ty) -> bool {
+fn init_is_zero(init: &Expr, env: &BTreeMap<String, Const>, ty: Ty) -> bool {
     match const_eval(init, env) {
         Some(Const::Val(v)) => {
             let zero = Value::zero(ty);

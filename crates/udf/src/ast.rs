@@ -284,8 +284,8 @@ impl Stmt {
 /// `in_loop` says the statement sits inside a neighbour loop of `block`.
 ///
 /// Over a function body this numbering *is* [`StmtId`]: the parser's
-/// [`crate::SpanMap`], [`crate::cfg::Cfg`]'s nodes and every diagnostic
-/// use it.
+/// [`crate::SpanMap`], the control-flow graph's nodes and every
+/// diagnostic use it.
 pub fn preorder(block: &[Stmt]) -> impl Iterator<Item = (StmtId, &Stmt, bool)> {
     let mut stack = vec![(block.iter(), false)];
     let mut next = 0;

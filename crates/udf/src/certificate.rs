@@ -103,8 +103,8 @@ pub struct CarriedCert {
     pub mono: Monotonicity,
 }
 
-/// The dependency certificate emitted by [`crate::absint::certify`] and
-/// attached to [`crate::DepInfo`].
+/// The dependency certificate [`crate::analyze`]'s abstract interpretation
+/// emits and attaches to [`crate::DepInfo`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DepCertificate {
     /// Per-carried-local facts, index-aligned with `DepInfo::carried`.

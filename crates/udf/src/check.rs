@@ -62,7 +62,7 @@ pub fn check(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Result<(), UdfError>
 
 /// Checks `udf` and returns *every* error as a [`Diagnostic`], each anchored
 /// to the offending statement's pre-order id. Attach a
-/// [`crate::SpanMap`] (see [`crate::diag::attach_spans`]) to get source
+/// [`crate::SpanMap`] (see [`Diagnostic::attach_span`]) to get source
 /// locations.
 pub fn check_all(udf: &UdfFn, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic> {
     run_checker(udf, schema)

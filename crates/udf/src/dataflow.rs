@@ -1,45 +1,48 @@
-//! Generic forward/backward dataflow solver over the UDF [`Cfg`], plus the
-//! three analyses the compiler uses: liveness, reaching definitions, and
-//! constant propagation.
+//! The one fixpoint solver over the UDF [`Cfg`], and the three
+//! finite-lattice analyses the compiler runs on it: liveness, reaching
+//! definitions and constant propagation. The interval domain of
+//! [`crate::absint`] is its fourth client.
 //!
-//! The solver is a plain worklist fixpoint: facts form a join semilattice,
-//! transfer functions are monotone, and the graphs are tiny (a UDF body is a
-//! few dozen statements), so no acceleration is needed. Facts are recomputed
-//! from the neighbouring nodes on every visit, which keeps the join logic
-//! trivially correct in the presence of re-wired (pruned) graphs.
+//! [`solve`] is a worklist fixpoint in either [`Direction`]. It starts
+//! from the boundary node (`Entry` forward, `Exit` backward), and from
+//! every other node that has an initial fact ([`Analysis::init`]). A
+//! visit pushes the node's transferred fact along each flow edge through
+//! [`Analysis::edge`], which may refine it or find the edge infeasible,
+//! and joins it into the target's fact; at a loop head visited
+//! [`WIDEN_DELAY`] times [`Analysis::widen`] replaces the join. A node no
+//! feasible edge reaches keeps no fact (`None`). When a widening went
+//! past the join, two narrowing sweeps then recompute every fact from
+//! its neighbours, which recovers precision the widening lost.
 //!
-//! **Termination.** The solver has no widening operator, so it terminates
-//! only when the per-point fact lattice has finite ascending chains. That
-//! holds for every analysis in this module — [`Liveness`] and
-//! [`ReachingDefs`] range over finite sets of locals/definition sites, and
-//! [`Const`] has height three per local (⊥ → `Val` → `NonConst`) even
-//! though its *value* carrier is infinite. It does **not** hold for an
-//! arbitrary [`Analysis`] implementation (an interval domain run through
-//! this solver would climb forever on a counting loop —
-//! [`crate::absint`] has its own widening for exactly that reason). The
-//! solver therefore enforces a fuel bound: [`solve_with_fuel`] returns a
-//! typed [`FuelExhausted`] error instead of hanging, and [`solve`] wraps it
-//! with a generous bound that the finite-lattice analyses above can never
-//! hit.
+//! **Termination.** Liveness, reaching definitions and constant
+//! propagation climb finite chains (sets of locals or definition sites;
+//! a constant's ⊥ → `Val` → `NonConst`) and never widen. An interval
+//! domain climbs forever on a counting loop without its widening. Either
+//! way every visit spends one unit of a fuel bound, and an exhausted
+//! bound makes [`solve`] return `None` instead of hanging.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
 
-use crate::ast::{BinOp, Expr, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, Stmt};
 use crate::cfg::{Cfg, NodeId, ENTRY, EXIT};
 use crate::diag::StmtId;
 use crate::types::Value;
 
+/// Loop-head visits before [`Analysis::widen`] replaces the join.
+const WIDEN_DELAY: usize = 8;
+
 /// Which way facts flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Facts flow from `Entry` towards `Exit` (reaching defs, const-prop).
+    /// Facts flow from `Entry` towards `Exit` (reaching defs, const-prop,
+    /// intervals).
     Forward,
     /// Facts flow from `Exit` towards `Entry` (liveness).
     Backward,
 }
 
-/// A dataflow analysis: a lattice of facts plus a transfer function.
+/// A dataflow analysis: a lattice of facts, a transfer function, and the
+/// edge and widening steps, which default to pass-through and join.
 pub trait Analysis {
     /// The lattice element attached to each program point.
     type Fact: Clone + PartialEq;
@@ -47,147 +50,165 @@ pub trait Analysis {
     /// Flow direction.
     fn direction(&self) -> Direction;
 
-    /// Fact at the boundary node (`Entry` for forward, `Exit` for backward).
+    /// Fact flowing into the boundary node (`Entry` for forward, `Exit`
+    /// for backward).
     fn boundary(&self) -> Self::Fact;
 
-    /// Bottom element, the optimistic initial fact everywhere else.
-    fn init(&self) -> Self::Fact;
+    /// Fact every other node starts from. `None`, the default, leaves a
+    /// node without a fact until a feasible edge reaches it; an analysis
+    /// that starts every node at its bottom lets code no path reaches
+    /// feed its successors too.
+    fn init(&self) -> Option<Self::Fact> {
+        None
+    }
 
     /// Least-upper-bound: fold `from` into `into`.
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact);
 
-    /// Transfer across `node`. For forward analyses maps the fact *before*
-    /// the node to the fact *after* it; for backward analyses the reverse.
+    /// Transfer across `node`: the fact flowing into it (before it,
+    /// forward; after it, backward) to the fact flowing out.
     fn transfer(&self, cfg: &Cfg<'_>, node: NodeId, fact: &Self::Fact) -> Self::Fact;
-}
 
-/// Per-node fixpoint facts, in *execution* order regardless of direction:
-/// `before[n]` holds just before `n` runs, `after[n]` just after.
-#[derive(Debug, Clone)]
-pub struct Solution<F> {
-    /// Fact at the program point preceding each node.
-    pub before: Vec<F>,
-    /// Fact at the program point following each node.
-    pub after: Vec<F>,
-}
+    /// The fact `out` flowing out of `from` as it arrives at `to`; `None`
+    /// when the edge is infeasible.
+    fn edge(
+        &self,
+        _cfg: &Cfg<'_>,
+        _from: NodeId,
+        _to: NodeId,
+        out: &Self::Fact,
+    ) -> Option<Self::Fact> {
+        Some(out.clone())
+    }
 
-/// The worklist did not stabilise within its fuel bound.
-///
-/// Returned by [`solve_with_fuel`] when an [`Analysis`] whose lattice has
-/// infinite (or merely very long) ascending chains keeps producing new
-/// facts. The built-in analyses cannot trigger this; a custom domain that
-/// needs widening (intervals, octagons, …) can — use [`crate::absint`]'s
-/// dedicated solver for those.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuelExhausted {
-    /// Node visits performed before giving up.
-    pub fuel: usize,
-}
-
-impl fmt::Display for FuelExhausted {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "dataflow worklist did not stabilise within {} node visits \
-             (lattice with unbounded ascending chains? use a widening solver)",
-            self.fuel
-        )
+    /// A loop head's new fact, given its `old` one and their join.
+    fn widen(&self, _old: &Self::Fact, joined: Self::Fact) -> Self::Fact {
+        joined
     }
 }
 
-impl std::error::Error for FuelExhausted {}
+/// Runs `analysis` over `cfg` to fixpoint, spending one unit of `fuel`
+/// per node visit. Returns the fact flowing into each node in the
+/// analysis's direction (before it, forward; after it, backward), `None`
+/// at a node no feasible edge reaches; `None` overall when the fuel runs
+/// out first.
+pub fn solve<A: Analysis>(
+    cfg: &Cfg<'_>,
+    analysis: &A,
+    fuel: &mut usize,
+) -> Option<Vec<Option<A::Fact>>> {
+    let n = cfg.node_count();
+    let backward = analysis.direction() == Direction::Backward;
+    let start = if backward { EXIT } else { ENTRY };
+    let next = |node| {
+        if backward {
+            cfg.preds(node)
+        } else {
+            cfg.succs(node)
+        }
+    };
+    let prev = |node| {
+        if backward {
+            cfg.succs(node)
+        } else {
+            cfg.preds(node)
+        }
+    };
+    let loop_head = |node| {
+        cfg.stmt_of(node)
+            .is_some_and(|id| matches!(cfg.stmt(id), Stmt::ForNeighbors { .. }))
+    };
 
-/// Default fuel for [`solve`]: far above what any finite-lattice analysis
-/// in this crate can consume. Each of the ≤ `2·locals·nodes` fact
-/// changes re-queues at most the node's neighbours, so visits stay
-/// polynomial in the (tiny) CFG size; `64·n² + 1024` leaves two orders
-/// of magnitude of headroom.
-fn default_fuel(node_count: usize) -> usize {
-    1024 + 64 * node_count * node_count
+    let mut facts = vec![analysis.init(); n];
+    facts[start] = Some(analysis.boundary());
+    let mut queued: Vec<bool> = facts.iter().map(Option::is_some).collect();
+    let mut work: VecDeque<NodeId> = (0..n).filter(|&node| queued[node]).collect();
+    let mut visits = vec![0usize; n];
+    let mut widened = false;
+    while let Some(node) = work.pop_front() {
+        queued[node] = false;
+        if *fuel == 0 {
+            return None;
+        }
+        *fuel -= 1;
+        let Some(fact) = &facts[node] else {
+            continue;
+        };
+        let out = analysis.transfer(cfg, node, fact);
+        for &to in next(node) {
+            let Some(arriving) = analysis.edge(cfg, node, to, &out) else {
+                continue;
+            };
+            let updated = match &facts[to] {
+                None => Some(arriving),
+                Some(old) => {
+                    let mut joined = old.clone();
+                    analysis.join(&mut joined, &arriving);
+                    if loop_head(to) && visits[to] >= WIDEN_DELAY {
+                        let wide = analysis.widen(old, joined.clone());
+                        widened |= wide != joined;
+                        joined = wide;
+                    }
+                    (joined != *old).then_some(joined)
+                }
+            };
+            if let Some(new) = updated {
+                facts[to] = Some(new);
+                visits[to] += 1;
+                if !queued[to] {
+                    queued[to] = true;
+                    work.push_back(to);
+                }
+            }
+        }
+    }
+    // Narrowing: recompute every fact from its neighbours, twice. The
+    // solved state is a post-fixpoint and the transfers are monotone, so
+    // each sweep can only shrink it while staying sound. Without a
+    // widening that went past the join, every fact is already the join
+    // of what reaches it, and a sweep would recompute the same facts.
+    let sweeps = if widened { 2 } else { 0 };
+    for _ in 0..sweeps {
+        for node in (0..n).filter(|&node| node != start) {
+            let mut fact = analysis.init();
+            for &from in prev(node) {
+                let Some(before) = &facts[from] else { continue };
+                let out = analysis.transfer(cfg, from, before);
+                if let Some(arriving) = analysis.edge(cfg, from, node, &out) {
+                    fact = Some(match fact {
+                        None => arriving,
+                        Some(mut cur) => {
+                            analysis.join(&mut cur, &arriving);
+                            cur
+                        }
+                    });
+                }
+            }
+            facts[node] = fact;
+        }
+    }
+    Some(facts)
 }
 
-/// Runs `analysis` over `cfg` to fixpoint.
+/// [`solve`] for an analysis over a finite lattice that starts every node
+/// at its bottom, under a fuel bound it cannot reach: each of the
+/// ≤ `2·locals·nodes` fact changes re-queues at most the node's
+/// neighbours, so `64·n² + 1024` visits leave two orders of magnitude of
+/// headroom.
 ///
 /// # Panics
 ///
-/// Panics if the internal fuel bound is exhausted — impossible for
-/// analyses over finite lattices (all of this module's); use
-/// [`solve_with_fuel`] directly when experimenting with domains that may
-/// climb forever.
-pub fn solve<A: Analysis>(cfg: &Cfg<'_>, analysis: &A) -> Solution<A::Fact> {
-    solve_with_fuel(cfg, analysis, default_fuel(cfg.node_count()))
+/// Panics if the fuel runs out anyway.
+pub fn solve_finite<A: Analysis>(cfg: &Cfg<'_>, analysis: &A) -> Vec<A::Fact>
+where
+    A::Fact: Default,
+{
+    let mut fuel = 1024 + 64 * cfg.node_count() * cfg.node_count();
+    solve(cfg, analysis, &mut fuel)
         .expect("finite-lattice dataflow analysis exhausted its fuel bound")
-}
-
-/// Runs `analysis` over `cfg` to fixpoint, spending at most `fuel` node
-/// visits.
-///
-/// # Errors
-///
-/// Returns [`FuelExhausted`] when the worklist is still busy after `fuel`
-/// visits — the typed alternative to non-termination for lattices without
-/// finite ascending chains.
-pub fn solve_with_fuel<A: Analysis>(
-    cfg: &Cfg<'_>,
-    analysis: &A,
-    fuel: usize,
-) -> Result<Solution<A::Fact>, FuelExhausted> {
-    let n = cfg.node_count();
-    let mut before = vec![analysis.init(); n];
-    let mut after = vec![analysis.init(); n];
-    let forward = analysis.direction() == Direction::Forward;
-    let mut queue: VecDeque<NodeId> = (0..n).collect();
-    let mut queued = vec![true; n];
-    let mut spent = 0usize;
-    while let Some(node) = queue.pop_front() {
-        queued[node] = false;
-        if spent >= fuel {
-            return Err(FuelExhausted { fuel });
-        }
-        spent += 1;
-        if forward {
-            let mut inb = if node == ENTRY {
-                analysis.boundary()
-            } else {
-                analysis.init()
-            };
-            for &p in cfg.preds(node) {
-                analysis.join(&mut inb, &after[p]);
-            }
-            before[node] = inb;
-            let out = analysis.transfer(cfg, node, &before[node]);
-            if out != after[node] {
-                after[node] = out;
-                for &s in cfg.succs(node) {
-                    if !queued[s] {
-                        queued[s] = true;
-                        queue.push_back(s);
-                    }
-                }
-            }
-        } else {
-            let mut aft = if node == EXIT {
-                analysis.boundary()
-            } else {
-                analysis.init()
-            };
-            for &s in cfg.succs(node) {
-                analysis.join(&mut aft, &before[s]);
-            }
-            after[node] = aft;
-            let newb = analysis.transfer(cfg, node, &after[node]);
-            if newb != before[node] {
-                before[node] = newb;
-                for &p in cfg.preds(node) {
-                    if !queued[p] {
-                        queued[p] = true;
-                        queue.push_back(p);
-                    }
-                }
-            }
-        }
-    }
-    Ok(Solution { before, after })
+        .into_iter()
+        .map(Option::unwrap_or_default)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -241,8 +262,8 @@ impl Analysis for Liveness {
         self.exit_live.clone()
     }
 
-    fn init(&self) -> Self::Fact {
-        BTreeSet::new()
+    fn init(&self) -> Option<Self::Fact> {
+        Some(BTreeSet::new())
     }
 
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) {
@@ -287,8 +308,8 @@ impl Analysis for ReachingDefs {
         BTreeSet::new()
     }
 
-    fn init(&self) -> Self::Fact {
-        BTreeSet::new()
+    fn init(&self) -> Option<Self::Fact> {
+        Some(BTreeSet::new())
     }
 
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) {
@@ -360,8 +381,8 @@ impl Analysis for ConstProp {
         BTreeMap::new()
     }
 
-    fn init(&self) -> Self::Fact {
-        BTreeMap::new()
+    fn init(&self) -> Option<Self::Fact> {
+        Some(BTreeMap::new())
     }
 
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) {
@@ -382,33 +403,19 @@ impl Analysis for ConstProp {
         let Some(id) = cfg.stmt_of(node) else {
             return before.clone();
         };
-        let mut out = before.clone();
-        match cfg.stmt(id) {
-            Stmt::Let { name, init, .. } => {
-                let c = if self.untrusted_lets.contains(name) {
-                    Some(Const::NonConst)
-                } else {
-                    const_eval(init, before)
-                };
-                match c {
-                    Some(c) => {
-                        out.insert(name.clone(), c);
-                    }
-                    None => {
-                        out.remove(name);
-                    }
-                }
+        let (name, c) = match cfg.stmt(id) {
+            Stmt::Let { name, .. } if self.untrusted_lets.contains(name) => {
+                (name, Some(Const::NonConst))
             }
-            Stmt::Assign { name, value } => match const_eval(value, before) {
-                Some(c) => {
-                    out.insert(name.clone(), c);
-                }
-                None => {
-                    out.remove(name);
-                }
-            },
-            _ => {}
-        }
+            Stmt::Let { name, init, .. } => (name, const_eval(init, before)),
+            Stmt::Assign { name, value } => (name, const_eval(value, before)),
+            _ => return before.clone(),
+        };
+        let mut out = before.clone();
+        match c {
+            Some(c) => out.insert(name.clone(), c),
+            None => out.remove(name),
+        };
         out
     }
 }
@@ -417,27 +424,20 @@ impl Analysis for ConstProp {
 ///
 /// Returns `None` for bottom (an operand with no definition on any path seen
 /// so far), `Some(Const::Val(_))` when the value is provably fixed, and
-/// `Some(Const::NonConst)` otherwise. Folding mirrors the interpreter
-/// exactly — wrapping integer arithmetic, int-to-float widening, NaN-refusing
-/// comparisons, short-circuit logic — so a folded constant can never disagree
-/// with a run.
+/// `Some(Const::NonConst)` otherwise. Operators fold through the
+/// interpreter's own table, [`Value::unary`] and [`Value::binary`] (a NaN
+/// comparison or a mistyped operand stays unfolded), and `&&`/`||` in the
+/// interpreter's short-circuit order, so a folded constant can never
+/// disagree with a run.
 pub fn const_eval(e: &Expr, env: &BTreeMap<String, Const>) -> Option<Const> {
     match e {
         Expr::Lit(v) => Some(Const::Val(*v)),
         Expr::Local(name) => env.get(name).cloned(),
         Expr::Prop { .. } | Expr::CurrentVertex | Expr::CurrentNeighbor => Some(Const::NonConst),
-        Expr::Unary(op, a) => {
-            let v = match const_eval(a, env)? {
-                Const::NonConst => return Some(Const::NonConst),
-                Const::Val(v) => v,
-            };
-            Some(match (op, v) {
-                (UnOp::Not, Value::Bool(b)) => Const::Val(Value::Bool(!b)),
-                (UnOp::Neg, Value::Int(i)) => Const::Val(Value::Int(i.wrapping_neg())),
-                (UnOp::Neg, Value::Float(f)) => Const::Val(Value::Float(-f)),
-                _ => Const::NonConst,
-            })
-        }
+        Expr::Unary(op, a) => Some(match const_eval(a, env)? {
+            Const::Val(v) => v.unary(*op).map_or(Const::NonConst, Const::Val),
+            Const::NonConst => Const::NonConst,
+        }),
         Expr::Binary(op, a, b) => const_eval_bin(*op, a, b, env),
     }
 }
@@ -462,55 +462,13 @@ fn const_eval_bin(op: BinOp, a: &Expr, b: &Expr, env: &BTreeMap<String, Const>) 
             _ => Const::NonConst,
         });
     }
-    let va = match const_eval(a, env)? {
-        Const::NonConst => return Some(Const::NonConst),
-        Const::Val(v) => v,
+    let Const::Val(x) = const_eval(a, env)? else {
+        return Some(Const::NonConst);
     };
-    let vb = match const_eval(b, env)? {
-        Const::NonConst => return Some(Const::NonConst),
-        Const::Val(v) => v,
+    let Const::Val(y) = const_eval(b, env)? else {
+        return Some(Const::NonConst);
     };
-    let folded = match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul => match (va, vb) {
-            (Value::Int(x), Value::Int(y)) => Some(Value::Int(match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                _ => x.wrapping_mul(y),
-            })),
-            (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
-                let (x, y) = (va.as_float(), vb.as_float());
-                Some(Value::Float(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    _ => x * y,
-                }))
-            }
-            _ => None,
-        },
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
-            let ord = match (va, vb) {
-                (Value::Vertex(x), Value::Vertex(y)) => Some(x.cmp(&y)),
-                (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(&y)),
-                (Value::Int(x), Value::Int(y)) => Some(x.cmp(&y)),
-                (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
-                    va.as_float().partial_cmp(&vb.as_float())
-                }
-                _ => None,
-            };
-            ord.map(|o| {
-                Value::Bool(match op {
-                    BinOp::Lt => o.is_lt(),
-                    BinOp::Le => o.is_le(),
-                    BinOp::Gt => o.is_gt(),
-                    BinOp::Ge => o.is_ge(),
-                    BinOp::Eq => o.is_eq(),
-                    _ => o.is_ne(),
-                })
-            })
-        }
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
-    };
-    Some(folded.map(Const::Val).unwrap_or(Const::NonConst))
+    Some(x.binary(op, y).map_or(Const::NonConst, Const::Val))
 }
 
 #[cfg(test)]
@@ -555,18 +513,17 @@ mod tests {
     fn liveness_sees_loop_carried_reads() {
         let udf = counter_udf();
         let cfg = Cfg::build(&udf);
-        let sol = solve(
-            &cfg,
-            &Liveness {
-                exit_live: BTreeSet::new(),
-            },
-        );
+        let liveness = Liveness {
+            exit_live: BTreeSet::new(),
+        };
+        let live = solve_finite(&cfg, &liveness);
         // After `let cnt = 0`, cnt is read by the loop and the suffix.
-        assert!(sol.after[cfg.node_of(0)].contains("cnt"));
+        assert!(live[cfg.node_of(0)].contains("cnt"));
         // After `done = true`, done is still read by the suffix `if`.
-        assert!(sol.after[cfg.node_of(5)].contains("done"));
+        assert!(live[cfg.node_of(5)].contains("done"));
         // Before `cnt = cnt + 1`, both carried locals are live.
-        assert!(sol.before[cfg.node_of(3)].contains("cnt"));
+        let bump = cfg.node_of(3);
+        assert!(liveness.transfer(&cfg, bump, &live[bump]).contains("cnt"));
     }
 
     #[test]
@@ -574,8 +531,8 @@ mod tests {
         let udf = counter_udf();
         let cfg = Cfg::build(&udf);
         let pruned = cfg.prune_breaks();
-        let sol = solve(&pruned, &ReachingDefs);
-        let at_exit = &sol.before[EXIT];
+        let sol = solve_finite(&pruned, &ReachingDefs);
+        let at_exit = &sol[EXIT];
         // `cnt = cnt + 1` (stmt 3) reaches a break-free exit via the
         // loop-exhausted edge.
         assert!(at_exit.contains(&("cnt".to_string(), 3)));
@@ -590,7 +547,7 @@ mod tests {
     fn const_prop_folds_straight_line_and_joins() {
         let udf = counter_udf();
         let cfg = Cfg::build(&udf);
-        let sol = solve(
+        let sol = solve_finite(
             &cfg,
             &ConstProp {
                 untrusted_lets: BTreeSet::new(),
@@ -598,14 +555,14 @@ mod tests {
         );
         // done is reassigned in the loop, so it is not constant in the
         // suffix...
-        let suffix = &sol.before[cfg.node_of(7)];
+        let suffix = &sol[cfg.node_of(7)];
         assert_eq!(suffix.get("done"), Some(&Const::NonConst));
         // ...and cnt is bumped every iteration.
         assert_eq!(suffix.get("cnt"), Some(&Const::NonConst));
         // Inside the loop body `done` is still provably false: the only
         // write to it is immediately followed by `break`, so the back edge
         // never carries `true`.
-        let body = &sol.before[cfg.node_of(3)];
+        let body = &sol[cfg.node_of(3)];
         assert_eq!(body.get("done"), Some(&Const::Val(Value::Bool(false))));
         assert_eq!(body.get("cnt"), Some(&Const::NonConst));
     }
@@ -627,7 +584,7 @@ mod tests {
             ],
         );
         let cfg = Cfg::build(&udf);
-        let sol = solve(
+        let sol = solve_finite(
             &cfg,
             &ConstProp {
                 untrusted_lets: BTreeSet::new(),
@@ -639,7 +596,7 @@ mod tests {
             _ => unreachable!(),
         };
         assert_eq!(
-            const_eval(cond, &sol.before[if_node]),
+            const_eval(cond, &sol[if_node]),
             Some(Const::Val(Value::Bool(false)))
         );
     }
@@ -656,16 +613,13 @@ mod tests {
         );
         let cfg = Cfg::build(&udf);
         let untrusted: BTreeSet<String> = ["dbg".to_string()].into_iter().collect();
-        let sol = solve(
+        let sol = solve_finite(
             &cfg,
             &ConstProp {
                 untrusted_lets: untrusted,
             },
         );
-        assert_eq!(
-            sol.before[cfg.node_of(2)].get("dbg"),
-            Some(&Const::NonConst)
-        );
+        assert_eq!(sol[cfg.node_of(2)].get("dbg"), Some(&Const::NonConst));
     }
 
     #[test]
@@ -682,9 +636,6 @@ mod tests {
             fn boundary(&self) -> u64 {
                 0
             }
-            fn init(&self) -> u64 {
-                0
-            }
             fn join(&self, into: &mut u64, from: &u64) {
                 *into = (*into).max(*from);
             }
@@ -694,12 +645,14 @@ mod tests {
         }
         let udf = counter_udf();
         let cfg = Cfg::build(&udf);
-        let err = solve_with_fuel(&cfg, &Diverge, 100).unwrap_err();
-        assert_eq!(err, FuelExhausted { fuel: 100 });
-        assert!(err.to_string().contains("100 node visits"));
+        let mut fuel = 100;
+        assert!(solve(&cfg, &Diverge, &mut fuel).is_none());
+        assert_eq!(fuel, 0, "the solver stops when its fuel is spent");
         // The same tiny budget is plenty for a real finite-lattice
         // analysis on the same graph.
-        assert!(solve_with_fuel(&cfg, &ReachingDefs, 100).is_ok());
+        let mut fuel = 100;
+        assert!(solve(&cfg, &ReachingDefs, &mut fuel).is_some());
+        assert!(fuel > 0);
     }
 
     #[test]

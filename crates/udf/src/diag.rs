@@ -68,8 +68,8 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// The statement the finding is anchored to, if any.
     pub stmt: Option<StmtId>,
-    /// Source byte range, filled in by [`Diagnostic::attach_span`] /
-    /// [`attach_spans`] when a [`SpanMap`] is available.
+    /// Source byte range, filled in by [`Diagnostic::attach_span`] when a
+    /// [`SpanMap`] is available.
     pub span: Option<Span>,
     /// Human-readable description of the finding.
     pub message: String,

@@ -349,64 +349,24 @@ fn widen(ty: Ty, v: Value) -> Value {
     }
 }
 
-/// Unary evaluation. Integer negation wraps, like `+`/`-`/`*`.
+/// `op v` through [`Value::unary`]; an operator that does not apply to
+/// the operand's type (ruled out by the checker) panics as a mistyped
+/// read does.
 fn unary(op: UnOp, v: Value) -> Value {
-    match op {
-        UnOp::Not => Value::Bool(!v.as_bool()),
-        UnOp::Neg => match v {
-            Value::Int(i) => Value::Int(i.wrapping_neg()),
-            other => Value::Float(-other.as_float()),
-        },
-    }
-}
-
-/// Non-short-circuit binary evaluation (`&&`/`||` short-circuit in
-/// `eval`).
-fn binary(op: BinOp, a: Value, b: Value) -> Value {
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul => arith(op, a, b),
-        BinOp::And | BinOp::Or => unreachable!("short-circuit ops are control flow"),
-        _ => Value::Bool(compare(op, a, b)),
-    }
-}
-
-fn arith(op: BinOp, a: Value, b: Value) -> Value {
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        return Value::Int(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            _ => unreachable!(),
-        });
-    }
-    let (x, y) = (a.as_float(), b.as_float());
-    Value::Float(match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        _ => unreachable!(),
+    v.unary(op).unwrap_or_else(|| match op {
+        UnOp::Not => panic!("expected bool, got {v:?}"),
+        UnOp::Neg => panic!("expected float, got {v:?}"),
     })
 }
 
-fn compare(op: BinOp, a: Value, b: Value) -> bool {
-    let ord = match (a, b) {
-        (Value::Vertex(x), Value::Vertex(y)) => x.cmp(&y),
-        (Value::Bool(x), Value::Bool(y)) => x.cmp(&y),
-        (Value::Int(x), Value::Int(y)) => x.cmp(&y),
-        (x, y) => x
-            .as_float()
-            .partial_cmp(&y.as_float())
-            .expect("NaN in comparison"),
-    };
-    match op {
-        BinOp::Lt => ord.is_lt(),
-        BinOp::Le => ord.is_le(),
-        BinOp::Gt => ord.is_gt(),
-        BinOp::Ge => ord.is_ge(),
-        BinOp::Eq => ord.is_eq(),
-        BinOp::Ne => ord.is_ne(),
-        _ => unreachable!(),
-    }
+/// `a op b` through [`Value::binary`] (`&&`/`||` short-circuit in
+/// `eval`). No value means a mistyped operand, whose read panics, or two
+/// numbers that do not compare because one is a NaN.
+fn binary(op: BinOp, a: Value, b: Value) -> Value {
+    a.binary(op, b).unwrap_or_else(|| {
+        let _ = (a.as_float(), b.as_float());
+        panic!("NaN in comparison")
+    })
 }
 
 impl PullProgram for UdfProgram<'_> {

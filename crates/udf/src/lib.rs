@@ -31,36 +31,41 @@
 //! to the hand-written native program — the paper's "manual vs automatic"
 //! equivalence (§4.3).
 //!
-//! UDFs are built with the [`ast`] constructors or the higher-level
-//! [`fold_while`] functional DSL (the paper's alternative interface,
-//! §4.3); the five paper kernels ship ready-made in [`paper_udfs`].
+//! UDFs are built with the [`ast`] constructors, the higher-level
+//! [`FoldWhile`] functional DSL (the paper's alternative interface, §4.3)
+//! or [`parse_udf`]; [`paper_udfs`] ships eight ready-made: the five paper
+//! kernels (BFS, MIS, K-core, K-means, sampling) and the scenario matrix's
+//! SSSP, connected components and PageRank.
 //!
 //! On top of the syntactic analysis sits a small static-analysis engine: a
-//! per-statement control-flow graph ([`cfg`](mod@cfg)), a generic
-//! forward/backward dataflow solver with liveness, reaching-definitions
-//! and constant-propagation instances ([`dataflow`]), and a diagnostics
-//! layer ([`diag`]) fed by byte-offset spans from the parser. It powers
-//! carried-state minimization and dead-dependency elimination inside
-//! [`analyze`], the collecting checker [`check_all`], and the clippy-style
-//! [`lint`](mod@lint) pass (`examples/symple_lint.rs` is the CLI).
+//! per-statement control-flow graph, one worklist fixpoint solver (either
+//! direction, with edge refinement, widening and a fuel bound) running
+//! liveness, reaching definitions, constant propagation and an interval
+//! and monotonicity domain, and a diagnostics layer ([`Diagnostic`]) fed
+//! by byte-offset spans from the parser. It powers carried-state
+//! minimization, dead-dependency elimination and the dependency
+//! certificate inside [`analyze`], the collecting checker [`check_all`],
+//! and the clippy-style [`lint()`] pass (`examples/symple_lint.rs` is the
+//! CLI), which reads the facts [`analyze`] solves instead of solving them
+//! again.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod absint;
-pub mod analysis;
+mod absint;
+mod analysis;
 pub mod ast;
-pub mod certificate;
-pub mod cfg;
+mod certificate;
+mod cfg;
 mod check;
 mod compile;
-pub mod dataflow;
+mod dataflow;
 mod dep_bridge;
-pub mod diag;
+mod diag;
 mod error;
-pub mod fold_while;
+mod fold_while;
 mod interp;
-pub mod lint;
+mod lint;
 mod opt;
 pub mod paper_udfs;
 pub mod parser;
@@ -70,7 +75,6 @@ mod transform;
 pub mod types;
 mod vm;
 
-pub use absint::certify;
 pub use analysis::{analyze, analyze_naive, effective_policy, DepInfo, DepKind};
 pub use ast::{BinOp, Expr, Stmt, UdfFn, UnOp};
 pub use certificate::{width_for, CarriedCert, DepCertificate, Monotonicity, ValueRange};

@@ -21,14 +21,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::analysis::{analyze, analyze_naive, DepInfo};
+use crate::analysis::{DepInfo, Facts};
 use crate::ast::{preorder, Expr, Stmt, UdfFn};
-use crate::cfg::Cfg;
 use crate::check::check_all;
-use crate::dataflow::{const_eval, solve, stmt_uses, Const, ConstProp, Liveness};
+use crate::dataflow::stmt_uses;
 use crate::diag::{attach_spans, Diagnostic, Span};
 use crate::parser::parse_udf_with_spans;
-use crate::types::{Ty, Value};
+use crate::transform::instrument_with;
+use crate::types::Ty;
 
 /// Lints `udf` against `schema`: all checker errors plus the warning
 /// passes. Diagnostics are anchored to pre-order statement ids (attach a
@@ -61,31 +61,13 @@ pub fn lint_source(src: &str, schema: &BTreeMap<String, Ty>) -> Vec<Diagnostic> 
 
 fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let cfg = Cfg::build(udf);
     // The analyses are optional: they fail on nested loops or instrumented
     // input, which check_all/E-codes already surface. The CFG lints still
     // run in that case.
-    let naive = analyze_naive(udf).ok();
-    let minimized = analyze(udf).ok();
-    let carried_names: BTreeSet<String> = naive
-        .iter()
-        .flat_map(|i| i.carried.iter().map(|(n, _)| n.clone()))
-        .collect();
-
-    let consts = solve(
-        &cfg,
-        &ConstProp {
-            untrusted_lets: carried_names.clone(),
-        },
-    );
-    let const_branch = |node: usize| match cfg.stmt_of(node).map(|id| cfg.stmt(id)) {
-        Some(Stmt::If { cond, .. }) => match const_eval(cond, &consts.before[node]) {
-            Some(Const::Val(Value::Bool(b))) => Some(b),
-            _ => None,
-        },
-        _ => None,
-    };
-    let reachable = cfg.reachable(const_branch);
+    let facts = Facts::of(udf);
+    let (cfg, reachable) = (&facts.cfg, &facts.reachable);
+    let naive = facts.naive.as_ref().ok();
+    let minimized = facts.analyze().ok();
 
     // W002: constant `if` conditions, with a note when a break is involved.
     for id in 0..cfg.num_stmts() {
@@ -94,12 +76,12 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
             continue;
         }
         if let Stmt::If {
-            cond,
             then_branch,
             else_branch,
+            ..
         } = cfg.stmt(id)
         {
-            if let Some(Const::Val(Value::Bool(b))) = const_eval(cond, &consts.before[node]) {
+            if let Some(b) = facts.const_branch(node) {
                 let (taken, dead) = if b {
                     (then_branch, else_branch)
                 } else {
@@ -129,19 +111,13 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
     }
 
     // W001: locals whose value after declaration is dead.
-    let live = solve(
-        &cfg,
-        &Liveness {
-            exit_live: carried_names,
-        },
-    );
     for id in 0..cfg.num_stmts() {
         let node = cfg.node_of(id);
         if !reachable[node] {
             continue; // W003 already covers it
         }
         if let Stmt::Let { name, .. } = cfg.stmt(id) {
-            if !live.after[node].contains(name) {
+            if !facts.live[node].contains(name) {
                 let read_anywhere =
                     (0..cfg.num_stmts()).any(|s| stmt_uses(cfg.stmt(s)).contains(name));
                 let msg = if read_anywhere {
@@ -157,10 +133,9 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
     }
 
     // W004: carried state the dataflow analysis proved dead on the wire.
-    if let (Some(naive), Some(min)) = (&naive, &minimized) {
+    if let (Some(naive), Some(min)) = (naive, &minimized) {
         for (name, _) in dropped_carried(naive, min) {
-            let let_id = (0..cfg.num_stmts())
-                .find(|&id| matches!(cfg.stmt(id), Stmt::Let { name: n, .. } if *n == name));
+            let let_id = facts.let_of(&name);
             let mut d = Diagnostic::warning(
                 "W004",
                 format!(
@@ -216,8 +191,8 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
     // W006: the program exceeds a resource limit of the typed VM, so the
     // engine falls back to tree-walking interpretation (correct but slower
     // dispatch).
-    if let Ok(inst) = crate::transform::instrument(udf) {
-        if let Err(e) = crate::compile(&inst) {
+    if let Some(min) = &minimized {
+        if let Err(e) = crate::compile(&instrument_with(udf, min.clone())) {
             out.push(Diagnostic::warning(
                 "W006",
                 format!("the typed VM falls back to the interpreter: {e}"),
@@ -231,8 +206,7 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
     if let Some(min) = &minimized {
         for cc in &min.cert.carried {
             if cc.ty == Ty::Int && cc.width == 8 {
-                let let_id = (0..cfg.num_stmts())
-                    .find(|&id| matches!(cfg.stmt(id), Stmt::Let { name: n, .. } if *n == cc.name));
+                let let_id = facts.let_of(&cc.name);
                 let mut d = Diagnostic::warning(
                     "W007",
                     format!(

@@ -1,5 +1,6 @@
-//! The five evaluation kernels (paper Figures 1b and 3) as UDF ASTs, in
-//! Gemini's dense-signal form — exactly what the analyzer consumes.
+//! The five evaluation kernels (paper Figures 1b and 3) and the scenario
+//! matrix's SSSP, connected-components and PageRank kernels as UDF ASTs,
+//! in Gemini's dense-signal form — exactly what the analyzer consumes.
 
 use crate::ast::{BinOp, Expr, Stmt, UdfFn};
 use crate::types::Ty;

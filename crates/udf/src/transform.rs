@@ -42,7 +42,7 @@ pub struct InstrumentedUdf {
 /// assert!(text.contains("emit_dep"));
 /// ```
 pub fn instrument(udf: &UdfFn) -> Result<InstrumentedUdf, UdfError> {
-    instrument_with(udf, analyze(udf)?)
+    Ok(instrument_with(udf, analyze(udf)?))
 }
 
 /// Like [`instrument`], but driven by the purely syntactic
@@ -55,27 +55,28 @@ pub fn instrument(udf: &UdfFn) -> Result<InstrumentedUdf, UdfError> {
 ///
 /// Same contract as [`instrument`].
 pub fn instrument_naive(udf: &UdfFn) -> Result<InstrumentedUdf, UdfError> {
-    instrument_with(udf, analyze_naive(udf)?)
+    Ok(instrument_with(udf, analyze_naive(udf)?))
 }
 
-fn instrument_with(udf: &UdfFn, info: DepInfo) -> Result<InstrumentedUdf, UdfError> {
+/// Instruments `udf` as the analysis result `info` directs.
+pub(crate) fn instrument_with(udf: &UdfFn, info: DepInfo) -> InstrumentedUdf {
     if info.kind == DepKind::None {
-        return Ok(InstrumentedUdf {
+        return InstrumentedUdf {
             udf: udf.clone(),
             info,
-        });
+        };
     }
     let mut body = Vec::with_capacity(udf.body.len() + 1);
     body.push(Stmt::ReceiveDepGuard);
     body.extend(udf.body.iter().map(instrument_stmt));
-    Ok(InstrumentedUdf {
+    InstrumentedUdf {
         udf: UdfFn {
             name: udf.name.clone(),
             update_ty: udf.update_ty,
             body,
         },
         info,
-    })
+    }
 }
 
 fn instrument_stmt(s: &Stmt) -> Stmt {

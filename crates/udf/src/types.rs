@@ -3,6 +3,8 @@
 use std::fmt;
 use symple_graph::Vid;
 
+use crate::ast::{BinOp, UnOp};
+
 /// The language's types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ty {
@@ -131,6 +133,62 @@ impl Value {
             Ty::Vertex => Value::Vertex(Vid::new(bits as u32)),
         }
     }
+
+    /// `op self`, the language's one definition of `!` and negation
+    /// (integer negation wraps); `None` when `op` does not apply to the
+    /// value's type.
+    pub(crate) fn unary(self, op: UnOp) -> Option<Value> {
+        match (op, self) {
+            (UnOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
+            (UnOp::Neg, Value::Int(i)) => Some(Value::Int(i.wrapping_neg())),
+            (UnOp::Neg, Value::Float(x)) => Some(Value::Float(-x)),
+            _ => None,
+        }
+    }
+
+    /// `self op b` for `+ - *` and the six comparisons, the language's one
+    /// definition of them: integer arithmetic wraps, an `int` beside a
+    /// `float` widens, vertices and booleans compare among themselves.
+    /// `None` when the result is not a value: mismatched types or a
+    /// comparison with a NaN. `&&`/`||` short-circuit, so each evaluator
+    /// runs them itself (`None` here).
+    pub(crate) fn binary(self, op: BinOp, b: Value) -> Option<Value> {
+        let numeric = |v: Value| matches!(v, Value::Int(_) | Value::Float(_));
+        if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) {
+            if let (Value::Int(x), Value::Int(y)) = (self, b) {
+                return Some(Value::Int(match op {
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    _ => x.wrapping_mul(y),
+                }));
+            }
+            if !(numeric(self) && numeric(b)) {
+                return None;
+            }
+            let (x, y) = (self.as_float(), b.as_float());
+            return Some(Value::Float(match op {
+                BinOp::Add => x + y,
+                BinOp::Sub => x - y,
+                _ => x * y,
+            }));
+        }
+        let ord = match (self, b) {
+            (Value::Vertex(x), Value::Vertex(y)) => x.cmp(&y),
+            (Value::Bool(x), Value::Bool(y)) => x.cmp(&y),
+            (Value::Int(x), Value::Int(y)) => x.cmp(&y),
+            (x, y) if numeric(x) && numeric(y) => x.as_float().partial_cmp(&y.as_float())?,
+            _ => return None,
+        };
+        Some(Value::Bool(match op {
+            BinOp::Lt => ord.is_lt(),
+            BinOp::Le => ord.is_le(),
+            BinOp::Gt => ord.is_gt(),
+            BinOp::Ge => ord.is_ge(),
+            BinOp::Eq => ord.is_eq(),
+            BinOp::Ne => ord.is_ne(),
+            _ => return None,
+        }))
+    }
 }
 
 impl fmt::Display for Value {
@@ -188,6 +246,35 @@ mod tests {
     fn zeros() {
         assert_eq!(Value::zero(Ty::Int), Value::Int(0));
         assert_eq!(Value::zero(Ty::Bool), Value::Bool(false));
+    }
+
+    #[test]
+    fn operator_table_has_no_value_for_nan_comparisons_or_mismatched_types() {
+        let (one, nan) = (Value::Int(1), Value::Float(f64::NAN));
+        assert_eq!(
+            Value::Int(i64::MAX).binary(BinOp::Add, one),
+            Some(Value::Int(i64::MIN))
+        );
+        assert_eq!(
+            one.binary(BinOp::Mul, Value::Float(2.5)),
+            Some(Value::Float(2.5))
+        );
+        assert_eq!(
+            one.binary(BinOp::Lt, Value::Float(1.5)),
+            Some(Value::Bool(true))
+        );
+        assert_eq!(nan.binary(BinOp::Ne, nan), None);
+        assert_eq!(one.binary(BinOp::Add, Value::Bool(true)), None);
+        assert_eq!(one.binary(BinOp::Eq, Value::Vertex(Vid::new(1))), None);
+        assert_eq!(
+            Value::Bool(true).binary(BinOp::And, Value::Bool(true)),
+            None
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).unary(UnOp::Neg),
+            Some(Value::Int(i64::MIN))
+        );
+        assert_eq!(one.unary(UnOp::Not), None);
     }
 
     #[test]
