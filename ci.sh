@@ -46,20 +46,30 @@ step() {
   echo "== $1 =="
 }
 
-step "raise-site audit (crates/{net,core}/src vs DESIGN.md)"
+step "raise-site audit (crates/{net,core}/src, dep_bridge.rs vs DESIGN.md)"
 # Every `panic!`, `unwrap()` and `expect(` outside the test modules of
 # symple-net and symple-core, one `path: trimmed line` per site (no line
 # numbers, so unrelated edits leave the list alone), must equal the
 # fenced list under DESIGN.md's "Audited raise sites" heading: a change
-# that adds, removes or rewords a site edits that list too. Comment lines
-# (doc examples included) are not sites; a file's test module is its
-# last item, so the scan of a file stops at its `#[cfg(test)]`. Runs
-# under --quick.
+# that adds, removes or rewords a site edits that list too. The files
+# that decode peer bytes (the wire codec and reader, the dependency
+# states, the worker, and UdfDep's dep_bridge.rs) are held to more: an
+# `assert!(`, `assert_eq!(` or `assert_ne!(` is a site there too (a
+# `debug_assert*` is not). Comment lines (doc examples included) are not
+# sites; a file's test module is its last item, so the scan of a file
+# stops at its `#[cfg(test)]`. Runs under --quick.
 raise_sites() {
-  local f
-  for f in $(printf '%s\n' crates/net/src/*.rs crates/core/src/*.rs | LC_ALL=C sort); do
-    awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} /^[[:space:]]*\/\// {next}
-      /panic!|unwrap\(\)|expect\(/ {sub(/^[[:space:]]+/, ""); print f ": " $0}' "$f"
+  local f sites
+  for f in $(printf '%s\n' crates/net/src/*.rs crates/core/src/*.rs crates/udf/src/dep_bridge.rs |
+    LC_ALL=C sort); do
+    sites='panic!|unwrap[(][)]|expect[(]'
+    case "$f" in
+      crates/net/src/codec.rs | crates/net/src/wire.rs | crates/core/src/dep.rs | \
+        crates/core/src/worker.rs | crates/udf/src/dep_bridge.rs)
+        sites="$sites|(^|[^_])assert(_eq|_ne)?![(]" ;;
+    esac
+    SITES="$sites" awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} /^[[:space:]]*\/\// {next}
+      $0 ~ ENVIRON["SITES"] {sub(/^[[:space:]]+/, ""); print f ": " $0}' "$f"
   done
 }
 raise_sites | diff - <(awk '/^### Audited raise sites/ {sec = 1} sec && /^```/ {if (blk) exit; blk = 1; next} blk' \

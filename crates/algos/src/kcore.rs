@@ -216,7 +216,7 @@ pub fn validate_kcore(graph: &Graph, k: u32, out: &KcoreOutput) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symple_core::{DepState, Policy};
+    use symple_core::{DepState, Policy, WireCodec};
     use symple_graph::{complete, cycle, path, star, RmatConfig, Rng64};
 
     /// One saturating step of the carried count, written without
@@ -224,7 +224,8 @@ mod tests {
     fn increment(dep: &mut CountDep, slot: usize) -> u8 {
         let c = dep.count(slot);
         if c < dep.k() {
-            dep.decode_range(slot..slot + 1, &[c + 1]);
+            dep.decode_message(slot..slot + 1, WireCodec::Flat, &[c + 1])
+                .unwrap();
         }
         dep.count(slot)
     }
@@ -286,7 +287,9 @@ mod tests {
             let slot = rng.gen_index(SLOTS);
 
             let mut expect_dep = CountDep::new(SLOTS, k);
-            expect_dep.decode_range(slot..slot + 1, &[start]);
+            expect_dep
+                .decode_message(slot..slot + 1, WireCodec::Flat, &[start])
+                .unwrap();
             let mut got_dep = expect_dep.clone();
             let mut expect = Vec::new();
             let expect_out = signal_per_edge(&active, &srcs, &mut expect_dep, slot, &mut |d| {

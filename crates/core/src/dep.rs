@@ -27,7 +27,8 @@
 use std::ops::Range;
 use symple_graph::{Graph, Vid};
 use symple_net::{
-    dep_range_sizes, dep_records, encode_dep_range, pack_bits, unpack_bits, WireCodec, WireFormat,
+    dep_range_sizes, dep_records, encode_dep_range, pack_bits, unpack_bits, CodecError, Reader,
+    Wire, WireCodec, WireFormat,
 };
 
 use crate::Partition;
@@ -49,13 +50,10 @@ pub trait DepState: Send {
     /// Appends the flat wire encoding of the slots in `range` to `out`.
     fn encode_range(&self, range: Range<usize>, out: &mut Vec<u8>);
 
-    /// Overwrites the slots in `range` from a buffer produced by
-    /// [`DepState::encode_range`] over the same range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is too short for the range.
-    fn decode_range(&mut self, range: Range<usize>, buf: &[u8]);
+    /// Overwrites the slots in `range` from the flat body
+    /// [`DepState::encode_range`] wrote over the same range, read from
+    /// `r`; a body `r` cannot supply is an `Err`.
+    fn decode_range(&mut self, range: Range<usize>, r: &mut Reader<'_>) -> Result<(), CodecError>;
 
     /// Bytes of one slot's record in the packed (dense and sparse)
     /// message formats.
@@ -67,8 +65,9 @@ pub trait DepState: Send {
     /// the slots that do not, and their decode resets the others.
     fn write_record(&self, slot: usize, out: &mut Vec<u8>) -> bool;
 
-    /// Loads a record written by [`DepState::write_record`] into `slot`.
-    fn read_record(&mut self, slot: usize, record: &[u8]);
+    /// Loads a record written by [`DepState::write_record`] into `slot`,
+    /// read from `r` (which holds the [`DepState::record_width`] bytes).
+    fn read_record(&mut self, slot: usize, r: &mut Reader<'_>) -> Result<(), CodecError>;
 
     /// Appends the dependency message of the slots in `range` under
     /// `codec` and returns its format: under [`WireCodec::Flat`] the
@@ -125,17 +124,24 @@ pub trait DepState: Send {
     /// Overwrites the slots in `range` from a message produced by
     /// [`DepState::encode_message`] over the same range and codec. Slots
     /// a packed message does not list are reset to their default value.
-    fn decode_message(&mut self, range: Range<usize>, codec: WireCodec, buf: &[u8]) {
-        if codec == WireCodec::Flat {
-            return self.decode_range(range, buf);
+    /// A message no encoder writes for the range (short, long, an unknown
+    /// tag, a slot outside it) is an `Err` and leaves the range unspecified.
+    fn decode_message(
+        &mut self,
+        range: Range<usize>,
+        codec: WireCodec,
+        buf: &[u8],
+    ) -> Result<(), CodecError> {
+        let mut r = Reader::new(buf);
+        if codec == WireCodec::Adaptive && u8::read(&mut r)? != WireFormat::Flat as u8 {
+            self.reset_range(range.clone());
+            let width = self.record_width();
+            return dep_records(range.len(), width, buf, |slot, record| {
+                self.read_record(range.start + slot as usize, &mut Reader::new(record))
+            });
         }
-        if buf[0] == WireFormat::Flat as u8 {
-            return self.decode_range(range, &buf[1..]);
-        }
-        self.reset_range(range.clone());
-        for (slot, record) in dep_records(range.len(), self.record_width(), buf) {
-            self.read_record(range.start + slot as usize, record);
-        }
+        self.decode_range(range, &mut r)?;
+        r.finish()
     }
 
     /// A fresh, reset state with `slots` slots sharing this instance's
@@ -205,8 +211,8 @@ impl DepState for BitDep {
         pack_bits(&self.bits[range], out);
     }
 
-    fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
-        unpack_bits(buf, &mut self.bits[range]);
+    fn decode_range(&mut self, range: Range<usize>, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        unpack_bits(r, &mut self.bits[range])
     }
 
     /// A set bit is listed with an empty record. The flat body *is* a
@@ -220,8 +226,9 @@ impl DepState for BitDep {
         self.bits[slot]
     }
 
-    fn read_record(&mut self, slot: usize, _record: &[u8]) {
+    fn read_record(&mut self, slot: usize, _r: &mut Reader<'_>) -> Result<(), CodecError> {
         self.bits[slot] = true;
+        Ok(())
     }
 
     fn detach(&self, slots: usize) -> Self {
@@ -299,10 +306,9 @@ impl DepState for CountDep {
         out.extend_from_slice(&self.counts[range]);
     }
 
-    fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
-        let len = range.len();
-        assert!(buf.len() >= len, "dependency buffer too short");
-        self.counts[range].copy_from_slice(&buf[..len]);
+    fn decode_range(&mut self, range: Range<usize>, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        self.counts[range.clone()].copy_from_slice(r.take(range.len())?);
+        Ok(())
     }
 
     fn record_width(&self) -> usize {
@@ -317,8 +323,8 @@ impl DepState for CountDep {
         count != 0
     }
 
-    fn read_record(&mut self, slot: usize, record: &[u8]) {
-        self.counts[slot] = record[0];
+    fn read_record(&mut self, slot: usize, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        u8::read(r).map(|count| self.counts[slot] = count)
     }
 
     fn detach(&self, slots: usize) -> Self {
@@ -388,17 +394,9 @@ impl DepState for WeightDep {
         pack_bits(&self.selected[range], out);
     }
 
-    fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
-        let len = range.len();
-        assert!(
-            buf.len() >= Self::wire_bytes(len),
-            "dependency buffer too short"
-        );
-        for i in 0..len {
-            let off = i * 4;
-            self.acc[range.start + i] = f32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-        }
-        unpack_bits(&buf[len * 4..], &mut self.selected[range]);
+    fn decode_range(&mut self, range: Range<usize>, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        r.fill(&mut self.acc[range.clone()])?;
+        unpack_bits(r, &mut self.selected[range])
     }
 
     /// The `f32` sum and a selected byte.
@@ -419,9 +417,9 @@ impl DepState for WeightDep {
         true
     }
 
-    fn read_record(&mut self, slot: usize, record: &[u8]) {
-        self.acc[slot] = f32::from_le_bytes(record[..4].try_into().unwrap());
-        self.selected[slot] = record[4] != 0;
+    fn read_record(&mut self, slot: usize, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        self.acc[slot] = f32::read(r)?;
+        bool::read(r).map(|selected| self.selected[slot] = selected)
     }
 
     fn detach(&self, slots: usize) -> Self {
@@ -534,8 +532,63 @@ impl DepLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symple_graph::star;
+    use symple_graph::{star, Rng64};
     use symple_net::WireCodec;
+
+    /// Every strict prefix of every dependency message `fill` leads to is
+    /// an error, because both sides know the slot count; every one-byte
+    /// XOR of it decodes or is an error. No decode panics, under either
+    /// codec, at densities from none to all slots set.
+    fn check_damaged_messages<D: DepState>(fill: impl Fn(&mut D, usize), fresh: impl Fn() -> D) {
+        let mut rng = Rng64::seed_from_u64(41);
+        for percent in [0, 3, 30, 80, 100] {
+            for range in [0..0, 0..1, 3..40, 0..64] {
+                let mut d = fresh();
+                for s in range.clone().filter(|_| rng.gen_index(100) < percent) {
+                    fill(&mut d, s);
+                }
+                for codec in [WireCodec::Flat, WireCodec::Adaptive] {
+                    let mut wire = Vec::new();
+                    d.encode_message(range.clone(), codec, &mut wire);
+                    let decode = |msg: &[u8]| fresh().decode_message(range.clone(), codec, msg);
+                    assert_eq!(decode(&wire), Ok(()));
+                    for len in 0..wire.len() {
+                        assert!(
+                            decode(&wire[..len]).is_err(),
+                            "{codec:?} prefix {len} of {wire:02x?}"
+                        );
+                    }
+                    for i in 0..wire.len() {
+                        let mut bad = wire.clone();
+                        bad[i] ^= 1 << rng.gen_index(8);
+                        let _ = decode(&bad);
+                        bad[i] = !wire[i];
+                        let _ = decode(&bad);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_dependency_messages_decode_or_fail() {
+        check_damaged_messages(|d: &mut BitDep, s| d.mark(s), || BitDep::new(64));
+        check_damaged_messages(
+            |d: &mut CountDep, s| {
+                d.add(s, 1 + s as u16 % 3);
+            },
+            || CountDep::new(64, 3),
+        );
+        check_damaged_messages(
+            |d: &mut WeightDep, s| {
+                d.add_weight(s, s as f32 * 0.1);
+                if s % 3 == 0 {
+                    d.select(s);
+                }
+            },
+            || WeightDep::new(64),
+        );
+    }
 
     #[test]
     fn bit_dep_roundtrip() {
@@ -549,7 +602,7 @@ mod tests {
         assert_eq!(out.len(), BitDep::wire_bytes(18));
         let mut d2 = BitDep::new(20);
         d2.mark(2); // stale value that the decode must overwrite
-        d2.decode_range(2..20, &out);
+        d2.decode_message(2..20, WireCodec::Flat, &out).unwrap();
         assert!(!d2.should_skip(2));
         assert!(d2.should_skip(3) && d2.should_skip(8) && d2.should_skip(19));
         d2.reset_range(0..20);
@@ -570,7 +623,7 @@ mod tests {
         d.encode_range(0..4, &mut out);
         assert_eq!(out.len(), 4);
         let mut d2 = CountDep::new(4, 3);
-        d2.decode_range(0..4, &out);
+        d2.decode_message(0..4, WireCodec::Flat, &out).unwrap();
         assert_eq!(d2.count(1), 3);
         d2.reset_range(1..2);
         assert_eq!(d2.count(1), 0);
@@ -616,7 +669,7 @@ mod tests {
         d.encode_range(0..3, &mut out);
         assert_eq!(out.len(), WeightDep::wire_bytes(3));
         let mut d2 = WeightDep::new(3);
-        d2.decode_range(0..3, &out);
+        d2.decode_message(0..3, WireCodec::Flat, &out).unwrap();
         assert_eq!(d2.acc[0], 3.5);
         assert!(d2.should_skip(2));
     }
@@ -629,7 +682,7 @@ mod tests {
         let mut out = Vec::new();
         d.encode_range(4..8, &mut out);
         let mut d2 = WeightDep::new(10);
-        d2.decode_range(4..8, &out);
+        d2.decode_message(4..8, WireCodec::Flat, &out).unwrap();
         assert_eq!(d2.acc[5], 9.0);
         assert!(d2.should_skip(6));
         assert_eq!(d2.acc[9], 0.0);
@@ -648,7 +701,8 @@ mod tests {
         assert!(wire.len() < 1 + BitDep::wire_bytes(512));
         let mut d2 = BitDep::new(512);
         d2.mark(5); // stale state the packed decode must reset
-        d2.decode_message(0..512, WireCodec::Adaptive, &wire);
+        d2.decode_message(0..512, WireCodec::Adaptive, &wire)
+            .unwrap();
         assert!((0..512).all(|s| d2.should_skip(s) == d.should_skip(s)));
     }
 
@@ -665,7 +719,8 @@ mod tests {
         assert_eq!(fmt, WireFormat::Flat);
         assert_eq!(wire.len(), 1 + BitDep::wire_bytes(64));
         let mut d2 = BitDep::new(64);
-        d2.decode_message(0..64, WireCodec::Adaptive, &wire);
+        d2.decode_message(0..64, WireCodec::Adaptive, &wire)
+            .unwrap();
         assert!((0..64).all(|s| d2.should_skip(s)));
     }
 
@@ -700,7 +755,8 @@ mod tests {
             }
             let mut d2 = CountDep::new(256, 3);
             d2.add(200, 1); // stale
-            d2.decode_message(0..256, WireCodec::Adaptive, &wire);
+            d2.decode_message(0..256, WireCodec::Adaptive, &wire)
+                .unwrap();
             for s in 0..256 {
                 assert_eq!(d2.count(s), d.count(s), "slot {s}");
             }
@@ -722,29 +778,65 @@ mod tests {
         assert!(wire.len() < 1 + WeightDep::wire_bytes(300));
         let mut d2 = WeightDep::new(300);
         d2.add_weight(3, 9.0); // stale
-        d2.decode_message(0..300, WireCodec::Adaptive, &wire);
+        d2.decode_message(0..300, WireCodec::Adaptive, &wire)
+            .unwrap();
         for s in 0..300 {
             assert_eq!(d2.acc[s].to_bits(), d.acc[s].to_bits(), "slot {s} acc bits");
             assert_eq!(d2.should_skip(s), d.should_skip(s), "slot {s} selected");
         }
     }
 
-    /// A short adaptive message panics on an out-of-bounds index, not on
-    /// an audited raise site: an empty one has no format tag to read.
-    /// ROADMAP item 1 turns this and the next test into a `CodecError`.
+    /// An empty adaptive message has no format tag to read.
     #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn empty_adaptive_message_panics() {
-        CountDep::new(8, 2).decode_message(0..8, WireCodec::Adaptive, &[]);
+    fn empty_adaptive_message_is_an_error() {
+        let err = CountDep::new(8, 2).decode_message(0..8, WireCodec::Adaptive, &[]);
+        assert_eq!(err, Err(CodecError::Truncated { needed: 1, left: 0 }));
     }
 
     /// A dense message whose bitmap lists eight 5-byte records but which
-    /// carries two payload bytes panics slicing the first record.
+    /// carries two payload bytes fails reading the first record.
     #[test]
-    #[should_panic(expected = "range end index 7 out of range for slice of length 4")]
-    fn truncated_dense_message_panics() {
+    fn truncated_dense_message_is_an_error() {
         let dense = [WireFormat::Dense as u8, 0xff, 0, 0];
-        WeightDep::new(8).decode_message(0..8, WireCodec::Adaptive, &dense);
+        let err = WeightDep::new(8).decode_message(0..8, WireCodec::Adaptive, &dense);
+        assert_eq!(err, Err(CodecError::Truncated { needed: 5, left: 2 }));
+    }
+
+    /// A sparse message that lists a slot past the range's end is an
+    /// error, and writes no slot outside the range.
+    #[test]
+    fn a_listed_slot_past_the_range_is_an_error() {
+        let mut d = CountDep::new(20, 3);
+        // Range 4..12 (8 slots): slot 2 (count 1), then slot 2 + 7 = 9.
+        let sparse = [WireFormat::Sparse as u8, 2, 2, 1, 7, 1];
+        let err = d.decode_message(4..12, WireCodec::Adaptive, &sparse);
+        assert_eq!(
+            err,
+            Err(CodecError::OutOfRange {
+                value: 9,
+                lo: 0,
+                hi: 8
+            })
+        );
+        assert!(
+            (12..20).all(|s| d.count(s) == 0),
+            "no slot of the next range written"
+        );
+        // A delta past `u32::MAX` is out of range too, not an overflow.
+        let huge = [
+            WireFormat::Sparse as u8,
+            2,
+            1,
+            1,
+            0xff,
+            0xff,
+            0xff,
+            0xff,
+            0x0f,
+            1,
+        ];
+        let err = d.decode_message(4..12, WireCodec::Adaptive, &huge);
+        assert!(matches!(err, Err(CodecError::OutOfRange { .. })), "{err:?}");
     }
 
     #[test]
@@ -756,7 +848,8 @@ mod tests {
         let mut d2 = CountDep::new(20, 2);
         d2.add(0, 1); // outside the range: must survive
         d2.add(8, 1); // inside: must be reset by the packed decode
-        d2.decode_message(4..12, WireCodec::Adaptive, &wire);
+        d2.decode_message(4..12, WireCodec::Adaptive, &wire)
+            .unwrap();
         assert_eq!(d2.count(0), 1);
         assert_eq!(d2.count(6), 1);
         assert_eq!(d2.count(8), 0);
@@ -804,7 +897,7 @@ mod tests {
                 for s in [0, 5, 14, 23] {
                     fill(&mut back, s); // stale values the decode must overwrite
                 }
-                back.decode_message(range.clone(), codec, &wire);
+                back.decode_message(range.clone(), codec, &wire).unwrap();
                 (hex(&wire), render(&back))
             });
             assert_eq!(wire[0].1, wire[1].1, "{label}: codecs decode alike");
@@ -1041,9 +1134,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "too short")]
-    fn decode_short_buffer_panics() {
+    fn decode_short_buffer_is_an_error() {
         let mut d = CountDep::new(8, 2);
-        d.decode_range(0..8, &[1, 2]);
+        let err = d.decode_message(0..8, WireCodec::Flat, &[1, 2]);
+        assert_eq!(err, Err(CodecError::Truncated { needed: 8, left: 2 }));
+        let err = d.decode_message(0..1, WireCodec::Flat, &[1, 2]);
+        assert_eq!(err, Err(CodecError::Trailing(1)));
     }
 }

@@ -31,6 +31,10 @@
 //!   replicated per-vertex array by letting each vertex's *owner* (master)
 //!   overwrite everyone else's copy. They differ only in payload shape:
 //!   packed bit-words, a dense slice, or sparse `(vid, value)` deltas.
+//!
+//! A peer payload that does not decode — short, long, corrupt, or naming a
+//! vertex outside its sender's or receiver's master range — panics at one
+//! site, naming the rank, the sender and the message or collective.
 
 use crate::circulant::{dst_partition, processing_order};
 use crate::par::{self, ParCfg, PassOutput};
@@ -38,11 +42,14 @@ use crate::{
     DepState, EngineConfig, LocalGraph, Partition, Policy, PreparedGraph, PullProgram, PushProgram,
     WorkMetric, WorkStats,
 };
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symple_graph::{Bitmap, Graph, Vid};
-use symple_net::{CodecStats, CommKind, NodeCtx, SpanCategory, Tag, TagKind, Wire, WireFormat};
+use symple_net::{
+    CodecError, CodecStats, CommKind, NodeCtx, Reader, SpanCategory, Tag, TagKind, Wire, WireFormat,
+};
 
 /// One update source of a gather phase, listed in consumption order: the
 /// machine that produced it (this machine included) and the step at which
@@ -67,6 +74,22 @@ fn chunked_costs(records: u64, chunk: usize) -> Vec<(u64, u64)> {
         left -= take;
     }
     costs
+}
+
+/// Hands each `(vid, value)` record of a peer's stream to `sink`: whole
+/// records only, every vertex in `masters` (the range the sender meant).
+fn read_records<T: Wire>(
+    flat: &[u8],
+    (lo, hi): (Vid, Vid),
+    mut sink: impl FnMut(Vid, T),
+) -> Result<(), CodecError> {
+    let (lo, hi) = (u64::from(lo.raw()), u64::from(hi.raw()));
+    for record in Reader::new(flat).records(4 + T::SIZE)? {
+        let mut r = Reader::new(record);
+        let v = CodecError::in_range(u32::read(&mut r)?.into(), lo, hi)?;
+        sink(Vid::new(v as u32), T::read(&mut r)?);
+    }
+    Ok(())
 }
 
 /// Per-machine engine handle. Created by [`crate::run_spmd`] on each
@@ -159,6 +182,13 @@ impl<'a> Worker<'a> {
         self.ctx.record_wire_formats(&formats);
     }
 
+    /// The one raise site of a peer message that does not decode, naming
+    /// this rank, the sender and the message (`what`: tag or collective).
+    fn decoded<T>(&self, src: usize, what: impl fmt::Display, res: Result<T, CodecError>) -> T {
+        let rank = self.rank();
+        res.unwrap_or_else(|e| panic!("node {rank}: {what} from node {src} does not decode: {e}"))
+    }
+
     /// This machine's rank.
     pub fn rank(&self) -> usize {
         self.ctx.rank()
@@ -248,7 +278,8 @@ impl<'a> Worker<'a> {
         let mut buf = self.take_buf();
         self.ctx
             .recv_framed_into(src, tag, self.cfg.exchange_chunk, &mut buf);
-        dep.decode_message(range, self.cfg.wire_codec, &buf);
+        let res = dep.decode_message(range, self.cfg.wire_codec, &buf);
+        self.decoded(src, format_args!("dependency message {tag:?}"), res);
         self.recycle_buf(buf);
     }
 
@@ -378,19 +409,19 @@ impl<'a> Worker<'a> {
             let frames = self
                 .ctx
                 .recv_frames(src.rank, tag, self.cfg.exchange_chunk, &mut wire);
+            let what = format_args!("update stream {tag:?}");
             let mut decoded = Vec::new();
             let flat: &[u8] = if adaptive {
                 decoded = self.take_buf();
-                symple_net::decode_updates(&wire, U::SIZE, &mut decoded);
+                let res = symple_net::decode_updates(&wire, U::SIZE, &mut decoded);
+                self.decoded(src.rank, what, res);
                 &decoded
             } else {
                 &wire
             };
             let records = (flat.len() / (4 + U::SIZE)) as u64;
             self.charge_stream(&frames, records);
-            for r in flat.chunks_exact(4 + U::SIZE) {
-                sink(Vid::read(r), U::read(&r[4..]));
-            }
+            self.decoded(src.rank, what, read_records(flat, (lo, hi), &mut sink));
             if galois {
                 feedback.extend_from_slice(flat);
             }
@@ -432,8 +463,8 @@ impl<'a> Worker<'a> {
         let all = self
             .ctx
             .allgather_bytes(symple_net::encode_slice(&[v]), CommKind::Sync);
-        all.iter()
-            .map(|bytes| T::read(bytes))
+        (all.iter().enumerate())
+            .map(|(m, bytes)| self.decoded(m, "allreduce", T::decode(bytes)))
             .reduce(op)
             .expect("allgather returns one value per machine")
     }
@@ -467,24 +498,18 @@ impl<'a> Worker<'a> {
             if mlo == mhi {
                 continue;
             }
-            assert_eq!(
-                bytes.len(),
-                (mhi.index() - mlo.index()).div_ceil(64) * 8,
-                "machine {m} synced a slice of the wrong length"
-            );
             // Decoded through a fixed block of words straight into the
-            // bitmap: no per-peer `Vec`.
+            // bitmap: no per-peer `Vec`, one length check per block.
             const SYNC_WORDS: usize = 64;
             let mut words = [0u64; SYNC_WORDS];
-            for (i, block) in bytes.chunks(SYNC_WORDS * 8).enumerate() {
-                let n = block.len() / 8;
-                for (w, c) in words.iter_mut().zip(block.chunks_exact(8)) {
-                    *w = u64::read(c);
-                }
-                let start = mlo.index() + i * SYNC_WORDS * 64;
-                let end = (start + n * 64).min(mhi.index());
+            let mut r = Reader::new(bytes);
+            for start in (mlo.index()..mhi.index()).step_by(SYNC_WORDS * 64) {
+                let end = (start + SYNC_WORDS * 64).min(mhi.index());
+                let n = (end - start).div_ceil(64);
+                self.decoded(m, "sync_bitmap", r.fill(&mut words[..n]));
                 bm.assign_range_words(start, end, &words[..n]);
             }
+            self.decoded(m, "sync_bitmap", r.finish());
         }
     }
 
@@ -510,17 +535,9 @@ impl<'a> Worker<'a> {
                 continue;
             }
             let (mlo, mhi) = self.partition().range(m);
-            let slice = &mut arr[mlo.index()..mhi.index()];
-            assert_eq!(
-                bytes.len(),
-                slice.len() * T::SIZE,
-                "machine {m} synced a slice of the wrong length"
-            );
-            if T::SIZE > 0 {
-                for (slot, c) in slice.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-                    *slot = T::read(c);
-                }
-            }
+            let mut r = Reader::new(bytes);
+            let res = r.fill(&mut arr[mlo.index()..mhi.index()]);
+            self.decoded(m, "sync_values", res.and_then(|()| r.finish()));
         }
     }
 
@@ -543,15 +560,13 @@ impl<'a> Worker<'a> {
             arr[v.index()].write(&mut payload);
         }
         let all = self.ctx.allgather_bytes(payload, CommKind::Sync);
-        let pair = 4 + T::SIZE;
         for (m, bytes) in all.iter().enumerate() {
             if m == rank {
                 continue;
             }
-            for c in bytes.chunks_exact(pair) {
-                let v = Vid::read(c);
-                arr[v.index()] = T::read(&c[4..]);
-            }
+            let sender = self.partition().range(m);
+            let res = read_records(bytes, sender, |v, x| arr[v.index()] = x);
+            self.decoded(m, "sync_changed", res);
         }
     }
 
@@ -779,6 +794,38 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A peer's record stream must be whole records for vertices in the
+    /// addressed master range: a cut tail or a vertex outside it is an
+    /// error, where a bare `chunks_exact` walk dropped the tail silently
+    /// and indexed by whatever vertex arrived.
+    #[test]
+    fn peer_records_are_checked_against_the_master_range() {
+        let masters = (Vid::new(10), Vid::new(20));
+        let stream = symple_net::encode_slice(&[(Vid::new(10), 7u16), (Vid::new(19), 8)]);
+        let mut got = Vec::new();
+        assert_eq!(
+            read_records(&stream, masters, |v, x: u16| got.push((v.raw(), x))),
+            Ok(())
+        );
+        assert_eq!(got, [(10, 7), (19, 8)]);
+        let cut = read_records(&stream[..11], masters, |_, _: u16| ());
+        assert_eq!(cut, Err(CodecError::Trailing(5)));
+        for stray in [9, 20, u32::MAX] {
+            let stream = symple_net::encode_slice(&[(Vid::new(stray), 1u16)]);
+            let err = CodecError::OutOfRange {
+                value: stray.into(),
+                lo: 10,
+                hi: 20,
+            };
+            assert_eq!(read_records(&stream, masters, |_, _: u16| ()), Err(err));
+        }
+        let empty = (Vid::new(5), Vid::new(5));
+        assert!(
+            read_records(&stream, empty, |_, _: u16| ()).is_err(),
+            "an empty range takes no record"
+        );
+    }
 
     #[test]
     fn group_ranges_partition_the_domain() {

@@ -27,7 +27,7 @@
 //! [`crate::ReliableStats`] and the virtual clock absorb the damage.
 
 use crate::transport::{connect, Backend, Envelope, Port, DEFAULT_CHANNEL_CAPACITY};
-use crate::{CommKind, CostModel, FaultPlan, NetError, RETRY_ATTEMPTS};
+use crate::{encode_slice, CommKind, CostModel, FaultPlan, NetError, Wire, RETRY_ATTEMPTS};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -524,15 +524,11 @@ impl NodeCtx {
     /// Synchronises all nodes; afterwards every node's virtual clock equals
     /// the maximum clock at entry (plus the modelled exchange cost).
     pub fn barrier(&mut self) {
-        let mut buf = Vec::with_capacity(8);
-        crate::Wire::write(&self.clock, &mut buf);
         self.in_barrier = true;
-        let all = self.allgather_bytes(buf, CommKind::Sync);
-        self.in_barrier = false;
-        let max = all
-            .iter()
-            .map(|b| <f64 as crate::Wire>::read(b))
+        let max = self
+            .allgather_value(self.clock)
             .fold(f64::NEG_INFINITY, f64::max);
+        self.in_barrier = false;
         if max > self.clock {
             let start = self.clock;
             self.clock = max;
@@ -543,12 +539,19 @@ impl NodeCtx {
 
     /// Sums `value` across all nodes. Collective.
     pub fn allreduce_u64_sum(&mut self, value: u64) -> u64 {
-        let mut buf = Vec::with_capacity(8);
-        crate::Wire::write(&value, &mut buf);
-        self.allgather_bytes(buf, CommKind::Sync)
-            .iter()
-            .map(|b| <u64 as crate::Wire>::read(b))
-            .sum()
+        self.allgather_value(value).sum()
+    }
+
+    /// Allgathers one wire value per node, in rank order: the one raise
+    /// site of a collective value that does not decode.
+    fn allgather_value<T: Wire>(&mut self, value: T) -> impl Iterator<Item = T> {
+        let all = self.allgather_bytes(encode_slice(&[value]), CommKind::Sync);
+        let rank = self.rank;
+        (all.into_iter().enumerate()).map(move |(src, bytes)| {
+            T::decode(&bytes).unwrap_or_else(|e| {
+                panic!("node {rank}: collective value from node {src} does not decode: {e}")
+            })
+        })
     }
 
     // === Pipelined (framed) exchange ===

@@ -1,45 +1,32 @@
 //! Adaptive sparse/dense wire encodings for record-stream messages.
 //!
-//! The seed engine ships every message as a **flat** array of fixed-size
-//! records — `(u32 key, payload)` pairs for update signals, one byte (or
-//! word) per slot for dependency state. That is 8–9 B per update entry and
-//! 1 B per slot regardless of density, far from what communication-tuned
-//! frameworks ship (bitmap-assisted sparse messages, delta-compressed
-//! indices). This module adds two cheaper encodings and a deterministic
-//! chooser:
+//! A flat message is an array of fixed-size records — `(u32 key, payload)`
+//! update records, one byte (or word) per dependency slot — whatever its
+//! density. Two cheaper encodings and a deterministic chooser sit on top:
 //!
-//! * **Dense bitmap** ([`WireFormat::Dense`]): one bit per key in the
-//!   block's contiguous key span, followed by the payloads of set keys in
-//!   ascending order. Wins when most keys in the span are present — the
-//!   4 B key shrinks to ~1 bit.
-//! * **Sparse delta-varint** ([`WireFormat::Sparse`]): keys as LEB128
-//!   deltas from their predecessor (the first delta is the absolute key),
-//!   each followed by its payload. Wins on sparse, clustered keys — the
-//!   4 B key shrinks to 1–2 B.
-//! * **Flat** ([`WireFormat::Flat`]): the original fixed-size layout,
-//!   kept for incompressible or unsorted data and as the decode fallback.
+//! * **Dense bitmap** ([`WireFormat::Dense`]): one bit per key of the
+//!   block's key span, then the set keys' payloads in ascending order.
+//! * **Sparse delta-varint** ([`WireFormat::Sparse`]): each key as a
+//!   LEB128 delta from its predecessor (the first is absolute), then its
+//!   payload.
+//! * **Flat** ([`WireFormat::Flat`]): the fixed-size layout, kept for
+//!   incompressible or unsorted data.
 //!
-//! The chooser computes the **exact** encoded size of each candidate and
-//! picks the minimum (ties go to the lowest format tag), so the choice is
-//! a pure function of the payload bytes: bit-identical across thread
-//! counts, machine counts, and host scheduling. Decoding reconstructs the
-//! sender's flat byte stream exactly, so downstream apply loops observe
-//! the same bytes in the same order as without the codec.
+//! The chooser computes each candidate's **exact** size and picks the
+//! minimum (ties go to the lowest tag), so the choice is a pure function
+//! of the payload bytes. [`encode_updates`]/[`decode_updates`] carry
+//! self-describing update messages, one block per maximal non-decreasing
+//! key run (an engine stream is a few ascending runs, not sorted);
+//! [`encode_dep_range`]/[`decode_dep_range`] carry dependency ranges,
+//! whose slot count `n` both sides know, so the dense bitmap needs no span
+//! header.
 //!
-//! Two entry points cover the engine's message shapes:
-//!
-//! * [`encode_updates`] / [`decode_updates`] — self-describing messages of
-//!   `(u32 LE key, payload)` records. The encoder splits the stream into
-//!   maximal non-decreasing key runs and encodes each run as its own
-//!   block, because engine update streams are concatenations of a few
-//!   ascending runs (hi-pass then lo-pass; per-source feedback runs), not
-//!   globally sorted.
-//! * [`encode_dep_range`] / [`decode_dep_range`] — dependency slot-range
-//!   messages where both sides already know the slot count `n`, so the
-//!   dense bitmap needs no span header. Payload extraction/application is
-//!   delegated to closures so `DepState` implementations keep ownership of
-//!   their in-memory layout.
+//! Decoding reconstructs the sender's flat bytes exactly, reading them
+//! through [`crate::Reader`]: a message no encoder writes — short, long,
+//! an unknown tag, a key outside its range — is a [`CodecError`], never a
+//! panic and never a write past the range.
 
+use crate::{CodecError, Reader, Wire};
 use std::fmt;
 
 /// On-the-wire encoding of one message (or block). The discriminant is the
@@ -72,13 +59,9 @@ impl WireFormat {
         }
     }
 
-    fn from_tag(tag: u8) -> WireFormat {
-        match tag {
-            0 => WireFormat::Flat,
-            1 => WireFormat::Dense,
-            2 => WireFormat::Sparse,
-            other => panic!("corrupt codec stream: unknown format tag {other}"),
-        }
+    fn from_tag(tag: u8) -> Result<WireFormat, CodecError> {
+        let known = WireFormat::ALL.get(usize::from(tag)).copied();
+        known.ok_or(CodecError::UnknownTag(tag))
     }
 }
 
@@ -119,17 +102,13 @@ impl CodecStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// LEB128 varints
-// ---------------------------------------------------------------------------
-
 /// Encoded length of `v` as an unsigned LEB128 varint (1–10 bytes).
 pub fn varint_len(v: u64) -> usize {
     let bits = 64 - v.max(1).leading_zeros() as usize;
     bits.div_ceil(7)
 }
 
-/// Appends `v` as an unsigned LEB128 varint.
+/// Appends `v` as an unsigned LEB128 varint ([`Reader::varint`] reads it).
 pub(crate) fn write_varint(mut v: u64, out: &mut Vec<u8>) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -139,22 +118,6 @@ pub(crate) fn write_varint(mut v: u64, out: &mut Vec<u8>) {
             return;
         }
         out.push(byte | 0x80);
-    }
-}
-
-/// Reads an unsigned LEB128 varint at `*pos`, advancing the cursor.
-pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        let byte = buf[*pos];
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-        assert!(shift < 64, "corrupt codec stream: varint overruns 64 bits");
     }
 }
 
@@ -350,58 +313,39 @@ pub fn measure_updates(flat: &[u8], psize: usize) -> (u64, CodecStats) {
 }
 
 /// Decodes a message produced by [`encode_updates`] back into the exact
-/// flat record stream, appended to `out`.
-pub fn decode_updates(buf: &[u8], psize: usize, out: &mut Vec<u8>) {
-    if buf.is_empty() {
-        return;
-    }
-    match buf[0] {
-        0 => out.extend_from_slice(&buf[1..]),
+/// flat record stream, appended to `out`. A message no encoder writes is
+/// an `Err`, with `out` holding whatever decoded before the fault.
+pub fn decode_updates(buf: &[u8], psize: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
+    let rec = 4 + psize;
+    let Some((&tag, body)) = buf.split_first() else {
+        return Ok(());
+    };
+    let mut r = Reader::new(body);
+    match tag {
+        0 => out.extend_from_slice(r.take(body.len() - body.len() % rec)?),
         1 => {
-            let mut pos = 1;
-            let blocks = read_varint(buf, &mut pos);
-            for _ in 0..blocks {
-                let fmt = WireFormat::from_tag(buf[pos]);
-                pos += 1;
-                match fmt {
+            for _ in 0..r.varint()? {
+                let fmt = WireFormat::from_tag(u8::read(&mut r)?)?;
+                let (first, n) = match fmt {
                     WireFormat::Flat => {
-                        let k = read_varint(buf, &mut pos) as usize;
-                        let len = k * (4 + psize);
-                        out.extend_from_slice(&buf[pos..pos + len]);
-                        pos += len;
+                        let len = r.varint()?.saturating_mul(rec as u64);
+                        out.extend_from_slice(r.take(len as usize)?);
+                        continue;
                     }
-                    WireFormat::Dense => {
-                        let first = read_varint(buf, &mut pos) as u32;
-                        let span = read_varint(buf, &mut pos) as usize;
-                        let bitmap = &buf[pos..pos + span.div_ceil(8)];
-                        let mut payload = pos + bitmap.len();
-                        for bit in 0..span {
-                            if bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
-                                let key = first + bit as u32;
-                                out.extend_from_slice(&key.to_le_bytes());
-                                out.extend_from_slice(&buf[payload..payload + psize]);
-                                payload += psize;
-                            }
-                        }
-                        pos = payload;
-                    }
-                    WireFormat::Sparse => {
-                        let k = read_varint(buf, &mut pos);
-                        let mut prev = 0u32;
-                        for _ in 0..k {
-                            let key = prev + read_varint(buf, &mut pos) as u32;
-                            prev = key;
-                            out.extend_from_slice(&key.to_le_bytes());
-                            out.extend_from_slice(&buf[pos..pos + psize]);
-                            pos += psize;
-                        }
-                    }
-                }
+                    WireFormat::Dense => (r.varint()?, r.varint()?),
+                    WireFormat::Sparse => (0, 1 << 32),
+                };
+                CodecError::in_range(first.saturating_add(n), 0, (1 << 32) + 1)?;
+                walk_packed(fmt, n, psize, &mut r, |key, payload| {
+                    out.extend_from_slice(&((first + key) as u32).to_le_bytes());
+                    out.extend_from_slice(payload);
+                    Ok(())
+                })?;
             }
-            assert_eq!(pos, buf.len(), "corrupt codec stream: trailing bytes");
         }
-        other => panic!("corrupt codec stream: unknown message tag {other}"),
+        other => return Err(CodecError::UnknownTag(other)),
     }
+    r.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -418,19 +362,14 @@ pub fn pack_bits(bits: &[bool], out: &mut Vec<u8>) {
     );
 }
 
-/// Overwrites `bits` from the front of a buffer produced by [`pack_bits`].
-///
-/// # Panics
-///
-/// Panics if `buf` is shorter than `bits.len().div_ceil(8)` bytes.
-pub fn unpack_bits(buf: &[u8], bits: &mut [bool]) {
-    assert!(
-        buf.len() >= bits.len().div_ceil(8),
-        "dependency buffer too short"
-    );
+/// Overwrites `bits` from the next `bits.len().div_ceil(8)` bytes of `r`,
+/// laid out as [`pack_bits`] writes them.
+pub fn unpack_bits(r: &mut Reader<'_>, bits: &mut [bool]) -> Result<(), CodecError> {
+    let buf = r.take(bits.len().div_ceil(8))?;
     for (i, b) in bits.iter_mut().enumerate() {
         *b = (buf[i / 8] >> (i % 8)) & 1 == 1;
     }
+    Ok(())
 }
 
 /// Exact candidate sizes (tag byte included) for a dep-range message over
@@ -504,7 +443,8 @@ pub fn encode_dep_range(
 /// Decodes a message produced by [`encode_dep_range`]. `decode_flat`
 /// receives the flat body verbatim; for the packed formats `reset` is
 /// called once (restore every slot in the range to its default), then
-/// `apply(slot, payload)` once per encoded slot in ascending order.
+/// `apply(slot, payload)` once per encoded slot in ascending order. A
+/// packed message no encoder writes is an `Err` (see [`dep_records`]).
 pub fn decode_dep_range(
     n: usize,
     psize: usize,
@@ -512,110 +452,61 @@ pub fn decode_dep_range(
     decode_flat: &mut dyn FnMut(&[u8]),
     reset: &mut dyn FnMut(),
     apply: &mut dyn FnMut(u32, &[u8]),
-) {
-    if WireFormat::from_tag(buf[0]) == WireFormat::Flat {
+) -> Result<(), CodecError> {
+    let [tag] = Reader::new(buf).array()?;
+    if WireFormat::from_tag(tag)? == WireFormat::Flat {
         decode_flat(&buf[1..]);
-        return;
+        return Ok(());
     }
     reset();
-    for (slot, payload) in dep_records(n, psize, buf) {
+    dep_records(n, psize, buf, |slot, payload| {
         apply(slot, payload);
-    }
+        Ok(())
+    })
 }
 
-/// Iterator over the `(slot, payload)` records of a *packed* (dense or
-/// sparse) message produced by [`encode_dep_range`], in ascending slot
-/// order. An iterator rather than callbacks so `DepState` decoders can
-/// apply records while holding `&mut self`.
-///
-/// # Panics
-///
-/// Panics on a flat-tagged message — the caller dispatches that case to
-/// its own flat decoder first.
-pub fn dep_records(n: usize, psize: usize, buf: &[u8]) -> DepRecords<'_> {
-    let state = match WireFormat::from_tag(buf[0]) {
-        WireFormat::Flat => panic!("dep_records only walks packed (dense/sparse) messages"),
-        WireFormat::Dense => {
-            let bitmap_len = n.div_ceil(8);
-            DepCursor::Dense {
-                bit: 0,
-                payload: 1 + bitmap_len,
-            }
-        }
-        WireFormat::Sparse => {
-            let mut pos = 1;
-            let remaining = read_varint(buf, &mut pos);
-            DepCursor::Sparse {
-                pos,
-                remaining,
-                prev: 0,
-            }
-        }
-    };
-    DepRecords {
-        buf,
-        n,
-        psize,
-        state,
-    }
-}
-
-/// See [`dep_records`].
-pub struct DepRecords<'a> {
-    buf: &'a [u8],
+/// Walks the `(slot, payload)` records of a *packed* (dense or sparse)
+/// message produced by [`encode_dep_range`] in ascending slot order,
+/// handing each to `each` (which `DepState` decoders call holding `&mut
+/// self`). A flat or unknown tag, a listed slot at or past `n`, a short
+/// message, trailing bytes or an `Err` of `each` is an `Err`.
+pub fn dep_records(
     n: usize,
     psize: usize,
-    state: DepCursor,
-}
-
-enum DepCursor {
-    Dense {
-        bit: usize,
-        payload: usize,
-    },
-    Sparse {
-        pos: usize,
-        remaining: u64,
-        prev: u32,
-    },
-}
-
-impl<'a> Iterator for DepRecords<'a> {
-    type Item = (u32, &'a [u8]);
-
-    fn next(&mut self) -> Option<(u32, &'a [u8])> {
-        match &mut self.state {
-            DepCursor::Dense { bit, payload } => {
-                while *bit < self.n {
-                    let i = *bit;
-                    *bit += 1;
-                    if self.buf[1 + i / 8] & (1 << (i % 8)) != 0 {
-                        let p = &self.buf[*payload..*payload + self.psize];
-                        *payload += self.psize;
-                        return Some((i as u32, p));
-                    }
-                }
-                assert_eq!(*payload, self.buf.len(), "corrupt dep stream");
-                None
-            }
-            DepCursor::Sparse {
-                pos,
-                remaining,
-                prev,
-            } => {
-                if *remaining == 0 {
-                    assert_eq!(*pos, self.buf.len(), "corrupt dep stream");
-                    return None;
-                }
-                *remaining -= 1;
-                let slot = *prev + read_varint(self.buf, pos) as u32;
-                *prev = slot;
-                let p = &self.buf[*pos..*pos + self.psize];
-                *pos += self.psize;
-                Some((slot, p))
-            }
-        }
+    buf: &[u8],
+    mut each: impl FnMut(u32, &[u8]) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    let mut r = Reader::new(buf);
+    match WireFormat::from_tag(u8::read(&mut r)?)? {
+        WireFormat::Flat => return Err(CodecError::UnknownTag(0)),
+        fmt => walk_packed(fmt, n as u64, psize, &mut r, |slot, p| each(slot as u32, p))?,
     }
+    r.finish()
+}
+
+/// Walks a dense (`n`-bit bitmap, then payloads) or sparse (`varint(k)`,
+/// then `k` × (key delta, payload)) body over keys `0..n`, handing each
+/// `(key, payload)` to `each`. A listed key at or past `n` is an `Err`.
+fn walk_packed(
+    fmt: WireFormat,
+    n: u64,
+    psize: usize,
+    r: &mut Reader<'_>,
+    mut each: impl FnMut(u64, &[u8]) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    if fmt == WireFormat::Dense {
+        let bitmap = r.take(n.div_ceil(8) as usize)?;
+        for key in (0..n).filter(|&i| bitmap[i as usize / 8] & (1 << (i % 8)) != 0) {
+            each(key, r.take(psize)?)?;
+        }
+        return Ok(());
+    }
+    let mut key = 0u64;
+    for _ in 0..r.varint()? {
+        key = CodecError::in_range(key.saturating_add(r.varint()?), 0, n)?;
+        each(key, r.take(psize)?)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -635,7 +526,7 @@ mod tests {
         let mut wire = Vec::new();
         let stats = encode_updates(flat, psize, &mut wire);
         let mut back = Vec::new();
-        decode_updates(&wire, psize, &mut back);
+        decode_updates(&wire, psize, &mut back).unwrap();
         assert_eq!(back, flat, "decode ∘ encode must be the identity");
         (wire, stats)
     }
@@ -689,9 +580,9 @@ mod tests {
             let mut buf = Vec::new();
             write_varint(v, &mut buf);
             assert_eq!(buf.len(), varint_len(v), "len of {v}");
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), v);
-            assert_eq!(pos, buf.len());
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint(), Ok(v));
+            assert_eq!(r.finish(), Ok(()));
         }
     }
 
@@ -835,7 +726,8 @@ mod tests {
             },
             &mut || was_reset = true,
             &mut |slot, payload: &[u8]| got.borrow_mut()[slot as usize] = Some(payload.to_vec()),
-        );
+        )
+        .unwrap();
         if fmt != WireFormat::Flat {
             assert!(was_reset, "packed decode must reset the range first");
         }
@@ -886,15 +778,75 @@ mod tests {
         // slots 0, 3, 6 | 9; the tail byte is zero-padded
         assert_eq!(out, [0xAA, 0b0100_1001, 0b0000_0010]);
         let mut back = vec![true; 11];
-        unpack_bits(&out[1..], &mut back);
-        assert_eq!(back, bits);
+        let mut r = Reader::new(&out[1..]);
+        unpack_bits(&mut r, &mut back).unwrap();
+        assert_eq!((back, r.finish()), (bits, Ok(())));
         pack_bits(&[], &mut out);
         assert_eq!(out.len(), 3, "no slots, no bytes");
     }
 
     #[test]
-    #[should_panic(expected = "dependency buffer too short")]
-    fn unpacking_a_short_buffer_panics() {
-        unpack_bits(&[0], &mut [false; 9]);
+    fn unpacking_a_short_buffer_is_an_error() {
+        let short = CodecError::Truncated { needed: 2, left: 1 };
+        assert_eq!(
+            unpack_bits(&mut Reader::new(&[0]), &mut [false; 9]),
+            Err(short)
+        );
+    }
+
+    #[test]
+    fn a_listed_slot_past_the_range_is_an_error() {
+        // Sparse, two records over 8 slots: slot 5, then 5 + 3 = 8.
+        let sparse = [WireFormat::Sparse as u8, 2, 5, 3];
+        let mut seen = Vec::new();
+        let err = dep_records(8, 0, &sparse, |slot, _| {
+            seen.push(slot);
+            Ok(())
+        });
+        assert_eq!(
+            err,
+            Err(CodecError::OutOfRange {
+                value: 8,
+                lo: 0,
+                hi: 8
+            })
+        );
+        assert_eq!(seen, [5], "nothing past the range is handed on");
+        // A delta that would overflow `u32` is out of range too.
+        let huge = [WireFormat::Sparse as u8, 2, 1, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        let err = dep_records(8, 0, &huge, |_, _| Ok(()));
+        assert!(matches!(err, Err(CodecError::OutOfRange { .. })), "{err:?}");
+        let flat = [WireFormat::Flat as u8];
+        assert_eq!(
+            dep_records(8, 0, &flat, |_, _| Ok(())),
+            Err(CodecError::UnknownTag(0))
+        );
+    }
+
+    #[test]
+    fn corrupt_update_messages_are_errors() {
+        let mut out = Vec::new();
+        // A flat passthrough with half a record left over.
+        assert_eq!(
+            decode_updates(&[0, 1, 0, 0, 0, 9, 9], 1, &mut out),
+            Err(CodecError::Trailing(1))
+        );
+        // An unknown message tag, an unknown block tag, trailing bytes.
+        assert_eq!(
+            decode_updates(&[7], 0, &mut out),
+            Err(CodecError::UnknownTag(7))
+        );
+        assert_eq!(
+            decode_updates(&[1, 1, 9], 0, &mut out),
+            Err(CodecError::UnknownTag(9))
+        );
+        assert_eq!(
+            decode_updates(&[1, 0, 0], 0, &mut out),
+            Err(CodecError::Trailing(1))
+        );
+        // A dense block whose keys run past `u32::MAX`.
+        let dense = [1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 0xff];
+        let err = decode_updates(&dense, 0, &mut out);
+        assert!(matches!(err, Err(CodecError::OutOfRange { .. })), "{err:?}");
     }
 }

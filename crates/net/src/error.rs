@@ -59,6 +59,52 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// Why bytes received from a peer do not decode: every decoder of peer
+/// bytes reads through [`crate::Reader`] and returns this, never a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CodecError {
+    /// A read wanted more bytes than were left.
+    Truncated {
+        /// Bytes the read wanted.
+        needed: usize,
+        /// Bytes left.
+        left: usize,
+    },
+    /// Bytes left over after the message's last record.
+    Trailing(usize),
+    /// A format or message tag no encoder writes.
+    UnknownTag(u8),
+    /// A varint longer than 64 bits.
+    VarintOverflow,
+    /// A key, slot or vertex id outside the range it must lie in.
+    OutOfRange {
+        /// The decoded value.
+        value: u64,
+        /// The range's first value.
+        lo: u64,
+        /// The range's end (exclusive).
+        hi: u64,
+    },
+}
+
+impl CodecError {
+    /// `value` if it lies in `lo..hi` (one compare), else `OutOfRange`.
+    pub fn in_range(value: u64, lo: u64, hi: u64) -> Result<u64, CodecError> {
+        match value.wrapping_sub(lo) < hi.wrapping_sub(lo) {
+            true => Ok(value),
+            false => Err(CodecError::OutOfRange { value, lo, hi }),
+        }
+    }
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self, f)
+    }
+}
+
+impl std::error::Error for CodecError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

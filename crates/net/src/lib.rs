@@ -59,14 +59,14 @@ mod wire;
 pub use cluster::{Cluster, ClusterBuilder, ClusterResult, NodeCtx, Tag, TagKind};
 pub use codec::{
     decode_dep_range, decode_updates, dep_range_sizes, dep_records, encode_dep_range,
-    encode_updates, measure_updates, pack_bits, unpack_bits, varint_len, CodecStats, DepRecords,
-    WireCodec, WireFormat,
+    encode_updates, measure_updates, pack_bits, unpack_bits, varint_len, CodecStats, WireCodec,
+    WireFormat,
 };
 pub use cost::CostModel;
-pub use error::NetError;
+pub use error::{CodecError, NetError};
 pub use reliable::{Delivery, FaultPlan, RETRY_ATTEMPTS, RETRY_BACKOFF, RETRY_TIMEOUT_QUANTA};
 pub use transport::Backend;
-pub use wire::{decode_vec, encode_slice, Wire};
+pub use wire::{decode_vec, encode_slice, Reader, Wire};
 
 // The tracing vocabulary is part of this crate's API surface
 // (`ClusterBuilder::trace_level`, `ClusterResult::traces`,

@@ -1,12 +1,25 @@
 //! Property-based tests of the adaptive wire codec: decode ∘ encode = id
-//! on arbitrary record streams, and the chosen format is always the
-//! byte-minimal of flat / dense bitmap / sparse delta-varint.
+//! on arbitrary record streams, the chosen format is always the
+//! byte-minimal of flat / dense bitmap / sparse delta-varint, and a cut or
+//! corrupted message decodes or is an `Err`, never a panic.
 
 use proptest::prelude::*;
+use symple_graph::Vid;
 use symple_net::{
-    decode_dep_range, decode_updates, dep_range_sizes, encode_dep_range, encode_updates,
-    varint_len, WireFormat,
+    decode_dep_range, decode_updates, decode_vec, dep_range_sizes, encode_dep_range, encode_slice,
+    encode_updates, varint_len, WireFormat,
 };
+
+/// Every strict prefix of `msg`, then `msg` with each byte in turn XORed
+/// with `mask`.
+fn damaged(msg: &[u8], mask: u8) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let prefixes = (0..msg.len()).map(|len| msg[..len].to_vec());
+    prefixes.chain((0..msg.len()).map(move |i| {
+        let mut bad = msg.to_vec();
+        bad[i] ^= mask;
+        bad
+    }))
+}
 
 /// Builds the engine's flat `(u32 LE key, payload)` layout.
 fn flat_stream(records: &[(u32, Vec<u8>)]) -> Vec<u8> {
@@ -67,7 +80,7 @@ proptest! {
         let mut wire = Vec::new();
         let stats = encode_updates(&flat, psize, &mut wire);
         let mut back = Vec::new();
-        decode_updates(&wire, psize, &mut back);
+        decode_updates(&wire, psize, &mut back).unwrap();
         prop_assert_eq!(&back, &flat, "decode ∘ encode must be the identity");
         // The codec never loses: worst case is flat passthrough + 1 tag.
         if flat.is_empty() {
@@ -122,7 +135,7 @@ proptest! {
         );
 
         let mut back = Vec::new();
-        decode_updates(&wire, psize, &mut back);
+        decode_updates(&wire, psize, &mut back).unwrap();
         prop_assert_eq!(back, flat);
     }
 
@@ -181,13 +194,72 @@ proptest! {
             },
             &mut || {},
             &mut |slot, payload: &[u8]| got.borrow_mut()[slot as usize] = Some(payload.to_vec()),
-        );
+        )
+        .unwrap();
         let got = got.into_inner();
         for (i, g) in got.iter().enumerate() {
             match slots.iter().position(|&s| s as usize == i) {
                 Some(j) => prop_assert_eq!(g.as_deref(), Some(payloads[j].as_slice())),
                 None => prop_assert!(g.is_none(), "slot {} must stay default", i),
             }
+        }
+    }
+
+    #[test]
+    fn damaged_update_messages_decode_or_fail(
+        (psize, mut records) in arb_records(),
+        mask in 1u8..255,
+    ) {
+        records.truncate(48);
+        let mut wire = Vec::new();
+        encode_updates(&flat_stream(&records), psize, &mut wire);
+        for bad in damaged(&wire, mask) {
+            let mut out = Vec::new();
+            if decode_updates(&bad, psize, &mut out).is_ok() {
+                prop_assert_eq!(out.len() % (4 + psize), 0, "whole records only");
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_dependency_messages_decode_or_fail(
+        (n, psize, slots, payloads) in arb_dep_range(),
+        mask in 1u8..255,
+    ) {
+        let n = n.min(96);
+        let slots: Vec<u32> = slots.into_iter().filter(|&s| (s as usize) < n).collect();
+        let mut wire = Vec::new();
+        let chosen = encode_dep_range(
+            n,
+            psize,
+            &slots,
+            n,
+            &mut |out: &mut Vec<u8>| out.resize(out.len() + n, 1),
+            &mut |slot, out: &mut Vec<u8>| out.extend_from_slice(&payloads[slot as usize % payloads.len().max(1)]),
+            &mut wire,
+        );
+        for (i, bad) in damaged(&wire, mask).enumerate() {
+            let res = decode_dep_range(n, psize, &bad, &mut |_| (), &mut || (), &mut |slot, payload| {
+                assert!((slot as usize) < n && payload.len() == psize);
+            });
+            // A packed message's strict prefix is always short: `n` is
+            // known to both sides.
+            if i < wire.len() && (i == 0 || chosen != WireFormat::Flat) {
+                prop_assert!(res.is_err(), "prefix of {} bytes decoded", i);
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_value_slices_decode_or_fail(
+        vals in proptest::collection::vec((any::<f32>(), any::<u32>()), 0..40),
+        mask in 1u8..255,
+    ) {
+        let pairs: Vec<(f32, Vid)> = vals.iter().map(|&(f, r)| (f, Vid::new(r))).collect();
+        let bytes = encode_slice(&pairs);
+        for (i, bad) in damaged(&bytes, mask).enumerate() {
+            let res = decode_vec::<(f32, Vid)>(&bad);
+            prop_assert_eq!(res.is_ok(), i >= bytes.len() || i % 8 == 0);
         }
     }
 }

@@ -13,7 +13,7 @@ proptest! {
     fn wire_roundtrip_u32(vals in proptest::collection::vec(any::<u32>(), 0..100)) {
         let bytes = encode_slice(&vals);
         prop_assert_eq!(bytes.len(), vals.len() * 4);
-        prop_assert_eq!(decode_vec::<u32>(&bytes), vals);
+        prop_assert_eq!(decode_vec::<u32>(&bytes), Ok(vals));
     }
 
     #[test]
@@ -23,7 +23,7 @@ proptest! {
             .map(|&(f, r)| (f, Vid::new(r)))
             .collect();
         let bytes = encode_slice(&pairs);
-        let back: Vec<(f32, Vid)> = decode_vec(&bytes);
+        let back: Vec<(f32, Vid)> = decode_vec(&bytes).unwrap();
         for (a, b) in pairs.iter().zip(&back) {
             prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
             prop_assert_eq!(a.1, b.1);

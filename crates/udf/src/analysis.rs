@@ -129,7 +129,12 @@ pub fn effective_policy(info: &DepInfo, requested: Policy) -> Policy {
 /// assert_eq!(info.breaks, 1);
 /// ```
 pub fn analyze(udf: &UdfFn) -> Result<DepInfo, UdfError> {
-    Facts::of(udf).analyze()
+    // Nothing carried, nothing to minimise: the dataflow facts are
+    // solved only for a UDF with a dependency.
+    match analyze_naive(udf)? {
+        naive if naive.has_dependency() => Facts::of(udf, Ok(naive)).analyze(),
+        naive => Ok(naive),
+    }
 }
 
 /// The dataflow facts of one UDF that [`analyze`] and the lints both
@@ -153,9 +158,9 @@ pub(crate) struct Facts<'a> {
 }
 
 impl<'a> Facts<'a> {
-    pub(crate) fn of(udf: &'a UdfFn) -> Self {
+    /// Solves the facts of `udf`, given its [`analyze_naive`] result.
+    pub(crate) fn of(udf: &'a UdfFn, naive: Result<DepInfo, UdfError>) -> Self {
         let cfg = Cfg::build(udf);
-        let naive = analyze_naive(udf);
         let carried: BTreeSet<String> = naive
             .iter()
             .flat_map(|i| i.carried.iter().map(|(n, _)| n.clone()))

@@ -40,7 +40,7 @@ use crate::certificate::{DepCertificate, ValueRange};
 use crate::types::{Ty, Value};
 use std::ops::Range;
 use symple_core::DepState;
-use symple_net::{pack_bits, unpack_bits};
+use symple_net::{pack_bits, unpack_bits, CodecError, Reader};
 
 /// Generic dependency state for checked UDFs.
 #[derive(Debug, Clone)]
@@ -192,27 +192,22 @@ impl UdfDep {
         }
     }
 
-    /// Loads `slot`'s carried values from the front of `buf`, laid out
-    /// as [`UdfDep::write_vals`] writes them, and returns the bytes read.
-    /// Panics if `buf` is too short.
-    fn read_vals(&mut self, slot: usize, buf: &[u8]) -> usize {
+    /// Loads `slot`'s carried values from `r`, laid out as
+    /// [`UdfDep::write_vals`] writes them.
+    fn read_vals(&mut self, slot: usize, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let a = self.arity();
-        let mut off = 0;
         for i in 0..a {
-            let w = usize::from(self.widths[i]);
-            assert!(buf.len() >= off + w, "dependency buffer too short");
-            self.vals[slot * a + i] = self.read_val(i, &buf[off..off + w]);
-            off += w;
+            self.vals[slot * a + i] = self.read_val(i, r.take(usize::from(self.widths[i]))?);
         }
-        off
+        Ok(())
     }
 
     /// Decodes a `widths[i]`-byte value to its canonical word
     /// (sign-extending ints; bools to 0/1, vertex ids to 32 bits).
     fn read_val(&self, i: usize, buf: &[u8]) -> u64 {
-        let w = usize::from(self.widths[i]);
+        let w = buf.len();
         let mut bytes = [0u8; 8];
-        bytes[..w].copy_from_slice(&buf[..w]);
+        bytes[..w].copy_from_slice(buf);
         let mut bits = u64::from_le_bytes(bytes);
         if self.tys[i] == Ty::Int && w < 8 {
             let shift = 64 - 8 * w as u32;
@@ -243,17 +238,17 @@ impl DepState for UdfDep {
         }
     }
 
-    fn decode_range(&mut self, range: Range<usize>, buf: &[u8]) {
-        unpack_bits(buf, &mut self.skip[range.clone()]);
+    fn decode_range(&mut self, range: Range<usize>, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        unpack_bits(r, &mut self.skip[range.clone()])?;
         let a = self.arity();
-        let mut off = range.len().div_ceil(8);
         for slot in range {
             if self.elided(slot) {
                 self.vals[slot * a..(slot + 1) * a].fill(0);
             } else {
-                off += self.read_vals(slot, &buf[off..]);
+                self.read_vals(slot, r)?;
             }
         }
+        Ok(())
     }
 
     /// A skip byte, then each carried value at its wire width.
@@ -280,9 +275,10 @@ impl DepState for UdfDep {
         true
     }
 
-    fn read_record(&mut self, slot: usize, record: &[u8]) {
-        self.skip[slot] = record[0] != 0;
-        self.read_vals(slot, &record[1..]);
+    fn read_record(&mut self, slot: usize, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        let [skip] = r.array()?;
+        self.skip[slot] = skip != 0;
+        self.read_vals(slot, r)
     }
 
     fn detach(&self, slots: usize) -> Self {
@@ -352,7 +348,7 @@ mod tests {
         d.encode_range(2..10, &mut buf);
         assert_eq!(buf.len(), UdfDep::wire_bytes_for(8, 0));
         let mut d2 = UdfDep::new(10, vec![]);
-        d2.decode_range(2..10, &buf);
+        d2.decode_message(2..10, WireCodec::Flat, &buf).unwrap();
         assert!(d2.should_skip(3) && d2.should_skip(9));
         assert!(!d2.should_skip(2));
     }
@@ -368,7 +364,7 @@ mod tests {
         d.encode_range(0..4, &mut buf);
         assert_eq!(buf.len(), UdfDep::wire_bytes_for(4, 2));
         let mut d2 = UdfDep::new(4, vec![Ty::Int, Ty::Float]);
-        d2.decode_range(0..4, &buf);
+        d2.decode_message(0..4, WireCodec::Flat, &buf).unwrap();
         assert_eq!(d2.value(1, 0), Value::Int(42));
         assert_eq!(d2.value(1, 1), Value::Float(2.5));
         assert!(d2.should_skip(1));
@@ -420,7 +416,8 @@ mod tests {
         assert!(wire.len() < 1 + UdfDep::wire_bytes_for(200, 2));
         let mut d2 = UdfDep::new(200, vec![Ty::Int, Ty::Float]);
         d2.mark(50); // stale state the packed decode must reset
-        d2.decode_message(0..200, WireCodec::Adaptive, &wire);
+        d2.decode_message(0..200, WireCodec::Adaptive, &wire)
+            .unwrap();
         for slot in 0..200 {
             assert_eq!(d2.should_skip(slot), d.should_skip(slot), "slot {slot}");
             for i in 0..2 {
@@ -442,7 +439,8 @@ mod tests {
         let mut wire = Vec::new();
         d.encode_message(0..64, WireCodec::Adaptive, &mut wire);
         let mut d2 = UdfDep::new(64, vec![]);
-        d2.decode_message(0..64, WireCodec::Adaptive, &wire);
+        d2.decode_message(0..64, WireCodec::Adaptive, &wire)
+            .unwrap();
         for s in 0..64 {
             assert_eq!(d2.should_skip(s), d.should_skip(s));
         }
@@ -456,7 +454,7 @@ mod tests {
         let mut buf = Vec::new();
         d.encode_range(4..8, &mut buf);
         let mut d2 = UdfDep::new(8, vec![Ty::Int]);
-        d2.decode_range(4..8, &buf);
+        d2.decode_message(4..8, WireCodec::Flat, &buf).unwrap();
         assert_eq!(d2.value(5, 0), Value::Int(7));
         assert!(d2.should_skip(6));
         assert_eq!(d2.value(0, 0), Value::Int(0), "outside range untouched");
@@ -478,7 +476,7 @@ mod tests {
         assert_eq!(buf.len(), 2 + 10, "bitmap + 1 byte per slot");
         assert!(buf.len() < UdfDep::wire_bytes_for(10, 1));
         let mut d2 = UdfDep::with_certificate(10, vec![Ty::Int], &cert);
-        d2.decode_range(0..10, &buf);
+        d2.decode_message(0..10, WireCodec::Flat, &buf).unwrap();
         assert_eq!(d2.value(2, 0), Value::Int(3));
         assert!(d2.should_skip(2));
     }
@@ -496,7 +494,7 @@ mod tests {
         d.encode_range(0..2, &mut buf);
         assert_eq!(buf.len(), 1 + 2 * 2);
         let mut d2 = UdfDep::with_certificate(2, vec![Ty::Int], &cert);
-        d2.decode_range(0..2, &buf);
+        d2.decode_message(0..2, WireCodec::Flat, &buf).unwrap();
         assert_eq!(d2.value(0, 0), Value::Int(-300), "sign-extended");
         assert_eq!(d2.value(1, 0), Value::Int(299));
     }
@@ -515,7 +513,7 @@ mod tests {
         d.encode_range(0..4, &mut buf);
         assert_eq!(buf.len(), 1 + 3 * 8, "one latched slot elided");
         let mut d2 = UdfDep::with_certificate(4, vec![Ty::Float], &cert);
-        d2.decode_range(0..4, &buf);
+        d2.decode_message(0..4, WireCodec::Flat, &buf).unwrap();
         assert_eq!(d2.value(0, 0), Value::Float(0.5));
         assert!(d2.should_skip(1));
         assert_eq!(d2.value(1, 0), Value::Float(0.0), "elided decodes to zero");
@@ -539,7 +537,8 @@ mod tests {
         let fmt = d.encode_message(0..300, WireCodec::Adaptive, &mut wire);
         assert_eq!(fmt.name(), "sparse");
         let mut d2 = UdfDep::with_certificate(300, vec![Ty::Int], &cert);
-        d2.decode_message(0..300, WireCodec::Adaptive, &wire);
+        d2.decode_message(0..300, WireCodec::Adaptive, &wire)
+            .unwrap();
         assert_eq!(d2.value(7, 0), Value::Int(2));
         assert!(d2.should_skip(9));
         assert_eq!(
@@ -551,7 +550,7 @@ mod tests {
         let mut flat = Vec::new();
         d.encode_range(0..300, &mut flat);
         let mut d3 = UdfDep::with_certificate(300, vec![Ty::Int], &cert);
-        d3.decode_range(0..300, &flat);
+        d3.decode_message(0..300, WireCodec::Flat, &flat).unwrap();
         for slot in 0..300 {
             assert_eq!(d3.value(slot, 0), d2.value(slot, 0), "slot {slot}");
             assert_eq!(d3.should_skip(slot), d2.should_skip(slot));
@@ -572,6 +571,46 @@ mod tests {
         d2.merge_shard(2..5, &shard);
         assert_eq!(d2.value(3, 0), Value::Float(0.125));
         assert!(d2.should_skip(3));
+    }
+
+    /// `dep::tests`' damage check for `UdfDep`, wide and narrowed with
+    /// latch elision: every strict prefix of a message is an error, and
+    /// every one-byte XOR decodes or is an error. Unbounded ranges, so the
+    /// debug-only certificate check of a decoded value stays quiet.
+    #[test]
+    fn damaged_dependency_messages_decode_or_fail() {
+        let cert = narrow_cert(&[("n", Ty::Int, ValueRange::Unbounded, 2)], true);
+        let states = [
+            UdfDep::new(40, vec![Ty::Int, Ty::Float]),
+            UdfDep::with_certificate(40, vec![Ty::Int], &cert),
+        ];
+        for fresh in states {
+            for (range, every) in [(0..0, 1), (0..40, 1), (5..37, 3), (5..37, 40)] {
+                let mut d = fresh.clone();
+                for s in range.clone().step_by(every) {
+                    d.set_value(s, 0, Value::Int(s as i64 - 20));
+                    if s % 4 == 0 {
+                        d.mark(s);
+                    }
+                }
+                for codec in [WireCodec::Flat, WireCodec::Adaptive] {
+                    let mut wire = Vec::new();
+                    d.encode_message(range.clone(), codec, &mut wire);
+                    let decode =
+                        |msg: &[u8]| fresh.clone().decode_message(range.clone(), codec, msg);
+                    for len in 0..wire.len() {
+                        assert!(decode(&wire[..len]).is_err(), "{codec:?} prefix {len}");
+                    }
+                    for i in 0..wire.len() {
+                        for mask in [0x01, 0x80, 0xff] {
+                            let mut bad = wire.clone();
+                            bad[i] ^= mask;
+                            let _ = decode(&bad);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Encodes five slot ranges of a 10-slot state under both codecs —
@@ -624,7 +663,7 @@ mod tests {
                 for s in [0, 3, 9] {
                     fill(&mut back, s); // stale values the decode must overwrite
                 }
-                back.decode_message(range.clone(), codec, &wire);
+                back.decode_message(range.clone(), codec, &wire).unwrap();
                 (hex(&wire), render(&back))
             });
             assert_eq!(wire[0].1, wire[1].1, "{label}: codecs decode alike");

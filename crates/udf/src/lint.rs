@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::analysis::{DepInfo, Facts};
+use crate::analysis::{analyze_naive, DepInfo, Facts};
 use crate::ast::{preorder, Expr, Stmt, UdfFn};
 use crate::check::check_all;
 use crate::dataflow::stmt_uses;
@@ -64,7 +64,7 @@ fn warning_passes(udf: &UdfFn) -> Vec<Diagnostic> {
     // The analyses are optional: they fail on nested loops or instrumented
     // input, which check_all/E-codes already surface. The CFG lints still
     // run in that case.
-    let facts = Facts::of(udf);
+    let facts = Facts::of(udf, analyze_naive(udf));
     let (cfg, reachable) = (&facts.cfg, &facts.reachable);
     let naive = facts.naive.as_ref().ok();
     let minimized = facts.analyze().ok();
