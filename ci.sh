@@ -48,8 +48,10 @@ step() {
 
 step "raise-site audit (crates/{net,core}/src, dep_bridge.rs vs DESIGN.md)"
 # Every `panic!`, `unwrap()` and `expect(` outside the test modules of
-# symple-net and symple-core, one `path: trimmed line` per site (no line
-# numbers, so unrelated edits leave the list alone), must equal the
+# symple-net and symple-core, and every typed unwind (`resume_unwind(`,
+# `panic_any(`: how `NodeCtx::fail` raises a `RunError`), one `path:
+# trimmed line` per site (no line numbers, so unrelated edits leave the
+# list alone), must equal the
 # fenced list under DESIGN.md's "Audited raise sites" heading: a change
 # that adds, removes or rewords a site edits that list too. The files
 # that decode peer bytes (the wire codec and reader, the dependency
@@ -62,7 +64,7 @@ raise_sites() {
   local f sites
   for f in $(printf '%s\n' crates/net/src/*.rs crates/core/src/*.rs crates/udf/src/dep_bridge.rs |
     LC_ALL=C sort); do
-    sites='panic!|unwrap[(][)]|expect[(]'
+    sites='panic!|unwrap[(][)]|expect[(]|resume_unwind[(]|panic_any[(]'
     case "$f" in
       crates/net/src/codec.rs | crates/net/src/wire.rs | crates/core/src/dep.rs | \
         crates/core/src/worker.rs | crates/udf/src/dep_bridge.rs)

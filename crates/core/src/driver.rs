@@ -55,7 +55,8 @@ impl<T> DistResult<T> {
 /// # Panics
 ///
 /// Panics if the configuration fails [`EngineConfig::validate`] (the panic
-/// message carries the [`crate::ConfigError`]) or if a machine panics.
+/// message carries the [`crate::ConfigError`]) or if a machine's run
+/// fails ([`symple_net::Cluster::run`] names the root cause).
 pub fn run_spmd<T, F>(graph: &Graph, cfg: &EngineConfig, f: F) -> DistResult<T>
 where
     T: Send,

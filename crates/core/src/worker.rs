@@ -33,8 +33,9 @@
 //!   packed bit-words, a dense slice, or sparse `(vid, value)` deltas.
 //!
 //! A peer payload that does not decode — short, long, corrupt, or naming a
-//! vertex outside its sender's or receiver's master range — panics at one
-//! site, naming the rank, the sender and the message or collective.
+//! vertex outside its sender's or receiver's master range — fails the run
+//! at one site ([`NodeCtx::decoded`], [`symple_net::Cause::Corrupt`]),
+//! naming the sender and the message's tag.
 
 use crate::circulant::{dst_partition, processing_order};
 use crate::par::{self, ParCfg, PassOutput};
@@ -42,7 +43,6 @@ use crate::{
     DepState, EngineConfig, LocalGraph, Partition, Policy, PreparedGraph, PullProgram, PushProgram,
     WorkMetric, WorkStats,
 };
-use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,13 +182,6 @@ impl<'a> Worker<'a> {
         self.ctx.record_wire_formats(&formats);
     }
 
-    /// The one raise site of a peer message that does not decode, naming
-    /// this rank, the sender and the message (`what`: tag or collective).
-    fn decoded<T>(&self, src: usize, what: impl fmt::Display, res: Result<T, CodecError>) -> T {
-        let rank = self.rank();
-        res.unwrap_or_else(|e| panic!("node {rank}: {what} from node {src} does not decode: {e}"))
-    }
-
     /// This machine's rank.
     pub fn rank(&self) -> usize {
         self.ctx.rank()
@@ -279,7 +272,7 @@ impl<'a> Worker<'a> {
         self.ctx
             .recv_framed_into(src, tag, self.cfg.exchange_chunk, &mut buf);
         let res = dep.decode_message(range, self.cfg.wire_codec, &buf);
-        self.decoded(src, format_args!("dependency message {tag:?}"), res);
+        self.ctx.decoded(src, tag, res);
         self.recycle_buf(buf);
     }
 
@@ -409,19 +402,19 @@ impl<'a> Worker<'a> {
             let frames = self
                 .ctx
                 .recv_frames(src.rank, tag, self.cfg.exchange_chunk, &mut wire);
-            let what = format_args!("update stream {tag:?}");
             let mut decoded = Vec::new();
             let flat: &[u8] = if adaptive {
                 decoded = self.take_buf();
                 let res = symple_net::decode_updates(&wire, U::SIZE, &mut decoded);
-                self.decoded(src.rank, what, res);
+                self.ctx.decoded(src.rank, tag, res);
                 &decoded
             } else {
                 &wire
             };
             let records = (flat.len() / (4 + U::SIZE)) as u64;
             self.charge_stream(&frames, records);
-            self.decoded(src.rank, what, read_records(flat, (lo, hi), &mut sink));
+            self.ctx
+                .decoded(src.rank, tag, read_records(flat, (lo, hi), &mut sink));
             if galois {
                 feedback.extend_from_slice(flat);
             }
@@ -460,11 +453,7 @@ impl<'a> Worker<'a> {
         T: Wire + Copy,
         F: Fn(T, T) -> T,
     {
-        let all = self
-            .ctx
-            .allgather_bytes(symple_net::encode_slice(&[v]), CommKind::Sync);
-        (all.iter().enumerate())
-            .map(|(m, bytes)| self.decoded(m, "allreduce", T::decode(bytes)))
+        (self.ctx.allgather_value(v))
             .reduce(op)
             .expect("allgather returns one value per machine")
     }
@@ -506,10 +495,11 @@ impl<'a> Worker<'a> {
             for start in (mlo.index()..mhi.index()).step_by(SYNC_WORDS * 64) {
                 let end = (start + SYNC_WORDS * 64).min(mhi.index());
                 let n = (end - start).div_ceil(64);
-                self.decoded(m, "sync_bitmap", r.fill(&mut words[..n]));
+                self.ctx
+                    .decoded(m, self.ctx.collective_tag(), r.fill(&mut words[..n]));
                 bm.assign_range_words(start, end, &words[..n]);
             }
-            self.decoded(m, "sync_bitmap", r.finish());
+            self.ctx.decoded(m, self.ctx.collective_tag(), r.finish());
         }
     }
 
@@ -537,7 +527,8 @@ impl<'a> Worker<'a> {
             let (mlo, mhi) = self.partition().range(m);
             let mut r = Reader::new(bytes);
             let res = r.fill(&mut arr[mlo.index()..mhi.index()]);
-            self.decoded(m, "sync_values", res.and_then(|()| r.finish()));
+            self.ctx
+                .decoded(m, self.ctx.collective_tag(), res.and_then(|()| r.finish()));
         }
     }
 
@@ -566,7 +557,7 @@ impl<'a> Worker<'a> {
             }
             let sender = self.partition().range(m);
             let res = read_records(bytes, sender, |v, x| arr[v.index()] = x);
-            self.decoded(m, "sync_changed", res);
+            self.ctx.decoded(m, self.ctx.collective_tag(), res);
         }
     }
 
@@ -597,8 +588,8 @@ impl<'a> Worker<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `dep` is too small (slot indexing) or on protocol
-    /// timeout.
+    /// Panics if `dep` is too small (slot indexing); a failed exchange
+    /// fails the run ([`NodeCtx::fail`]).
     pub fn pull<P: PullProgram>(
         &mut self,
         prog: &P,

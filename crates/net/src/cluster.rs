@@ -13,8 +13,7 @@
 //! collectives, reliable delivery, tracing — is shared, which is why
 //! outputs, `CommStats`, virtual time, and traces are bit-identical
 //! between [`Backend::Sim`] and [`Backend::Thread`]. Construct clusters
-//! through [`ClusterBuilder`] (or the [`Cluster::new`] shorthand for
-//! defaults).
+//! through [`ClusterBuilder`].
 //!
 //! With a [`FaultPlan`] installed ([`Cluster::fault_plan`]), every message
 //! additionally runs through a reliable-delivery layer: copies can be
@@ -27,11 +26,14 @@
 //! [`crate::ReliableStats`] and the virtual clock absorb the damage.
 
 use crate::transport::{connect, Backend, Envelope, Port, DEFAULT_CHANNEL_CAPACITY};
-use crate::{encode_slice, CommKind, CostModel, FaultPlan, NetError, Wire, RETRY_ATTEMPTS};
+use crate::{
+    encode_slice, Cause, CommKind, CostModel, FaultPlan, NetError, RunError, Wire, RETRY_ATTEMPTS,
+};
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use symple_trace::{SpanCategory, Trace, TraceLevel, TraceRecorder};
+use symple_trace::{NodeTrace, SpanCategory, Trace, TraceLevel, TraceRecorder};
 
 /// Message tag kinds. The engine uses [`TagKind::Dep`] for dependency
 /// messages, [`TagKind::Update`] for signal/slot updates; collectives use
@@ -225,30 +227,48 @@ impl NodeCtx {
         }
     }
 
+    /// Fails this node's run: unwinds with the [`RunError`] of `cause` on
+    /// `tag` at the current trace scope. The one place a run failure is
+    /// built; [`Cluster::run`] picks the root cause among them by type.
+    #[cold]
+    pub fn fail(&self, tag: Tag, cause: Cause) -> ! {
+        let (iteration, step) = (self.trace.scope().iteration, self.trace.scope().step);
+        let err = RunError {
+            rank: self.rank,
+            iteration,
+            step,
+            tag,
+            cause,
+        };
+        std::panic::resume_unwind(Box::new(err))
+    }
+
+    /// A stall on `peer`, listing what this node has buffered meanwhile.
+    fn timeout(&self, peer: usize) -> Cause {
+        let pending = self.pending.iter().map(|(&(s, t), q)| (s, t, q.len()));
+        Cause::Timeout {
+            peer,
+            pending: pending.collect(),
+        }
+    }
+
+    /// Puts one envelope on the wire, failing the run on a blocked send.
+    fn put(&mut self, dst: usize, env: Envelope) {
+        if let Err(env) = self.port.send(dst, env) {
+            self.fail(env.tag, self.timeout(dst));
+        }
+    }
+
     /// Sends `payload` to `dst` with the given tag, accounted under `kind`.
     ///
     /// # Panics
     ///
-    /// Panics on self-send (a protocol error: local work needs no message),
-    /// if `dst` is out of range, or if an active fault plan drops all
-    /// [`RETRY_ATTEMPTS`] copies ([`NetError::Unreachable`]; use
-    /// [`NodeCtx::try_send`] to handle that case).
+    /// Panics on self-send (a protocol error: local work needs no message)
+    /// or if `dst` is out of range. Fails the run ([`NodeCtx::fail`]) if
+    /// all [`RETRY_ATTEMPTS`] copies are dropped ([`Cause::Unreachable`])
+    /// or a bounded send blocks past the receive timeout ([`Cause::Timeout`]).
     pub fn send(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Vec<u8>) {
         self.send_shared(dst, tag, kind, Arc::new(payload));
-    }
-
-    /// [`NodeCtx::send`], but surfacing reliable-delivery exhaustion as
-    /// [`NetError::Unreachable`] instead of panicking. Without a fault
-    /// plan this never fails.
-    pub fn try_send(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        kind: CommKind,
-        payload: Vec<u8>,
-    ) -> Result<(), NetError> {
-        self.account(dst, kind, payload.len() as u64);
-        self.dispatch(dst, tag, Arc::new(payload), 0.0)
     }
 
     /// [`NodeCtx::send`] on an already-shared buffer: collectives
@@ -256,15 +276,7 @@ impl NodeCtx {
     /// destination. Accounting is identical to `send`.
     fn send_shared(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Arc<Vec<u8>>) {
         self.account(dst, kind, payload.len() as u64);
-        self.deliver(dst, tag, payload, 0.0);
-    }
-
-    /// `dispatch` for the infallible sends: the one place an exhausted
-    /// retry budget is raised.
-    fn deliver(&mut self, dst: usize, tag: Tag, payload: Arc<Vec<u8>>, depart_offset: f64) {
-        if let Err(e) = self.dispatch(dst, tag, payload, depart_offset) {
-            panic!("{e}");
-        }
+        self.dispatch(dst, tag, payload, 0.0);
     }
 
     /// The logical half of a send, done once per message whether it
@@ -293,14 +305,8 @@ impl NodeCtx {
     /// of a send, one envelope per unframed message or per frame.
     /// `depart_offset` is added to the sender's clock to stagger frame
     /// departures; the reliable layer treats each (tag, frame) as its own
-    /// stream.
-    fn dispatch(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: Arc<Vec<u8>>,
-        depart_offset: f64,
-    ) -> Result<(), NetError> {
+    /// stream. Fails the run if every copy is dropped.
+    fn dispatch(&mut self, dst: usize, tag: Tag, payload: Arc<Vec<u8>>, depart_offset: f64) {
         let (plan, seq) = match &mut self.reliable {
             None => {
                 let env = Envelope {
@@ -311,8 +317,7 @@ impl NodeCtx {
                     poison: false,
                     seq: 0,
                 };
-                self.port.send(dst, env);
-                return Ok(());
+                return self.put(dst, env);
             }
             Some(link) => {
                 let next = link.next_seq.entry((dst, tag)).or_insert(0);
@@ -342,10 +347,7 @@ impl NodeCtx {
         }
         self.trace.record_timeouts(u64::from(timeouts));
         let Some(delivery) = schedule else {
-            return Err(NetError::Unreachable {
-                src: self.rank,
-                dst,
-            });
+            self.fail(tag, Cause::Unreachable { dst });
         };
         // The surviving copy departs after the expired timers and any
         // injected transit delay; only the resend overhead above touched
@@ -382,13 +384,12 @@ impl NodeCtx {
             held.push_back(env);
             held.extend(duplicate);
         } else {
-            self.port.send(dst, env);
+            self.put(dst, env);
             if let Some(dup) = duplicate {
-                self.port.send(dst, dup);
+                self.put(dst, dup);
             }
             self.flush_deferred(dst);
         }
-        Ok(())
     }
 
     /// Puts every envelope held back for `dst` on the wire (in their
@@ -396,7 +397,7 @@ impl NodeCtx {
     fn flush_deferred(&mut self, dst: usize) {
         if let Some(held) = self.deferred.remove(&dst) {
             for env in held {
-                self.port.send(dst, env);
+                self.put(dst, env);
             }
         }
     }
@@ -422,25 +423,13 @@ impl NodeCtx {
     ///
     /// # Panics
     ///
-    /// Panics if nothing matching arrives within the timeout (protocol
-    /// deadlock) — the panic message names the rank, source and tag.
+    /// Fails the run ([`NodeCtx::fail`]) with [`Cause::Timeout`] if
+    /// nothing matching arrives within the timeout (protocol deadlock),
+    /// and with [`Cause::PeerFailed`] if a peer's run fails meanwhile.
     pub fn recv(&mut self, src: usize, tag: Tag) -> Vec<u8> {
         let (payload, arrival) = self.recv_frame(src, tag);
         self.wait_until(arrival, self.wait_category(tag.kind));
         payload
-    }
-
-    fn recv_timeout_panic(&self, src: usize, tag: Tag) -> ! {
-        panic!(
-            "node {} timed out waiting for {:?} from {} (pending: {:?})",
-            self.rank,
-            tag,
-            src,
-            self.pending
-                .iter()
-                .map(|(&(s, t), q)| (s, t, q.len()))
-                .collect::<Vec<_>>()
-        )
     }
 
     /// Buffers an envelope that is not the one being waited on, discarding
@@ -485,17 +474,17 @@ impl NodeCtx {
         found
     }
 
-    fn next_epoch(&mut self) -> u64 {
-        self.coll_epoch += 1;
-        self.coll_epoch
+    /// The tag of this node's latest collective.
+    pub fn collective_tag(&self) -> Tag {
+        Tag::new(TagKind::Collective, self.coll_epoch, 0)
     }
 
     /// Exchanges `payload` with every other node (all-to-all of the same
     /// buffer) and returns the payloads indexed by rank (own rank maps to
     /// the input). All nodes must call this collectively.
     pub fn allgather_bytes(&mut self, payload: Vec<u8>, kind: CommKind) -> Vec<Vec<u8>> {
-        let epoch = self.next_epoch();
-        let tag = Tag::new(TagKind::Collective, epoch, 0);
+        self.coll_epoch += 1;
+        let tag = self.collective_tag();
         // One shared buffer for the whole broadcast: peers consume (or
         // clone on arrival if needed) the same allocation, and the local
         // slot clones at most once — if every peer has already taken its
@@ -542,16 +531,23 @@ impl NodeCtx {
         self.allgather_value(value).sum()
     }
 
-    /// Allgathers one wire value per node, in rank order: the one raise
-    /// site of a collective value that does not decode.
-    fn allgather_value<T: Wire>(&mut self, value: T) -> impl Iterator<Item = T> {
+    /// The decoded value of `src`'s message `tag`; a message that does
+    /// not decode fails the run with [`Cause::Corrupt`].
+    pub fn decoded<T>(&self, src: usize, tag: Tag, res: Result<T, crate::CodecError>) -> T {
+        match res {
+            Ok(v) => v,
+            Err(err) => self.fail(tag, Cause::Corrupt { src, err }),
+        }
+    }
+
+    /// Allgathers one wire value per node, in rank order. Collective.
+    /// Fails the run with [`Cause::Corrupt`] on a value that does not
+    /// decode.
+    pub fn allgather_value<T: Wire>(&mut self, value: T) -> impl Iterator<Item = T> + '_ {
         let all = self.allgather_bytes(encode_slice(&[value]), CommKind::Sync);
-        let rank = self.rank;
-        (all.into_iter().enumerate()).map(move |(src, bytes)| {
-            T::decode(&bytes).unwrap_or_else(|e| {
-                panic!("node {rank}: collective value from node {src} does not decode: {e}")
-            })
-        })
+        let tag = self.collective_tag();
+        (all.into_iter().enumerate())
+            .map(move |(src, bytes)| self.decoded(src, tag, T::decode(&bytes)))
     }
 
     // === Pipelined (framed) exchange ===
@@ -597,7 +593,7 @@ impl NodeCtx {
         let mut pos = 0usize;
         loop {
             let end = (pos + chunk).min(total);
-            self.deliver(
+            self.dispatch(
                 dst,
                 tag.with_frame(frame),
                 Arc::new(payload[pos..end].to_vec()),
@@ -625,12 +621,12 @@ impl NodeCtx {
     }
 
     /// Passes `env` through unless it is a peer's poison, the envelope a
-    /// node that panicked sends every peer: then this node aborts at once
-    /// instead of waiting out its receive timeout. The one place a peer's
-    /// failure is raised on this node.
+    /// node whose run failed sends every peer: then this node fails with
+    /// [`Cause::PeerFailed`] at once instead of waiting out its receive
+    /// timeout.
     fn unpoisoned(&self, env: Envelope) -> Envelope {
         if env.poison {
-            panic!("node {} aborting: peer {} panicked", self.rank, env.src);
+            self.fail(env.tag, Cause::PeerFailed { peer: env.src });
         }
         env
     }
@@ -711,8 +707,8 @@ impl NodeCtx {
     ///
     /// # Panics
     ///
-    /// As [`NodeCtx::recv`] on a stalled stream — the message names the
-    /// missing frame's tag, frame index included; also if `chunk == 0`.
+    /// Fails the run as [`NodeCtx::recv`] does, on the missing frame's tag
+    /// (frame index included). Panics if `chunk == 0`.
     pub fn recv_frames(
         &mut self,
         src: usize,
@@ -756,7 +752,7 @@ impl NodeCtx {
                     return self.open(env);
                 }
                 Some(env) => self.stash(env),
-                None => self.recv_timeout_panic(src, tag),
+                None => self.fail(tag, self.timeout(src)),
             }
         }
     }
@@ -902,14 +898,13 @@ impl ClusterBuilder {
 }
 
 /// A cluster: `p` nodes with a shared cost model, each with one transport
-/// port. Build with [`Cluster::builder`] (validated) or [`Cluster::new`]
-/// (defaults shorthand).
+/// port. Build with [`Cluster::builder`].
 ///
 /// # Example
 ///
 /// ```
 /// use symple_net::{Cluster, CostModel, CommKind, Tag, TagKind};
-/// let r = Cluster::new(2, CostModel::cluster_a()).run(|ctx| {
+/// let r = Cluster::builder(2).cost(CostModel::cluster_a()).build().unwrap().run(|ctx| {
 ///     let tag = Tag::new(TagKind::User, 0, 0);
 ///     if ctx.rank() == 0 {
 ///         ctx.send(1, tag, CommKind::Update, vec![1, 2, 3]);
@@ -931,26 +926,13 @@ impl Cluster {
         ClusterBuilder::new(nodes)
     }
 
-    /// Creates a default cluster of `nodes` nodes on the simulator
-    /// backend — shorthand for `Cluster::builder(nodes).cost(cost)
-    /// .build()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`; use [`Cluster::builder`] to handle
-    /// configuration errors gracefully.
-    pub fn new(nodes: usize, cost: CostModel) -> Self {
-        match Cluster::builder(nodes).cost(cost).build() {
-            Ok(cluster) => cluster,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Runs `f` on every node (as a thread) and collects the results.
     ///
     /// # Panics
     ///
-    /// Re-raises any node panic, naming the rank.
+    /// Re-raises a failed run once, naming its root cause: the first node
+    /// in rank order whose failure is its own — a [`RunError`] other than
+    /// [`Cause::PeerFailed`], or a panic of `f` (`node R panicked: …`).
     pub fn run<T, F>(&self, f: F) -> ClusterResult<T>
     where
         T: Send,
@@ -958,108 +940,97 @@ impl Cluster {
     {
         let cfg = &self.0;
         let p = cfg.nodes;
-        let mut ports = connect(p, cfg.backend, cfg.channel_capacity, cfg.recv_timeout);
+        let ports = connect(p, cfg.backend, cfg.channel_capacity, cfg.recv_timeout);
         let start = Instant::now();
-        type Slot<T> = Option<(T, f64, symple_trace::NodeTrace, Duration)>;
-        let mut slots: Vec<Slot<T>> = (0..p).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (rank, (port, slot)) in ports.drain(..).zip(slots.iter_mut()).enumerate() {
-                let f = &f;
-                let reliable = cfg.fault_plan.map(|plan| ReliableLink {
-                    plan,
-                    next_seq: HashMap::new(),
-                    expected: HashMap::new(),
-                });
-                handles.push(scope.spawn(move || {
-                    let node_start = Instant::now();
-                    let mut ctx = NodeCtx {
-                        rank,
-                        world: p,
-                        clock: 0.0,
-                        cost: cfg.cost,
-                        port,
-                        pending: HashMap::new(),
-                        coll_epoch: 0,
-                        recv_timeout: cfg.recv_timeout,
-                        trace: TraceRecorder::new(rank, cfg.trace_level),
-                        in_barrier: false,
-                        reliable,
-                        deferred: BTreeMap::new(),
-                    };
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-                    if result.is_ok() {
-                        // Anything still held back for reordering must hit
-                        // the wire before peers stop receiving.
-                        ctx.flush_all_deferred();
-                    }
-                    match result {
-                        Ok(out) => {
-                            let wall = node_start.elapsed();
-                            let mut trace = ctx.trace.finish();
-                            trace.wall_secs = wall.as_secs_f64();
-                            trace.comm_wall_secs = ctx.port.comm_wall().as_secs_f64();
-                            *slot = Some((out, ctx.clock, trace, wall));
-                        }
-                        Err(e) => {
-                            // fail fast: poison every peer so they don't
-                            // wait out their receive timeouts
-                            for dst in 0..p {
-                                if dst != rank {
-                                    ctx.port.poison(
-                                        dst,
-                                        Envelope {
-                                            src: rank,
-                                            tag: Tag::new(TagKind::Collective, u64::MAX, 0),
-                                            depart: 0.0,
-                                            payload: Arc::new(Vec::new()),
-                                            poison: true,
-                                            seq: 0,
-                                        },
-                                    );
-                                }
+        type Done<T> = Result<(T, f64, NodeTrace, Duration), Box<dyn Any + Send>>;
+        let done: Vec<Done<T>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (ports.into_iter().enumerate())
+                .map(|(rank, port)| {
+                    let f = &f;
+                    let reliable = cfg.fault_plan.map(|plan| ReliableLink {
+                        plan,
+                        next_seq: HashMap::new(),
+                        expected: HashMap::new(),
+                    });
+                    scope.spawn(move || {
+                        let node_start = Instant::now();
+                        let mut ctx = NodeCtx {
+                            rank,
+                            world: p,
+                            clock: 0.0,
+                            cost: cfg.cost,
+                            port,
+                            pending: HashMap::new(),
+                            coll_epoch: 0,
+                            recv_timeout: cfg.recv_timeout,
+                            trace: TraceRecorder::new(rank, cfg.trace_level),
+                            in_barrier: false,
+                            reliable,
+                            deferred: BTreeMap::new(),
+                        };
+                        let run = std::panic::AssertUnwindSafe(|| {
+                            let out = f(&mut ctx);
+                            // Anything still held back for reordering must
+                            // hit the wire before peers stop receiving.
+                            ctx.flush_all_deferred();
+                            out
+                        });
+                        match std::panic::catch_unwind(run) {
+                            Ok(out) => {
+                                let wall = node_start.elapsed();
+                                let mut trace = ctx.trace.finish();
+                                trace.wall_secs = wall.as_secs_f64();
+                                trace.comm_wall_secs = ctx.port.comm_wall().as_secs_f64();
+                                Ok((out, ctx.clock, trace, wall))
                             }
-                            std::panic::resume_unwind(e);
+                            Err(failure) => {
+                                // Poison every peer: none waits out its timeout.
+                                for dst in (0..p).filter(|&dst| dst != rank) {
+                                    let poison = Envelope {
+                                        src: rank,
+                                        tag: Tag::new(TagKind::Collective, u64::MAX, 0),
+                                        depart: 0.0,
+                                        payload: Arc::new(Vec::new()),
+                                        poison: true,
+                                        seq: 0,
+                                    };
+                                    ctx.port.poison(dst, poison);
+                                }
+                                Err(failure)
+                            }
                         }
-                    }
-                }));
-            }
-            let mut panics: Vec<(usize, String)> = Vec::new();
-            for (rank, h) in handles.into_iter().enumerate() {
-                if let Err(e) = h.join() {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| e.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic>");
-                    panics.push((rank, msg.to_string()));
-                }
-            }
-            if !panics.is_empty() {
-                // prefer the root cause over secondary "peer panicked" aborts
-                let (rank, msg) = panics
-                    .iter()
-                    .find(|(_, m)| !m.contains("aborting:"))
-                    .unwrap_or(&panics[0]);
-                panic!("node {rank} panicked: {msg}");
-            }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().and_then(|d| d))
+                .collect()
         });
         let wall = start.elapsed();
-        let mut outputs = Vec::with_capacity(p);
-        let mut node_traces = Vec::with_capacity(p);
-        let mut node_wall = Vec::with_capacity(p);
-        let mut virtual_time: f64 = 0.0;
-        for slot in slots {
-            let (out, clock, trace, wall) = slot.expect("node completed without result");
-            outputs.push(out);
-            node_traces.push(trace);
-            node_wall.push(wall);
-            virtual_time = virtual_time.max(clock);
+        let peer_failed = |e: &(dyn Any + Send)| {
+            let cause = e.downcast_ref::<RunError>().map(|e| &e.cause);
+            matches!(cause, Some(Cause::PeerFailed { .. }))
+        };
+        let failures =
+            (done.iter().enumerate()).filter_map(|(r, d)| Some((r, &**d.as_ref().err()?)));
+        if let Some((rank, failure)) = failures.min_by_key(|&(r, e)| (peer_failed(e), r)) {
+            let why = match failure.downcast_ref::<RunError>() {
+                Some(e) => e.to_string(),
+                None => {
+                    // A panic of `f`: its payload is a `String` or a `&str`.
+                    let text = failure.downcast_ref::<String>().map(String::as_str);
+                    let text = text.or_else(|| failure.downcast_ref::<&str>().copied());
+                    format!("node {rank} panicked: {}", text.unwrap_or("<non-string>"))
+                }
+            };
+            panic!("{why}");
         }
+        let (outputs, clocks, node_traces, node_wall): (_, Vec<f64>, _, _) =
+            done.into_iter().flatten().collect();
         ClusterResult {
             outputs,
-            virtual_time,
+            virtual_time: clocks.into_iter().fold(0.0, f64::max),
             wall,
             node_wall,
             traces: Trace::new(node_traces),
@@ -1082,14 +1053,17 @@ mod tests {
 
     #[test]
     fn single_node_runs() {
-        let r = Cluster::new(1, CostModel::zero()).run(|ctx| ctx.rank());
+        let r = cluster(1, CostModel::zero())
+            .build()
+            .unwrap()
+            .run(|ctx| ctx.rank());
         assert_eq!(r.outputs, vec![0]);
         assert_eq!(r.traces.comm().total_bytes(), 0);
     }
 
     #[test]
     fn point_to_point_delivery() {
-        let r = Cluster::new(3, CostModel::zero()).run(|ctx| {
+        let r = cluster(3, CostModel::zero()).build().unwrap().run(|ctx| {
             // ring: rank sends its rank to rank+1
             let next = (ctx.rank() + 1) % 3;
             let prev = (ctx.rank() + 2) % 3;
@@ -1101,7 +1075,7 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let r = Cluster::new(2, CostModel::zero()).run(|ctx| {
+        let r = cluster(2, CostModel::zero()).build().unwrap().run(|ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, user_tag(1), CommKind::Update, vec![1]);
                 ctx.send(1, user_tag(2), CommKind::Update, vec![2]);
@@ -1118,7 +1092,7 @@ mod tests {
 
     #[test]
     fn same_tag_messages_stay_fifo_when_buffered() {
-        let r = Cluster::new(2, CostModel::zero()).run(|ctx| {
+        let r = cluster(2, CostModel::zero()).build().unwrap().run(|ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, user_tag(7), CommKind::Update, vec![1]);
                 ctx.send(1, user_tag(7), CommKind::Update, vec![2]);
@@ -1145,7 +1119,7 @@ mod tests {
             per_vertex_sec: 1.0,
             ..CostModel::zero()
         };
-        let r = Cluster::new(1, cost).run(|ctx| {
+        let r = cluster(1, cost).build().unwrap().run(|ctx| {
             ctx.compute_sharded(&[(1, 2), (2, 2)], 1);
             ctx.virtual_clock()
         });
@@ -1187,7 +1161,7 @@ mod tests {
 
     #[test]
     fn allreduce_and_allgather() {
-        let r = Cluster::new(4, CostModel::zero()).run(|ctx| {
+        let r = cluster(4, CostModel::zero()).build().unwrap().run(|ctx| {
             let sum = ctx.allreduce_u64_sum(ctx.rank() as u64 + 1);
             let gathered = ctx.allgather_bytes(vec![ctx.rank() as u8], CommKind::Sync);
             let ranks: Vec<u8> = gathered.iter().map(|b| b[0]).collect();
@@ -1208,7 +1182,7 @@ mod tests {
             per_byte_sec: 0.5,
             msg_overhead_sec: 0.25,
         };
-        let r = Cluster::new(2, cost).run(|ctx| {
+        let r = cluster(2, cost).build().unwrap().run(|ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, user_tag(0), CommKind::Update, vec![0; 4]);
             } else {
@@ -1224,7 +1198,7 @@ mod tests {
 
     #[test]
     fn barrier_equalizes_clocks() {
-        let r = Cluster::new(3, CostModel::zero()).run(|ctx| {
+        let r = cluster(3, CostModel::zero()).build().unwrap().run(|ctx| {
             if ctx.rank() == 1 {
                 ctx.advance(5.0);
             }
@@ -1238,7 +1212,7 @@ mod tests {
 
     #[test]
     fn stats_are_aggregated() {
-        let r = Cluster::new(2, CostModel::zero()).run(|ctx| {
+        let r = cluster(2, CostModel::zero()).build().unwrap().run(|ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, user_tag(0), CommKind::Dependency, vec![0; 10]);
                 ctx.send(1, user_tag(1), CommKind::Update, vec![0; 6]);
@@ -1302,6 +1276,25 @@ mod tests {
     }
 
     #[test]
+    fn the_root_cause_is_picked_by_type_not_by_text() {
+        let cluster = cluster(2, CostModel::zero())
+            .recv_timeout(Duration::from_secs(60))
+            .build()
+            .unwrap();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.run(|ctx| {
+                if ctx.rank() == 1 {
+                    panic!("aborting: on purpose");
+                }
+                ctx.recv(1, user_tag(0));
+            })
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(msg, "node 1 panicked: aborting: on purpose");
+    }
+
+    #[test]
     fn a_peer_panic_aborts_a_poll_drain_spin() {
         for backend in [Backend::Sim, Backend::Thread] {
             let (msg, took) = panic_while_rank_0_waits(backend, |ctx| {
@@ -1336,21 +1329,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-send")]
     fn self_send_rejected() {
-        Cluster::new(1, CostModel::zero()).run(|ctx| {
+        cluster(1, CostModel::zero()).build().unwrap().run(|ctx| {
             let rank = ctx.rank();
             ctx.send(rank, user_tag(0), CommKind::Update, vec![]);
         });
     }
 
     #[test]
-    #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
-        let _ = Cluster::new(0, CostModel::zero());
+        let err = cluster(0, CostModel::zero()).build().unwrap_err();
+        assert_eq!(err, NetError::EmptyCluster);
     }
 
     #[test]
     fn wall_time_recorded() {
-        let r = Cluster::new(1, CostModel::zero()).run(|_| ());
+        let r = cluster(1, CostModel::zero()).build().unwrap().run(|_| ());
         assert!(r.wall.as_nanos() > 0);
     }
 
@@ -1444,7 +1437,7 @@ mod tests {
 
     #[test]
     fn zero_rate_plan_only_adds_acks() {
-        let clean = ring_exchange(Cluster::new(3, CostModel::cluster_a()), 4);
+        let clean = ring_exchange(cluster(3, CostModel::cluster_a()).build().unwrap(), 4);
         let faulted = ring_exchange(
             cluster(3, CostModel::cluster_a())
                 .fault_plan(FaultPlan::new(1))
@@ -1468,7 +1461,7 @@ mod tests {
 
     #[test]
     fn chaos_is_absorbed_below_the_engine() {
-        let clean = ring_exchange(Cluster::new(4, CostModel::cluster_a()), 16);
+        let clean = ring_exchange(cluster(4, CostModel::cluster_a()).build().unwrap(), 16);
         let faulted = ring_exchange(
             cluster(4, CostModel::cluster_a())
                 .fault_plan(FaultPlan::chaos(7))
@@ -1562,13 +1555,14 @@ mod tests {
             .build()
             .unwrap()
             .run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.try_send(1, user_tag(0), CommKind::Update, vec![1])
-                } else {
-                    Ok(())
+                if ctx.rank() != 0 {
+                    return None;
                 }
+                let send = || ctx.send(1, user_tag(0), CommKind::Update, vec![1]);
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(send)).unwrap_err();
+                err.downcast::<RunError>().ok().map(|e| e.cause)
             });
-        assert_eq!(r.outputs[0], Err(NetError::Unreachable { src: 0, dst: 1 }));
+        assert_eq!(r.outputs[0], Some(Cause::Unreachable { dst: 1 }));
         // The attempted traffic is still visible in the counters.
         let rel = r.traces.comm().reliable();
         assert_eq!(rel.timeouts, u64::from(RETRY_ATTEMPTS));
@@ -1711,7 +1705,7 @@ mod tests {
 
     #[test]
     fn chaos_plan_is_absorbed_on_the_thread_backend() {
-        let clean = ring_exchange(Cluster::new(3, CostModel::cluster_a()), 8);
+        let clean = ring_exchange(cluster(3, CostModel::cluster_a()).build().unwrap(), 8);
         let faulted = ring_exchange(
             cluster(3, CostModel::cluster_a())
                 .backend(Backend::Thread)

@@ -1,23 +1,12 @@
 //! Error type for the simulated network.
 
-use crate::RETRY_ATTEMPTS;
+use crate::{Tag, RETRY_ATTEMPTS};
 use std::fmt;
 
-/// Errors surfaced by the simulated cluster.
-///
-/// Most protocol mistakes (mismatched tags, deadlocks) are programming
-/// errors inside the engine and abort via panic with diagnostics; this
-/// type covers the conditions a caller can reasonably handle.
+/// Why [`crate::ClusterBuilder::build`] rejected a configuration. A
+/// failure during a run is a [`RunError`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// A receive waited longer than the configured timeout — almost always
-    /// a protocol deadlock. Carries rank and the awaited description.
-    RecvTimeout {
-        /// Rank of the waiting node.
-        rank: usize,
-        /// Human-readable description of what was awaited.
-        waiting_for: String,
-    },
     /// Cluster was configured with zero nodes.
     EmptyCluster,
     /// `ClusterBuilder` rejected an invalid fault plan; carries the
@@ -27,37 +16,91 @@ pub enum NetError {
     /// backend (a rendezvous channel would deadlock the blocking
     /// tag-matched protocol).
     ZeroChannelCapacity,
-    /// The reliable-delivery layer exhausted its retransmission budget:
-    /// every one of the [`crate::RETRY_ATTEMPTS`] copies of a message was
-    /// dropped by the active fault plan. Deterministic per (plan, message).
-    Unreachable {
-        /// Sending rank.
-        src: usize,
-        /// Destination rank.
-        dst: usize,
-    },
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::RecvTimeout { rank, waiting_for } => {
-                write!(f, "node {rank} timed out waiting for {waiting_for}")
-            }
             NetError::EmptyCluster => write!(f, "cluster must have at least one node"),
             NetError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
             NetError::ZeroChannelCapacity => {
                 write!(f, "channel capacity must be at least 1 (got 0)")
             }
-            NetError::Unreachable { src, dst } => write!(
-                f,
-                "node {src} could not deliver to node {dst}: all {RETRY_ATTEMPTS} attempts dropped by the fault plan"
-            ),
         }
     }
 }
 
 impl std::error::Error for NetError {}
+
+/// Why a node's run failed, and where: its rank, trace scope and the tag
+/// it was moving. Built and raised only by [`crate::NodeCtx::fail`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunError {
+    /// The failing node.
+    pub rank: usize,
+    /// The iteration of the node's trace scope.
+    pub iteration: u32,
+    /// The circulant step of the node's trace scope.
+    pub step: u32,
+    /// The tag of the message being sent or awaited.
+    pub tag: Tag,
+    /// What went wrong.
+    pub cause: Cause,
+}
+
+/// The failure classes of a run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Cause {
+    /// A receive from `peer`, or a bounded send to it, outlasted the
+    /// receive timeout (a protocol deadlock).
+    Timeout {
+        /// The peer waited on.
+        peer: usize,
+        /// What the node had buffered: (source, tag, envelopes queued).
+        pending: Vec<(usize, Tag, usize)>,
+    },
+    /// The fault plan dropped all [`RETRY_ATTEMPTS`] copies of a message.
+    Unreachable {
+        /// Destination rank.
+        dst: usize,
+    },
+    /// A message does not decode.
+    Corrupt {
+        /// Sending rank.
+        src: usize,
+        /// Why the bytes do not decode.
+        err: CodecError,
+    },
+    /// A peer failed first: its poison envelope arrived.
+    PeerFailed {
+        /// The failed peer.
+        peer: usize,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RunError { rank, tag, .. } = self;
+        let (iteration, step) = (self.iteration, self.step);
+        write!(
+            f,
+            "node {rank} failed at iteration {iteration}, step {step}, {tag:?}: "
+        )?;
+        match &self.cause {
+            Cause::Timeout { peer, pending } => write!(f, "timed out on node {peer} ({pending:?})"),
+            Cause::Unreachable { dst } => write!(
+                f,
+                "node {dst} unreachable: all {RETRY_ATTEMPTS} attempts dropped"
+            ),
+            Cause::Corrupt { src, err } => {
+                write!(f, "node {src} sent bytes that do not decode: {err}")
+            }
+            Cause::PeerFailed { peer } => write!(f, "peer {peer} failed"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// Why bytes received from a peer do not decode: every decoder of peer
 /// bytes reads through [`crate::Reader`] and returns this, never a panic.
@@ -108,17 +151,26 @@ impl std::error::Error for CodecError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TagKind;
 
     #[test]
     fn display() {
-        let e = NetError::RecvTimeout {
-            rank: 3,
-            waiting_for: "dep step 2".into(),
-        };
-        assert!(e.to_string().contains("node 3"));
         assert!(NetError::EmptyCluster.to_string().contains("at least one"));
-        let u = NetError::Unreachable { src: 0, dst: 2 };
-        assert!(u.to_string().contains("node 0"));
-        assert!(u.to_string().contains("20 attempts"));
+        let u = RunError {
+            rank: 0,
+            iteration: 3,
+            step: 1,
+            tag: Tag::new(TagKind::Dep, 7, 0),
+            cause: Cause::Unreachable { dst: 2 },
+        };
+        let msg = u.to_string();
+        assert!(
+            msg.starts_with("node 0 failed at iteration 3, step 1, Tag { kind: Dep"),
+            "{msg}"
+        );
+        assert!(
+            msg.ends_with("node 2 unreachable: all 20 attempts dropped"),
+            "{msg}"
+        );
     }
 }

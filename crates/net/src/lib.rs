@@ -38,7 +38,7 @@
 //! ```
 //! use symple_net::{Cluster, CostModel};
 //!
-//! let result = Cluster::new(4, CostModel::zero()).run(|ctx| {
+//! let result = Cluster::builder(4).cost(CostModel::zero()).build().unwrap().run(|ctx| {
 //!     // Every node contributes its rank; allreduce sums them.
 //!     ctx.allreduce_u64_sum(ctx.rank() as u64)
 //! });
@@ -63,7 +63,7 @@ pub use codec::{
     WireFormat,
 };
 pub use cost::CostModel;
-pub use error::{CodecError, NetError};
+pub use error::{Cause, CodecError, NetError, RunError};
 pub use reliable::{Delivery, FaultPlan, RETRY_ATTEMPTS, RETRY_BACKOFF, RETRY_TIMEOUT_QUANTA};
 pub use transport::Backend;
 pub use wire::{decode_vec, encode_slice, Reader, Wire};

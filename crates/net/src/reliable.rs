@@ -42,7 +42,7 @@ pub const RETRY_TIMEOUT_QUANTA: f64 = 2.0;
 pub const RETRY_BACKOFF: f64 = 2.0;
 
 /// Copies sent before a message is given up: when every one of them is
-/// dropped the send surfaces [`crate::NetError::Unreachable`] instead of
+/// dropped the run fails with [`crate::Cause::Unreachable`] instead of
 /// retrying forever.
 pub const RETRY_ATTEMPTS: u32 = 20;
 

@@ -148,23 +148,19 @@ pub(crate) fn connect(
 
 impl Port {
     /// Puts `env` on the wire towards `dst`. Blocks under backpressure on
-    /// a bounded inbox; silently drops the envelope if `dst` has already
-    /// torn down (the cluster is unwinding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bounded send stays blocked past the deadline (a
-    /// protocol deadlock).
-    pub fn send(&mut self, dst: usize, env: Envelope) {
+    /// a bounded inbox, and hands `env` back if it stays blocked past the
+    /// deadline (a protocol deadlock); silently drops the envelope if `dst`
+    /// has already torn down (the cluster is unwinding).
+    pub fn send(&mut self, dst: usize, env: Envelope) -> Result<(), Envelope> {
         let txs = match &self.outbox {
             Outbox::Unbounded(txs) => {
                 let _ = txs[dst].send(env);
-                return;
+                return Ok(());
             }
             Outbox::Bounded(txs) => txs,
         };
         let mut pending = match txs[dst].try_send(env) {
-            Ok(()) | Err(TrySendError::Disconnected(_)) => return,
+            Ok(()) | Err(TrySendError::Disconnected(_)) => return Ok(()),
             Err(TrySendError::Full(e)) => e,
         };
         // Backpressure: the peer's inbox is full. Keep draining our own
@@ -181,14 +177,11 @@ impl Port {
                 self.stash.push_back(incoming);
             }
             if start.elapsed() > self.deadline {
-                panic!(
-                    "thread transport: send to rank {dst} blocked on a full \
-                     inbox for {:?} (protocol deadlock?)",
-                    self.deadline
-                );
+                return Err(pending);
             }
         }
         self.blocked += start.elapsed();
+        Ok(())
     }
 
     /// Best-effort send used to poison peers during panic unwinding:
@@ -268,7 +261,7 @@ mod tests {
     #[test]
     fn sim_ports_deliver() {
         let (mut a, mut b) = pair(Backend::Sim, 1, Duration::from_secs(1));
-        a.send(1, env(0, 3, 42));
+        a.send(1, env(0, 3, 42)).unwrap();
         let got = b.recv(Duration::from_secs(1)).unwrap();
         assert_eq!(got.src, 0);
         assert_eq!(*got.payload, vec![42]);
@@ -281,7 +274,7 @@ mod tests {
         // every send returns at once and nothing counts as blocked.
         let (mut a, mut b) = pair(Backend::Sim, 1, Duration::from_millis(50));
         for i in 0..1000u32 {
-            a.send(1, env(0, u64::from(i), i as u8));
+            a.send(1, env(0, u64::from(i), i as u8)).unwrap();
         }
         assert_eq!(a.comm_wall(), Duration::ZERO);
         for i in 0..1000u32 {
@@ -293,7 +286,7 @@ mod tests {
     fn thread_ports_deliver_and_preserve_fifo() {
         let (mut a, mut b) = pair(Backend::Thread, 4, Duration::from_secs(1));
         for i in 0..3u8 {
-            a.send(1, env(0, 0, i));
+            a.send(1, env(0, 0, i)).unwrap();
         }
         for i in 0..3u8 {
             assert_eq!(*b.recv(Duration::from_secs(1)).unwrap().payload, vec![i]);
@@ -306,14 +299,14 @@ mod tests {
         // receives: without the drain-while-blocked rule this deadlocks.
         let (mut a, mut b) = pair(Backend::Thread, 1, Duration::from_secs(5));
         let t = std::thread::spawn(move || {
-            b.send(0, env(1, 0, 10));
-            b.send(0, env(1, 1, 11));
+            b.send(0, env(1, 0, 10)).unwrap();
+            b.send(0, env(1, 1, 11)).unwrap();
             let x = b.recv(Duration::from_secs(5)).unwrap();
             let y = b.recv(Duration::from_secs(5)).unwrap();
             (x.payload[0], y.payload[0])
         });
-        a.send(1, env(0, 0, 20));
-        a.send(1, env(0, 1, 21));
+        a.send(1, env(0, 0, 20)).unwrap();
+        a.send(1, env(0, 1, 21)).unwrap();
         let x = a.recv(Duration::from_secs(5)).unwrap();
         let y = a.recv(Duration::from_secs(5)).unwrap();
         assert_eq!((x.payload[0], y.payload[0]), (10, 11));
@@ -323,14 +316,11 @@ mod tests {
     #[test]
     fn thread_blocked_send_times_out_with_diagnostic() {
         let (mut a, _b) = pair(Backend::Thread, 1, Duration::from_millis(50));
-        a.send(1, env(0, 0, 1));
-        // Peer never drains: the second send must fail fast, not hang.
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            a.send(1, env(0, 1, 2));
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("blocked on a full inbox"), "got: {msg}");
+        a.send(1, env(0, 0, 1)).unwrap();
+        // Peer never drains: the second send must fail fast, not hang,
+        // and hand its envelope back for the caller to name.
+        let back = a.send(1, env(0, 1, 2)).unwrap_err();
+        assert_eq!((back.tag.a, back.payload.as_slice()), (1, &[2][..]));
     }
 
     #[test]

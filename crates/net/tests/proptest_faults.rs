@@ -6,7 +6,8 @@
 
 use proptest::prelude::*;
 use symple_net::{
-    Cluster, ClusterResult, CommKind, CostModel, FaultPlan, NetError, Tag, TagKind, RETRY_ATTEMPTS,
+    Cause, Cluster, ClusterResult, CommKind, CostModel, FaultPlan, RunError, Tag, TagKind,
+    RETRY_ATTEMPTS,
 };
 
 /// An arbitrary fault plan with every rate in a range the retry budget
@@ -68,7 +69,7 @@ proptest! {
         world in 2usize..5,
         rounds in 1u64..6,
     ) {
-        let clean = all_to_all(Cluster::new(world, CostModel::cluster_a()), world, rounds);
+        let clean = all_to_all(Cluster::builder(world).cost(CostModel::cluster_a()).build().unwrap(), world, rounds);
         let faulted = all_to_all(
             Cluster::builder(world)
                 .cost(CostModel::cluster_a())
@@ -150,16 +151,15 @@ proptest! {
             .build()
             .unwrap()
             .run(move |ctx| {
-                if ctx.rank() == 0 {
-                    ctx.try_send(1, Tag::new(TagKind::User, 0, 0), CommKind::Update, vec![1])
-                } else {
-                    Ok(())
+                if ctx.rank() != 0 {
+                    return None;
                 }
+                let tag = Tag::new(TagKind::User, 0, 0);
+                let send = || ctx.send(1, tag, CommKind::Update, vec![1]);
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(send)).unwrap_err();
+                err.downcast::<RunError>().ok().map(|e| e.cause)
             });
-        prop_assert_eq!(
-            r.outputs[0].clone(),
-            Err(NetError::Unreachable { src: 0, dst: 1 })
-        );
+        prop_assert_eq!(r.outputs[0].clone(), Some(Cause::Unreachable { dst: 1 }));
         prop_assert_eq!(r.traces.comm().reliable().timeouts, u64::from(RETRY_ATTEMPTS));
     }
 }

@@ -38,7 +38,7 @@ proptest! {
         // Empty payloads are protocol placeholders: they still complete
         // the tagged handshake but ship nothing and are not counted.
         let nonempty = sizes.iter().filter(|&&s| s > 0).count();
-        let r = Cluster::new(2, CostModel::zero()).run(|ctx| {
+        let r = Cluster::builder(2).cost(CostModel::zero()).build().unwrap().run(|ctx| {
             if ctx.rank() == 0 {
                 for (i, &s) in sizes.iter().enumerate() {
                     ctx.send(1, Tag::new(TagKind::User, i as u64, 0), CommKind::Update, vec![0; s]);
@@ -58,7 +58,7 @@ proptest! {
         // A stream of empty placeholder messages must leave every clock at
         // zero under a model with nonzero latency/overhead: no header
         // charge at the sender, no transfer delay at the receiver.
-        let r = Cluster::new(2, CostModel::cluster_a()).run(move |ctx| {
+        let r = Cluster::builder(2).cost(CostModel::cluster_a()).build().unwrap().run(move |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..n {
                     ctx.send(1, Tag::new(TagKind::User, i as u64, 0), CommKind::Update, Vec::new());
@@ -80,7 +80,7 @@ proptest! {
 
     #[test]
     fn virtual_clock_is_monotonic(advances in proptest::collection::vec(0.0f64..10.0, 1..20)) {
-        let r = Cluster::new(1, CostModel::zero()).run(|ctx| {
+        let r = Cluster::builder(1).cost(CostModel::zero()).build().unwrap().run(|ctx| {
             let mut last = ctx.virtual_clock();
             for &a in &advances {
                 ctx.advance(a);
@@ -98,7 +98,7 @@ proptest! {
     fn barrier_equalises_to_max(clocks in proptest::collection::vec(0.0f64..100.0, 2..6)) {
         let p = clocks.len();
         let clocks2 = clocks.clone();
-        let r = Cluster::new(p, CostModel::zero()).run(move |ctx| {
+        let r = Cluster::builder(p).cost(CostModel::zero()).build().unwrap().run(move |ctx| {
             ctx.advance(clocks2[ctx.rank()]);
             ctx.barrier();
             ctx.virtual_clock()
@@ -113,7 +113,7 @@ proptest! {
     fn allreduce_sum_matches_reference(vals in proptest::collection::vec(0u64..1_000_000, 2..6)) {
         let p = vals.len();
         let vals2 = vals.clone();
-        let r = Cluster::new(p, CostModel::zero()).run(move |ctx| {
+        let r = Cluster::builder(p).cost(CostModel::zero()).build().unwrap().run(move |ctx| {
             ctx.allreduce_u64_sum(vals2[ctx.rank()])
         });
         let expect: u64 = vals.iter().sum();
@@ -137,28 +137,32 @@ proptest! {
 /// non-decreasing modelled departure stamps (FIFO order preserved).
 #[test]
 fn fifo_departure_order() {
-    let r = Cluster::new(2, CostModel::cluster_a()).run(|ctx| {
-        if ctx.rank() == 0 {
-            for i in 0..20u64 {
-                ctx.advance(0.5);
-                ctx.send(
-                    1,
-                    Tag::new(TagKind::User, i, 0),
-                    CommKind::Update,
-                    vec![0; 8],
-                );
+    let r = Cluster::builder(2)
+        .cost(CostModel::cluster_a())
+        .build()
+        .unwrap()
+        .run(|ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..20u64 {
+                    ctx.advance(0.5);
+                    ctx.send(
+                        1,
+                        Tag::new(TagKind::User, i, 0),
+                        CommKind::Update,
+                        vec![0; 8],
+                    );
+                }
+                0.0
+            } else {
+                let mut last_arrival = f64::NEG_INFINITY;
+                for i in 0..20u64 {
+                    ctx.recv(0, Tag::new(TagKind::User, i, 0));
+                    let now = ctx.virtual_clock();
+                    assert!(now >= last_arrival);
+                    last_arrival = now;
+                }
+                last_arrival
             }
-            0.0
-        } else {
-            let mut last_arrival = f64::NEG_INFINITY;
-            for i in 0..20u64 {
-                ctx.recv(0, Tag::new(TagKind::User, i, 0));
-                let now = ctx.virtual_clock();
-                assert!(now >= last_arrival);
-                last_arrival = now;
-            }
-            last_arrival
-        }
-    });
+        });
     assert!(r.outputs[1] > 0.0);
 }

@@ -124,6 +124,11 @@ impl TraceRecorder {
         };
     }
 
+    /// The current attribution scope (kept at every level).
+    pub fn scope(&self) -> Scope {
+        self.scope
+    }
+
     /// Attributes the virtual interval `[start, end]` to `category` under
     /// the current scope. Zero-length intervals are counted (they
     /// contribute nothing) but produce no span.

@@ -48,8 +48,8 @@ pub struct UdfDep {
     tys: Vec<Ty>,
     /// Wire width in bytes per carried value (all 8 when uncertified).
     widths: Vec<u8>,
-    /// Certified value ranges, checked in debug builds on every write
-    /// and decode (the dynamic half of the certificate).
+    /// Certified value ranges, checked on every decode and, in debug
+    /// builds, on every write (the dynamic half of the certificate).
     ranges: Vec<ValueRange>,
     /// Elide latched slots' values on the flat wire (only set when the
     /// certificate proves the skip bit latches).
@@ -197,14 +197,16 @@ impl UdfDep {
     fn read_vals(&mut self, slot: usize, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let a = self.arity();
         for i in 0..a {
-            self.vals[slot * a + i] = self.read_val(i, r.take(usize::from(self.widths[i]))?);
+            self.vals[slot * a + i] = self.read_val(i, r.take(usize::from(self.widths[i]))?)?;
         }
         Ok(())
     }
 
     /// Decodes a `widths[i]`-byte value to its canonical word
-    /// (sign-extending ints; bools to 0/1, vertex ids to 32 bits).
-    fn read_val(&self, i: usize, buf: &[u8]) -> u64 {
+    /// (sign-extending ints; bools to 0/1, vertex ids to 32 bits), which
+    /// must lie in its certified range: a peer value outside it is
+    /// [`CodecError::OutOfRange`] in every build (one compare per value).
+    fn read_val(&self, i: usize, buf: &[u8]) -> Result<u64, CodecError> {
         let w = buf.len();
         let mut bytes = [0u8; 8];
         bytes[..w].copy_from_slice(buf);
@@ -214,8 +216,20 @@ impl UdfDep {
             bits = (((bits << shift) as i64) >> shift) as u64;
         }
         let bits = Value::from_bits(self.tys[i], bits).to_bits();
-        self.debug_check_range(i, bits);
-        bits
+        match self.ranges[i] {
+            ValueRange::Interval { lo, hi } if self.tys[i] != Ty::Float => {
+                let (lo, hi) = (lo as u64, hi as u64);
+                match bits.wrapping_sub(lo) <= hi.wrapping_sub(lo) {
+                    true => Ok(bits),
+                    false => Err(CodecError::OutOfRange {
+                        value: bits,
+                        lo,
+                        hi: hi.wrapping_add(1),
+                    }),
+                }
+            }
+            _ => Ok(bits),
+        }
     }
 }
 
@@ -573,17 +587,22 @@ mod tests {
         assert!(d2.should_skip(3));
     }
 
-    /// `dep::tests`' damage check for `UdfDep`, wide and narrowed with
-    /// latch elision: every strict prefix of a message is an error, and
-    /// every one-byte XOR decodes or is an error. Unbounded ranges, so the
-    /// debug-only certificate check of a decoded value stays quiet.
+    /// `dep::tests`' damage check for `UdfDep`, wide, narrowed with latch
+    /// elision, and narrowed to a bounded range: every strict prefix of a
+    /// message is an error, and every one-byte XOR decodes or is an error.
+    /// A flipped value byte of the bounded state lands outside its
+    /// certified range, which is an error in every build.
     #[test]
     fn damaged_dependency_messages_decode_or_fail() {
         let cert = narrow_cert(&[("n", Ty::Int, ValueRange::Unbounded, 2)], true);
+        let bounded = ValueRange::Interval { lo: -20, hi: 19 };
+        let bounded = narrow_cert(&[("n", Ty::Int, bounded, 1)], false);
         let states = [
             UdfDep::new(40, vec![Ty::Int, Ty::Float]),
             UdfDep::with_certificate(40, vec![Ty::Int], &cert),
+            UdfDep::with_certificate(40, vec![Ty::Int], &bounded),
         ];
+        let mut out_of_range = 0;
         for fresh in states {
             for (range, every) in [(0..0, 1), (0..40, 1), (5..37, 3), (5..37, 40)] {
                 let mut d = fresh.clone();
@@ -605,12 +624,16 @@ mod tests {
                         for mask in [0x01, 0x80, 0xff] {
                             let mut bad = wire.clone();
                             bad[i] ^= mask;
-                            let _ = decode(&bad);
+                            let res = decode(&bad);
+                            out_of_range += matches!(res, Err(CodecError::OutOfRange { lo, .. })
+                                if lo == -20i64 as u64)
+                                as usize;
                         }
                     }
                 }
             }
         }
+        assert!(out_of_range > 0);
     }
 
     /// Encodes five slot ranges of a 10-slot state under both codecs —
