@@ -104,13 +104,18 @@ step "UDF executor differential tests (release profile)"
 # semantics-free axis flipped, plus 16 that flip the transport between
 # the unbounded and the bounded inbox, 4 of them under a pinned chaos
 # plan, and 19 that add or remove a random fault plan; the budget is set
-# in code, not by any variable): the backend and fault axes are the two
-# the physical receive path touches, and release is where the wall
-# clock is measured. symple-net's
+# in code, not by any variable). Its graphs come in two classes: up to
+# 320 vertices, and one case in eight 8,000-16,000, whose passes span
+# several executor chunks and whose update messages span several
+# exchange frames (both sizes are constants, so input size is what
+# covers them; thread_invariance's two framing tests draw only that
+# class and fail unless their runs reach both). The backend and fault
+# axes are the two the physical receive path touches, and release is
+# where the wall clock is measured. symple-net's
 # own tests ride along for the same reason: the bounded-inbox and chaos
-# runs and the framed-receive tests (`recv_frames` against the sender's
-# stagger on both inboxes and under chaos, a stalled stream's
-# diagnostic). Release is where the `UdfDep` certificate
+# runs (inboxes filled past their 256 envelopes) and the framed-receive
+# tests (`recv_frames` against the sender's stagger on both inboxes and
+# under chaos, a stalled stream's diagnostic). Release is where the `UdfDep` certificate
 # range checks are compiled out and the latch audit re-runs only
 # uncertified programs' skipped segments. dense_comm's communication-shape
 # pins must hold without the debug assertion that catches a program lying

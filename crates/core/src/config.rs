@@ -12,10 +12,6 @@ pub enum ConfigError {
     ZeroBufferGroups,
     /// `threads` was 0 — the intra-machine executor needs at least one.
     ZeroThreads,
-    /// `chunk_size` was 0 — chunks must contain at least one entry.
-    ZeroChunkSize,
-    /// `exchange_chunk` was 0 — frames must carry at least one byte.
-    ZeroExchangeChunk,
     /// `partition_alpha` was NaN, infinite or negative — the partition's
     /// balance degenerates (under NaN every vertex lands on the last
     /// machine).
@@ -36,12 +32,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroThreads => {
                 write!(f, "threads must be at least 1 (got 0)")
-            }
-            ConfigError::ZeroChunkSize => {
-                write!(f, "chunk_size must be at least 1 (got 0)")
-            }
-            ConfigError::ZeroExchangeChunk => {
-                write!(f, "exchange_chunk must be at least 1 (got 0)")
             }
             ConfigError::InvalidPartitionAlpha => {
                 write!(f, "partition_alpha must be finite and non-negative")
@@ -173,11 +163,9 @@ pub struct EngineConfig {
     /// Worker threads per simulated machine for the chunked intra-machine
     /// executor (Gemini's multicore edge loop). Outputs, `WorkStats`, and
     /// byte streams are bit-identical for any value — only host wall time
-    /// and the modelled critical-path compute charge change.
+    /// and the modelled critical-path compute charge change. The
+    /// executor's chunk is the constant [`crate::EXEC_CHUNK`].
     pub threads: usize,
-    /// Destination entries per executor chunk: the work-stealing granule
-    /// and the unit the virtual-time critical path is computed over.
-    pub chunk_size: usize,
     /// How much the run records about itself: `Off` (nothing),
     /// `Metrics` (categorized counters, the default — negligible cost), or
     /// `Full` (also per-event spans for chrome://tracing export).
@@ -211,12 +199,6 @@ pub struct EngineConfig {
     /// outputs, `WorkStats`, `CommStats`, and virtual time either way —
     /// only host wall time changes.
     pub udf_exec: UdfExec,
-    /// Frame size in bytes of the exchange: update and dependency
-    /// payloads cross the wire as frames of this size with staggered
-    /// departures, and receivers absorb them while they would otherwise
-    /// block. A payload smaller than this ships as a single frame.
-    /// Outputs, `WorkStats` and `CommStats` do not depend on it.
-    pub exchange_chunk: usize,
     /// Wire sizing for carried dependency values: `Certified` (narrowed
     /// to the abstract-interpretation certificate's proven widths, the
     /// default) or `Wide` (the seed's 8-bytes-per-value reference
@@ -236,13 +218,11 @@ impl EngineConfig {
             cost: CostModel::cluster_a(),
             partition_alpha: 8.0,
             threads: 1,
-            chunk_size: 1024,
             trace_level: TraceLevel::Metrics,
             wire_codec: WireCodec::Flat,
             fault_plan: None,
             backend: Backend::Sim,
             udf_exec: UdfExec::Bytecode,
-            exchange_chunk: 16 * 1024,
             dep_width: DepWidth::Certified,
         }
     }
@@ -277,12 +257,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the executor chunk size (entries per work-stealing granule).
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
-    }
-
     /// Sets the wire codec for remote update and dependency messages.
     pub fn wire_codec(mut self, codec: WireCodec) -> Self {
         self.wire_codec = codec;
@@ -304,12 +278,6 @@ impl EngineConfig {
     /// Sets the UDF executor (bytecode VM vs reference interpreter).
     pub fn udf_exec(mut self, exec: UdfExec) -> Self {
         self.udf_exec = exec;
-        self
-    }
-
-    /// Sets the exchange's frame size in bytes.
-    pub fn exchange_chunk(mut self, bytes: usize) -> Self {
-        self.exchange_chunk = bytes;
         self
     }
 
@@ -345,12 +313,6 @@ impl EngineConfig {
         }
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
-        }
-        if self.chunk_size == 0 {
-            return Err(ConfigError::ZeroChunkSize);
-        }
-        if self.exchange_chunk == 0 {
-            return Err(ConfigError::ZeroExchangeChunk);
         }
         if !(self.partition_alpha.is_finite() && self.partition_alpha >= 0.0) {
             return Err(ConfigError::InvalidPartitionAlpha);
@@ -455,10 +417,8 @@ mod tests {
     fn executor_defaults_are_sequential() {
         let cfg = EngineConfig::new(4, Policy::symple());
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.chunk_size, 1024);
-        let cfg = cfg.threads(8).chunk_size(256);
+        let cfg = cfg.threads(8);
         assert_eq!(cfg.threads, 8);
-        assert_eq!(cfg.chunk_size, 256);
         assert_eq!(cfg.validate(), Ok(()));
     }
 
@@ -524,15 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_chunk_default_and_setter() {
-        let cfg = EngineConfig::new(4, Policy::symple());
-        assert_eq!(cfg.exchange_chunk, 16 * 1024);
-        let cfg = cfg.exchange_chunk(64);
-        assert_eq!(cfg.exchange_chunk, 64);
-        assert_eq!(cfg.validate(), Ok(()));
-    }
-
-    #[test]
     fn dep_width_defaults_to_certified() {
         let cfg = EngineConfig::new(4, Policy::symple());
         assert_eq!(cfg.dep_width, DepWidth::Certified);
@@ -540,16 +491,6 @@ mod tests {
         assert_eq!(cfg.dep_width, DepWidth::Wide);
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(DepWidth::default(), DepWidth::Certified);
-    }
-
-    #[test]
-    fn zero_exchange_chunk_invalid() {
-        let err = EngineConfig::new(2, Policy::Gemini)
-            .exchange_chunk(0)
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroExchangeChunk);
-        assert!(err.to_string().contains("exchange_chunk"));
     }
 
     #[test]
@@ -574,17 +515,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_and_chunk_invalid() {
+    fn zero_threads_invalid() {
         let err = EngineConfig::new(2, Policy::Gemini)
             .threads(0)
             .validate()
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroThreads);
         assert!(err.to_string().contains("threads"));
-        let err = EngineConfig::new(2, Policy::Gemini)
-            .chunk_size(0)
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroChunkSize);
     }
 }

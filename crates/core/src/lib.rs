@@ -52,12 +52,13 @@ pub use config::{ConfigError, DepWidth, EngineConfig, Policy, UdfExec};
 pub use dep::{BitDep, CountDep, DepLayout, DepState, WeightDep};
 pub use dist_graph::{Bucket, BucketPart, LocalGraph};
 pub use driver::{run_spmd, DistResult};
+pub use par::EXEC_CHUNK;
 pub use partition::Partition;
 pub use prepared::PreparedGraph;
 pub use program::{PullProgram, PushProgram, SignalOutcome};
 pub use reference::{reference_pull, ReferencePull};
 pub use stats::{RunStats, TimeStats, WorkMetric, WorkStats};
-pub use worker::Worker;
+pub use worker::{Worker, EXCHANGE_FRAME};
 
 // Tracing, codec, and fault-injection vocabulary, re-exported so
 // algorithm and application crates can configure

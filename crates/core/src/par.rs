@@ -4,7 +4,7 @@
 //! Each hot loop of [`crate::Worker`] — the dense bucket walk (Gemini,
 //! Galois, dependency-free programs), SympleGraph's low-degree pass, its
 //! high-degree dependency pass, and the push frontier walk — is split
-//! into fixed-size chunks of destination entries. `EngineConfig::threads`
+//! into chunks of [`EXEC_CHUNK`] destination entries. `EngineConfig::threads`
 //! workers (the caller and scoped threads) claim chunks from a shared
 //! atomic cursor (work stealing by racing for the next index), and every
 //! chunk pushes its typed `(destination, update)` pairs into a private
@@ -39,29 +39,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use symple_graph::{Graph, Vid};
 
-/// Executor parameters, copied from `EngineConfig`: worker threads per
-/// simulated machine and destination entries per work-stealing chunk.
-#[derive(Debug, Clone, Copy)]
-pub struct ParCfg {
-    /// Worker threads (1 = sequential, the default).
-    pub threads: usize,
-    /// Entries per chunk (the stealing granule and cost-model unit).
-    pub chunk: usize,
-}
+/// Destination entries per executor chunk: the work-stealing granule and
+/// the unit the virtual-time critical path is computed over (a gather's
+/// apply pass too, in records). A constant, so the modelled charge of a
+/// pass depends only on the pass and the thread count.
+pub const EXEC_CHUNK: usize = 1024;
 
-/// Splits `range` into contiguous chunks of at most `chunk` items, in
-/// order. The chunk boundaries depend only on `range` and `chunk`, never
-/// on the thread count — they are the unit of deterministic accounting.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn chunk_ranges(range: Range<usize>, chunk: usize) -> Vec<Range<usize>> {
-    assert!(chunk > 0, "chunk size must be positive");
-    let mut out = Vec::with_capacity(range.len().div_ceil(chunk.max(1)));
+/// Splits `range` into contiguous chunks of at most [`EXEC_CHUNK`] items,
+/// in order. The chunk boundaries depend only on `range`, never on the
+/// thread count — they are the unit of deterministic accounting.
+pub(crate) fn chunk_ranges(range: Range<usize>) -> Vec<Range<usize>> {
+    let mut out = Vec::with_capacity(range.len().div_ceil(EXEC_CHUNK));
     let mut start = range.start;
     while start < range.end {
-        let end = (start + chunk).min(range.end);
+        let end = (start + EXEC_CHUNK).min(range.end);
         out.push(start..end);
         start = end;
     }
@@ -205,15 +196,15 @@ pub(crate) fn scratch_pass<P: PullProgram>(
     prog: &P,
     part: &BucketPart,
     dep: &P::Dep,
-    pc: ParCfg,
+    threads: usize,
     out: &mut PassOutput<P::Update>,
 ) {
     let carries = prog.carries_dependency();
-    let tasks: Vec<(Range<usize>, P::Dep)> = chunk_ranges(0..part.len(), pc.chunk)
+    let tasks: Vec<(Range<usize>, P::Dep)> = chunk_ranges(0..part.len())
         .into_iter()
         .map(|r| (r, dep.detach(1)))
         .collect();
-    let chunks = par_map(pc.threads, tasks, |_, (range, mut scratch)| {
+    let chunks = par_map(threads, tasks, |_, (range, mut scratch)| {
         let mut c = ChunkOut::for_entries(range.len());
         for idx in range {
             let (v, _slot, srcs) = part.entry(idx);
@@ -251,10 +242,10 @@ pub(crate) fn hi_pass<P: PullProgram>(
     part: &BucketPart,
     entries: Range<usize>,
     dep: &mut P::Dep,
-    pc: ParCfg,
+    threads: usize,
     out: &mut PassOutput<P::Update>,
 ) {
-    let tasks: Vec<(Range<usize>, Range<usize>, P::Dep)> = chunk_ranges(entries, pc.chunk)
+    let tasks: Vec<(Range<usize>, Range<usize>, P::Dep)> = chunk_ranges(entries)
         .into_iter()
         .map(|r| {
             let slots = part.entry(r.start).1..part.entry(r.end - 1).1 + 1;
@@ -266,7 +257,7 @@ pub(crate) fn hi_pass<P: PullProgram>(
         tasks.windows(2).all(|w| w[0].1.end <= w[1].1.start),
         "bucket entries must be slot-ascending for disjoint shards"
     );
-    let chunks = par_map(pc.threads, tasks, |_, (range, slots, mut shard)| {
+    let chunks = par_map(threads, tasks, |_, (range, slots, mut shard)| {
         let mut c = ChunkOut::for_entries(range.len());
         for idx in range {
             let (v, slot, srcs) = part.entry(idx);
@@ -323,24 +314,20 @@ pub(crate) fn push_pass<P: PushProgram>(
     graph: &Graph,
     part: &Partition,
     frontier: &[Vid],
-    pc: ParCfg,
+    threads: usize,
 ) -> PushOutput<P::Update> {
     let world = part.num_parts();
-    let chunks = par_map(
-        pc.threads,
-        chunk_ranges(0..frontier.len(), pc.chunk),
-        |_, range| {
-            let mut boxes: Vec<Vec<(Vid, P::Update)>> = (0..world).map(|_| Vec::new()).collect();
-            let mut edges = 0u64;
-            let examined = range.len() as u64;
-            for &u in &frontier[range] {
-                edges += prog.signal(u, graph.out_neighbors(u), &mut |dst, upd| {
-                    boxes[part.owner(dst)].push((dst, upd));
-                });
-            }
-            (boxes, edges, examined)
-        },
-    );
+    let chunks = par_map(threads, chunk_ranges(0..frontier.len()), |_, range| {
+        let mut boxes: Vec<Vec<(Vid, P::Update)>> = (0..world).map(|_| Vec::new()).collect();
+        let mut edges = 0u64;
+        let examined = range.len() as u64;
+        for &u in &frontier[range] {
+            edges += prog.signal(u, graph.out_neighbors(u), &mut |dst, upd| {
+                boxes[part.owner(dst)].push((dst, upd));
+            });
+        }
+        (boxes, edges, examined)
+    });
     let mut out = PushOutput {
         outboxes: (0..world).map(|_| Vec::new()).collect(),
         edges: 0,
@@ -366,16 +353,14 @@ mod tests {
 
     #[test]
     fn chunk_ranges_cover_in_order() {
-        assert_eq!(chunk_ranges(0..10, 4), vec![0..4, 4..8, 8..10]);
-        assert_eq!(chunk_ranges(3..7, 100), vec![3..7]);
-        assert!(chunk_ranges(5..5, 2).is_empty());
-        assert_eq!(chunk_ranges(0..4, 1).len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_chunk_rejected() {
-        let _ = chunk_ranges(0..3, 0);
+        let c = EXEC_CHUNK;
+        assert_eq!(
+            chunk_ranges(0..2 * c + 2),
+            vec![0..c, c..2 * c, 2 * c..2 * c + 2]
+        );
+        assert_eq!(chunk_ranges(3..7), vec![3..7]);
+        assert!(chunk_ranges(5..5).is_empty());
+        assert_eq!(chunk_ranges(1..c + 1), vec![1..c + 1]);
     }
 
     #[test]

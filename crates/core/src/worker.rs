@@ -38,7 +38,7 @@
 //! naming the sender and the message's tag.
 
 use crate::circulant::{dst_partition, processing_order};
-use crate::par::{self, ParCfg, PassOutput};
+use crate::par::{self, PassOutput};
 use crate::{
     DepState, EngineConfig, LocalGraph, Partition, Policy, PreparedGraph, PullProgram, PushProgram,
     WorkMetric, WorkStats,
@@ -61,19 +61,19 @@ struct Source {
     step: usize,
 }
 
-/// Splits `records` apply records into `chunk`-record cost lanes, so a
-/// sharded charge of a frame's share gets the same lane treatment as a
-/// whole source of equal size.
-fn chunked_costs(records: u64, chunk: usize) -> Vec<(u64, u64)> {
-    let chunk = chunk.max(1) as u64;
-    let mut costs = Vec::with_capacity((records / chunk + 1) as usize);
-    let mut left = records;
-    while left > 0 {
-        let take = left.min(chunk);
-        costs.push((0, take));
-        left -= take;
-    }
-    costs
+/// Bytes per frame of the exchange: update and dependency payloads cross
+/// the wire as frames of this size with staggered departures, and
+/// receivers absorb them while they would otherwise block. A payload
+/// smaller than this ships as a single frame. Outputs, `WorkStats` and
+/// `CommStats` do not depend on it; only the stall schedule does.
+pub const EXCHANGE_FRAME: usize = 16 * 1024;
+
+/// Splits `records` apply records into [`crate::EXEC_CHUNK`]-record cost lanes,
+/// so a sharded charge of a frame's share gets the same lane treatment as
+/// a whole source of equal size.
+fn chunked_costs(records: u64) -> Vec<(u64, u64)> {
+    let chunks = par::chunk_ranges(0..records as usize).into_iter();
+    chunks.map(|r| (0, r.len() as u64)).collect()
 }
 
 /// Hands each `(vid, value)` record of a peer's stream to `sink`: whole
@@ -253,11 +253,11 @@ impl<'a> Worker<'a> {
         self.ship(dst, tag, CommKind::Dependency, payload);
     }
 
-    /// Ships an encoded payload to `dst` in `exchange_chunk`-byte frames.
-    /// Frames copy out of the buffer, so it is recycled locally.
+    /// Ships an encoded payload to `dst` in [`EXCHANGE_FRAME`]-byte
+    /// frames. Frames copy out of the buffer, so it is recycled locally.
     fn ship(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Vec<u8>) {
         self.ctx
-            .send_framed(dst, tag, kind, &payload, self.cfg.exchange_chunk);
+            .send_framed(dst, tag, kind, &payload, EXCHANGE_FRAME);
         self.recycle_buf(payload);
     }
 
@@ -270,7 +270,7 @@ impl<'a> Worker<'a> {
     fn recv_dep<D: DepState>(&mut self, src: usize, tag: Tag, dep: &mut D, range: Range<usize>) {
         let mut buf = self.take_buf();
         self.ctx
-            .recv_framed_into(src, tag, self.cfg.exchange_chunk, &mut buf);
+            .recv_framed_into(src, tag, EXCHANGE_FRAME, &mut buf);
         let res = dep.decode_message(range, self.cfg.wire_codec, &buf);
         self.ctx.decoded(src, tag, res);
         self.recycle_buf(buf);
@@ -328,17 +328,9 @@ impl<'a> Worker<'a> {
             let recs = upto - cum_records;
             cum_records = upto;
             if recs > 0 {
-                let costs = chunked_costs(recs, self.cfg.chunk_size);
+                let costs = chunked_costs(recs);
                 self.ctx.apply_sharded(&costs, self.cfg.threads);
             }
-        }
-    }
-
-    /// Executor parameters for the chunked intra-machine passes.
-    fn par_cfg(&self) -> ParCfg {
-        ParCfg {
-            threads: self.cfg.threads,
-            chunk: self.cfg.chunk_size,
         }
     }
 
@@ -355,7 +347,7 @@ impl<'a> Worker<'a> {
     /// sequentially (it is a `FnMut` over caller state). Under the Galois
     /// policy the applied pairs are then broadcast back.
     ///
-    /// Charges: the local share as `chunk_size`-record lanes at its turn,
+    /// Charges: the local share as [`crate::EXEC_CHUNK`]-record lanes at its turn,
     /// a remote stream frame by frame ([`Worker::charge_stream`]), so every
     /// modelled cost follows the canonical order, not arrival order.
     fn gather<U: Wire + Copy>(
@@ -392,7 +384,7 @@ impl<'a> Worker<'a> {
                     }
                     sink(v, upd);
                 }
-                let costs = chunked_costs(records, self.cfg.chunk_size);
+                let costs = chunked_costs(records);
                 self.ctx.apply_sharded(&costs, self.cfg.threads);
                 applied += records;
                 continue;
@@ -401,7 +393,7 @@ impl<'a> Worker<'a> {
             let tag = self.update_tag(iter, src.step);
             let frames = self
                 .ctx
-                .recv_frames(src.rank, tag, self.cfg.exchange_chunk, &mut wire);
+                .recv_frames(src.rank, tag, EXCHANGE_FRAME, &mut wire);
             let mut decoded = Vec::new();
             let flat: &[u8] = if adaptive {
                 decoded = self.take_buf();
@@ -649,11 +641,11 @@ impl<'a> Worker<'a> {
         j: usize,
         step: &mut PassOutput<P::Update>,
     ) {
-        let pc = self.par_cfg();
+        let threads = self.cfg.threads;
         let bucket = self.local.bucket(j);
-        par::scratch_pass(prog, &bucket.hi, dep, pc, step);
-        par::scratch_pass(prog, &bucket.lo, dep, pc, step);
-        self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
+        par::scratch_pass(prog, &bucket.hi, dep, threads, step);
+        par::scratch_pass(prog, &bucket.lo, dep, threads, step);
+        self.ctx.compute_sharded(&step.chunk_costs, threads);
     }
 
     /// Scatter of circulant step `s` with dependency propagation: per
@@ -679,14 +671,14 @@ impl<'a> Worker<'a> {
         let j = dst_partition(rank, s, p);
         let n_slots = self.prepared.dep_layout().slots(j);
         let groups = self.cfg.effective_groups();
-        let pc = self.par_cfg();
+        let threads = self.cfg.threads;
         let local = Arc::clone(&self.local);
         let bucket = local.bucket(j);
         let dep_tag =
             |s: usize, g: usize| Tag::new(TagKind::Dep, iter * p as u64 + s as u64, g as u32);
         if groups > 1 {
-            par::scratch_pass(prog, &bucket.lo, dep, pc, step);
-            self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
+            par::scratch_pass(prog, &bucket.lo, dep, threads, step);
+            self.ctx.compute_sharded(&step.chunk_costs, threads);
         }
         for g in 0..groups {
             self.ctx.set_trace_scope(iter as u32, s as u32, g as u32);
@@ -701,12 +693,12 @@ impl<'a> Worker<'a> {
             let charged = step.chunk_costs.len();
             let e0 = bucket.hi.first_entry_with_slot(slots.start);
             let e1 = bucket.hi.first_entry_with_slot(slots.end);
-            par::hi_pass(prog, &bucket.hi, e0..e1, dep, pc, step);
+            par::hi_pass(prog, &bucket.hi, e0..e1, dep, threads, step);
             if groups == 1 {
-                par::scratch_pass(prog, &bucket.lo, dep, pc, step);
+                par::scratch_pass(prog, &bucket.lo, dep, threads, step);
             }
             self.ctx
-                .compute_sharded(&step.chunk_costs[charged..], pc.threads);
+                .compute_sharded(&step.chunk_costs[charged..], threads);
             if !last && !slots.is_empty() {
                 self.send_dep(left, dep_tag(s, g), dep, slots);
             }
@@ -762,13 +754,13 @@ impl<'a> Worker<'a> {
             frontier.iter().all(|&u| self.is_master(u)),
             "push frontier must be local masters"
         );
-        let pc = self.par_cfg();
-        let pass = par::push_pass(prog, self.graph, self.partition(), frontier, pc);
+        let threads = self.cfg.threads;
+        let pass = par::push_pass(prog, self.graph, self.partition(), frontier, threads);
         self.stats.add(WorkMetric::EdgesTraversed, pass.edges);
         self.stats
             .add(WorkMetric::VerticesExamined, frontier.len() as u64);
         self.stats.add(WorkMetric::UpdatesEmitted, pass.emitted);
-        self.ctx.compute_sharded(&pass.chunk_costs, pc.threads);
+        self.ctx.compute_sharded(&pass.chunk_costs, threads);
 
         // Push has one step: its sources are consumed in rank order, all
         // under that step's tag.

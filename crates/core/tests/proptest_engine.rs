@@ -168,9 +168,7 @@ proptest! {
         let elsewhere = cfg
             .clone()
             .threads(3)
-            .chunk_size(7)
             .wire_codec(WireCodec::Adaptive)
-            .exchange_chunk(64)
             .trace_level(TraceLevel::Full)
             .backend(Backend::Thread)
             .fault_plan(FaultPlan::chaos(5));

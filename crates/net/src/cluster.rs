@@ -25,7 +25,7 @@
 //! trace structure stay bit-identical to the fault-free run; only
 //! [`crate::ReliableStats`] and the virtual clock absorb the damage.
 
-use crate::transport::{connect, Backend, Envelope, Port, DEFAULT_CHANNEL_CAPACITY};
+use crate::transport::{connect, Backend, Envelope, Port};
 use crate::{
     encode_slice, Cause, CommKind, CostModel, FaultPlan, NetError, RunError, Wire, RETRY_ATTEMPTS,
 };
@@ -117,7 +117,6 @@ pub struct NodeCtx {
     /// out.
     pending: HashMap<(usize, Tag), VecDeque<Envelope>>,
     coll_epoch: u64,
-    recv_timeout: Duration,
     /// Spans, cells and the communication ledger: every event below is
     /// counted here, once.
     trace: TraceRecorder,
@@ -243,19 +242,10 @@ impl NodeCtx {
         std::panic::resume_unwind(Box::new(err))
     }
 
-    /// A stall on `peer`, listing what this node has buffered meanwhile.
-    fn timeout(&self, peer: usize) -> Cause {
-        let pending = self.pending.iter().map(|(&(s, t), q)| (s, t, q.len()));
-        Cause::Timeout {
-            peer,
-            pending: pending.collect(),
-        }
-    }
-
     /// Puts one envelope on the wire, failing the run on a blocked send.
     fn put(&mut self, dst: usize, env: Envelope) {
         if let Err(env) = self.port.send(dst, env) {
-            self.fail(env.tag, self.timeout(dst));
+            self.fail(env.tag, Cause::Blocked { dst });
         }
     }
 
@@ -266,7 +256,7 @@ impl NodeCtx {
     /// Panics on self-send (a protocol error: local work needs no message)
     /// or if `dst` is out of range. Fails the run ([`NodeCtx::fail`]) if
     /// all [`RETRY_ATTEMPTS`] copies are dropped ([`Cause::Unreachable`])
-    /// or a bounded send blocks past the receive timeout ([`Cause::Timeout`]).
+    /// or a bounded send blocks past the receive timeout ([`Cause::Blocked`]).
     pub fn send(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Vec<u8>) {
         self.send_shared(dst, tag, kind, Arc::new(payload));
     }
@@ -739,7 +729,7 @@ impl NodeCtx {
         if let Some(got) = self.try_take_frame(src, tag) {
             return got;
         }
-        let deadline = Instant::now() + self.recv_timeout;
+        let deadline = Instant::now() + self.port.timeout();
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.port.recv(remaining).map(|env| self.unpoisoned(env)) {
@@ -752,7 +742,12 @@ impl NodeCtx {
                     return self.open(env);
                 }
                 Some(env) => self.stash(env),
-                None => self.fail(tag, self.timeout(src)),
+                None => {
+                    // A stall on `src`, listing what this node has buffered.
+                    let pending = self.pending.iter().map(|(&(s, t), q)| (s, t, q.len()));
+                    let pending = pending.collect();
+                    self.fail(tag, Cause::Timeout { peer: src, pending })
+                }
             }
         }
     }
@@ -813,7 +808,6 @@ pub struct ClusterBuilder {
     nodes: usize,
     cost: CostModel,
     backend: Backend,
-    channel_capacity: usize,
     recv_timeout: Duration,
     trace_level: TraceLevel,
     fault_plan: Option<FaultPlan>,
@@ -828,7 +822,6 @@ impl ClusterBuilder {
             nodes,
             cost: CostModel::cluster_a(),
             backend: Backend::Sim,
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
             recv_timeout: Duration::from_secs(120),
             trace_level: TraceLevel::default(),
             fault_plan: None,
@@ -841,20 +834,16 @@ impl ClusterBuilder {
         self
     }
 
-    /// Selects the inbox discipline (default [`Backend::Sim`]).
+    /// Selects the inbox discipline (default [`Backend::Sim`]). Under
+    /// [`Backend::Thread`] every inbox holds [`crate::CHANNEL_CAPACITY`]
+    /// envelopes.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// Sets the bounded-inbox capacity, in envelopes, used by
-    /// [`Backend::Thread`] (ignored by the simulator; default 256).
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity;
-        self
-    }
-
-    /// Overrides the deadlock-detection receive timeout.
+    /// Overrides the deadlock-detection receive timeout, which also bounds
+    /// a send blocked on a full inbox.
     pub fn recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;
         self
@@ -880,15 +869,11 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// [`NetError::EmptyCluster`] for zero nodes,
-    /// [`NetError::ZeroChannelCapacity`] for a zero thread-backend inbox,
     /// [`NetError::InvalidFaultPlan`] for a fault plan whose rates are not
     /// probabilities.
     pub fn build(self) -> Result<Cluster, NetError> {
         if self.nodes == 0 {
             return Err(NetError::EmptyCluster);
-        }
-        if self.channel_capacity == 0 {
-            return Err(NetError::ZeroChannelCapacity);
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate().map_err(NetError::InvalidFaultPlan)?;
@@ -940,7 +925,7 @@ impl Cluster {
     {
         let cfg = &self.0;
         let p = cfg.nodes;
-        let ports = connect(p, cfg.backend, cfg.channel_capacity, cfg.recv_timeout);
+        let ports = connect(p, cfg.backend, cfg.recv_timeout);
         let start = Instant::now();
         type Done<T> = Result<(T, f64, NodeTrace, Duration), Box<dyn Any + Send>>;
         let done: Vec<Done<T>> = std::thread::scope(|scope| {
@@ -962,7 +947,6 @@ impl Cluster {
                             port,
                             pending: HashMap::new(),
                             coll_epoch: 0,
-                            recv_timeout: cfg.recv_timeout,
                             trace: TraceRecorder::new(rank, cfg.trace_level),
                             in_barrier: false,
                             reliable,
@@ -1041,6 +1025,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CHANNEL_CAPACITY;
 
     fn user_tag(a: u64) -> Tag {
         Tag::new(TagKind::User, a, 0)
@@ -1595,8 +1580,6 @@ mod tests {
         assert!(err.to_string().contains("invalid fault plan"));
         let err = Cluster::builder(0).build().unwrap_err();
         assert_eq!(err, NetError::EmptyCluster);
-        let err = Cluster::builder(2).channel_capacity(0).build().unwrap_err();
-        assert_eq!(err, NetError::ZeroChannelCapacity);
     }
 
     #[test]
@@ -1803,13 +1786,13 @@ mod tests {
         unreachable!()
     }
 
-    /// Runs `lens` on the simulator, on a capacity-1 thread inbox, and
+    /// Runs `lens` on the simulator, on the bounded thread inbox, and
     /// under chaos plans on both; checks the fault-free receipts against
     /// the stagger and the injured ones against the fault-free ones.
     /// Returns the fault-free receipts.
     fn check_framed_streams(lens: &[&[usize]]) -> Received {
         let base = || cluster(lens.len() + 1, FRAMED_COST).recv_timeout(Duration::from_secs(10));
-        let tiny = || base().backend(Backend::Thread).channel_capacity(1);
+        let bounded = || base().backend(Backend::Thread);
         let (sim, clocks, _) = framed_streams(base(), lens);
         assert_eq!(clocks[0], 0.0, "recv_frames charges nothing");
         let mut expected = Vec::new();
@@ -1829,15 +1812,11 @@ mod tests {
             expected.extend(sent.into_iter().rev());
         }
         assert_eq!(sim, expected);
-        assert_eq!(
-            framed_streams(tiny(), lens).0,
-            sim,
-            "capacity-1 thread inbox"
-        );
+        assert_eq!(framed_streams(bounded(), lens).0, sim, "thread inbox");
         for seed in [3, 17] {
             let plan = FaultPlan::chaos(seed);
             let (faulted, _, rel) = framed_streams(base().fault_plan(plan), lens);
-            let (threaded, _, rel_threaded) = framed_streams(tiny().fault_plan(plan), lens);
+            let (threaded, _, rel_threaded) = framed_streams(bounded().fault_plan(plan), lens);
             assert_eq!(faulted, threaded, "chaos({seed}) replays on both inboxes");
             assert_eq!(rel, rel_threaded);
             let frames: usize = faulted.iter().map(|(_, f)| f.len()).sum();
@@ -1893,6 +1872,16 @@ mod tests {
     }
 
     #[test]
+    fn streams_longer_than_an_inbox_cross_the_thread_backend() {
+        // Each sender ships more frames than a bounded inbox holds, so the
+        // thread inbox fills whenever rank 0 falls behind its senders.
+        let long = FRAMED_CHUNK * (CHANNEL_CAPACITY + 8) + 3;
+        let got = check_framed_streams(&[&[long], &[FRAMED_CHUNK * CHANNEL_CAPACITY]]);
+        let counts: Vec<usize> = frame_lens(&got).iter().map(Vec::len).collect();
+        assert_eq!(counts, [CHANNEL_CAPACITY + 1, CHANNEL_CAPACITY + 9]);
+    }
+
+    #[test]
     #[should_panic(expected = "frame: 2")]
     fn a_stalled_stream_names_its_missing_frame() {
         cluster(2, CostModel::zero())
@@ -1913,31 +1902,68 @@ mod tests {
     }
 
     #[test]
-    fn thread_backend_survives_tiny_channel_capacity() {
-        // Capacity 1 forces constant backpressure: every rank sends a
-        // burst before receiving, which would deadlock without the
-        // drain-while-blocked progress rule in `Port::send`.
+    fn thread_backend_survives_full_inboxes() {
+        // Every rank sends each peer more envelopes than an inbox holds
+        // before it receives any, so every inbox fills: without the
+        // drain-while-blocked progress rule in `Port::send` this deadlocks.
+        let burst = CHANNEL_CAPACITY as u64 + 44;
         let r = cluster(3, CostModel::zero())
             .backend(Backend::Thread)
-            .channel_capacity(1)
             .build()
             .unwrap()
             .run(|ctx| {
-                let mut seen = Vec::new();
-                for round in 0..16u64 {
-                    for peer in 0..ctx.world() {
-                        if peer != ctx.rank() {
-                            ctx.send(peer, user_tag(round), CommKind::Update, vec![0u8; 128]);
-                        }
-                    }
-                    for peer in 0..ctx.world() {
-                        if peer != ctx.rank() {
-                            seen.push(ctx.recv(peer, user_tag(round)).len());
-                        }
+                let rank = ctx.rank();
+                let peers: Vec<usize> = (0..ctx.world()).filter(|&p| p != rank).collect();
+                for round in 0..burst {
+                    for &peer in &peers {
+                        ctx.send(peer, user_tag(round), CommKind::Update, vec![0u8; 128]);
                     }
                 }
-                seen.iter().sum::<usize>()
+                let mut seen = 0;
+                for round in 0..burst {
+                    for &peer in &peers {
+                        seen += ctx.recv(peer, user_tag(round)).len();
+                    }
+                }
+                seen
             });
-        assert!(r.outputs.iter().all(|&n| n == 2 * 16 * 128));
+        assert!(r.outputs.iter().all(|&n| n == 2 * burst as usize * 128));
+    }
+
+    #[test]
+    fn a_send_blocked_on_a_full_inbox_says_so() {
+        // Rank 1 receives nothing until rank 0 is done: rank 0's send past
+        // the full inbox fails once the receive timeout has passed,
+        // naming the full inbox.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let done = AtomicBool::new(false);
+        let r = cluster(2, CostModel::zero())
+            .backend(Backend::Thread)
+            .recv_timeout(Duration::from_millis(100))
+            .build()
+            .unwrap()
+            .run(|ctx| {
+                if ctx.rank() == 1 {
+                    while !done.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    return None;
+                }
+                let fill = || {
+                    for i in 0..=CHANNEL_CAPACITY as u64 {
+                        ctx.send(1, user_tag(i), CommKind::Update, vec![1]);
+                    }
+                };
+                let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fill));
+                done.store(true, Ordering::Release);
+                let err = failed.unwrap_err().downcast::<RunError>();
+                err.ok().map(|e| e.to_string())
+            });
+        let msg = r.outputs[0].clone().unwrap();
+        assert!(msg.starts_with("node 0 failed at iteration 0"), "{msg}");
+        assert!(
+            msg.ends_with(": send to node 1 blocked on a full inbox"),
+            "{msg}"
+        );
     }
 }

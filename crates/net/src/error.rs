@@ -12,10 +12,6 @@ pub enum NetError {
     /// `ClusterBuilder` rejected an invalid fault plan; carries the
     /// offending knob's message.
     InvalidFaultPlan(&'static str),
-    /// `ClusterBuilder` was given a zero channel capacity for the thread
-    /// backend (a rendezvous channel would deadlock the blocking
-    /// tag-matched protocol).
-    ZeroChannelCapacity,
 }
 
 impl fmt::Display for NetError {
@@ -23,9 +19,6 @@ impl fmt::Display for NetError {
         match self {
             NetError::EmptyCluster => write!(f, "cluster must have at least one node"),
             NetError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
-            NetError::ZeroChannelCapacity => {
-                write!(f, "channel capacity must be at least 1 (got 0)")
-            }
         }
     }
 }
@@ -51,13 +44,19 @@ pub struct RunError {
 /// The failure classes of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cause {
-    /// A receive from `peer`, or a bounded send to it, outlasted the
-    /// receive timeout (a protocol deadlock).
+    /// A receive from `peer` outlasted the receive timeout (a protocol
+    /// deadlock).
     Timeout {
         /// The peer waited on.
         peer: usize,
         /// What the node had buffered: (source, tag, envelopes queued).
         pending: Vec<(usize, Tag, usize)>,
+    },
+    /// A send to `dst` found its bounded inbox full for longer than the
+    /// receive timeout: the peer stopped receiving.
+    Blocked {
+        /// Destination rank.
+        dst: usize,
     },
     /// The fault plan dropped all [`RETRY_ATTEMPTS`] copies of a message.
     Unreachable {
@@ -88,6 +87,7 @@ impl fmt::Display for RunError {
         )?;
         match &self.cause {
             Cause::Timeout { peer, pending } => write!(f, "timed out on node {peer} ({pending:?})"),
+            Cause::Blocked { dst } => write!(f, "send to node {dst} blocked on a full inbox"),
             Cause::Unreachable { dst } => write!(
                 f,
                 "node {dst} unreachable: all {RETRY_ATTEMPTS} attempts dropped"
@@ -170,6 +170,15 @@ mod tests {
         );
         assert!(
             msg.ends_with("node 2 unreachable: all 20 attempts dropped"),
+            "{msg}"
+        );
+        let blocked = RunError {
+            cause: Cause::Blocked { dst: 1 },
+            ..u
+        };
+        let msg = blocked.to_string();
+        assert!(
+            msg.ends_with("send to node 1 blocked on a full inbox"),
             "{msg}"
         );
     }

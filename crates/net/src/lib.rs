@@ -65,7 +65,7 @@ pub use codec::{
 pub use cost::CostModel;
 pub use error::{Cause, CodecError, NetError, RunError};
 pub use reliable::{Delivery, FaultPlan, RETRY_ATTEMPTS, RETRY_BACKOFF, RETRY_TIMEOUT_QUANTA};
-pub use transport::Backend;
+pub use transport::{Backend, CHANNEL_CAPACITY};
 pub use wire::{decode_vec, encode_slice, Reader, Wire};
 
 // The tracing vocabulary is part of this crate's API surface

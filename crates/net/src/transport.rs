@@ -28,8 +28,9 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySe
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default bounded-inbox capacity (envelopes) of [`Backend::Thread`].
-pub(crate) const DEFAULT_CHANNEL_CAPACITY: usize = 256;
+/// Bounded-inbox capacity, in envelopes, of every rank under
+/// [`Backend::Thread`] (the simulator's inboxes are unbounded).
+pub const CHANNEL_CAPACITY: usize = 256;
 
 /// How long a blocked bounded send waits between drain attempts.
 const SEND_POLL: Duration = Duration::from_micros(200);
@@ -111,26 +112,24 @@ pub(crate) struct Port {
     /// unbounded inbox, whose sends never block).
     stash: VecDeque<Envelope>,
     blocked: Duration,
+    /// The cluster's receive timeout: it bounds a blocking receive
+    /// ([`Port::timeout`]) and a blocked send alike.
     deadline: Duration,
 }
 
 /// Wires `world` ranks together and returns one [`Port`] per rank,
-/// indexed by rank. `capacity` (> 0) bounds each inbox of
-/// [`Backend::Thread`] and is ignored by [`Backend::Sim`]; `deadline` is
-/// the cluster's receive timeout, which also bounds a blocked send.
-pub(crate) fn connect(
-    world: usize,
-    backend: Backend,
-    capacity: usize,
-    deadline: Duration,
-) -> Vec<Port> {
+/// indexed by rank. [`CHANNEL_CAPACITY`] bounds each inbox of
+/// [`Backend::Thread`]; `deadline` is the cluster's receive timeout,
+/// which also bounds a blocked send.
+pub(crate) fn connect(world: usize, backend: Backend, deadline: Duration) -> Vec<Port> {
     let (outbox, inboxes) = match backend {
         Backend::Sim => {
             let (txs, rxs): (Vec<_>, Vec<_>) = (0..world).map(|_| channel()).unzip();
             (Outbox::Unbounded(txs), rxs)
         }
         Backend::Thread => {
-            let (txs, rxs): (Vec<_>, Vec<_>) = (0..world).map(|_| sync_channel(capacity)).unzip();
+            let (txs, rxs): (Vec<_>, Vec<_>) =
+                (0..world).map(|_| sync_channel(CHANNEL_CAPACITY)).unzip();
             (Outbox::Bounded(txs), rxs)
         }
     };
@@ -222,6 +221,12 @@ impl Port {
         self.inbox.try_recv().ok()
     }
 
+    /// The cluster's receive timeout: how long a receive may wait for an
+    /// envelope before the run fails.
+    pub fn timeout(&self) -> Duration {
+        self.deadline
+    }
+
     /// Total wall-clock time this port has spent blocked in
     /// [`Port::send`] / [`Port::recv`].
     pub fn comm_wall(&self) -> Duration {
@@ -245,8 +250,8 @@ mod tests {
         }
     }
 
-    fn pair(backend: Backend, capacity: usize, deadline: Duration) -> (Port, Port) {
-        let mut ports = connect(2, backend, capacity, deadline);
+    fn pair(backend: Backend, deadline: Duration) -> (Port, Port) {
+        let mut ports = connect(2, backend, deadline);
         let b = ports.pop().unwrap();
         (ports.pop().unwrap(), b)
     }
@@ -260,7 +265,7 @@ mod tests {
 
     #[test]
     fn sim_ports_deliver() {
-        let (mut a, mut b) = pair(Backend::Sim, 1, Duration::from_secs(1));
+        let (mut a, mut b) = pair(Backend::Sim, Duration::from_secs(1));
         a.send(1, env(0, 3, 42)).unwrap();
         let got = b.recv(Duration::from_secs(1)).unwrap();
         assert_eq!(got.src, 0);
@@ -270,9 +275,9 @@ mod tests {
 
     #[test]
     fn sim_send_never_blocks() {
-        // Far more envelopes than any bounded capacity, none received yet:
+        // Far more envelopes than the bounded capacity, none received yet:
         // every send returns at once and nothing counts as blocked.
-        let (mut a, mut b) = pair(Backend::Sim, 1, Duration::from_millis(50));
+        let (mut a, mut b) = pair(Backend::Sim, Duration::from_millis(50));
         for i in 0..1000u32 {
             a.send(1, env(0, u64::from(i), i as u8)).unwrap();
         }
@@ -284,7 +289,7 @@ mod tests {
 
     #[test]
     fn thread_ports_deliver_and_preserve_fifo() {
-        let (mut a, mut b) = pair(Backend::Thread, 4, Duration::from_secs(1));
+        let (mut a, mut b) = pair(Backend::Thread, Duration::from_secs(1));
         for i in 0..3u8 {
             a.send(1, env(0, 0, i)).unwrap();
         }
@@ -295,40 +300,40 @@ mod tests {
 
     #[test]
     fn thread_send_drains_own_inbox_under_backpressure() {
-        // Capacity-1 inboxes, both sides send two messages before either
+        // Both sides send more than an inbox holds before either
         // receives: without the drain-while-blocked rule this deadlocks.
-        let (mut a, mut b) = pair(Backend::Thread, 1, Duration::from_secs(5));
-        let t = std::thread::spawn(move || {
-            b.send(0, env(1, 0, 10)).unwrap();
-            b.send(0, env(1, 1, 11)).unwrap();
-            let x = b.recv(Duration::from_secs(5)).unwrap();
-            let y = b.recv(Duration::from_secs(5)).unwrap();
-            (x.payload[0], y.payload[0])
-        });
-        a.send(1, env(0, 0, 20)).unwrap();
-        a.send(1, env(0, 1, 21)).unwrap();
-        let x = a.recv(Duration::from_secs(5)).unwrap();
-        let y = a.recv(Duration::from_secs(5)).unwrap();
-        assert_eq!((x.payload[0], y.payload[0]), (10, 11));
-        assert_eq!(t.join().unwrap(), (20, 21));
+        let n = CHANNEL_CAPACITY as u64 + 8;
+        let burst = move |port: &mut Port, src: usize, dst: usize| {
+            for i in 0..n {
+                port.send(dst, env(src, i, i as u8)).unwrap();
+            }
+            (0..n)
+                .map(|_| port.recv(Duration::from_secs(5)).unwrap().tag.a)
+                .collect::<Vec<u64>>()
+        };
+        let (mut a, mut b) = pair(Backend::Thread, Duration::from_secs(5));
+        let t = std::thread::spawn(move || burst(&mut b, 1, 0));
+        let in_order: Vec<u64> = (0..n).collect();
+        assert_eq!(burst(&mut a, 0, 1), in_order);
+        assert_eq!(t.join().unwrap(), in_order);
     }
 
     #[test]
     fn thread_blocked_send_times_out_with_diagnostic() {
-        let (mut a, _b) = pair(Backend::Thread, 1, Duration::from_millis(50));
-        a.send(1, env(0, 0, 1)).unwrap();
-        // Peer never drains: the second send must fail fast, not hang,
-        // and hand its envelope back for the caller to name.
-        let back = a.send(1, env(0, 1, 2)).unwrap_err();
-        assert_eq!((back.tag.a, back.payload.as_slice()), (1, &[2][..]));
+        let (mut a, _b) = pair(Backend::Thread, Duration::from_millis(50));
+        for i in 0..CHANNEL_CAPACITY as u64 {
+            a.send(1, env(0, i, 1)).unwrap();
+        }
+        // Peer never drains: the send past a full inbox must fail fast,
+        // not hang, and hand its envelope back for the caller to name.
+        let back = a.send(1, env(0, 999, 2)).unwrap_err();
+        assert_eq!((back.tag.a, back.payload.as_slice()), (999, &[2][..]));
     }
 
     #[test]
     fn comm_wall_accumulates_blocked_time() {
         for backend in [Backend::Sim, Backend::Thread] {
-            let mut p = connect(1, backend, 1, Duration::from_secs(1))
-                .pop()
-                .unwrap();
+            let mut p = connect(1, backend, Duration::from_secs(1)).pop().unwrap();
             assert!(p.recv(Duration::from_millis(20)).is_none());
             assert!(p.comm_wall() >= Duration::from_millis(20), "{backend}");
         }

@@ -3,8 +3,10 @@
 //! reachable breaks and the whole certificate) and the diagnostics
 //! [`lint`] renders. The corpus is the eight paper UDFs (k-core at two
 //! values of k), the sources of `golden_diagnostics.rs` plus two with
-//! code no path reaches, and 256 UDFs of the random generator at fixed
-//! seeds. A change to any analysis shows up
+//! code no path reaches, 256 UDFs of the random generator at fixed
+//! seeds, and UDFs whose certified range depends on the interval
+//! solver's widening delay and narrowing sweeps. A change to any
+//! analysis shows up
 //! as a diff of `tests/listings/analysis_facts.txt`: run the test with
 //! `BLESS_LISTINGS=1` to rewrite the file, then read `git diff`.
 
@@ -232,6 +234,67 @@ fn generated_cases() -> Vec<UdfFn> {
         .collect()
 }
 
+/// Counting loops whose exact bound no literal threshold gives, so the
+/// certified range of the carried counter depends on when the interval
+/// solver widens and how it narrows (`WIDEN_DELAY` and the sweeps in
+/// `dataflow.rs`).
+fn widening_cases() -> Vec<(&'static str, &'static str)> {
+    vec![
+        (
+            // 17 increments of 3 reach 52, past the widening delay; the
+            // widened bound comes back to [0, 52] only after two sweeps.
+            "two_sweeps_narrow",
+            "\
+def climb(Vertex v, Array[Vertex] nbrs) -> int {
+  int c = 0;
+  for u in nbrs {
+    if (c >= 50) {
+      break;
+    }
+    c = c + 3;
+  }
+  emit(v, c);
+}",
+        ),
+        (
+            // Six increments of 3 reach 17 within the widening delay. A
+            // widening before them overshoots to the type's extreme, which
+            // the guarded increment's exit edge keeps: no sweep recovers it.
+            "bound_inside_the_delay",
+            "\
+def guard(Vertex v, Array[Vertex] nbrs) -> int {
+  int c = 0;
+  for u in nbrs {
+    if (flag[u]) {
+      break;
+    }
+    if (c < 15) {
+      c = c + 3;
+    }
+  }
+  emit(v, c);
+}",
+        ),
+        (
+            // The same loop to 50: widened past 52, and not narrowed back.
+            "bound_past_the_delay",
+            "\
+def guard(Vertex v, Array[Vertex] nbrs) -> int {
+  int c = 0;
+  for u in nbrs {
+    if (flag[u]) {
+      break;
+    }
+    if (c < 50) {
+      c = c + 3;
+    }
+  }
+  emit(v, c);
+}",
+        ),
+    ]
+}
+
 /// `analyze`'s result on one line per field group: kind, carried set,
 /// breaks (syntactic / reachable), the certificate's two flags and one
 /// line per certified carried local.
@@ -305,6 +368,13 @@ fn listing() -> String {
         writeln!(out, "== gen {i} ({})", udf.update_ty).unwrap();
         facts(&mut out, udf);
         diagnostics(&mut out, udf, &schema);
+    }
+    let flag = self::schema(&[("flag", Ty::Bool)]);
+    for (name, src) in widening_cases() {
+        writeln!(out, "== widen {name}").unwrap();
+        let udf = parse_udf(src).expect("a widening case parses");
+        facts(&mut out, &udf);
+        diagnostics(&mut out, &udf, &flag);
     }
     out
 }

@@ -24,7 +24,7 @@ use symple_algos::Direction;
 use symple_bench::job::{paper_props, Job, Output, UdfJob};
 use symple_core::{
     Backend, DepWidth, EngineConfig, FaultPlan, Policy, RunStats, SpanCategory, TraceLevel,
-    UdfExec, WireCodec,
+    UdfExec, WireCodec, EXCHANGE_FRAME,
 };
 use symple_graph::{Graph, GraphBuilder, Rng64, Vid};
 use symple_net::{CommKind, CommStats, CostModel, COMM_KINDS};
@@ -39,9 +39,6 @@ mod gen;
 /// Pulls per pull job: the second runs on what the first left behind.
 const PULLS: usize = 2;
 const THREADS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-const CHUNKS: [usize; 4] = [1, 5, 16, 1024];
-/// Frame sizes: tiny, small, the default, one frame per message.
-const FRAMES: [usize; 4] = [8, 64, 16 * 1024, 1 << 30];
 const LEVELS: [TraceLevel; 3] = [TraceLevel::Off, TraceLevel::Metrics, TraceLevel::Full];
 
 /// A seeded stream of choices.
@@ -79,11 +76,18 @@ impl Draw {
     }
 }
 
-/// The one graph generator: up to `max_n` vertices and `4n` random edges,
+/// The one graph generator: up to 320 vertices and `4n` random edges,
 /// now and then a hub half the vertices point at. A graph spans several
-/// partitions only past 64 vertices (boundaries are word-aligned).
-fn arb_graph(d: &mut Draw, max_n: usize, symmetric: bool) -> Graph {
-    let n = 2 + d.below(max_n - 1);
+/// partitions only past 64 vertices (boundaries are word-aligned). One
+/// graph in eight, and every graph of a large focus, has 8,000–16,000
+/// vertices instead: on two or three machines, enough for an executor
+/// pass of several chunks (`EXEC_CHUNK`) and an update message of several
+/// frames (`EXCHANGE_FRAME`).
+fn arb_graph(d: &mut Draw, large: bool, symmetric: bool) -> Graph {
+    let n = match large || d.one_in(8) {
+        true => 8000 + d.below(8001),
+        false => 2 + d.below(319),
+    };
     let mut b = GraphBuilder::new(n);
     for _ in 0..d.below(4 * n + 1) {
         b.add_edge(Vid::new(d.below(n) as u32), Vid::new(d.below(n) as u32));
@@ -120,13 +124,11 @@ fn arb_config(d: &mut Draw) -> EngineConfig {
         buffer_groups,
         cost,
         threads,
-        chunk_size,
         trace_level,
         wire_codec,
         fault_plan,
         backend,
         udf_exec,
-        exchange_chunk,
         dep_width,
     } = &mut cfg;
     // What `reference_pull` reads: the semantics of a run. The policy is
@@ -147,13 +149,11 @@ fn arb_config(d: &mut Draw) -> EngineConfig {
     *buffer_groups = 1 + d.below(4); // Axis::BufferGroups
     *cost = CostModel::cluster_a().scale_fixed_costs(d.pick(&[1e-3, 1.0])); // Axis::Cost
     *threads = d.pick(&THREADS); // Axis::Threads
-    *chunk_size = d.pick(&CHUNKS); // Axis::ChunkSize
     *trace_level = d.pick(&LEVELS); // Axis::TraceLevel
     *wire_codec = d.pick(&[WireCodec::Flat, WireCodec::Adaptive]); // Axis::WireCodec
     *fault_plan = d.one_in(4).then(|| arb_plan(d)); // Axis::Faults
     *backend = d.pick(&[Backend::Sim, Backend::Thread]); // Axis::Backend
     *udf_exec = d.pick(&[UdfExec::Bytecode, UdfExec::Interp]); // Axis::UdfExec
-    *exchange_chunk = d.pick(&FRAMES); // Axis::ExchangeChunk
     *dep_width = d.pick(&[DepWidth::Wide, DepWidth::Certified]); // Axis::DepWidth
     cfg
 }
@@ -166,8 +166,6 @@ pub enum Axis {
     UdfExec,
     TraceLevel,
     Threads,
-    ChunkSize,
-    ExchangeChunk,
     WireCodec,
     DepWidth,
     BufferGroups,
@@ -177,13 +175,11 @@ pub enum Axis {
 }
 
 impl Axis {
-    pub const ALL: [Axis; 12] = [
+    pub const ALL: [Axis; 10] = [
         Axis::Backend,
         Axis::UdfExec,
         Axis::TraceLevel,
         Axis::Threads,
-        Axis::ChunkSize,
-        Axis::ExchangeChunk,
         Axis::WireCodec,
         Axis::DepWidth,
         Axis::BufferGroups,
@@ -212,8 +208,6 @@ impl Axis {
             }
             Axis::TraceLevel => c.trace_level = d.other(&LEVELS, c.trace_level),
             Axis::Threads => c.threads = d.other(&THREADS, c.threads),
-            Axis::ChunkSize => c.chunk_size = d.other(&CHUNKS, c.chunk_size),
-            Axis::ExchangeChunk => c.exchange_chunk = d.other(&FRAMES, c.exchange_chunk),
             Axis::WireCodec => {
                 c.wire_codec = d.other(&[WireCodec::Flat, WireCodec::Adaptive], c.wire_codec)
             }
@@ -271,12 +265,13 @@ pub const ALL_JOBS: &[JobKind] = &[
 ];
 
 /// Which part of the case space a test draws from: the jobs, the axes a
-/// case may flip (those that reach its code), and fields every drawn
-/// configuration pins.
+/// case may flip (those that reach its code), fields every drawn
+/// configuration pins, and whether every graph is a large one.
 pub struct Focus {
     jobs: &'static [JobKind],
     axes: &'static [Axis],
     pin: fn(&mut EngineConfig),
+    large: bool,
 }
 
 impl Focus {
@@ -285,11 +280,44 @@ impl Focus {
             jobs,
             axes,
             pin: |_| {},
+            large: false,
         }
     }
 
     pub const fn pin(self, pin: fn(&mut EngineConfig)) -> Self {
         Focus { pin, ..self }
+    }
+
+    /// Draws every graph from the large class, on two or three machines
+    /// with trace cells, and fails unless some run split a pass over two
+    /// or more executor lanes and some run shipped an update message
+    /// longer than an exchange frame.
+    pub const fn large(self) -> Self {
+        Focus {
+            large: true,
+            ..self
+        }
+    }
+}
+
+/// What the runs of a budget reached that only large graphs reach: a
+/// pass on two or more executor lanes, and an update message longer
+/// than one [`EXCHANGE_FRAME`] (the mean update message of a trace cell:
+/// one iteration's step or group on one machine).
+#[derive(Default)]
+struct Reach {
+    lanes: bool,
+    frames: bool,
+}
+
+impl Reach {
+    fn see(&mut self, r: &RunStats) {
+        self.lanes |= r.trace.nodes.iter().any(|n| n.max_lanes() >= 2);
+        let cells = r.trace.nodes.iter().flat_map(|n| n.cells.values());
+        let mean = |c: &CommStats| c.bytes(CommKind::Update) / c.messages(CommKind::Update).max(1);
+        self.frames |= cells
+            .map(|c| mean(&c.comm))
+            .any(|m| m > EXCHANGE_FRAME as u64);
     }
 }
 
@@ -316,9 +344,11 @@ pub fn seed(name: &str) -> u64 {
 /// dependency bytes strictly below wide ones.
 pub fn run(focus: &Focus, seed: u64, cases: u64) -> u64 {
     let mut narrowed = 0;
+    let mut reach = Reach::default();
     for index in 0..cases {
         let case = Case::draw(focus, seed, index);
-        let strict = catch_unwind(AssertUnwindSafe(|| case.check())).unwrap_or_else(|panic| {
+        let check = AssertUnwindSafe(|| case.check(&mut reach));
+        let strict = catch_unwind(check).unwrap_or_else(|panic| {
             let g = &case.graph;
             let edges: Vec<_> = g.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
             let (kind, n) = (case.kind, g.num_vertices());
@@ -332,6 +362,13 @@ pub fn run(focus: &Focus, seed: u64, cases: u64) -> u64 {
             resume_unwind(panic)
         });
         narrowed += u64::from(strict);
+    }
+    if focus.large {
+        assert!(reach.lanes, "no large case ran a pass on two or more lanes");
+        assert!(
+            reach.frames,
+            "no large case shipped a multi-frame update message"
+        );
     }
     narrowed
 }
@@ -443,9 +480,17 @@ impl Case {
         // takes either.
         let directed = [Pagerank, RankUdf].contains(&kind);
         let symmetric = (KERNELS.contains(&kind) && !directed) || d.one_in(2);
-        let graph = arb_graph(&mut d, 320, symmetric);
+        let graph = arb_graph(&mut d, focus.large, symmetric);
         let job = draw_job(kind, &mut d, graph.num_vertices());
         let mut cfg = arb_config(&mut d);
+        if focus.large {
+            // Two or three machines, so a partition outgrows one chunk, and
+            // trace cells, which show lanes and message sizes.
+            cfg.machines = 2 + cfg.machines % 2;
+            if cfg.trace_level == TraceLevel::Off {
+                cfg.trace_level = TraceLevel::Metrics;
+            }
+        }
         (focus.pin)(&mut cfg);
         let axes: Vec<Axis> = (focus.axes.iter().copied())
             .filter(|a| a.reaches(&cfg, &job))
@@ -463,9 +508,10 @@ impl Case {
         }
     }
 
-    /// Holds the case to its reference and its flip to the axis's class;
-    /// returns whether dependency bytes narrowed strictly.
-    fn check(&self) -> bool {
+    /// Holds the case to its reference and its flip to the axis's class,
+    /// noting what its runs reached; returns whether dependency bytes
+    /// narrowed strictly.
+    fn check(&self, reach: &mut Reach) -> bool {
         let g = &self.graph;
         let (base, skipped) = match &self.job {
             Job::Udf(u) => {
@@ -499,7 +545,8 @@ impl Case {
                 (base, 0)
             }
         };
-        self.check_flip(&base, skipped)
+        reach.see(&base.1);
+        self.check_flip(&base, skipped, reach)
     }
 
     /// The reference panicked with `msg`: the engine must panic too, and at
@@ -527,16 +574,16 @@ impl Case {
     /// configuration shares with `a`, the run under the case's own.
     /// `skipped` is the reference's skipped-segment count. Returns whether
     /// the flip held dependency bytes strictly below wide ones.
-    fn check_flip(&self, (out, a): &(Output, RunStats), skipped: u64) -> bool {
+    fn check_flip(&self, (out, a): &(Output, RunStats), skipped: u64, reach: &mut Reach) -> bool {
         let Some((axis, flipped)) = &self.flip else {
             return false;
         };
         let (flipped_out, b) = self.job.run(&self.graph, flipped);
+        reach.see(&b);
         let axis = *axis;
         assert_eq!(out, &flipped_out, "{axis:?}: outputs");
         assert_eq!(a.work, b.work, "{axis:?}: work counters");
         let (ca, cb) = (&a.comm, &b.comm);
-        let faulted = self.cfg.fault_plan.is_some() || flipped.fault_plan.is_some();
         let messages = |c: &CommStats| COMM_KINDS.map(|kind| c.messages(kind));
         let mut narrowed = false;
         match axis {
@@ -557,22 +604,7 @@ impl Case {
                     assert_eq!(chrome.0, chrome.1, "backend: chrome trace");
                 }
             }
-            // Under a fault plan each frame draws its own fates, so a new
-            // frame size redraws the reliable overlay.
-            Axis::ExchangeChunk if faulted => assert_eq!(logical(ca), logical(cb), "frames"),
-            Axis::Threads | Axis::ChunkSize | Axis::ExchangeChunk | Axis::Cost => {
-                assert_eq!(ca, cb, "{axis:?}: CommStats");
-                // At one thread a finer framing never lengthens the
-                // timeline, nor the stall for update frames.
-                if axis == Axis::ExchangeChunk && self.cfg.threads == 1 {
-                    let fine_first = self.cfg.exchange_chunk < flipped.exchange_chunk;
-                    let (fine, coarse) = if fine_first { (a, &b) } else { (&b, a) };
-                    let stall = |r: &RunStats| r.time.category(SpanCategory::Exchange);
-                    let time = |r: &RunStats| r.virtual_time();
-                    assert!(time(fine) <= time(coarse) * (1.0 + 1e-9), "frames: longer");
-                    assert!(stall(fine) <= stall(coarse) * (1.0 + 1e-9), "frames: stall");
-                }
-            }
+            Axis::Threads | Axis::Cost => assert_eq!(ca, cb, "{axis:?}: CommStats"),
             // Message counts; collectives do not go through the codec.
             Axis::WireCodec => {
                 assert_eq!(messages(ca), messages(cb), "codec: message counts");

@@ -41,19 +41,18 @@ fn zero_latency_symple_time_never_exceeds_gemini() {
 
 #[test]
 fn compute_charge_is_critical_path_not_sum() {
-    // A star: as a pull destination the hub is one entry with 599
+    // A star: as a pull destination the hub is one entry with 4,999
     // in-edges while every leaf entry has one — maximal intra-node
-    // imbalance, so the critical path is far below the serial sum.
-    let mut b = GraphBuilder::new(600);
-    for v in 1..600 {
+    // imbalance, so the critical path is far below the serial sum. The
+    // leaves fill several executor chunks (`EXEC_CHUNK`).
+    let n = 5000;
+    assert!(n > 4 * symplegraph::core::EXEC_CHUNK);
+    let mut b = GraphBuilder::new(n);
+    for v in 1..n as u32 {
         b.add_edge(Vid::new(0), Vid::new(v));
     }
     let g = b.symmetrize(true).build();
-    let cfg = |threads| {
-        EngineConfig::new(1, Policy::Gemini)
-            .chunk_size(16)
-            .threads(threads)
-    };
+    let cfg = |threads| EngineConfig::new(1, Policy::Gemini).threads(threads);
     // One machine, Gemini: virtual time is pure compute (no comm waits),
     // so the makespan change isolates the critical-path charging.
     let (out1, st1) = bfs(&g, &cfg(1), Vid::new(0));
