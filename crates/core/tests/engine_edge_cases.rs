@@ -203,7 +203,7 @@ fn an_exhausted_retry_budget_is_the_root_cause() {
             let err = catch_unwind(AssertUnwindSafe(|| run_toy_with(&g, &cfg))).unwrap_err();
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("all 20 attempts dropped"), "{backend}: {msg}");
-            let at = "node 0 failed at iteration 1, step 0, Tag { kind: Update, a: 2, b: 0, frame: 0 }: ";
+            let at = "node 0 failed at iteration 1, step 0, Tag { kind: Update, a: 2, b: 0 }: ";
             assert!(msg.starts_with(at), "{backend}: {msg}");
             assert!(!msg.contains("aborting:"), "{backend}: {msg}");
             assert!(!msg.contains("timed out"), "{backend}: {msg}");
