@@ -114,8 +114,9 @@ step "UDF executor differential tests (release profile)"
 # where the wall clock is measured. symple-net's
 # own tests ride along for the same reason: the bounded-inbox and chaos
 # runs (inboxes filled past their 256 envelopes) and the framed-receive
-# tests (`recv_frames` against the sender's stagger on both inboxes and
-# under chaos, a stalled stream's diagnostic). Release is where the `UdfDep` certificate
+# tests (`recv_frames`' modelled frames against the sender's stagger on
+# both inboxes and under chaos, the committed chaos listing
+# `framed_chaos.txt`, a stalled framed receive's diagnostic). Release is where the `UdfDep` certificate
 # range checks are compiled out and the latch audit re-runs only
 # uncertified programs' skipped segments. dense_comm's communication-shape
 # pins must hold without the debug assertion that catches a program lying
