@@ -116,7 +116,10 @@ step "UDF executor differential tests (release profile)"
 # runs (inboxes filled past their 256 envelopes) and the framed-receive
 # tests (`recv_frames`' modelled frames against the sender's stagger on
 # both inboxes and under chaos, the committed chaos listing
-# `framed_chaos.txt`, a stalled framed receive's diagnostic). Release is where the `UdfDep` certificate
+# `framed_chaos.txt`, a stalled framed receive's diagnostic), and
+# proptest_faults: random plans' duplicate drops (a copy whose
+# (src, tag) is buffered or delivered) and a reused tag's typed failure,
+# in the profile where the matrix's chaos cells run. Release is where the `UdfDep` certificate
 # range checks are compiled out and the latch audit re-runs only
 # uncertified programs' skipped segments. dense_comm's communication-shape
 # pins must hold without the debug assertion that catches a program lying
@@ -146,7 +149,7 @@ cargo test -q --release --offline -p symple-udf --lib \
 cargo test -q --release --offline -p symple-algos --lib
 cargo test -q --release --offline -p symple-core --lib
 cargo test -q --release --offline --test config_fuzz --test dense_comm
-cargo test -q --release --offline -p symple-net --lib
+cargo test -q --release --offline -p symple-net --lib --test proptest_faults
 
 step "job benchmark builds and smokes (benchmark/)"
 # benchmark/ is a workspace of its own that calls public functions of

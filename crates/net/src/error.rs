@@ -49,12 +49,18 @@ pub enum Cause {
     Timeout {
         /// The peer waited on.
         peer: usize,
-        /// What the node had buffered: (source, tag, envelopes queued).
-        pending: Vec<(usize, Tag, usize)>,
+        /// What the node had buffered, as sorted (source, tag) pairs.
+        pending: Vec<(usize, Tag)>,
     },
     /// A send to `dst` found its bounded inbox full for longer than the
     /// receive timeout: the peer stopped receiving.
     Blocked {
+        /// Destination rank.
+        dst: usize,
+    },
+    /// A second message to `dst` under a tag this node already sent it:
+    /// a tag names one message.
+    TagReused {
         /// Destination rank.
         dst: usize,
     },
@@ -88,6 +94,7 @@ impl fmt::Display for RunError {
         match &self.cause {
             Cause::Timeout { peer, pending } => write!(f, "timed out on node {peer} ({pending:?})"),
             Cause::Blocked { dst } => write!(f, "send to node {dst} blocked on a full inbox"),
+            Cause::TagReused { dst } => write!(f, "tag reused: a second message to node {dst}"),
             Cause::Unreachable { dst } => write!(
                 f,
                 "node {dst} unreachable: all {RETRY_ATTEMPTS} attempts dropped"
@@ -179,6 +186,15 @@ mod tests {
         let msg = blocked.to_string();
         assert!(
             msg.ends_with("send to node 1 blocked on a full inbox"),
+            "{msg}"
+        );
+        let reused = RunError {
+            cause: Cause::TagReused { dst: 1 },
+            ..u
+        };
+        let msg = reused.to_string();
+        assert!(
+            msg.ends_with("tag reused: a second message to node 1"),
             "{msg}"
         );
     }

@@ -1,14 +1,16 @@
 //! Deterministic fault injection and the reliable-delivery schedule.
 //!
-//! The simulated cluster's engine contract is exactly-once, per-stream
-//! FIFO delivery. A [`FaultPlan`] breaks that contract *below* the engine
-//! — dropping, delaying, duplicating, and reordering individual message
-//! copies — and the ack/sequence-number/retry protocol in `cluster.rs`
-//! restores it, so the engine's outputs stay bit-identical while the new
-//! `CommStats` counters and the virtual clock absorb the damage.
+//! The simulated cluster's engine contract is exactly-once delivery of
+//! each message, and a tag names one message from `src` to `dst`. A
+//! [`FaultPlan`] breaks that contract *below* the engine — dropping,
+//! delaying, duplicating, and reordering individual message copies — and
+//! the ack/retry protocol in `cluster.rs` restores it (the receiver drops
+//! a copy whose `(src, tag)` it already holds or has delivered), so the
+//! engine's outputs stay bit-identical while the `CommStats` counters
+//! and the virtual clock absorb the damage.
 //!
 //! Everything here is an **oracle**: the fate of every transmission
-//! attempt is a pure function of `(seed, src, dst, tag, seq, attempt)`
+//! attempt is a pure function of `(seed, src, dst, tag, attempt)`
 //! through a splitmix64-style hash, so the sender can compute the entire
 //! retransmission schedule of a message at send time — which attempts
 //! time out, when the first surviving copy departs, whether the network
@@ -25,8 +27,8 @@
 //! let tag = Tag::new(TagKind::User, 0, 0);
 //! // The schedule for one message is deterministic: same inputs, same
 //! // retransmit count and delivery delay, forever.
-//! let a = plan.schedule(1.0, 0, 1, tag, 0).unwrap();
-//! let b = plan.schedule(1.0, 0, 1, tag, 0).unwrap();
+//! let a = plan.schedule(1.0, 0, 1, tag).unwrap();
+//! let b = plan.schedule(1.0, 0, 1, tag).unwrap();
 //! assert_eq!(a.retransmits, b.retransmits);
 //! assert_eq!(a.extra_delay, b.extra_delay);
 //! ```
@@ -48,8 +50,8 @@ pub const RETRY_ATTEMPTS: u32 = 20;
 
 /// A seeded, deterministic fault plan for the simulated network.
 ///
-/// Each transmission attempt on each `(src, dst, tag, seq)` stream
-/// position rolls its fate from the plan's hash: dropped in transit,
+/// Each transmission attempt of each `(src, dst, tag)` message rolls its
+/// fate from the plan's hash: dropped in transit,
 /// delivered late (by whole RTO-sized steps, or by a sub-step "reorder"
 /// nudge that lands it behind younger traffic), and/or duplicated by the
 /// network. Rates are probabilities in `[0, 1]` over the hash space; the
@@ -62,7 +64,7 @@ pub struct FaultPlan {
     /// ack timeout and a retransmit).
     pub drop_rate: f64,
     /// Probability a delivered copy is duplicated by the network (the
-    /// receiver discards the extra copy by sequence number).
+    /// receiver discards the extra copy by its `(src, tag)`).
     pub dup_rate: f64,
     /// Probability a delivered copy is delayed by `1..=max_delay_steps`
     /// RTO-sized steps.
@@ -206,7 +208,7 @@ impl FaultPlan {
     }
 
     /// A uniform roll in `[0, 1)` for one (attempt, aspect) of a message.
-    fn roll(&self, src: usize, dst: usize, tag: Tag, seq: u64, attempt: u32, salt: u64) -> f64 {
+    fn roll(&self, src: usize, dst: usize, tag: Tag, attempt: u32, salt: u64) -> f64 {
         let mut h = splitmix64(self.seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
         for field in [
             src as u64,
@@ -214,7 +216,7 @@ impl FaultPlan {
             tag_code(tag.kind),
             tag.a,
             tag.b as u64,
-            seq,
+            0, // a retired per-tag sequence number, always 0: fates stay put
             attempt as u64,
         ] {
             h = splitmix64(h ^ field);
@@ -222,50 +224,35 @@ impl FaultPlan {
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// The fate of transmission attempt `attempt` of message `seq` on the
-    /// `(src, dst, tag)` stream.
-    pub(crate) fn fate(
-        &self,
-        src: usize,
-        dst: usize,
-        tag: Tag,
-        seq: u64,
-        attempt: u32,
-    ) -> AttemptFate {
-        if self.roll(src, dst, tag, seq, attempt, 0) < self.drop_rate {
+    /// The fate of transmission attempt `attempt` of the `(src, dst, tag)`
+    /// message.
+    pub(crate) fn fate(&self, src: usize, dst: usize, tag: Tag, attempt: u32) -> AttemptFate {
+        if self.roll(src, dst, tag, attempt, 0) < self.drop_rate {
             return AttemptFate::Dropped;
         }
-        let delay_steps = if self.max_delay_steps > 0
-            && self.roll(src, dst, tag, seq, attempt, 1) < self.delay_rate
-        {
-            let spread = self.roll(src, dst, tag, seq, attempt, 2);
-            1 + (spread * self.max_delay_steps as f64) as u32
-        } else {
-            0
-        };
+        let delay_steps =
+            if self.max_delay_steps > 0 && self.roll(src, dst, tag, attempt, 1) < self.delay_rate {
+                let spread = self.roll(src, dst, tag, attempt, 2);
+                1 + (spread * self.max_delay_steps as f64) as u32
+            } else {
+                0
+            };
         AttemptFate::Delivered {
             delay_steps: delay_steps.min(self.max_delay_steps),
-            reorder: self.roll(src, dst, tag, seq, attempt, 3) < self.reorder_rate,
-            duplicate: self.roll(src, dst, tag, seq, attempt, 4) < self.dup_rate,
+            reorder: self.roll(src, dst, tag, attempt, 3) < self.reorder_rate,
+            duplicate: self.roll(src, dst, tag, attempt, 4) < self.dup_rate,
         }
     }
 
-    /// Resolves the whole retransmission schedule of message `seq` on the
-    /// `(src, dst, tag)` stream. `quantum` is the modelled round-trip time
-    /// the RTO scales from ([`crate::CostModel::retry_timeout`]). `None`
-    /// means all [`RETRY_ATTEMPTS`] copies were dropped.
-    pub fn schedule(
-        &self,
-        quantum: f64,
-        src: usize,
-        dst: usize,
-        tag: Tag,
-        seq: u64,
-    ) -> Option<Delivery> {
+    /// Resolves the whole retransmission schedule of the `(src, dst, tag)`
+    /// message. `quantum` is the modelled round-trip time the RTO scales
+    /// from ([`crate::CostModel::retry_timeout`]). `None` means all
+    /// [`RETRY_ATTEMPTS`] copies were dropped.
+    pub fn schedule(&self, quantum: f64, src: usize, dst: usize, tag: Tag) -> Option<Delivery> {
         let mut waited = 0.0_f64;
         let mut rto = RETRY_TIMEOUT_QUANTA * quantum;
         for attempt in 0..RETRY_ATTEMPTS {
-            match self.fate(src, dst, tag, seq, attempt) {
+            match self.fate(src, dst, tag, attempt) {
                 AttemptFate::Dropped => {
                     waited += rto;
                     rto *= RETRY_BACKOFF;
@@ -305,7 +292,7 @@ mod tests {
         let plan = FaultPlan::new(7);
         assert!(!plan.injects());
         assert_eq!(plan.validate(), Ok(()));
-        let d = plan.schedule(1.0, 0, 1, user_tag(0), 0).unwrap();
+        let d = plan.schedule(1.0, 0, 1, user_tag(0)).unwrap();
         assert_eq!(d.retransmits, 0);
         assert_eq!(d.extra_delay, 0.0);
         assert_eq!(d.duplicate_delay, None);
@@ -325,28 +312,28 @@ mod tests {
     #[test]
     fn fates_are_deterministic_and_attempt_independent() {
         let plan = FaultPlan::chaos(1234);
-        let tag = user_tag(3);
-        for seq in 0..50 {
+        for a in 0..50 {
             for attempt in 0..4 {
                 assert_eq!(
-                    plan.fate(0, 1, tag, seq, attempt),
-                    plan.fate(0, 1, tag, seq, attempt),
+                    plan.fate(0, 1, user_tag(a), attempt),
+                    plan.fate(0, 1, user_tag(a), attempt),
                     "same roll must give the same fate"
                 );
             }
         }
-        // Different streams and different seeds roll different fates at
-        // least somewhere over 50 sequence numbers.
+        // Different directions and different seeds roll different fates
+        // at least somewhere over 50 tags.
         let other_seed = FaultPlan::chaos(99);
-        assert!((0..50).any(|s| plan.fate(0, 1, tag, s, 0) != plan.fate(1, 0, tag, s, 0)));
-        assert!((0..50).any(|s| plan.fate(0, 1, tag, s, 0) != other_seed.fate(0, 1, tag, s, 0)));
+        let fate = |plan: FaultPlan, src, dst, a| plan.fate(src, dst, user_tag(a), 0);
+        assert!((0..50).any(|a| fate(plan, 0, 1, a) != fate(plan, 1, 0, a)));
+        assert!((0..50).any(|a| fate(plan, 0, 1, a) != fate(other_seed, 0, 1, a)));
     }
 
     #[test]
     fn always_drop_exhausts_attempts() {
         let plan = FaultPlan::new(5).drop_rate(1.0);
         assert_eq!(
-            plan.schedule(1.0, 0, 1, user_tag(0), 0),
+            plan.schedule(1.0, 0, 1, user_tag(0)),
             None,
             "every copy dropped: the schedule reports exhaustion"
         );
@@ -358,10 +345,9 @@ mod tests {
         // both dropped and check the accumulated timer delay.
         let plan = FaultPlan::new(17).drop_rate(0.5);
         let quantum = 0.5;
-        let tag = user_tag(0);
         let mut seen_two = false;
-        for seq in 0..200 {
-            let d = plan.schedule(quantum, 0, 1, tag, seq).unwrap();
+        for a in 0..200 {
+            let d = plan.schedule(quantum, 0, 1, user_tag(a)).unwrap();
             if d.retransmits == 2 {
                 // rto0 + rto1 = q·ts + q·ts·backoff = 1.0 + 2.0
                 let base = RETRY_TIMEOUT_QUANTA * quantum;
@@ -376,8 +362,8 @@ mod tests {
     #[test]
     fn delay_steps_are_bounded() {
         let plan = FaultPlan::new(3).delay_rate(1.0).max_delay_steps(2);
-        for seq in 0..100 {
-            let d = plan.schedule(1.0, 0, 1, user_tag(0), seq).unwrap();
+        for a in 0..100 {
+            let d = plan.schedule(1.0, 0, 1, user_tag(a)).unwrap();
             assert_eq!(d.retransmits, 0);
             assert!(
                 d.extra_delay >= 1.0 - 1e-12 && d.extra_delay <= 2.5 + 1e-12,
@@ -390,7 +376,7 @@ mod tests {
     #[test]
     fn duplicates_trail_the_original() {
         let plan = FaultPlan::new(11).dup_rate(1.0);
-        let d = plan.schedule(2.0, 0, 1, user_tag(0), 0).unwrap();
+        let d = plan.schedule(2.0, 0, 1, user_tag(0)).unwrap();
         assert_eq!(d.duplicate_delay, Some(0.5));
     }
 
@@ -401,8 +387,8 @@ mod tests {
         let plan = FaultPlan::chaos(8);
         let mut rts = 0u32;
         let mut dups = 0u32;
-        for seq in 0..100 {
-            let d = plan.schedule(0.0, 0, 1, user_tag(0), seq).unwrap();
+        for a in 0..100 {
+            let d = plan.schedule(0.0, 0, 1, user_tag(a)).unwrap();
             assert_eq!(d.extra_delay, 0.0);
             rts += d.retransmits;
             dups += u32::from(d.duplicate_delay.is_some());

@@ -17,9 +17,9 @@
 //!   so cyclic exchanges of full inboxes cannot deadlock.
 //!
 //! Outputs, `CommStats`, virtual time and trace cells are therefore
-//! bit-identical across backends (per-source FIFO is not required; the
-//! tag/seq machinery restores order); only the measured wall-clock numbers
-//! differ.
+//! bit-identical across backends (no delivery order is required: a tag
+//! names one message, and receives match on it); only the measured
+//! wall-clock numbers differ.
 
 use crate::Tag;
 use std::collections::VecDeque;
@@ -84,9 +84,6 @@ pub(crate) struct Envelope {
     /// Set when the sending node panicked: receivers fail fast instead of
     /// waiting out the deadlock timeout.
     pub poison: bool,
-    /// Position in the per-(src, tag) stream, assigned by the reliable
-    /// layer (always 0 when no fault plan is active).
-    pub seq: u64,
 }
 
 /// The senders into every rank's inbox, in one of the two disciplines.
@@ -101,8 +98,8 @@ enum Outbox {
 /// * [`Port::send`] eventually delivers the envelope to `dst`'s port (it
 ///   may block under backpressure, but keeps draining its own inbox while
 ///   blocked so cyclic exchanges make progress);
-/// * [`Port::recv`] returns envelopes from this rank's inbox — any order
-///   across sources, per-(src, seq) content unaltered;
+/// * [`Port::recv`] returns envelopes from this rank's inbox — in any
+///   order, each one's content unaltered;
 /// * [`Port::comm_wall`] accumulates the real time spent blocked inside
 ///   `send`/`recv` (the measured communication wait, as opposed to the
 ///   modelled one on the virtual clock).
@@ -248,7 +245,6 @@ mod tests {
             frames: vec![(1, 0.0)],
             payload: Arc::new(vec![byte]),
             poison: false,
-            seq: 0,
         }
     }
 

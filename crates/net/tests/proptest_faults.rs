@@ -1,12 +1,17 @@
 //! Property-based tests of the fault-injection + reliable-delivery layer:
-//! for ANY seeded fault plan, message exchanges observe exactly-once FIFO
+//! for ANY seeded fault plan, message exchanges observe exactly-once
 //! delivery with payloads and logical traffic accounting bit-identical to
-//! the fault-free run, and retransmission-budget exhaustion surfaces as a
-//! typed error instead of a hang.
+//! the fault-free run, a tag names one message (a second send under it
+//! fails typed, and its payload never reaches the receiver), and
+//! retransmission-budget exhaustion surfaces as a typed error instead of
+//! a hang.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::time::Duration;
 use symple_net::{
-    Cause, Cluster, ClusterResult, CommKind, CostModel, FaultPlan, RunError, Tag, TagKind,
+    Backend, Cause, Cluster, ClusterResult, CommKind, CostModel, FaultPlan, RunError, Tag, TagKind,
     RETRY_ATTEMPTS,
 };
 
@@ -58,6 +63,42 @@ fn all_to_all(cluster: Cluster, world: usize, rounds: u64) -> ClusterResult<Vec<
         }
         seen
     })
+}
+
+/// Rank 0 sends rank 1 a message under one tag, waits for rank 1's
+/// acknowledgement, then sends a second message under the same tag; rank
+/// 1 receives that tag until its run ends. Returns the second send's
+/// failure (rank 0 then fails its run with it), every payload rank 1
+/// received, and the failure `Cluster::run` re-raised.
+fn reuse_a_tag(cluster: Cluster) -> (Option<Cause>, Vec<Vec<u8>>, String) {
+    let (tag, ack) = (Tag::new(TagKind::User, 0, 0), Tag::new(TagKind::User, 1, 0));
+    let (cause, seen) = (Mutex::new(None), Mutex::new(Vec::new()));
+    let run = AssertUnwindSafe(|| {
+        cluster.run(|ctx| {
+            if ctx.rank() == 1 {
+                let first = ctx.recv(0, tag);
+                seen.lock().unwrap().push(first);
+                ctx.send(0, ack, CommKind::Sync, Vec::new());
+                loop {
+                    let next = ctx.recv(0, tag);
+                    seen.lock().unwrap().push(next);
+                }
+            }
+            ctx.send(1, tag, CommKind::Update, vec![1]);
+            ctx.recv(1, ack);
+            let second = || ctx.send(1, tag, CommKind::Update, vec![2]);
+            let err = catch_unwind(AssertUnwindSafe(second)).expect_err("a reused tag must fail");
+            *cause.lock().unwrap() = err.downcast_ref::<RunError>().map(|e| e.cause.clone());
+            resume_unwind(err)
+        })
+    });
+    let raised = catch_unwind(run).expect_err("rank 0's failure fails the run");
+    let raised = raised.downcast_ref::<String>().cloned().unwrap_or_default();
+    (
+        cause.into_inner().unwrap(),
+        seen.into_inner().unwrap(),
+        raised,
+    )
 }
 
 proptest! {
@@ -116,28 +157,26 @@ proptest! {
     }
 
     #[test]
-    fn same_tag_streams_stay_fifo_under_any_plan(
-        plan in arb_plan(),
-        count in 2u8..20,
-    ) {
-        let r = Cluster::builder(2)
-            .cost(CostModel::zero())
-            .fault_plan(plan)
-            .build()
-            .unwrap()
-            .run(|ctx| {
-            let tag = Tag::new(TagKind::User, 0, 0);
-            if ctx.rank() == 0 {
-                for v in 0..count {
-                    ctx.send(1, tag, CommKind::Update, vec![v]);
-                }
-                Vec::new()
-            } else {
-                (0..count).map(|_| ctx.recv(0, tag)[0]).collect()
+    fn a_reused_tag_fails_typed_under_any_plan(plan in arb_plan()) {
+        for plan in [None, Some(plan)] {
+            for backend in [Backend::Sim, Backend::Thread] {
+                let cluster = Cluster::builder(2)
+                    .cost(CostModel::zero())
+                    .backend(backend)
+                    .fault_plan(plan)
+                    .recv_timeout(Duration::from_secs(10))
+                    .build()
+                    .unwrap();
+                let (cause, seen, raised) = reuse_a_tag(cluster);
+                prop_assert_eq!(cause, Some(Cause::TagReused { dst: 1 }));
+                prop_assert_eq!(seen, vec![vec![1]], "the second payload never arrives");
+                prop_assert!(
+                    raised.ends_with(": tag reused: a second message to node 1"),
+                    "{}",
+                    raised
+                );
             }
-        });
-        let expect: Vec<u8> = (0..count).collect();
-        prop_assert_eq!(&r.outputs[1], &expect);
+        }
     }
 
     #[test]
